@@ -62,7 +62,21 @@ class BrachaState:
         """Sender's initial ``INIT`` burst (empty for non-senders)."""
         if self.pid != self.sender:
             return []
-        return [(dst, (INIT, value)) for dst in range(self.n)]
+        return self._burst(INIT, value)
+
+    def _burst(self, phase: str, value: Any) -> list[tuple[int, tuple[str, Any]]]:
+        # One payload object for all n destinations: the network sizes a
+        # burst once, by payload identity.
+        payload = (phase, value)
+        return [(dst, payload) for dst in range(self.n)]
+
+    def _retain(self, key: bytes, value: Any) -> None:
+        # Retained past the handler while `value` is also forwarded:
+        # store a private copy so a sender-side mutation of the live
+        # payload cannot rewrite what we later deliver.  The first copy
+        # under a key stays private, so later votes need none.
+        if key not in self._values:
+            self._values[key] = defensive_copy(value)
 
     # ----------------------------------------------------------- receiving
     def on_message(
@@ -82,24 +96,21 @@ class BrachaState:
         if phase == INIT:
             if src == self.sender and not self._echoed:
                 self._echoed = True
-                out.extend((dst, (ECHO, value)) for dst in range(self.n))
+                out = self._burst(ECHO, value)
         elif phase == ECHO:
-            # Retained past this handler while `value` is also forwarded:
-            # store a private copy so a sender-side mutation of the live
-            # payload cannot rewrite what we later deliver.
-            self._values.setdefault(key, defensive_copy(value))
+            self._retain(key, value)
             voters = self._echoes.setdefault(key, set())
             voters.add(src)
             if len(voters) >= self.echo_threshold and not self._readied:
                 self._readied = True
-                out.extend((dst, (READY, value)) for dst in range(self.n))
+                out = self._burst(READY, value)
         elif phase == READY:
-            self._values.setdefault(key, defensive_copy(value))
+            self._retain(key, value)
             voters = self._readys.setdefault(key, set())
             voters.add(src)
             if len(voters) >= self.f + 1 and not self._readied:
                 self._readied = True
-                out.extend((dst, (READY, value)) for dst in range(self.n))
+                out = self._burst(READY, value)
             if len(voters) >= self.ready_threshold and not self.delivered:
                 self.delivered = True
                 self.delivered_value = self._values[key]

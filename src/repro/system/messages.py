@@ -13,6 +13,7 @@ data bytes so that numerically identical vectors sign identically.
 from __future__ import annotations
 
 import copy
+import io
 import pickle
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -79,26 +80,47 @@ def defensive_copy(obj: Any) -> Any:
     return copy.deepcopy(obj)
 
 
+#: Exact types whose canonical form is the object itself.  NumPy scalars
+#: (``np.float64`` subclasses ``float``) must miss this set.
+_PLAIN_SCALARS = frozenset({int, float, bool, str, bytes, type(None)})
+
+
+def _canon(x: Any) -> Any:
+    if type(x) in _PLAIN_SCALARS:
+        return x
+    if isinstance(x, (list, tuple)):
+        # The honest payload shapes — ("val", floats), ("refs", ints) —
+        # bottom out in flat runs of scalars: no per-item call for those.
+        if _PLAIN_SCALARS.issuperset(map(type, x)):
+            return tuple(x)
+        return tuple(map(_canon, x))
+    if isinstance(x, np.ndarray):
+        return ("__ndarray__", x.shape, str(x.dtype), x.tobytes())
+    if isinstance(x, np.generic):
+        return ("__npscalar__", str(x.dtype), x.item())
+    if isinstance(x, dict):
+        return ("__dict__", tuple(sorted((_canon(k), _canon(v)) for k, v in x.items())))
+    return x
+
+
 def canonical_bytes(obj: Any) -> bytes:
     """Deterministic byte serialisation for signing/hashing.
 
     Converts NumPy arrays (at any nesting depth inside tuples/lists/dicts)
     to a canonical ``(shape, dtype, bytes)`` form, then pickles with
     protocol 4 — stable for the value types protocols exchange here.
+
+    The pickler runs with its memo off: a memoising pickler writes the
+    second occurrence of one ``str``/``bytes`` *object* as a back
+    reference, so equal values would serialise differently depending on
+    which of their parts happen to be the same object — a locally built
+    payload against the same payload unpickled from a peer.
     """
-
-    def canon(x: Any) -> Any:
-        if isinstance(x, np.ndarray):
-            return ("__ndarray__", x.shape, str(x.dtype), x.tobytes())
-        if isinstance(x, np.generic):
-            return ("__npscalar__", str(x.dtype), x.item())
-        if isinstance(x, dict):
-            return ("__dict__", tuple(sorted((canon(k), canon(v)) for k, v in x.items())))
-        if isinstance(x, (list, tuple)):
-            return tuple(canon(v) for v in x)
-        return x
-
-    return pickle.dumps(canon(obj), protocol=4)
+    buf = io.BytesIO()
+    pickler = pickle.Pickler(buf, protocol=4)
+    pickler.fast = True
+    pickler.dump(_canon(obj))
+    return buf.getvalue()
 
 
 #: Destination sentinel for channel-level atomic broadcast: the network

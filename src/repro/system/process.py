@@ -26,7 +26,7 @@ from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .messages import Message
+from .messages import ALL, Message
 
 __all__ = ["Context", "SyncProcess", "AsyncProcess", "Inbox"]
 
@@ -83,8 +83,6 @@ class Context:
         Byzantine sender may alter or drop the message but cannot send
         different versions to different receivers.
         """
-        from .messages import ALL, Message
-
         self.outbox.append(
             Message(self.pid, ALL, tag, payload, round=round, seq=self._seq)
         )

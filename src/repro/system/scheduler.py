@@ -505,19 +505,22 @@ class AsyncScheduler:
             self.processes[pid].on_start(self.contexts[pid])
             self._flush_outbox(pid)
 
-        correct_ids = [p for p in range(self.n) if not self.adversary.is_faulty(p)]
+        # Correct processes yet to decide.  A process decides only inside
+        # its own handler, so one look after each handler keeps this exact.
+        undecided = {
+            p for p in range(self.n)
+            if not self.adversary.is_faulty(p) and not self.contexts[p].decided
+        }
         steps = 0
         completed = False
         prof = get_profiler()
         while steps < self.max_steps:
-            if self.stop_when_correct_decided and all(
-                self.contexts[p].decided for p in correct_ids
-            ):
+            if self.stop_when_correct_decided and not undecided:
                 completed = True
                 break
             links = self.network.pending_links()
             if not links:
-                completed = all(self.contexts[p].decided for p in correct_ids)
+                completed = not undecided
                 break
             queue_gauge.set(self.network.pending_count())
             link = self.policy.choose(links, self.network, self.rng)
@@ -550,6 +553,8 @@ class AsyncScheduler:
                     self.processes[dst].on_message(
                         ctx, msg.src, msg.tag, msg.payload
                     )
+                    if ctx.decided:
+                        undecided.discard(dst)
                     self._flush_outbox(dst)
             if probe_view is not None and steps % self.probe_interval == 0:
                 for probe in self.probes:

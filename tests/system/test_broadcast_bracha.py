@@ -65,6 +65,28 @@ class TestBrachaUnit:
         assert st.delivered
         assert st.delivered_value == "v"
 
+    def test_sender_mutation_after_vote_cannot_rewrite_delivery(self):
+        # The value is retained on the first ECHO and copied only then;
+        # that one copy must still be private: mutating the live payload
+        # after the vote was counted changes neither what later votes
+        # are compared against nor what is delivered.
+        st = BrachaState(4, 1, 0, 1)
+        live = ["v", [1.0, 2.0]]
+        st.on_message(2, (ECHO, live))
+        live[1].append(666.0)
+        live[0] = "w"
+        for src in (0, 2, 3):
+            st.on_message(src, (READY, ["v", [1.0, 2.0]]))
+        assert st.delivered
+        assert st.delivered_value == ["v", [1.0, 2.0]]
+        assert st.delivered_value is not live
+
+    def test_burst_shares_one_payload_object(self):
+        # n destinations, one payload: the network sizes a burst once.
+        out = BrachaState(4, 1, 0, 0).start(("val", (1.0,)))
+        assert [dst for dst, _ in out] == [0, 1, 2, 3]
+        assert all(p is out[0][1] for _, p in out)
+
     def test_malformed_payload_ignored(self):
         st = BrachaState(4, 1, 0, 1)
         assert st.on_message(0, "junk") == []

@@ -32,6 +32,76 @@ class TestCanonicalBytes:
     def test_tuple_vs_list_equal(self):
         assert canonical_bytes((1, 2)) == canonical_bytes([1, 2])
 
+    def test_independent_of_object_identity(self):
+        # A memoising pickler writes the second occurrence of one str /
+        # bytes *object* as a back reference, so equal values used to
+        # serialise differently depending on who built them.
+        a = "ab"
+        b = "".join(["a", "b"])
+        assert a == b and a is not b
+        assert canonical_bytes((a, a)) == canonical_bytes((a, b))
+        assert canonical_bytes([a, (a, {a: a})]) == canonical_bytes(
+            [b, ("".join(["a", "b"]), {"ab": b})]
+        )
+        x = b"\x00\x01"
+        y = bytes([0, 1])
+        assert x is not y
+        assert canonical_bytes((x, x)) == canonical_bytes((x, y))
+
+    def test_unpickled_payload_matches_local(self):
+        # What a live peer receives (an unpickled copy) must land under
+        # the same Bracha key / signature digest as the sender's object.
+        import pickle
+
+        tag = "val"
+        payload = (tag, (1.5, -2.0), tag)
+        assert canonical_bytes(pickle.loads(pickle.dumps(payload))) == (
+            canonical_bytes(("val", (1.5, -2.0), "".join(["v", "al"])))
+        )
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            ("val", (1.5, -2.0, 0.0)),
+            ("refs", (0, 1, 2)),
+            ("val", 1.5, 3, True, None, b"x"),
+            (),
+            [[], ((),)],
+            ("val", [np.float64(1.0), 2.0]),
+            {"k": (1, 2), "j": [np.array([1.0, 2.0])]},
+        ],
+    )
+    def test_scalar_fast_path_matches_general_walk(self, obj):
+        # Flat runs of plain scalars skip the per-item walk; the bytes
+        # must be those of the item-by-item reference below.
+        import io
+        import pickle
+
+        def canon(x):
+            if isinstance(x, np.ndarray):
+                return ("__ndarray__", x.shape, str(x.dtype), x.tobytes())
+            if isinstance(x, np.generic):
+                return ("__npscalar__", str(x.dtype), x.item())
+            if isinstance(x, dict):
+                return ("__dict__", tuple(
+                    sorted((canon(k), canon(v)) for k, v in x.items())))
+            if isinstance(x, (list, tuple)):
+                return tuple(canon(v) for v in x)
+            return x
+
+        buf = io.BytesIO()
+        pickler = pickle.Pickler(buf, protocol=4)
+        pickler.fast = True
+        pickler.dump(canon(obj))
+        assert canonical_bytes(obj) == buf.getvalue()
+
+    def test_numpy_scalars_do_not_take_the_scalar_fast_path(self):
+        # np.float64 subclasses float; it must still canonicalise by dtype.
+        assert canonical_bytes((np.float64(1.0),)) != canonical_bytes((1.0,))
+        assert canonical_bytes((np.float64(1.0),)) == canonical_bytes(
+            [np.array(1.0)[()]]
+        )
+
 
 class TestMessage:
     def test_repr_contains_route(self):

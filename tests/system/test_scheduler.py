@@ -185,6 +185,62 @@ class TestAsyncScheduler:
         assert link == (0, 1)
 
 
+#: SHA-256 of the delivery transcript, ``stats.bytes_estimate`` and steps
+#: of one averaging run (n=4, f=1, seed 2016) per policy — cut before the
+#: event loop went incremental, so any change to delivery *order* or to
+#: the size accounting shows here and not only as a decisions digest.
+PINNED_AVERAGING_RUNS = {
+    "random": (
+        RandomPolicy,
+        "f4c34d02b1bf972a12a1da199486cc2dc005a6e7ebba07ffa882874bd59969ce",
+        40912, 565, {"rva:0:4": 4, "rva:1:4": 12, "rva:2:4": 12, "rva:3:4": 4},
+    ),
+    "fifo": (
+        FifoPolicy,
+        "d7ec2abef3fcf28a736b5cf4b35a6c94571902cc3c2cbd165b86ad8638ed2a21",
+        39808, 559, {"rva:0:4": 4, "rva:1:4": 4, "rva:2:4": 4, "rva:3:4": 4},
+    ),
+    "delay": (
+        lambda: DelayPolicy([0]),
+        "50f5867a8a8538285f2d77f7b79e99419052c395007b2a805bf44d632067e6c0",
+        44248, 617,
+        {"rva:0:1": 32, "rva:0:2": 32, "rva:0:3": 32, "rva:0:4": 4,
+         "rva:1:4": 28, "rva:2:4": 32, "rva:3:4": 28},
+    ),
+}
+
+
+class TestPinnedDeliveryOrder:
+    @pytest.mark.parametrize("name", sorted(PINNED_AVERAGING_RUNS))
+    def test_averaging_transcript_is_pinned(self, name):
+        import hashlib
+
+        from repro.core.averaging import VerifiedAveragingProcess
+
+        make_policy, digest, nbytes, steps, partial = PINNED_AVERAGING_RUNS[name]
+        inputs = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0]])
+        procs = [
+            VerifiedAveragingProcess(4, 1, pid, inputs[pid], num_rounds=4)
+            for pid in range(4)
+        ]
+        res = AsyncScheduler(
+            procs, f=1, policy=make_policy(),
+            rng=np.random.default_rng(2016), record_transcript=True,
+        ).run()
+        assert res.completed
+        assert res.rounds == steps
+        h = hashlib.sha256()
+        for step, m in res.transcript:
+            h.update(repr((step, m.src, m.dst, m.tag, m.seq, m.payload)).encode())
+        assert h.hexdigest() == digest
+        assert res.stats.bytes_estimate == nbytes
+        # A full Bracha instance at n=4 is 4 INIT + 16 ECHO + 16 READY;
+        # only the instances cut short by the stop are listed.
+        per_tag = {f"rva:{s}:{r}": 36 for s in range(4) for r in range(5)}
+        per_tag.update(partial)
+        assert res.stats.per_tag == per_tag
+
+
 class TestAsyncSchedulerEdgeCases:
     """Corner cases surfaced while building the DST subsystem."""
 
