@@ -66,8 +66,7 @@ def run_spec(**kwargs):
     """Declare-and-run shorthand: ``run(RunSpec(**kwargs))``.
 
     The benchmarks' single entry point into the consensus stack — one
-    vocabulary (the :class:`~repro.core.runspec.RunSpec` fields) instead
-    of six ``run_*`` signatures.
+    vocabulary (the :class:`~repro.core.runspec.RunSpec` fields).
     """
     return run(RunSpec(**kwargs))
 

@@ -13,11 +13,12 @@ with pluggable Byzantine adversaries.
 Quickstart
 ----------
 >>> import numpy as np
->>> from repro import run_algo
+>>> from repro import RunSpec, run
 >>> from repro.system import Adversary
 >>> rng = np.random.default_rng(0)
 >>> inputs = rng.normal(size=(4, 3))          # n = 4 processes, d = 3
->>> out = run_algo(inputs, f=1, adversary=Adversary(faulty=[3]))
+>>> out = run(RunSpec(algorithm="algo", inputs=inputs, f=1,
+...                   adversary=Adversary(faulty=[3])))
 >>> out.ok, out.delta_used is not None
 (True, True)
 
@@ -30,16 +31,7 @@ Subpackages
 """
 
 from . import analysis, core, geometry, system
-from .core import (
-    ConsensusOutcome,
-    RunSpec,
-    run,
-    run_algo,
-    run_averaging,
-    run_exact_bvc,
-    run_k_relaxed,
-    run_scalar,
-)
+from .core import ConsensusOutcome, RunSpec, run
 from .core import bounds
 from .geometry import (
     DeltaPHull,
@@ -71,11 +63,6 @@ __all__ = [
     "inradius",
     "psi_k_point",
     "run",
-    "run_algo",
-    "run_averaging",
-    "run_exact_bvc",
-    "run_k_relaxed",
-    "run_scalar",
     "system",
     "tverberg_partition",
     "tverberg_point",

@@ -1,6 +1,5 @@
-"""Experiment support: workloads, metrics, tables, adversary fuzzing."""
+"""Experiment support: workloads, metrics, tables, trace renderers."""
 
-from .fuzz import ALGORITHMS, FuzzFailure, fuzz_consensus, random_adversary
 from .metrics import DeltaTrial, TrialSummary, measure_delta_star, summarize_trials
 from .profiling import (
     SpanStats,
@@ -34,14 +33,10 @@ from .workloads import (
 )
 
 __all__ = [
-    "ALGORITHMS",
     "CausalGraph",
     "DeltaTrial",
-    "FuzzFailure",
     "causal_records",
     "cone_json",
-    "fuzz_consensus",
-    "random_adversary",
     "render_dot",
     "render_explanation",
     "render_timeline",

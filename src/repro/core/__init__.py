@@ -44,17 +44,11 @@ from .problems import (
     ProblemSpec,
     ValidityReport,
     agreement_diameter,
+    broadcast_conflicts,
+    headroom,
+    problem_for,
 )
-from .runner import (
-    ConsensusOutcome,
-    run,
-    run_algo,
-    run_averaging,
-    run_exact_bvc,
-    run_iterative,
-    run_k_relaxed,
-    run_scalar,
-)
+from .runner import ConsensusOutcome, run
 from .runspec import ALGORITHMS, RunSpec
 from .scalar import (
     ScalarConsensusProcess,
@@ -89,24 +83,21 @@ __all__ = [
     "agreement_diameter",
     "algo_decision",
     "bounds",
+    "broadcast_conflicts",
     "broadcast_tag",
     "check_convex_consensus",
     "contraction_factor",
     "convex_consensus_decision",
     "exact_bvc_decision",
+    "headroom",
     "iterative_update",
     "k_relaxed_decision",
     "lemma10_demo",
+    "problem_for",
     "psi_i_separation",
     "run",
     "run_ring",
     "rounds_for_epsilon",
-    "run_algo",
-    "run_averaging",
-    "run_exact_bvc",
-    "run_iterative",
-    "run_k_relaxed",
-    "run_scalar",
     "scalar_decision",
     "scalar_decision_vector",
     "theorem3_inputs",

@@ -16,13 +16,21 @@ are written directly from the definitions:
 * **Validity** — membership of every non-faulty decision in ``H(N)``,
   ``H_k(N)`` or ``H_{(δ,p)}(N)`` where ``N`` is the multiset of non-faulty
   inputs.
+
+This module is the repo's only invariant oracle.  :func:`problem_for`
+names the problem each shipped algorithm solves, :func:`headroom` is the
+one place the achieved-δ slack is written down, and
+:func:`broadcast_conflicts` is the broadcast-integrity predicate.  The
+runner, the online probes, the DST explorer and the post-hoc fleet
+probes only gather evidence (honest inputs, decisions, δ used,
+per-instance deliveries) and ask here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Union
+from dataclasses import dataclass, field, replace
+from typing import Any, Hashable, Mapping, Optional, TypeVar, Union
 
 import numpy as np
 
@@ -40,9 +48,14 @@ __all__ = [
     "DeltaPExactBVC",
     "DeltaPApproximateBVC",
     "agreement_diameter",
+    "broadcast_conflicts",
+    "headroom",
+    "problem_for",
 ]
 
 PNorm = Union[float, int]
+K = TypeVar("K", bound=Hashable)
+R = TypeVar("R")
 
 
 def agreement_diameter(decisions: Mapping[int, np.ndarray]) -> float:
@@ -56,6 +69,43 @@ def agreement_diameter(decisions: Mapping[int, np.ndarray]) -> float:
         return 0.0
     arr = np.stack(vals)
     return float(np.max(np.abs(arr[:, None, :] - arr[None, :, :])))
+
+
+def headroom(delta: float) -> float:
+    """Validity radius granted to a run that achieved ``delta``.
+
+    δ* is a strict minimum: the decision sits exactly at distance δ*
+    from some subset hull, so the checker needs solver-tolerance slack
+    or re-measured distances tip it over by ~1e-7.
+    """
+    return delta * (1.0 + 1e-6) + 1e-9
+
+
+def _same(a: Any, b: Any) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return bool(np.array_equal(np.asarray(a), np.asarray(b)))
+    result = a == b
+    return bool(np.all(result)) if isinstance(result, np.ndarray) else bool(result)
+
+
+def broadcast_conflicts(
+    deliveries: Mapping[K, Mapping[R, Any]],
+) -> dict[K, tuple[R, R]]:
+    """Broadcast integrity over ``{instance: {receiver: value-or-digest}}``.
+
+    One broadcast instance must show every receiver the same value
+    (Bracha agreement; EIG / Dolev–Strong correctness).  Returns, per
+    violating instance, the first pair of receivers that hold different
+    values — empty when integrity holds.
+    """
+    conflicts: dict[K, tuple[R, R]] = {}
+    for instance, received in deliveries.items():
+        entries = list(received.items())
+        for receiver, value in entries[1:]:
+            if not _same(entries[0][1], value):
+                conflicts[instance] = (entries[0][0], receiver)
+                break
+    return conflicts
 
 
 @dataclass
@@ -80,10 +130,14 @@ class ValidityReport:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Base problem: ``d``-dimensional inputs, up to ``f`` Byzantine."""
+    """Base problem: ``d``-dimensional inputs, up to ``f`` Byzantine.
+
+    ``tol`` is the numerical slack of the membership test.
+    """
 
     d: int
     f: int
+    tol: float = field(default=1e-7, kw_only=True)
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -91,16 +145,20 @@ class ProblemSpec:
         if self.f < 0:
             raise ValueError(f"f must be >= 0, got {self.f}")
 
-    # -- per-problem hooks ---------------------------------------------------
-    def _agreement_ok(self, decisions: Mapping[int, np.ndarray]) -> tuple[bool, float]:
-        diam = agreement_diameter(decisions)
-        return diam <= 1e-9, diam
+    # -- the contract, one predicate each --------------------------------------
+    @property
+    def agreement_bound(self) -> float:
+        """Largest decision diameter that still counts as agreement."""
+        return 1e-9
 
-    def _decision_violation(
-        self, decision: np.ndarray, honest_inputs: np.ndarray
-    ) -> float:
-        """Distance by which a decision exceeds the allowed validity set."""
+    def violation(self, decision: np.ndarray, honest_inputs: np.ndarray) -> float:
+        """Distance by which one value exceeds the allowed validity set."""
         raise NotImplementedError
+
+    def achieved(self, delta_used: Optional[float]) -> "ProblemSpec":
+        """This problem at the δ a run achieved; only the (δ,p)-relaxed
+        problems have one."""
+        return self
 
     # -- entry point -----------------------------------------------------------
     def check(
@@ -109,7 +167,6 @@ class ProblemSpec:
         decisions: Mapping[int, np.ndarray],
         *,
         terminated: bool = True,
-        tol: float = 1e-7,
     ) -> ValidityReport:
         """Validate an execution outcome.
 
@@ -123,8 +180,6 @@ class ProblemSpec:
         terminated:
             Whether every non-faulty process terminated (from the run
             result).
-        tol:
-            Numerical slack for membership tests.
         """
         honest_inputs = np.atleast_2d(np.asarray(honest_inputs, dtype=float))
         if honest_inputs.shape[1] != self.d:
@@ -135,14 +190,14 @@ class ProblemSpec:
         for pid, v in decs.items():
             if v.size != self.d:
                 raise ValueError(f"decision of {pid} has dimension {v.size}")
-        agreement_ok, diam = self._agreement_ok(decs)
+        diam = agreement_diameter(decs)
         violations = {}
         for pid, v in decs.items():
-            viol = self._decision_violation(v, honest_inputs)
-            if viol > tol:
+            viol = self.violation(v, honest_inputs)
+            if viol > self.tol:
                 violations[pid] = viol
         return ValidityReport(
-            agreement_ok=agreement_ok,
+            agreement_ok=diam <= self.agreement_bound,
             validity_ok=not violations,
             termination_ok=bool(terminated) and len(decs) > 0,
             agreement_diameter=diam,
@@ -151,18 +206,8 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True)
-class ExactBVC(ProblemSpec):
-    """Exact Byzantine vector consensus (§4): agreement + hull validity."""
-
-    def _decision_violation(
-        self, decision: np.ndarray, honest_inputs: np.ndarray
-    ) -> float:
-        return distance_to_hull(honest_inputs, decision, math.inf).distance
-
-
-@dataclass(frozen=True)
-class ApproximateBVC(ProblemSpec):
-    """Approximate BVC (§4): ε-agreement + hull validity."""
+class _EpsilonAgreement(ProblemSpec):
+    """Mixin for the approximate problems: ε-agreement."""
 
     epsilon: float = 1e-3
 
@@ -171,16 +216,22 @@ class ApproximateBVC(ProblemSpec):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
 
-    def _agreement_ok(
-        self, decisions: Mapping[int, np.ndarray]
-    ) -> tuple[bool, float]:
-        diam = agreement_diameter(decisions)
-        return diam <= self.epsilon + 1e-12, diam
+    @property
+    def agreement_bound(self) -> float:
+        return self.epsilon + 1e-12
 
-    def _decision_violation(
-        self, decision: np.ndarray, honest_inputs: np.ndarray
-    ) -> float:
+
+@dataclass(frozen=True)
+class ExactBVC(ProblemSpec):
+    """Exact Byzantine vector consensus (§4): agreement + hull validity."""
+
+    def violation(self, decision: np.ndarray, honest_inputs: np.ndarray) -> float:
         return distance_to_hull(honest_inputs, decision, math.inf).distance
+
+
+@dataclass(frozen=True)
+class ApproximateBVC(_EpsilonAgreement, ExactBVC):
+    """Approximate BVC (§4): ε-agreement + hull validity."""
 
 
 @dataclass(frozen=True)
@@ -194,28 +245,13 @@ class KRelaxedExactBVC(ProblemSpec):
         if not 1 <= self.k <= self.d:
             raise ValueError(f"need 1 <= k <= d={self.d}, got k={self.k}")
 
-    def _decision_violation(
-        self, decision: np.ndarray, honest_inputs: np.ndarray
-    ) -> float:
+    def violation(self, decision: np.ndarray, honest_inputs: np.ndarray) -> float:
         return KRelaxedHull(honest_inputs, self.k).violation(decision, math.inf)
 
 
 @dataclass(frozen=True)
-class KRelaxedApproximateBVC(KRelaxedExactBVC):
+class KRelaxedApproximateBVC(_EpsilonAgreement, KRelaxedExactBVC):
     """k-relaxed approximate BVC (Definition 8)."""
-
-    epsilon: float = 1e-3
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
-
-    def _agreement_ok(
-        self, decisions: Mapping[int, np.ndarray]
-    ) -> tuple[bool, float]:
-        diam = agreement_diameter(decisions)
-        return diam <= self.epsilon + 1e-12, diam
 
 
 @dataclass(frozen=True)
@@ -224,7 +260,7 @@ class DeltaPExactBVC(ProblemSpec):
     distance δ of ``H(N)``.
 
     ``delta`` may be a constant, or — for the input-dependent setting of
-    §9 — computed by the caller from the honest inputs before checking.
+    §9 — the δ the run achieved (:meth:`achieved`).
     """
 
     delta: float = 0.0
@@ -236,25 +272,47 @@ class DeltaPExactBVC(ProblemSpec):
             raise ValueError("delta must be >= 0")
         validate_p(self.p)
 
-    def _decision_violation(
-        self, decision: np.ndarray, honest_inputs: np.ndarray
-    ) -> float:
+    def violation(self, decision: np.ndarray, honest_inputs: np.ndarray) -> float:
         return DeltaPHull(honest_inputs, self.delta, self.p).violation(decision)
+
+    def achieved(self, delta_used: Optional[float]) -> "ProblemSpec":
+        if delta_used is None:
+            return self
+        return replace(self, delta=headroom(delta_used))
 
 
 @dataclass(frozen=True)
-class DeltaPApproximateBVC(DeltaPExactBVC):
+class DeltaPApproximateBVC(_EpsilonAgreement, DeltaPExactBVC):
     """(δ,p)-relaxed approximate BVC (Definition 11)."""
 
-    epsilon: float = 1e-3
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+def problem_for(
+    algorithm: str,
+    d: int,
+    f: int,
+    *,
+    k: int = 1,
+    p: PNorm = 2,
+    epsilon: float = 1e-2,
+    delta: float = 0.0,
+    rounds: Optional[int] = None,
+) -> ProblemSpec:
+    """The problem each shipped algorithm solves (the paper's table).
 
-    def _agreement_ok(
-        self, decisions: Mapping[int, np.ndarray]
-    ) -> tuple[bool, float]:
-        diam = agreement_diameter(decisions)
-        return diam <= self.epsilon + 1e-12, diam
+    ``delta`` is the validity radius to check against; a run that reports
+    its own δ* is judged at ``problem.achieved(δ*)`` instead.  ``rounds``
+    only matters to ``"iterative"``, whose LP steps each carry ~1e-8
+    feasibility slack that the membership test must match.
+    """
+    if algorithm in ("exact", "scalar"):
+        return ExactBVC(d, f)
+    if algorithm == "algo":
+        return DeltaPExactBVC(d, f, delta=delta, p=p)
+    if algorithm == "krelaxed":
+        return KRelaxedExactBVC(d, f, k=k)
+    if algorithm == "iterative":
+        tol = 1e-7 if rounds is None else max(1e-7, 2e-8 * rounds)
+        return ApproximateBVC(d, f, epsilon=epsilon, tol=tol)
+    if algorithm == "averaging":
+        return DeltaPApproximateBVC(d, f, delta=delta, p=p, epsilon=epsilon)
+    raise ValueError(f"no problem is registered for algorithm {algorithm!r}")

@@ -7,21 +7,17 @@ One declarative entry point runs everything: describe the execution as a
     out = run(RunSpec(algorithm="algo", inputs=inputs, f=1,
                       adversary=Adversary(faulty=[3])))
 
-``run`` dispatches on ``spec.algorithm``, executes the full protocol
-stack, checks the outcome against the appropriate problem spec, and
-returns a :class:`ConsensusOutcome` bundling decisions, the checker's
-verdict, and run statistics.
-
-The historical per-algorithm entry points (``run_exact_bvc``,
-``run_algo``, ``run_k_relaxed``, ``run_scalar``, ``run_iterative``,
-``run_averaging``) are kept as thin forwarding shims so existing call
-sites keep working; new code should construct a ``RunSpec``.
+``run`` builds the processes from the per-algorithm table below,
+executes the full protocol stack on the chosen transport, judges the
+outcome once against the problem :func:`~repro.core.problems.problem_for`
+names for the algorithm, and returns a :class:`ConsensusOutcome`
+bundling decisions, the checker's verdict, and run statistics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -30,49 +26,39 @@ from ..obs.perf import perf_phase
 from ..obs.probes import Probe, ProbeReport, build_probes
 from ..system.adversary import Adversary
 from ..system.crypto import SignatureScheme
-from ..system.process import SyncProcess
-from ..system.scheduler import DeliveryPolicy, RunResult
+from ..system.scheduler import RunResult
+from ..system.topology import Topology, complete_topology
 from ..system.transport.base import get_transport
 from .algo_sync import AlgoProcess
 from .averaging import VerifiedAveragingProcess, rounds_for_epsilon
 from .exact_bvc import ExactBVCProcess
+from .iterative import IterativeBVCProcess
 from .krelaxed import KRelaxedProcess
-from .problems import (
-    ApproximateBVC,
-    DeltaPApproximateBVC,
-    DeltaPExactBVC,
-    ExactBVC,
-    KRelaxedExactBVC,
-    ProblemSpec,
-    ValidityReport,
-)
+from .problems import ProblemSpec, ValidityReport, problem_for
 from .runspec import ALGORITHMS, RunSpec
 from .scalar import ScalarConsensusProcess
 
 if TYPE_CHECKING:
     from ..obs.metrics import MetricsRegistry
-    from ..system.topology import Topology
 
-__all__ = ["ConsensusOutcome", "RunSpec", "run", "run_exact_bvc", "run_algo",
-           "run_k_relaxed", "run_scalar", "run_averaging", "run_iterative"]
-
-PNorm = Union[float, int]
-
-#: builder invoked per pid: (n, f, pid, input, broadcast, scheme) -> process
-ProcessFactory = Callable[
-    [int, int, int, np.ndarray, str, Optional[SignatureScheme]], SyncProcess
-]
+__all__ = ["ConsensusOutcome", "RunSpec", "build_processes", "resolved_rounds",
+           "run"]
 
 
 @dataclass
 class ConsensusOutcome:
-    """Everything a caller needs from one consensus execution."""
+    """Everything a caller needs from one consensus execution.
+
+    ``problem`` is the spec ``report`` was judged against — what a
+    post-hoc re-check of perturbed decisions must call.
+    """
 
     decisions: dict[int, np.ndarray]
     report: ValidityReport
     result: RunResult
     honest_inputs: np.ndarray
-    delta_used: Optional[float] = None
+    delta_used: Optional[float]
+    problem: ProblemSpec
 
     @property
     def ok(self) -> bool:
@@ -96,233 +82,140 @@ class ConsensusOutcome:
         return self.result.probe_violations
 
 
-def _spec_probes(spec: RunSpec) -> list[Probe]:
+class _Template(NamedTuple):
+    """How one algorithm's processes are built and driven."""
+
+    #: "broadcast-all" (sync, one broadcast per input), "iterative"
+    #: (sync rounds on a topology) or "async".
+    kind: str
+    process: type[Any]
+    #: RunSpec fields forwarded to the process as same-named keywords.
+    fields: tuple[str, ...] = ()
+
+
+_TEMPLATES: dict[str, _Template] = {
+    "exact": _Template("broadcast-all", ExactBVCProcess),
+    "algo": _Template("broadcast-all", AlgoProcess, ("p",)),
+    "krelaxed": _Template("broadcast-all", KRelaxedProcess, ("k",)),
+    "scalar": _Template("broadcast-all", ScalarConsensusProcess),
+    "iterative": _Template("iterative", IterativeBVCProcess, ("alpha",)),
+    "averaging": _Template(
+        "async", VerifiedAveragingProcess, ("mode", "delta", "p")
+    ),
+}
+
+assert set(_TEMPLATES) == set(ALGORITHMS)
+
+
+def resolved_rounds(spec: RunSpec, inputs: np.ndarray) -> Optional[int]:
+    """Protocol rounds ``spec`` executes; ``None`` for the broadcast-all
+    algorithms, which have no round knob.
+
+    ``"averaging"`` defaults to the contraction-bound estimate for
+    ``epsilon`` computed from the *global* input spread (a simulation
+    convenience — the full dynamic termination rule lives in the paper's
+    reference [15]).
+    """
+    kind = _TEMPLATES[spec.algorithm].kind
+    if kind == "broadcast-all":
+        return None
+    if spec.rounds is not None:
+        return spec.rounds
+    if kind == "iterative":
+        return 30
+    spread = float(np.max(inputs.max(axis=0) - inputs.min(axis=0)))
+    # round-1 values can exceed the input hull by up to δ per side;
+    # bound δ crudely by the spread itself.
+    return rounds_for_epsilon(
+        3.0 * max(spread, spec.epsilon), inputs.shape[0], spec.f, spec.epsilon
+    )
+
+
+def build_processes(
+    spec: RunSpec,
+    inputs: np.ndarray,
+    pids: Sequence[int],
+    *,
+    rounds: Optional[int],
+    scheme: Optional[SignatureScheme] = None,
+    topology: Optional[Topology] = None,
+) -> list[Any]:
+    """The protocol processes of ``pids``, from the per-algorithm table."""
+    kind, process, fields = _TEMPLATES[spec.algorithm]
+    n = inputs.shape[0]
+    kwargs = {name: getattr(spec, name) for name in fields}
+    if kind == "broadcast-all":
+        kwargs.update(broadcast=spec.broadcast, scheme=scheme)
+    else:
+        kwargs["num_rounds"] = rounds
+        if kind == "iterative":
+            kwargs["topology"] = (
+                topology if topology is not None else complete_topology(n)
+            )
+    return [process(n, spec.f, pid, inputs[pid], **kwargs) for pid in pids]
+
+
+def _spec_probes(spec: RunSpec, problem: ProblemSpec) -> list[Probe]:
     """Materialise ``spec.probes`` (names and/or objects) for one run."""
     if not spec.probes:
         return []
     names = [p for p in spec.probes if isinstance(p, str)]
-    built = build_probes(
-        names, algorithm=spec.algorithm, p=spec.p, k=spec.k,
-        epsilon=spec.epsilon,
-    )
     objects = [p for p in spec.probes if not isinstance(p, str)]
-    return objects + built
+    return objects + build_probes(names, problem)
 
 
-def _prep(
-    inputs: np.ndarray, adversary: Optional[Adversary]
-) -> tuple[np.ndarray, Adversary, np.ndarray]:
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    adversary = adversary or Adversary.none()
-    n = inputs.shape[0]
+def _run(spec: RunSpec) -> ConsensusOutcome:
+    inputs = np.atleast_2d(np.asarray(spec.resolved_inputs(), dtype=float))
+    adversary = spec.adversary or Adversary.none()
+    n, d = inputs.shape
     honest = np.array(
         [inputs[p] for p in range(n) if not adversary.is_faulty(p)]
     )
-    return inputs, adversary, honest
+    rounds = resolved_rounds(spec, inputs)
 
-
-def _run_sync(
-    make_process: ProcessFactory,
-    inputs: np.ndarray,
-    f: int,
-    adversary: Optional[Adversary],
-    spec: ProblemSpec,
-    *,
-    broadcast: str = "eig",
-    transport: str = "sim",
-    seed: int = 0,
-    max_rounds: int = 64,
-    probes: Sequence[Probe] = (),
-) -> ConsensusOutcome:
-    inputs, adversary, honest = _prep(inputs, adversary)
-    n = inputs.shape[0]
-    rng = np.random.default_rng(seed)
-    scheme = SignatureScheme(n, rng) if broadcast == "dolev-strong" else None
-    procs: list[SyncProcess] = [
-        make_process(n, f, pid, inputs[pid], broadcast, scheme) for pid in range(n)
-    ]
-    backend = get_transport(transport)
-    result = backend.run_sync(
-        procs,
-        f,
-        adversary=adversary,
-        rng=rng,
-        max_rounds=max_rounds,
-        sign=scheme.signer_for(set(adversary.faulty)) if scheme else None,
-        probes=probes,
-        seed=seed,
-    )
-    decisions = {
-        pid: np.asarray(v, dtype=float)
-        for pid, v in result.correct_decisions.items()
-    }
-    report = spec.check(honest, decisions, terminated=result.completed)
-    delta = None
-    for pid, proc in enumerate(procs):
-        if pid not in adversary.faulty and getattr(proc, "delta_used", None) is not None:
-            delta = proc.delta_used
-            break
-    return ConsensusOutcome(decisions, report, result, honest, delta)
-
-
-# ---------------------------------------------------------------------------
-# per-algorithm handlers (dispatched by `run`)
-# ---------------------------------------------------------------------------
-
-
-def _handle_exact(spec: RunSpec) -> ConsensusOutcome:
-    inputs = spec.resolved_inputs()
-    d = inputs.shape[1]
-
-    def make(
-        n: int, f_: int, pid: int, v: np.ndarray,
-        broadcast_: str, scheme: Optional[SignatureScheme],
-    ) -> SyncProcess:
-        return ExactBVCProcess(n, f_, pid, v, broadcast=broadcast_, scheme=scheme)
-
-    return _run_sync(make, inputs, spec.f, spec.adversary, ExactBVC(d, spec.f),
-                     broadcast=spec.broadcast, transport=spec.transport,
-                     seed=spec.seed, max_rounds=spec.max_rounds,
-                     probes=_spec_probes(spec))
-
-
-def _handle_algo(spec: RunSpec) -> ConsensusOutcome:
-    inputs, adversary, honest = _prep(spec.resolved_inputs(), spec.adversary)
-    d = inputs.shape[1]
-    p = spec.p
-
-    def make(
-        n: int, f_: int, pid: int, v: np.ndarray,
-        broadcast_: str, scheme: Optional[SignatureScheme],
-    ) -> SyncProcess:
-        return AlgoProcess(
-            n, f_, pid, v, p=p, broadcast=broadcast_, scheme=scheme
+    def problem(delta: float) -> ProblemSpec:
+        return problem_for(
+            spec.algorithm, d, spec.f, k=spec.k, p=spec.p,
+            epsilon=spec.epsilon, delta=delta, rounds=rounds,
         )
 
-    # Run with a placeholder spec, then re-check against the achieved δ*.
-    outcome = _run_sync(
-        make, inputs, spec.f, adversary,
-        DeltaPExactBVC(d, spec.f, delta=0.0, p=p),
-        broadcast=spec.broadcast, transport=spec.transport,
-        seed=spec.seed, max_rounds=spec.max_rounds,
-        probes=_spec_probes(spec),
-    )
-    if spec.check_delta is not None:
-        delta = spec.check_delta
+    requested = problem(spec.delta)
+    probes = _spec_probes(spec, requested)
+    rng = np.random.default_rng(spec.seed)
+    backend = get_transport(spec.transport)
+    kind = _TEMPLATES[spec.algorithm].kind
+    if kind == "async":
+        procs = build_processes(spec, inputs, range(n), rounds=rounds)
+        result = backend.run_async(
+            procs, spec.f, adversary=adversary, policy=spec.policy, rng=rng,
+            max_steps=spec.max_steps, probes=probes, seed=spec.seed,
+        )
+    elif kind == "iterative":
+        assert rounds is not None
+        topology = (
+            spec.topology if spec.topology is not None else complete_topology(n)
+        )
+        procs = build_processes(
+            spec, inputs, range(n), rounds=rounds, topology=topology
+        )
+        result = backend.run_sync(
+            procs, spec.f, adversary=adversary, rng=rng,
+            max_rounds=rounds + 2, topology=topology, probes=probes,
+            seed=spec.seed,
+        )
     else:
-        # δ* is a strict minimum: the decision sits exactly at distance δ*
-        # from some subset hull, so the checker needs solver-tolerance
-        # headroom or re-measured distances tip it over by ~1e-7.
-        achieved = outcome.delta_used or 0.0
-        delta = achieved * (1.0 + 1e-6) + 1e-9
-    check_spec = DeltaPExactBVC(d, spec.f, delta=delta, p=p)
-    outcome.report = check_spec.check(
-        honest, outcome.decisions, terminated=outcome.result.completed
-    )
-    return outcome
-
-
-def _handle_krelaxed(spec: RunSpec) -> ConsensusOutcome:
-    inputs = spec.resolved_inputs()
-    d = inputs.shape[1]
-    k = spec.k
-
-    def make(
-        n: int, f_: int, pid: int, v: np.ndarray,
-        broadcast_: str, scheme: Optional[SignatureScheme],
-    ) -> SyncProcess:
-        return KRelaxedProcess(
-            n, f_, pid, v, k=k, broadcast=broadcast_, scheme=scheme
+        scheme = (
+            SignatureScheme(n, rng) if spec.broadcast == "dolev-strong" else None
         )
-
-    return _run_sync(make, inputs, spec.f, spec.adversary,
-                     KRelaxedExactBVC(d, spec.f, k=k),
-                     broadcast=spec.broadcast, transport=spec.transport,
-                     seed=spec.seed, max_rounds=spec.max_rounds,
-                     probes=_spec_probes(spec))
-
-
-def _handle_scalar(spec: RunSpec) -> ConsensusOutcome:
-    def make(
-        n: int, f_: int, pid: int, v: np.ndarray,
-        broadcast_: str, scheme: Optional[SignatureScheme],
-    ) -> SyncProcess:
-        return ScalarConsensusProcess(
-            n, f_, pid, v, broadcast=broadcast_, scheme=scheme
+        procs = build_processes(
+            spec, inputs, range(n), rounds=rounds, scheme=scheme
         )
-
-    return _run_sync(make, spec.resolved_inputs(), spec.f, spec.adversary,
-                     ExactBVC(1, spec.f), broadcast=spec.broadcast,
-                     transport=spec.transport, seed=spec.seed,
-                     max_rounds=spec.max_rounds, probes=_spec_probes(spec))
-
-
-def _handle_iterative(spec: RunSpec) -> ConsensusOutcome:
-    from ..system.topology import Topology, complete_topology
-    from .iterative import IterativeBVCProcess
-
-    inputs, adversary, honest = _prep(spec.resolved_inputs(), spec.adversary)
-    n, d = inputs.shape
-    rounds = spec.rounds if spec.rounds is not None else 30
-    topo: Topology = (
-        spec.topology if spec.topology is not None else complete_topology(n)
-    )
-    procs = [
-        IterativeBVCProcess(
-            n, spec.f, pid, inputs[pid],
-            topology=topo, num_rounds=rounds, alpha=spec.alpha,
+        result = backend.run_sync(
+            procs, spec.f, adversary=adversary, rng=rng,
+            max_rounds=spec.max_rounds,
+            sign=scheme.signer_for(set(adversary.faulty)) if scheme else None,
+            probes=probes, seed=spec.seed,
         )
-        for pid in range(n)
-    ]
-    backend = get_transport(spec.transport)
-    result = backend.run_sync(
-        procs, spec.f, adversary=adversary,
-        rng=np.random.default_rng(spec.seed),
-        max_rounds=rounds + 2,
-        topology=topo,
-        probes=_spec_probes(spec),
-        seed=spec.seed,
-    )
-    decisions = {
-        pid: np.asarray(v, dtype=float)
-        for pid, v in result.correct_decisions.items()
-    }
-    check_spec = ApproximateBVC(d, spec.f, epsilon=spec.epsilon)
-    # `rounds` LP steps each carry ~1e-8 feasibility slack; give the
-    # membership check matching headroom.
-    report = check_spec.check(
-        honest, decisions, terminated=result.completed,
-        tol=max(1e-7, 2e-8 * rounds),
-    )
-    return ConsensusOutcome(decisions, report, result, honest)
-
-
-def _handle_averaging(spec: RunSpec) -> ConsensusOutcome:
-    inputs, adversary, honest = _prep(spec.resolved_inputs(), spec.adversary)
-    n, d = inputs.shape
-    rounds = spec.rounds
-    if rounds is None:
-        spread = float(np.max(inputs.max(axis=0) - inputs.min(axis=0)))
-        # round-1 values can exceed the input hull by up to δ per side;
-        # bound δ crudely by the spread itself.
-        rounds = rounds_for_epsilon(
-            3.0 * max(spread, spec.epsilon), n, spec.f, spec.epsilon
-        )
-    procs = [
-        VerifiedAveragingProcess(
-            n, spec.f, pid, inputs[pid],
-            num_rounds=rounds, mode=spec.mode, delta=spec.delta, p=spec.p,
-        )
-        for pid in range(n)
-    ]
-    backend = get_transport(spec.transport)
-    result = backend.run_async(
-        procs, spec.f, adversary=adversary,
-        policy=spec.policy, rng=np.random.default_rng(spec.seed),
-        max_steps=spec.max_steps,
-        probes=_spec_probes(spec),
-        seed=spec.seed,
-    )
     decisions = {
         pid: np.asarray(v, dtype=float)
         for pid, v in result.correct_decisions.items()
@@ -334,188 +227,28 @@ def _handle_averaging(spec: RunSpec) -> ConsensusOutcome:
         and getattr(proc, "delta_used", None) is not None
     ]
     delta_used = max(deltas) if deltas else None
-    # Like "algo": the selected points sit exactly at distance δ from
-    # some subset hull, so the membership check needs solver-tolerance
-    # headroom beyond the achieved δ.
-    check_delta = (
-        delta_used * (1.0 + 1e-6) + 1e-9 if delta_used is not None else spec.delta
+    # By default the checker uses the δ the processes actually achieved,
+    # so the report verifies the algorithm's own claim.
+    judged = (
+        problem(spec.check_delta) if spec.check_delta is not None
+        else requested.achieved(delta_used)
     )
-    check_spec = DeltaPApproximateBVC(
-        d, spec.f, delta=check_delta, p=spec.p, epsilon=spec.epsilon
+    report = judged.check(honest, decisions, terminated=result.completed)
+    return ConsensusOutcome(
+        decisions, report, result, honest, delta_used, judged
     )
-    report = check_spec.check(honest, decisions, terminated=result.completed)
-    return ConsensusOutcome(decisions, report, result, honest, delta_used)
-
-
-_HANDLERS: dict[str, Callable[[RunSpec], ConsensusOutcome]] = {
-    "exact": _handle_exact,
-    "algo": _handle_algo,
-    "krelaxed": _handle_krelaxed,
-    "scalar": _handle_scalar,
-    "iterative": _handle_iterative,
-    "averaging": _handle_averaging,
-}
-
-assert set(_HANDLERS) == set(ALGORITHMS)
 
 
 def run(spec: RunSpec) -> ConsensusOutcome:
     """Execute one :class:`~repro.core.runspec.RunSpec` end to end.
 
-    Dispatches on ``spec.algorithm``, builds the processes and scheduler,
-    runs to completion, and checks the decisions against the matching
-    problem spec.  When ``spec.metrics`` is given it is installed as the
-    ambient :class:`~repro.obs.metrics.MetricsRegistry` for the run.
+    Builds the processes and scheduler for ``spec.algorithm``, runs to
+    completion, and checks the decisions against the matching problem
+    spec.  When ``spec.metrics`` is given it is installed as the ambient
+    :class:`~repro.obs.metrics.MetricsRegistry` for the run.
     """
-    handler = _HANDLERS[spec.algorithm]
     if spec.metrics is not None:
-        with use_registry(spec.metrics):
-            with perf_phase("core.run"):
-                return handler(spec)
+        with use_registry(spec.metrics), perf_phase("core.run"):
+            return _run(spec)
     with perf_phase("core.run"):
-        return handler(spec)
-
-
-# ---------------------------------------------------------------------------
-# legacy entry points — thin forwarding shims over `run(RunSpec(...))`
-# ---------------------------------------------------------------------------
-
-
-def run_exact_bvc(
-    inputs: np.ndarray,
-    f: int,
-    adversary: Optional[Adversary] = None,
-    *,
-    transport: str = "eig",
-    seed: int = 0,
-) -> ConsensusOutcome:
-    """Synchronous exact BVC (Vaidya–Garg baseline; needs
-    ``n >= max(3f+1, (d+1)f+1)``).
-
-    .. deprecated:: Forwarding shim — prefer
-       ``run(RunSpec(algorithm="exact", ...))``.
-    """
-    return run(RunSpec(algorithm="exact", inputs=inputs, f=f,
-                       adversary=adversary, broadcast=transport, seed=seed))
-
-
-def run_algo(
-    inputs: np.ndarray,
-    f: int,
-    adversary: Optional[Adversary] = None,
-    *,
-    p: PNorm = 2,
-    transport: str = "eig",
-    seed: int = 0,
-    check_delta: Optional[float] = None,
-) -> ConsensusOutcome:
-    """The paper's ALGO: synchronous (δ,p)-relaxed exact BVC with the
-    smallest input-dependent δ (needs only ``n >= 3f+1``).
-
-    ``check_delta`` sets the δ used by the validity checker; by default
-    the checker uses the δ* the processes actually achieved, so the
-    report verifies the algorithm's own claim.
-
-    .. deprecated:: Forwarding shim — prefer
-       ``run(RunSpec(algorithm="algo", ...))``.
-    """
-    return run(RunSpec(algorithm="algo", inputs=inputs, f=f,
-                       adversary=adversary, p=p, broadcast=transport,
-                       seed=seed, check_delta=check_delta))
-
-
-def run_k_relaxed(
-    inputs: np.ndarray,
-    f: int,
-    k: int,
-    adversary: Optional[Adversary] = None,
-    *,
-    transport: str = "eig",
-    seed: int = 0,
-) -> ConsensusOutcome:
-    """Synchronous k-relaxed exact BVC (k = 1: ``n >= 3f+1``;
-    k >= 2: ``n >= (d+1)f+1``, Theorem 3).
-
-    .. deprecated:: Forwarding shim — prefer
-       ``run(RunSpec(algorithm="krelaxed", k=k, ...))``.
-    """
-    return run(RunSpec(algorithm="krelaxed", inputs=inputs, f=f, k=k,
-                       adversary=adversary, broadcast=transport, seed=seed))
-
-
-def run_scalar(
-    inputs: np.ndarray,
-    f: int,
-    adversary: Optional[Adversary] = None,
-    *,
-    transport: str = "eig",
-    seed: int = 0,
-) -> ConsensusOutcome:
-    """Synchronous exact scalar consensus (d = 1; ``n >= 3f+1``).
-
-    .. deprecated:: Forwarding shim — prefer
-       ``run(RunSpec(algorithm="scalar", ...))``.
-    """
-    return run(RunSpec(algorithm="scalar", inputs=inputs, f=f,
-                       adversary=adversary, broadcast=transport, seed=seed))
-
-
-def run_iterative(
-    inputs: np.ndarray,
-    f: int,
-    adversary: Optional[Adversary] = None,
-    *,
-    topology: Optional["Topology"] = None,
-    num_rounds: int = 30,
-    alpha: float = 0.5,
-    epsilon: float = 1e-2,
-    seed: int = 0,
-) -> ConsensusOutcome:
-    """Iterative approximate BVC on a (possibly incomplete) topology.
-
-    The companion system from the paper's related work (Vaidya 2014);
-    see :mod:`repro.core.iterative`.  ``topology`` defaults to the
-    complete graph.  The outcome is checked as approximate BVC:
-    ε-agreement plus validity in the hull of the honest *inputs*.
-
-    .. deprecated:: Forwarding shim — prefer
-       ``run(RunSpec(algorithm="iterative", rounds=..., ...))``
-       (``num_rounds`` is spelled ``rounds`` there).
-    """
-    return run(RunSpec(algorithm="iterative", inputs=inputs, f=f,
-                       adversary=adversary, topology=topology,
-                       rounds=num_rounds, alpha=alpha, epsilon=epsilon,
-                       seed=seed))
-
-
-def run_averaging(
-    inputs: np.ndarray,
-    f: int,
-    adversary: Optional[Adversary] = None,
-    *,
-    epsilon: float = 1e-2,
-    num_rounds: Optional[int] = None,
-    mode: str = "optimal",
-    delta: float = 0.0,
-    p: PNorm = 2,
-    policy: Optional[DeliveryPolicy] = None,
-    seed: int = 0,
-    max_steps: int = 2_000_000,
-) -> ConsensusOutcome:
-    """Asynchronous Relaxed Verified Averaging (§10).
-
-    ``mode="optimal"`` is the paper's algorithm (smallest feasible δ at
-    round 1; works from ``n >= 3f+1``); ``mode="zero"`` is the classic
-    verified-averaging baseline needing ``n >= (d+2)f+1``.  ``num_rounds``
-    defaults to the contraction-bound estimate for ``epsilon`` computed
-    from the *global* input spread (a simulation convenience — the full
-    dynamic termination rule lives in the paper's reference [15]).
-
-    .. deprecated:: Forwarding shim — prefer
-       ``run(RunSpec(algorithm="averaging", rounds=..., ...))``
-       (``num_rounds`` is spelled ``rounds`` there).
-    """
-    return run(RunSpec(algorithm="averaging", inputs=inputs, f=f,
-                       adversary=adversary, epsilon=epsilon,
-                       rounds=num_rounds, mode=mode, delta=delta, p=p,
-                       policy=policy, seed=seed, max_steps=max_steps))
+        return _run(spec)

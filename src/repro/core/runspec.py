@@ -3,25 +3,23 @@
 A :class:`RunSpec` is one frozen value describing one consensus
 execution: which algorithm, the system shape ``(n, d, f)``, the inputs
 (given explicitly or derived from ``seed``), the adversary, and every
-knob the six historical ``run_*`` entry points grew independently.
-``repro.core.runner.run(spec)`` executes it.
+knob of the six algorithms.  ``repro.core.runner.run(spec)`` executes
+it — the only way to run one.
 
-Why a dataclass instead of six functions: the experiment engine
-(:mod:`repro.exec`), the DST explorer, the benchmarks, and the CLI all
-need to *build, store, and compare* run descriptions before executing
-them — a frozen value does that; a call frame does not.  The legacy
-``run_*`` functions remain as thin forwarding shims.
+Why a dataclass instead of a function per algorithm: the experiment
+engine (:mod:`repro.exec`), the DST explorer, the benchmarks, and the
+CLI all need to *build, store, and compare* run descriptions before
+executing them — a frozen value does that; a call frame does not.
 
-Canonical knob vocabulary (see ``docs/api.md`` for the legacy mapping):
+Canonical knob vocabulary (see ``docs/api.md``):
 
 ============  =========================================================
-``p``         norm order of the relaxation (legacy: also ``norm``)
+``p``         norm order of the relaxation
 ``broadcast``   broadcast primitive of the synchronous algorithms
-              (legacy name: ``transport``)
 ``transport``   execution backend (``"sim"``, ``"live-tcp"``,
               ``"live-uds"``) — see :mod:`repro.system.transport`
-``rounds``    protocol rounds an algorithm executes (legacy
-              ``num_rounds``); ``None`` means the algorithm's default
+``rounds``    protocol rounds an algorithm executes; ``None`` means
+              the algorithm's default
 ``max_rounds``  synchronous scheduler safety cap, not a protocol knob
 ``max_steps``   asynchronous scheduler safety cap
 ``epsilon``   agreement target (approximate/averaging algorithms)
@@ -77,9 +75,7 @@ class RunSpec:
         faulty).
     broadcast:
         Broadcast primitive for the synchronous algorithms (``"eig"``,
-        ``"dolev-strong"``, or ``"atomic"``).  This was historically
-        named ``transport``; that name now selects the execution
-        backend instead.
+        ``"dolev-strong"``, or ``"atomic"``).
     transport:
         Execution backend, one of the registered transport names:
         ``"sim"`` (deterministic in-process simulator, the default),
@@ -91,8 +87,9 @@ class RunSpec:
         Relaxation knobs: norm order, coordinate relaxation, relaxation
         radius, agreement target.
     check_delta:
-        Validity-checker δ override for ``"algo"`` (default: the
-        achieved δ* plus solver-tolerance headroom).
+        Validity-checker δ override for the (δ,p)-relaxed algorithms
+        (``"algo"``, ``"averaging"``; default: the achieved δ* plus
+        :func:`~repro.core.problems.headroom`).
     mode:
         ``"averaging"`` selection mode: ``"optimal"`` (the paper's) or
         ``"zero"`` (classic verified-averaging baseline).

@@ -29,12 +29,10 @@ from .corpus import (
 )
 from .explore import (
     ALGORITHM_NAMES,
-    CHECKERS,
     INJECTIONS,
     ExplorationResult,
     Violation,
     explore,
-    register_checker,
     run_scenario,
     sample_scenario,
 )
@@ -52,7 +50,6 @@ from .shrink import ShrinkResult, scenario_size, shrink
 
 __all__ = [
     "ALGORITHM_NAMES",
-    "CHECKERS",
     "INJECTIONS",
     "ExplorationResult",
     "FaultClause",
@@ -71,7 +68,6 @@ __all__ = [
     "explore",
     "load_corpus",
     "min_system_size",
-    "register_checker",
     "replay",
     "run_scenario",
     "sample_scenario",

@@ -1,21 +1,18 @@
 """Seed-driven scenario explorer: sample, run, check, record.
 
-The explorer is the deterministic-simulation successor of
-``repro.analysis.fuzz``: every trial derives one :class:`Scenario` from
-the master seed, runs it through the full protocol stack, evaluates the
-**checker registry** (agreement / validity / termination by default —
-pluggable via :func:`register_checker`), and — when an invariant breaks —
-records a :class:`Violation` carrying a compact replay token and a
-ready-to-paste replay command.  Because a scenario is plain data, a
-violation found here is already a regression test: shrink it
-(:mod:`repro.dst.shrink`) and commit it to ``tests/corpus/``
+Every trial derives one :class:`Scenario` from the master seed, runs it
+through the full protocol stack, reads the verdict of the run's
+:class:`~repro.core.problems.ProblemSpec` (agreement / validity /
+termination — replaceable per call through ``checkers=``), and — when an
+invariant breaks — records a :class:`Violation` carrying a compact
+replay token and a ready-to-paste replay command.  Because a scenario is
+plain data, a violation found here is already a regression test: shrink
+it (:mod:`repro.dst.shrink`) and commit it to ``tests/corpus/``
 (:mod:`repro.dst.corpus`).
 
-Bug *injections* (:data:`INJECTIONS`) are deliberately broken
-post-processing steps — they perturb the decision map after the run, the
-way an implementation bug in a decision rule would — used to exercise and
-demo the fuzz → shrink → replay loop against a stack whose real
-algorithms (correctly) refuse to produce counterexamples.
+Bug *injections* (:mod:`repro.dst.injections`) perturb the decision map
+after the run; the perturbed map is re-judged by the same
+``ProblemSpec.check`` that produced the run's own report.
 """
 
 from __future__ import annotations
@@ -28,10 +25,11 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.problems import agreement_diameter
+from ..core.problems import ValidityReport
 from ..core.runner import ConsensusOutcome, run
 from ..core.runspec import RunSpec
-from ..obs.probes import Probe, ProbeReport, build_probes
+from ..obs.probes import Probe, ProbeReport, fold_verdict
+from .injections import INJECTIONS, inject
 from .scenarios import (
     FaultClause,
     Scenario,
@@ -44,12 +42,10 @@ from .scenarios import (
 __all__ = [
     "ALGORITHM_NAMES",
     "AVERAGING_EPSILON",
-    "CHECKERS",
     "INJECTIONS",
     "ExplorationResult",
     "Violation",
     "explore",
-    "register_checker",
     "run_scenario",
     "sample_scenario",
 ]
@@ -57,54 +53,8 @@ __all__ = [
 #: The four consensus algorithms under test.
 ALGORITHM_NAMES = ("exact", "algo", "k1", "averaging")
 
-#: ε-agreement target used for the asynchronous algorithm in exploration
-#: (matches the legacy fuzz harness's run_averaging epsilon).
+#: ε-agreement target used for the asynchronous algorithm in exploration.
 AVERAGING_EPSILON = 5e-2
-
-
-def _run_for(
-    scenario: Scenario, probes: Sequence[Probe] = ()
-) -> ConsensusOutcome:
-    inputs = scenario.inputs()
-    adversary = build_adversary(scenario)
-    if scenario.algorithm == "averaging":
-        return run(RunSpec(
-            algorithm="averaging",
-            inputs=inputs,
-            f=scenario.f,
-            adversary=adversary,
-            epsilon=AVERAGING_EPSILON,
-            policy=build_policy(scenario),
-            seed=scenario.seed,
-            probes=tuple(probes),
-        ))
-    # The explorer's "k1" is k-relaxed consensus at k=1.
-    algorithm = "krelaxed" if scenario.algorithm == "k1" else scenario.algorithm
-    return run(RunSpec(
-        algorithm=algorithm,
-        inputs=inputs,
-        f=scenario.f,
-        adversary=adversary,
-        seed=scenario.seed,
-        probes=tuple(probes),
-    ))
-
-
-def _scenario_probes(scenario: Scenario, names: Sequence[str]) -> list[Probe]:
-    """Build probe *objects* for a scenario (we keep the references so the
-    post-injection decision map can be pushed back through them)."""
-    algorithm = "krelaxed" if scenario.algorithm == "k1" else scenario.algorithm
-    return build_probes(
-        list(names),
-        algorithm=algorithm,
-        k=1,
-        epsilon=AVERAGING_EPSILON if algorithm == "averaging" else None,
-    )
-
-
-# ---------------------------------------------------------------------------
-# checker registry
-# ---------------------------------------------------------------------------
 
 #: A checker inspects one finished run and returns a human-readable
 #: violation detail, or None when its invariant holds.  ``decisions`` is
@@ -114,103 +64,30 @@ CheckerFn = Callable[
     [Scenario, ConsensusOutcome, Mapping[int, np.ndarray]], Optional[str]
 ]
 
-CHECKERS: dict[str, CheckerFn] = {}
 
-
-def register_checker(name: str) -> Callable[[CheckerFn], CheckerFn]:
-    """Decorator: add an invariant checker under ``name``."""
-
-    def deco(fn: CheckerFn) -> CheckerFn:
-        CHECKERS[name] = fn
-        return fn
-
-    return deco
-
-
-@register_checker("agreement")
-def _check_agreement(
-    scenario: Scenario,
-    outcome: ConsensusOutcome,
-    decisions: Mapping[int, np.ndarray],
-) -> Optional[str]:
-    tol = AVERAGING_EPSILON + 1e-9 if scenario.algorithm == "averaging" else 1e-9
-    diam = agreement_diameter(decisions)
-    if diam > tol:
-        return f"decision diameter {diam:.6g} exceeds {tol:.6g}"
-    if not outcome.report.agreement_ok:
-        return f"checker reported diameter {outcome.report.agreement_diameter:.6g}"
-    return None
-
-
-@register_checker("validity")
-def _check_validity(
-    scenario: Scenario,
-    outcome: ConsensusOutcome,
-    decisions: Mapping[int, np.ndarray],
-) -> Optional[str]:
-    if outcome.report.validity_ok:
-        return None
-    worst = max(outcome.report.violations.values(), default=0.0)
-    return f"{len(outcome.report.violations)} decisions outside the valid set (worst {worst:.6g})"
-
-
-@register_checker("termination")
-def _check_termination(
-    scenario: Scenario,
-    outcome: ConsensusOutcome,
-    decisions: Mapping[int, np.ndarray],
-) -> Optional[str]:
-    if outcome.report.termination_ok:
-        return None
-    return f"run ended after {outcome.result.rounds} rounds/steps without all correct decisions"
-
-
-# ---------------------------------------------------------------------------
-# bug injections (demo/test instrumentation)
-# ---------------------------------------------------------------------------
-
-#: name -> fn(decisions, scenario) -> perturbed decisions (a copy).
-INJECTIONS: dict[
-    str, Callable[[dict[int, np.ndarray], Scenario], dict[int, np.ndarray]]
-] = {}
-
-
-InjectionFn = Callable[[dict[int, np.ndarray], Scenario], dict[int, np.ndarray]]
-
-
-def _register_injection(name: str) -> Callable[[InjectionFn], InjectionFn]:
-    def deco(fn: InjectionFn) -> InjectionFn:
-        INJECTIONS[name] = fn
-        return fn
-
-    return deco
-
-
-@_register_injection("split-brain")
-def _inject_split_brain(
-    decisions: dict[int, np.ndarray], scenario: Scenario
-) -> dict[int, np.ndarray]:
-    """One process 'decides' an offset value — a broken decision rule."""
-    out = {pid: np.array(v, dtype=float, copy=True) for pid, v in decisions.items()}
-    if out:
-        pid = min(out)
-        out[pid] = out[pid] + 10.0 * scenario.input_scale
-    return out
-
-
-@_register_injection("stale-echo")
-def _inject_stale_echo(
-    decisions: dict[int, np.ndarray], scenario: Scenario
-) -> dict[int, np.ndarray]:
-    """Two processes swap halves of their decisions — a buffer-reuse bug."""
-    out = {pid: np.array(v, dtype=float, copy=True) for pid, v in decisions.items()}
-    pids = sorted(out)
-    if len(pids) >= 2:
-        a, b = pids[0], pids[1]
-        half = max(1, scenario.d // 2)
-        out[a][:half], out[b][:half] = out[b][:half].copy(), out[a][:half].copy()
-        out[a][:half] += scenario.input_scale
-    return out
+def _verdict_details(
+    report: ValidityReport, outcome: ConsensusOutcome
+) -> dict[str, str]:
+    """Violated invariant -> detail, in agreement / validity /
+    termination order."""
+    details: dict[str, str] = {}
+    if not report.agreement_ok:
+        details["agreement"] = (
+            f"decision diameter {report.agreement_diameter:.6g} exceeds "
+            f"{outcome.problem.agreement_bound:.6g}"
+        )
+    if not report.validity_ok:
+        worst = max(report.violations.values(), default=0.0)
+        details["validity"] = (
+            f"{len(report.violations)} decisions outside the valid set "
+            f"(worst {worst:.6g})"
+        )
+    if not report.termination_ok:
+        details["termination"] = (
+            f"run ended after {outcome.result.rounds} rounds/steps "
+            "without all correct decisions"
+        )
+    return details
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +101,10 @@ class ExplorationResult:
 
     scenario: Scenario
     outcome: ConsensusOutcome
-    #: checker name -> violation detail, for every checker that failed.
+    #: invariant name -> violation detail, for every invariant that failed.
     violations: dict[str, str]
     #: online probe reports (empty unless ``run_scenario(..., probes=...)``),
-    #: re-generated after any injection so injected decisions count.
+    #: with the verdict on any injected decisions folded in.
     probe_reports: tuple[ProbeReport, ...] = ()
 
     @property
@@ -236,15 +113,12 @@ class ExplorationResult:
 
     @property
     def probe_violations(self) -> int:
-        """Total online probe violations (including post-injection checks)."""
+        """Total probe violations (including the post-injection verdict)."""
         return sum(len(r.violations) for r in self.probe_reports)
 
     @property
     def invariant(self) -> Optional[str]:
-        """First violated invariant in registry order (None when ok)."""
-        for name in CHECKERS:
-            if name in self.violations:
-                return name
+        """First violated invariant (None when ok)."""
         return next(iter(self.violations), None)
 
 
@@ -284,44 +158,58 @@ def run_scenario(
     checkers: Optional[Mapping[str, CheckerFn]] = None,
     probes: Sequence[Union[str, Probe]] = (),
 ) -> ExplorationResult:
-    """Execute one scenario and evaluate every registered invariant.
+    """Execute one scenario and judge it.
+
+    The verdict is the run's own ``ProblemSpec.check`` report; after a
+    bug injection the same spec re-checks the perturbed decision map and
+    that one report is also folded into every probe, so an injected
+    split-brain shows up as ``agreement`` + ``validity`` violations both
+    in ``violations`` and in the probe reports.  ``checkers`` replaces
+    the verdict with caller-supplied invariants.
 
     ``probes`` enables online invariant probes for the run: names from
     :data:`repro.obs.probes.PROBE_NAMES` (or ``"all"``), or pre-built
-    :class:`~repro.obs.probes.Probe` objects.  After any bug injection
-    the perturbed decision map is pushed back through every probe
-    (``check_decisions``), so an injected split-brain shows up as an
-    online ``agreement`` probe violation, not only as a checker verdict.
+    :class:`~repro.obs.probes.Probe` objects.
     """
     scenario.validate()
-    probe_objs: list[Probe] = []
-    if probes:
-        probe_objs = [p for p in probes if not isinstance(p, str)]
-        probe_objs += _scenario_probes(
-            scenario, [p for p in probes if isinstance(p, str)]
-        )
-    outcome = _run_for(scenario, probe_objs)
+    # The explorer's "k1" is k-relaxed consensus at k=1.
+    algorithm = "krelaxed" if scenario.algorithm == "k1" else scenario.algorithm
+    outcome = run(RunSpec(
+        algorithm=algorithm,
+        inputs=scenario.inputs(),
+        f=scenario.f,
+        adversary=build_adversary(scenario),
+        epsilon=AVERAGING_EPSILON,
+        policy=build_policy(scenario),
+        seed=scenario.seed,
+        probes=tuple(probes),
+    ))
     decisions: Mapping[int, np.ndarray] = outcome.decisions
+    report = outcome.report
+    probe_reports = outcome.probe_reports
     if scenario.inject is not None:
-        if scenario.inject not in INJECTIONS:
-            raise ValueError(
-                f"unknown injection {scenario.inject!r}; choices {sorted(INJECTIONS)}"
-            )
-        decisions = INJECTIONS[scenario.inject](dict(decisions), scenario)
-        for probe in probe_objs:
-            probe.check_decisions(
-                decisions, outcome.honest_inputs,
-                time=int(outcome.result.rounds),
-            )
-    active = dict(checkers) if checkers is not None else CHECKERS
-    violations = {}
-    for name, fn in active.items():
-        detail = fn(scenario, outcome, decisions)
-        if detail is not None:
-            violations[name] = detail
+        decisions = inject(
+            scenario.inject, decisions, scenario.input_scale, scenario.d
+        )
+        report = outcome.problem.check(
+            outcome.honest_inputs, decisions,
+            terminated=outcome.result.completed,
+        )
+        probe_reports = fold_verdict(
+            probe_reports, outcome.problem, report,
+            time=int(outcome.result.rounds),
+        )
+    if checkers is None:
+        violations = _verdict_details(report, outcome)
+    else:
+        found = {
+            name: fn(scenario, outcome, decisions)
+            for name, fn in checkers.items()
+        }
+        violations = {k: v for k, v in found.items() if v is not None}
     return ExplorationResult(
         scenario=scenario, outcome=outcome, violations=violations,
-        probe_reports=tuple(probe.report() for probe in probe_objs),
+        probe_reports=probe_reports,
     )
 
 

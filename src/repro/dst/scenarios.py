@@ -194,7 +194,7 @@ class Scenario:
     replay token (see :func:`repro.dst.corpus.encode_token`).
 
     ``inject`` names an outcome-level bug injection from
-    :data:`repro.dst.explore.INJECTIONS` — a deliberately broken
+    :data:`repro.dst.injections.INJECTIONS` — a deliberately broken
     post-processing step used to demo and test the fuzz → shrink → replay
     loop without breaking a real algorithm.
     """

@@ -65,7 +65,9 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from ..core.runspec import ALGORITHMS
+from ..core.problems import agreement_diameter, problem_for
+from ..core.runner import build_processes, resolved_rounds
+from ..core.runspec import ALGORITHMS, RunSpec
 from ..system.transport.live import LiveNode, NodeAddress
 from .grid import min_trial_size
 
@@ -95,11 +97,16 @@ _REQUIRED_KEYS = (
 # ---------------------------------------------------------------------------
 
 
-def _derived_inputs(doc: dict[str, Any]) -> np.ndarray:
-    """The cluster's input matrix — RunSpec.resolved_inputs, verbatim."""
-    rng = np.random.default_rng(int(doc["seed"]))
-    return rng.normal(
-        scale=float(doc["input_scale"]), size=(int(doc["n"]), int(doc["d"]))
+def _spec(doc: dict[str, Any]) -> RunSpec:
+    """The document's run in the runner's vocabulary (validates the
+    knobs; the seed-derived inputs are ``_spec(doc).resolved_inputs()``)."""
+    return RunSpec(
+        algorithm=doc["algorithm"], n=int(doc["n"]), d=int(doc["d"]),
+        f=int(doc["f"]), seed=int(doc["seed"]),
+        input_scale=float(doc["input_scale"]), broadcast=str(doc["broadcast"]),
+        p=doc["p"], k=int(doc["k"]), delta=float(doc["delta"]),
+        epsilon=float(doc["epsilon"]), mode=str(doc["mode"]),
+        alpha=float(doc["alpha"]), rounds=doc["rounds"],
     )
 
 
@@ -126,23 +133,6 @@ def build_topology(
     instance: Optional[str] = None,
 ) -> dict[str, Any]:
     """Assemble (and validate) a topology document for one cluster."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; choices {ALGORITHMS}"
-        )
-    if kind not in ("tcp", "uds"):
-        raise ValueError(f"unknown transport kind {kind!r} (tcp or uds)")
-    if algorithm == "scalar" and d != 1:
-        raise ValueError(f"scalar consensus requires d=1, got d={d}")
-    floor = min_trial_size(algorithm, d, f, k)
-    if n < floor:
-        raise ValueError(
-            f"{algorithm} with d={d}, f={f} needs n >= {floor}, got {n}"
-        )
-    if len(nodes) != n:
-        raise ValueError(f"need {n} node addresses, got {len(nodes)}")
-    if sorted(a.node_id for a in nodes) != list(range(n)):
-        raise ValueError("node ids must be exactly 0..n-1")
     doc: dict[str, Any] = {
         "schema": TOPOLOGY_SCHEMA,
         "instance": instance
@@ -166,19 +156,21 @@ def build_topology(
         "max_steps": int(max_steps),
         "nodes": [a.as_dict() for a in sorted(nodes, key=lambda a: a.node_id)],
     }
-    if doc["rounds"] is None:
-        if algorithm == "averaging":
-            # Same estimate _handle_averaging uses, resolved once here so
-            # every node terminates after the identical round count.
-            from ..core.averaging import rounds_for_epsilon
-
-            inputs = _derived_inputs(doc)
-            spread = float(np.max(inputs.max(axis=0) - inputs.min(axis=0)))
-            doc["rounds"] = rounds_for_epsilon(
-                3.0 * max(spread, float(epsilon)), n, f, float(epsilon)
-            )
-        elif algorithm == "iterative":
-            doc["rounds"] = 30
+    spec = _spec(doc)  # rejects an unknown algorithm, scalar at d != 1, ...
+    if kind not in ("tcp", "uds"):
+        raise ValueError(f"unknown transport kind {kind!r} (tcp or uds)")
+    floor = min_trial_size(algorithm, d, f, k)
+    if n < floor:
+        raise ValueError(
+            f"{algorithm} with d={d}, f={f} needs n >= {floor}, got {n}"
+        )
+    if len(nodes) != n:
+        raise ValueError(f"need {n} node addresses, got {len(nodes)}")
+    if sorted(a.node_id for a in nodes) != list(range(n)):
+        raise ValueError("node ids must be exactly 0..n-1")
+    # The runner's own round budget, resolved once here so every node
+    # terminates after the identical round count.
+    doc["rounds"] = resolved_rounds(spec, spec.resolved_inputs())
     if algorithm == "iterative":
         doc["max_rounds"] = int(doc["rounds"]) + 2
     return doc
@@ -208,7 +200,10 @@ def load_topology(path: str) -> dict[str, Any]:
     addresses = [NodeAddress.from_dict(entry) for entry in doc["nodes"]]
     if sorted(a.node_id for a in addresses) != list(range(n)):
         raise ValueError(f"{path!r}: node ids must be exactly 0..{n - 1}")
-    if doc["algorithm"] in ("averaging", "iterative") and doc["rounds"] is None:
+    spec = _spec(doc)
+    if doc["rounds"] is None and resolved_rounds(
+        spec, spec.resolved_inputs()
+    ) is not None:
         raise ValueError(
             f"{path!r}: {doc['algorithm']} topologies must carry a "
             "resolved 'rounds' (build_topology resolves it)"
@@ -261,59 +256,20 @@ def build_process(doc: dict[str, Any], pid: int) -> Any:
     this with the same file agree on inputs, signature keys, and round
     budgets without exchanging a byte.
     """
-    algorithm = doc["algorithm"]
-    n, d, f = int(doc["n"]), int(doc["d"]), int(doc["f"])
-    if not 0 <= pid < n:
-        raise ValueError(f"pid {pid} outside 0..{n - 1}")
-    inputs = _derived_inputs(doc)
-    broadcast = str(doc["broadcast"])
+    spec = _spec(doc)
+    assert spec.n is not None
+    if not 0 <= pid < spec.n:
+        raise ValueError(f"pid {pid} outside 0..{spec.n - 1}")
     scheme = None
-    if broadcast == "dolev-strong":
+    if spec.broadcast == "dolev-strong":
         from ..system.crypto import SignatureScheme
 
         # Deterministic in the seed: every node derives the same keys.
-        scheme = SignatureScheme(n, np.random.default_rng(int(doc["seed"])))
-    if algorithm == "exact":
-        from ..core.exact_bvc import ExactBVCProcess
-
-        return ExactBVCProcess(
-            n, f, pid, inputs[pid], broadcast=broadcast, scheme=scheme
-        )
-    if algorithm == "algo":
-        from ..core.algo_sync import AlgoProcess
-
-        return AlgoProcess(
-            n, f, pid, inputs[pid], p=doc["p"],
-            broadcast=broadcast, scheme=scheme,
-        )
-    if algorithm == "krelaxed":
-        from ..core.krelaxed import KRelaxedProcess
-
-        return KRelaxedProcess(
-            n, f, pid, inputs[pid], k=int(doc["k"]),
-            broadcast=broadcast, scheme=scheme,
-        )
-    if algorithm == "scalar":
-        from ..core.scalar import ScalarConsensusProcess
-
-        return ScalarConsensusProcess(
-            n, f, pid, inputs[pid], broadcast=broadcast, scheme=scheme
-        )
-    if algorithm == "iterative":
-        from ..core.iterative import IterativeBVCProcess
-        from ..system.topology import complete_topology
-
-        return IterativeBVCProcess(
-            n, f, pid, inputs[pid], topology=complete_topology(n),
-            num_rounds=int(doc["rounds"]), alpha=float(doc["alpha"]),
-        )
-    assert algorithm == "averaging"
-    from ..core.averaging import VerifiedAveragingProcess
-
-    return VerifiedAveragingProcess(
-        n, f, pid, inputs[pid], num_rounds=int(doc["rounds"]),
-        mode=str(doc["mode"]), delta=float(doc["delta"]), p=doc["p"],
+        scheme = SignatureScheme(spec.n, np.random.default_rng(spec.seed))
+    (process,) = build_processes(
+        spec, spec.resolved_inputs(), [pid], rounds=spec.rounds, scheme=scheme
     )
+    return process
 
 
 def run_node(
@@ -452,17 +408,6 @@ def _node_record(doc: dict[str, Any], pid: int, node: LiveNode) -> dict[str, Any
 # ---------------------------------------------------------------------------
 
 
-def _spread(decisions: list[np.ndarray]) -> float:
-    """Largest pairwise Euclidean distance between decisions."""
-    worst = 0.0
-    for i in range(len(decisions)):
-        for j in range(i + 1, len(decisions)):
-            worst = max(
-                worst, float(np.linalg.norm(decisions[i] - decisions[j]))
-            )
-    return worst
-
-
 def launch_local(
     algorithm: str,
     n: int,
@@ -576,9 +521,10 @@ def launch_local(
             np.atleast_1d(np.asarray(r["decision"], dtype=float))
             for r in decided
         ]
-        spread = _spread(decisions) if len(decisions) >= 2 else 0.0
-        exactish = algorithm in ("exact", "algo", "krelaxed", "scalar")
-        tolerance = 1e-9 if exactish else float(epsilon)
+        spread = agreement_diameter(dict(enumerate(decisions)))
+        tolerance = problem_for(
+            algorithm, d, f, k=k, p=p, epsilon=epsilon
+        ).agreement_bound
         fleet_block = _fleet_block(trace_dir) if trace_dir else None
         ok = (
             not errors

@@ -31,13 +31,12 @@ explain`` renders cross-node decision cones with the same code path as
 the in-process ``repro explain``.  Wall clocks never order anything:
 each trail's header ``wall_time`` is reported as skew evidence only.
 
-Post-hoc probes (:func:`fleet_probes`) re-run the paper's invariant
-checks over the stitched evidence: validity-envelope and
-agreement-convergence via :meth:`~repro.obs.probes.Probe.check_decisions`
-on the decision vectors each node logged, and broadcast integrity as a
-structural equivocation check over the merged graph (two sends of one
-``(pid, tag, round)`` instance to different receivers must carry the
-same payload digest).  Honest inputs are re-derived from the topology
+Post-hoc probes (:func:`fleet_probes`) put the stitched evidence to the
+one oracle in :mod:`repro.core.problems`: the decision vectors each node
+logged go through ``ProblemSpec.check`` (validity + agreement), and the
+payload digests each receiver was sent, per ``(pid, tag, round)``
+instance of the merged graph, through ``broadcast_conflicts`` (one
+logical broadcast must not show two faces).  Honest inputs are re-derived from the topology
 parameters each node logs — the same ``default_rng(seed)`` derivation
 the cluster itself used — so a trail directory is self-contained
 evidence: no RunSpec, no repo state, just the files.
@@ -53,10 +52,9 @@ import numpy as np
 
 from ..analysis.timeline import CausalGraph
 from .export import read_jsonl
-from .probes import ProbeReport, build_probes
+from .probes import ProbeReport, build_probes, fold_verdict
 
 __all__ = [
-    "FLEET_PROBE_NAMES",
     "NodeTrail",
     "StitchReport",
     "aggregate_metrics",
@@ -66,9 +64,6 @@ __all__ = [
     "load_trails",
     "stitch",
 ]
-
-#: Probes `fleet_probes` evaluates (the full shipped set).
-FLEET_PROBE_NAMES = ("validity", "agreement", "broadcast")
 
 _RUN_ID_NODE = re.compile(r"-n(\d+)$")
 
@@ -310,137 +305,95 @@ def _honest_inputs(params: Mapping[str, Any]) -> np.ndarray:
     )
 
 
-def _max_delta_used(trails: Sequence[NodeTrail]) -> float:
-    delta = 0.0
-    for trail in trails:
-        fields = trail.event_fields("transport.node.decision") or {}
-        used = fields.get("delta_used")
-        if used is not None:
-            delta = max(delta, float(used))
-    return delta
+def _delta_used(trails: Sequence[NodeTrail]) -> Optional[float]:
+    used = [
+        float(fields["delta_used"])
+        for fields in (
+            trail.event_fields("transport.node.decision") or {}
+            for trail in trails
+        )
+        if fields.get("delta_used") is not None
+    ]
+    return max(used) if used else None
 
 
-def _inject(
-    decisions: dict[int, np.ndarray], name: str, input_scale: float, d: int
-) -> dict[int, np.ndarray]:
-    """Perturb logged decisions (mirrors ``repro.dst.explore.INJECTIONS``)
-    so probe sensitivity can be demonstrated on real trails."""
-    out = {pid: np.array(v, dtype=float, copy=True)
-           for pid, v in decisions.items()}
-    if name == "split-brain":
-        if out:
-            pid = min(out)
-            out[pid] = out[pid] + 10.0 * input_scale
-        return out
-    if name == "stale-echo":
-        pids = sorted(out)
-        if len(pids) >= 2:
-            a, b = pids[0], pids[1]
-            half = max(1, d // 2)
-            out[a][:half], out[b][:half] = (
-                out[b][:half].copy(), out[a][:half].copy()
-            )
-            out[a][:half] += input_scale
-        return out
-    raise ValueError(
-        f"unknown injection {name!r} (choices: split-brain, stale-echo)"
-    )
-
-
-def _check_broadcast_integrity(graph: CausalGraph, probe: Any) -> None:
-    """Structural equivocation check over the merged graph.
-
-    Every send carries a payload digest (stamped by the live transport).
-    Two sends of the same ``(pid, tag, round)`` instance to *different*
-    receivers with different digests would mean one logical broadcast
-    showed two faces — exactly what reliable broadcast forbids.
-    Sequential re-sends to the *same* receiver are not equivocation.
-    """
-    groups: dict[tuple[int, str, Any], dict[str, Any]] = {}
+def _sent_digests(graph: CausalGraph) -> dict[Any, dict[Any, str]]:
+    """``{(pid, tag, round): {receiver: payload digest}}`` over the sends
+    of the merged graph (every send carries a digest, stamped by the
+    live transport).  A sequential re-send to the *same* receiver is
+    sequencing, not a second face, so the first digest per receiver
+    stands."""
+    sent: dict[Any, dict[Any, str]] = {}
     for ev in graph.events:
-        if ev.get("kind") != "send":
-            continue
         fields = ev.get("fields") or {}
         digest = fields.get("digest")
-        if digest is None or ev.get("tag") is None:
+        if ev.get("kind") != "send" or digest is None or ev.get("tag") is None:
             continue
-        key = (int(ev["pid"]), str(ev["tag"]), fields.get("round"))
-        group = groups.setdefault(key, {})
-        dst = ev.get("dst")
-        if dst in group:
-            continue  # same receiver again: sequencing, not equivocation
-        group[dst] = (digest, int(ev["eid"]))
-    for key in sorted(groups, key=repr):
-        group = groups[key]
-        if len(group) < 2:
-            continue
-        probe.checks += 1
-        digests = {digest for digest, _ in group.values()}
-        if len(digests) > 1:
-            pid, tag, round_ = key
-            probe.record(
-                round_ if isinstance(round_, int) else None,
-                f"send instance (pid {pid}, tag {tag!r}) carried "
-                f"{len(digests)} distinct payload digests across receivers",
-                pids=(pid,),
-            )
+        instance = (int(ev["pid"]), str(ev["tag"]), fields.get("round"))
+        sent.setdefault(instance, {}).setdefault(ev.get("dst"), digest)
+    return sent
 
 
 def fleet_probes(
     trails: Sequence[NodeTrail],
     graph: Optional[CausalGraph] = None,
     *,
-    names: Sequence[str] = FLEET_PROBE_NAMES,
+    names: Sequence[str] = ("all",),
     inject: Optional[str] = None,
 ) -> tuple[list[ProbeReport], dict[str, Any]]:
-    """Run the invariant probes post-hoc over stitched fleet evidence.
+    """Judge stitched fleet evidence post hoc, reported per probe.
 
-    Returns ``(reports, context)`` where ``context`` records what the
-    probes were checked against (decisions, derived parameters, any
-    injection).  ``inject`` perturbs the logged decisions the same way
-    the DST explorer's injections do — for demonstrating that the
-    probes would catch a violating cluster, not for honest validation.
+    Returns ``(reports, context)`` where ``context`` records what was
+    checked (decisions, derived parameters, any injection).  ``inject``
+    perturbs the logged decisions with a :mod:`repro.dst.injections`
+    bug — for demonstrating that a violating cluster would be caught,
+    not for honest validation.
     """
+    # Call-time imports: obs must stay importable before core.
+    from ..core.problems import broadcast_conflicts, problem_for
+    from ..dst.injections import inject as perturb
+
     params = _topology_params(trails)
     algorithm = str(params["algorithm"])
+    d = int(params["d"])
     decisions = _decisions(trails)
     if inject is not None:
-        decisions = _inject(
-            decisions, inject,
-            float(params["input_scale"]), int(params["d"]),
-        )
-    honest = _honest_inputs(params)
-
-    approximate = algorithm in ("averaging", "iterative")
-    # check_decisions applies an explicit delta verbatim, so grant the
-    # same solver-tolerance headroom the online probe computes itself.
-    delta = _max_delta_used(trails) * (1.0 + 1e-6) + 1e-9
-    probes = build_probes(
-        names,
-        algorithm=algorithm,
-        p=params.get("p", 2),
-        k=int(params.get("k", 1)),
-        epsilon=float(params["epsilon"]) if approximate else None,
-        delta=None if algorithm == "krelaxed" else delta,
-    )
+        decisions = perturb(inject, decisions, float(params["input_scale"]), d)
+    problem = problem_for(
+        algorithm, d, int(params["f"]), k=int(params.get("k", 1)),
+        p=params.get("p", 2), epsilon=float(params["epsilon"]),
+        delta=float(params.get("delta") or 0.0),
+    ).achieved(_delta_used(trails))
+    probes = build_probes(names, problem)
     for probe in probes:
-        if probe.name == "broadcast":
-            if graph is not None:
-                _check_broadcast_integrity(graph, probe)
-        else:
-            probe.check_decisions(decisions, honest)
+        if probe.name == "broadcast" and graph is not None:
+            sent = {k: v for k, v in _sent_digests(graph).items() if len(v) >= 2}
+            probe.checks += len(sent)
+            conflicts = broadcast_conflicts(sent)
+            for pid, tag, round_ in sorted(conflicts, key=repr):
+                first, other = conflicts[(pid, tag, round_)]
+                probe.record(
+                    round_ if isinstance(round_, int) else None,
+                    f"send instance (pid {pid}, tag {tag!r}) carried distinct "
+                    f"payload digests to receivers {first} and {other}",
+                    pids=(pid,),
+                )
+    reports = fold_verdict(
+        [probe.report() for probe in probes], problem,
+        problem.check(_honest_inputs(params), decisions),
+    )
     context = {
         "algorithm": algorithm,
         "n": int(params["n"]),
-        "d": int(params["d"]),
+        "d": d,
         "f": int(params["f"]),
         "seed": int(params["seed"]),
         "decided_nodes": sorted(decisions),
-        "delta": delta,
-        "epsilon": float(params["epsilon"]) if approximate else None,
+        "delta": getattr(problem, "delta", None),
+        "epsilon": getattr(problem, "epsilon", None),
         "inject": inject,
     }
-    return [probe.report() for probe in probes], context
+    return list(reports), context
 
 
 # ---------------------------------------------------------------------------

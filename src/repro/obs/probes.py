@@ -19,6 +19,13 @@ Violations surface three ways at once:
 * a counter on the ambient registry (``probe.<name>.violations``),
 * a structured :class:`ProbeReport` on ``RunResult.probes``.
 
+Probes gather evidence; they do not judge it.  Validity, agreement and
+broadcast integrity are decided by the run's
+:class:`~repro.core.problems.ProblemSpec` (handed in by the runner) and
+:func:`~repro.core.problems.broadcast_conflicts` — the same oracle the
+post-hoc checker uses, so an online verdict and a checker verdict on the
+same evidence cannot disagree.
+
 Probes are read-only: they never touch the scheduler's RNG, the network,
 or process state, so enabling them cannot change any decision — the
 bit-identity contract is pinned by ``tests/obs/test_probe_identity.py``.
@@ -26,9 +33,8 @@ bit-identity contract is pinned by ``tests/obs/test_probe_identity.py``.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -36,9 +42,10 @@ from . import metrics as _obs
 from .tracer import trace_event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    # Imported lazily at run time: geometry's kernels record onto
+    # Never imported at run time: core's geometry kernels record onto
     # repro.obs.metrics, so a module-level import here would be circular.
-    from ..geometry.relaxed import DeltaPHull, KRelaxedHull
+    # The runner hands every probe the run's ProblemSpec instead.
+    from ..core.problems import ProblemSpec, ValidityReport
 
 __all__ = [
     "PROBE_NAMES",
@@ -50,9 +57,8 @@ __all__ = [
     "AgreementConvergenceProbe",
     "BroadcastIntegrityProbe",
     "build_probes",
+    "fold_verdict",
 ]
-
-PNorm = Union[float, int]
 
 #: Canonical probe names accepted by :func:`build_probes` and
 #: ``RunSpec.probes`` (``"all"`` expands to the full set).
@@ -97,6 +103,48 @@ class ProbeReport:
                 for v in self.violations
             ],
         }
+
+
+def _violation(
+    probe: str,
+    time: Optional[int],
+    detail: str,
+    *,
+    pids: Iterable[int] = (),
+    measure: Optional[float] = None,
+) -> ProbeViolation:
+    """Build one violation and surface it (trace event + counter)."""
+    violation = ProbeViolation(
+        probe=probe, time=time, detail=detail,
+        pids=tuple(sorted(pids)), measure=measure,
+    )
+    trace_event(
+        f"probe.{probe}.violation", level="warning",
+        time=time, detail=detail, pids=list(violation.pids), measure=measure,
+    )
+    _obs.inc(f"probe.{probe}.violations")
+    return violation
+
+
+def _outside_envelope(
+    what: str, pid: int, excess: float, time: Optional[int]
+) -> ProbeViolation:
+    return _violation(
+        "validity", time,
+        f"{what} of pid {pid} leaves the validity envelope by {excess:.3g}",
+        pids=(pid,), measure=excess,
+    )
+
+
+def _disagreement(
+    diameter: float, bound: float, pids: Iterable[int], time: Optional[int]
+) -> ProbeViolation:
+    return _violation(
+        "agreement", time,
+        f"decision diameter {diameter:.3g} exceeds the agreement bound "
+        f"{bound:.3g}",
+        pids=pids, measure=diameter - bound,
+    )
 
 
 class ProbeView:
@@ -145,6 +193,16 @@ class ProbeView:
             if self.contexts[pid].decided
         }
 
+    def delta_used(self) -> Optional[float]:
+        """Largest δ a correct process has reported so far, if any."""
+        used = [
+            float(delta) for delta in (
+                getattr(self.processes[pid], "delta_used", None)
+                for pid in self.correct
+            ) if delta is not None
+        ]
+        return max(used) if used else None
+
 
 class Probe:
     """Base class: accumulate checks/violations; subclasses add the hooks."""
@@ -165,20 +223,6 @@ class Probe:
         """Called once after the run loop (defaults to a last boundary)."""
         self.on_boundary(view, time)
 
-    def check_decisions(
-        self,
-        decisions: Mapping[int, np.ndarray],
-        honest_inputs: Optional[np.ndarray],
-        *,
-        time: Optional[int] = None,
-    ) -> None:
-        """Re-evaluate the invariant against an explicit decision map.
-
-        Post-run hook used by the DST explorer: fault *injections*
-        perturb decisions after the run, and this is how the perturbed
-        map is pushed back through the probe.
-        """
-
     def record(
         self,
         time: Optional[int],
@@ -187,17 +231,9 @@ class Probe:
         pids: Iterable[int] = (),
         measure: Optional[float] = None,
     ) -> None:
-        violation = ProbeViolation(
-            probe=self.name, time=time, detail=detail,
-            pids=tuple(sorted(pids)), measure=measure,
+        self.violations.append(
+            _violation(self.name, time, detail, pids=pids, measure=measure)
         )
-        self.violations.append(violation)
-        trace_event(
-            f"probe.{self.name}.violation", level="warning",
-            time=time, detail=detail, pids=list(violation.pids),
-            measure=measure,
-        )
-        _obs.inc(f"probe.{self.name}.violations")
 
     def report(self) -> ProbeReport:
         return ProbeReport(
@@ -206,156 +242,75 @@ class Probe:
         )
 
 
-def _diameter(values: Sequence[np.ndarray]) -> float:
-    """Max pairwise L_inf distance (matches ``core.problems``)."""
-    worst = 0.0
-    for i, a in enumerate(values):
-        for b in values[i + 1:]:
-            worst = max(worst, float(np.max(np.abs(a - b))))
-    return worst
-
-
 class ValidityEnvelopeProbe(Probe):
-    """Intermediate and decided values stay in the relaxed hull of the
-    correct inputs.
+    """Intermediate and decided values stay in the validity set of the
+    run's problem.
 
-    The envelope is ``H_{(δ,p)}(honest inputs)`` with δ the running max of
-    the processes' achieved ``delta_used`` (exact algorithms: δ = 0) plus
-    the same solver-tolerance headroom the post-hoc checker grants, or —
-    for k-relaxed consensus — the k-relaxed hull ``H_k``.  Checks are
-    incremental: each ``(pid, round)`` intermediate value and each
-    decision is measured once.
+    The set is whatever ``problem`` says — ``H``, ``H_k`` or
+    ``H_{(δ,p)}`` of the correct inputs — with δ the running max of the
+    processes' achieved ``delta_used``, exactly as the post-hoc checker
+    will judge it.  Checks are incremental: each ``(pid, round)``
+    intermediate value and each decision is measured once.
     """
 
     name = "validity"
 
-    def __init__(
-        self,
-        *,
-        p: PNorm = 2,
-        delta: Optional[float] = None,
-        k: Optional[int] = None,
-        tol: float = 1e-6,
-    ):
+    def __init__(self, problem: "ProblemSpec"):
         super().__init__()
-        self.p = p
-        self.delta = delta  # None: dynamic (max achieved delta_used)
-        self.k = k  # not None: k-relaxed envelope (delta ignored)
-        self.tol = float(tol)
-        self._hull: Optional["DeltaPHull"] = None
-        self._khull: Optional["KRelaxedHull"] = None
+        self.problem = problem
         self._checked_values: set[tuple[int, int]] = set()
         self._checked_decisions: set[int] = set()
-        self._last_delta = 0.0
-
-    def _envelope_delta(self, view: ProbeView) -> float:
-        if self.delta is not None:
-            delta = self.delta
-        else:
-            delta = 0.0
-            for pid in view.correct:
-                used = getattr(view.processes[pid], "delta_used", None)
-                if used is not None:
-                    delta = max(delta, float(used))
-        # Same headroom the post-hoc checker applies: the selected point
-        # sits exactly at distance δ* from some subset hull.
-        self._last_delta = delta * (1.0 + 1e-6) + 1e-9
-        return self._last_delta
-
-    def _excess(self, value: np.ndarray, honest: np.ndarray, delta: float) -> float:
-        from ..geometry.relaxed import DeltaPHull, KRelaxedHull
-
-        if self.k is not None:
-            if self._khull is None:
-                self._khull = KRelaxedHull(honest, self.k)
-            return float(self._khull.violation(value, math.inf))
-        if self._hull is None:
-            self._hull = DeltaPHull(honest, 0.0, self.p)
-        return max(0.0, float(self._hull.distance_to_core(value)) - delta)
 
     def on_boundary(self, view: ProbeView, time: int) -> None:
         honest = view.honest_inputs()
         if honest is None:
             return
-        delta = self._envelope_delta(view)
+        problem = self.problem.achieved(view.delta_used())
+
+        def measure(what: str, pid: int, value: Any) -> None:
+            self.checks += 1
+            excess = problem.violation(
+                np.asarray(value, dtype=float).ravel(), honest
+            )
+            if excess > problem.tol:
+                self.violations.append(
+                    _outside_envelope(what, pid, excess, time)
+                )
+
         for pid in view.correct:
-            proc = view.processes[pid]
-            my_values = getattr(proc, "my_values", None)
+            my_values = getattr(view.processes[pid], "my_values", None)
             if my_values is not None:
                 for rnd in sorted(my_values):
                     if rnd < 1 or (pid, rnd) in self._checked_values:
                         continue
                     self._checked_values.add((pid, rnd))
-                    self.checks += 1
-                    excess = self._excess(
-                        np.asarray(my_values[rnd], dtype=float).ravel(),
-                        honest, delta,
-                    )
-                    if excess > self.tol:
-                        self.record(
-                            time,
-                            f"round-{rnd} value of pid {pid} leaves the "
-                            f"validity envelope by {excess:.3g}",
-                            pids=(pid,), measure=excess,
-                        )
+                    measure(f"round-{rnd} value", pid, my_values[rnd])
             ctx = view.contexts[pid]
             if ctx.decided and pid not in self._checked_decisions:
                 self._checked_decisions.add(pid)
-                self.checks += 1
-                excess = self._excess(
-                    np.asarray(ctx.decision, dtype=float).ravel(), honest, delta
-                )
-                if excess > self.tol:
-                    self.record(
-                        time,
-                        f"decision of pid {pid} leaves the validity "
-                        f"envelope by {excess:.3g}",
-                        pids=(pid,), measure=excess,
-                    )
-
-    def check_decisions(
-        self,
-        decisions: Mapping[int, np.ndarray],
-        honest_inputs: Optional[np.ndarray],
-        *,
-        time: Optional[int] = None,
-    ) -> None:
-        if honest_inputs is None:
-            return
-        honest = np.atleast_2d(np.asarray(honest_inputs, dtype=float))
-        delta = self._last_delta if self.delta is None else self.delta
-        for pid in sorted(decisions):
-            self.checks += 1
-            excess = self._excess(
-                np.asarray(decisions[pid], dtype=float).ravel(), honest, delta
-            )
-            if excess > self.tol:
-                self.record(
-                    time,
-                    f"decision of pid {pid} leaves the validity envelope "
-                    f"by {excess:.3g}",
-                    pids=(pid,), measure=excess,
-                )
+                measure("decision", pid, ctx.decision)
 
 
 class AgreementConvergenceProbe(Probe):
-    """Agreement (exact or ε) on decisions, plus monotone per-round
-    spread contraction for Relaxed Verified Averaging.
+    """Agreement (exact or ε, per the run's problem) on decisions, plus
+    monotone per-round spread contraction for Relaxed Verified Averaging.
 
     For any two verified round-``t`` values (``t >= 2``) share at least
     ``n - 2f`` averaging terms, so the coordinate range of the union of
     verified round-``t`` values can never exceed the round ``t-1`` range
     — the probe asserts that at every boundary, on the growing verified
-    sets.  Decisions must agree within ``epsilon`` (exact algorithms:
-    bit-agreement up to ``tol``).
+    sets.
     """
 
     name = "agreement"
 
-    def __init__(self, *, epsilon: Optional[float] = None, tol: float = 1e-7):
+    #: float slack on the spread comparison (the contraction is the
+    #: probe's own invariant; the problem spec only bounds decisions).
+    CONTRACTION_TOL = 1e-7
+
+    def __init__(self, problem: "ProblemSpec"):
         super().__init__()
-        self.epsilon = epsilon
-        self.tol = float(tol)
+        self.problem = problem
         self._flagged_rounds: set[int] = set()
         self._flagged_deciders: frozenset[int] = frozenset()
 
@@ -377,6 +332,8 @@ class AgreementConvergenceProbe(Probe):
         return ranges
 
     def on_boundary(self, view: ProbeView, time: int) -> None:
+        from ..core.problems import agreement_diameter
+
         ranges = self._round_ranges(view)
         for rnd in sorted(ranges):
             if rnd < 2 or rnd in self._flagged_rounds or rnd - 1 not in ranges:
@@ -386,7 +343,7 @@ class AgreementConvergenceProbe(Probe):
             lo, hi = ranges[rnd]
             spread_prev = float(np.max(hi_prev - lo_prev))
             spread = float(np.max(hi - lo))
-            if spread > spread_prev + self.tol:
+            if spread > spread_prev + self.CONTRACTION_TOL:
                 self._flagged_rounds.add(rnd)
                 self.record(
                     time,
@@ -397,134 +354,74 @@ class AgreementConvergenceProbe(Probe):
                 )
 
         decisions = view.correct_decisions()
-        self._check_diameter(decisions, time)
-
-    def _check_diameter(
-        self, decisions: Mapping[int, np.ndarray], time: Optional[int]
-    ) -> None:
         deciders = frozenset(decisions)
         if len(deciders) < 2 or deciders == self._flagged_deciders:
             return
         self.checks += 1
-        diameter = _diameter([decisions[pid] for pid in sorted(decisions)])
-        bound = (self.epsilon if self.epsilon is not None else 0.0) + self.tol
+        diameter = agreement_diameter(decisions)
+        bound = self.problem.agreement_bound
         if diameter > bound:
             self._flagged_deciders = deciders
-            self.record(
-                time,
-                f"decision diameter {diameter:.3g} exceeds the "
-                f"agreement bound {bound:.3g}",
-                pids=deciders, measure=diameter - bound,
+            self.violations.append(
+                _disagreement(diameter, bound, deciders, time)
             )
-
-    def check_decisions(
-        self,
-        decisions: Mapping[int, np.ndarray],
-        honest_inputs: Optional[np.ndarray],
-        *,
-        time: Optional[int] = None,
-    ) -> None:
-        self._flagged_deciders = frozenset()
-        self._check_diameter(
-            {pid: np.asarray(v, dtype=float).ravel()
-             for pid, v in decisions.items()},
-            time,
-        )
 
 
 class BroadcastIntegrityProbe(Probe):
     """No two correct processes accept different values for one
     ``(sender, tag)`` broadcast instance.
 
-    Watches the reliable-broadcast delivery maps of the asynchronous
+    Gathers the reliable-broadcast delivery maps of the asynchronous
     processes (``_delivered``: Bracha agreement) and the agreed multiset
     of the synchronous broadcast-all template (identical ``S`` at every
-    correct process — EIG/Dolev–Strong correctness).
+    correct process — EIG/Dolev–Strong correctness) and asks
+    :func:`~repro.core.problems.broadcast_conflicts`.
     """
 
     name = "broadcast"
 
     def __init__(self) -> None:
         super().__init__()
-        self._flagged_keys: set[Any] = set()
-        self._checked_pairs: set[tuple[Any, int, int]] = set()
-
-    @staticmethod
-    def _equal(a: Any, b: Any) -> bool:
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            return bool(np.array_equal(np.asarray(a), np.asarray(b)))
-        result = a == b
-        return bool(np.all(result)) if isinstance(result, np.ndarray) else bool(result)
+        self._flagged: set[Any] = set()
+        #: instance -> receivers compared so far (values never change
+        #: once delivered, so only grown instances are looked at again).
+        self._seen: dict[Any, int] = {}
 
     def on_boundary(self, view: ProbeView, time: int) -> None:
-        # Asynchronous reliable broadcast: per-(sender, round) deliveries.
-        delivered: dict[Any, list[tuple[int, Any]]] = {}
+        from ..core.problems import broadcast_conflicts
+
+        deliveries: dict[Any, dict[int, Any]] = {}
         for pid in view.correct:
-            accepted = getattr(view.processes[pid], "_delivered", None)
-            if accepted:
-                for key, value in accepted.items():
-                    delivered.setdefault(key, []).append((pid, value))
-        for key in sorted(delivered, key=repr):
-            if key in self._flagged_keys:
-                continue
-            entries = delivered[key]
-            first_pid, first_value = entries[0]
-            for pid, value in entries[1:]:
-                pair = (key, first_pid, pid)
-                if pair in self._checked_pairs:
-                    continue
-                self._checked_pairs.add(pair)
-                self.checks += 1
-                if not self._equal(first_value, value):
-                    self._flagged_keys.add(key)
-                    self.record(
-                        time,
-                        f"correct pids {first_pid} and {pid} accepted "
-                        f"different values for broadcast instance {key!r}",
-                        pids=(first_pid, pid),
-                    )
-                    break
-
-        # Synchronous broadcast-all: the agreed multiset must be identical.
-        multisets = [
-            (pid, getattr(view.processes[pid], "multiset", None))
-            for pid in view.correct
-        ]
-        multisets = [(pid, S) for pid, S in multisets if S is not None]
-        if len(multisets) >= 2 and "multiset" not in self._flagged_keys:
-            first_pid, first_S = multisets[0]
-            for pid, S in multisets[1:]:
-                pair = ("multiset", first_pid, pid)
-                if pair in self._checked_pairs:
-                    continue
-                self._checked_pairs.add(pair)
-                self.checks += 1
-                if not self._equal(first_S, S):
-                    self._flagged_keys.add("multiset")
-                    self.record(
-                        time,
-                        f"correct pids {first_pid} and {pid} agreed on "
-                        "different broadcast multisets",
-                        pids=(first_pid, pid),
-                    )
-                    break
+            proc = view.processes[pid]
+            for key, value in (getattr(proc, "_delivered", None) or {}).items():
+                deliveries.setdefault(key, {})[pid] = value
+            multiset = getattr(proc, "multiset", None)
+            if multiset is not None:
+                deliveries.setdefault("multiset", {})[pid] = multiset
+        grown = {
+            key: received for key, received in deliveries.items()
+            if key not in self._flagged
+            and len(received) > max(1, self._seen.get(key, 0))
+        }
+        self._seen.update((key, len(received)) for key, received in grown.items())
+        self.checks += len(grown)
+        for key, (first, other) in broadcast_conflicts(grown).items():
+            self._flagged.add(key)
+            what = (
+                "agreed on different broadcast multisets"
+                if key == "multiset"
+                else f"accepted different values for broadcast instance {key!r}"
+            )
+            self.record(
+                time, f"correct pids {first} and {other} {what}",
+                pids=(first, other),
+            )
 
 
-def build_probes(
-    names: Sequence[str],
-    *,
-    algorithm: Optional[str] = None,
-    p: PNorm = 2,
-    k: int = 1,
-    epsilon: Optional[float] = None,
-    delta: Optional[float] = None,
-) -> list[Probe]:
-    """Instantiate probes by name, configured for one algorithm.
+def build_probes(names: Sequence[str], problem: "ProblemSpec") -> list[Probe]:
+    """Instantiate probes by name for a run judged against ``problem``.
 
     ``names`` entries are members of :data:`PROBE_NAMES` or ``"all"``.
-    ``epsilon`` configures the agreement bound for the approximate
-    algorithms (``averaging``/``iterative``); exact algorithms assert
-    bit-agreement.  ``krelaxed`` swaps the validity envelope for ``H_k``.
     """
     expanded: list[str] = []
     for name in names:
@@ -536,21 +433,48 @@ def build_probes(
             raise ValueError(
                 f"unknown probe {name!r}; choices {PROBE_NAMES + ('all',)}"
             )
-    approximate = algorithm in ("averaging", "iterative")
     probes: list[Probe] = []
     for name in dict.fromkeys(expanded):  # dedupe, keep order
         if name == "validity":
-            if algorithm == "krelaxed":
-                probes.append(ValidityEnvelopeProbe(k=k))
-            else:
-                # Iterative LP steps each carry feasibility slack; give
-                # the online check the post-hoc checker's headroom.
-                tol = 1e-6 if algorithm != "iterative" else 1e-5
-                probes.append(ValidityEnvelopeProbe(p=p, delta=delta, tol=tol))
+            probes.append(ValidityEnvelopeProbe(problem))
         elif name == "agreement":
-            probes.append(AgreementConvergenceProbe(
-                epsilon=epsilon if approximate else None,
-            ))
+            probes.append(AgreementConvergenceProbe(problem))
         else:
             probes.append(BroadcastIntegrityProbe())
     return probes
+
+
+def fold_verdict(
+    reports: Sequence[ProbeReport],
+    problem: "ProblemSpec",
+    verdict: "ValidityReport",
+    *,
+    time: Optional[int] = None,
+) -> tuple[ProbeReport, ...]:
+    """Fold one post-hoc ``problem.check`` verdict into probe reports.
+
+    How a decision map nobody observed online is reported — a bug
+    injection (DST), a cluster's logged decisions (fleet): the caller
+    runs the checker once and the ``validity`` / ``agreement`` reports
+    each gain one check and the violations that verdict found.
+    """
+    def folded(report: ProbeReport) -> ProbeReport:
+        if report.name == "validity":
+            found = [
+                _outside_envelope("decision", pid, excess, time)
+                for pid, excess in sorted(verdict.violations.items())
+            ]
+        elif report.name == "agreement" and not verdict.agreement_ok:
+            found = [_disagreement(
+                verdict.agreement_diameter, problem.agreement_bound, (), time
+            )]
+        elif report.name == "agreement":
+            found = []
+        else:
+            return report
+        return replace(
+            report, checks=report.checks + 1,
+            violations=report.violations + tuple(found),
+        )
+
+    return tuple(folded(report) for report in reports)

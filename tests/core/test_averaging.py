@@ -11,7 +11,8 @@ from repro.core.averaging import (
     contraction_factor,
     rounds_for_epsilon,
 )
-from repro.core.runner import run_averaging
+from repro.core.runner import run
+from repro.core.runspec import RunSpec
 from repro.system.adversary import Adversary, MutateStrategy, SilentStrategy
 from repro.system.scheduler import DelayPolicy, FifoPolicy
 
@@ -52,17 +53,19 @@ class TestProcessValidation:
 class TestRVAEndToEnd:
     def test_failure_free(self, rng):
         inputs = rng.normal(size=(4, 2))
-        out = run_averaging(inputs, f=1, epsilon=1e-2, seed=0)
+        out = run(RunSpec(
+            algorithm="averaging", inputs=inputs, f=1, epsilon=1e-2, seed=0,
+        ))
         assert out.ok
         assert out.report.agreement_diameter <= 1e-2
 
     def test_silent_fault(self, rng):
         inputs = rng.normal(size=(4, 3))
-        out = run_averaging(
-            inputs, f=1,
-            adversary=Adversary(faulty=[3], strategy=SilentStrategy()),
-            epsilon=1e-2, seed=1,
-        )
+        out = run(RunSpec(
+            algorithm="averaging", inputs=inputs, f=1,
+            adversary=Adversary(faulty=[3], strategy=SilentStrategy()), epsilon=1e-2,
+            seed=1,
+        ))
         assert out.ok
 
     def test_honest_faulty_below_classic_bound(self, rng):
@@ -70,8 +73,10 @@ class TestRVAEndToEnd:
         dependent δ."""
         d = 3
         inputs = rng.normal(size=(d + 1, d))
-        out = run_averaging(inputs, f=1, adversary=Adversary(faulty=[0]),
-                            epsilon=1e-2, seed=2)
+        out = run(RunSpec(
+            algorithm="averaging", inputs=inputs, f=1,
+            adversary=Adversary(faulty=[0]), epsilon=1e-2, seed=2,
+        ))
         assert out.ok
         assert out.delta_used is not None and out.delta_used > 0
 
@@ -90,8 +95,10 @@ class TestRVAEndToEnd:
             # faulty input = mean of honest inputs (inside their hull)
             faulty_row = honest.mean(axis=0, keepdims=True)
             inputs = np.vstack([honest, faulty_row])
-            out = run_averaging(inputs, f=f, adversary=Adversary(faulty=[n - 1]),
-                                epsilon=1e-2, seed=seed)
+            out = run(RunSpec(
+                algorithm="averaging", inputs=inputs, f=f,
+                adversary=Adversary(faulty=[n - 1]), epsilon=1e-2, seed=seed,
+            ))
             assert out.ok
             bound = theorem15_bound(honest, n, f, d)
             assert out.delta_used < bound + 1e-9, f"seed={seed}"
@@ -108,11 +115,11 @@ class TestRVAEndToEnd:
             return payload
 
         inputs = rng.normal(size=(4, 3))
-        out = run_averaging(
-            inputs, f=1,
+        out = run(RunSpec(
+            algorithm="averaging", inputs=inputs, f=1,
             adversary=Adversary(faulty=[2], strategy=MutateStrategy(wild)),
             epsilon=1e-2, seed=3,
-        )
+        ))
         assert out.report.agreement_ok
         assert out.report.validity_ok
 
@@ -132,11 +139,11 @@ class TestRVAEndToEnd:
             return payload
 
         inputs = rng.normal(size=(4, 3))
-        out = run_averaging(
-            inputs, f=1,
+        out = run(RunSpec(
+            algorithm="averaging", inputs=inputs, f=1,
             adversary=Adversary(faulty=[1], strategy=MutateStrategy(skew_refs)),
             epsilon=1e-2, seed=4,
-        )
+        ))
         assert out.ok
 
     def test_malformed_refs_ignored(self, rng):
@@ -155,35 +162,38 @@ class TestRVAEndToEnd:
             return payload
 
         inputs = rng.normal(size=(4, 3))
-        out = run_averaging(
-            inputs, f=1,
+        out = run(RunSpec(
+            algorithm="averaging", inputs=inputs, f=1,
             adversary=Adversary(faulty=[2], strategy=MutateStrategy(garbage)),
             epsilon=1e-2, seed=5,
-        )
+        ))
         assert out.ok
 
     def test_delay_policy(self, rng):
         inputs = rng.normal(size=(4, 2))
-        out = run_averaging(
-            inputs, f=1,
-            adversary=Adversary(faulty=[3], strategy=SilentStrategy()),
-            epsilon=1e-2, policy=DelayPolicy(victims=[1]), seed=6,
-        )
+        out = run(RunSpec(
+            algorithm="averaging", inputs=inputs, f=1,
+            adversary=Adversary(faulty=[3], strategy=SilentStrategy()), epsilon=1e-2,
+            policy=DelayPolicy(victims=[1]), seed=6,
+        ))
         assert out.ok
 
     def test_fifo_policy(self, rng):
         inputs = rng.normal(size=(4, 2))
-        out = run_averaging(inputs, f=1, epsilon=1e-2, policy=FifoPolicy(), seed=7)
+        out = run(RunSpec(
+            algorithm="averaging", inputs=inputs, f=1, epsilon=1e-2,
+            policy=FifoPolicy(), seed=7,
+        ))
         assert out.ok
 
     def test_zero_mode_needs_enough_processes(self, rng):
         """mode='zero' at n = (d+2)f+1 works (the classic bound)."""
         d = 2
         inputs = rng.normal(size=((d + 2) + 1, d))  # n=5
-        out = run_averaging(
-            inputs, f=1, mode="zero", epsilon=1e-2, seed=8,
-            adversary=Adversary(faulty=[4], strategy=SilentStrategy()),
-        )
+        out = run(RunSpec(
+            algorithm="averaging", inputs=inputs, f=1, mode="zero", epsilon=1e-2,
+            seed=8, adversary=Adversary(faulty=[4], strategy=SilentStrategy()),
+        ))
         assert out.ok
         assert out.delta_used == 0.0
 
@@ -191,12 +201,17 @@ class TestRVAEndToEnd:
         """Tighter ε still achieved (more rounds)."""
         inputs = rng.normal(size=(4, 2))
         for eps in (1e-1, 1e-3):
-            out = run_averaging(inputs, f=1, epsilon=eps, seed=9)
+            out = run(RunSpec(
+                algorithm="averaging", inputs=inputs, f=1, epsilon=eps, seed=9,
+            ))
             assert out.report.agreement_diameter <= eps
 
     def test_explicit_num_rounds(self, rng):
         inputs = rng.normal(size=(4, 2))
-        out = run_averaging(inputs, f=1, num_rounds=3, epsilon=10.0, seed=10)
+        out = run(RunSpec(
+            algorithm="averaging", inputs=inputs, f=1, rounds=3, epsilon=10.0,
+            seed=10,
+        ))
         assert out.report.termination_ok
 
     def test_decisions_are_convex_combos_of_round1(self, rng):
@@ -205,8 +220,10 @@ class TestRVAEndToEnd:
         from repro.geometry.relaxed import DeltaPHull
 
         inputs = rng.normal(size=(4, 3))
-        out = run_averaging(inputs, f=1, adversary=Adversary(faulty=[2]),
-                            epsilon=1e-2, seed=11)
+        out = run(RunSpec(
+            algorithm="averaging", inputs=inputs, f=1,
+            adversary=Adversary(faulty=[2]), epsilon=1e-2, seed=11,
+        ))
         hull = DeltaPHull(out.honest_inputs, out.delta_used + 1e-9, 2)
         for dec in out.decisions.values():
             assert hull.contains(dec, tol=1e-6)

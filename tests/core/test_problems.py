@@ -15,6 +15,9 @@ from repro.core.problems import (
     KRelaxedApproximateBVC,
     KRelaxedExactBVC,
     agreement_diameter,
+    broadcast_conflicts,
+    headroom,
+    problem_for,
 )
 
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -156,3 +159,109 @@ class TestDeltaP:
         assert rep.ok
         rep2 = spec.check(TRIANGLE, {0: a, 1: a + 0.2})
         assert not rep2.agreement_ok
+
+
+class TestCheckDecisions:
+    """The decision maps the probes used to re-evaluate on their own
+    (``Probe.check_decisions``) — now plain ``ProblemSpec.check`` inputs."""
+
+    def test_validity_flags_decision_outside_envelope(self):
+        spec = DeltaPExactBVC(2, 1, delta=0.0, p=2.0)
+        rep = spec.check(np.zeros((4, 2)), {0: np.array([50.0, 0.0])})
+        assert not rep.validity_ok
+        assert rep.violations == {0: pytest.approx(50.0)}
+
+    def test_validity_accepts_decision_in_hull(self):
+        spec = DeltaPExactBVC(2, 1, delta=0.0, p=2.0)
+        rep = spec.check(TRIANGLE, {0: np.array([0.25, 0.25])})
+        assert rep.validity_ok and not rep.violations
+
+    def test_agreement_flags_split_decisions(self):
+        spec = ExactBVC(2, 1)
+        rep = spec.check(
+            np.array([[0.0, 0.0], [30.0, 0.0]]),
+            {0: np.array([0.0, 0.0]), 1: np.array([30.0, 0.0])},
+        )
+        assert not rep.agreement_ok
+        assert rep.agreement_diameter == 30.0 > spec.agreement_bound
+
+    def test_agreement_accepts_epsilon_spread(self):
+        spec = ApproximateBVC(1, 1, epsilon=0.5)
+        rep = spec.check(
+            np.array([[0.0], [1.0]]), {0: np.array([0.0]), 1: np.array([0.4])}
+        )
+        assert rep.agreement_ok
+        assert spec.agreement_bound == 0.5 + 1e-12
+
+
+class TestProblemFor:
+    """algorithm -> problem, against the paper's table."""
+
+    KNOBS = dict(k=2, p=1, epsilon=0.05, delta=0.25)
+
+    @pytest.mark.parametrize("algorithm, expected", [
+        ("exact", ExactBVC(3, 1)),
+        ("scalar", ExactBVC(3, 1)),
+        ("algo", DeltaPExactBVC(3, 1, delta=0.25, p=1)),
+        ("krelaxed", KRelaxedExactBVC(3, 1, k=2)),
+        ("iterative", ApproximateBVC(3, 1, epsilon=0.05)),
+        ("averaging", DeltaPApproximateBVC(3, 1, delta=0.25, p=1, epsilon=0.05)),
+    ])
+    def test_table(self, algorithm, expected):
+        problem = problem_for(algorithm, 3, 1, **self.KNOBS)
+        assert problem == expected and type(problem) is type(expected)
+
+    def test_unknown_algorithm_rejected(self):
+        with pytest.raises(ValueError, match="paxos"):
+            problem_for("paxos", 2, 1)
+
+    def test_iterative_tolerance_grows_with_rounds(self):
+        assert problem_for("iterative", 2, 1, rounds=3).tol == 1e-7
+        assert problem_for("iterative", 2, 1, rounds=30).tol == 2e-8 * 30
+
+    def test_headroom_value(self):
+        assert headroom(0.0) == 1e-9
+        assert headroom(0.5) == 0.5 * (1.0 + 1e-6) + 1e-9
+
+    def test_achieved_delta_gets_headroom(self):
+        base = problem_for("algo", 2, 1, delta=0.0)
+        assert base.achieved(None) is base
+        assert base.achieved(0.5) == DeltaPExactBVC(2, 1, delta=headroom(0.5), p=2)
+        exact = problem_for("exact", 2, 1)
+        assert exact.achieved(0.5) is exact  # no δ to relax
+
+    def test_violation_is_what_check_reports(self):
+        spec = DeltaPExactBVC(2, 1, delta=0.1, p=2)
+        point = np.array([-0.3, -0.3])
+        rep = spec.check(TRIANGLE, {7: point})
+        assert rep.violations == {7: spec.violation(point, TRIANGLE)}
+
+
+class TestBroadcastConflicts:
+    def test_divergent_delivered_value(self):
+        # three correct receivers of one Bracha instance, one diverges
+        deliveries = {("bc", 0): {0: 1.0, 1: 2.0, 2: 1.0}}
+        assert broadcast_conflicts(deliveries) == {("bc", 0): (0, 1)}
+
+    def test_agreeing_and_array_values(self):
+        S = np.array([[0.0, 1.0], [2.0, 3.0]])
+        deliveries = {
+            ("bc", 0): {0: 1.0, 1: 1.0},
+            "multiset": {0: S, 1: S.copy()},
+            ("bc", 1): {2: (0.5, 0.5)},  # a single receiver cannot conflict
+        }
+        assert broadcast_conflicts(deliveries) == {}
+        deliveries["multiset"][1] = S + 1.0
+        assert broadcast_conflicts(deliveries) == {"multiset": (0, 1)}
+
+    def test_two_digests_to_different_receivers(self):
+        sends = {(0, "bc:0", 0): {1: "aaaa", 2: "ffff"}}
+        assert broadcast_conflicts(sends) == {(0, "bc:0", 0): (1, 2)}
+
+    def test_resend_to_same_receiver_is_not_equivocation(self):
+        # receiver-keyed evidence keeps one digest per receiver: a
+        # sequential re-send cannot show a second face
+        sends: dict = {}
+        for dst, digest in [(1, "aaaa"), (1, "bbbb"), (2, "aaaa")]:
+            sends.setdefault((0, "bc:0", 0), {}).setdefault(dst, digest)
+        assert broadcast_conflicts(sends) == {}

@@ -4,21 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.runner import (
-    ConsensusOutcome,
-    run_algo,
-    run_averaging,
-    run_exact_bvc,
-    run_k_relaxed,
-    run_scalar,
-)
+from repro.core.runner import ConsensusOutcome, run
+from repro.core.runspec import RunSpec
 from repro.system.adversary import Adversary
 
 
 class TestRunnerSurface:
     def test_outcome_fields(self, rng):
         inputs = rng.normal(size=(4, 2))
-        out = run_exact_bvc(inputs, f=1)
+        out = run(RunSpec(algorithm="exact", inputs=inputs, f=1))
         assert isinstance(out, ConsensusOutcome)
         assert out.honest_inputs.shape == (4, 2)
         assert out.result.completed
@@ -26,13 +20,17 @@ class TestRunnerSurface:
 
     def test_honest_inputs_exclude_faulty_rows(self, rng):
         inputs = rng.normal(size=(4, 2))
-        out = run_exact_bvc(inputs, f=1, adversary=Adversary(faulty=[1]))
+        out = run(RunSpec(
+            algorithm="exact", inputs=inputs, f=1, adversary=Adversary(faulty=[1]),
+        ))
         assert out.honest_inputs.shape == (3, 2)
         np.testing.assert_array_equal(out.honest_inputs, inputs[[0, 2, 3]])
 
     def test_decisions_only_correct(self, rng):
         inputs = rng.normal(size=(4, 2))
-        out = run_exact_bvc(inputs, f=1, adversary=Adversary(faulty=[0]))
+        out = run(RunSpec(
+            algorithm="exact", inputs=inputs, f=1, adversary=Adversary(faulty=[0]),
+        ))
         assert 0 not in out.decisions
         assert set(out.decisions) == {1, 2, 3}
 
@@ -40,38 +38,51 @@ class TestRunnerSurface:
         """check_delta lets callers verify against a bound of their
         choosing (e.g. the Table 1 value) rather than the achieved δ*."""
         inputs = rng.normal(size=(4, 3))
-        out = run_algo(inputs, f=1, adversary=Adversary(faulty=[3]),
-                       check_delta=100.0)
+        out = run(RunSpec(
+            algorithm="algo", inputs=inputs, f=1, adversary=Adversary(faulty=[3]),
+            check_delta=100.0,
+        ))
         assert out.report.validity_ok
-        tight = run_algo(inputs, f=1, adversary=Adversary(faulty=[3]),
-                         check_delta=0.0)
+        tight = run(RunSpec(
+            algorithm="algo", inputs=inputs, f=1, adversary=Adversary(faulty=[3]),
+            check_delta=0.0,
+        ))
         # a zero-δ check fails whenever δ* > 0
         assert tight.report.validity_ok == (tight.delta_used <= 1e-7)
 
     def test_scalar_runner(self, rng):
-        out = run_scalar(rng.normal(size=(4, 1)), f=1)
+        out = run(RunSpec(algorithm="scalar", inputs=rng.normal(size=(4, 1)), f=1))
         assert out.ok
 
     def test_k_relaxed_runner_k1(self, rng):
-        out = run_k_relaxed(rng.normal(size=(4, 4)), f=1, k=1)
+        out = run(RunSpec(
+            algorithm="krelaxed", inputs=rng.normal(size=(4, 4)), f=1, k=1,
+        ))
         assert out.ok
 
     def test_averaging_runner_defaults(self, rng):
-        out = run_averaging(rng.normal(size=(4, 2)), f=1, epsilon=0.05, seed=3)
+        out = run(RunSpec(
+            algorithm="averaging", inputs=rng.normal(size=(4, 2)), f=1, epsilon=0.05,
+            seed=3,
+        ))
         assert out.ok
         assert out.delta_used is not None
 
     def test_seed_controls_schedule(self, rng):
         inputs = rng.normal(size=(4, 2))
-        a = run_averaging(inputs, f=1, epsilon=0.05, seed=1)
-        b = run_averaging(inputs, f=1, epsilon=0.05, seed=1)
+        a = run(RunSpec(
+            algorithm="averaging", inputs=inputs, f=1, epsilon=0.05, seed=1,
+        ))
+        b = run(RunSpec(
+            algorithm="averaging", inputs=inputs, f=1, epsilon=0.05, seed=1,
+        ))
         assert a.result.rounds == b.result.rounds
 
     def test_f_zero_runs(self, rng):
         inputs = rng.normal(size=(3, 2))
-        out = run_exact_bvc(inputs, f=0)
+        out = run(RunSpec(algorithm="exact", inputs=inputs, f=0))
         assert out.ok
 
     def test_adversary_none_default(self, rng):
-        out = run_exact_bvc(rng.normal(size=(4, 2)), f=1, adversary=None)
+        out = run(RunSpec(algorithm="exact", inputs=rng.normal(size=(4, 2)), f=1))
         assert out.ok and len(out.decisions) == 4

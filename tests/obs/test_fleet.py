@@ -217,6 +217,23 @@ class TestFleetProbes:
         assert not report.ok
         assert "distinct payload digests" in report.violations[0].detail
 
+    def test_resend_to_same_receiver_is_not_equivocation(self, tmp_path):
+        # A second, different payload to the *same* receiver is
+        # sequencing; every receiver still saw one face per instance.
+        c0 = CausalCollector(3)
+        c0.on_send(0, 1, "bc:0", time=0, digest="aaaa", round=0)
+        c0.on_send(0, 1, "bc:0", time=1, digest="bbbb", round=0)
+        c0.on_send(0, 2, "bc:0", time=1, digest="aaaa", round=0)
+        path = dump_trail(
+            tmp_path / "t-n0.jsonl",
+            [header(0), topology_event(0),
+             decision_event(0, self._honest_decision())] + c0.to_records(),
+        )
+        trails = load_trails([path])
+        graph, _ = stitch(trails)
+        (report,) = fleet_probes(trails, graph, names=("broadcast",))[0]
+        assert report.checks == 1 and report.ok
+
     def test_trails_without_topology_event_are_an_error(self, tmp_path):
         c0, _ = two_node_collectors()
         path = dump_trail(

@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
+from repro.core.problems import problem_for
 from repro.core.runner import run
 from repro.core.runspec import RunSpec
 from repro.obs.probes import (
     PROBE_NAMES,
-    AgreementConvergenceProbe,
     BroadcastIntegrityProbe,
     ProbeView,
-    ValidityEnvelopeProbe,
     build_probes,
 )
 
@@ -120,46 +118,14 @@ class TestBroadcastProbe:
         assert report.ok and report.checks > 0
 
 
-class TestCheckDecisions:
-    def test_validity_flags_decision_outside_envelope(self):
-        probe = ValidityEnvelopeProbe(p=2.0, delta=0.0)
-        honest = np.zeros((4, 2))
-        probe.check_decisions({0: np.array([50.0, 0.0])}, honest, time=7)
-        report = probe.report()
-        assert len(report.violations) == 1
-        assert report.violations[0].time == 7
-
-    def test_validity_accepts_decision_in_hull(self):
-        probe = ValidityEnvelopeProbe(p=2.0, delta=0.0)
-        honest = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        probe.check_decisions({0: np.array([0.25, 0.25])}, honest, time=1)
-        assert probe.report().ok
-
-    def test_agreement_flags_split_decisions(self):
-        probe = AgreementConvergenceProbe(epsilon=None)
-        probe.check_decisions(
-            {0: np.array([0.0, 0.0]), 1: np.array([30.0, 0.0])}, None, time=3
-        )
-        report = probe.report()
-        assert len(report.violations) == 1
-        assert set(report.violations[0].pids) == {0, 1}
-
-    def test_agreement_accepts_epsilon_spread(self):
-        probe = AgreementConvergenceProbe(epsilon=0.5)
-        probe.check_decisions(
-            {0: np.array([0.0]), 1: np.array([0.4])}, None, time=3
-        )
-        assert probe.report().ok
-
-
 class TestBuildProbes:
     def test_all_names_resolve(self):
-        probes = build_probes(["all"], algorithm="algo")
+        probes = build_probes(["all"], problem_for("algo", 2, 1))
         assert [p.name for p in probes] == list(PROBE_NAMES)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
-            build_probes(["nonsense"], algorithm="algo")
+            build_probes(["nonsense"], problem_for("algo", 2, 1))
 
     def test_runspec_rejects_unknown_probe_name(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import run_algo, run_k_relaxed
+from repro.core import RunSpec, run
 from repro.system import (
     ALL,
     Adversary,
@@ -106,30 +106,35 @@ class TestFootnote3Consensus:
 
     def test_algo_n3_f1(self, rng):
         inputs = rng.normal(size=(3, 3))
-        out = run_algo(inputs, f=1, adversary=Adversary(faulty=[2]),
-                       transport="atomic")
+        out = run(RunSpec(
+            algorithm="algo", inputs=inputs, f=1, adversary=Adversary(faulty=[2]),
+            broadcast="atomic",
+        ))
         assert out.ok
         assert out.result.rounds == 2  # the whole Step 1 is one exchange
 
     def test_algo_n3_with_outlier_fault(self, rng):
         inputs = rng.normal(size=(3, 4))
         inputs[2] = 100.0
-        out = run_algo(inputs, f=1, adversary=Adversary(faulty=[2]),
-                       transport="atomic")
+        out = run(RunSpec(
+            algorithm="algo", inputs=inputs, f=1, adversary=Adversary(faulty=[2]),
+            broadcast="atomic",
+        ))
         assert out.ok
         assert out.delta_used > 0
 
     def test_k1_n3(self, rng):
         inputs = rng.normal(size=(3, 2))
-        out = run_k_relaxed(inputs, f=1, k=1,
-                            adversary=Adversary(faulty=[1]),
-                            transport="atomic")
+        out = run(RunSpec(
+            algorithm="krelaxed", inputs=inputs, f=1, k=1,
+            adversary=Adversary(faulty=[1]), broadcast="atomic",
+        ))
         assert out.ok
 
     def test_atomic_matches_eig_failure_free(self, rng):
         """On failure-free runs the atomic channel and OM(f) produce the
         identical multiset, hence the identical decision."""
         inputs = rng.normal(size=(4, 3))
-        a = run_algo(inputs, f=1, transport="atomic")
-        b = run_algo(inputs, f=1, transport="eig")
+        a = run(RunSpec(algorithm="algo", inputs=inputs, f=1, broadcast="atomic"))
+        b = run(RunSpec(algorithm="algo", inputs=inputs, f=1, broadcast="eig"))
         np.testing.assert_allclose(a.decisions[0], b.decisions[0], atol=1e-9)
