@@ -45,6 +45,7 @@ import hashlib
 import os
 import struct
 import tempfile
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
@@ -64,6 +65,12 @@ from .base import Transport, TransportError
 from .peer import LinkStats, PeerLink
 
 __all__ = ["LiveNode", "LiveTransport", "NodeAddress", "node_seeds"]
+
+#: Deliveries the async driver handles back to back before it yields to
+#: the event loop once: long enough to amortise the loop turn, short
+#: enough that link writers, co-hosted nodes and ``run_timeout`` get a
+#: turn after about a millisecond of handler work (~15 us a delivery).
+YIELD_EVERY = 64
 
 
 @dataclass(frozen=True)
@@ -179,21 +186,27 @@ class LiveNode:
         self.collector = get_causal_collector()
 
         self._links: dict[int, PeerLink] = {}
+        #: The links in peer-id order, fixed once by connect_peers.
+        self._peer_links: tuple[PeerLink, ...] = ()
         self._server: Any = None
         self._server_conns: list[Any] = []
         self._serve_tasks: list[Any] = []
-        # Receive state, guarded by _cond (single event loop, no threads).
+        # Receive state: plain containers, written by the connection
+        # handlers and read by the driver on the one event loop (no
+        # threads, and no await inside an update, so no lock).
         # Message buffers hold (Message, meta) pairs where meta describes
         # the delivery's causal provenance: ("local", send_eid) for
         # self-deliveries, ("remote", (origin_eid, lamport, clock)) for
         # stamped frames, None for unstamped (v1) frames or tracing off.
-        self._cond: asyncio.Condition = asyncio.Condition()
         self._last_seq: dict[int, int] = {}
         self._pending_msgs: dict[int, list[tuple[Message, Any]]] = {}
         self._round_msgs: dict[int, dict[int, list[tuple[Message, Any]]]] = {}
         self._peer_round: dict[int, int] = {}
         self._peer_decided: dict[int, bool] = {}
-        self._inq: asyncio.Queue[tuple[str, Any]] = asyncio.Queue()
+        self._inq: deque[tuple[Message, Any]] = deque()
+        #: The driver's one wake-up: set by every effective record and by
+        #: a link failing permanently; the driver clears it before it waits.
+        self._wake: asyncio.Event = asyncio.Event()
 
     # ------------------------------------------------------------ lifecycle
     async def start_server(self) -> NodeAddress:
@@ -233,11 +246,13 @@ class LiveNode:
                 backoff_base=self.backoff_base,
                 backoff_cap=self.backoff_cap,
                 chaos_close_after=chaos,
+                on_failure=self._wake.set,
             )
+        self._peer_links = tuple(self._links.values())
 
     async def shutdown(self) -> None:
-        for peer_id in sorted(self._links):
-            self._links[peer_id].abort()
+        for link in self._peer_links:
+            link.abort()
         if self._server is not None:
             self._server.close()
             try:
@@ -273,13 +288,13 @@ class LiveNode:
         self._server_conns.append(writer)
         try:
             async for record in wire.read_frames(reader):
-                await self._on_record(peer_id, record)
+                self._on_record(peer_id, record)
         except (wire.WireError, ConnectionError, OSError):
             pass
         finally:
             writer.close()
 
-    async def _on_record(self, peer_id: int, record: tuple) -> None:
+    def _on_record(self, peer_id: int, record: tuple) -> None:
         self.wire_frames_received += 1
         seq = int(record[1])
         if seq <= self._last_seq.get(peer_id, -1):
@@ -291,24 +306,19 @@ class LiveNode:
         if kind == wire.MSG:
             _, msg = wire.decode_message(record)
             stamp = wire.message_stamp(record)
-            meta = ("remote", stamp) if stamp is not None else None
-            async with self._cond:
-                self._pending_msgs.setdefault(peer_id, []).append((msg, meta))
-            await self._inq.put(("msg", (msg, meta)))
+            entry = (msg, ("remote", stamp) if stamp is not None else None)
+            self._pending_msgs.setdefault(peer_id, []).append(entry)
+            self._inq.append(entry)
         elif kind == wire.ROUND:
             _, _, round_, decided = record
-            async with self._cond:
-                bucket = self._round_msgs.setdefault(int(round_), {})
-                bucket[peer_id] = self._pending_msgs.pop(peer_id, [])
-                self._peer_round[peer_id] = int(round_)
-                if bool(decided):
-                    self._peer_decided[peer_id] = True
-                self._cond.notify_all()
-        elif kind == wire.DECIDED:
-            async with self._cond:
+            bucket = self._round_msgs.setdefault(int(round_), {})
+            bucket[peer_id] = self._pending_msgs.pop(peer_id, [])
+            self._peer_round[peer_id] = int(round_)
+            if bool(decided):
                 self._peer_decided[peer_id] = True
-                self._cond.notify_all()
-            await self._inq.put(("decided", peer_id))
+        elif kind == wire.DECIDED:
+            self._peer_decided[peer_id] = True
+        self._wake.set()
 
     # ------------------------------------------------------- outgoing side
     async def _flush_outbox(self, round_: Optional[int] = None) -> None:
@@ -333,15 +343,15 @@ class LiveNode:
                 )
                 stamp = collector.stamp(send_eid)
             if msg.dst == ALL:
-                for peer_id in sorted(self._links):
-                    await self._links[peer_id].send_message(msg, stamp=stamp)
-                await self._deliver_local(msg, round_, send_eid)
+                for link in self._peer_links:
+                    await link.send_message(msg, stamp=stamp)
+                self._deliver_local(msg, round_, send_eid)
             elif msg.dst == self.node_id:
-                await self._deliver_local(msg, round_, send_eid)
+                self._deliver_local(msg, round_, send_eid)
             else:
                 await self._links[msg.dst].send_message(msg, stamp=stamp)
 
-    async def _deliver_local(
+    def _deliver_local(
         self, msg: Message, round_: Optional[int], send_eid: Optional[int]
     ) -> None:
         meta = ("local", send_eid) if send_eid is not None else None
@@ -349,14 +359,14 @@ class LiveNode:
             bucket = self._round_msgs.setdefault(round_, {})
             bucket.setdefault(self.node_id, []).append((msg, meta))
         else:
-            await self._inq.put(("msg", (msg, meta)))
+            self._inq.append((msg, meta))
 
     # ------------------------------------------------------------- driving
     async def run(self) -> RunResult:
         """Drive the process to decision; returns this node's RunResult."""
         self.collector = get_causal_collector()
-        for peer_id in sorted(self._links):
-            self._links[peer_id].start()
+        for link in self._peer_links:
+            link.start()
         try:
             if isinstance(self.process, SyncProcess):
                 await self._run_sync()
@@ -369,9 +379,13 @@ class LiveNode:
                 )
         finally:
             self.process.on_stop(self.ctx)
-            for peer_id in sorted(self._links):
-                await self._links[peer_id].close()
+            for link in self._peer_links:
+                await link.close()
         return self._result()
+
+    def _check_links(self) -> None:
+        if any(link.failed is not None for link in self._peer_links):
+            raise TransportError("a peer link failed permanently mid-run")
 
     async def _run_sync(self) -> None:
         proc = self.process
@@ -383,28 +397,21 @@ class LiveNode:
                 proc.on_round(self.ctx, r, inbox)
             await self._flush_outbox(round_=r)
             decided = self.ctx.decided
-            for peer_id in sorted(self._links):
-                await self._links[peer_id].send_round(r, decided)
+            for link in self._peer_links:
+                await link.send_round(r, decided)
             # Barrier: every peer's round-r marker (hence all its round-r
             # traffic, by per-link FIFO) must arrive before round r+1.
-            async with self._cond:
-                await self._cond.wait_for(
-                    lambda: all(
-                        self._peer_round.get(p, -1) >= r
-                        or self._links[p].failed is not None
-                        for p in self._links
-                    )
-                )
-                if any(
-                    self._links[p].failed is not None for p in self._links
-                ):
-                    raise TransportError(
-                        "a peer link failed permanently mid-run"
-                    )
-                arrived = self._round_msgs.pop(r, {})
-                all_decided = decided and all(
-                    self._peer_decided.get(p, False) for p in self._links
-                )
+            # A link that fails permanently wakes the wait and ends the run.
+            while True:
+                self._check_links()
+                if all(self._peer_round.get(p, -1) >= r for p in self._links):
+                    break
+                self._wake.clear()
+                await self._wake.wait()
+            arrived = self._round_msgs.pop(r, {})
+            all_decided = decided and all(
+                self._peer_decided.get(p, False) for p in self._links
+            )
             inbox = {}
             for src in sorted(arrived):
                 entries = []
@@ -448,44 +455,44 @@ class LiveNode:
         proc = self.process
         self.process.on_start(self.ctx)
         await self._flush_outbox()
+        inq = self._inq
         announced = False
         steps = 0
+        since_yield = 0
         while steps < self.max_steps:
             if self.ctx.decided and not announced:
                 announced = True
-                for peer_id in sorted(self._links):
-                    await self._links[peer_id].send_decided()
+                for link in self._peer_links:
+                    await link.send_decided()
             if announced and all(
                 self._peer_decided.get(p, False) for p in self._links
             ):
                 self.completed = True
                 break
-            try:
-                kind, payload = await asyncio.wait_for(
-                    self._inq.get(), timeout=1.0
-                )
-            except asyncio.TimeoutError:
-                # Idle for a whole second: make sure we are not waiting
-                # on a peer that can never answer.  A permanently failed
-                # link surfaces as an error (mirroring the sync barrier)
-                # rather than a silent hang on the queue; otherwise
-                # re-announce DECIDED to peers that have not echoed one
-                # back, in case the original announcement was lost to a
-                # connection that died and recovered.
-                if any(
-                    link.failed is not None for link in self._links.values()
-                ):
-                    raise TransportError(
-                        "a peer link failed permanently mid-run"
-                    ) from None
-                if announced:
-                    for peer_id in sorted(self._links):
-                        if not self._peer_decided.get(peer_id, False):
-                            await self._links[peer_id].send_decided()
+            if not inq:
+                # Only an empty inbox arms the idle timer.  A permanently
+                # failed link wakes the wait and surfaces as an error
+                # (mirroring the sync barrier) rather than a silent hang.
+                since_yield = 0
+                self._wake.clear()
+                try:
+                    await asyncio.wait_for(self._wake.wait(), timeout=1.0)
+                except asyncio.TimeoutError:
+                    # Idle for a whole second: re-announce DECIDED to
+                    # peers that have not echoed one back, in case the
+                    # original announcement was lost to a connection
+                    # that died and recovered.
+                    if announced:
+                        for link in self._peer_links:
+                            if not self._peer_decided.get(link.peer_id, False):
+                                await link.send_decided()
+                self._check_links()
                 continue
-            if kind == "decided":
-                continue
-            msg, meta = payload
+            if since_yield == YIELD_EVERY:
+                since_yield = 0
+                await asyncio.sleep(0)
+            since_yield += 1
+            msg, meta = inq.popleft()
             steps += 1
             self.rounds_done = steps
             self._deliver_one(msg, meta, steps)
@@ -515,8 +522,8 @@ class LiveNode:
         totals = {name: 0 for name in LinkStats.COUNTER_FIELDS}
         depth_peak = 0
         wait_samples: list[float] = []
-        for peer_id in sorted(self._links):
-            stats = self._links[peer_id].stats
+        for link in self._peer_links:
+            stats = link.stats
             for name, value in stats.as_dict().items():
                 totals[name] += value
             depth_peak = max(depth_peak, stats.queue_depth_peak)
@@ -532,8 +539,10 @@ class LiveNode:
         )
         if depth_peak:
             registry.set_gauge("net.live.queue_depth_peak", depth_peak)
-        for sample in wait_samples:
-            registry.observe("net.live.queue_wait_us", sample * 1e6)
+        if wait_samples:
+            registry.histogram("net.live.queue_wait_us").samples.extend(
+                sample * 1e6 for sample in wait_samples
+            )
 
 
 class LiveTransport(Transport):
@@ -766,8 +775,9 @@ class LiveTransport(Transport):
                 elif kind == "histogram" and metric.get("count"):
                     # The per-node registry is in-process: merge the
                     # exact samples, not the snapshot's summary stats.
-                    for sample in result.metrics.histogram(name).samples:
-                        registry.observe(name, sample)
+                    registry.histogram(name).samples.extend(
+                        result.metrics.histogram(name).samples
+                    )
         _fold_network_stats(registry, stats)
         probe_reports = ()
         if probes:

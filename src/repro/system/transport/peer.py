@@ -12,19 +12,23 @@ owns a bounded send queue and a writer task:
   the link (such a peer will never become right).
 * **Reconnect** — connection refusal or loss triggers capped exponential
   backoff (``delay = min(base * 2**attempt, cap)``); the attempt counter
-  resets after a successful handshake.  The frame being written when the
-  connection died is retransmitted first — frames are only dropped from
-  the queue after a successful ``drain()``.  The receiver deduplicates
-  by the per-link sequence number, so retransmission is exactly-once at
-  the protocol layer.
+  resets after a successful handshake.  The batch being written when
+  the connection died is retransmitted first, whole — frames only leave
+  the in-flight batch after a successful ``drain()``.  The receiver
+  deduplicates by the per-link sequence number, so retransmission is
+  exactly-once at the protocol layer.
 * **Backpressure** — ``send()`` awaits when the queue holds
   ``queue_limit`` frames, propagating slowness to the producing
   protocol loop instead of buffering without bound.
 
-The queue holds *records* (plain tuples), not encoded bytes: encoding
-happens at write time, once the connection's negotiated version is
-known.  Payload safety is unchanged — record builders defensively copy
-payloads at enqueue time.
+The queue holds *encoded frames*: a record is encoded once, when it is
+enqueued, at the link's current wire version, and those bytes are the
+snapshot of its payload (nothing the sender does to the object later
+can reach the wire).  The writer takes everything queued — up to
+:data:`MAX_BATCH_FRAMES` — and hands it to the socket in one ``write``
+and one ``drain``.  A handshake that negotiates a *lower* version than
+queued frames were encoded at (only a version-1 peer) re-encodes them,
+once, from their own bytes.
 
 Timings use the event loop's monotonic clock only (never the wall
 clock), and the backoff schedule is a fixed deterministic ramp — links
@@ -34,7 +38,8 @@ Beyond the six link counters, each link records transport telemetry the
 node folds into its registry: bytes written (``bytes_sent``), the
 deepest the send queue ever got (``queue_depth_peak``), and per-frame
 queue-wait times (``queue_wait_samples``, seconds from enqueue to first
-write attempt — exported as the ``net.live.queue_wait_us`` histogram).
+write attempt, i.e. to the moment the writer takes the frame into a
+batch — exported as the ``net.live.queue_wait_us`` histogram).
 """
 
 from __future__ import annotations
@@ -50,6 +55,11 @@ __all__ = ["LinkStats", "PeerLink"]
 #: (reader, writer) pair as returned by asyncio.open_connection.
 Dialer = Callable[[], Awaitable[tuple[Any, Any]]]
 
+#: Most frames one ``write`` carries (and one reconnect retransmits): a
+#: full default queue, ~18 KiB of the ~70-byte protocol frames — well
+#: inside one socket buffer, so the single ``drain`` rarely has to wait.
+MAX_BATCH_FRAMES = 256
+
 
 class LinkStats:
     """Counters and samples one link maintains.
@@ -59,6 +69,12 @@ class LinkStats:
     them across links into ``net.live.*`` counters.  ``queue_depth_peak``
     and ``queue_wait_samples`` are *not* counters (a peak maxes, samples
     concatenate) and are folded explicitly.
+
+    ``frames_sent`` / ``bytes_sent`` count a frame once, when the
+    ``drain()`` of the batch carrying it succeeds.  ``retransmits``
+    counts frames handed to a socket *again*: every frame of the batch
+    that was in flight when a connection died, each time that batch is
+    written to a new connection.
     """
 
     COUNTER_FIELDS = (
@@ -104,6 +120,7 @@ class PeerLink:
         max_dial_failures: int = 120,
         drain_grace: float = 5.0,
         chaos_close_after: Optional[int] = None,
+        on_failure: Optional[Callable[[], None]] = None,
     ) -> None:
         self.self_id = int(self_id)
         self.peer_id = int(peer_id)
@@ -122,14 +139,23 @@ class PeerLink:
         #: After this many successfully written frames, the link aborts
         #: its own socket once — the fault-injection hook the reconnect
         #: tests (and the disconnect-survival acceptance run) flip on.
+        #: A batch that would cross the count is cut there: the head is
+        #: written and drained, the rest rides over the reconnect.
         self.chaos_close_after = chaos_close_after
+        #: Called (no arguments) when the link fails permanently, so an
+        #: owner blocked on something else learns of it at once.
+        self.on_failure = on_failure
         self.stats = LinkStats()
         #: The version this connection runs at, set by each handshake
         #: (stays at our newest until a peer negotiates it down).
         self.wire_version = wire.WIRE_VERSION
-        self._queue: asyncio.Queue[Optional[tuple[tuple, float]]] = (
+        #: ``(encoded frame, enqueue time)``; ``None`` is close()'s sentinel.
+        self._queue: asyncio.Queue[Optional[tuple[bytes, float]]] = (
             asyncio.Queue(maxsize=self.queue_limit)
         )
+        #: Frames taken off the queue and not yet drained to a socket —
+        #: the unit that is retransmitted, whole, after a reconnect.
+        self._batch: list[bytes] = []
         self._next_seq = 0
         self._writer_task: Optional[asyncio.Task[None]] = None
         self._failure: Optional[BaseException] = None
@@ -204,34 +230,44 @@ class PeerLink:
                 f"link to node {self.peer_id} failed permanently: "
                 f"{self._failure}"
             ) from self._failure
+        # Encoded here, once: the bytes are the payload's snapshot.
+        item = (
+            wire.encode_for_version(record, self.wire_version),
+            asyncio.get_running_loop().time(),
+        )
         if self._queue.full():
             self.stats.backpressure_waits += 1
-        await self._queue.put(
-            (record, asyncio.get_running_loop().time())
-        )
+            await self._queue.put(item)
+        else:
+            self._queue.put_nowait(item)
         depth = self._queue.qsize()
         if depth > self.stats.queue_depth_peak:
             self.stats.queue_depth_peak = depth
 
     # -------------------------------------------------------- writer task
+    def _fail(self, failure: BaseException) -> None:
+        self._failure = failure
+        if self.on_failure is not None:
+            self.on_failure()
+
     async def _writer_loop(self) -> None:
-        loop = asyncio.get_running_loop()
         attempt = 0
-        pending: Optional[tuple] = None
+        batch = self._batch
+        closing = False  # close()'s sentinel has been taken off the queue
         frames_written = 0
-        chaos_armed = self.chaos_close_after is not None
+        chaos_at = self.chaos_close_after  # None once it has fired
         while True:
             try:
                 reader, writer = await self.dial()
             except (ConnectionError, OSError):
                 attempt += 1
                 if attempt > self.max_dial_failures:
-                    self._failure = ConnectionError(
+                    self._fail(ConnectionError(
                         f"node {self.peer_id} unreachable after "
                         f"{attempt - 1} attempts"
-                    )
+                    ))
                     return
-                if await self._backoff_or_closing(attempt, pending):
+                if await self._backoff_or_closing(attempt):
                     return
                 continue
             try:
@@ -239,19 +275,19 @@ class PeerLink:
             except (wire.WireError, ConnectionError, OSError, EOFError) as exc:
                 writer.close()
                 if isinstance(exc, wire.WireError):
-                    self._failure = exc  # wrong version/instance: permanent
+                    self._fail(exc)  # wrong version/instance: permanent
                     return
                 attempt += 1
                 if attempt > self.max_dial_failures:
                     # A peer that accepts but never completes the
                     # handshake counts against the same budget as one
                     # that refuses outright.
-                    self._failure = ConnectionError(
+                    self._fail(ConnectionError(
                         f"node {self.peer_id} never completed a handshake "
                         f"in {attempt - 1} attempts"
-                    )
+                    ))
                     return
-                if await self._backoff_or_closing(attempt, pending):
+                if await self._backoff_or_closing(attempt):
                     return
                 continue
             if self.stats.handshakes:
@@ -260,59 +296,73 @@ class PeerLink:
             self.stats.handshakes += 1
             try:
                 while True:
-                    if pending is None:
-                        item = await self._queue.get()
-                        if item is None:
-                            writer.close()
-                            try:
-                                await writer.wait_closed()
-                            except (ConnectionError, OSError):
-                                pass
-                            return
-                        pending, enqueued_at = item
-                        self.stats.queue_wait_samples.append(
-                            max(0.0, loop.time() - enqueued_at)
-                        )
-                    else:
-                        # First iteration after a reconnect: the frame in
+                    if batch:
+                        # First iteration after a reconnect: the batch in
                         # flight when the connection died goes out again.
-                        self.stats.retransmits += 1
-                    if chaos_armed and frames_written >= int(
-                        self.chaos_close_after or 0
-                    ):
-                        # Fault injection: drop the connection (graceful
-                        # FIN, so drained frames still arrive) and force
-                        # the reconnect path; `pending` rides over it.
-                        chaos_armed = False
+                        self.stats.retransmits += len(batch)
+                    else:
+                        closing = await self._take_batch()
+                    cut = len(batch)
+                    if chaos_at is not None and frames_written + cut > chaos_at:
+                        cut = chaos_at - frames_written
+                    if cut:
+                        data = b"".join(batch[:cut])
+                        writer.write(data)
+                        await writer.drain()
+                        self.stats.frames_sent += cut
+                        self.stats.bytes_sent += len(data)
+                        frames_written += cut
+                        del batch[:cut]
+                    if batch:
+                        # Fault injection (only the chaos cut leaves frames
+                        # behind): drop the connection (graceful FIN, so
+                        # drained frames still arrive) and force the
+                        # reconnect path; the rest of the batch rides over it.
+                        chaos_at = None
                         self.stats.chaos_closes += 1
                         writer.close()
                         raise ConnectionResetError("chaos: forced close")
-                    frame = wire.encode_for_version(pending, self.wire_version)
-                    writer.write(frame)
-                    await writer.drain()
-                    self.stats.frames_sent += 1
-                    self.stats.bytes_sent += len(frame)
-                    frames_written += 1
-                    pending = None
+                    if closing:
+                        writer.close()
+                        try:
+                            await writer.wait_closed()
+                        except (ConnectionError, OSError):
+                            pass
+                        return
             except (ConnectionError, OSError, EOFError):
                 # Connection died mid-stream: whatever was being written
-                # stays in `pending` and goes out first after reconnect.
+                # stays in `batch` and goes out first after reconnect.
                 writer.close()
                 attempt += 1
-                if await self._backoff_or_closing(attempt, pending):
+                if await self._backoff_or_closing(attempt):
                     return
 
-    async def _backoff_or_closing(
-        self, attempt: int, pending: Optional[tuple]
-    ) -> bool:
+    async def _take_batch(self) -> bool:
+        """Wait for a frame, then move everything queued (at most
+        :data:`MAX_BATCH_FRAMES`) into the batch, sampling each frame's
+        queue wait once; True when close()'s sentinel was reached."""
+        batch = self._batch
+        item = await self._queue.get()
+        now = asyncio.get_running_loop().time()
+        waits = self.stats.queue_wait_samples
+        while item is not None:
+            frame, enqueued_at = item
+            batch.append(frame)
+            waits.append(max(0.0, now - enqueued_at))
+            if len(batch) == MAX_BATCH_FRAMES or self._queue.empty():
+                return False
+            item = self._queue.get_nowait()
+        return True
+
+    async def _backoff_or_closing(self, attempt: int) -> bool:
         """Back off before the next dial; True if the writer should stop.
 
         close() interrupts the ramp, but a closing writer that still
-        holds undelivered frames (``pending`` or anything queued beyond
-        the close() sentinel) keeps redialling until ``drain_grace``
-        runs out — dropping the tail of a run (a DECIDED announcement,
-        the last round marker) would strand peers that are still
-        waiting on it.
+        holds undelivered frames (an in-flight batch or anything queued
+        beyond the close() sentinel) keeps redialling until
+        ``drain_grace`` runs out — dropping the tail of a run (a DECIDED
+        announcement, the last round marker) would strand peers that are
+        still waiting on it.
         """
         delay = self._backoff(attempt)
         if not self._closing.is_set():
@@ -322,7 +372,7 @@ class PeerLink:
                 # drain-grace decision below.
             except asyncio.TimeoutError:
                 return False
-        if pending is None and self._queue.qsize() <= 1:
+        if not self._batch and self._queue.qsize() <= 1:
             # Nothing left but the close() sentinel: stop immediately.
             return True
         loop = asyncio.get_running_loop()
@@ -347,7 +397,28 @@ class PeerLink:
         wire.check_hello(
             record, instance=self.instance, expected_id=self.peer_id
         )
-        self.wire_version = wire.negotiate(wire.hello_version(record))
+        version = wire.negotiate(wire.hello_version(record))
+        if version < self.wire_version:
+            self._reencode(version)
+        self.wire_version = version
+
+    def _reencode(self, version: int) -> None:
+        """Re-encode, once, every frame still held — the in-flight batch
+        and the queue — for a peer that negotiated an older ``version``.
+        Each frame is rebuilt from its own bytes (the enqueue-time
+        snapshot), never from the sender's live objects."""
+
+        def again(frame: bytes) -> bytes:
+            return wire.encode_for_version(wire.decode_body(frame[4:]), version)
+
+        self._batch[:] = [again(frame) for frame in self._batch]
+        # No await between emptying and refilling, so nothing interleaves
+        # and FIFO order (hence seq order) is kept.
+        queued = [self._queue.get_nowait() for _ in range(self._queue.qsize())]
+        for item in queued:
+            self._queue.put_nowait(
+                item if item is None else (again(item[0]), item[1])
+            )
 
     def _backoff(self, attempt: int) -> float:
         return min(self.backoff_base * (2.0 ** (attempt - 1)), self.backoff_cap)

@@ -33,11 +33,12 @@ record type:
 ``DECIDED``
     ``(DECIDED, link_seq, node_id)`` — asynchronous termination marker.
 
-Payloads go through :func:`repro.system.messages.defensive_copy` before
-encoding so a sender mutating a queued object can never corrupt an
-in-flight frame, and rely on the XPT002 lint contract (payloads are
-plain picklable data — no lambdas, processes, contexts, or RNGs).
-Pickle protocol 4 matches :func:`~repro.system.messages.canonical_bytes`.
+A link encodes each record once, when it is enqueued; the frame bytes
+are the snapshot, so a sender mutating a payload object afterwards can
+never corrupt a queued or in-flight frame.  Payloads rely on the XPT002
+lint contract (plain picklable data — no lambdas, processes, contexts,
+or RNGs).  Pickle protocol 4 matches
+:func:`~repro.system.messages.canonical_bytes`.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import pickle
 import struct
 from typing import Any, Optional
 
-from ..messages import ALL, Message, defensive_copy
+from ..messages import ALL, Message
 
 __all__ = [
     "DECIDED",
@@ -86,6 +87,10 @@ SUPPORTED_VERSIONS = (1, 2)
 #: the receiver allocate gigabytes.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
+#: One ``read()`` of ``read_frames``: asyncio's default stream high-water
+#: mark, so a wake-up takes whatever the reader was allowed to buffer.
+READ_BYTES = 64 * 1024
+
 _LEN = struct.Struct("!I")
 
 HELLO = "hello"
@@ -123,10 +128,8 @@ def message_record(
 ) -> tuple:
     """The (version-2) MSG record for one protocol message.
 
-    The payload is defensively copied *here*, at enqueue time, so a
-    sender mutating a queued object can never corrupt the frame a link
-    encodes later (links encode at write time, once the connection's
-    negotiated version is known).
+    The payload is *not* copied: the record aliases it until it is
+    encoded, which a link does in the same call that enqueues it.
     """
     return (
         MSG,
@@ -134,7 +137,7 @@ def message_record(
         int(msg.src),
         int(msg.dst),
         str(msg.tag),
-        defensive_copy(msg.payload),
+        msg.payload,
         msg.round,
         stamp,
     )
@@ -146,7 +149,7 @@ def encode_message(
     stamp: Optional[tuple] = None,
     version: int = WIRE_VERSION,
 ) -> bytes:
-    """Encode one protocol message; the payload is defensively copied."""
+    """Encode one protocol message (the bytes snapshot the payload)."""
     return encode_for_version(message_record(msg, link_seq, stamp), version)
 
 
@@ -267,23 +270,34 @@ def is_atomic(msg: Message) -> bool:
 async def read_frames(reader: Any) -> Any:
     """Async generator of decoded records from an ``asyncio.StreamReader``.
 
-    Terminates cleanly on EOF or connection loss (a truncated trailing
-    frame counts as connection loss — the sender will retransmit it
-    after reconnecting); raises :class:`WireError` on oversized frames.
+    Each wake-up reads whatever the socket has (up to :data:`READ_BYTES`)
+    and yields every complete frame in it; an incomplete tail waits for
+    the next read.  Terminates cleanly on EOF or connection loss (a
+    truncated trailing frame counts as connection loss — the sender will
+    retransmit it after reconnecting); raises :class:`WireError` on an
+    oversized length prefix, before any of that body is buffered, and on
+    an undecodable body.
     """
+    buf = bytearray()
     while True:
         try:
-            head = await reader.readexactly(_LEN.size)
-        except (EOFError, ConnectionError):
+            chunk = await reader.read(READ_BYTES)
+        except ConnectionError:
             return
-        (length,) = _LEN.unpack(head)
-        if length > MAX_FRAME_BYTES:
-            raise WireError(
-                f"announced frame of {length} bytes exceeds the "
-                f"{MAX_FRAME_BYTES}-byte cap"
-            )
-        try:
-            body = await reader.readexactly(length)
-        except (EOFError, ConnectionError):
-            return  # body truncated by connection loss: sender retransmits
-        yield decode_body(body)
+        if not chunk:
+            return  # EOF; a partial frame left in buf is the sender's to resend
+        buf += chunk
+        pos = 0
+        while len(buf) - pos >= _LEN.size:
+            (length,) = _LEN.unpack_from(buf, pos)
+            if length > MAX_FRAME_BYTES:
+                raise WireError(
+                    f"announced frame of {length} bytes exceeds the "
+                    f"{MAX_FRAME_BYTES}-byte cap"
+                )
+            end = pos + _LEN.size + length
+            if end > len(buf):
+                break
+            yield decode_body(bytes(buf[pos + _LEN.size:end]))
+            pos = end
+        del buf[:pos]

@@ -10,10 +10,12 @@ frame at most once.  The split is pinned by two counters —
 
 from __future__ import annotations
 
-import asyncio
+import struct
 
 import numpy as np
+import pytest
 
+from repro.core import RunSpec, run
 from repro.core.exact_bvc import ExactBVCProcess
 from repro.obs.causal import CausalCollector, use_causal_collector
 from repro.obs.metrics import MetricsRegistry
@@ -34,11 +36,8 @@ def make_node(tmp_path, **kwargs) -> LiveNode:
 
 
 def replay(node: LiveNode, record: tuple, times: int) -> None:
-    async def go():
-        for _ in range(times):
-            await node._on_record(1, record)
-
-    asyncio.run(go())
+    for _ in range(times):
+        node._on_record(1, record)
 
 
 class TestDeliveryDedup:
@@ -118,6 +117,113 @@ class TestChaosReconnectInvariant:
             m.counter_value("net.live.frames_received")
             + result.stats.messages_sent
         )
+
+
+class DyingWriter:
+    """Wraps a link's StreamWriter: the first multi-frame batch is cut
+    three bytes short — so the peer gets some whole frames and a torn
+    one — and the connection then dies in ``drain()``.  The sender cannot
+    tell how much arrived and must retransmit the whole batch."""
+
+    def __init__(self, real, state: dict):
+        self.real = real
+        self.state = state
+        self.dying = False
+
+    def write(self, data: bytes) -> None:
+        if not self.state["fired"] and _frame_count(data) >= 2:
+            self.state["fired"] = True
+            self.state["frames"] = _frame_count(data)
+            self.dying = True
+            data = data[:-3]
+        self.real.write(data)
+
+    async def drain(self) -> None:
+        await self.real.drain()
+        if self.dying:
+            self.real.close()
+            raise ConnectionResetError("test: connection died mid-batch")
+
+    def close(self) -> None:
+        self.real.close()
+
+    async def wait_closed(self) -> None:
+        await self.real.wait_closed()
+
+
+def _frame_count(data: bytes) -> int:
+    count, pos = 0, 0
+    while pos < len(data):
+        pos += 4 + struct.unpack_from("!I", data, pos)[0]
+        count += 1
+    return count
+
+
+class TestConnectionKilledMidBatch:
+    @pytest.mark.parametrize(
+        "algorithm,knobs",
+        [
+            ("algo", dict(n=4, d=2, f=1)),  # sync: round barrier
+            ("averaging", dict(n=4, d=2, f=1, epsilon=5e-2)),  # async
+        ],
+        ids=["sync", "async"],
+    )
+    def test_whole_batch_retransmit_is_exactly_once(
+        self, monkeypatch, algorithm, knobs
+    ):
+        state = {"fired": False, "frames": 0}
+        arrivals: list[int] = []  # seqs node 1 sees from node 0, pre-dedup
+
+        connect_peers = LiveNode.connect_peers
+
+        def connect_with_dying_link(self, addresses):
+            connect_peers(self, addresses)
+            if self.node_id == 0:
+                link = self._links[1]
+                dial = link.dial
+
+                async def dying_dial():
+                    reader, writer = await dial()
+                    return reader, DyingWriter(writer, state)
+
+                link.dial = dying_dial
+                link.backoff_base = 0.001
+
+        on_record = LiveNode._on_record
+
+        def spy(self, peer_id, record):
+            if self.node_id == 1 and peer_id == 0:
+                arrivals.append(int(record[1]))
+            on_record(self, peer_id, record)
+
+        monkeypatch.setattr(LiveNode, "connect_peers", connect_with_dying_link)
+        monkeypatch.setattr(LiveNode, "_on_record", spy)
+
+        outcome = run(
+            RunSpec(algorithm=algorithm, seed=16, transport="live-uds", **knobs)
+        )
+        assert state["fired"], "no multi-frame batch on the 0->1 link"
+        assert outcome.result.completed
+        assert outcome.ok, outcome.report
+        m = outcome.result.metrics
+        dupes = m.counter_value("net.live.dupes_dropped")
+        # All of the torn batch but its last frame arrived twice.
+        assert dupes == state["frames"] - 1
+        assert m.counter_value("net.live.retransmits") == state["frames"]
+        assert m.counter_value("net.live.reconnects") == 1
+        assert m.counter_value("net.live.wire_frames_received") == (
+            m.counter_value("net.live.frames_received") + dupes
+        )
+        # Exactly once: every frame any link sent was effectively
+        # received once, and node 1 saw each seq of the torn link, in
+        # order, with only the torn batch's head repeated.
+        assert m.counter_value("net.live.frames_sent") == (
+            m.counter_value("net.live.frames_received")
+        )
+        assert sorted(set(arrivals)) == list(range(max(arrivals) + 1))
+        assert len(arrivals) - len(set(arrivals)) == dupes
+        firsts = [s for i, s in enumerate(arrivals) if s not in arrivals[:i]]
+        assert firsts == sorted(firsts)
 
 
 class TestLiveCausalStamping:

@@ -1,0 +1,177 @@
+"""LiveNode's drivers: wake-ups, the run-to-completion bound, metric folds.
+
+The receive path takes no lock and arms no timer per message; what wakes
+a waiting driver is one event, set by every effective record *and* by a
+link that fails permanently.  These tests pin the cases that event has
+to cover, and that folding the per-frame queue-wait samples in bulk
+gives exactly the per-sample histogram.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import time
+
+import numpy as np
+import pytest
+
+from repro.core.exact_bvc import ExactBVCProcess
+from repro.obs.metrics import MetricsRegistry
+from repro.system.process import AsyncProcess
+from repro.system.transport.base import TransportError
+from repro.system.transport.live import LiveNode, LiveTransport, NodeAddress
+
+
+class Silent(AsyncProcess):
+    """Sends nothing and never decides."""
+
+    def on_start(self, ctx):
+        pass
+
+    def on_message(self, ctx, src, tag, payload):
+        pass
+
+
+class PingSelf(AsyncProcess):
+    """Keeps its own inbox non-empty forever and never decides."""
+
+    def on_start(self, ctx):
+        ctx.send(ctx.pid, "ping", 0)
+
+    def on_message(self, ctx, src, tag, payload):
+        ctx.send(ctx.pid, "ping", payload + 1)
+
+
+def make_nodes(tmp_path, processes, f=1) -> list[LiveNode]:
+    n = len(processes)
+    return [
+        LiveNode(
+            pid, n, f, processes[pid],
+            NodeAddress(pid, "uds", path=str(tmp_path / f"n{pid}.sock")),
+            instance="driver-test",
+        )
+        for pid in range(n)
+    ]
+
+
+class TestDeadLinkWakesTheDriver:
+    def _run_with_dead_link(self, tmp_path, processes) -> float:
+        """Node 0's link to node 3 dials a socket nobody listens on and
+        may fail once; returns how long the cluster took to raise."""
+
+        async def go():
+            nodes = make_nodes(tmp_path, processes)
+            addresses = {}
+            for node in nodes:
+                addresses[node.node_id] = await node.start_server()
+            for node in nodes:
+                node.connect_peers(addresses)
+            link = nodes[0]._links[3]
+            link.max_dial_failures = 1
+            link.dial = NodeAddress(
+                3, "uds", path=str(tmp_path / "closed.sock")
+            ).dialer()
+            tasks = [asyncio.ensure_future(node.run()) for node in nodes]
+            start = time.monotonic()
+            try:
+                with pytest.raises(
+                    TransportError, match="failed permanently mid-run"
+                ):
+                    await asyncio.wait_for(asyncio.gather(*tasks), timeout=5.0)
+                return time.monotonic() - start
+            finally:
+                for task in tasks:
+                    task.cancel()
+                await asyncio.gather(*tasks, return_exceptions=True)
+                for node in nodes:
+                    await node.shutdown()
+
+        return asyncio.run(go())
+
+    def test_sync_barrier_raises_instead_of_waiting_for_run_timeout(self, tmp_path):
+        # Regression: only ROUND / DECIDED records used to wake the
+        # barrier, so node 0 — every *marker* it waits for arrives, its
+        # own link to node 3 is what died — sat there until run_timeout.
+        n, f, d = 4, 1, 2
+        inputs = np.random.default_rng(4).normal(size=(n, d))
+        processes = [ExactBVCProcess(n, f, pid, inputs[pid]) for pid in range(n)]
+        assert self._run_with_dead_link(tmp_path, processes) < 5.0
+
+    def test_async_driver_raises_without_waiting_for_traffic(self, tmp_path):
+        # Nothing is ever delivered here: the failure itself must wake
+        # the driver.
+        assert self._run_with_dead_link(tmp_path, [Silent() for _ in range(4)]) < 5.0
+
+
+class TestRunTimeout:
+    def test_fires_on_an_idle_run_that_never_completes(self):
+        transport = LiveTransport(kind="uds", run_timeout=0.3)
+        start = time.monotonic()
+        result = transport.run_async([Silent() for _ in range(3)], 0, seed=1)
+        assert not result.completed
+        assert result.decisions == {}
+        assert time.monotonic() - start < 3.0
+
+    def test_fires_on_a_node_whose_inbox_never_empties(self):
+        # A driver that only yielded on an empty inbox would never give
+        # the loop (hence the timeout, the writers and the co-hosted
+        # nodes) a turn here; it yields every YIELD_EVERY deliveries.
+        # (max_steps bounds the run if that ever regresses: the test
+        # then fails on the clock instead of hanging the suite.)
+        transport = LiveTransport(kind="uds", run_timeout=0.3)
+        start = time.monotonic()
+        result = transport.run_async(
+            [PingSelf() for _ in range(3)], 0, seed=1, max_steps=3_000_000
+        )
+        assert not result.completed
+        assert time.monotonic() - start < 3.0
+        # Co-hosted nodes shared the loop rather than one starving the rest.
+        assert all(ctx._seq > 64 for ctx in result.contexts.values())
+
+
+class TestQueueWaitFold:
+    SAMPLES = {
+        0: {1: [3.5e-6, 0.0102, 4.0e-4], 2: [1.0e-6]},
+        1: {0: [], 2: [7.25e-5, 7.25e-5]},
+        2: {0: [0.5], 1: [2.0e-3, 1.0e-9, 3.3e-4, 9.9e-3]},
+    }
+
+    def _nodes(self, tmp_path) -> list[LiveNode]:
+        nodes = make_nodes(tmp_path, [None] * 3, f=0)
+        addresses = {node.node_id: node.address for node in nodes}
+        for node in nodes:
+            node.connect_peers(addresses)
+            for peer_id, samples in self.SAMPLES[node.node_id].items():
+                node._links[peer_id].stats.queue_wait_samples = list(samples)
+        return nodes
+
+    @staticmethod
+    def _reference(per_link_samples) -> dict:
+        registry = MetricsRegistry()
+        for samples in per_link_samples:
+            for sample in samples:
+                registry.observe("net.live.queue_wait_us", sample * 1e6)
+        return registry.histogram("net.live.queue_wait_us").as_dict()
+
+    def test_node_fold_equals_per_sample_observation(self, tmp_path):
+        for node in self._nodes(tmp_path):
+            registry = MetricsRegistry()
+            node._fold_live_metrics(registry)
+            per_link = self.SAMPLES[node.node_id]
+            folded = registry.histogram("net.live.queue_wait_us")
+            assert folded.as_dict() == self._reference(
+                per_link[p] for p in sorted(per_link)
+            )
+            assert folded.count == sum(len(s) for s in per_link.values())
+
+    def test_cluster_merge_equals_per_sample_observation(self, tmp_path):
+        results = [node._result() for node in self._nodes(tmp_path)]
+        merged = LiveTransport(kind="uds")._merge(results, [None] * 3, 0, ())
+        expected = self._reference(
+            self.SAMPLES[pid][p]
+            for pid in sorted(self.SAMPLES)
+            for p in sorted(self.SAMPLES[pid])
+        )
+        assert expected["count"] == 11
+        got = merged.metrics.histogram("net.live.queue_wait_us").as_dict()
+        assert got == expected

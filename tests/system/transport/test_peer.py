@@ -15,7 +15,7 @@ import pytest
 
 from repro.system.messages import Message
 from repro.system.transport import wire
-from repro.system.transport.peer import PeerLink
+from repro.system.transport.peer import MAX_BATCH_FRAMES, PeerLink
 
 INSTANCE = "test-run"
 
@@ -207,14 +207,17 @@ class TestReconnect:
             return listener, link
 
         listener, link = asyncio.run(go())
-        # The forced close is graceful (drained frames arrived); the frame
-        # in flight rides over the reconnect, so the listener sees every
-        # sequence number exactly once.
+        # The forced close is graceful (drained frames arrived); the rest
+        # of the batch rides over the reconnect, so the listener sees
+        # every sequence number exactly once.
         seqs = [r[1] for r in listener.records if r[0] == wire.MSG]
         assert seqs == [0, 1, 2]
         assert link.stats.chaos_closes == 1
         assert link.stats.reconnects == 1
-        assert link.stats.retransmits == 1
+        # All three frames were queued before the first dial, so they form
+        # one batch; the chaos cut drains frame 0 and the other two are
+        # handed to the new connection (LinkStats: frames, not batches).
+        assert link.stats.retransmits == 2
         assert listener.connections == 2
 
     def test_close_interrupts_backoff(self, tmp_path):
@@ -388,7 +391,7 @@ class TestLinkTelemetry:
             return link
 
         link = asyncio.run(go())
-        assert link.stats.retransmits == 1
+        assert link.stats.retransmits == 2  # frames 1 and 2 of the one batch
         assert len(link.stats.queue_wait_samples) == 3
 
 
@@ -408,13 +411,265 @@ class TestSequenceNumbers:
             instance=INSTANCE,
         )
 
-        async def go():
-            record = wire.decode_body(
-                wire.encode_message(Message(1, 0, "bc:1", (1.0,)), 0)[4:]
-            )
-            await node._on_record(1, record)
-            await node._on_record(1, record)  # exact retransmit
-            return node.dupes_dropped
-
-        assert asyncio.run(go()) == 1
+        record = wire.decode_body(
+            wire.encode_message(Message(1, 0, "bc:1", (1.0,)), 0)[4:]
+        )
+        node._on_record(1, record)
+        node._on_record(1, record)  # exact retransmit
+        assert node.dupes_dropped == 1
         assert len(node._pending_msgs[1]) == 1
+
+
+class FakeWriter:
+    """Counts writes; ``drain`` can stall on a gate or fail once."""
+
+    def __init__(self, peer: "FakePeer"):
+        self.peer = peer
+        self.writes: list[bytes] = []
+
+    def write(self, data: bytes) -> None:
+        self.writes.append(bytes(data))
+
+    async def drain(self) -> None:
+        if len(self.writes) == 1:
+            return  # our HELLO
+        await self.peer.gate.wait()
+        if self.peer.fail_drains:
+            self.peer.fail_drains -= 1
+            raise ConnectionResetError("fake: connection died in drain")
+        self.peer.delivered.extend(split_frames(self.writes[-1]))
+
+    def close(self) -> None:
+        pass
+
+    async def wait_closed(self) -> None:
+        pass
+
+
+class FakePeer:
+    """In-memory stand-in for the socket and the remote HELLO: ``dial``
+    hands the link a real StreamReader holding the peer's HELLO and a
+    :class:`FakeWriter`, one pair per connection."""
+
+    def __init__(self, versions=(wire.WIRE_VERSION,), fail_drains: int = 0):
+        #: HELLO version advertised per connection (last one repeats).
+        self.versions = list(versions)
+        self.fail_drains = fail_drains
+        self.gate = asyncio.Event()
+        self.gate.set()
+        self.writers: list[FakeWriter] = []
+        #: Records whose batch was drained successfully, in wire order.
+        self.delivered: list[tuple] = []
+
+    async def dial(self):
+        version = self.versions[min(len(self.writers), len(self.versions) - 1)]
+        reader = asyncio.StreamReader()
+        reader.feed_data(wire.encode_hello(1, INSTANCE, version))
+        writer = FakeWriter(self)
+        self.writers.append(writer)
+        return reader, writer
+
+    def link(self, **kwargs) -> PeerLink:
+        kwargs.setdefault("backoff_base", 0.001)
+        return PeerLink(0, 1, self.dial, instance=INSTANCE, **kwargs)
+
+    def data_writes(self) -> list[bytes]:
+        """Every write after each connection's HELLO, in order."""
+        return [w for writer in self.writers for w in writer.writes[1:]]
+
+
+def split_frames(data: bytes) -> list[tuple]:
+    records, pos = [], 0
+    while pos < len(data):
+        (length,) = struct.unpack_from("!I", data, pos)
+        records.append(wire.decode_body(data[pos + 4:pos + 4 + length]))
+        pos += 4 + length
+    return records
+
+
+def msg(i: int) -> Message:
+    return Message(0, 1, "bc:0", (float(i),))
+
+
+class TestBurstWrite:
+    def test_queued_burst_goes_out_in_one_write(self):
+        k = 9
+
+        async def go():
+            peer = FakePeer()
+            link = peer.link()
+            for i in range(k - 2):
+                await link.send_message(msg(i))
+            await link.send_round(0, False)
+            await link.send_decided()
+            link.start()
+            await link.close()
+            return peer, link
+
+        peer, link = asyncio.run(go())
+        (burst,) = peer.data_writes()
+        records = split_frames(burst)
+        assert [r[1] for r in records] == list(range(k))
+        assert [r[0] for r in records[-2:]] == [wire.ROUND, wire.DECIDED]
+        assert link.stats.frames_sent == k
+        assert link.stats.bytes_sent == len(burst)
+        assert len(link.stats.queue_wait_samples) == k
+        assert link.stats.retransmits == 0
+
+    def test_batch_is_capped(self):
+        k = 2 * MAX_BATCH_FRAMES + 10
+
+        async def go():
+            peer = FakePeer()
+            link = peer.link(queue_limit=k)
+            for i in range(k):
+                await link.send_message(msg(i))
+            link.start()
+            await link.close()
+            return peer, link
+
+        peer, link = asyncio.run(go())
+        sizes = [len(split_frames(w)) for w in peer.data_writes()]
+        assert sizes == [MAX_BATCH_FRAMES, MAX_BATCH_FRAMES, 10]
+        assert [r[1] for r in peer.delivered] == list(range(k))
+        assert link.stats.frames_sent == k
+
+    def test_failed_drain_retransmits_the_whole_batch(self):
+        # Frames leave the in-flight batch only after a successful
+        # drain(): the sender cannot know how much of a failed write
+        # arrived, so the same bytes go out again on the next connection
+        # (the receiver's seq dedup makes that exactly-once).
+        k = 5
+
+        async def go():
+            peer = FakePeer(fail_drains=1)
+            link = peer.link()
+            for i in range(k):
+                await link.send_message(msg(i))
+            link.start()
+            await link.close()
+            return peer, link
+
+        peer, link = asyncio.run(go())
+        first, second = peer.data_writes()
+        assert first == second
+        assert len(peer.writers) == 2
+        assert [r[1] for r in peer.delivered] == list(range(k))
+        assert link.stats.retransmits == k
+        assert link.stats.reconnects == 1
+        assert link.stats.frames_sent == k  # counted once, when drained
+        assert link.stats.bytes_sent == len(second)
+        assert len(link.stats.queue_wait_samples) == k  # none on retransmit
+
+    def test_stalled_peer_blocks_senders_then_delivers_in_order(self):
+        k = 20
+
+        async def go():
+            peer = FakePeer()
+            peer.gate.clear()  # the peer stops reading: drain() stalls
+            link = peer.link(queue_limit=4)
+            link.start()
+
+            async def produce():
+                for i in range(k):
+                    await link.send_message(msg(i))
+
+            producer = asyncio.ensure_future(produce())
+            for _ in range(50):
+                await asyncio.sleep(0)
+            assert not producer.done()
+            assert link._queue.qsize() == 4  # the bound is in frames
+            assert link.stats.backpressure_waits > 0
+            assert peer.delivered == []
+            peer.gate.set()
+            await asyncio.wait_for(producer, timeout=5.0)
+            await link.close()
+            return peer, link
+
+        peer, link = asyncio.run(go())
+        assert [r[1] for r in peer.delivered] == list(range(k))
+        assert link.stats.frames_sent == k
+        assert link.stats.queue_depth_peak == 4
+
+
+class TestEncodeAtEnqueue:
+    STAMP = (7, 12, (5, 12))
+
+    def test_frame_is_the_snapshot(self):
+        # The record is encoded inside send_message: what the sender does
+        # to the payload object afterwards never reaches the wire.
+        import numpy as np
+
+        async def go():
+            peer = FakePeer()
+            link = peer.link()
+            payload = np.array([1.0, 2.0])
+            await link.send_message(Message(0, 1, "bc:0", payload))
+            payload[0] = 99.0
+            link.start()
+            await link.close()
+            return peer
+
+        (record,) = asyncio.run(go()).delivered
+        assert wire.decode_message(record)[1].payload[0] == 1.0
+
+    def test_v1_handshake_reencodes_everything_queued(self):
+        # Frames are encoded at the link's current version (the newest,
+        # before any handshake); a v1 peer must still get 7-tuples, in
+        # order, control records and the close() sentinel untouched.
+        async def go():
+            peer = FakePeer(versions=(1,))
+            link = peer.link()
+            for i in range(3):
+                await link.send_message(msg(i), stamp=self.STAMP)
+            await link.send_round(0, True)
+            link.start()
+            while not peer.delivered:
+                await asyncio.sleep(0)
+            await link.send_message(msg(4), stamp=self.STAMP)  # queued at v1
+            await link.close()
+            return peer, link
+
+        peer, link = asyncio.run(go())
+        assert link.wire_version == 1
+        records = peer.delivered
+        assert [r[1] for r in records] == [0, 1, 2, 3, 4]
+        assert [r[0] for r in records] == [wire.MSG] * 3 + [wire.ROUND, wire.MSG]
+        assert all(len(r) == 7 for r in records if r[0] == wire.MSG)
+        assert [wire.decode_message(r)[1].payload for r in records[:3]] == [
+            (0.0,), (1.0,), (2.0,),
+        ]
+
+    def test_downgrade_on_reconnect_reencodes_the_in_flight_batch(self):
+        async def go():
+            peer = FakePeer(versions=(2, 1), fail_drains=1)
+            link = peer.link()
+            await link.send_message(msg(0), stamp=self.STAMP)
+            await link.send_message(msg(1), stamp=self.STAMP)
+            link.start()
+            await link.close()
+            return peer
+
+        peer = asyncio.run(go())
+        first, second = peer.data_writes()
+        assert [len(r) for r in split_frames(first)] == [8, 8]
+        assert [len(r) for r in split_frames(second)] == [7, 7]
+        assert [r[1] for r in peer.delivered] == [0, 1]
+
+
+class TestFailureCallback:
+    def test_permanent_failure_calls_on_failure_once(self, tmp_path):
+        calls: list[int] = []
+
+        async def go():
+            link = make_link(
+                str(tmp_path / "never.sock"), backoff_base=0.001,
+                max_dial_failures=1, on_failure=lambda: calls.append(1),
+            )
+            link.start()
+            await link._writer_task
+            return link
+
+        link = asyncio.run(go())
+        assert isinstance(link.failed, ConnectionError)
+        assert calls == [1]

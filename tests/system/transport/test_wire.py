@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lint.engine import iter_python_files, logical_path_for
 from repro.lint.flow.model import build_model
@@ -145,13 +147,6 @@ class TestVersionedMessages:
         assert seq == 5
         assert decoded.tag == "val"
 
-    def test_message_record_copies_payload_at_enqueue(self):
-        payload = np.array([1.0, 2.0])
-        rec = wire.message_record(Message(0, 1, "bc:0", payload), 0)
-        payload[0] = 99.0  # sender mutates after queueing, before encode
-        _, decoded = wire.decode_message(roundtrip(wire.encode_for_version(rec, 2)))
-        assert decoded.payload[0] == 1.0
-
     def test_negotiate_picks_newest_common_version(self):
         assert wire.negotiate(1) == 1
         assert wire.negotiate(2) == 2
@@ -255,3 +250,121 @@ class TestReadFrames:
         head = (wire.MAX_FRAME_BYTES + 1).to_bytes(4, "big")
         with pytest.raises(wire.WireError, match="exceeds"):
             self._collect(head + b"x")
+
+
+class ChunkedReader:
+    """Stands in for a StreamReader: each ``read`` returns the next chunk
+    (whatever the socket happened to have), then EOF."""
+
+    def __init__(self, chunks: list[bytes]):
+        self.chunks = list(chunks)
+        self.reads = 0
+
+    async def read(self, n: int) -> bytes:
+        self.reads += 1
+        if not self.chunks:
+            return b""
+        assert len(self.chunks[0]) <= n
+        return self.chunks.pop(0)
+
+
+def _cut(data: bytes, sizes: list[int]) -> list[bytes]:
+    """``data`` split into chunks of the given sizes, cycling through
+    them until the data runs out."""
+    chunks, pos, i = [], 0, 0
+    while pos < len(data):
+        size = sizes[i % len(sizes)]
+        chunks.append(data[pos:pos + size])
+        pos += size
+        i += 1
+    return chunks
+
+
+def _read_all(reader) -> list[tuple]:
+    async def go():
+        return [record async for record in wire.read_frames(reader)]
+
+    return asyncio.run(go())
+
+
+_SCALARS = st.one_of(
+    st.integers(-2**40, 2**40), st.floats(allow_nan=False), st.text(max_size=8),
+    st.binary(max_size=300),
+)
+_RECORDS = st.one_of(
+    st.builds(lambda s, r, d: (wire.ROUND, s, r, d),
+              st.integers(0, 10**6), st.integers(0, 99), st.booleans()),
+    st.builds(lambda s, n: (wire.DECIDED, s, n),
+              st.integers(0, 10**6), st.integers(0, 99)),
+    st.builds(lambda s, p: (wire.MSG, s, 0, 1, "bc:0", p, None, None),
+              st.integers(0, 10**6), st.tuples(_SCALARS, _SCALARS)),
+    st.builds(lambda s, p: (wire.MSG, s, 2, 0, "val", p, 3),  # version-1 frame
+              st.integers(0, 10**6), st.lists(_SCALARS, max_size=4)),
+)
+
+
+class TestReadFramesChunking:
+    """``read_frames`` takes whatever each read returns: frame boundaries
+    and read boundaries are unrelated."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(_RECORDS, max_size=12),
+        st.lists(st.integers(1, 700), min_size=1, max_size=6),
+    )
+    def test_any_chunking_yields_the_frame_at_a_time_records(self, records, sizes):
+        frames = [wire.encode_record(r) for r in records]
+        expected = [wire.decode_body(f[4:]) for f in frames]
+        stream = b"".join(frames)
+        assert _read_all(ChunkedReader(_cut(stream, sizes))) == expected
+        assert _read_all(ChunkedReader(_cut(stream, [1]))) == expected
+        assert _read_all(ChunkedReader([stream] if stream else [])) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(_RECORDS, min_size=1, max_size=6),
+        st.lists(st.integers(1, 200), min_size=1, max_size=4),
+        st.data(),
+    )
+    def test_truncated_tail_ends_the_stream_cleanly(self, records, sizes, data):
+        # Connection loss mid-frame: every complete frame is delivered,
+        # the partial one is dropped (the sender retransmits it).
+        frames = [wire.encode_record(r) for r in records]
+        keep = data.draw(st.integers(1, len(frames[-1]) - 1))
+        stream = b"".join(frames[:-1]) + frames[-1][:keep]
+        expected = [wire.decode_body(f[4:]) for f in frames[:-1]]
+        assert _read_all(ChunkedReader(_cut(stream, sizes))) == expected
+
+    def test_oversized_prefix_raises_before_the_body_is_buffered(self):
+        good = wire.encode_round(0, 1, False)
+        head = (wire.MAX_FRAME_BYTES + 1).to_bytes(4, "big")
+        reader = ChunkedReader([good + head, b"x" * 1024, b"x" * 1024])
+        with pytest.raises(wire.WireError, match="exceeds"):
+            _read_all(reader)
+        # Refused on the read that completed the prefix: none of the
+        # announced body was asked for.
+        assert reader.reads == 1
+        assert len(reader.chunks) == 2
+
+    def test_prefix_split_across_reads_is_still_checked(self):
+        head = (wire.MAX_FRAME_BYTES + 1).to_bytes(4, "big")
+        reader = ChunkedReader([head[:2], head[2:], b"x" * 64])
+        with pytest.raises(wire.WireError, match="exceeds"):
+            _read_all(reader)
+        assert reader.reads == 2
+
+    def test_undecodable_body_raises(self):
+        stream = wire.encode_round(0, 1, False) + wire.frame(b"\x00not a pickle")
+        with pytest.raises(wire.WireError, match="undecodable"):
+            _read_all(ChunkedReader(_cut(stream, [7])))
+
+    def test_connection_reset_ends_the_stream_cleanly(self):
+        class Resetting(ChunkedReader):
+            async def read(self, n: int) -> bytes:
+                if not self.chunks:
+                    raise ConnectionResetError("peer went away")
+                return await super().read(n)
+
+        whole = wire.encode_round(0, 1, False)
+        records = _read_all(Resetting([whole + wire.encode_decided(1, 0)[:5]]))
+        assert [r[0] for r in records] == [wire.ROUND]
