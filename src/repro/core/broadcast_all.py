@@ -71,6 +71,8 @@ class BroadcastAllProcess(SyncProcess):
         self.n, self.f, self.pid = n, f, pid
         self.input_value = np.asarray(input_value, dtype=float).ravel()
         self.d = self.input_value.size
+        #: The input as it goes on the wire (round 0 only).
+        self._own_value = tuple(float(x) for x in self.input_value)
         if broadcast not in ("eig", "dolev-strong", "atomic"):
             raise ValueError(f"unknown broadcast {broadcast!r}")
         if broadcast == "dolev-strong" and scheme is None:
@@ -88,6 +90,9 @@ class BroadcastAllProcess(SyncProcess):
                 )
                 for c in range(n)
             }
+        #: Received tag -> machine, under the spelling ``broadcast_tag``
+        #: produces (``on_round`` parses any other).
+        self._by_tag = {broadcast_tag(c): st for c, st in self.instances.items()}
         self.multiset: Optional[list[Any]] = None
         self.defaulted_senders: list[int] = []
 
@@ -97,24 +102,30 @@ class BroadcastAllProcess(SyncProcess):
             self._on_round_atomic(ctx, round, inbox)
             return
         # 1. feed deliveries into the per-commander broadcast machines
+        by_tag = self._by_tag
         for src, entries in inbox.items():
             for tag, payload in entries:
                 if not tag.startswith("bc:"):
                     continue
-                try:
-                    instance = int(tag.split(":", 1)[1])
-                except ValueError:
-                    continue
-                if 0 <= instance < self.n:
-                    self.instances[instance].receive(round, src, payload)
+                state = by_tag.get(tag)
+                if state is None:
+                    # Not the canonical spelling ("bc:07"), or no instance.
+                    try:
+                        instance = int(tag.split(":", 1)[1])
+                    except ValueError:
+                        continue
+                    if not 0 <= instance < self.n:
+                        continue
+                    state = self.instances[instance]
+                state.receive(round, src, payload)
 
         # 2. emit this round's protocol messages for every instance
         if round <= self.f:
-            value = tuple(float(x) for x in self.input_value)
             for instance, state in self.instances.items():
-                own = value if instance == self.pid else None
+                own = self._own_value if instance == self.pid else None
+                tag = broadcast_tag(instance)
                 for dst, payload in state.messages_for_round(round, own):
-                    ctx.send(dst, broadcast_tag(instance), payload, round=round)
+                    ctx.send(dst, tag, payload, round=round)
             return
 
         # 3. final round: extract the agreed multiset and decide
@@ -132,8 +143,7 @@ class BroadcastAllProcess(SyncProcess):
         physically impossible); missing/malformed senders are defaulted.
         """
         if round == 0:
-            value = tuple(float(x) for x in self.input_value)
-            ctx.atomic_broadcast("abc", value, round=0)
+            ctx.atomic_broadcast("abc", self._own_value, round=0)
             return
         if round == 1 and self.multiset is None:
             for src, entries in inbox.items():
@@ -147,13 +157,15 @@ class BroadcastAllProcess(SyncProcess):
 
     def _resolve_defaults(self, raw: list[Any]) -> list[tuple[float, ...]]:
         """Replace default (provably-faulty) entries deterministically."""
-        valid = [
-            v
-            for v in raw
-            if isinstance(v, tuple)
-            and len(v) == self.d
-            and all(isinstance(x, float) and np.isfinite(x) for x in v)
-        ]
+
+        def well_formed(v: Any) -> bool:
+            return (
+                isinstance(v, tuple)
+                and len(v) == self.d
+                and all(isinstance(x, float) and np.isfinite(x) for x in v)
+            )
+
+        valid = [v for v in raw if well_formed(v)]
         if not valid:
             raise RuntimeError(
                 "all broadcasts resolved to the default — more than f faults?"
@@ -161,11 +173,7 @@ class BroadcastAllProcess(SyncProcess):
         substitute = valid[0]
         out = []
         for sender, v in enumerate(raw):
-            if (
-                isinstance(v, tuple)
-                and len(v) == self.d
-                and all(isinstance(x, float) and np.isfinite(x) for x in v)
-            ):
+            if well_formed(v):
                 out.append(v)
             else:
                 self.defaulted_senders.append(sender)

@@ -373,13 +373,12 @@ def delta_star(
     if not 0 <= f < n:
         raise ValueError(f"need 0 <= f < n={n}, got f={f}")
     p = validate_p(p)
-    subsets = tuple(f_subsets(n, f))
 
     t0 = time.perf_counter()
     with perf_phase("geometry.delta_star"), trace_span(
         "geometry.delta_star", n=n, d=d, f=f, p=float(p)
     ) as span:
-        result = _delta_star_solve(S, n, f, p, subsets, tol, max_iter)
+        result = _delta_star_solve(S, n, f, p, tol, max_iter)
         span.tag(value=result.value, gap=result.gap,
                  iterations=result.iterations)
     reg = _obs.current_registry()
@@ -395,13 +394,15 @@ def _delta_star_solve(
     n: int,
     f: int,
     p: float,
-    subsets: tuple[tuple[int, ...], ...],
     tol: float,
     max_iter: int,
 ) -> DeltaStarResult:
     # Memoised under canonical keys (repro.geometry.cache): the solve is
     # wrapped, not delta_star itself, so call counters and trace spans
     # stay live per caller while repeated instances skip the solvers.
+    # The C(n, f) subsets are a function of (n, f), so they are built
+    # here, on a miss, and stay out of the key every lookup encodes.
+    subsets = tuple(f_subsets(n, f))
     # δ = 0 fast path: Γ(S) nonempty means no relaxation is needed at all
     # (e.g. Theorem 8's affinely-dependent inputs, or n >= (d+1)f + 1).
     g0 = gamma_point(S, f)

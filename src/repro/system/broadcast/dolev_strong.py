@@ -93,13 +93,18 @@ class DolevStrongState:
     def messages_for_round(
         self, r: int, value_if_sender: Any = None
     ) -> list[tuple[int, tuple[Any, Chain]]]:
-        """Outgoing ``(dst, (value, chain))`` pairs for round ``r``."""
+        """Outgoing ``(dst, (value, chain))`` pairs for round ``r``.
+
+        The ``n`` destinations of one chain share one payload object (as
+        ``BrachaState._burst`` does): the network sizes a burst once, by
+        payload identity.
+        """
         out: list[tuple[int, tuple[Any, Chain]]] = []
         if r == 0:
             if self.pid == self.sender:
                 sig = self.scheme.sign(self.pid, self._signed_obj(value_if_sender))
-                for dst in range(self.n):
-                    out.append((dst, (value_if_sender, (sig,))))
+                payload = (value_if_sender, (sig,))
+                out = [(dst, payload) for dst in range(self.n)]
             return out
         if r > self.f:
             return out
@@ -110,9 +115,9 @@ class DolevStrongState:
             if any(sig.signer == self.pid for sig in chain):
                 continue
             sig = self.scheme.sign(self.pid, self._signed_obj(value))
-            new_chain = chain + (sig,)
+            payload = (value, chain + (sig,))
             for dst in range(self.n):
-                out.append((dst, (value, new_chain)))
+                out.append((dst, payload))
         self._newly_accepted = []
         if out:
             _obs.inc("bcast.ds.relays_sent", len(out))

@@ -47,12 +47,19 @@ def majority(values: list[Any], default: Any = BroadcastDefault) -> Any:
 
     NumPy arrays and nested tuples are compared via their canonical byte
     serialisation so that numerically identical vectors vote together.
+    One object voting several times — a correct commander's value fills
+    its EIG subtree by reference — is serialised once.
     """
     from ..messages import canonical_bytes
 
     counts: dict[bytes, tuple[int, Any]] = {}
+    # id(vote) -> key, for this call only: ``values`` keeps every vote
+    # alive until we return, so no id can be reused under us.
+    keys: dict[int, bytes] = {}
     for v in values:
-        key = canonical_bytes(v)
+        key = keys.get(id(v))
+        if key is None:
+            key = keys[id(v)] = canonical_bytes(v)
         cnt, _ = counts.get(key, (0, v))
         counts[key] = (cnt + 1, v)
     if not counts:

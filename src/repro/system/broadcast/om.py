@@ -30,7 +30,7 @@ inject values into parts of the tree they do not control.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
 from ...obs import metrics as _obs
 from .interface import BroadcastDefault, majority
@@ -79,6 +79,20 @@ class EIGState:
         self.tree: dict[Path, Any] = {}
         self._decided: bool = False
         self._decision: Any = None
+        # Receipts since the last publication (see _publish_receipts).
+        self._stored = 0
+        self._rejected = 0
+
+    def _publish_receipts(self) -> None:
+        # ``receive`` runs once per delivered relay; its two counters
+        # reach the metrics registry once per round instead, from the
+        # send / decide step that follows the round's deliveries.
+        if self._stored:
+            _obs.inc("bcast.om.relays_stored", self._stored)
+            self._stored = 0
+        if self._rejected:
+            _obs.inc("bcast.om.relays_rejected", self._rejected)
+            self._rejected = 0
 
     # ------------------------------------------------------------- sending
     def messages_for_round(
@@ -87,23 +101,25 @@ class EIGState:
         """Outgoing ``(dst, (path, value))`` pairs for scheduler round ``r``.
 
         Round 0 is the commander's initial send; rounds ``1..f`` are
-        relays of the previous round's paths.
+        relays of the previous round's paths.  The ``n`` destinations of
+        one path share one payload object (as ``BrachaState._burst``
+        does): the network sizes a burst once, by payload identity.
         """
+        self._publish_receipts()
         out: list[tuple[int, tuple[Path, Any]]] = []
         if r == 0:
             if self.pid == self.commander:
-                path = (self.commander,)
-                for dst in range(self.n):
-                    out.append((dst, (path, value_if_commander)))
+                payload = ((self.commander,), value_if_commander)
+                out = [(dst, payload) for dst in range(self.n)]
             return out
         if r > self.f:
             return out
         for path, value in self.tree.items():
             if len(path) != r or self.pid in path:
                 continue
-            new_path = path + (self.pid,)
+            payload = (path + (self.pid,), value)
             for dst in range(self.n):
-                out.append((dst, (new_path, value)))
+                out.append((dst, payload))
         if out:
             _obs.inc("bcast.om.relays_sent", len(out))
         return out
@@ -119,9 +135,9 @@ class EIGState:
         """
         try:
             path, value = payload
-            path = tuple(int(x) for x in path)
+            path = tuple(map(int, path))
         except (TypeError, ValueError):
-            _obs.inc("bcast.om.relays_rejected")
+            self._rejected += 1
             return
         if (
             len(path) != r
@@ -129,18 +145,20 @@ class EIGState:
             or path[0] != self.commander
             or path[-1] != src
             or len(set(path)) != len(path)
-            or any(not 0 <= x < self.n for x in path)
+            or min(path) < 0
+            or max(path) >= self.n
         ):
-            _obs.inc("bcast.om.relays_rejected")
+            self._rejected += 1
             return
         if path not in self.tree:
             self.tree[path] = value
-            _obs.inc("bcast.om.relays_stored")
+            self._stored += 1
 
     # ------------------------------------------------------------ deciding
     def decide(self) -> Any:
         """Recursive-majority resolution of the EIG tree (run once, after
         all ``f + 1`` delivery rounds)."""
+        self._publish_receipts()
         if not self._decided:
             self._decision = self._resolve((self.commander,))
             self._decided = True
@@ -157,12 +175,3 @@ class EIGState:
         if not children:  # pragma: no cover - n > f+1 always gives children
             return stored
         return majority(children, default=self.default)
-
-
-def run_eig_instances(
-    states: dict[int, "EIGState"],
-    rounds_inbox: Iterable[tuple[int, int, int, tuple[Path, Any]]],
-) -> None:  # pragma: no cover - convenience for interactive debugging
-    """Feed ``(round, instance, src, payload)`` records into EIG states."""
-    for r, inst, src, payload in rounds_inbox:
-        states[inst].receive(r, src, payload)

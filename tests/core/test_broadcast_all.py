@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.broadcast_all import BroadcastAllProcess, broadcast_tag
 from repro.core.exact_bvc import ExactBVCProcess
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.system.adversary import Adversary, SilentStrategy
 from repro.system.crypto import SignatureScheme
 from repro.system.process import Context
@@ -97,3 +98,55 @@ class TestBroadcastAll:
 
     def test_total_rounds_property(self):
         assert Recorder(4, 1, 0, np.zeros(2)).total_rounds == 3
+
+
+class TestTagRouting:
+    """Round-1 deliveries at process 1 of n = 4: which tags reach which
+    broadcast machine (every one of them validates its own delivery)."""
+
+    @staticmethod
+    def deliver(rng, tag, src=0, payload=None):
+        proc = Recorder(4, 1, 1, np.zeros(2))
+        payload = ((src,), (1.0, 2.0)) if payload is None else payload
+        proc.on_round(Context(1, 4, 1, rng), 1, {src: [(tag, payload)]})
+        return {c: dict(st.tree) for c, st in proc.instances.items() if st.tree}
+
+    @pytest.mark.parametrize("tag", ["bc:0", "bc:00", "bc:+0", "bc: 0"])
+    def test_every_spelling_of_an_instance_routes_to_it(self, rng, tag):
+        assert self.deliver(rng, tag) == {0: {(0,): (1.0, 2.0)}}
+
+    def test_zero_padded_tag_routes_like_the_canonical_one(self, rng):
+        routed = self.deliver(rng, "bc:3", src=3)
+        assert routed == {3: {(3,): (1.0, 2.0)}}
+        assert self.deliver(rng, "bc:03", src=3) == routed
+
+    @pytest.mark.parametrize("tag", ["abc", "eig", "", "b", "BC:0", "xbc:0"])
+    def test_non_bc_tags_are_ignored(self, rng, tag):
+        assert self.deliver(rng, tag) == {}
+
+    @pytest.mark.parametrize("tag", ["bc:4", "bc:-1", "bc:99"])
+    def test_out_of_range_instances_are_ignored(self, rng, tag):
+        assert self.deliver(rng, tag) == {}
+
+    @pytest.mark.parametrize("tag", ["bc:", "bc:x", "bc:0:1", "bc:1.0", "bc:None"])
+    def test_unparsable_instances_are_ignored(self, rng, tag):
+        assert self.deliver(rng, tag) == {}
+
+    def test_routed_relay_is_still_validated_by_its_machine(self, rng):
+        # instance 2 is reached, and refuses a relay not rooted at its commander
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            proc = Recorder(4, 1, 1, np.zeros(2))
+            proc.on_round(Context(1, 4, 1, rng), 1, {0: [("bc:2", ((0,), (1.0, 2.0)))]})
+            proc.instances[2].decide()
+        assert proc.instances[2].tree == {}
+        assert reg.counter_value("bcast.om.relays_rejected") == 1
+
+    def test_tag_built_once_per_instance_is_the_tag_sent(self, rng):
+        proc = Recorder(4, 1, 2, np.array([1.0, 2.0]))
+        ctx = Context(2, 4, 1, rng)
+        proc.on_round(ctx, 0, {})
+        assert [(m.dst, m.tag, m.payload) for m in ctx.outbox] == [
+            (dst, "bc:2", ((2,), (1.0, 2.0))) for dst in range(4)
+        ]
+        assert all(m.payload is ctx.outbox[0].payload for m in ctx.outbox)

@@ -70,9 +70,9 @@ def test_wall_clock_payload_trips_tnt(shipped_sources):
     files = _mutate(
         shipped_sources,
         "core/broadcast_all.py",
-        'ctx.atomic_broadcast("abc", value, round=0)',
+        'ctx.atomic_broadcast("abc", self._own_value, round=0)',
         "import time\n"
-        "            stamped = (value, time.time())\n"
+        "            stamped = (self._own_value, time.time())\n"
         '            ctx.atomic_broadcast("abc", stamped, round=0)',
     )
     findings = lint_flow(files, select=["TNT"])

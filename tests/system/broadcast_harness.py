@@ -72,17 +72,26 @@ class BrachaProcess(AsyncProcess):
             ctx.decide(self.state.delivered_value)
 
 
-def run_eig(n, f, commander, value, adversary=None, seed=0):
+def counters(reg, prefix):
+    """``reg``'s counters under ``prefix``, keyed by the rest of the name."""
+    return {
+        name[len(prefix):]: reg.counter_value(name)
+        for name in reg.names() if name.startswith(prefix)
+    }
+
+
+def run_eig(n, f, commander, value, adversary=None, seed=0, **sched):
+    """``sched``: further scheduler arguments (``record_transcript=True``)."""
     procs = [
         EIGProcess(n, f, commander, pid, value if pid == commander else None)
         for pid in range(n)
     ]
     return SynchronousScheduler(
-        procs, f, adversary, rng=np.random.default_rng(seed)
+        procs, f, adversary, rng=np.random.default_rng(seed), **sched
     ).run()
 
 
-def run_ds(n, f, sender, value, adversary=None, seed=0):
+def run_ds(n, f, sender, value, adversary=None, seed=0, **sched):
     rng = np.random.default_rng(seed)
     scheme = SignatureScheme(n, rng)
     procs = [
@@ -96,14 +105,17 @@ def run_ds(n, f, sender, value, adversary=None, seed=0):
         adversary,
         rng=rng,
         sign=scheme.signer_for(set(adversary.faulty)),
+        **sched,
     ).run(), scheme
 
 
-def run_bracha(n, f, sender, value, adversary=None, seed=0, max_steps=100_000):
+def run_bracha(n, f, sender, value, adversary=None, seed=0, max_steps=100_000,
+               **sched):
     procs = [
         BrachaProcess(n, f, sender, pid, value if pid == sender else None)
         for pid in range(n)
     ]
     return AsyncScheduler(
-        procs, f, adversary, rng=np.random.default_rng(seed), max_steps=max_steps
+        procs, f, adversary, rng=np.random.default_rng(seed), max_steps=max_steps,
+        **sched,
     ).run()

@@ -1,0 +1,57 @@
+"""What the network charges for a broadcast burst.
+
+``NetworkStats.record_send`` sizes a message once per run of sends that
+share the payload *object* and the tag; EIG, Dolev–Strong and Bracha all
+hand the ``n`` copies of one relay over as one object.  The shortcut is
+sound only while ``bytes_estimate`` stays equal to what sizing every
+message on its own gives — the invariant below fails the day it reuses a
+stale size.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import RunSpec, run
+from repro.exec.grid import build_adversary
+
+from .broadcast_harness import run_bracha, run_ds, run_eig
+
+N, F = 7, 2
+VALUE = (1.5, -2.0)
+
+
+def _transcript_run(kind, sender, adversary):
+    adversary = build_adversary(adversary, N, F)
+    if kind == "eig":
+        return run_eig(N, F, sender, VALUE, adversary, record_transcript=True)
+    if kind == "dolev-strong":
+        return run_ds(N, F, sender, VALUE, adversary, record_transcript=True)[0]
+    # The async transcript lists deliveries: drain the network so that
+    # every message sent is on it.
+    return run_bracha(N, F, sender, VALUE, adversary, record_transcript=True,
+                      stop_when_correct_decided=False)
+
+
+@pytest.mark.parametrize("adversary", ["none", "silent", "equivocate", "mutate"])
+@pytest.mark.parametrize("sender", [0, N - 1], ids=["correct-sender", "faulty-sender"])
+@pytest.mark.parametrize("kind", ["eig", "dolev-strong", "bracha"])
+def test_bytes_estimate_is_the_sum_of_message_sizes(kind, sender, adversary):
+    res = _transcript_run(kind, sender, adversary)
+    assert len(res.transcript) == res.stats.messages_sent
+    assert (
+        sum(msg.estimated_size() for _, msg in res.transcript)
+        == res.stats.bytes_estimate
+    )
+    if adversary == "none" or sender == 0:
+        assert res.stats.messages_sent > 0
+
+
+def test_algo_eig_message_accounting_is_pinned():
+    """``algo``, n = 7, d = 2, f = 2 over EIG, seed 2016 — taken with one
+    payload tuple and one size estimate per destination."""
+    out = run(RunSpec(algorithm="algo", n=7, d=2, f=2, broadcast="eig", seed=2016))
+    stats = out.result.stats
+    assert stats.messages_sent == 1813
+    assert stats.bytes_estimate == 131026
+    assert dict(stats.per_tag) == {f"bc:{c}": 259 for c in range(7)}

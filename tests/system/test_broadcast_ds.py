@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.exec.grid import build_adversary
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.system.adversary import (
     Adversary,
     AdversaryView,
@@ -15,7 +17,7 @@ from repro.system.broadcast.dolev_strong import DolevStrongState, ds_total_round
 from repro.system.crypto import SignatureScheme
 from repro.system.messages import Message
 
-from .broadcast_harness import run_ds
+from .broadcast_harness import counters, run_ds
 
 
 def correct_values(res):
@@ -66,6 +68,28 @@ class TestDSUnit:
 
     def test_total_rounds(self):
         assert ds_total_rounds(2) == 4
+
+    def test_round0_burst_shares_one_payload_object(self, rng):
+        # n destinations, one payload: the network sizes a burst once.
+        st = DolevStrongState(4, 1, 0, 0, SignatureScheme(4, rng))
+        out = st.messages_for_round(0, (1.0, 2.0))
+        assert [dst for dst, _ in out] == [0, 1, 2, 3]
+        assert all(p is out[0][1] for _, p in out)
+
+    def test_relay_burst_shares_one_payload_per_chain(self, rng):
+        scheme = SignatureScheme(5, rng)
+        st = DolevStrongState(5, 2, 0, 1, scheme)
+        for value in ("a", "b"):  # an equivocating sender: two chains to relay
+            sig = scheme.sign(0, ("ds", 0, 0, value))
+            st.receive(1, 0, (value, (sig,)))
+        out = st.messages_for_round(1)
+        assert [dst for dst, _ in out] == list(range(5)) * 2
+        first, second = out[:5], out[5:]
+        assert all(p is first[0][1] for _, p in first)
+        assert all(p is second[0][1] for _, p in second)
+        assert first[0][1][0] == "a" and second[0][1][0] == "b"
+        assert [s.signer for s in first[0][1][1]] == [0, 1]
+        assert first[0][1] is not second[0][1]
 
 
 class TestDSProtocol:
@@ -125,3 +149,21 @@ class TestDSProtocol:
         )
         for p in (2, 4):
             assert res.decisions[p] == "X"
+
+
+class TestDSRunEndCounters:
+    """Run-end ``bcast.ds.*`` totals of one instance, n = 7, f = 2 —
+    pinned before relays started sharing their payload."""
+
+    @pytest.mark.parametrize("sender,adversary,expected", [
+        (0, "silent", {"accepted": 7, "relays_sent": 42}),
+        (0, "equivocate", {"accepted": 7, "rejected": 14, "relays_sent": 42}),
+        # the sender's own copies are perturbed after signing: nothing verifies
+        (6, "equivocate", {"rejected": 7}),
+    ])
+    def test_counters(self, sender, adversary, expected):
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            run_ds(7, 2, sender, (1.5, -2.0),
+                   adversary=build_adversary(adversary, 7, 2))
+        assert counters(reg, "bcast.ds.") == expected

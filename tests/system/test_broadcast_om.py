@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.exec.grid import build_adversary
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.system.adversary import (
     Adversary,
     CrashStrategy,
@@ -15,7 +17,7 @@ from repro.system.adversary import (
 )
 from repro.system.broadcast.om import EIGState, eig_total_rounds
 
-from .broadcast_harness import run_eig
+from .broadcast_harness import counters, run_eig
 
 
 def correct_values(res):
@@ -67,6 +69,112 @@ class TestEIGStateUnit:
     def test_total_rounds(self):
         assert eig_total_rounds(1) == 3
         assert eig_total_rounds(2) == 4
+
+    def test_round0_burst_shares_one_payload_object(self):
+        # n destinations, one payload: the network sizes a burst once.
+        out = EIGState(4, 1, 2, 2).messages_for_round(0, ("val", (1.0,)))
+        assert [dst for dst, _ in out] == [0, 1, 2, 3]
+        assert all(p is out[0][1] for _, p in out)
+
+    def test_relay_burst_shares_one_payload_per_path(self):
+        st = EIGState(7, 2, 0, 3)
+        st.receive(2, 1, ((0, 1), "a"))
+        st.receive(2, 2, ((0, 2), "a"))
+        st.receive(2, 3, ((0, 3), "own hop: not relayed"))
+        out = st.messages_for_round(2)
+        assert [dst for dst, _ in out] == list(range(7)) * 2
+        first, second = out[:7], out[7:]
+        assert all(p is first[0][1] for _, p in first)
+        assert all(p is second[0][1] for _, p in second)
+        assert first[0][1] == ((0, 1, 3), "a")
+        assert second[0][1] == ((0, 2, 3), "a")
+        assert first[0][1] is not second[0][1]
+
+
+#: ``case -> (round, src, payload, stored path or None)`` at pid 3 of
+#: n = 7, f = 2, commander 0.  Accept / reject and the counter totals are
+#: those of the per-message implementation the table was first run against.
+_RELAYS = {
+    "valid round 1": (1, 0, ((0,), "v"), (0,)),
+    "valid round 2": (2, 2, ((0, 2), "v"), (0, 2)),
+    "valid round 3": (3, 2, ((0, 6, 2), "v"), (0, 6, 2)),
+    "wrong length for the round": (2, 0, ((0,), "v"), None),
+    "wrong root": (2, 2, ((1, 2), "v"), None),
+    "wrong last hop": (2, 3, ((0, 2), "v"), None),
+    "repeated id": (3, 2, ((0, 2, 2), "v"), None),
+    "id < 0": (3, 2, ((0, -1, 2), "v"), None),
+    "id >= n": (3, 2, ((0, 7, 2), "v"), None),
+    "empty path": (0, 0, ((), "v"), None),
+    "non-iterable path": (1, 0, (5, "v"), None),
+    "None path": (1, 0, (None, "v"), None),
+    "non-int-able element": (2, 2, ((0, "x"), "v"), None),
+    "None element": (2, 2, ((0, None), "v"), None),
+    "payload is not a pair": (1, 0, "garbage", None),
+    "payload is a triple": (1, 0, ((0,), "v", "w"), None),
+    "payload is None": (1, 0, None, None),
+    # ids are normalised through int() before any check
+    "True as an id": (2, 1, ((0, True), "v"), (0, 1)),
+    "float as an id": (2, 1, ((0, 1.0), "v"), (0, 1)),
+    "str as an id": (2, 1, ((0, "1"), "v"), (0, 1)),
+    "list as a path": (2, 1, ([0, 1], "v"), (0, 1)),
+}
+
+
+class TestEIGReceive:
+    @pytest.mark.parametrize("case", sorted(_RELAYS))
+    def test_malformed_relay_table(self, case):
+        r, src, payload, stored = _RELAYS[case]
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            st = EIGState(7, 2, 0, 3)
+            st.receive(r, src, payload)
+            st.decide()
+        assert st.tree == ({} if stored is None else {stored: "v"})
+        assert reg.counter_value("bcast.om.relays_stored") == (stored is not None)
+        assert reg.counter_value("bcast.om.relays_rejected") == (stored is None)
+        assert reg.counter_value("bcast.om.decisions") == 1
+
+    def test_duplicate_is_neither_stored_nor_rejected(self):
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            st = EIGState(7, 2, 0, 3)
+            st.receive(1, 0, ((0,), "v"))
+            st.receive(1, 0, ((0,), "again"))
+            st.decide()
+        assert reg.counter_value("bcast.om.relays_stored") == 1
+        assert reg.counter_value("bcast.om.relays_rejected") == 0
+
+    def test_receipt_counters_are_published_once_per_round(self):
+        """``receive`` counts on the state; the next send step (or
+        ``decide``) publishes, and publishes each receipt once."""
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            st = EIGState(7, 2, 0, 3)
+            st.receive(1, 0, ((0,), "v"))
+            st.receive(1, 0, "garbage")
+            assert "bcast.om.relays_stored" not in reg.names()
+            assert "bcast.om.relays_rejected" not in reg.names()
+            st.messages_for_round(1)
+            assert reg.counter_value("bcast.om.relays_stored") == 1
+            assert reg.counter_value("bcast.om.relays_rejected") == 1
+            st.receive(2, 1, ((0, 1), "v"))
+            st.messages_for_round(2)
+            st.messages_for_round(3)  # nothing new: nothing published
+            assert reg.counter_value("bcast.om.relays_stored") == 2
+            st.receive(3, 2, ((0, 1, 2), "v"))
+            st.decide()
+            st.decide()
+        assert reg.counter_value("bcast.om.relays_stored") == 3
+        assert reg.counter_value("bcast.om.relays_rejected") == 1
+
+    def test_silent_round_publishes_no_zero_counter(self):
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            st = EIGState(4, 1, 0, 1)
+            st.messages_for_round(0)
+            st.messages_for_round(1)
+            st.decide()
+        assert reg.names() == ["bcast.om.decisions"]
 
 
 class TestEIGFailureFree:
@@ -156,3 +264,19 @@ class TestEIGFaultyLieutenant:
         )
         vals = [res.decisions[p] for p in (1, 2, 3, 5, 6)]
         assert len(set(map(str, vals))) == 1
+
+
+class TestEIGRunEndCounters:
+    """Run-end ``bcast.om.*`` totals of one instance, n = 7, f = 2 —
+    pinned on the per-message implementation."""
+
+    @pytest.mark.parametrize("commander,adversary,expected", [
+        (0, "silent", {"decisions": 7, "relays_sent": 182, "relays_stored": 119}),
+        (6, "equivocate", {"decisions": 7, "relays_sent": 252, "relays_stored": 259}),
+    ], ids=["silent-lieutenants", "equivocating-commander"])
+    def test_counters(self, commander, adversary, expected):
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            run_eig(7, 2, commander, (1.5, -2.0),
+                    adversary=build_adversary(adversary, 7, 2))
+        assert counters(reg, "bcast.om.") == expected
