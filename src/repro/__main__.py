@@ -877,8 +877,8 @@ def _cmd_node(args: argparse.Namespace) -> int:
         doc = load_topology(args.topology)
     except (OSError, ValueError) as exc:
         return _fail(f"cannot load topology {args.topology!r}: {exc}")
-    if not 0 <= args.id < int(doc["n"]):
-        return _fail(f"--id must be in 0..{int(doc['n']) - 1}, got {args.id}")
+    if not 0 <= args.id < doc["n"]:
+        return _fail(f"--id must be in 0..{doc['n'] - 1}, got {args.id}")
 
     def emit(record: dict) -> None:
         # Printed before any --linger window so the launcher can read the
@@ -898,15 +898,19 @@ def _cmd_node(args: argparse.Namespace) -> int:
 def _cmd_launch(args: argparse.Namespace) -> int:
     import json
 
+    from .core import RunSpec
     from .exec.live_launch import launch_local
 
     if args.n < 2:
         return _fail(f"--n must be >= 2, got {args.n}")
     try:
+        spec = RunSpec(
+            algorithm=args.algorithm, n=args.n, d=args.d, f=args.f,
+            seed=args.seed, broadcast=args.broadcast, p=args.p, k=args.k,
+            epsilon=args.epsilon, rounds=args.rounds,
+        )
         report = launch_local(
-            args.algorithm, args.n, args.d, args.f,
-            kind=args.transport, seed=args.seed, broadcast=args.broadcast,
-            p=args.p, k=args.k, epsilon=args.epsilon, rounds=args.rounds,
+            spec, kind=args.transport,
             timeout=args.timeout, metrics_port=args.metrics_port,
             linger=args.linger, trace_dir=args.trace_dir,
         )

@@ -31,7 +31,7 @@ Canonical knob vocabulary (see ``docs/api.md``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Any, Collection, Mapping, Optional, Union
 
 import numpy as np
 
@@ -41,12 +41,44 @@ if TYPE_CHECKING:
     from ..system.scheduler import DeliveryPolicy
     from ..system.topology import Topology
 
-__all__ = ["ALGORITHMS", "RunSpec"]
+__all__ = ["ALGORITHMS", "RUN_KNOBS", "RunSpec", "derive_inputs"]
 
 PNorm = Union[float, int]
 
 #: Canonical algorithm names accepted by :func:`repro.core.runner.run`.
 ALGORITHMS = ("exact", "algo", "krelaxed", "scalar", "iterative", "averaging")
+
+#: The :class:`RunSpec` fields a plain-data document carries — a topology
+#: file, the ``transport.node.topology`` event of a node's trail — with
+#: the JSON types each is read as; the first is the one it is written as.
+#: (Inputs, adversary, topology, policy, probes are objects: a document
+#: describes an honest, seed-derived run.)
+RUN_KNOBS: dict[str, tuple[type, ...]] = {
+    "algorithm": (str,),
+    "n": (int,),
+    "d": (int,),
+    "f": (int,),
+    "seed": (int,),
+    "broadcast": (str,),
+    "p": (float, int),
+    "k": (int,),
+    "delta": (float, int),
+    "epsilon": (float, int),
+    "mode": (str,),
+    "alpha": (float, int),
+    "rounds": (int, type(None)),
+    "input_scale": (float, int),
+    "max_rounds": (int,),
+    "max_steps": (int,),
+}
+
+
+def derive_inputs(seed: int, input_scale: float, n: int, d: int) -> np.ndarray:
+    """The ``(n, d)`` input matrix a seed stands for — the one derivation
+    behind :meth:`RunSpec.resolved_inputs`, the DST scenarios, live
+    nodes and the fleet probes."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(scale=input_scale, size=(n, d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,13 +256,49 @@ class RunSpec:
         """The ``(n, d)`` input matrix this spec runs on.
 
         Explicit ``inputs`` verbatim; otherwise the deterministic
-        seed-derived matrix (``default_rng(seed).normal(scale=
-        input_scale, size=(n, d))``, matching the DST scenario DSL).
+        seed-derived matrix (:func:`derive_inputs`).
         """
         if self.inputs is not None:
             return self.inputs
-        rng = np.random.default_rng(self.seed)
-        return rng.normal(scale=self.input_scale, size=(self.n, self.d))
+        assert self.n is not None and self.d is not None
+        return derive_inputs(self.seed, self.input_scale, self.n, self.d)
+
+    def to_document(self) -> dict[str, Any]:
+        """This spec's :data:`RUN_KNOBS`, as JSON-ready plain data."""
+        out: dict[str, Any] = {}
+        for name, types in RUN_KNOBS.items():
+            value = getattr(self, name)
+            out[name] = None if value is None else types[0](value)
+        return out
+
+    @classmethod
+    def from_document(
+        cls, doc: Mapping[str, Any], *, envelope: Collection[str] = ()
+    ) -> "RunSpec":
+        """The run a plain-data document describes.
+
+        ``doc`` must hold exactly the :data:`RUN_KNOBS` keys plus the
+        caller's own ``envelope`` keys (which are not looked at), each
+        knob with one of its table types; anything else is a
+        ``ValueError``, as is a knob value :class:`RunSpec` rejects.
+        """
+        missing = [name for name in RUN_KNOBS if name not in doc]
+        if missing:
+            raise ValueError(f"missing run knobs: {missing}")
+        unknown = sorted(set(doc) - set(RUN_KNOBS) - set(envelope))
+        if unknown:
+            raise ValueError(f"unknown run knobs: {unknown}")
+        knobs: dict[str, Any] = {}
+        for name, types in RUN_KNOBS.items():
+            value = doc[name]
+            if type(value) not in types:
+                raise ValueError(
+                    f"run knob {name!r} must be "
+                    f"{' or '.join(t.__name__ for t in types)}, "
+                    f"got {value!r}"
+                )
+            knobs[name] = None if value is None else types[0](value)
+        return cls(**knobs)
 
     def with_inputs(self, inputs: np.ndarray) -> "RunSpec":
         """Copy of this spec pinned to an explicit input matrix."""

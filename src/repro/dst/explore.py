@@ -17,7 +17,6 @@ after the run; the perturbed map is re-judged by the same
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import warnings
 from dataclasses import dataclass
@@ -28,6 +27,7 @@ import numpy as np
 from ..core.problems import ValidityReport
 from ..core.runner import ConsensusOutcome, run
 from ..core.runspec import RunSpec
+from ..exec.engine import pool_map
 from ..obs.probes import Probe, ProbeReport, fold_verdict
 from .injections import INJECTIONS, inject
 from .scenarios import (
@@ -348,13 +348,10 @@ def _worker_init(checkers: Optional[dict[str, CheckerFn]]) -> None:
     _WORKER_CHECKERS = checkers
 
 
-def _explore_trial(
-    item: tuple[int, Scenario],
-) -> tuple[int, Optional[Violation]]:
-    """Pool work unit: run one pre-sampled scenario, keep its index."""
-    index, scenario = item
+def _explore_trial(scenario: Scenario) -> Optional[Violation]:
+    """Pool work unit: run one pre-sampled scenario."""
     result = run_scenario(scenario, checkers=_WORKER_CHECKERS)
-    return index, (None if result.ok else violation_from(result))
+    return None if result.ok else violation_from(result)
 
 
 def explore(
@@ -373,10 +370,10 @@ def explore(
     Deterministic in ``(algorithm, trials, seed, input_scale, inject)``:
     trial *t* always runs the same scenario, and each violation's token
     replays independently of the sweep that found it.  ``workers > 1``
-    fans the trials over a process pool: the master RNG is consumed
-    entirely by (serial) scenario sampling before any trial runs, and
-    violations are re-ordered by trial index, so the violation list is
-    identical to a serial sweep's regardless of worker count.  With
+    fans the trials over :func:`repro.exec.engine.pool_map`: the master
+    RNG is consumed entirely by (serial) scenario sampling before any
+    trial runs, and results come back in trial order, so the violation
+    list is identical to a serial sweep's regardless of worker count.  With
     ``stop_on_first`` a parallel sweep still runs every trial but
     returns only the first violation in trial order.
 
@@ -418,14 +415,13 @@ def explore(
                 if stop_on_first:
                     break
         return violations
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    chunksize = max(1, math.ceil(trials / (workers * 4)))
     init_checkers = dict(checkers) if checkers is not None else None
-    with ctx.Pool(processes=workers, initializer=_worker_init,
-                  initargs=(init_checkers,)) as pool:
-        pairs = list(pool.imap_unordered(
-            _explore_trial, list(enumerate(scenarios)), chunksize=chunksize
-        ))
-    pairs.sort(key=lambda pair: pair[0])
-    found = [violation for _, violation in pairs if violation is not None]
-    return found[:1] if (stop_on_first and found) else found
+    found = [
+        violation
+        for violation in pool_map(
+            _explore_trial, scenarios, workers=workers,
+            initializer=_worker_init, initargs=(init_checkers,),
+        )
+        if violation is not None
+    ]
+    return found[:1] if stop_on_first else found

@@ -25,10 +25,12 @@ artefact of breaking the model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from ..core.runspec import derive_inputs
+from ..exec.grid import min_trial_size
 from ..system.adversary import (
     Adversary,
     AdversaryView,
@@ -38,6 +40,7 @@ from ..system.adversary import (
     HonestStrategy,
     MutateStrategy,
     SilentStrategy,
+    perturb_payload,
 )
 from ..system.messages import Message
 from ..system.network import Network
@@ -62,6 +65,9 @@ FAULT_KINDS = ("honest", "silent", "mutate", "equivocate", "duplicate", "drop")
 
 #: Schedule-window kinds understood by :class:`ScenarioPolicy`.
 WINDOW_KINDS = ("partition", "delay", "fifo", "reorder")
+
+#: The algorithms a scenario can name ("k1": k-relaxed consensus at k = 1).
+_ALGORITHMS = ("exact", "algo", "k1", "averaging")
 
 
 @dataclass(frozen=True)
@@ -169,19 +175,14 @@ class ScheduleWindow:
         )
 
 
-#: Algorithm name -> resilience floor n >= min_system_size(algorithm, d, f).
 def min_system_size(algorithm: str, d: int, f: int) -> int:
-    """Smallest legal n for running ``algorithm`` at dimension d with f faults.
-
-    ``exact`` is Vaidya–Garg's tight bound; the relaxed algorithms run
-    from 3f+1 but the δ*/subset machinery additionally wants at least
-    d+1 points, matching the explorer's legacy sampling floor.
-    """
-    if algorithm == "exact":
-        return max(3 * f + 1, (d + 1) * f + 1)
-    if algorithm in ("algo", "averaging", "k1"):
-        return max(3 * f + 1, d + 1)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    """Smallest legal n for running ``algorithm`` at dimension d with f
+    faults: the sweep grid's floor
+    (:func:`repro.exec.grid.min_trial_size`), where the explorer's
+    ``"k1"`` is k-relaxed consensus at k = 1."""
+    if algorithm not in _ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return min_trial_size("krelaxed" if algorithm == "k1" else algorithm, d, f)
 
 
 @dataclass(frozen=True)
@@ -189,7 +190,7 @@ class Scenario:
     """One fully-specified adversarial execution, as plain data.
 
     Everything an execution needs is derived deterministically from these
-    fields: inputs are ``rng(seed).normal(scale=input_scale, size=(n, d))``
+    fields: inputs are :func:`~repro.core.runspec.derive_inputs` of them
     and the same seed drives the scheduler, so a scenario *is* its own
     replay token (see :func:`repro.dst.corpus.encode_token`).
 
@@ -212,7 +213,7 @@ class Scenario:
     # ------------------------------------------------------------- validation
     def validate(self) -> None:
         """Raise ``ValueError`` when the scenario cannot be executed."""
-        if self.algorithm not in ("exact", "algo", "k1", "averaging"):
+        if self.algorithm not in _ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
@@ -248,8 +249,7 @@ class Scenario:
 
     def inputs(self) -> np.ndarray:
         """The deterministic input matrix this scenario runs on."""
-        rng = np.random.default_rng(self.seed)
-        return rng.normal(scale=self.input_scale, size=(self.n, self.d))
+        return derive_inputs(self.seed, self.input_scale, self.n, self.d)
 
     def strategy_label(self) -> str:
         """Primary fault kind, for humans ('honest' when no script)."""
@@ -294,19 +294,6 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _value_noise(scale: float) -> Callable[[Any, np.random.Generator], Any]:
-    """Payload mutator: structured noise on numeric tuples (protocol-agnostic)."""
-
-    def mutate(value: Any, rng: np.random.Generator) -> Any:
-        if isinstance(value, tuple):
-            if value and all(isinstance(v, float) for v in value):
-                return tuple(v + float(rng.normal() * scale) for v in value)
-            return tuple(mutate(v, rng) for v in value)
-        return value
-
-    return mutate
-
-
 def _clause_strategy(clause: FaultClause) -> ByzantineStrategy:
     """The stationary strategy a clause applies while active."""
     if clause.kind == "honest":
@@ -315,11 +302,13 @@ def _clause_strategy(clause: FaultClause) -> ByzantineStrategy:
         return SilentStrategy()
     if clause.kind == "duplicate":
         return DuplicateStrategy(max(2, int(clause.param)))
-    noise = _value_noise(clause.param)
+    scale = clause.param
     if clause.kind == "mutate":
-        return MutateStrategy(lambda tag, p, r: noise(p, r))
+        return MutateStrategy(lambda tag, p, r: perturb_payload(p, r, scale))
     if clause.kind == "equivocate":
-        return EquivocateStrategy(lambda tag, p, dst, r: noise(p, r))
+        return EquivocateStrategy(
+            lambda tag, p, dst, r: perturb_payload(p, r, scale)
+        )
     assert clause.kind == "drop"
     return SilentStrategy()  # drop is probabilistic; handled in transform
 

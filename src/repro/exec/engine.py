@@ -8,19 +8,18 @@ coordinates), every trial runs under its own fresh
 :class:`~repro.obs.metrics.MetricsRegistry`, and the geometry cache keys
 on exact argument bytes, so a hit returns exactly the bits the wrapped
 kernel would have computed.  Pool workers additionally start from a
-*cleared* cache (a pool initializer drops any table inherited through
-``fork``), so parallel results are computed independently rather than
-replayed from the parent's history.  Consequently
-``run_sweep(trials, workers=1)`` and
+*cleared* cache (:func:`pool_map`'s initializer drops any table
+inherited through ``fork``), so parallel results are computed
+independently rather than replayed from the parent's history.
+Consequently ``run_sweep(trials, workers=1)`` and
 ``run_sweep(trials, workers=8)`` produce byte-identical decision vectors
 and verdicts — checked by :func:`compare_grid` and asserted in CI.
 
-Parallel execution uses a ``multiprocessing`` pool with
-``imap_unordered``: trials are dealt out in chunks and idle workers
-steal the next chunk, so a slow cell (a Tverberg search, say) does not
-serialise the sweep.  Results carry their grid ``index`` and are
-re-sorted after the barrier, so completion order never leaks into the
-output.
+Parallel execution is :func:`pool_map` (the DST explorer's pool too):
+trials are dealt out in chunks and idle workers take the next chunk, so
+a slow cell (a Tverberg search, say) does not serialise the sweep, and
+results come back in trial order, so completion order never leaks into
+the output.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import replace
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, TypeVar
 
 from ..core.runner import run
 from ..geometry.cache import cache_enabled, clear_cache, set_cache_enabled
@@ -38,7 +37,10 @@ from ..obs.metrics import MetricsRegistry
 from .grid import SweepGrid, TrialSpec, build_runspec
 from .results import SweepResult, TrialResult, decisions_to_hex
 
-__all__ = ["compare_grid", "run_grid", "run_sweep", "run_trial"]
+__all__ = ["compare_grid", "pool_map", "run_grid", "run_sweep", "run_trial"]
+
+_T = TypeVar("_T")
+_R = TypeVar("_R")
 
 
 def _rollup_metrics(registry: MetricsRegistry) -> dict[str, float]:
@@ -93,22 +95,46 @@ def run_trial(trial: TrialSpec) -> TrialResult:
     )
 
 
-def _pool_context() -> multiprocessing.context.BaseContext:
-    # fork keeps worker start cheap; fall back to the platform default
-    # where fork is unavailable.  Either way _worker_init clears the
-    # geometry cache, so workers never replay state inherited from the
-    # parent process.
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
-
-
-def _worker_init() -> None:
+def _worker_init(
+    initializer: Optional[Callable[..., None]], initargs: tuple[Any, ...]
+) -> None:
     # Under fork the worker inherits the parent's warm cache table.  A
     # parallel pass must compute its results independently — both so the
     # serial-vs-parallel identity check can actually catch cache bugs and
     # so timing comparisons are cold-vs-cold — so every worker starts
     # from an empty table.
     clear_cache()
+    if initializer is not None:
+        initializer(*initargs)
+
+
+def pool_map(
+    fn: Callable[[_T], _R],
+    items: Sequence[_T],
+    *,
+    workers: int,
+    chunksize: Optional[int] = None,
+    initializer: Optional[Callable[..., None]] = None,
+    initargs: tuple[Any, ...] = (),
+) -> list[_R]:
+    """``[fn(item) for item in items]`` over a pool of ``workers``
+    processes, in item order.
+
+    Workers are forked where the platform can (cheap start; the platform
+    default elsewhere), start from a cleared geometry cache, then run
+    ``initializer(*initargs)``.  Items go out in chunks of ``chunksize``
+    (default: ~4 chunks per worker, the classic balance between dispatch
+    overhead and tail latency) and an idle worker takes the next chunk.
+    """
+    if chunksize is None:
+        chunksize = max(1, math.ceil(len(items) / (workers * 4)))
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+    with ctx.Pool(
+        processes=workers, initializer=_worker_init,
+        initargs=(initializer, initargs),
+    ) as pool:
+        return pool.map(fn, items, chunksize=chunksize)
 
 
 def run_sweep(
@@ -122,10 +148,8 @@ def run_sweep(
     """Run every trial and aggregate into a :class:`SweepResult`.
 
     ``workers=1`` runs in-process (no pool, easiest to debug/profile);
-    ``workers>1`` fans trials over a process pool in chunks of
-    ``chunksize`` (default: ~4 chunks per worker, the classic
-    work-stealing balance between dispatch overhead and tail latency).
-    Either way the result list is in grid order.
+    ``workers>1`` fans trials over :func:`pool_map`.  Either way the
+    result list is in grid order.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -134,14 +158,9 @@ def run_sweep(
     if workers == 1 or len(trial_list) <= 1:
         results = [run_trial(t) for t in trial_list]
     else:
-        if chunksize is None:
-            chunksize = max(1, math.ceil(len(trial_list) / (workers * 4)))
-        ctx = _pool_context()
-        with ctx.Pool(processes=workers, initializer=_worker_init) as pool:
-            results = list(pool.imap_unordered(
-                run_trial, trial_list, chunksize=chunksize
-            ))
-        results.sort(key=lambda r: r.index)
+        results = pool_map(
+            run_trial, trial_list, workers=workers, chunksize=chunksize
+        )
     wall = time.perf_counter() - start
     return SweepResult(
         trials=results,

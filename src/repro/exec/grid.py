@@ -25,8 +25,6 @@ import hashlib
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Optional, Union
 
-import numpy as np
-
 from ..core import bounds
 from ..core.runspec import ALGORITHMS, RunSpec
 from ..system.adversary import (
@@ -36,6 +34,7 @@ from ..system.adversary import (
     EquivocateStrategy,
     MutateStrategy,
     SilentStrategy,
+    perturb_payload,
 )
 
 __all__ = [
@@ -82,16 +81,6 @@ def derive_trial_seed(
 # ---------------------------------------------------------------------------
 
 
-def _perturb_payload(value: Any, rng: np.random.Generator, scale: float) -> Any:
-    """Structured noise on numeric tuples (protocol-agnostic), matching
-    the DST fault-script mutator."""
-    if isinstance(value, tuple):
-        if value and all(isinstance(v, float) for v in value):
-            return tuple(v + float(rng.normal() * scale) for v in value)
-        return tuple(_perturb_payload(v, rng, scale) for v in value)
-    return value
-
-
 def _faulty_suffix(n: int, f: int) -> list[int]:
     """The highest-pid ``f`` processes — the conventional corrupt set."""
     return list(range(n - f, n))
@@ -123,7 +112,7 @@ def _adv_mutate(n: int, f: int) -> Optional[Adversary]:
     if not f:
         return None
     strategy = MutateStrategy(
-        lambda tag, payload, rng: _perturb_payload(payload, rng, 10.0)
+        lambda tag, payload, rng: perturb_payload(payload, rng, 10.0)
     )
     return Adversary(faulty=_faulty_suffix(n, f), strategy=strategy)
 
@@ -132,7 +121,7 @@ def _adv_equivocate(n: int, f: int) -> Optional[Adversary]:
     if not f:
         return None
     strategy = EquivocateStrategy(
-        lambda tag, payload, dst, rng: _perturb_payload(payload, rng, 10.0)
+        lambda tag, payload, dst, rng: perturb_payload(payload, rng, 10.0)
     )
     return Adversary(faulty=_faulty_suffix(n, f), strategy=strategy)
 

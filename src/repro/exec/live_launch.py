@@ -13,25 +13,22 @@ Topology file (JSON, schema ``repro.transport.topology/1``)::
     {
       "schema": "repro.transport.topology/1",
       "instance": "launch-averaging-tcp-n4-s0",
-      "algorithm": "averaging",      # any repro.core.ALGORITHMS entry
-      "n": 4, "d": 2, "f": 1,
       "kind": "tcp",                 # or "uds"
-      "seed": 0,                     # master seed (inputs, ctx rngs, keys)
-      "broadcast": "eig",            # sync algorithms' primitive
-      "p": 2.0, "k": 1, "delta": 0.0, "epsilon": 0.05,
-      "mode": "optimal", "alpha": 0.5,
+      "algorithm": "averaging", "n": 4, "seed": 0, ...,   # the run knobs
       "rounds": 17,                  # resolved at build time (see below)
-      "input_scale": 3.0,
-      "max_rounds": 64, "max_steps": 2000000,
       "nodes": [{"id": 0, "kind": "tcp", "host": "127.0.0.1",
                  "port": 40001, "path": ""}, ...]
     }
 
-Everything a node needs is derived deterministically from the document:
+The run knobs are exactly :data:`repro.core.runspec.RUN_KNOBS` (listed
+in ``docs/transport.md``) — the document is written from a
+:class:`~repro.core.runspec.RunSpec` and read back into one through that
+table (:meth:`~repro.core.runspec.RunSpec.from_document`), so a missing,
+unknown or wrong-typed knob is rejected when the file is loaded.
+Everything a node needs is derived deterministically from that spec:
 
-* **Inputs** — ``default_rng(seed).normal(scale=input_scale, size=(n, d))``,
-  the exact :meth:`~repro.core.runspec.RunSpec.resolved_inputs` derivation,
-  so a live cluster computes on the same inputs a ``RunSpec`` with the same
+* **Inputs** — :meth:`~repro.core.runspec.RunSpec.resolved_inputs`, so a
+  live cluster computes on the same inputs a simulated run with the same
   seed would.
 * **Signature keys** (``broadcast="dolev-strong"``) — every node builds
   ``SignatureScheme(n, default_rng(seed))``; the scheme is deterministic in
@@ -61,13 +58,14 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from dataclasses import replace
 from typing import Any, Callable, Optional
 
 import numpy as np
 
 from ..core.problems import agreement_diameter, problem_for
 from ..core.runner import build_processes, resolved_rounds
-from ..core.runspec import ALGORITHMS, RunSpec
+from ..core.runspec import RunSpec
 from ..system.transport.live import LiveNode, NodeAddress
 from .grid import min_trial_size
 
@@ -84,12 +82,13 @@ __all__ = [
 
 TOPOLOGY_SCHEMA = "repro.transport.topology/1"
 
-#: Document keys every topology file must carry (beyond the schema tag).
-_REQUIRED_KEYS = (
-    "instance", "algorithm", "n", "d", "f", "kind", "seed", "broadcast",
-    "p", "k", "delta", "epsilon", "mode", "alpha", "rounds", "input_scale",
-    "max_rounds", "max_steps", "nodes",
-)
+#: Document keys beside the run knobs (the ``RunSpec.from_document``
+#: envelope), with their JSON types.
+_ENVELOPE = {"schema": str, "instance": str, "kind": str, "nodes": list}
+
+#: RunSpec fields a document cannot carry: a live run is honest and
+#: seed-derived, so a spec that sets one of them is refused.
+_UNCARRIED = ("inputs", "adversary", "topology", "policy", "check_delta")
 
 
 # ---------------------------------------------------------------------------
@@ -97,83 +96,55 @@ _REQUIRED_KEYS = (
 # ---------------------------------------------------------------------------
 
 
-def _spec(doc: dict[str, Any]) -> RunSpec:
-    """The document's run in the runner's vocabulary (validates the
-    knobs; the seed-derived inputs are ``_spec(doc).resolved_inputs()``)."""
-    return RunSpec(
-        algorithm=doc["algorithm"], n=int(doc["n"]), d=int(doc["d"]),
-        f=int(doc["f"]), seed=int(doc["seed"]),
-        input_scale=float(doc["input_scale"]), broadcast=str(doc["broadcast"]),
-        p=doc["p"], k=int(doc["k"]), delta=float(doc["delta"]),
-        epsilon=float(doc["epsilon"]), mode=str(doc["mode"]),
-        alpha=float(doc["alpha"]), rounds=doc["rounds"],
-    )
+def _check_cluster(spec: RunSpec, kind: object, node_ids: list[int]) -> None:
+    """What every topology document must satisfy, built or loaded."""
+    if kind not in ("tcp", "uds"):
+        raise ValueError(f"unknown transport kind {kind!r} (tcp or uds)")
+    assert spec.n is not None and spec.d is not None
+    floor = min_trial_size(spec.algorithm, spec.d, spec.f, spec.k)
+    if spec.n < floor:
+        raise ValueError(
+            f"{spec.algorithm} with d={spec.d}, f={spec.f} needs "
+            f"n >= {floor}, got {spec.n}"
+        )
+    if len(node_ids) != spec.n:
+        raise ValueError(f"need {spec.n} node addresses, got {len(node_ids)}")
+    if sorted(node_ids) != list(range(spec.n)):
+        raise ValueError(f"node ids must be exactly 0..{spec.n - 1}")
 
 
 def build_topology(
-    algorithm: str,
-    n: int,
-    d: int,
-    f: int,
+    spec: RunSpec,
     nodes: list[NodeAddress],
     *,
-    kind: str = "tcp",
-    seed: int = 0,
-    broadcast: str = "eig",
-    p: float = 2.0,
-    k: int = 1,
-    delta: float = 0.0,
-    epsilon: float = 5e-2,
-    mode: str = "optimal",
-    alpha: float = 0.5,
-    rounds: Optional[int] = None,
-    input_scale: float = 3.0,
-    max_rounds: int = 64,
-    max_steps: int = 2_000_000,
+    kind: str,
     instance: Optional[str] = None,
 ) -> dict[str, Any]:
-    """Assemble (and validate) a topology document for one cluster."""
-    doc: dict[str, Any] = {
-        "schema": TOPOLOGY_SCHEMA,
-        "instance": instance
-        or f"launch-{algorithm}-{kind}-n{n}-s{seed}",
-        "algorithm": algorithm,
-        "n": int(n),
-        "d": int(d),
-        "f": int(f),
-        "kind": kind,
-        "seed": int(seed),
-        "broadcast": broadcast,
-        "p": float(p),
-        "k": int(k),
-        "delta": float(delta),
-        "epsilon": float(epsilon),
-        "mode": mode,
-        "alpha": float(alpha),
-        "rounds": rounds,
-        "input_scale": float(input_scale),
-        "max_rounds": int(max_rounds),
-        "max_steps": int(max_steps),
-        "nodes": [a.as_dict() for a in sorted(nodes, key=lambda a: a.node_id)],
-    }
-    spec = _spec(doc)  # rejects an unknown algorithm, scalar at d != 1, ...
-    if kind not in ("tcp", "uds"):
-        raise ValueError(f"unknown transport kind {kind!r} (tcp or uds)")
-    floor = min_trial_size(algorithm, d, f, k)
-    if n < floor:
-        raise ValueError(
-            f"{algorithm} with d={d}, f={f} needs n >= {floor}, got {n}"
-        )
-    if len(nodes) != n:
-        raise ValueError(f"need {n} node addresses, got {len(nodes)}")
-    if sorted(a.node_id for a in nodes) != list(range(n)):
-        raise ValueError("node ids must be exactly 0..n-1")
+    """Assemble (and validate) the topology document for one cluster
+    running ``spec`` on ``nodes``."""
+    for name in _UNCARRIED:
+        if getattr(spec, name) is not None:
+            raise ValueError(
+                f"a topology document cannot carry RunSpec.{name}; live "
+                "clusters run honest, seed-derived specs"
+            )
+    _check_cluster(spec, kind, [a.node_id for a in nodes])
     # The runner's own round budget, resolved once here so every node
     # terminates after the identical round count.
-    doc["rounds"] = resolved_rounds(spec, spec.resolved_inputs())
-    if algorithm == "iterative":
-        doc["max_rounds"] = int(doc["rounds"]) + 2
-    return doc
+    rounds = resolved_rounds(spec, spec.resolved_inputs())
+    max_rounds = spec.max_rounds
+    if spec.algorithm == "iterative":
+        assert rounds is not None
+        max_rounds = rounds + 2
+    spec = replace(spec, rounds=rounds, max_rounds=max_rounds)
+    return {
+        "schema": TOPOLOGY_SCHEMA,
+        "instance": instance
+        or f"launch-{spec.algorithm}-{kind}-n{spec.n}-s{spec.seed}",
+        "kind": kind,
+        **spec.to_document(),
+        "nodes": [a.as_dict() for a in sorted(nodes, key=lambda a: a.node_id)],
+    }
 
 
 def write_topology(path: str, doc: dict[str, Any]) -> None:
@@ -183,7 +154,7 @@ def write_topology(path: str, doc: dict[str, Any]) -> None:
 
 
 def load_topology(path: str) -> dict[str, Any]:
-    """Read and structurally validate a topology file."""
+    """Read a topology file; ``ValueError`` unless it is well-formed."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("schema") != TOPOLOGY_SCHEMA:
@@ -191,22 +162,20 @@ def load_topology(path: str) -> dict[str, Any]:
             f"{path!r} is not a {TOPOLOGY_SCHEMA} document "
             f"(schema={doc.get('schema') if isinstance(doc, dict) else None!r})"
         )
-    missing = [key for key in _REQUIRED_KEYS if key not in doc]
-    if missing:
-        raise ValueError(f"{path!r} is missing topology keys: {missing}")
-    if doc["algorithm"] not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {doc['algorithm']!r} in {path!r}")
-    n = int(doc["n"])
-    addresses = [NodeAddress.from_dict(entry) for entry in doc["nodes"]]
-    if sorted(a.node_id for a in addresses) != list(range(n)):
-        raise ValueError(f"{path!r}: node ids must be exactly 0..{n - 1}")
-    spec = _spec(doc)
-    if doc["rounds"] is None and resolved_rounds(
+    for key, typ in _ENVELOPE.items():
+        if type(doc.get(key)) is not typ:
+            raise ValueError(f"{key!r} must be a {typ.__name__}")
+    spec = RunSpec.from_document(doc, envelope=_ENVELOPE)
+    _check_cluster(
+        spec, doc["kind"],
+        [NodeAddress.from_dict(entry).node_id for entry in doc["nodes"]],
+    )
+    if spec.rounds is None and resolved_rounds(
         spec, spec.resolved_inputs()
     ) is not None:
         raise ValueError(
-            f"{path!r}: {doc['algorithm']} topologies must carry a "
-            "resolved 'rounds' (build_topology resolves it)"
+            f"{spec.algorithm} topologies must carry a resolved "
+            "'rounds' (build_topology resolves it)"
         )
     return doc
 
@@ -249,14 +218,13 @@ def allocate_addresses(
 # ---------------------------------------------------------------------------
 
 
-def build_process(doc: dict[str, Any], pid: int) -> Any:
-    """Materialise node ``pid``'s protocol process from the document.
+def build_process(spec: RunSpec, pid: int) -> Any:
+    """Materialise node ``pid``'s protocol process for a document's spec.
 
-    Deterministic in the document alone: n separate OS processes calling
+    Deterministic in the spec alone: n separate OS processes calling
     this with the same file agree on inputs, signature keys, and round
     budgets without exchanging a byte.
     """
-    spec = _spec(doc)
     assert spec.n is not None
     if not 0 <= pid < spec.n:
         raise ValueError(f"pid {pid} outside 0..{spec.n - 1}")
@@ -291,8 +259,8 @@ def run_node(
 
     ``trace_path`` exports the node's trail as JSONL *with causal
     tracing on*: a per-process :class:`~repro.obs.causal.CausalCollector`
-    stamps every send/deliver (the stamps ride the version-2 wire frames
-    to peers), and the trail carries ``transport.node.topology`` /
+    stamps every send/deliver (the stamps ride the MSG frames to
+    peers), and the trail carries ``transport.node.topology`` /
     ``transport.node.decision`` events so a directory of trails is
     self-contained input for :mod:`repro.obs.fleet` stitching and
     post-hoc probes.
@@ -304,15 +272,15 @@ def run_node(
     from ..obs.prom import serve_metrics
     from ..obs.tracer import Tracer, use_tracer
 
+    spec = RunSpec.from_document(doc, envelope=_ENVELOPE)
+    assert spec.n is not None
     addresses = {
-        int(entry["id"]): NodeAddress.from_dict(entry)
-        for entry in doc["nodes"]
+        addr.node_id: addr for addr in map(NodeAddress.from_dict, doc["nodes"])
     }
-    process = build_process(doc, pid)
     node = LiveNode(
-        pid, int(doc["n"]), int(doc["f"]), process, addresses[pid],
-        instance=str(doc["instance"]), seed=int(doc["seed"]),
-        max_rounds=int(doc["max_rounds"]), max_steps=int(doc["max_steps"]),
+        pid, spec.n, spec.f, build_process(spec, pid), addresses[pid],
+        instance=doc["instance"], seed=spec.seed,
+        max_rounds=spec.max_rounds, max_steps=spec.max_steps,
     )
 
     server = None
@@ -336,14 +304,13 @@ def run_node(
             await node.shutdown()
 
     tracer = Tracer(level="info")
-    collector = CausalCollector(int(doc["n"])) if trace_path else None
+    collector = CausalCollector(spec.n) if trace_path else None
+    # The document's run knobs, verbatim: repro.obs.fleet rebuilds the
+    # RunSpec from this event the way load_topology does from the file.
     tracer.event(
         "transport.node.topology",
-        pid=pid, instance=doc["instance"], algorithm=doc["algorithm"],
-        n=int(doc["n"]), d=int(doc["d"]), f=int(doc["f"]),
-        seed=int(doc["seed"]), input_scale=float(doc["input_scale"]),
-        epsilon=float(doc["epsilon"]), p=doc["p"], k=int(doc["k"]),
-        delta=float(doc["delta"]), kind=doc["kind"],
+        pid=pid, instance=doc["instance"], kind=doc["kind"],
+        **spec.to_document(),
     )
     try:
         with use_tracer(tracer), use_causal_collector(collector):
@@ -409,19 +376,9 @@ def _node_record(doc: dict[str, Any], pid: int, node: LiveNode) -> dict[str, Any
 
 
 def launch_local(
-    algorithm: str,
-    n: int,
-    d: int,
-    f: int,
+    spec: RunSpec,
     *,
-    kind: str = "tcp",
-    seed: int = 0,
-    broadcast: str = "eig",
-    p: float = 2.0,
-    k: int = 1,
-    epsilon: float = 5e-2,
-    rounds: Optional[int] = None,
-    mode: str = "optimal",
+    kind: str,
     workdir: Optional[str] = None,
     timeout: float = 120.0,
     metrics_port: Optional[int] = None,
@@ -429,7 +386,8 @@ def launch_local(
     trace_dir: Optional[str] = None,
     python: str = sys.executable,
 ) -> dict[str, Any]:
-    """Spawn an ``n``-subprocess cluster; collect and judge the decisions.
+    """Spawn one subprocess per node of ``spec``; collect and judge the
+    decisions.
 
     Returns a launch report.  ``ok`` holds when every node decided and
     completed, the decisions agree — bitwise (to solver tolerance) for
@@ -448,13 +406,11 @@ def launch_local(
     if workdir is None:
         owned_tmp = tempfile.TemporaryDirectory(prefix="repro-launch-")
         workdir = owned_tmp.name
+    n = spec.n
+    assert n is not None and spec.d is not None
     try:
         addresses = allocate_addresses(n, kind, base_dir=workdir)
-        doc = build_topology(
-            algorithm, n, d, f, addresses, kind=kind, seed=seed,
-            broadcast=broadcast, p=p, k=k, epsilon=epsilon, rounds=rounds,
-            mode=mode,
-        )
+        doc = build_topology(spec, addresses, kind=kind)
         topology_path = os.path.join(workdir, "topology.json")
         write_topology(topology_path, doc)
 
@@ -523,7 +479,8 @@ def launch_local(
         ]
         spread = agreement_diameter(dict(enumerate(decisions)))
         tolerance = problem_for(
-            algorithm, d, f, k=k, p=p, epsilon=epsilon
+            spec.algorithm, spec.d, spec.f,
+            k=spec.k, p=spec.p, epsilon=spec.epsilon,
         ).agreement_bound
         fleet_block = _fleet_block(trace_dir) if trace_dir else None
         ok = (
@@ -536,12 +493,12 @@ def launch_local(
         return {
             "schema": "repro.transport.launch-report/1",
             "instance": doc["instance"],
-            "algorithm": algorithm,
+            "algorithm": spec.algorithm,
             "kind": kind,
             "n": n,
-            "d": d,
-            "f": f,
-            "seed": seed,
+            "d": spec.d,
+            "f": spec.f,
+            "seed": spec.seed,
             "ok": bool(ok),
             "decided_nodes": len(decided),
             "agreement_spread": spread,

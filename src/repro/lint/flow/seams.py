@@ -12,9 +12,9 @@ This module *is* that surface, as data.  The XPT family enforces it:
 
 * :data:`TRANSPORT_SEAMS` — the only names protocol code (``core/``,
   ``system/broadcast/``) may import from the seam modules: the
-  message/process/network/scheduler surface, the transport registry
-  (:mod:`repro.system.transport.base`), and the broadcast construction
-  surface (:mod:`repro.system.broadcast.interface`).  The backend
+  message/process/network/scheduler surface, the transport selection
+  surface (:mod:`repro.system.transport.base`), and the broadcast
+  construction surface (:mod:`repro.system.broadcast.interface`).  The backend
   implementation modules (``transport/sim.py``, ``transport/live.py``,
   ``transport/wire.py``, ``transport/peer.py``) export *nothing* to
   protocol code — algorithms select backends by name, never by class.
@@ -65,14 +65,13 @@ TRANSPORT_SEAMS: dict[str, frozenset[str]] = {
             "DelayPolicy",
         }
     ),
-    # The backend registry — how protocol code selects an execution
-    # substrate.  Note: no backend classes; selection is by name only.
+    # How protocol code selects an execution substrate.  Note: no backend
+    # classes; selection is by name only.
     "system/transport/base.py": frozenset(
         {
             "Transport",
             "TransportError",
             "get_transport",
-            "register_transport",
             "transport_names",
         }
     ),
@@ -81,7 +80,6 @@ TRANSPORT_SEAMS: dict[str, frozenset[str]] = {
             "Transport",
             "TransportError",
             "get_transport",
-            "register_transport",
             "transport_names",
         }
     ),

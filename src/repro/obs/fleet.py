@@ -36,23 +36,28 @@ one oracle in :mod:`repro.core.problems`: the decision vectors each node
 logged go through ``ProblemSpec.check`` (validity + agreement), and the
 payload digests each receiver was sent, per ``(pid, tag, round)``
 instance of the merged graph, through ``broadcast_conflicts`` (one
-logical broadcast must not show two faces).  Honest inputs are re-derived from the topology
-parameters each node logs — the same ``default_rng(seed)`` derivation
-the cluster itself used — so a trail directory is self-contained
-evidence: no RunSpec, no repo state, just the files.
+logical broadcast must not show two faces).  Each node logs the run
+knobs of its topology document; the ``RunSpec`` is rebuilt from them the
+way the node rebuilt it from the file
+(:meth:`~repro.core.runspec.RunSpec.from_document`) and its
+``resolved_inputs()`` are the cluster's inputs — so a trail directory is
+self-contained evidence: no repo state, just the files.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 import numpy as np
 
 from ..analysis.timeline import CausalGraph
 from .export import read_jsonl
 from .probes import ProbeReport, build_probes, fold_verdict
+
+if TYPE_CHECKING:
+    from ..core.runspec import RunSpec
 
 __all__ = [
     "NodeTrail",
@@ -272,12 +277,16 @@ def _wall_skew(trails: Sequence[NodeTrail]) -> Optional[float]:
 # ---------------------------------------------------------------------------
 
 
-def _topology_params(trails: Sequence[NodeTrail]) -> dict[str, Any]:
-    """The cluster parameters, from any trail's topology event."""
+def _topology_spec(trails: Sequence[NodeTrail]) -> "RunSpec":
+    """The cluster's run, from any trail's topology event."""
+    from ..core.runspec import RunSpec  # call time: obs imports before core
+
     for trail in trails:
         fields = trail.event_fields("transport.node.topology")
         if fields:
-            return fields
+            return RunSpec.from_document(
+                fields, envelope=("pid", "instance", "kind")
+            )
     raise ValueError(
         "no trail carries a transport.node.topology event — trails "
         "predate fleet tracing, or tracing was off"
@@ -293,16 +302,6 @@ def _decisions(trails: Sequence[NodeTrail]) -> dict[int, np.ndarray]:
                 np.asarray(fields["decision"], dtype=float)
             )
     return out
-
-
-def _honest_inputs(params: Mapping[str, Any]) -> np.ndarray:
-    """Re-derive the cluster's inputs — live runs are honest, so *all*
-    inputs are honest inputs (`RunSpec.resolved_inputs`, verbatim)."""
-    rng = np.random.default_rng(int(params["seed"]))
-    return rng.normal(
-        scale=float(params["input_scale"]),
-        size=(int(params["n"]), int(params["d"])),
-    )
 
 
 def _delta_used(trails: Sequence[NodeTrail]) -> Optional[float]:
@@ -353,16 +352,14 @@ def fleet_probes(
     from ..core.problems import broadcast_conflicts, problem_for
     from ..dst.injections import inject as perturb
 
-    params = _topology_params(trails)
-    algorithm = str(params["algorithm"])
-    d = int(params["d"])
+    spec = _topology_spec(trails)
+    assert spec.d is not None
     decisions = _decisions(trails)
     if inject is not None:
-        decisions = perturb(inject, decisions, float(params["input_scale"]), d)
+        decisions = perturb(inject, decisions, spec.input_scale, spec.d)
     problem = problem_for(
-        algorithm, d, int(params["f"]), k=int(params.get("k", 1)),
-        p=params.get("p", 2), epsilon=float(params["epsilon"]),
-        delta=float(params.get("delta") or 0.0),
+        spec.algorithm, spec.d, spec.f, k=spec.k, p=spec.p,
+        epsilon=spec.epsilon, delta=spec.delta,
     ).achieved(_delta_used(trails))
     probes = build_probes(names, problem)
     for probe in probes:
@@ -378,16 +375,17 @@ def fleet_probes(
                     f"payload digests to receivers {first} and {other}",
                     pids=(pid,),
                 )
+    # Live runs are honest, so *all* inputs are honest inputs.
     reports = fold_verdict(
         [probe.report() for probe in probes], problem,
-        problem.check(_honest_inputs(params), decisions),
+        problem.check(spec.resolved_inputs(), decisions),
     )
     context = {
-        "algorithm": algorithm,
-        "n": int(params["n"]),
-        "d": d,
-        "f": int(params["f"]),
-        "seed": int(params["seed"]),
+        "algorithm": spec.algorithm,
+        "n": spec.n,
+        "d": spec.d,
+        "f": spec.f,
+        "seed": spec.seed,
         "decided_nodes": sorted(decisions),
         "delta": getattr(problem, "delta", None),
         "epsilon": getattr(problem, "epsilon", None),

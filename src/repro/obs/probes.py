@@ -9,7 +9,7 @@ contraction), and reliable broadcast must never let two correct processes
 accept different values for one ``(sender, tag)`` instance (Bracha
 agreement).  A :class:`Probe` watches one of these invariants *during*
 the run: the schedulers evaluate the installed probes at every round
-boundary (synchronous) or every ``probe_interval`` delivery steps
+boundary (synchronous) or every ``PROBE_INTERVAL`` delivery steps
 (asynchronous), so a violating execution is flagged at the moment it
 diverges, with the offending round and processes attached.
 

@@ -42,6 +42,7 @@ __all__ = [
     "EquivocateStrategy",
     "DuplicateStrategy",
     "Adversary",
+    "perturb_payload",
 ]
 
 
@@ -162,6 +163,17 @@ class EquivocateStrategy(ByzantineStrategy):
         if new_payload is None:
             return []
         return [replace(msg, payload=new_payload)]
+
+
+def perturb_payload(value: Any, rng: np.random.Generator, scale: float) -> Any:
+    """Structured noise on numeric tuples (protocol-agnostic): the
+    payload mutator behind the named sweep adversaries and the DST fault
+    scripts' ``mutate`` / ``equivocate`` clauses."""
+    if isinstance(value, tuple):
+        if value and all(isinstance(v, float) for v in value):
+            return tuple(v + float(rng.normal() * scale) for v in value)
+        return tuple(perturb_payload(v, rng, scale) for v in value)
+    return value
 
 
 class DuplicateStrategy(ByzantineStrategy):

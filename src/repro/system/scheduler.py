@@ -134,8 +134,100 @@ def _make_contexts(
     }
 
 
-class SynchronousScheduler:
+class _Simulator:
+    """What the two simulators share: how one is set up, the ambient
+    context a run executes under, the probe lifecycle, and how a finished
+    loop becomes a :class:`RunResult`.  A subclass adds its own knobs,
+    the name (and extra tags) of its run span, and ``_run`` — the loop."""
+
+    _span = ""
+
+    def __init__(
+        self, processes, f, adversary, rng, sign, record_transcript,
+        metrics, probes, collector,
+    ):
+        n = len(processes)
+        validate_system_size(n, f)
+        adversary = adversary or Adversary.none()
+        if len(adversary.faulty) > f:
+            raise ValueError(
+                f"adversary corrupts {len(adversary.faulty)} > f={f} processes"
+            )
+        self.n, self.f = n, f
+        self.adversary = adversary
+        self.processes: dict[int, Any] = {}
+        for pid, proc in enumerate(processes):
+            custom = adversary.custom_processes.get(pid)
+            self.processes[pid] = custom if custom is not None else proc
+        self.rng = rng or np.random.default_rng(0)
+        self.sign = sign
+        self.record_transcript = bool(record_transcript)
+        self.metrics = (
+            metrics
+            if metrics is not None
+            else (active_registry() or MetricsRegistry())
+        )
+        self.probes = tuple(probes)
+        self.collector = collector
+        self.network = Network(n)
+        self.contexts = _make_contexts(n, f, self.rng)
+        self._adv_rng = np.random.default_rng(int(self.rng.integers(0, 2**63 - 1)))
+        self._span_tags: dict[str, Any] = {}
+
+    def run(self) -> RunResult:
+        """Run the loop until every correct process has decided (or cap)."""
+        if self.collector is None:
+            self.collector = get_causal_collector()
+        self.network.collector = self.collector
+        with use_causal_collector(self.collector), use_registry(
+            self.metrics
+        ) as reg, trace_span(self._span, n=self.n, f=self.f, **self._span_tags):
+            return self._run(reg)
+
+    def _attach_probes(self) -> Optional[ProbeView]:
+        if not self.probes:
+            return None
+        probe_view = ProbeView(self.n, self.f, self.contexts, self.processes,
+                               self.adversary.faulty)
+        for probe in self.probes:
+            probe.attach(probe_view)
+        return probe_view
+
+    def _finish(
+        self,
+        reg: MetricsRegistry,
+        probe_view: Optional[ProbeView],
+        rounds: int,
+        completed: bool,
+        transcript: Optional[list[tuple[int, Message]]],
+    ) -> RunResult:
+        for pid, proc in self.processes.items():
+            proc.on_stop(self.contexts[pid])
+        if probe_view is not None:
+            for probe in self.probes:
+                probe.on_finish(probe_view, rounds)
+        decisions = {
+            pid: ctx.decision for pid, ctx in self.contexts.items() if ctx.decided
+        }
+        _fold_network_stats(reg, self.network.stats)
+        return RunResult(
+            decisions=decisions,
+            rounds=rounds,
+            stats=self.network.stats,
+            contexts=self.contexts,
+            faulty=self.adversary.faulty,
+            completed=completed,
+            transcript=transcript,
+            metrics=reg,
+            probes=tuple(probe.report() for probe in self.probes),
+            causal=self.collector if self.collector.enabled else None,
+        )
+
+
+class SynchronousScheduler(_Simulator):
     """Lockstep-round executor with a rushing Byzantine adversary."""
+
+    _span = "sched.sync.run"
 
     def __init__(
         self,
@@ -152,48 +244,16 @@ class SynchronousScheduler:
         probes: Sequence[Probe] = (),
         collector: Optional[Any] = None,
     ):
-        n = len(processes)
-        validate_system_size(n, f)
-        adversary = adversary or Adversary.none()
-        if len(adversary.faulty) > f:
-            raise ValueError(
-                f"adversary corrupts {len(adversary.faulty)} > f={f} processes"
-            )
-        if topology is not None and topology.n != n:
-            raise ValueError(
-                f"topology has {topology.n} nodes for {n} processes"
-            )
-        self.n, self.f = n, f
-        self.adversary = adversary
-        self.processes: dict[int, SyncProcess] = {}
-        for pid, proc in enumerate(processes):
-            custom = adversary.custom_processes.get(pid)
-            self.processes[pid] = custom if custom is not None else proc
-        self.rng = rng or np.random.default_rng(0)
-        self.max_rounds = int(max_rounds)
-        self.sign = sign
-        self.topology = topology
-        self.record_transcript = bool(record_transcript)
-        self.metrics = (
-            metrics
-            if metrics is not None
-            else (active_registry() or MetricsRegistry())
+        super().__init__(
+            processes, f, adversary, rng, sign, record_transcript,
+            metrics, probes, collector,
         )
-        self.probes = tuple(probes)
-        self.collector = collector
-        self.network = Network(n)
-        self.contexts = _make_contexts(n, f, self.rng)
-        self._adv_rng = np.random.default_rng(int(self.rng.integers(0, 2**63 - 1)))
-
-    def run(self) -> RunResult:
-        """Execute rounds until every correct process has decided (or cap)."""
-        if self.collector is None:
-            self.collector = get_causal_collector()
-        self.network.collector = self.collector
-        with use_causal_collector(self.collector), use_registry(
-            self.metrics
-        ) as reg, trace_span("sched.sync.run", n=self.n, f=self.f):
-            return self._run(reg)
+        if topology is not None and topology.n != self.n:
+            raise ValueError(
+                f"topology has {topology.n} nodes for {self.n} processes"
+            )
+        self.max_rounds = int(max_rounds)
+        self.topology = topology
 
     def _run(self, reg: MetricsRegistry) -> RunResult:
         transcript: Optional[list[tuple[int, Message]]] = (
@@ -205,14 +265,7 @@ class SynchronousScheduler:
         completed = False
         rounds_done = 0
         collector = self.collector
-        probe_view = (
-            ProbeView(self.n, self.f, self.contexts, self.processes,
-                      self.adversary.faulty)
-            if self.probes else None
-        )
-        if probe_view is not None:
-            for probe in self.probes:
-                probe.attach(probe_view)
+        probe_view = self._attach_probes()
         prof = get_profiler()
         for r in range(self.max_rounds):
             rounds_done = r
@@ -318,27 +371,7 @@ class SynchronousScheduler:
                     rounds_done = r + 1
                     break
 
-        for pid, proc in self.processes.items():
-            proc.on_stop(self.contexts[pid])
-        if probe_view is not None:
-            for probe in self.probes:
-                probe.on_finish(probe_view, rounds_done)
-        decisions = {
-            pid: ctx.decision for pid, ctx in self.contexts.items() if ctx.decided
-        }
-        _fold_network_stats(reg, self.network.stats)
-        return RunResult(
-            decisions=decisions,
-            rounds=rounds_done,
-            stats=self.network.stats,
-            contexts=self.contexts,
-            faulty=self.adversary.faulty,
-            completed=completed,
-            transcript=transcript,
-            metrics=reg,
-            probes=tuple(probe.report() for probe in self.probes),
-            causal=self.collector if self.collector.enabled else None,
-        )
+        return self._finish(reg, probe_view, rounds_done, completed, transcript)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +431,14 @@ class DelayPolicy(DeliveryPolicy):
         return self.fallback.choose(pool, network, rng)
 
 
-class AsyncScheduler:
+#: Delivery steps between two ``on_boundary`` calls of the online probes.
+PROBE_INTERVAL = 25
+
+
+class AsyncScheduler(_Simulator):
     """Event-driven executor: deliver one message per step, policy-ordered."""
+
+    _span = "sched.async.run"
 
     def __init__(
         self,
@@ -415,39 +454,16 @@ class AsyncScheduler:
         record_transcript: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         probes: Sequence[Probe] = (),
-        probe_interval: int = 25,
         collector: Optional[Any] = None,
     ):
-        n = len(processes)
-        validate_system_size(n, f)
-        adversary = adversary or Adversary.none()
-        if len(adversary.faulty) > f:
-            raise ValueError(
-                f"adversary corrupts {len(adversary.faulty)} > f={f} processes"
-            )
-        self.n, self.f = n, f
-        self.adversary = adversary
-        self.processes: dict[int, AsyncProcess] = {}
-        for pid, proc in enumerate(processes):
-            custom = adversary.custom_processes.get(pid)
-            self.processes[pid] = custom if custom is not None else proc
-        self.policy = policy or RandomPolicy()
-        self.rng = rng or np.random.default_rng(0)
-        self.max_steps = int(max_steps)
-        self.sign = sign
-        self.stop_when_correct_decided = stop_when_correct_decided
-        self.record_transcript = bool(record_transcript)
-        self.metrics = (
-            metrics
-            if metrics is not None
-            else (active_registry() or MetricsRegistry())
+        super().__init__(
+            processes, f, adversary, rng, sign, record_transcript,
+            metrics, probes, collector,
         )
-        self.probes = tuple(probes)
-        self.probe_interval = max(1, int(probe_interval))
-        self.collector = collector
-        self.network = Network(n)
-        self.contexts = _make_contexts(n, f, self.rng)
-        self._adv_rng = np.random.default_rng(int(self.rng.integers(0, 2**63 - 1)))
+        self.policy = policy or RandomPolicy()
+        self._span_tags = {"policy": type(self.policy).__name__}
+        self.max_steps = int(max_steps)
+        self.stop_when_correct_decided = stop_when_correct_decided
 
     def _flush_outbox(self, pid: int) -> None:
         ctx = self.contexts[pid]
@@ -468,21 +484,6 @@ class AsyncScheduler:
         for msg in msgs:
             self.network.submit(msg)
 
-    def run(self) -> RunResult:
-        """Deliver messages until all correct processes decide (or cap)."""
-        if self.collector is None:
-            self.collector = get_causal_collector()
-        self.network.collector = self.collector
-        with use_causal_collector(self.collector), use_registry(
-            self.metrics
-        ) as reg, trace_span(
-            "sched.async.run",
-            n=self.n,
-            f=self.f,
-            policy=type(self.policy).__name__,
-        ):
-            return self._run(reg)
-
     def _run(self, reg: MetricsRegistry) -> RunResult:
         transcript: Optional[list[tuple[int, Message]]] = (
             [] if self.record_transcript else None
@@ -493,14 +494,7 @@ class AsyncScheduler:
         collector = self.collector
         if collector.enabled:
             collector.now = 0
-        probe_view = (
-            ProbeView(self.n, self.f, self.contexts, self.processes,
-                      self.adversary.faulty)
-            if self.probes else None
-        )
-        if probe_view is not None:
-            for probe in self.probes:
-                probe.attach(probe_view)
+        probe_view = self._attach_probes()
         for pid in range(self.n):
             self.processes[pid].on_start(self.contexts[pid])
             self._flush_outbox(pid)
@@ -556,30 +550,10 @@ class AsyncScheduler:
                     if ctx.decided:
                         undecided.discard(dst)
                     self._flush_outbox(dst)
-            if probe_view is not None and steps % self.probe_interval == 0:
+            if probe_view is not None and steps % PROBE_INTERVAL == 0:
                 for probe in self.probes:
                     probe.on_boundary(probe_view, steps)
 
-        for pid, proc in self.processes.items():
-            proc.on_stop(self.contexts[pid])
-        if probe_view is not None:
-            for probe in self.probes:
-                probe.on_finish(probe_view, steps)
-        decisions = {
-            pid: ctx.decision for pid, ctx in self.contexts.items() if ctx.decided
-        }
         reg.counter("sched.async.steps").value = steps
         reg.counter("sched.async.undelivered").value = self.network.pending_count()
-        _fold_network_stats(reg, self.network.stats)
-        return RunResult(
-            decisions=decisions,
-            rounds=steps,
-            stats=self.network.stats,
-            contexts=self.contexts,
-            faulty=self.adversary.faulty,
-            completed=completed,
-            transcript=transcript,
-            metrics=reg,
-            probes=tuple(probe.report() for probe in self.probes),
-            causal=self.collector if self.collector.enabled else None,
-        )
+        return self._finish(reg, probe_view, steps, completed, transcript)

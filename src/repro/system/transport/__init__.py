@@ -1,9 +1,9 @@
 """Transport backends: one protocol surface, sim + live execution.
 
-The public surface is the registry in :mod:`repro.system.transport.base`
-— protocol code selects a backend by name (``"sim"``, ``"live-tcp"``,
-``"live-uds"``) through :func:`get_transport` and never imports the
-backend modules directly.  The wire protocol, peer links, and node
+The public surface is :mod:`repro.system.transport.base` — protocol code
+selects a backend by name (``"sim"``, ``"live-tcp"``, ``"live-uds"``)
+through :func:`get_transport` and never imports the backend modules
+directly.  The wire protocol, peer links, and node
 drivers under this package are implementation details of the live
 backends.
 """
@@ -12,7 +12,6 @@ from .base import (
     Transport,
     TransportError,
     get_transport,
-    register_transport,
     transport_names,
 )
 
@@ -20,6 +19,5 @@ __all__ = [
     "Transport",
     "TransportError",
     "get_transport",
-    "register_transport",
     "transport_names",
 ]

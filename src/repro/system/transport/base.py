@@ -21,15 +21,15 @@ some message-moving substrate and returns the usual
     Honest executions only (a live network has no rushing adversary).
 
 Protocol code (``core/``) selects a backend by name through
-:func:`get_transport`; the registry is the construction-time validation
-surface for ``RunSpec.transport``.  Backends register lazily so that
-importing this module stays cheap and cycle-free.
+:func:`get_transport`; :func:`transport_names` is the construction-time
+validation surface for ``RunSpec.transport``.  The backend modules are
+imported only when asked for, so importing this module stays cheap and
+cycle-free.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from importlib import import_module
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -45,7 +45,6 @@ __all__ = [
     "Transport",
     "TransportError",
     "get_transport",
-    "register_transport",
     "transport_names",
 ]
 
@@ -66,7 +65,7 @@ class Transport(ABC):
     ``seed`` instead.
     """
 
-    #: Registry name of this backend (``"sim"``, ``"live-tcp"``, ...).
+    #: Name of this backend (``"sim"``, ``"live-tcp"``, ...).
     name: str = ""
     #: True when two runs of the same spec produce identical decisions.
     deterministic: bool = False
@@ -103,51 +102,25 @@ class Transport(ABC):
         """Execute event-driven asynchronous delivery until decision."""
 
 
-#: name -> zero-argument factory returning a ready Transport instance.
-_LOADERS: dict[str, Callable[[], Transport]] = {}
-
-
-def register_transport(name: str, loader: Callable[[], Transport]) -> None:
-    """Register a backend factory under ``name`` (idempotent overwrite).
-
-    ``loader`` is called lazily, once per :func:`get_transport` call, so
-    registering never imports the backend module.
-    """
-    _LOADERS[name] = loader
-
-
 def transport_names() -> tuple[str, ...]:
-    """Registered backend names, sorted — ``RunSpec.transport`` choices."""
-    return tuple(sorted(_LOADERS))
+    """The backend names, sorted — ``RunSpec.transport`` choices."""
+    return ("live-tcp", "live-uds", "sim")
 
 
 def get_transport(name: str) -> Transport:
-    """Instantiate the backend registered under ``name``.
+    """Instantiate the backend called ``name``.
 
-    Raises ``ValueError`` (not ``KeyError``) on unknown names so callers
-    validating user input get a message with the available choices.
+    Raises ``ValueError`` on unknown names so callers validating user
+    input get a message with the available choices.
     """
-    loader = _LOADERS.get(name)
-    if loader is None:
-        raise ValueError(
-            f"unknown transport {name!r}; choices {transport_names()}"
-        )
-    return loader()
+    if name == "sim":
+        from .sim import SimTransport
 
+        return SimTransport()
+    if name in ("live-tcp", "live-uds"):
+        from .live import LiveTransport
 
-def _lazy(module: str, attr: str, **kwargs: Any) -> Callable[[], Transport]:
-    def load() -> Transport:
-        backend_cls = getattr(import_module(module), attr)
-        backend: Transport = backend_cls(**kwargs)
-        return backend
-
-    return load
-
-
-register_transport("sim", _lazy("repro.system.transport.sim", "SimTransport"))
-register_transport(
-    "live-tcp", _lazy("repro.system.transport.live", "LiveTransport", kind="tcp")
-)
-register_transport(
-    "live-uds", _lazy("repro.system.transport.live", "LiveTransport", kind="uds")
-)
+        return LiveTransport(kind=name[len("live-"):])
+    raise ValueError(
+        f"unknown transport {name!r}; choices {transport_names()}"
+    )

@@ -31,8 +31,8 @@ plus a send-queue wait histogram and depth-peak gauge.
 
 When a :class:`~repro.obs.causal.CausalCollector` is installed
 (ambient, per process), every node stamps its sends and deliveries: the
-send event's ``(eid, lamport, clock)`` rides on the version-2 MSG frame
-and the receiver merges it via ``on_deliver_remote``, so N per-node
+send event's ``(eid, lamport, clock)`` rides on the MSG frame and the
+receiver merges it via ``on_deliver_remote``, so N per-node
 trails stitch into one cross-process happens-before graph
 (:mod:`repro.obs.fleet`).  With the default null collector all of this
 is skipped — the hot path only checks ``collector.enabled``.
@@ -43,7 +43,6 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import os
-import struct
 import tempfile
 from collections import deque
 from dataclasses import dataclass
@@ -71,6 +70,10 @@ __all__ = ["LiveNode", "LiveTransport", "NodeAddress", "node_seeds"]
 #: enough that link writers, co-hosted nodes and ``run_timeout`` get a
 #: turn after about a millisecond of handler work (~15 us a delivery).
 YIELD_EVERY = 64
+
+
+#: Keys of a node entry (``NodeAddress.as_dict``) and their JSON types.
+_ADDRESS_FIELDS = {"id": int, "kind": str, "host": str, "port": int, "path": str}
 
 
 @dataclass(frozen=True)
@@ -109,13 +112,20 @@ class NodeAddress:
         }
 
     @staticmethod
-    def from_dict(doc: dict[str, Any]) -> "NodeAddress":
+    def from_dict(doc: Any) -> "NodeAddress":
+        """The address a topology-file node entry names; ``ValueError``
+        unless it has ``id`` and ``kind`` and every field its type."""
+        if not isinstance(doc, dict) or not {"id", "kind"} <= set(doc):
+            raise ValueError(f"node entry needs 'id' and 'kind': {doc!r}")
+        for key, value in doc.items():
+            if type(value) is not _ADDRESS_FIELDS.get(key):
+                raise ValueError(f"bad node entry field {key!r}: {value!r}")
         return NodeAddress(
-            node_id=int(doc["id"]),
-            kind=str(doc["kind"]),
-            host=str(doc.get("host", "127.0.0.1")),
-            port=int(doc.get("port", 0)),
-            path=str(doc.get("path", "")),
+            node_id=doc["id"],
+            kind=doc["kind"],
+            host=doc.get("host", "127.0.0.1"),
+            port=doc.get("port", 0),
+            path=doc.get("path", ""),
         )
 
 
@@ -144,9 +154,6 @@ class LiveNode:
         seed: int = 0,
         max_rounds: int = 10_000,
         max_steps: int = 1_000_000,
-        queue_limit: int = 256,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
         chaos_drop_peer: Optional[int] = None,
         chaos_drop_after: int = 0,
     ) -> None:
@@ -159,9 +166,6 @@ class LiveNode:
         self.seed = int(seed)
         self.max_rounds = int(max_rounds)
         self.max_steps = int(max_steps)
-        self.queue_limit = int(queue_limit)
-        self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
         #: Force-close the link to this peer once, after that many frames
         #: — the disconnect-survival knob (see PeerLink.chaos_close_after).
         self.chaos_drop_peer = chaos_drop_peer
@@ -197,7 +201,7 @@ class LiveNode:
         # Message buffers hold (Message, meta) pairs where meta describes
         # the delivery's causal provenance: ("local", send_eid) for
         # self-deliveries, ("remote", (origin_eid, lamport, clock)) for
-        # stamped frames, None for unstamped (v1) frames or tracing off.
+        # stamped frames, None for unstamped frames or tracing off.
         self._last_seq: dict[int, int] = {}
         self._pending_msgs: dict[int, list[tuple[Message, Any]]] = {}
         self._round_msgs: dict[int, dict[int, list[tuple[Message, Any]]]] = {}
@@ -242,9 +246,6 @@ class LiveNode:
                 peer_id,
                 addresses[peer_id].dialer(),
                 instance=self.instance,
-                queue_limit=self.queue_limit,
-                backoff_base=self.backoff_base,
-                backoff_cap=self.backoff_cap,
                 chaos_close_after=chaos,
                 on_failure=self._wake.set,
             )
@@ -272,14 +273,7 @@ class LiveNode:
         if task is not None:
             self._serve_tasks.append(task)
         try:
-            head = await reader.readexactly(4)
-            (length,) = struct.unpack("!I", head)
-            if length > wire.MAX_FRAME_BYTES:
-                raise wire.WireError("oversized HELLO")
-            hello = wire.decode_body(await reader.readexactly(length))
-            if hello[0] != wire.HELLO:
-                raise wire.WireError(f"expected HELLO, got {hello[0]!r}")
-            peer_id = wire.check_hello(hello, instance=self.instance)
+            peer_id = await wire.read_hello(reader, instance=self.instance)
             writer.write(wire.encode_hello(self.node_id, self.instance))
             await writer.drain()
         except (wire.WireError, ConnectionError, OSError, EOFError):
@@ -296,7 +290,7 @@ class LiveNode:
 
     def _on_record(self, peer_id: int, record: tuple) -> None:
         self.wire_frames_received += 1
-        seq = int(record[1])
+        seq = record[1]
         if seq <= self._last_seq.get(peer_id, -1):
             self.dupes_dropped += 1  # retransmit after reconnect
             return
@@ -311,10 +305,10 @@ class LiveNode:
             self._inq.append(entry)
         elif kind == wire.ROUND:
             _, _, round_, decided = record
-            bucket = self._round_msgs.setdefault(int(round_), {})
+            bucket = self._round_msgs.setdefault(round_, {})
             bucket[peer_id] = self._pending_msgs.pop(peer_id, [])
-            self._peer_round[peer_id] = int(round_)
-            if bool(decided):
+            self._peer_round[peer_id] = round_
+            if decided:
                 self._peer_decided[peer_id] = True
         elif kind == wire.DECIDED:
             self._peer_decided[peer_id] = True
@@ -439,8 +433,8 @@ class LiveNode:
         if not collector.enabled:
             return
         if meta is None:
-            # Unstamped frame (v1 peer, or sender traced nothing): keep
-            # program order faithful with a cause-less deliver event.
+            # Unstamped frame (the sender traced nothing): keep program
+            # order faithful with a cause-less deliver event.
             collector.on_deliver(self.node_id, None, time=time_)
         elif meta[0] == "local":
             collector.on_deliver(self.node_id, meta[1], time=time_)
@@ -562,7 +556,6 @@ class LiveTransport(Transport):
         kind: str = "tcp",
         *,
         run_timeout: float = 120.0,
-        queue_limit: int = 256,
         chaos_drop_link: Optional[tuple[int, int]] = None,
         chaos_drop_after: int = 8,
     ) -> None:
@@ -571,7 +564,6 @@ class LiveTransport(Transport):
         self.kind = kind
         self.name = f"live-{kind}"
         self.run_timeout = float(run_timeout)
-        self.queue_limit = int(queue_limit)
         #: ``(src, dst)``: force-close src's link to dst once mid-run.
         self.chaos_drop_link = chaos_drop_link
         self.chaos_drop_after = int(chaos_drop_after)
@@ -706,7 +698,6 @@ class LiveTransport(Transport):
                         pid, n, f, processes[pid], addr,
                         instance=instance, seed=seed,
                         max_rounds=max_rounds, max_steps=max_steps,
-                        queue_limit=self.queue_limit,
                         chaos_drop_peer=chaos_peer,
                         chaos_drop_after=self.chaos_drop_after,
                     )

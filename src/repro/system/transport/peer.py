@@ -4,12 +4,10 @@ Each live node keeps one :class:`PeerLink` per remote peer.  The link
 owns a bounded send queue and a writer task:
 
 * **Handshake** — on every (re)connect the dialer sends its HELLO
-  (node id, wire version, instance id) and waits for the listener's
-  HELLO back; the connection then runs at the *negotiated* wire version
-  (newest both sides speak — :func:`repro.system.transport.wire.negotiate`),
-  so a version-1 peer still interoperates, it just never sees causal
-  stamps.  An unsupported version or wrong instance permanently fails
-  the link (such a peer will never become right).
+  (node id, wire version, instance id) and reads the listener's HELLO
+  back (:func:`repro.system.transport.wire.read_hello`).  A malformed
+  HELLO, another wire version, another instance or another identity
+  permanently fails the link (such a peer will never become right).
 * **Reconnect** — connection refusal or loss triggers capped exponential
   backoff (``delay = min(base * 2**attempt, cap)``); the attempt counter
   resets after a successful handshake.  The batch being written when
@@ -22,13 +20,10 @@ owns a bounded send queue and a writer task:
   protocol loop instead of buffering without bound.
 
 The queue holds *encoded frames*: a record is encoded once, when it is
-enqueued, at the link's current wire version, and those bytes are the
-snapshot of its payload (nothing the sender does to the object later
-can reach the wire).  The writer takes everything queued — up to
-:data:`MAX_BATCH_FRAMES` — and hands it to the socket in one ``write``
-and one ``drain``.  A handshake that negotiates a *lower* version than
-queued frames were encoded at (only a version-1 peer) re-encodes them,
-once, from their own bytes.
+enqueued, and those bytes are the snapshot of its payload (nothing the
+sender does to the object later can reach the wire).  The writer takes
+everything queued — up to :data:`MAX_BATCH_FRAMES` — and hands it to
+the socket in one ``write`` and one ``drain``.
 
 Timings use the event loop's monotonic clock only (never the wall
 clock), and the backoff schedule is a fixed deterministic ramp — links
@@ -45,7 +40,6 @@ batch — exported as the ``net.live.queue_wait_us`` histogram).
 from __future__ import annotations
 
 import asyncio
-import struct
 from typing import Any, Awaitable, Callable, Optional
 
 from . import wire
@@ -146,9 +140,6 @@ class PeerLink:
         #: owner blocked on something else learns of it at once.
         self.on_failure = on_failure
         self.stats = LinkStats()
-        #: The version this connection runs at, set by each handshake
-        #: (stays at our newest until a peer negotiates it down).
-        self.wire_version = wire.WIRE_VERSION
         #: ``(encoded frame, enqueue time)``; ``None`` is close()'s sentinel.
         self._queue: asyncio.Queue[Optional[tuple[bytes, float]]] = (
             asyncio.Queue(maxsize=self.queue_limit)
@@ -214,8 +205,7 @@ class PeerLink:
         return seq
 
     async def send_message(self, msg: Any, stamp: Optional[tuple] = None) -> None:
-        """Queue one protocol message, optionally with its causal stamp
-        (dropped automatically on connections negotiated down to v1)."""
+        """Queue one protocol message, optionally with its causal stamp."""
         await self._put(wire.message_record(msg, self.next_seq(), stamp))
 
     async def send_round(self, round: int, decided: bool) -> None:
@@ -232,7 +222,7 @@ class PeerLink:
             ) from self._failure
         # Encoded here, once: the bytes are the payload's snapshot.
         item = (
-            wire.encode_for_version(record, self.wire_version),
+            wire.encode_for_version(record, wire.WIRE_VERSION),
             asyncio.get_running_loop().time(),
         )
         if self._queue.full():
@@ -275,7 +265,7 @@ class PeerLink:
             except (wire.WireError, ConnectionError, OSError, EOFError) as exc:
                 writer.close()
                 if isinstance(exc, wire.WireError):
-                    self._fail(exc)  # wrong version/instance: permanent
+                    self._fail(exc)  # malformed or mismatching HELLO: permanent
                     return
                 attempt += 1
                 if attempt > self.max_dial_failures:
@@ -387,38 +377,9 @@ class PeerLink:
     async def _handshake(self, reader: Any, writer: Any) -> None:
         writer.write(wire.encode_hello(self.self_id, self.instance))
         await writer.drain()
-        head = await reader.readexactly(4)
-        (length,) = struct.unpack("!I", head)
-        if length > wire.MAX_FRAME_BYTES:
-            raise wire.WireError(f"oversized HELLO frame ({length} bytes)")
-        record = wire.decode_body(await reader.readexactly(length))
-        if record[0] != wire.HELLO:
-            raise wire.WireError(f"expected HELLO, got {record[0]!r}")
-        wire.check_hello(
-            record, instance=self.instance, expected_id=self.peer_id
+        await wire.read_hello(
+            reader, instance=self.instance, expected_id=self.peer_id
         )
-        version = wire.negotiate(wire.hello_version(record))
-        if version < self.wire_version:
-            self._reencode(version)
-        self.wire_version = version
-
-    def _reencode(self, version: int) -> None:
-        """Re-encode, once, every frame still held — the in-flight batch
-        and the queue — for a peer that negotiated an older ``version``.
-        Each frame is rebuilt from its own bytes (the enqueue-time
-        snapshot), never from the sender's live objects."""
-
-        def again(frame: bytes) -> bytes:
-            return wire.encode_for_version(wire.decode_body(frame[4:]), version)
-
-        self._batch[:] = [again(frame) for frame in self._batch]
-        # No await between emptying and refilling, so nothing interleaves
-        # and FIFO order (hence seq order) is kept.
-        queued = [self._queue.get_nowait() for _ in range(self._queue.qsize())]
-        for item in queued:
-            self._queue.put_nowait(
-                item if item is None else (again(item[0]), item[1])
-            )
 
     def _backoff(self, attempt: int) -> float:
         return min(self.backoff_base * (2.0 ** (attempt - 1)), self.backoff_cap)

@@ -1,4 +1,4 @@
-"""Length-prefixed, versioned wire protocol for live transports.
+"""Length-prefixed wire protocol for live transports.
 
 Frame layout (everything big-endian)::
 
@@ -7,25 +7,24 @@ Frame layout (everything big-endian)::
     +----------------+----------------------------------------+
 
 The body is one *record* — a plain tuple whose first element is the
-record type:
+record type and whose remaining fields are listed, with their types, in
+:data:`RECORD_FIELDS`.  :func:`decode_body` checks every record against
+that table, so whatever a reader is handed already has the right arity
+and field types; anything else a peer sends is a :class:`WireError`.
 
 ``HELLO``
-    ``(HELLO, node_id, wire_version, instance_id)`` — exchanged once per
-    connection, both directions, before anything else.  The version is
-    *negotiated*: each side advertises the newest version it speaks and
-    the connection runs at ``min`` of the two (:func:`negotiate`), so a
-    version-1 peer can still talk to a version-2 node.  A version
-    outside :data:`SUPPORTED_VERSIONS` — or an instance mismatch —
-    aborts the connection (:class:`WireError`).
+    ``(HELLO, node_id, wire_version, instance)`` — exchanged once per
+    connection, both directions, before anything else
+    (:func:`read_hello`).  There is one wire version,
+    :data:`WIRE_VERSION`; a HELLO advertising another one — or another
+    instance, or an unexpected identity — aborts the connection.
 ``MSG``
-    version 1: ``(MSG, link_seq, src, dst, tag, payload, round)``;
-    version 2 appends a *causal stamp*:
     ``(MSG, link_seq, src, dst, tag, payload, round, stamp)`` where
-    ``stamp`` is ``(origin_eid, lamport, clock)`` — the sender-local
-    event id, Lamport timestamp, and vector clock of the send event —
-    or ``None`` when causal tracing is off.  ``link_seq`` is the
-    per-link monotonic sequence number used for receiver-side
-    deduplication across reconnects.
+    ``stamp`` is the *causal stamp* ``(origin_eid, lamport, clock)`` —
+    the sender-local event id, Lamport timestamp, and vector clock of
+    the send event — or ``None`` when causal tracing is off.
+    ``link_seq`` is the per-link monotonic sequence number used for
+    receiver-side deduplication across reconnects.
 ``ROUND``
     ``(ROUND, link_seq, round, decided)`` — synchronous round barrier
     marker: the sender finished emitting its round-``round`` traffic on
@@ -47,15 +46,16 @@ import pickle
 import struct
 from typing import Any, Optional
 
-from ..messages import ALL, Message
+from ..messages import Message
 
 __all__ = [
     "DECIDED",
     "HELLO",
     "MAX_FRAME_BYTES",
     "MSG",
+    "RECORD_FIELDS",
     "ROUND",
-    "SUPPORTED_VERSIONS",
+    "STAMP_FIELDS",
     "WIRE_VERSION",
     "WireError",
     "check_hello",
@@ -68,20 +68,14 @@ __all__ = [
     "encode_record",
     "encode_round",
     "frame",
-    "hello_version",
-    "is_atomic",
     "message_record",
     "message_stamp",
-    "negotiate",
     "read_frames",
+    "read_hello",
 ]
 
-#: Newest protocol version this build speaks; advertised in every HELLO.
+#: The one protocol version; advertised in every HELLO.
 WIRE_VERSION = 2
-
-#: Every version this build can *run* a connection at.  Version 1 frames
-#: carry no causal stamp; version 2 MSG records append one.
-SUPPORTED_VERSIONS = (1, 2)
 
 #: Upper bound on one frame body — a corrupt length prefix must not make
 #: the receiver allocate gigabytes.
@@ -98,7 +92,23 @@ MSG = "msg"
 ROUND = "round"
 DECIDED = "decided"
 
-_RECORD_TYPES = frozenset({HELLO, MSG, ROUND, DECIDED})
+_INT, _STR, _NONE = (int,), (str,), type(None)
+
+#: record type -> its fields after the type tag, in order, each with the
+#: exact types a value may have (``bool`` is not an ``int`` here);
+#: ``None`` in place of the types means any picklable payload.
+RECORD_FIELDS: dict[str, tuple[tuple[str, Optional[tuple[type, ...]]], ...]] = {
+    HELLO: (("node_id", _INT), ("wire_version", _INT), ("instance", _STR)),
+    MSG: (
+        ("link_seq", _INT), ("src", _INT), ("dst", _INT), ("tag", _STR),
+        ("payload", None), ("round", (int, _NONE)), ("stamp", (tuple, _NONE)),
+    ),
+    ROUND: (("link_seq", _INT), ("round", _INT), ("decided", (bool,))),
+    DECIDED: (("link_seq", _INT), ("node_id", _INT)),
+}
+
+#: The fields of a MSG record's causal stamp; ``clock`` holds ints only.
+STAMP_FIELDS = (("origin_eid", _INT), ("lamport", _INT), ("clock", (tuple,)))
 
 
 class WireError(ValueError):
@@ -119,18 +129,21 @@ def encode_record(record: tuple) -> bytes:
     return _LEN.pack(len(body)) + body
 
 
-def encode_hello(node_id: int, instance: str, version: int = WIRE_VERSION) -> bytes:
-    return encode_record((HELLO, int(node_id), int(version), str(instance)))
+def encode_hello(node_id: int, instance: str) -> bytes:
+    return encode_record((HELLO, int(node_id), WIRE_VERSION, str(instance)))
 
 
 def message_record(
     msg: Message, link_seq: int, stamp: Optional[tuple] = None
 ) -> tuple:
-    """The (version-2) MSG record for one protocol message.
+    """The MSG record for one protocol message.
 
     The payload is *not* copied: the record aliases it until it is
     encoded, which a link does in the same call that enqueues it.
     """
+    if stamp is not None:
+        origin_eid, lamport, clock = stamp
+        stamp = (int(origin_eid), int(lamport), tuple(int(c) for c in clock))
     return (
         MSG,
         int(link_seq),
@@ -144,13 +157,10 @@ def message_record(
 
 
 def encode_message(
-    msg: Message,
-    link_seq: int,
-    stamp: Optional[tuple] = None,
-    version: int = WIRE_VERSION,
+    msg: Message, link_seq: int, stamp: Optional[tuple] = None
 ) -> bytes:
     """Encode one protocol message (the bytes snapshot the payload)."""
-    return encode_for_version(message_record(msg, link_seq, stamp), version)
+    return encode_record(message_record(msg, link_seq, stamp))
 
 
 def encode_round(link_seq: int, round: int, decided: bool) -> bytes:
@@ -162,13 +172,13 @@ def encode_decided(link_seq: int, node_id: int) -> bytes:
 
 
 def encode_for_version(record: tuple, version: int) -> bytes:
-    """Encode a record at a negotiated wire version.
-
-    Only MSG records differ across versions: version 1 strips the causal
-    stamp (a v1 peer would reject the 8-tuple as malformed).
-    """
-    if record[0] == MSG and int(version) < 2 and len(record) == 8:
-        record = record[:7]
+    """Encode a record for a connection running at ``version`` — which
+    can only be :data:`WIRE_VERSION`."""
+    if version != WIRE_VERSION:
+        raise WireError(
+            f"cannot encode for wire version {version}; "
+            f"this build speaks {WIRE_VERSION} only"
+        )
     return encode_record(record)
 
 
@@ -180,8 +190,21 @@ def frame(body: bytes) -> bytes:
 # --------------------------------------------------------------- decoding
 
 
+def _check_fields(values: tuple, fields: tuple, what: str) -> None:
+    if len(values) != len(fields):
+        raise WireError(
+            f"malformed {what}: {len(values)} fields, expected {len(fields)}"
+        )
+    for value, (name, types) in zip(values, fields):
+        if types is not None and type(value) not in types:
+            raise WireError(
+                f"malformed {what}: {name} is {type(value).__name__}, "
+                f"expected {' or '.join(t.__name__ for t in types)}"
+            )
+
+
 def decode_body(body: bytes) -> tuple:
-    """Unpickle and structurally validate one frame body."""
+    """Unpickle one frame body and check it against :data:`RECORD_FIELDS`."""
     try:
         record = pickle.loads(body)
     except Exception as exc:
@@ -189,45 +212,28 @@ def decode_body(body: bytes) -> tuple:
     if not isinstance(record, tuple) or not record:
         raise WireError(f"frame body is not a record tuple: {record!r}")
     kind = record[0]
-    if kind not in _RECORD_TYPES:
+    fields = RECORD_FIELDS.get(kind) if type(kind) is str else None
+    if fields is None:
         raise WireError(f"unknown record type {kind!r}")
-    if kind == HELLO and len(record) != 4:
-        raise WireError(f"malformed HELLO record: {record!r}")
-    if kind == MSG and len(record) not in (7, 8):
-        # 7 = version-1 frame (no stamp), 8 = version-2 frame.
-        raise WireError(f"malformed MSG record: {record!r}")
-    if kind == ROUND and len(record) != 4:
-        raise WireError(f"malformed ROUND record: {record!r}")
-    if kind == DECIDED and len(record) != 3:
-        raise WireError(f"malformed DECIDED record: {record!r}")
+    _check_fields(record[1:], fields, kind)
+    stamp = record[7] if kind == MSG else None
+    if stamp is not None:
+        _check_fields(stamp, STAMP_FIELDS, "msg stamp")
+        if not all(type(c) is int for c in stamp[2]):
+            raise WireError("malformed msg stamp: clock holds a non-int")
     return record
 
 
 def decode_message(record: tuple) -> tuple[int, Message]:
-    """``(link_seq, Message)`` from a decoded MSG record (either version)."""
-    _, link_seq, src, dst, tag, payload, round_ = record[:7]
-    return int(link_seq), Message(
-        int(src), int(dst), str(tag), payload, round=round_
-    )
+    """``(link_seq, Message)`` from a decoded MSG record."""
+    _, link_seq, src, dst, tag, payload, round_, _ = record
+    return link_seq, Message(src, dst, tag, payload, round=round_)
 
 
 def message_stamp(record: tuple) -> Optional[tuple]:
     """The ``(origin_eid, lamport, clock)`` causal stamp of a decoded MSG
-    record — None for version-1 frames and unstamped version-2 frames."""
-    if len(record) < 8 or record[7] is None:
-        return None
-    origin_eid, lamport, clock = record[7]
-    return int(origin_eid), int(lamport), tuple(int(c) for c in clock)
-
-
-def hello_version(record: tuple) -> int:
-    """The wire version a decoded HELLO advertises."""
-    return int(record[2])
-
-
-def negotiate(peer_version: int) -> int:
-    """The version a connection runs at: newest both sides speak."""
-    return min(WIRE_VERSION, int(peer_version))
+    record — None when the sender traced nothing."""
+    return record[7]
 
 
 def check_hello(
@@ -238,33 +244,43 @@ def check_hello(
 ) -> int:
     """Validate a decoded HELLO; returns the peer's node id.
 
-    A peer may advertise any member of :data:`SUPPORTED_VERSIONS` (the
-    connection then runs at :func:`negotiate` of the two).  Raises
-    :class:`WireError` on an unsupported version, instance mismatch, or
-    (when ``expected_id`` is given) an unexpected peer identity — the
-    connection must be dropped in every case.
+    Raises :class:`WireError` on a wire version other than
+    :data:`WIRE_VERSION`, an instance mismatch, or (when ``expected_id``
+    is given) an unexpected peer identity — the connection must be
+    dropped in every case.
     """
     _, node_id, version, peer_instance = record
-    if int(version) not in SUPPORTED_VERSIONS:
+    if version != WIRE_VERSION:
         raise WireError(
             f"wire version mismatch: peer speaks {version}, "
-            f"we speak {SUPPORTED_VERSIONS}"
+            f"we speak {WIRE_VERSION}"
         )
-    if str(peer_instance) != instance:
+    if peer_instance != instance:
         raise WireError(
             f"instance mismatch: peer is running {peer_instance!r}, "
             f"we are running {instance!r}"
         )
-    if expected_id is not None and int(node_id) != int(expected_id):
+    if expected_id is not None and node_id != expected_id:
         raise WireError(
             f"peer identified as node {node_id}, expected {expected_id}"
         )
-    return int(node_id)
+    return node_id
 
 
-def is_atomic(msg: Message) -> bool:
-    """True for channel-level broadcast envelopes (``dst == ALL``)."""
-    return msg.dst == ALL
+async def read_hello(
+    reader: Any, *, instance: str, expected_id: Optional[int] = None
+) -> int:
+    """Read the HELLO a peer opens a connection with and validate it
+    (:func:`check_hello`); returns the peer's node id.  Both ends of a
+    handshake — listener and dialer — read the other side's HELLO here.
+    """
+    (length,) = _LEN.unpack(await reader.readexactly(_LEN.size))
+    if length > MAX_FRAME_BYTES:
+        raise WireError(f"oversized HELLO frame ({length} bytes)")
+    record = decode_body(await reader.readexactly(length))
+    if record[0] != HELLO:
+        raise WireError(f"expected HELLO, got {record[0]!r}")
+    return check_hello(record, instance=instance, expected_id=expected_id)
 
 
 async def read_frames(reader: Any) -> Any:

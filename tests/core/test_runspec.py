@@ -71,6 +71,11 @@ class TestRunSpecValidation:
         spec = RunSpec(algorithm="algo", n=5, d=3, seed=42, input_scale=2.0)
         expected = np.random.default_rng(42).normal(scale=2.0, size=(5, 3))
         np.testing.assert_array_equal(spec.resolved_inputs(), expected)
+        # ... which is the one derivation the DST scenarios share
+        from repro.dst.scenarios import Scenario
+
+        scenario = Scenario("algo", n=5, d=3, f=1, seed=42, input_scale=2.0)
+        assert scenario.inputs().tobytes() == expected.tobytes()
         # explicit inputs win
         pinned = spec.with_inputs(np.zeros((4, 2)))
         assert pinned.resolved_inputs().shape == (4, 2)

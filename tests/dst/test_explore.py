@@ -125,6 +125,16 @@ class TestExplore:
         assert [v.token for v in a] == [v.token for v in b]
         assert len(a) == 4
 
+    def test_parallel_sweep_is_the_serial_sweep(self):
+        serial = explore("k1", trials=7, seed=9, inject="split-brain")
+        parallel = explore("k1", trials=7, seed=9, inject="split-brain",
+                           workers=2)
+        assert len(serial) == 7
+        assert parallel == serial  # same violations, in trial order
+        first = explore("k1", trials=7, seed=9, inject="split-brain",
+                        workers=2, stop_on_first=True)
+        assert first == serial[:1]
+
     def test_stop_on_first(self):
         vs = explore("algo", trials=5, seed=3, inject="split-brain",
                      stop_on_first=True)

@@ -74,6 +74,21 @@ class TestScenarioValidation:
         assert min_system_size("exact", d=3, f=1) == 5      # (d+1)f+1 binds
         assert min_system_size("exact", d=2, f=2) == 7
 
+    def test_min_system_size_is_the_sweep_grids_floor(self):
+        # One table (exec.grid.min_trial_size over core.bounds), pinned
+        # to the closed forms this module used to spell out itself.  (At
+        # f = 0 the shared table says 2 where ("exact", d=1) said 1: one
+        # process is not a consensus system.)
+        for f in (1, 2, 3):
+            for d in range(1, 9):
+                assert min_system_size("exact", d, f) == max(
+                    3 * f + 1, (d + 1) * f + 1
+                )
+                for algo in ("algo", "averaging", "k1"):
+                    assert min_system_size(algo, d, f) == max(3 * f + 1, d + 1)
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            min_system_size("iterative", 2, 1)  # not an explorer algorithm
+
     def test_min_system_size_relaxed_needs_only_3f1(self):
         for algo in ("algo", "k1", "averaging"):
             assert min_system_size(algo, d=2, f=1) == 4

@@ -13,7 +13,9 @@ from repro.exec import (
     run_sweep,
     run_trial,
 )
+from repro.exec.engine import pool_map
 from repro.geometry import cache_disabled
+from repro.geometry.cache import cache_stats
 
 
 def small_grid(**overrides) -> SweepGrid:
@@ -86,6 +88,33 @@ class TestSerialParallelIdentity:
         assert not uncached.cache_enabled and cached.cache_enabled
         assert cached.metric_total("geometry.cache.hits") > 0
         assert uncached.metric_total("geometry.cache.hits") == 0
+
+
+_SEEN: list[str] = []
+
+
+def _note(word: str) -> None:
+    _SEEN.append(word)
+
+
+def _probe_worker(item: int) -> tuple[int, int, list[str]]:
+    return item * item, cache_stats()["entries"], list(_SEEN)
+
+
+class TestPoolMap:
+    """The one pool the sweep engine and the DST explorer fan out over."""
+
+    def test_item_order_cold_cache_then_the_callers_initializer(self):
+        run_grid(small_grid(reps=1), workers=1)  # warms this process's cache
+        assert cache_stats()["entries"] > 0
+        out = pool_map(
+            _probe_worker, list(range(23)), workers=3, chunksize=2,
+            initializer=_note, initargs=("ready",),
+        )
+        assert [square for square, _, _ in out] == [i * i for i in range(23)]
+        assert {entries for _, entries, _ in out} == {0}
+        assert all(seen == ["ready"] for _, _, seen in out)
+        assert _SEEN == []  # the initializer ran in the workers only
 
 
 class TestAggregation:

@@ -47,9 +47,8 @@ def live_verdicts(
     trace_dir = tmp_path / "traces"
     (tmp_path / "cluster").mkdir()
     report = launch_local(
-        algorithm, knobs["n"], knobs["d"], knobs["f"],
-        kind="uds", seed=seed,
-        epsilon=knobs.get("epsilon", 5e-2), k=knobs.get("k", 1),
+        RunSpec(algorithm=algorithm, seed=seed, **{"epsilon": 5e-2, **knobs}),
+        kind="uds",
         workdir=str(tmp_path / "cluster"), trace_dir=str(trace_dir),
     )
     assert report["ok"], report

@@ -14,6 +14,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.runspec import RunSpec
 from repro.obs.causal import CausalCollector
 from repro.obs.fleet import (
     aggregate_metrics,
@@ -42,14 +43,14 @@ def header(pid: int, wall_time: float = 100.0) -> dict:
 
 
 def topology_event(pid: int) -> dict:
+    # What run_node logs: the topology document's run knobs, verbatim.
+    spec = RunSpec(algorithm="averaging", n=N, d=D, f=0, seed=SEED,
+                   input_scale=SCALE, epsilon=0.05, rounds=3)
     return {
         "type": "event", "t": 0.0, "name": "transport.node.topology",
         "level": "info",
-        "fields": {
-            "pid": pid, "algorithm": "averaging", "n": N, "d": D, "f": 0,
-            "seed": SEED, "input_scale": SCALE, "epsilon": 0.05,
-            "p": 2.0, "k": 1, "delta": None, "kind": "uds",
-        },
+        "fields": {"pid": pid, "instance": "test", "kind": "uds",
+                   **spec.to_document()},
     }
 
 
@@ -240,6 +241,29 @@ class TestFleetProbes:
             tmp_path / "t.jsonl", [header(0)] + c0.to_records()
         )
         with pytest.raises(ValueError, match="topology"):
+            fleet_probes(load_trails([path]))
+
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda f: f.pop("epsilon"),            # was a KeyError
+            lambda f: f.update(seed=str(SEED)),    # was cast and believed
+            lambda f: f.update(n=None),
+            lambda f: f.update(adversary="none"),
+        ],
+        ids=["missing-knob", "str-seed", "null-n", "unknown-knob"],
+    )
+    def test_malformed_topology_event_is_an_error(self, tmp_path, edit):
+        # The event is read through the table the topology file is read
+        # through: a trail is outside input, not this program's memory.
+        event = topology_event(0)
+        edit(event["fields"])
+        path = dump_trail(
+            tmp_path / "t-n0.jsonl",
+            [header(0), event, decision_event(0, self._honest_decision())],
+        )
+        with pytest.raises(ValueError, match="run knob"):
             fleet_probes(load_trails([path]))
 
 

@@ -200,10 +200,13 @@ class TestTopologyFiles:
     def _nodes(self, tmp_path, n):
         return allocate_addresses(n, "uds", base_dir=str(tmp_path))
 
+    @staticmethod
+    def _spec(algorithm, n=4, d=2, f=1, **knobs):
+        return RunSpec(algorithm=algorithm, n=n, d=d, f=f, epsilon=5e-2, **knobs)
+
     def test_round_trip(self, tmp_path):
         doc = build_topology(
-            "averaging", 4, 2, 1, self._nodes(tmp_path, 4),
-            kind="uds", seed=3,
+            self._spec("averaging", seed=3), self._nodes(tmp_path, 4), kind="uds"
         )
         path = tmp_path / "topology.json"
         write_topology(path, doc)
@@ -213,27 +216,28 @@ class TestTopologyFiles:
         # Subprocess nodes must agree on the round budget without
         # coordinating, so it is computed once and written into the doc.
         doc = build_topology(
-            "averaging", 4, 2, 1, self._nodes(tmp_path, 4),
-            kind="uds", seed=3,
+            self._spec("averaging", seed=3), self._nodes(tmp_path, 4), kind="uds"
         )
         assert int(doc["rounds"]) >= 1
 
     def test_build_validation(self, tmp_path):
         nodes = self._nodes(tmp_path, 4)
+        # An unknown algorithm, scalar at d != 1, ... never get as far as
+        # a document: the RunSpec it is built from refuses them.
         with pytest.raises(ValueError, match="unknown algorithm"):
-            build_topology("nope", 4, 2, 1, nodes, kind="uds")
-        with pytest.raises(ValueError, match="kind"):
-            build_topology("algo", 4, 2, 1, nodes, kind="smoke-signals")
+            self._spec("nope")
         with pytest.raises(ValueError, match="scalar"):
-            build_topology("scalar", 4, 2, 1, nodes, kind="uds")
+            self._spec("scalar")
+        with pytest.raises(ValueError, match="kind"):
+            build_topology(self._spec("algo"), nodes, kind="smoke-signals")
         with pytest.raises(ValueError, match="n >="):
-            build_topology("exact", 4, 3, 1, nodes, kind="uds")
+            build_topology(self._spec("exact", d=3), nodes, kind="uds")
         with pytest.raises(ValueError, match="node addresses"):
-            build_topology("algo", 4, 2, 1, nodes[:3], kind="uds")
+            build_topology(self._spec("algo"), nodes[:3], kind="uds")
 
     def test_load_rejects_tampered_docs(self, tmp_path):
         doc = build_topology(
-            "algo", 4, 2, 1, self._nodes(tmp_path, 4), kind="uds"
+            self._spec("algo"), self._nodes(tmp_path, 4), kind="uds"
         )
         path = tmp_path / "topology.json"
 

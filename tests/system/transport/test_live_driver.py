@@ -18,6 +18,7 @@ import pytest
 from repro.core.exact_bvc import ExactBVCProcess
 from repro.obs.metrics import MetricsRegistry
 from repro.system.process import AsyncProcess
+from repro.system.transport import wire
 from repro.system.transport.base import TransportError
 from repro.system.transport.live import LiveNode, LiveTransport, NodeAddress
 
@@ -101,6 +102,78 @@ class TestDeadLinkWakesTheDriver:
         # Nothing is ever delivered here: the failure itself must wake
         # the driver.
         assert self._run_with_dead_link(tmp_path, [Silent() for _ in range(4)]) < 5.0
+
+
+class TestHostileConnection:
+    """What a listener does with bytes no honest link would send: close
+    the connection, deliver nothing, and end its handler task cleanly."""
+
+    GOOD_MSG = (wire.MSG, 0, 1, 0, "bc:1", (1.0,), 0, None)
+
+    def _feed(self, tmp_path, frames: list[bytes]):
+        """Connect to a fresh node 0 as its peer 1, send ``frames``, read
+        to EOF; returns the node and what the listener wrote back."""
+
+        async def go():
+            (node,) = make_nodes(tmp_path, [None])
+            await node.start_server()
+            reader, writer = await asyncio.open_unix_connection(
+                node.address.path
+            )
+            writer.write(b"".join(frames))
+            await writer.drain()
+            answer = await asyncio.wait_for(reader.read(), timeout=1.0)
+            writer.close()
+            (task,) = node._serve_tasks
+            await asyncio.wait_for(task, timeout=1.0)
+            assert task.exception() is None
+            await node.shutdown()
+            return node, answer
+
+        return asyncio.run(go())
+
+    @pytest.mark.parametrize(
+        "hello",
+        [
+            (wire.HELLO, 1, 1, "driver-test"),      # version 1: refused now
+            (wire.HELLO, 1, "two", "driver-test"),  # was an uncaught ValueError
+            (wire.HELLO, None, 2, "driver-test"),
+            (wire.HELLO, 1, 2, "another-run"),
+            GOOD_MSG,
+        ],
+        ids=["v1", "str-version", "none-id", "instance", "not-a-hello"],
+    )
+    def test_bad_hello_gets_no_answer(self, tmp_path, hello):
+        node, answer = self._feed(
+            tmp_path, [wire.encode_record(hello), wire.encode_record(self.GOOD_MSG)]
+        )
+        assert answer == b""  # closed before our HELLO went out
+        assert node.wire_frames_received == 0
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            (wire.MSG, "0", 1, 0, "bc:1", (1.0,), 0, None),
+            (wire.MSG, 1, 1, 0, "bc:1", (1.0,), 0, (42, 17)),
+            (wire.ROUND, 1, "0", False),
+            (wire.MSG, 1, 1, 0, "bc:1", (1.0,), 0),  # the version-1 shape
+        ],
+        ids=["str-link-seq", "2-element-stamp", "str-round", "7-tuple"],
+    )
+    def test_malformed_record_closes_the_connection(self, tmp_path, record):
+        # Regression: a wrong-typed link_seq / round reached int() in
+        # _on_record and ended the handler task with a ValueError.
+        node, answer = self._feed(tmp_path, [
+            wire.encode_hello(1, "driver-test"),
+            wire.encode_record(self.GOOD_MSG),
+            wire.encode_record(record),
+            wire.encode_record((wire.DECIDED, 2, 1)),
+        ])
+        assert answer == wire.encode_hello(0, "driver-test")
+        # The frame before the bad one arrived; nothing at or after it did.
+        assert node.frames_received == 1
+        assert [entry[0].payload for entry in node._inq] == [(1.0,)]
+        assert node._peer_decided == {} and node._peer_round == {}
 
 
 class TestRunTimeout:

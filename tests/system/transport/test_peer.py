@@ -29,14 +29,14 @@ class MiniListener:
         node_id: int,
         instance: str = INSTANCE,
         validate: bool = True,
-        version: int = wire.WIRE_VERSION,
+        reply: tuple | None = None,
     ):
         self.path = path
         self.node_id = node_id
         self.instance = instance
-        #: Wire version this listener advertises in its HELLO reply — a
-        #: value below WIRE_VERSION makes the dialing link downgrade.
-        self.version = version
+        #: The record answered in place of this listener's own HELLO —
+        #: lets a test hand the dialer a malformed or foreign one.
+        self.reply = reply
         #: False replies with our HELLO without checking theirs — lets a
         #: test hand the dialer a mismatching identity to choke on.
         self.validate = validate
@@ -69,7 +69,8 @@ class MiniListener:
             if self.validate:
                 wire.check_hello(hello, instance=self.instance)
             writer.write(
-                wire.encode_hello(self.node_id, self.instance, self.version)
+                wire.encode_hello(self.node_id, self.instance)
+                if self.reply is None else wire.encode_record(self.reply)
             )
             await writer.drain()
             async for record in wire.read_frames(reader):
@@ -309,9 +310,11 @@ class TestBackpressure:
 class TestVersionNegotiation:
     STAMP = (7, 12, (5, 12))
 
-    def _exchange(self, path: str, listener_version: int):
+    def test_v2_peer_receives_stamp(self, tmp_path):
+        path = str(tmp_path / "n1.sock")
+
         async def go():
-            listener = MiniListener(path, node_id=1, version=listener_version)
+            listener = MiniListener(path, node_id=1)
             await listener.start()
             link = make_link(path)
             link.start()
@@ -320,26 +323,42 @@ class TestVersionNegotiation:
             )
             await link.close()
             await listener.stop()
-            return listener, link
+            return listener
 
-        return asyncio.run(go())
-
-    def test_v2_peer_receives_stamp(self, tmp_path):
-        listener, link = self._exchange(str(tmp_path / "n1.sock"), 2)
-        assert link.wire_version == 2
-        (record,) = listener.records
+        (record,) = asyncio.run(go()).records
         assert wire.message_stamp(record) == self.STAMP
 
-    def test_v1_peer_downgrades_and_stamp_is_stripped(self, tmp_path):
-        # The stamp lives only at wire version 2: against a v1 peer the
-        # link must emit the legacy 7-tuple the peer can decode.
-        listener, link = self._exchange(str(tmp_path / "n1.sock"), 1)
-        assert link.wire_version == 1
-        (record,) = listener.records
-        assert len(record) == 7
-        assert wire.message_stamp(record) is None
-        seq, decoded = wire.decode_message(record)
-        assert decoded.payload == (1.0,)
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            (wire.HELLO, 1, "two", INSTANCE),  # was a plain ValueError
+            (wire.HELLO, None, 2, INSTANCE),   # was a plain TypeError
+            (wire.HELLO, 1, 1, INSTANCE),      # version 1: no longer spoken
+            (wire.HELLO, 1, 2),
+            (wire.ROUND, 0, 0, False),
+        ],
+        ids=["str-version", "none-id", "v1", "short", "not-a-hello"],
+    )
+    def test_bad_hello_reply_fails_the_link_for_good(self, tmp_path, reply):
+        # Regression: a HELLO with a wrong-typed field used to kill the
+        # writer task with an exception nothing caught — link.failed
+        # stayed None, on_failure never ran, the node sat out run_timeout.
+        path = str(tmp_path / "n1.sock")
+        calls: list[int] = []
+
+        async def go():
+            listener = MiniListener(path, node_id=1, reply=reply)
+            await listener.start()
+            link = make_link(path, on_failure=lambda: calls.append(1))
+            link.start()
+            await asyncio.wait_for(link._writer_task, timeout=1.0)
+            await listener.stop()
+            return link, listener
+
+        link, listener = asyncio.run(go())
+        assert isinstance(link.failed, wire.WireError)
+        assert calls == [1]
+        assert listener.connections == 1  # permanent: never redialled
 
 
 class TestLinkTelemetry:
@@ -451,9 +470,7 @@ class FakePeer:
     hands the link a real StreamReader holding the peer's HELLO and a
     :class:`FakeWriter`, one pair per connection."""
 
-    def __init__(self, versions=(wire.WIRE_VERSION,), fail_drains: int = 0):
-        #: HELLO version advertised per connection (last one repeats).
-        self.versions = list(versions)
+    def __init__(self, fail_drains: int = 0):
         self.fail_drains = fail_drains
         self.gate = asyncio.Event()
         self.gate.set()
@@ -462,9 +479,8 @@ class FakePeer:
         self.delivered: list[tuple] = []
 
     async def dial(self):
-        version = self.versions[min(len(self.writers), len(self.versions) - 1)]
         reader = asyncio.StreamReader()
-        reader.feed_data(wire.encode_hello(1, INSTANCE, version))
+        reader.feed_data(wire.encode_hello(1, INSTANCE))
         writer = FakeWriter(self)
         self.writers.append(writer)
         return reader, writer
@@ -593,8 +609,6 @@ class TestBurstWrite:
 
 
 class TestEncodeAtEnqueue:
-    STAMP = (7, 12, (5, 12))
-
     def test_frame_is_the_snapshot(self):
         # The record is encoded inside send_message: what the sender does
         # to the payload object afterwards never reaches the wire.
@@ -612,49 +626,6 @@ class TestEncodeAtEnqueue:
 
         (record,) = asyncio.run(go()).delivered
         assert wire.decode_message(record)[1].payload[0] == 1.0
-
-    def test_v1_handshake_reencodes_everything_queued(self):
-        # Frames are encoded at the link's current version (the newest,
-        # before any handshake); a v1 peer must still get 7-tuples, in
-        # order, control records and the close() sentinel untouched.
-        async def go():
-            peer = FakePeer(versions=(1,))
-            link = peer.link()
-            for i in range(3):
-                await link.send_message(msg(i), stamp=self.STAMP)
-            await link.send_round(0, True)
-            link.start()
-            while not peer.delivered:
-                await asyncio.sleep(0)
-            await link.send_message(msg(4), stamp=self.STAMP)  # queued at v1
-            await link.close()
-            return peer, link
-
-        peer, link = asyncio.run(go())
-        assert link.wire_version == 1
-        records = peer.delivered
-        assert [r[1] for r in records] == [0, 1, 2, 3, 4]
-        assert [r[0] for r in records] == [wire.MSG] * 3 + [wire.ROUND, wire.MSG]
-        assert all(len(r) == 7 for r in records if r[0] == wire.MSG)
-        assert [wire.decode_message(r)[1].payload for r in records[:3]] == [
-            (0.0,), (1.0,), (2.0,),
-        ]
-
-    def test_downgrade_on_reconnect_reencodes_the_in_flight_batch(self):
-        async def go():
-            peer = FakePeer(versions=(2, 1), fail_drains=1)
-            link = peer.link()
-            await link.send_message(msg(0), stamp=self.STAMP)
-            await link.send_message(msg(1), stamp=self.STAMP)
-            link.start()
-            await link.close()
-            return peer
-
-        peer = asyncio.run(go())
-        first, second = peer.data_writes()
-        assert [len(r) for r in split_frames(first)] == [8, 8]
-        assert [len(r) for r in split_frames(second)] == [7, 7]
-        assert [r[1] for r in peer.delivered] == [0, 1]
 
 
 class TestFailureCallback:

@@ -96,8 +96,15 @@ class TestMessageRoundTrip:
         assert decoded.payload[0] == 1.0
 
     def test_atomic_envelope_detection(self):
-        assert wire.is_atomic(Message(0, ALL, "abc", ()))
-        assert not wire.is_atomic(Message(0, 1, "bc:0", ()))
+        # The broadcast-channel destination survives the wire as it is.
+        _, decoded = wire.decode_message(
+            roundtrip(wire.encode_message(Message(0, ALL, "abc", ()), 0))
+        )
+        assert decoded.dst == ALL and decoded.is_atomic_broadcast
+        _, decoded = wire.decode_message(
+            roundtrip(wire.encode_message(Message(0, 1, "bc:0", ()), 0))
+        )
+        assert not decoded.is_atomic_broadcast
 
 
 def _payload_equal(a, b) -> bool:
@@ -125,8 +132,8 @@ class TestVersionedMessages:
         assert decoded.tag == msg.tag
 
     def test_stamp_coordinates_normalised(self):
-        # Stamps may arrive with numpy ints or a list clock; the reader
-        # always sees plain ints and a tuple.
+        # A stamp may be handed over with numpy ints or a list clock; it
+        # is written — so the reader always sees — plain ints and a tuple.
         stamp = (np.int64(1), np.int64(4), [np.int64(2), np.int64(4)])
         record = roundtrip(wire.encode_message(Message(0, 1, "val", ()), 0, stamp=stamp))
         assert wire.message_stamp(record) == (1, 4, (2, 4))
@@ -136,26 +143,20 @@ class TestVersionedMessages:
         assert len(record) == 8
         assert wire.message_stamp(record) is None
 
-    def test_v1_downgrade_strips_stamp(self):
-        # encode_for_version at version 1 must emit the legacy 7-tuple a
-        # version-1 peer can decode.
+    def test_only_the_one_version_encodes(self):
+        # There is no downgrade: a record is encoded at WIRE_VERSION, with
+        # its stamp, or not at all.
         rec = wire.message_record(Message(0, 1, "val", ()), 5, self.STAMP)
-        record = roundtrip(wire.encode_for_version(rec, 1))
-        assert len(record) == 7
-        assert wire.message_stamp(record) is None
-        seq, decoded = wire.decode_message(record)
-        assert seq == 5
-        assert decoded.tag == "val"
+        record = roundtrip(wire.encode_for_version(rec, wire.WIRE_VERSION))
+        assert wire.message_stamp(record) == self.STAMP
+        for version in (1, 3):
+            with pytest.raises(wire.WireError, match="wire version"):
+                wire.encode_for_version(rec, version)
 
-    def test_negotiate_picks_newest_common_version(self):
-        assert wire.negotiate(1) == 1
-        assert wire.negotiate(2) == 2
-        assert wire.negotiate(99) == wire.WIRE_VERSION
-
-    def test_v1_hello_accepted(self):
-        record = roundtrip(wire.encode_hello(3, "run-x", version=1))
-        assert wire.check_hello(record, instance="run-x", expected_id=3) == 3
-        assert wire.hello_version(record) == 1
+    def test_v1_hello_refused(self):
+        record = roundtrip(wire.encode_record((wire.HELLO, 3, 1, "run-x")))
+        with pytest.raises(wire.WireError, match="version mismatch"):
+            wire.check_hello(record, instance="run-x", expected_id=3)
 
 
 class TestControlRecords:
@@ -165,7 +166,7 @@ class TestControlRecords:
         assert wire.check_hello(record, instance="run-x", expected_id=3) == 3
 
     def test_hello_version_mismatch(self):
-        record = roundtrip(wire.encode_hello(3, "run-x", version=99))
+        record = roundtrip(wire.encode_record((wire.HELLO, 3, 99, "run-x")))
         with pytest.raises(wire.WireError, match="version mismatch"):
             wire.check_hello(record, instance="run-x")
 
@@ -218,6 +219,129 @@ class TestMalformedFrames:
     def test_wrong_arity(self, record):
         with pytest.raises(wire.WireError, match="malformed"):
             wire.decode_body(pickle.dumps(record))
+
+
+STAMP = (42, 17, (3, 17, 0, 5))
+
+#: One well-formed record per shape the wire carries.
+GOOD_RECORDS = {
+    "hello": (wire.HELLO, 3, wire.WIRE_VERSION, "run-x"),
+    "msg": (wire.MSG, 9, 1, 2, "rva:echo:0", (4, (0.5, -1.25)), 3, None),
+    "msg-stamped": (wire.MSG, 17, 0, ALL, "abc", ("echo", 0), None, STAMP),
+    "round": (wire.ROUND, 5, 2, True),
+    "decided": (wire.DECIDED, 9, 1),
+}
+
+#: A value of a type no field of that declared type accepts.
+WRONG = {int: "7", str: 7, bool: 1, tuple: [1, 2, (3,)], type(None): 1.5}
+
+
+def _decode_table() -> dict[str, tuple[tuple, bool]]:
+    """``row id -> (record, accepted)``: every record kind x {right shape,
+    short, long, each field wrong-typed}, generated from the code's own
+    field table, plus the ways a stamp can be malformed."""
+    rows: dict[str, tuple[tuple, bool]] = {}
+    for name, good in GOOD_RECORDS.items():
+        rows[f"{name}/ok"] = (good, True)
+        rows[f"{name}/short"] = (good[:-1], False)
+        rows[f"{name}/long"] = (good + (None,), False)
+        for i, (field, types) in enumerate(wire.RECORD_FIELDS[good[0]], start=1):
+            if types is None:
+                continue  # the payload is any picklable value
+            for typ in types:
+                if isinstance(WRONG[typ], types):
+                    continue  # e.g. nothing here is wrong for "int or None"
+                bad = good[:i] + (WRONG[typ],) + good[i + 1:]
+                rows[f"{name}/{field}={WRONG[typ]!r}"] = (bad, False)
+            if int in types:  # bool is not an int on the wire
+                rows[f"{name}/{field}=True"] = (
+                    good[:i] + (True,) + good[i + 1:], False
+                )
+    msg = GOOD_RECORDS["msg-stamped"]
+    for label, stamp in {
+        "2-tuple": (42, 17),
+        "4-tuple": STAMP + (0,),
+        "list": list(STAMP),
+        "str-eid": ("42", 17, (3,)),
+        "float-lamport": (42, 17.0, (3,)),
+        "list-clock": (42, 17, [3, 17]),
+        "str-in-clock": (42, 17, (3, "17")),
+        "bool-in-clock": (42, 17, (3, True)),
+    }.items():
+        rows[f"msg-stamped/stamp:{label}"] = (msg[:7] + (stamp,), False)
+    rows["kind/unhashable"] = (([], 1, 2), False)
+    rows["kind/bytes"] = ((b"msg", 1, 2), False)
+    return rows
+
+
+DECODE_TABLE = _decode_table()
+
+#: The rows the parent commit (two wire versions, arity checks only)
+#: already refused with a ``WireError``; every other rejected row is a
+#: frame it accepted.  ``kind/unhashable`` raised ``TypeError`` there.
+REJECTED_AT_PARENT = {
+    "hello/short", "hello/long", "msg/long", "msg-stamped/long",
+    "round/short", "round/long", "decided/short", "decided/long",
+    "kind/bytes",
+}
+
+
+class TestDecodeTable:
+    @pytest.mark.parametrize("row", sorted(DECODE_TABLE))
+    def test_verdict(self, row):
+        record, accepted = DECODE_TABLE[row]
+        body = pickle.dumps(record, protocol=4)
+        if accepted:
+            assert wire.decode_body(body) == record
+        else:
+            with pytest.raises(wire.WireError):
+                wire.decode_body(body)
+
+    def test_nothing_the_parent_refused_is_accepted_now(self):
+        assert REJECTED_AT_PARENT <= {
+            row for row, (_, accepted) in DECODE_TABLE.items() if not accepted
+        }
+
+    def test_table_covers_every_typed_field(self):
+        for name, good in GOOD_RECORDS.items():
+            for field, types in wire.RECORD_FIELDS[good[0]]:
+                assert types is None or any(
+                    row.startswith(f"{name}/{field}=") for row in DECODE_TABLE
+                ), (name, field)
+
+
+#: ``encode_for_version(record, WIRE_VERSION)`` at the parent commit — the
+#: one-version wire is the old version 2, byte for byte.
+PINNED_FRAMES = {
+    "hello": "000000238004951800000000000000288c0568656c6c6f944b034b02"
+             "8c0572756e2d789474942e",
+    "msg": "000000438004953800000000000000288c036d7367944b094b014b02"
+           "8c0a7276613a6563686f3a30944b04473fe000000000000047bff400"
+           "0000000000869486944b034e74942e",
+    "round": "0000001c8004951100000000000000288c05726f756e64944b054b02"
+             "8874942e",
+    "decided": "0000001c80049511000000000000008c0764656369646564944b09"
+               "4b0187942e",
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("name", sorted(PINNED_FRAMES))
+    def test_frame_bytes_did_not_move(self, name):
+        frame = wire.encode_for_version(GOOD_RECORDS[name], wire.WIRE_VERSION)
+        assert frame.hex() == PINNED_FRAMES[name]
+
+    def test_stamped_message_bytes_did_not_move(self):
+        msg = Message(1, 2, "rva:echo:0", (4, (0.5, -1.25)), round=3)
+        record = wire.message_record(msg, 9, STAMP)
+        assert wire.encode_for_version(record, wire.WIRE_VERSION).hex() == (
+            "000000538004954800000000000000288c036d7367944b094b014b02"
+            "8c0a7276613a6563686f3a30944b04473fe000000000000047bff400"
+            "0000000000869486944b034b2a4b11284b034b114b004b057494879474942e"
+        )
+        assert wire.encode_message(msg, 9, stamp=STAMP) == (
+            wire.encode_for_version(record, wire.WIRE_VERSION)
+        )
 
 
 class TestReadFrames:
@@ -298,7 +422,7 @@ _RECORDS = st.one_of(
               st.integers(0, 10**6), st.integers(0, 99)),
     st.builds(lambda s, p: (wire.MSG, s, 0, 1, "bc:0", p, None, None),
               st.integers(0, 10**6), st.tuples(_SCALARS, _SCALARS)),
-    st.builds(lambda s, p: (wire.MSG, s, 2, 0, "val", p, 3),  # version-1 frame
+    st.builds(lambda s, p: (wire.MSG, s, 2, 0, "val", p, 3, (7, 12, (5, 12))),
               st.integers(0, 10**6), st.lists(_SCALARS, max_size=4)),
 )
 

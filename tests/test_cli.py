@@ -477,9 +477,13 @@ class TestFleetCLI:
 
         import numpy as np
 
+        from repro.core import RunSpec
         from repro.obs.causal import CausalCollector
 
         seed, n, d, scale = 7, 2, 2, 1.0
+        knobs = RunSpec(algorithm="averaging", n=n, d=d, f=0, seed=seed,
+                        input_scale=scale, epsilon=0.05,
+                        rounds=3).to_document()
         mean = np.random.default_rng(seed).normal(
             scale=scale, size=(n, d)
         ).mean(axis=0)
@@ -500,11 +504,8 @@ class TestFleetCLI:
                  "run_id": f"cli-n{pid}", "wall_time": 100.0},
                 {"type": "event", "t": 0.0,
                  "name": "transport.node.topology", "level": "info",
-                 "fields": {"pid": pid, "algorithm": "averaging",
-                            "n": n, "d": d, "f": 0, "seed": seed,
-                            "input_scale": scale, "epsilon": 0.05,
-                            "p": 2.0, "k": 1, "delta": None,
-                            "kind": "uds"}},
+                 "fields": {"pid": pid, "instance": "cli", "kind": "uds",
+                            **knobs}},
                 {"type": "event", "t": 1.0,
                  "name": "transport.node.decision", "level": "info",
                  "fields": {"pid": pid, "decided": True,
