@@ -15,9 +15,6 @@ Commands
 ``explain``   run one spec under causal tracing and reconstruct the
               provenance (causal cone) of a process's decision
 ``trace``     run any other command under the tracer, dump JSONL + summary
-``bench``     throughput benchmark over a standard grid with per-phase
-              timing (BENCH_perf.json), or diff two BENCH files under a
-              regression threshold (``--compare OLD NEW``)
 ``metrics``   Prometheus text-format snapshots: ``serve`` a scrapeable
               endpoint, ``snapshot`` to stdout/file, ``diff`` counter
               deltas between two exported JSONL traces
@@ -49,14 +46,13 @@ Examples::
     python -m repro fuzz --algorithm averaging --trials 50 --seed 7
     python -m repro fuzz --algorithm algo --trials 5 --inject split-brain
     python -m repro sweep --algorithms algo,exact --d 2,3 --reps 4 --workers 4
-    python -m repro sweep --reps 8 --workers 2 --compare --out BENCH_sweep.json
+    python -m repro sweep --reps 8 --workers 2 --compare --out sweep.json
     python -m repro shrink --token dst1-...
     python -m repro replay --token dst1-... --trace failure.jsonl
     python -m repro explain --algorithm algo --d 2 --f 1 --pid 0 --probes all
     python -m repro explain --algorithm averaging --format dot --out cone.dot
     python -m repro trace --out run.jsonl demo --d 3
-    python -m repro bench --grid tiny --out BENCH_perf.json
-    python -m repro bench --compare BENCH_perf.json BENCH_new.json
+    python -m repro trace --flame sweep --algorithms algo,averaging --reps 2
     python -m repro metrics serve --demo --port 9464 --max-requests 1
     python -m repro metrics snapshot --from run.jsonl
     python -m repro launch --algorithm averaging --n 4 --d 2 --transport tcp
@@ -264,9 +260,10 @@ def _str_tuple(text: str) -> tuple[str, ...]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import json
+    from contextlib import nullcontext
 
     from .exec import SweepGrid, compare_grid, run_grid
-    from .geometry import set_cache_enabled
+    from .geometry import cache_disabled
 
     if args.workers < 1:
         return _fail(f"--workers must be >= 1, got {args.workers}")
@@ -286,13 +283,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         return _fail(str(exc))
-    if args.no_cache:
-        set_cache_enabled(False)
+    cache_scope = cache_disabled if args.no_cache else nullcontext
 
     if args.compare:
-        doc = compare_grid(grid, workers=args.workers,
-                           chunksize=args.chunksize,
-                           measure_cache=args.measure_cache)
+        with cache_scope():
+            doc = compare_grid(grid, workers=args.workers,
+                               chunksize=args.chunksize,
+                               measure_cache=args.measure_cache)
         summary = doc["summary"]
         if not args.quiet:
             print(f"{doc['trial_count']} trials "
@@ -314,14 +311,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               f"{doc['identical']} "
               f"(digest {doc['decisions_digest']['serial'][:16]}...)")
         if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
+            try:
+                with open(args.out, "w") as fh:
+                    json.dump(doc, fh, indent=2)
+                    fh.write("\n")
+            except OSError as exc:
+                return _fail(f"cannot write {args.out!r}: {exc}")
             if not args.quiet:
                 print(f"wrote {args.out}")
         return 0 if doc["identical"] else 1
 
-    result = run_grid(grid, workers=args.workers, chunksize=args.chunksize)
+    with cache_scope():
+        result = run_grid(grid, workers=args.workers, chunksize=args.chunksize)
     summary = result.summary()
     print(f"{result.trial_count} trials ({result.skipped_trials} trials "
           f"skipped), {result.ok_count} ok, workers={result.workers}, "
@@ -337,7 +338,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"  {name}: {row['ok']}/{row['trials']} ok, "
                   f"{row['messages']} msgs, {row['wall_seconds']:.3f}s")
     if args.out:
-        result.save(args.out)
+        try:
+            result.save(args.out)
+        except OSError as exc:
+            return _fail(f"cannot write {args.out!r}: {exc}")
         if not args.quiet:
             print(f"wrote {args.out}")
     return 0 if result.ok_count == result.trial_count else 1
@@ -660,100 +664,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from .analysis.profiling import render_hot_phases, render_phase_flame
-    from .exec.bench import bench_grid, compare_bench, run_bench
-
-    if args.compare:
-        old_path, new_path = args.compare
-        docs = []
-        for path in (old_path, new_path):
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    docs.append(json.load(fh))
-            except (OSError, ValueError) as exc:
-                return _fail(f"cannot load BENCH file {path!r}: {exc}")
-        try:
-            report = compare_bench(docs[0], docs[1],
-                                   max_regression=args.max_regression)
-        except ValueError as exc:
-            return _fail(str(exc))
-        print(f"compared {report['cells_compared']} shared cells "
-              f"(threshold: {report['max_regression']:.0%} drop)")
-        if report["environment_changed"]:
-            print("note: environment changed between documents "
-                  "(different machine/cpu_count) — wall-clock deltas are "
-                  "not regressions")
-        if not report["same_grid"]:
-            print("note: grids differ; only shared cells compared, "
-                  "no overall verdict")
-        elif report["overall_drop"] is not None and not args.quiet:
-            print(f"overall decisions/sec drop: {report['overall_drop']:+.1%}")
-        for row in report["regressions"]:
-            print(f"REGRESSION {row['key']}: "
-                  f"{row['old_decisions_per_second']} -> "
-                  f"{row['new_decisions_per_second']} decisions/sec "
-                  f"({row['drop']:+.1%})")
-        if not args.quiet:
-            for row in report["improvements"]:
-                print(f"improvement {row['key']}: "
-                      f"{row['old_decisions_per_second']} -> "
-                      f"{row['new_decisions_per_second']} decisions/sec")
-        print("bench comparison: " + ("OK" if report["ok"] else
-                                      f"{len(report['regressions'])} "
-                                      f"regression(s)"))
-        return 0 if report["ok"] else 1
-
-    try:
-        grid = bench_grid(args.grid)
-    except ValueError as exc:
-        return _fail(str(exc))
-    if args.workers < 1:
-        return _fail(f"--workers must be >= 1, got {args.workers}")
-    doc = run_bench(grid, grid_name=args.grid, workers=args.workers)
-    env = doc["environment"]
-    print(f"bench grid {args.grid!r}: {doc['trial_count']} trials "
-          f"({doc['skipped_trials']} skipped), {doc['ok_count']} ok, "
-          f"{doc['wall_seconds']:.3f}s "
-          f"[cpu_count={env['cpu_count']} python={env['python']} "
-          f"numpy={env['numpy']}]")
-    tp = doc["throughput"]
-    print(f"throughput: {tp['decisions_per_second']} decisions/sec "
-          f"({tp['decisions_total']} decisions, "
-          f"{tp['trials_per_second']} trials/sec)")
-    if not args.quiet:
-        for cell in doc["cells"]:
-            print(f"  {cell['key']}: {cell['decisions_per_second']} "
-                  f"decisions/sec over {cell['trials']} trials "
-                  f"({cell['rounds_mean']} rounds avg)")
-    if "parallel" in doc:
-        par = doc["parallel"]
-        label = (f"{par['speedup']}x" if par["speedup"] is not None
-                 else f"unmeasurable ({par['note']})")
-        print(f"parallel x{par['workers']}: {par['wall_seconds']:.3f}s, "
-              f"identical={par['identical']}, speedup {label}")
-    snapshot = {"schema": doc["schema"], "phases": doc["phases"],
-                "cache": doc["cache"]}
-    if not args.quiet:
-        print()
-        print(render_hot_phases(snapshot, top=args.hot))
-    if args.flame:
-        print()
-        print(render_phase_flame(snapshot))
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            return _fail(f"cannot write {args.out!r}: {exc}")
-        if not args.quiet:
-            print(f"wrote {args.out}")
-    return 0 if doc["ok_count"] == doc["trial_count"] else 1
-
-
 def _demo_sources() -> tuple:
     """Populate a registry + profiler with a tiny instrumented workload."""
     from .core import RunSpec, run
@@ -770,7 +680,7 @@ def _demo_sources() -> tuple:
 def _metrics_exposition(args: argparse.Namespace) -> "str | int":
     """Build the exposition text for metrics snapshot/serve (or exit code)."""
     from .analysis.profiling import metrics_record
-    from .obs import get_profiler, global_registry, read_jsonl
+    from .obs import global_registry, read_jsonl
     from .obs.prom import render_exposition
 
     if getattr(args, "from_jsonl", None):
@@ -785,9 +695,7 @@ def _metrics_exposition(args: argparse.Namespace) -> "str | int":
     if getattr(args, "demo", False):
         registry, profiler = _demo_sources()
         return render_exposition(registry.snapshot(), profiler.snapshot())
-    return render_exposition(
-        global_registry().snapshot(), get_profiler().snapshot()
-    )
+    return render_exposition(global_registry().snapshot())
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
@@ -1094,8 +1002,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cache", action="store_true",
                    help="disable the geometry kernel cache for this sweep")
     p.add_argument("--out", default=None,
-                   help="write the sweep/comparison report as JSON "
-                        "(BENCH_sweep.json by convention)")
+                   help="write the sweep/comparison report as JSON")
     p.set_defaults(func=_cmd_sweep)
 
     for name, helptext in (
@@ -1164,35 +1071,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--causal-out", default=None,
                    help="also dump the full causal event log as JSONL")
     p.set_defaults(func=_cmd_explain)
-
-    p = sub.add_parser(
-        "bench", parents=[common],
-        help="throughput benchmark over a standard grid, with per-phase "
-             "timing; or diff two BENCH files (--compare)",
-    )
-    p.add_argument("--grid", default="small",
-                   choices=["tiny", "small", "standard"],
-                   help="named standard grid (default small; tiny is the "
-                        "CI smoke grid)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="add a parallel pass with N workers (speedup is "
-                        "reported only when cpu_count > 1; flagged "
-                        "unmeasurable on a 1-core machine)")
-    p.add_argument("--hot", type=int, default=10,
-                   help="rows in the hot-phase table (default 10)")
-    p.add_argument("--flame", action="store_true",
-                   help="also print the aggregated phase-path tree")
-    p.add_argument("--out", default=None,
-                   help="write the BENCH document as JSON "
-                        "(BENCH_perf.json by convention)")
-    p.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), default=None,
-                   help="diff two BENCH JSON files instead of running; "
-                        "exit 1 when throughput regressed beyond "
-                        "--max-regression")
-    p.add_argument("--max-regression", type=float, default=0.5,
-                   help="allowed fractional decisions/sec drop before "
-                        "--compare fails (default 0.5)")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
         "metrics", parents=[common],

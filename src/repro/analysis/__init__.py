@@ -5,8 +5,6 @@ from .profiling import (
     SpanStats,
     metrics_record,
     render_flame,
-    render_hot_phases,
-    render_phase_flame,
     render_summary,
     summarize_spans,
 )
@@ -46,8 +44,6 @@ __all__ = [
     "SpanStats",
     "metrics_record",
     "render_flame",
-    "render_hot_phases",
-    "render_phase_flame",
     "render_summary",
     "render_transcript",
     "summarize_spans",

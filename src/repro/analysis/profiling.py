@@ -1,16 +1,10 @@
-"""Human-readable views of exported traces and phase profiles.
+"""Human-readable views of exported traces.
 
-Two record families render here:
-
-* **trace records** — the dict form produced by :func:`repro.obs.export
-  .trace_to_records` / :func:`repro.obs.export.read_jsonl`, so these
-  work identically on an in-memory tracer and on a JSONL file read back
-  from disk (:func:`render_summary`, :func:`render_flame`);
-* **phase snapshots** — the document produced by
-  :meth:`repro.obs.perf.PhaseProfiler.snapshot` (and embedded in
-  ``BENCH_perf.json`` under ``"phases"``): :func:`render_hot_phases` is
-  the top-N where-did-the-time-go table, :func:`render_phase_flame` the
-  indented path tree.
+The renderers take **trace records** — the dict form produced by
+:func:`repro.obs.export.trace_to_records` /
+:func:`repro.obs.export.read_jsonl` — so they work identically on an
+in-memory tracer and on a JSONL file read back from disk
+(:func:`render_summary`, :func:`render_flame`).
 
 ::
 
@@ -26,9 +20,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Optional, Sequence
 
-from ..obs.perf import rollup_phases
 from .tables import format_table
 
 __all__ = [
@@ -36,8 +29,6 @@ __all__ = [
     "summarize_spans",
     "render_summary",
     "render_flame",
-    "render_hot_phases",
-    "render_phase_flame",
     "metrics_record",
 ]
 
@@ -167,87 +158,6 @@ def render_flame(
                     f"{indent}  ... ({len(kids) - max_children} more children)"
                 )
                 break
-            emit(kid, depth + 1)
-
-    for root in children.get(None, []):
-        emit(root, 0)
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# phase-profile renderers (PhaseProfiler.snapshot / BENCH_perf documents)
-# ---------------------------------------------------------------------------
-
-
-def render_hot_phases(
-    snapshot: Mapping[str, Any], *, top: int = 10
-) -> str:
-    """Top-N phases by *self* time: wall attributed to a phase name and
-    not to any deeper phase — the honest where-did-the-time-go table."""
-    rollup = rollup_phases(dict(snapshot))
-    if not rollup:
-        return "hot phases: (no phases recorded)"
-    grand_total = sum(r["self_seconds"] for r in rollup.values()) or 1.0
-    ranked = sorted(rollup.items(), key=lambda kv: -kv[1]["self_seconds"])
-    rows = [
-        [
-            name,
-            row["count"],
-            f"{row['self_seconds']:.6f}",
-            f"{100.0 * row['self_seconds'] / grand_total:.1f}%",
-            f"{row['wall_seconds']:.6f}",
-            f"{row['cpu_seconds']:.6f}",
-        ]
-        for name, row in ranked[:top]
-    ]
-    table = format_table(
-        ["phase", "count", "self(s)", "self%", "total(s)", "cpu(s)"],
-        rows,
-        title=f"hot phases (top {min(top, len(ranked))} of {len(ranked)})",
-    )
-    cache: Mapping[str, Any] = snapshot.get("cache", {})
-    if not cache:
-        return table
-    cache_rows = []
-    for kernel, entry in sorted(cache.items()):
-        lookups = entry["hits"] + entry["misses"]
-        rate = entry["hits"] / lookups if lookups else 0.0
-        cache_rows.append(
-            [kernel, entry["hits"], entry["misses"], f"{100.0 * rate:.1f}%"]
-        )
-    return table + "\n\n" + format_table(
-        ["kernel", "hits", "misses", "hit rate"],
-        cache_rows,
-        title="geometry cache",
-    )
-
-
-def render_phase_flame(snapshot: Mapping[str, Any]) -> str:
-    """Indented phase-path tree with wall time and counts at each node.
-
-    Unlike :func:`render_flame` (one line per span instance), each line
-    here is an *aggregate* over every traversal of that path, so a
-    million async steps stay one line.
-    """
-    phases: Mapping[str, Any] = snapshot.get("phases", {})
-    if not phases:
-        return "(no phases recorded)"
-    children: dict[Optional[str], list[str]] = defaultdict(list)
-    for path, entry in phases.items():
-        children[entry.get("parent")].append(path)
-    for sibs in children.values():
-        sibs.sort(key=lambda p: -float(phases[p]["wall_seconds"]))
-
-    lines: list[str] = []
-
-    def emit(path: str, depth: int) -> None:
-        entry = phases[path]
-        indent = "  " * depth
-        lines.append(
-            f"{indent}{entry['name']}  {entry['wall_seconds']:.6f}s"
-            f"  x{entry['count']}"
-        )
-        for kid in children.get(path, []):
             emit(kid, depth + 1)
 
     for root in children.get(None, []):

@@ -50,8 +50,7 @@ from ..geometry.intersections import gamma_delta_p_point, gamma_point
 from ..geometry.minimax import delta_star
 from ..geometry.tolerance import near_zero
 from ..obs.causal import note_decision, note_iteration
-from ..obs.perf import perf_phase
-from ..obs.tracer import trace_event
+from ..obs.tracer import trace_event, trace_span
 from ..system.broadcast.interface import make_broadcast
 from ..system.process import AsyncProcess, Context
 
@@ -275,7 +274,7 @@ class VerifiedAveragingProcess(AsyncProcess):
         if cached is not None:
             self._note_delta(cached[1])
             return cached[0].copy()
-        with perf_phase("averaging.select"):
+        with trace_span("averaging.select"):
             point = self._select_round1_uncached(X)
         if len(_SELECT_CACHE) > _SELECT_CACHE_MAX:
             _SELECT_CACHE.clear()

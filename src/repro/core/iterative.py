@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..geometry.intersections import gamma_point
-from ..obs.perf import perf_phase
+from ..obs.tracer import trace_span
 from ..system.process import Context, Inbox, SyncProcess
 from ..system.topology import Topology
 
@@ -61,7 +61,7 @@ def iterative_update(
     """
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    with perf_phase("iterative.update"):
+    with trace_span("iterative.update"):
         M = np.vstack([own[None, :]] + [v[None, :] for v in neighbour_values])
         point = gamma_point(M, f)
         if point is None:

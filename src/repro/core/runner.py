@@ -22,8 +22,8 @@ from typing import TYPE_CHECKING, Any, NamedTuple, Optional, Sequence
 import numpy as np
 
 from ..obs.metrics import use_registry
-from ..obs.perf import perf_phase
 from ..obs.probes import Probe, ProbeReport, build_probes
+from ..obs.tracer import trace_span
 from ..system.adversary import Adversary
 from ..system.crypto import SignatureScheme
 from ..system.scheduler import RunResult
@@ -248,7 +248,7 @@ def run(spec: RunSpec) -> ConsensusOutcome:
     :class:`~repro.obs.metrics.MetricsRegistry` for the run.
     """
     if spec.metrics is not None:
-        with use_registry(spec.metrics), perf_phase("core.run"):
+        with use_registry(spec.metrics), trace_span("core.run"):
             return _run(spec)
-    with perf_phase("core.run"):
+    with trace_span("core.run"):
         return _run(spec)

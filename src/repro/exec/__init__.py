@@ -14,14 +14,6 @@ checks this; ``python -m repro sweep`` exposes it).
 True
 """
 
-from .bench import (
-    BENCH_SCHEMA,
-    STANDARD_GRIDS,
-    bench_grid,
-    compare_bench,
-    environment_block,
-    run_bench,
-)
 from .engine import compare_grid, run_grid, run_sweep, run_trial
 from .grid import (
     ADVERSARIES,
@@ -45,28 +37,22 @@ from .results import SweepResult, TrialResult, decisions_to_hex, hex_to_decision
 
 __all__ = [
     "ADVERSARIES",
-    "BENCH_SCHEMA",
-    "STANDARD_GRIDS",
     "TOPOLOGY_SCHEMA",
     "SweepGrid",
     "SweepResult",
     "TrialResult",
     "TrialSpec",
-    "bench_grid",
     "build_adversary",
     "build_process",
     "build_runspec",
     "build_topology",
-    "compare_bench",
     "compare_grid",
     "decisions_to_hex",
     "derive_trial_seed",
-    "environment_block",
     "hex_to_decisions",
     "launch_local",
     "load_topology",
     "min_trial_size",
-    "run_bench",
     "run_grid",
     "run_node",
     "run_sweep",

@@ -199,8 +199,8 @@ def compare_grid(
 ) -> dict[str, Any]:
     """Run a grid serially and in parallel; check bit-identity.
 
-    Returns the comparison document serialised into ``BENCH_sweep.json``
-    by the CLI: both modes' timings, the shared decisions digest, and —
+    Returns the comparison document ``repro sweep --compare --out``
+    writes: both modes' timings, the shared decisions digest, and —
     with ``measure_cache`` — a third serial pass with the geometry cache
     disabled, quantifying the cache's speedup on the same grid.
 

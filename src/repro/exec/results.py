@@ -228,7 +228,7 @@ class SweepResult:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
 
     def save(self, path: str) -> None:
-        """Write the sweep as JSON (``BENCH_sweep.json`` by convention)."""
+        """Write the sweep as JSON."""
         tmp = path + ".tmp"
         with open(tmp, "w") as fh:
             fh.write(self.to_json())

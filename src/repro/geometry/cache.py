@@ -35,11 +35,9 @@ Observability
 Hits and misses are counted on the ambient
 :class:`~repro.obs.metrics.MetricsRegistry` (``geometry.cache.hits`` /
 ``geometry.cache.misses`` plus per-kernel ``geometry.cache.<name>.*``),
-so every ``RunResult.metrics`` reports its own hit rate.  When a
-:class:`~repro.obs.perf.PhaseProfiler` is installed, lookups also feed
-its per-kernel hit/miss counters and each miss computation runs under a
-``geometry.solve.<name>`` phase (hits stay un-timed: a dict lookup is
-noise next to a solver call).
+so every ``RunResult.metrics`` reports its own hit rate.  Each miss
+computation runs under a ``geometry.solve.<name>`` span (hits stay
+un-timed: a dict lookup is noise next to a solver call).
 
 Determinism
 -----------
@@ -61,7 +59,7 @@ from typing import Any, Callable, Iterator, Optional, TypeVar, cast
 import numpy as np
 
 from ..obs import metrics as _obs
-from ..obs import perf as _perf
+from ..obs.tracer import trace_span
 
 __all__ = [
     "cache_disabled",
@@ -244,7 +242,7 @@ def cached_kernel(name: str) -> Callable[[F], F]:
     """
 
     def deco(fn: F) -> F:
-        solve_phase = f"geometry.solve.{name}"
+        solve_span = f"geometry.solve.{name}"
 
         @wraps(fn)
         def wrapper(*args: Any, **kwargs: Any) -> Any:
@@ -254,20 +252,13 @@ def cached_kernel(name: str) -> Callable[[F], F]:
             if key is None:
                 return fn(*args, **kwargs)
             hit, value = _CACHE.lookup(key)
-            prof = _perf.get_profiler()
             if hit:
                 _obs.inc("geometry.cache.hits")
                 _obs.inc(f"geometry.cache.{name}.hits")
-                if prof.enabled:
-                    prof.note_cache(name, True)
                 return value
             _obs.inc("geometry.cache.misses")
             _obs.inc(f"geometry.cache.{name}.misses")
-            if prof.enabled:
-                prof.note_cache(name, False)
-                with prof.phase(solve_phase):
-                    value = _freeze_result(fn(*args, **kwargs))
-            else:
+            with trace_span(solve_span):
                 value = _freeze_result(fn(*args, **kwargs))
             _CACHE.store(key, value)
             return value

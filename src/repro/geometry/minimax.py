@@ -47,7 +47,6 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ..obs import metrics as _obs
-from ..obs.perf import perf_phase
 from ..obs.tracer import trace_span
 from .cache import cached_kernel
 from .distance import distance_to_hull
@@ -375,7 +374,7 @@ def delta_star(
     p = validate_p(p)
 
     t0 = time.perf_counter()
-    with perf_phase("geometry.delta_star"), trace_span(
+    with trace_span(
         "geometry.delta_star", n=n, d=d, f=f, p=float(p)
     ) as span:
         result = _delta_star_solve(S, n, f, p, tol, max_iter)

@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from ..obs import metrics as _obs
-from ..obs.perf import perf_phase
+from ..obs.tracer import trace_span
 from .cache import cached_kernel
 from .intersections import intersection_point
 from .relaxed import DeltaPHull, KRelaxedHull
@@ -220,7 +220,7 @@ def tverberg_partition(
     reg.inc("geometry.tverberg.calls")
     t0 = time.perf_counter()
     try:
-        with perf_phase("geometry.tverberg"):
+        with trace_span("geometry.tverberg"):
             return _tverberg_search(pts, r, hull_kind, **kwargs)
     finally:
         reg.observe("geometry.tverberg.seconds", time.perf_counter() - t0)

@@ -17,13 +17,9 @@ Rules
   (``observe``/``histogram``) must end in a unit suffix (``.seconds``,
   ``.bytes``, or ``_us`` for microsecond latencies such as
   ``net.live.queue_wait_us``) so the roll-up's ``<name>.total`` stays
-  unambiguous.
-  Perf-profiler phases (``perf_phase``/``phase``) are span-like names in
-  the same namespace: dotted lowercase required, no unit suffix (their
+  unambiguous.  Span names need no unit suffix: the profiler sink's
   histograms are rendered under an explicit ``_seconds`` family name by
-  :mod:`repro.obs.prom`).  ``note_cache`` is exempt: its argument is a
-  bare kernel name (``delta_star``), a key into the cache counters, not
-  a telemetry path.
+  :mod:`repro.obs.prom`.
 
 F-string names (``f"probe.{self.name}.violations"``) are skipped: the
 rule checks only what it can read statically.
@@ -48,13 +44,11 @@ _SCOPES = (
 _NAMED_CALLS = frozenset(
     {
         "inc", "observe", "set_gauge", "counter", "gauge", "histogram",
-        "span", "event", "timed", "trace_span", "trace_event",
-        "phase", "perf_phase",
+        "span", "event", "trace_span", "trace_event",
     }
 )
 
 #: Calls recording a measured quantity: the name must carry its unit.
-#: (``timed`` is exempt — it appends ``.seconds`` itself.)
 _UNIT_CALLS = frozenset({"observe", "histogram"})
 
 _UNIT_SUFFIXES = (".seconds", ".bytes", "_us")

@@ -1,26 +1,21 @@
 """Observability substrate: structured tracing, metrics, run profiling.
 
-Three pieces (see ``docs/observability.md`` for the guide):
+Four pieces (see ``docs/observability.md`` for the guide):
 
 * :mod:`repro.obs.tracer` — span/event records with a no-op default, so
-  instrumented hot paths cost nothing until a :class:`Tracer` is
-  installed (``use_tracer``/``set_tracer``).
+  instrumented hot paths cost nothing until a sink is installed
+  (``use_tracer``/``set_tracer``).  ``trace_span`` is the one timing API.
+* :mod:`repro.obs.perf` — :class:`PhaseProfiler`, the second sink for the
+  same spans: O(1) per-path aggregates instead of every record
+  (``use_profiler``).
 * :mod:`repro.obs.metrics` — counters, gauges, and exact histograms in a
   :class:`MetricsRegistry`; every scheduler run owns one and surfaces it
   as ``RunResult.metrics``.
 * :mod:`repro.obs.export` — JSONL serialisation and a validating reader
   (the human-readable renderers live in :mod:`repro.analysis.profiling`).
-
-``@timed`` is the one-liner instrumentation: it records a wall-time
-histogram sample on the ambient registry (and a span when tracing is on)
-for every call of the decorated function.
 """
 
 from __future__ import annotations
-
-import functools
-import time
-from typing import Any, Callable, TypeVar
 
 from .causal import (
     NULL_COLLECTOR,
@@ -51,16 +46,7 @@ from .metrics import (
     global_registry,
     use_registry,
 )
-from .perf import (
-    NULL_PROFILER,
-    FixedBucketHistogram,
-    NullPhaseProfiler,
-    PhaseProfiler,
-    get_profiler,
-    perf_phase,
-    set_profiler,
-    use_profiler,
-)
+from .perf import FixedBucketHistogram, PhaseProfiler, use_profiler
 from .probes import (
     PROBE_NAMES,
     AgreementConvergenceProbe,
@@ -97,10 +83,8 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_COLLECTOR",
-    "NULL_PROFILER",
     "NULL_TRACER",
     "NullCausalCollector",
-    "NullPhaseProfiler",
     "NullTracer",
     "PROBE_NAMES",
     "PhaseProfiler",
@@ -116,18 +100,14 @@ __all__ = [
     "current_registry",
     "dump_jsonl",
     "get_causal_collector",
-    "get_profiler",
     "get_tracer",
     "global_registry",
     "header_record",
     "note_decision",
     "note_iteration",
-    "perf_phase",
     "read_jsonl",
     "set_causal_collector",
-    "set_profiler",
     "set_tracer",
-    "timed",
     "trace_event",
     "trace_span",
     "trace_to_records",
@@ -138,26 +118,3 @@ __all__ = [
     "validate_records",
     "write_jsonl",
 ]
-
-F = TypeVar("F", bound=Callable[..., Any])
-
-
-def timed(name: str) -> Callable[[F], F]:
-    """Decorator: time every call into ``<name>.seconds`` on the ambient
-    registry, and open a ``<name>`` span when tracing is enabled."""
-
-    def deco(fn: F) -> F:
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            with trace_span(name):
-                t0 = time.perf_counter()
-                try:
-                    return fn(*args, **kwargs)
-                finally:
-                    current_registry().observe(
-                        f"{name}.seconds", time.perf_counter() - t0
-                    )
-
-        return wrapper  # type: ignore[return-value]
-
-    return deco

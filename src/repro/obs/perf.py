@@ -1,23 +1,24 @@
-"""Performance observability: hierarchical phase timers, zero cost when off.
+"""Performance observability: a span sink that keeps O(1) aggregates.
 
 The correctness side of ``repro.obs`` (tracer, causal collector, probes)
-answers *what happened*; this module answers *where the time went*.  A
-:class:`PhaseProfiler` records a tree of **phases** — run → round →
-protocol phase → geometry kernel — keyed by their slash-joined path
-(``core.run/sched.round/averaging.select/geometry.delta_star``), with a
-fixed-bucket latency histogram and a wall/CPU split per node.
+answers *what happened*; this module answers *where the time went*.
+Production code times a block one way — :func:`~repro.obs.tracer
+.trace_span` — and the spans go to whichever sink sits in the tracer
+module's one ambient slot.  A :class:`~repro.obs.tracer.Tracer` keeps
+every span; a :class:`PhaseProfiler` keeps one aggregate per **path** —
+the slash-joined names of the open spans
+(``core.run/sched.sync.run/sched.sync.round/geometry.delta_star``) —
+with a fixed-bucket latency histogram and a wall/CPU split per node, and
+drops tags and events.  One sink at a time: the innermost
+``use_profiler`` / ``use_tracer`` wins.
 
-The contract matches :data:`~repro.obs.causal.NULL_COLLECTOR` and
-:data:`~repro.obs.tracer.NULL_TRACER` exactly: the default profiler is
-the shared :data:`NULL_PROFILER` whose ``enabled`` flag is false, and
-:func:`perf_phase` returns one preallocated no-op context manager, so
-instrumented hot paths perform no allocation and no clock reads unless a
-real profiler has been installed (``use_profiler``/``set_profiler``).
-Profiling never changes a run: sweep decision digests are bit-identical
-profiler on vs off (pinned by ``tests/obs/test_perf_identity.py``).
+Nothing is installed by default, so instrumented hot paths cost what
+:data:`~repro.obs.tracer.NULL_TRACER` costs.  Profiling never changes a
+run: sweep decision digests are bit-identical with a profiler, with a
+tracer and with neither (pinned by ``tests/obs/test_perf_identity.py``).
 
 Unlike :class:`~repro.obs.metrics.Histogram` (exact samples, unbounded
-memory), :class:`FixedBucketHistogram` keeps O(1) state per phase — a
+memory), :class:`FixedBucketHistogram` keeps O(1) state per path — a
 geometric bucket ladder from 1µs to ~2min — so profiling a million async
 steps costs the same memory as profiling ten.  Buckets map directly onto
 Prometheus histogram semantics (cumulative ``le`` counts; see
@@ -25,11 +26,11 @@ Prometheus histogram semantics (cumulative ``le`` counts; see
 
 Usage::
 
-    from repro.obs import PhaseProfiler, use_profiler, perf_phase
+    from repro.obs import PhaseProfiler, trace_span, use_profiler
 
     profiler = PhaseProfiler()
     with use_profiler(profiler):
-        with perf_phase("core.run"):
+        with trace_span("core.run"):
             ...
     profiler.snapshot()     # JSON-able {path: aggregate} document
 """
@@ -37,20 +38,15 @@ Usage::
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Any, Iterator, Optional, Union
+from typing import Any, ContextManager, Optional
+
+from .tracer import use_tracer
 
 __all__ = [
     "BUCKET_BOUNDS",
     "FixedBucketHistogram",
-    "NULL_PROFILER",
-    "NullPhaseProfiler",
     "PERF_SCHEMA",
     "PhaseProfiler",
-    "get_profiler",
-    "perf_phase",
-    "rollup_phases",
-    "set_profiler",
     "use_profiler",
 ]
 
@@ -170,7 +166,7 @@ class _PhaseAgg:
 
 
 class _ActivePhase:
-    """Context manager binding one phase interval to the profiler stack."""
+    """Context manager binding one span interval to the profiler stack."""
 
     __slots__ = ("_profiler", "_path", "_name", "_t0", "_c0")
 
@@ -178,6 +174,10 @@ class _ActivePhase:
         self._profiler = profiler
         self._path = path
         self._name = name
+
+    def tag(self, **tags: Any) -> "_ActivePhase":
+        """Tags have no aggregate: dropped."""
+        return self
 
     def __enter__(self) -> "_ActivePhase":
         self._profiler._stack.append(self._path)
@@ -199,29 +199,14 @@ class _ActivePhase:
         return False
 
 
-class _NullPhase:
-    """Shared no-op phase: entering and exiting do nothing."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullPhase":
-        return self
-
-    def __exit__(self, *exc: Any) -> bool:
-        return False
-
-
-NULL_PHASE = _NullPhase()
-_NULL_PHASE = NULL_PHASE
-
-
 class PhaseProfiler:
-    """Hierarchical phase timers with per-phase wall/CPU aggregates.
+    """Span sink keeping per-path wall/CPU aggregates.
 
-    Phase identity is the slash-joined path of open phase names, so the
-    same kernel shows up separately under each caller — a flame view —
-    while :func:`repro.analysis.profiling.phases_by_name` rolls paths up
-    per leaf name when a flat table is wanted.
+    Path identity is the slash-joined names of the open spans, so the
+    same kernel shows up separately under each caller — a flame view in
+    O(paths) memory.  Implements the sink half of
+    :class:`~repro.obs.tracer.Tracer` (``enabled`` / ``span`` /
+    ``event``); install it with :func:`use_profiler`.
     """
 
     enabled = True
@@ -229,32 +214,26 @@ class PhaseProfiler:
     def __init__(self) -> None:
         self._aggs: dict[str, _PhaseAgg] = {}
         self._stack: list[str] = []
-        #: kernel name -> [hits, misses] as reported by the geometry cache.
-        self._cache: dict[str, list[int]] = {}
 
-    def phase(self, name: str) -> _ActivePhase:
-        """Open a phase named ``name`` under the currently open phase."""
+    def span(self, name: str, **tags: Any) -> _ActivePhase:
+        """Open a span named ``name`` under the currently open one."""
         stack = self._stack
         path = name if not stack else stack[-1] + "/" + name
         return _ActivePhase(self, path, name)
 
-    def note_cache(self, name: str, hit: bool) -> None:
-        """Record one geometry-cache lookup outcome for kernel ``name``."""
-        pair = self._cache.get(name)
-        if pair is None:
-            pair = self._cache[name] = [0, 0]
-        pair[0 if hit else 1] += 1
+    def event(self, name: str, level: str = "info", **fields: Any) -> None:
+        """Events have no aggregate: dropped."""
+        return None
 
     def clear(self) -> None:
         self._aggs.clear()
         self._stack.clear()
-        self._cache.clear()
 
     def __len__(self) -> int:
         return len(self._aggs)
 
     def snapshot(self) -> dict[str, Any]:
-        """Plain-data view of every phase aggregate (JSON-serialisable)."""
+        """Plain-data view of every path aggregate (JSON-serialisable)."""
         phases: dict[str, Any] = {}
         for path, agg in sorted(self._aggs.items()):
             entry = agg.hist.as_dict()
@@ -263,110 +242,10 @@ class PhaseProfiler:
             entry["wall_seconds"] = agg.hist.total
             entry["cpu_seconds"] = agg.cpu_seconds
             phases[path] = entry
-        return {
-            "schema": PERF_SCHEMA,
-            "phases": phases,
-            "cache": {
-                name: {"hits": pair[0], "misses": pair[1]}
-                for name, pair in sorted(self._cache.items())
-            },
-        }
+        return {"schema": PERF_SCHEMA, "phases": phases}
 
 
-class NullPhaseProfiler:
-    """The disabled profiler: records nothing, allocates nothing."""
-
-    enabled = False
-
-    def phase(self, name: str) -> _NullPhase:
-        return _NULL_PHASE
-
-    def note_cache(self, name: str, hit: bool) -> None:
-        return None
-
-    def clear(self) -> None:
-        return None
-
-    def __len__(self) -> int:
-        return 0
-
-    def snapshot(self) -> dict[str, Any]:
-        return {"schema": PERF_SCHEMA, "phases": {}, "cache": {}}
-
-
-NULL_PROFILER = NullPhaseProfiler()
-
-AnyProfiler = Union[PhaseProfiler, NullPhaseProfiler]
-
-_profiler: AnyProfiler = NULL_PROFILER
-
-
-def get_profiler() -> AnyProfiler:
-    """The currently installed profiler (:data:`NULL_PROFILER` by default)."""
-    return _profiler
-
-
-def set_profiler(profiler: Optional[AnyProfiler]) -> AnyProfiler:
-    """Install ``profiler`` globally; returns the previous one."""
-    global _profiler
-    prev = _profiler
-    _profiler = profiler if profiler is not None else NULL_PROFILER
-    return prev
-
-
-@contextmanager
-def use_profiler(profiler: Optional[AnyProfiler]) -> Iterator[AnyProfiler]:
-    """Install ``profiler`` for the ``with`` body, then restore."""
-    prev = set_profiler(profiler)
-    try:
-        yield _profiler
-    finally:
-        set_profiler(prev)
-
-
-def perf_phase(name: str) -> "_ActivePhase | _NullPhase":
-    """Open a phase on the installed profiler (shared no-op when off)."""
-    p = _profiler
-    if not p.enabled:
-        return _NULL_PHASE
-    return p.phase(name)
-
-
-def rollup_phases(snapshot: dict[str, Any]) -> dict[str, dict[str, Any]]:
-    """Aggregate a profiler snapshot per leaf phase *name*.
-
-    The snapshot keys phases by their full path, so ``geometry.delta_star``
-    under the sync scheduler and under ``averaging.select`` are separate
-    flame nodes.  This folds those paths into one row per name —
-    ``{"count", "wall_seconds", "cpu_seconds", "self_seconds", "paths"}``
-    — where ``self_seconds`` subtracts the wall time of each node's
-    direct children (time attributed here and nowhere deeper).
-    """
-    phases: dict[str, Any] = snapshot.get("phases", {})
-    child_wall: dict[str, float] = {}
-    for entry in phases.values():
-        parent = entry.get("parent")
-        if parent is not None:
-            child_wall[parent] = (
-                child_wall.get(parent, 0.0) + float(entry["wall_seconds"])
-            )
-    out: dict[str, dict[str, Any]] = {}
-    for path, entry in phases.items():
-        name = entry["name"]
-        row = out.get(name)
-        if row is None:
-            row = out[name] = {
-                "count": 0,
-                "wall_seconds": 0.0,
-                "cpu_seconds": 0.0,
-                "self_seconds": 0.0,
-                "paths": 0,
-            }
-        row["count"] += int(entry["count"])
-        row["wall_seconds"] += float(entry["wall_seconds"])
-        row["cpu_seconds"] += float(entry["cpu_seconds"])
-        row["self_seconds"] += max(
-            0.0, float(entry["wall_seconds"]) - child_wall.get(path, 0.0)
-        )
-        row["paths"] += 1
-    return dict(sorted(out.items(), key=lambda kv: -kv[1]["wall_seconds"]))
+def use_profiler(profiler: PhaseProfiler) -> ContextManager[PhaseProfiler]:
+    """Install ``profiler`` as the span sink for the ``with`` body (the
+    tracer module's ambient slot — there is no second one), then restore."""
+    return use_tracer(profiler)

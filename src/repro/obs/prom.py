@@ -136,16 +136,16 @@ def render_profiler_snapshot(
 ) -> str:
     """Render a ``PhaseProfiler.snapshot()`` document as exposition text.
 
-    Every phase path becomes one series of the
-    ``repro_perf_phase_seconds`` histogram family (cumulative ``le``
-    buckets straight from the fixed bucket ladder), plus
-    ``repro_perf_phase_cpu_seconds_total`` counters; geometry-cache
-    lookups surface as ``repro_perf_cache_lookups_total``.
+    Two families under ``repro_perf_``: every span path becomes one
+    series of the ``phase_seconds`` histogram (cumulative ``le`` buckets
+    straight from the fixed bucket ladder) and one
+    ``phase_cpu_seconds_total`` counter.
     """
     phases: Mapping[str, Any] = snapshot.get("phases", {})
     lines: list[str] = []
     if phases:
-        base = prefix + "perf_phase_seconds"
+        family = prefix + "perf_"
+        base = family + "phase_seconds"
         lines.append(f"# HELP {base} wall seconds per profiled phase")
         lines.append(f"# TYPE {base} histogram")
         for path in sorted(phases):
@@ -170,7 +170,7 @@ def render_profiler_snapshot(
                 f"{_fmt(float(entry.get('wall_seconds', 0.0)))}"
             )
             lines.append(f'{base}_count{{phase="{label}"}} {count_total}')
-        cpu = prefix + "perf_phase_cpu_seconds_total"
+        cpu = family + "phase_cpu_seconds_total"
         lines.append(f"# HELP {cpu} CPU seconds per profiled phase")
         lines.append(f"# TYPE {cpu} counter")
         for path in sorted(phases):
@@ -179,19 +179,6 @@ def render_profiler_snapshot(
                 f'{cpu}{{phase="{label}"}} '
                 f"{_fmt(float(phases[path].get('cpu_seconds', 0.0)))}"
             )
-    cache: Mapping[str, Any] = snapshot.get("cache", {})
-    if cache:
-        name = prefix + "perf_cache_lookups_total"
-        lines.append(f"# HELP {name} geometry cache lookups per kernel")
-        lines.append(f"# TYPE {name} counter")
-        for kernel in sorted(cache):
-            entry = cache[kernel]
-            klabel = _escape_label(kernel)
-            for outcome in ("hits", "misses"):
-                lines.append(
-                    f'{name}{{kernel="{klabel}",outcome="{outcome}"}} '
-                    f"{int(entry[outcome])}"
-                )
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -205,9 +192,7 @@ def render_exposition(
     parts = []
     if metrics_snapshot:
         parts.append(render_metrics_snapshot(metrics_snapshot, prefix=prefix))
-    if perf_snapshot and (
-        perf_snapshot.get("phases") or perf_snapshot.get("cache")
-    ):
+    if perf_snapshot and perf_snapshot.get("phases"):
         parts.append(render_profiler_snapshot(perf_snapshot, prefix=prefix))
     body = "".join(parts)
     return body if body else "# (no metrics recorded)\n"

@@ -20,6 +20,15 @@ Spans carry a monotonic-clock ``(t0, t1)`` interval, a ``span_id``, the
 ``tags``.  Events are instantaneous records with a log level; the tracer's
 ``level`` filters them (``debug`` < ``info`` < ``warning``), which is what
 the CLI's ``--quiet``/``--verbose`` flags control.
+
+:func:`trace_span` is the one way production code times a block, and the
+module's ambient slot is the one place a span *sink* is installed.  Two
+sinks exist: :class:`Tracer` keeps every span and event;
+:class:`~repro.obs.perf.PhaseProfiler` keeps O(1) aggregates per span
+path and drops tags and events.  A sink is anything with ``enabled``,
+``span(name, **tags)`` (a context manager with ``tag(**tags)``) and
+``event(name, level, **fields)``; one at a time, the innermost ``use_*``
+wins.
 """
 
 from __future__ import annotations
@@ -203,7 +212,7 @@ _tracer: Any = NULL_TRACER
 
 
 def get_tracer() -> Any:
-    """The currently installed tracer (NULL_TRACER by default)."""
+    """The currently installed span sink (NULL_TRACER by default)."""
     return _tracer
 
 

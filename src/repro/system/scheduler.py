@@ -30,7 +30,6 @@ from ..obs import metrics as _obs
 from ..obs.causal import get_causal_collector, use_causal_collector
 from ..obs.metrics import MetricsRegistry, active_registry, use_registry
 from ..obs.probes import Probe, ProbeReport, ProbeView
-from ..obs.perf import NULL_PHASE, get_profiler
 from ..obs.tracer import NULL_SPAN, get_tracer, trace_span
 from .adversary import Adversary, AdversaryView
 from .ids import validate_system_size
@@ -266,16 +265,11 @@ class SynchronousScheduler(_Simulator):
         rounds_done = 0
         collector = self.collector
         probe_view = self._attach_probes()
-        prof = get_profiler()
         for r in range(self.max_rounds):
             rounds_done = r
             if collector.enabled:
                 collector.now = r
-            round_span = trace_span("sched.sync.round", round=r)
-            round_phase = (
-                prof.phase("sched.round") if prof.enabled else NULL_PHASE
-            )
-            with round_span, round_phase:
+            with trace_span("sched.sync.round", round=r) as round_span:
                 correct_ids = [
                     p for p in range(self.n) if not self.adversary.is_faulty(p)
                 ]
@@ -507,7 +501,6 @@ class AsyncScheduler(_Simulator):
         }
         steps = 0
         completed = False
-        prof = get_profiler()
         while steps < self.max_steps:
             if self.stop_when_correct_decided and not undecided:
                 completed = True
@@ -533,10 +526,7 @@ class AsyncScheduler(_Simulator):
                 if tracer.enabled
                 else NULL_SPAN
             )
-            step_phase = (
-                prof.phase("sched.step") if prof.enabled else NULL_PHASE
-            )
-            with step_span, step_phase:
+            with step_span:
                 targets = range(self.n) if msg.is_atomic_broadcast else (msg.dst,)
                 for dst in targets:
                     ctx = self.contexts[dst]

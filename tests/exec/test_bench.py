@@ -1,177 +1,36 @@
-"""Benchmark harness: grids, the BENCH document, the regression gate."""
+"""The benchmark's exec-probe grid and its behavioural-contract digest."""
 
 from __future__ import annotations
 
-import copy
-import json
-
 import pytest
 
-from repro.exec.bench import (
-    BENCH_COMPARE_SCHEMA,
-    BENCH_SCHEMA,
-    STANDARD_GRIDS,
-    bench_grid,
-    compare_bench,
-    environment_block,
-    run_bench,
+from repro.exec import SweepGrid, run_grid
+from repro.exec.bench import bench_grid
+
+#: ``bench_grid("small")`` and the decisions digest of running it, side
+#: by side: a deliberate re-cut is a one-line diff here.
+SMALL = SweepGrid(
+    algorithms=("algo", "exact", "averaging"),
+    dimensions=(2, 3),
+    faults=(1,),
+    sizes=(6, 8),
+    adversaries=("none", "silent"),
+    reps=2,
+    base_seed=2016,
 )
-
-
-@pytest.fixture(scope="module")
-def tiny_doc():
-    return run_bench(bench_grid("tiny"), grid_name="tiny")
+SMALL_DIGEST = "86cda92dfbddf06bef3cc123a826befce1bc60078ec7c1c873ff97ddadf85612"
 
 
 class TestGrids:
     def test_named_grids_exist(self):
-        assert STANDARD_GRIDS == ("small", "standard", "tiny")
-        for name in STANDARD_GRIDS:
-            grid = bench_grid(name)
-            assert grid.reps == 2
-            assert grid.base_seed == 2016
+        assert bench_grid("small") == SMALL
 
     def test_unknown_grid_rejected(self):
-        with pytest.raises(ValueError, match="unknown bench grid"):
-            bench_grid("huge")
+        for name in ("huge", "tiny", "standard"):
+            with pytest.raises(ValueError, match="unknown bench grid"):
+                bench_grid(name)
 
-    def test_small_is_a_cell_superset_of_tiny(self):
-        # the committed baseline (small) must contain every cell the CI
-        # smoke run (tiny) produces, or the gate compares nothing
-        def cells(name):
-            g = bench_grid(name)
-            return {
-                (a, n, d, f)
-                for a in g.algorithms
-                for n in g.sizes
-                for d in g.dimensions
-                for f in g.faults
-            }
-
-        assert cells("tiny") <= cells("small")
-
-
-class TestEnvironment:
-    def test_block_has_the_honesty_keys(self):
-        env = environment_block()
-        assert set(env) == {
-            "cpu_count", "python", "numpy", "platform", "machine"
-        }
-        assert env["cpu_count"] >= 1
-
-
-class TestBenchDocument:
-    def test_schema_and_core_fields(self, tiny_doc):
-        assert tiny_doc["schema"] == BENCH_SCHEMA
-        assert tiny_doc["grid_name"] == "tiny"
-        assert tiny_doc["trial_count"] == 4
-        assert tiny_doc["ok_count"] == 4
-        assert tiny_doc["throughput"]["decisions_total"] > 0
-        assert tiny_doc["throughput"]["decisions_per_second"] > 0
-        assert len(tiny_doc["decisions_digest"]) == 64
-
-    def test_cells_one_per_algorithm_cell(self, tiny_doc):
-        cells = {c["key"]: c for c in tiny_doc["cells"]}
-        assert set(cells) == {"algo/n=6/d=2/f=1", "averaging/n=6/d=2/f=1"}
-        for cell in cells.values():
-            assert cell["trials"] == 2
-            assert cell["ok"] == 2
-            assert cell["decisions"] > 0
-            assert cell["decisions_per_second"] > 0
-            assert cell["rounds_mean"] > 0
-
-    def test_phase_breakdown_covers_the_stack(self, tiny_doc):
-        assert any(p.startswith("core.run") for p in tiny_doc["phases"])
-        names = tiny_doc["phases_by_name"]
-        assert "core.run" in names
-        assert any(n.startswith("geometry.") for n in names)
-        for row in names.values():
-            assert row["self_seconds"] <= row["wall_seconds"] + 1e-9
-        assert tiny_doc["cache"], "geometry cache counters missing"
-
-    def test_document_is_json_serialisable(self, tiny_doc):
-        round_tripped = json.loads(json.dumps(tiny_doc))
-        assert round_tripped["schema"] == BENCH_SCHEMA
-
-    def test_parallel_pass_is_digest_identical_and_honest(self):
-        doc = run_bench(bench_grid("tiny"), grid_name="tiny", workers=2)
-        block = doc["parallel"]
-        assert block["workers"] == 2
-        assert block["identical"] is True
-        if doc["environment"]["cpu_count"] == 1:
-            assert block["speedup"] is None
-            assert "unmeasurable" in block["note"]
-        else:
-            assert block["speedup"] > 0
-
-
-class TestCompare:
-    def test_self_compare_is_ok(self, tiny_doc):
-        verdict = compare_bench(tiny_doc, tiny_doc)
-        assert verdict["schema"] == BENCH_COMPARE_SCHEMA
-        assert verdict["ok"] is True
-        assert verdict["same_grid"] is True
-        assert verdict["environment_changed"] is False
-        assert verdict["cells_compared"] == len(tiny_doc["cells"])
-        assert verdict["overall_drop"] == 0
-        assert verdict["regressions"] == []
-
-    def test_synthetic_regression_is_caught(self, tiny_doc):
-        slower = copy.deepcopy(tiny_doc)
-        for cell in slower["cells"]:
-            cell["decisions_per_second"] /= 10.0
-        slower["throughput"]["decisions_per_second"] /= 10.0
-        verdict = compare_bench(tiny_doc, slower, max_regression=0.5)
-        assert verdict["ok"] is False
-        keys = {r["key"] for r in verdict["regressions"]}
-        assert "overall" in keys
-        assert len(keys) == len(tiny_doc["cells"]) + 1
-        for row in verdict["regressions"]:
-            assert row["drop"] == pytest.approx(0.9)
-
-    def test_threshold_tolerates_the_drop_when_generous(self, tiny_doc):
-        slower = copy.deepcopy(tiny_doc)
-        for cell in slower["cells"]:
-            cell["decisions_per_second"] *= 0.2
-        slower["throughput"]["decisions_per_second"] *= 0.2
-        assert compare_bench(tiny_doc, slower, max_regression=0.9)["ok"]
-
-    def test_improvement_is_reported_not_failed(self, tiny_doc):
-        faster = copy.deepcopy(tiny_doc)
-        for cell in faster["cells"]:
-            cell["decisions_per_second"] *= 10.0
-        verdict = compare_bench(tiny_doc, faster)
-        assert verdict["ok"] is True
-        assert len(verdict["improvements"]) == len(tiny_doc["cells"])
-
-    def test_different_grids_skip_the_overall_judgement(self, tiny_doc):
-        other = copy.deepcopy(tiny_doc)
-        other["grid"] = dict(other["grid"], reps=99)
-        other["throughput"]["decisions_per_second"] = 1e-9
-        verdict = compare_bench(tiny_doc, other)
-        assert verdict["same_grid"] is False
-        assert verdict["overall_drop"] is None
-        # shared cells still compared
-        assert verdict["cells_compared"] == len(tiny_doc["cells"])
-
-    def test_disjoint_cells_are_listed_not_compared(self, tiny_doc):
-        other = copy.deepcopy(tiny_doc)
-        for cell in other["cells"]:
-            cell["key"] = "renamed/" + cell["key"]
-        verdict = compare_bench(tiny_doc, other)
-        assert verdict["cells_compared"] == 0
-        assert len(verdict["cells_only_old"]) == len(tiny_doc["cells"])
-        assert len(verdict["cells_only_new"]) == len(tiny_doc["cells"])
-
-    def test_environment_change_is_flagged(self, tiny_doc):
-        moved = copy.deepcopy(tiny_doc)
-        moved["environment"]["machine"] = "somewhere-else"
-        assert compare_bench(tiny_doc, moved)["environment_changed"] is True
-
-    def test_schema_and_threshold_validation(self, tiny_doc):
-        with pytest.raises(ValueError, match="old document schema"):
-            compare_bench({"schema": "nope"}, tiny_doc)
-        with pytest.raises(ValueError, match="new document schema"):
-            compare_bench(tiny_doc, {"schema": None})
-        with pytest.raises(ValueError, match="max_regression"):
-            compare_bench(tiny_doc, tiny_doc, max_regression=1.0)
+    def test_small_grid_reproduces_pinned_digest(self):
+        result = run_grid(bench_grid("small"))
+        assert result.trial_count == result.ok_count == 48
+        assert result.decisions_digest() == SMALL_DIGEST

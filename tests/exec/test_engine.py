@@ -129,7 +129,7 @@ class TestAggregation:
 
     def test_save_load_round_trip(self, tmp_path):
         result = run_grid(small_grid(reps=1), workers=1)
-        path = tmp_path / "BENCH_sweep.json"
+        path = tmp_path / "sweep.json"
         result.save(str(path))
         loaded = SweepResult.load(str(path))
         assert loaded.trials == result.trials

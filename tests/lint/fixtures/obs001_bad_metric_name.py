@@ -2,12 +2,12 @@
 """Fixture: off-namespace telemetry names -> OBS001 findings only.
 
 The first two calls break the dotted-lowercase shape, the third is a
-histogram without a unit suffix, and the first ``perf_phase`` is an
-undotted phase name; the conforming calls (and the f-string, which is
+histogram without a unit suffix, and the first ``trace_span`` is an
+undotted span name; the conforming calls (and the f-string, which is
 out of static reach) stay clean.
 """
 
-from repro.obs import metrics, perf_phase, trace_event
+from repro.obs import metrics, trace_event, trace_span
 
 
 def emit(component: str) -> None:
@@ -18,7 +18,7 @@ def emit(component: str) -> None:
     metrics.observe("sched.round.seconds", 0.1)     # conforming
     metrics.observe("net.live.queue_wait_us", 42.0)  # conforming (_us unit)
     metrics.inc(f"probe.{component}.violations")    # f-string: skipped
-    with perf_phase("RoundPhase"):                  # phase: not dotted
+    with trace_span("RoundSpan"):                   # span: not dotted
         pass
-    with perf_phase("sched.round"):                 # conforming phase
+    with trace_span("sched.sync.round"):            # conforming span
         pass

@@ -189,16 +189,6 @@ class TestObservabilityNaming:
         )
         assert rules_in(ok, "system/x.py") == []
 
-    def test_timed_exempt_from_unit_suffix(self):
-        # timed() appends .seconds itself, so the plain dotted name is right
-        src = (
-            "from repro.obs import timed\n"
-            '@timed("geometry.delta_star")\n'
-            "def solve():\n"
-            "    pass\n"
-        )
-        assert rules_in(src, "geometry/x.py") == []
-
     def test_fstring_and_variable_names_skipped(self):
         src = (
             "from repro.obs import metrics\n"
@@ -216,34 +206,9 @@ class TestObservabilityNaming:
         )
         assert rules_in(src, "system/x.py") == []
 
-    def test_perf_phase_name_must_be_dotted(self):
-        src = (
-            "from repro.obs import perf_phase\n"
-            'with perf_phase("RoundPhase"):\n'
-            "    pass\n"
-        )
-        assert rules_in(src, "system/x.py") == ["OBS001"]
-
-    def test_perf_phase_is_span_like_no_unit_suffix_required(self):
-        src = (
-            "from repro.obs import PhaseProfiler, perf_phase\n"
-            "prof = PhaseProfiler()\n"
-            'with perf_phase("sched.round"):\n'
-            "    pass\n"
-            'with prof.phase("geometry.delta_star"):\n'
-            "    pass\n"
-        )
-        assert rules_in(src, "system/x.py") == []
-
-    def test_note_cache_kernel_names_exempt(self):
-        # note_cache takes a bare kernel name (a cache-counter key, not a
-        # telemetry path), so single-segment literals stay clean
-        src = (
-            "from repro.obs import PhaseProfiler\n"
-            "prof = PhaseProfiler()\n"
-            'prof.note_cache("delta_star", True)\n'
-        )
-        assert rules_in(src, "geometry/x.py") == []
+    def test_span_name_must_be_dotted(self):
+        bad = 'from repro.obs import trace_span\nwith trace_span("RoundSpan"):\n    pass\n'
+        assert rules_in(bad, "system/x.py") == ["OBS001"]
 
     def test_tests_are_out_of_scope(self):
         src = 'from repro.obs import metrics\nmetrics.inc("msgs")\n'

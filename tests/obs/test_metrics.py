@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import MetricsRegistry, timed, use_registry
+from repro.obs import MetricsRegistry, use_registry
 from repro.obs.metrics import (
     active_registry,
     current_registry,
@@ -102,31 +102,3 @@ class TestAmbientRegistry:
             inc("x")
         assert outer.counter_value("x") == 2
         assert inner.counter_value("x") == 1
-
-
-class TestTimed:
-    def test_timed_records_histogram(self):
-        reg = MetricsRegistry()
-
-        @timed("unit.work")
-        def work(a, b):
-            return a + b
-
-        with use_registry(reg):
-            assert work(2, 3) == 5
-            assert work(1, 1) == 2
-        h = reg.histogram("unit.work.seconds")
-        assert h.count == 2
-        assert all(s >= 0 for s in h.samples)
-
-    def test_timed_records_even_on_exception(self):
-        reg = MetricsRegistry()
-
-        @timed("boom")
-        def explode():
-            raise RuntimeError("no")
-
-        with use_registry(reg):
-            with pytest.raises(RuntimeError):
-                explode()
-        assert reg.histogram("boom.seconds").count == 1

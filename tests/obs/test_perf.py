@@ -1,4 +1,5 @@
-"""Phase profiler: histograms, hierarchy, and the zero-cost-off path."""
+"""Phase profiler: histograms, path hierarchy, and its place as the second
+sink of ``trace_span`` (same spans as a ``Tracer``, O(1) aggregates)."""
 
 from __future__ import annotations
 
@@ -11,16 +12,18 @@ from repro.core.runner import run
 from repro.core.runspec import RunSpec
 from repro.obs.perf import (
     BUCKET_BOUNDS,
-    NULL_PROFILER,
     PERF_SCHEMA,
     FixedBucketHistogram,
-    NullPhaseProfiler,
     PhaseProfiler,
-    get_profiler,
-    perf_phase,
-    rollup_phases,
-    set_profiler,
     use_profiler,
+)
+from repro.obs.tracer import (
+    NULL_TRACER,
+    Tracer,
+    get_tracer,
+    trace_event,
+    trace_span,
+    use_tracer,
 )
 
 
@@ -89,36 +92,38 @@ class TestFixedBucketHistogram:
 class TestPhaseHierarchy:
     def test_paths_join_the_open_stack(self):
         p = PhaseProfiler()
-        with p.phase("core.run"):
-            with p.phase("sched.round"):
-                with p.phase("geometry.delta_star"):
+        with use_profiler(p):
+            with trace_span("core.run"):
+                with trace_span("sched.sync.round", round=0):
+                    with trace_span("geometry.delta_star"):
+                        pass
+                with trace_span("sched.sync.round", round=1):
                     pass
-            with p.phase("sched.round"):
-                pass
         snap = p.snapshot()
         assert set(snap["phases"]) == {
             "core.run",
-            "core.run/sched.round",
-            "core.run/sched.round/geometry.delta_star",
+            "core.run/sched.sync.round",
+            "core.run/sched.sync.round/geometry.delta_star",
         }
-        assert snap["phases"]["core.run/sched.round"]["count"] == 2
-        assert snap["phases"]["core.run/sched.round"]["parent"] == "core.run"
+        assert snap["phases"]["core.run/sched.sync.round"]["count"] == 2
+        assert snap["phases"]["core.run/sched.sync.round"]["parent"] == "core.run"
         assert snap["phases"]["core.run"]["parent"] is None
 
     def test_same_name_under_different_parents_is_two_nodes(self):
         p = PhaseProfiler()
-        with p.phase("a.x"):
-            with p.phase("geometry.tverberg"):
-                pass
-        with p.phase("b.y"):
-            with p.phase("geometry.tverberg"):
-                pass
+        with use_profiler(p):
+            with trace_span("a.x"):
+                with trace_span("geometry.tverberg"):
+                    pass
+            with trace_span("b.y"):
+                with trace_span("geometry.tverberg"):
+                    pass
         assert "a.x/geometry.tverberg" in p.snapshot()["phases"]
         assert "b.y/geometry.tverberg" in p.snapshot()["phases"]
 
     def test_wall_and_cpu_recorded_per_phase(self):
         p = PhaseProfiler()
-        with p.phase("core.run"):
+        with use_profiler(p), trace_span("core.run"):
             x = 0
             for i in range(20_000):
                 x += i * i
@@ -129,105 +134,103 @@ class TestPhaseHierarchy:
 
     def test_exceptions_still_close_the_phase(self):
         p = PhaseProfiler()
-        with pytest.raises(RuntimeError):
-            with p.phase("core.run"):
-                raise RuntimeError("boom")
-        assert p.snapshot()["phases"]["core.run"]["count"] == 1
-        # the stack unwound: the next phase is a root again
-        with p.phase("sched.round"):
-            pass
-        assert "sched.round" in p.snapshot()["phases"]
+        with use_profiler(p):
+            with pytest.raises(RuntimeError):
+                with trace_span("core.run"):
+                    raise RuntimeError("boom")
+            assert p.snapshot()["phases"]["core.run"]["count"] == 1
+            # the stack unwound: the next span is a root again
+            with trace_span("sched.sync.round"):
+                pass
+        assert "sched.sync.round" in p.snapshot()["phases"]
 
-    def test_note_cache_and_clear(self):
+    def test_tags_and_events_are_dropped(self):
         p = PhaseProfiler()
-        p.note_cache("delta_star", True)
-        p.note_cache("delta_star", False)
-        p.note_cache("gamma_point", True)
-        snap = p.snapshot()
-        assert snap["cache"]["delta_star"] == {"hits": 1, "misses": 1}
-        assert snap["cache"]["gamma_point"] == {"hits": 1, "misses": 0}
+        with use_profiler(p):
+            with trace_span("geometry.delta_star", n=4) as span:
+                assert span.tag(value=0.5) is span
+            trace_event("demo.start", level="warning", n=4)
+        assert set(p.snapshot()["phases"]) == {"geometry.delta_star"}
         p.clear()
         assert len(p) == 0
-        assert p.snapshot()["cache"] == {}
 
     def test_snapshot_schema_and_json_round_trip(self):
         p = PhaseProfiler()
-        with p.phase("core.run"):
+        with use_profiler(p), trace_span("core.run"):
             pass
         doc = json.loads(json.dumps(p.snapshot()))
+        assert set(doc) == {"schema", "phases"}
         assert doc["schema"] == PERF_SCHEMA
         assert doc["phases"]["core.run"]["name"] == "core.run"
 
 
-class TestRollup:
-    def test_rollup_folds_paths_per_name_with_self_time(self):
-        p = PhaseProfiler()
-        with p.phase("core.run"):
-            with p.phase("geometry.delta_star"):
-                pass
-        with p.phase("sched.step"):
-            with p.phase("geometry.delta_star"):
-                pass
-        rollup = rollup_phases(p.snapshot())
-        assert rollup["geometry.delta_star"]["paths"] == 2
-        assert rollup["geometry.delta_star"]["count"] == 2
-        for row in rollup.values():
-            assert 0.0 <= row["self_seconds"] <= row["wall_seconds"] + 1e-12
-
-    def test_rollup_of_empty_snapshot(self):
-        assert rollup_phases(NULL_PROFILER.snapshot()) == {}
-
-
 class TestInstallation:
-    def test_default_profiler_is_null(self):
-        assert get_profiler() is NULL_PROFILER
-        assert not NULL_PROFILER.enabled
-        assert NULL_PROFILER.snapshot() == {
-            "schema": PERF_SCHEMA, "phases": {}, "cache": {}
-        }
-
     def test_use_profiler_installs_and_restores(self):
+        # the tracer module's slot is the only place a sink is installed
         p = PhaseProfiler()
+        assert get_tracer() is NULL_TRACER
         with use_profiler(p) as installed:
             assert installed is p
-            assert get_profiler() is p
-        assert get_profiler() is NULL_PROFILER
+            assert get_tracer() is p
+        assert get_tracer() is NULL_TRACER
 
-    def test_set_profiler_none_restores_null(self):
-        prev = set_profiler(PhaseProfiler())
-        try:
-            assert get_profiler().enabled
-            set_profiler(None)
-            assert get_profiler() is NULL_PROFILER
-        finally:
-            set_profiler(prev)
+    def test_one_sink_at_a_time_innermost_wins(self):
+        p, t = PhaseProfiler(), Tracer()
+        with use_profiler(p):
+            with use_tracer(t):
+                with trace_span("core.run"):
+                    pass
+            with trace_span("sched.sync.round"):
+                pass
+        assert [s.name for s in t.spans] == ["core.run"]
+        assert set(p.snapshot()["phases"]) == {"sched.sync.round"}
 
-    def test_perf_phase_returns_shared_noop_when_off(self):
-        a = perf_phase("core.run")
-        b = perf_phase("sched.round")
-        assert a is b  # one preallocated null phase, no per-call objects
 
-    def test_instrumented_sites_never_call_null_methods(self):
-        # mirror of the causal-collector contract: call sites must branch
-        # on `.enabled` (or go through perf_phase) before any method call
-        class Exploding(NullPhaseProfiler):
-            def phase(self, name):
-                raise AssertionError("hot loop called a disabled profiler")
+def _tree_from_spans(spans):
+    """Fold a tracer's span list into {slash-joined path: count}."""
+    by_id = {s.span_id: s for s in spans}
+    tree: dict[str, int] = {}
+    for s in spans:
+        names = [s.name]
+        while s.parent_id is not None:
+            s = by_id[s.parent_id]
+            names.append(s.name)
+        path = "/".join(reversed(names))
+        tree[path] = tree.get(path, 0) + 1
+    return tree
 
-            def note_cache(self, name, hit):
-                raise AssertionError("hot loop called a disabled profiler")
 
-        prev = set_profiler(Exploding())
-        try:
-            outcome = run(RunSpec(algorithm="algo", n=6, d=2, f=1, seed=11))
-        finally:
-            set_profiler(prev)
-        assert outcome.ok
+class TestTwoSinksOneMechanism:
+    """Both sinks see the same spans: the profiler's path -> count tree is
+    the tracer's span list folded along its parent links."""
+
+    @pytest.mark.parametrize("algorithm", ["algo", "averaging"])
+    def test_profiler_tree_equals_folded_tracer_tree(self, algorithm):
+        import repro.core.averaging as avg_mod
+        from repro.geometry.cache import clear_cache
+
+        spec = dict(algorithm=algorithm, n=6, d=2, f=1, seed=11)
+        profiler, tracer = PhaseProfiler(), Tracer()
+        for sink in (use_profiler(profiler), use_tracer(tracer)):
+            # solve / select spans open on misses only: same cold caches
+            clear_cache()
+            avg_mod._SELECT_CACHE.clear()
+            with sink:
+                assert run(RunSpec(**spec)).ok
+        tree = {
+            path: entry["count"]
+            for path, entry in profiler.snapshot()["phases"].items()
+        }
+        assert tree == _tree_from_spans(tracer.spans)
+        assert tree["core.run"] == 1
+        step = "sched.sync.round" if algorithm == "algo" else "sched.async.step"
+        assert any(path.endswith(step) for path in tree)
+        assert any("geometry.solve." in path for path in tree)
 
 
 class TestZeroCostOff:
     def test_null_path_allocates_nothing_in_perf_module(self):
-        # with the null profiler installed, the perf module performs zero
+        # with no sink installed, the perf module performs zero
         # allocations during a full run (same gate as the causal module)
         import repro.obs.perf as perf_mod
 
@@ -251,6 +254,5 @@ class TestZeroCostOff:
         assert outcome.ok
         snap = p.snapshot()
         assert "core.run" in snap["phases"]
-        assert any("sched.round" in path for path in snap["phases"])
+        assert any("sched.sync.round" in path for path in snap["phases"])
         assert any("geometry." in path for path in snap["phases"])
-        assert snap["cache"], "cached kernels reported no lookups"

@@ -1,15 +1,16 @@
-"""The phase profiler observes a sweep without changing it.
+"""Span sinks observe a sweep without changing it.
 
-Same contract as the probe/causal identity suite: enabling the perf
-timers yields bit-identical decision vectors, because the profiler only
-reads clocks around phases — it never touches algorithm state or RNG
-streams.
+Same contract as the probe/causal identity suite: installing either sink
+of ``trace_span`` — a ``Tracer`` or a ``PhaseProfiler`` — yields
+bit-identical decision vectors, because a sink only reads clocks around
+spans — it never touches algorithm state or RNG streams.
 """
 
 from __future__ import annotations
 
 from repro.exec import SweepGrid, run_grid
 from repro.obs.perf import PhaseProfiler, use_profiler
+from repro.obs.tracer import Tracer, use_tracer
 
 
 def _grid(**kw) -> SweepGrid:
@@ -31,11 +32,16 @@ class TestDigestIdentity:
         plain = run_grid(_grid())
         prof = PhaseProfiler()
         with use_profiler(prof):
-            timed = run_grid(_grid())
-        assert plain.decisions_digest() == timed.decisions_digest()
-        # and the profiler actually saw the sweep — the identity is not
+            profiled = run_grid(_grid())
+        tracer = Tracer()
+        with use_tracer(tracer):
+            traced = run_grid(_grid())
+        assert (plain.decisions_digest() == profiled.decisions_digest()
+                == traced.decisions_digest())
+        # and both sinks actually saw the sweep — the identity is not
         # vacuous because instrumentation silently stayed off
         assert len(prof) > 0
+        assert tracer.spans
 
     def test_profiler_composes_with_probes(self):
         plain = run_grid(_grid())

@@ -8,7 +8,7 @@ import urllib.request
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.perf import PhaseProfiler
+from repro.obs.perf import PhaseProfiler, use_profiler
 from repro.obs.prom import (
     CONTENT_TYPE,
     MetricsServer,
@@ -20,6 +20,7 @@ from repro.obs.prom import (
     render_profiler_snapshot,
     serve_metrics,
 )
+from repro.obs.tracer import trace_span
 
 
 def samples(text: str) -> dict[tuple[str, tuple[tuple[str, str], ...]], float]:
@@ -79,11 +80,9 @@ class TestMetricsRendering:
 class TestProfilerRendering:
     def _profiler(self) -> PhaseProfiler:
         p = PhaseProfiler()
-        with p.phase("core.run"):
-            with p.phase("geometry.delta_star"):
+        with use_profiler(p), trace_span("core.run"):
+            with trace_span("geometry.delta_star"):
                 pass
-        p.note_cache("delta_star", True)
-        p.note_cache("delta_star", False)
         return p
 
     def test_phase_histograms_have_cumulative_buckets(self):
@@ -108,12 +107,6 @@ class TestProfilerRendering:
     def test_nested_phase_path_is_a_label(self):
         text = render_profiler_snapshot(self._profiler().snapshot())
         assert 'phase="core.run/geometry.delta_star"' in text
-
-    def test_cache_counters_per_kernel_and_outcome(self):
-        got = samples(render_profiler_snapshot(self._profiler().snapshot()))
-        key = "repro_perf_cache_lookups_total"
-        assert got[(key, (("kernel", "delta_star"), ("outcome", "hits")))] == 1
-        assert got[(key, (("kernel", "delta_star"), ("outcome", "misses")))] == 1
 
     def test_empty_exposition_placeholder(self):
         assert render_exposition(None, None) == "# (no metrics recorded)\n"

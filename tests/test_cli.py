@@ -46,6 +46,12 @@ class TestCLI:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_bench_is_not_a_command(self, capsys):
+        # the one benchmark is `python -m benchmarks.perf`, outside the CLI
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fuzz", "--algorithm", "bogus"])
@@ -234,7 +240,7 @@ class TestSweep:
     def test_out_writes_sweep_json(self, tmp_path, capsys):
         from repro.exec import SweepResult
 
-        path = tmp_path / "BENCH_sweep.json"
+        path = tmp_path / "sweep.json"
         assert main(self.TINY + ["--out", str(path)]) == 0
         result = SweepResult.load(str(path))
         assert result.trial_count == 4
@@ -252,12 +258,18 @@ class TestSweep:
             doc["decisions_digest"]["parallel"]
 
     def test_no_cache_flag(self, capsys):
-        from repro.geometry import set_cache_enabled
+        from repro.geometry import cache_enabled
 
-        try:
-            assert main(self.TINY + ["--no-cache"]) == 0
-        finally:
-            set_cache_enabled(True)
+        assert cache_enabled()
+        assert main(self.TINY + ["--no-cache"]) == 0
+        assert cache_enabled()  # off for the sweep only, then restored
+
+    @pytest.mark.parametrize("extra", [[], ["--compare", "--workers", "2"]])
+    def test_unwritable_out_path_clean_error(self, extra, capsys):
+        code = main(self.TINY + extra + ["--out", "/nonexistent/dir/x.json"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: cannot write" in err and "Traceback" not in err
 
     def test_bad_algorithm_exits_two(self, capsys):
         code = main(["sweep", "--algorithms", "bogus"])
@@ -321,64 +333,6 @@ class TestReplayProbesCLI:
         out = capsys.readouterr().out
         assert "probe validity" in out
         assert "probe agreement" in out
-
-
-class TestBenchCLI:
-    def test_tiny_bench_prints_throughput_and_hot_phases(self, capsys):
-        assert main(["bench", "--grid", "tiny"]) == 0
-        out = capsys.readouterr().out
-        assert "bench grid 'tiny': 4 trials" in out
-        assert "decisions/sec" in out
-        assert "algo/n=6/d=2/f=1" in out
-        assert "hot phases" in out  # the profiling table rendered
-
-    def test_out_writes_versioned_bench_json(self, tmp_path, capsys):
-        import json
-
-        path = tmp_path / "BENCH_perf.json"
-        assert main(["bench", "--grid", "tiny", "--quiet",
-                     "--out", str(path)]) == 0
-        doc = json.loads(path.read_text())
-        assert doc["schema"] == "repro.exec.bench/1"
-        assert doc["cells"] and doc["phases_by_name"]
-
-    def test_flame_view(self, capsys):
-        assert main(["bench", "--grid", "tiny", "--flame"]) == 0
-        out = capsys.readouterr().out
-        assert "core.run" in out and "sched." in out
-
-    def test_compare_identical_documents_exits_zero(self, tmp_path, capsys):
-        path = tmp_path / "a.json"
-        assert main(["bench", "--grid", "tiny", "--quiet",
-                     "--out", str(path)]) == 0
-        assert main(["bench", "--compare", str(path), str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "bench comparison: OK" in out
-
-    def test_compare_flags_synthetic_regression_nonzero(self, tmp_path,
-                                                        capsys):
-        import json
-
-        path = tmp_path / "a.json"
-        assert main(["bench", "--grid", "tiny", "--quiet",
-                     "--out", str(path)]) == 0
-        doc = json.loads(path.read_text())
-        for cell in doc["cells"]:
-            cell["decisions_per_second"] = cell["decisions_per_second"] / 10
-        doc["throughput"]["decisions_per_second"] /= 10
-        slow = tmp_path / "b.json"
-        slow.write_text(json.dumps(doc))
-        assert main(["bench", "--compare", str(path), str(slow)]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out
-
-    def test_compare_missing_file_exits_two(self, capsys):
-        assert main(["bench", "--compare", "/nonexistent/a.json",
-                     "/nonexistent/b.json"]) == 2
-        assert "cannot load" in capsys.readouterr().err
-
-    def test_bad_workers_exits_two(self, capsys):
-        assert main(["bench", "--grid", "tiny", "--workers", "0"]) == 2
 
 
 class TestMetricsCLI:
