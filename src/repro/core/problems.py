@@ -160,6 +160,25 @@ class ProblemSpec:
         problems have one."""
         return self
 
+    def measure(
+        self, values: Mapping[K, Any], honest_inputs: np.ndarray
+    ) -> dict[K, float]:
+        """:meth:`violation` of every value, asked once per distinct value.
+
+        Values are shared on their exact bytes (``-0.0`` and ``0.0`` stay
+        apart, as in :mod:`repro.geometry.cache`) and nothing is
+        remembered between calls.  The only caller of :meth:`violation`.
+        """
+        asked: dict[bytes, float] = {}
+        out: dict[K, float] = {}
+        for key, value in values.items():
+            vec = np.asarray(value, dtype=float).ravel()
+            raw = vec.tobytes()
+            if raw not in asked:
+                asked[raw] = self.violation(vec, honest_inputs)
+            out[key] = asked[raw]
+        return out
+
     # -- entry point -----------------------------------------------------------
     def check(
         self,
@@ -191,11 +210,11 @@ class ProblemSpec:
             if v.size != self.d:
                 raise ValueError(f"decision of {pid} has dimension {v.size}")
         diam = agreement_diameter(decs)
-        violations = {}
-        for pid, v in decs.items():
-            viol = self.violation(v, honest_inputs)
-            if viol > self.tol:
-                violations[pid] = viol
+        violations = {
+            pid: viol
+            for pid, viol in self.measure(decs, honest_inputs).items()
+            if viol > self.tol
+        }
         return ValidityReport(
             agreement_ok=diam <= self.agreement_bound,
             validity_ok=not violations,

@@ -139,9 +139,10 @@ def freeze_array(a: np.ndarray) -> np.ndarray:
 def _freeze_result(value: Any) -> Any:
     """Make a kernel result safe to share across cache hits.
 
-    Arrays become read-only copies; frozen dataclasses carrying arrays
+    Arrays become read-only copies; the frozen result dataclasses
     (``DeltaStarResult``, ``TverbergPartition``, ``RadonPartition``) are
-    rebuilt around read-only arrays; scalars/None pass through.
+    rebuilt around a read-only ``point``, the one array each carries;
+    scalars/None pass through.
     """
     if value is None:
         return None
@@ -149,13 +150,9 @@ def _freeze_result(value: Any) -> Any:
         return freeze_array(value)
     if isinstance(value, tuple):
         return tuple(_freeze_result(v) for v in value)
-    frozen_fields = {}
-    for attr in ("point", "distances"):
-        field = getattr(value, attr, None)
-        if isinstance(field, np.ndarray):
-            frozen_fields[attr] = freeze_array(field)
-    if frozen_fields:
-        return replace(value, **frozen_fields)
+    point = getattr(value, "point", None)
+    if isinstance(point, np.ndarray):
+        return replace(value, point=freeze_array(point))
     return value
 
 

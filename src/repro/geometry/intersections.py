@@ -123,15 +123,8 @@ class _HullSystem:
         use_l1_slack = fattened and norm_order_is(p, 1.0)
         s_off = self._alloc(k) if use_l1_slack else None
 
+        # rows are recorded at the current width; _assemble() pads them
         n_now = self.d + self.n_extra
-
-        def pad(row: np.ndarray) -> np.ndarray:
-            out = np.zeros(n_now)
-            out[: row.size] = row
-            return out
-
-        # Re-pad previously recorded rows lazily at assembly time instead:
-        # we record rows at current width and pad during assemble().
 
         # sum(lam) == 1
         row = np.zeros(n_now)
@@ -169,7 +162,6 @@ class _HullSystem:
             row = np.zeros(n_now)
             row[s_off : s_off + k] = 1.0
             self.rows_ub.append((row, delta))
-        _ = pad  # silence linters; rows already use current width
 
     # -- assembly & solving ---------------------------------------------------
     def _assemble(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
@@ -194,9 +186,18 @@ class _HullSystem:
 
     def solve(self, objective: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
         """Solve the LP; returns the full variable vector or None if infeasible."""
-        A_eq, b_eq, A_ub, b_ub, bounds = self._assemble()
-        n = self.d + self.n_extra
-        c = np.zeros(n)
+        return self._solve(objective, *self._assemble())
+
+    def _solve(
+        self,
+        objective: Optional[np.ndarray],
+        A_eq: np.ndarray,
+        b_eq: np.ndarray,
+        A_ub: np.ndarray,
+        b_ub: np.ndarray,
+        bounds: list,
+    ) -> Optional[np.ndarray]:
+        c = np.zeros(self.d + self.n_extra)
         if objective is not None:
             c[: objective.size] = objective
         res = linprog(
@@ -269,23 +270,25 @@ class _HullSystem:
         numerically feasible) and minimises ``x[1]``, and so on.  Pure
         function of the constraint system, hence identical at every
         process given identical inputs — the "deterministic choice" the
-        paper's algorithms require.
+        paper's algorithms require.  The pins live in this call's copy of
+        the rows (after the base rows); the system itself is not changed.
         """
-        sol = self.solve()
-        if sol is None:
-            return None
+        A_eq, b_eq, A_ub, b_ub, bounds = self._assemble()
+        sol = None
         for j in range(self.d):
             obj = np.zeros(self.d)
             obj[j] = 1.0
-            sol_j = self.solve(obj)
-            if sol_j is None:  # pragma: no cover - monotone pinning stays feasible
+            sol_j = self._solve(obj, A_eq, b_eq, A_ub, b_ub, bounds)
+            if sol_j is None:
+                if j == 0:  # empty or unbounded: a feasibility solve says which
+                    sol = self.solve()
                 break
-            opt = sol_j[j]
-            row = np.zeros(self.d + self.n_extra)
-            row[j] = 1.0
-            self.rows_ub.append((row, opt + _LEX_SLACK))
+            pin = np.zeros((1, self.d + self.n_extra))
+            pin[0, j] = 1.0
+            A_ub = np.vstack([A_ub, pin])
+            b_ub = np.append(b_ub, sol_j[j] + _LEX_SLACK)
             sol = sol_j
-        return sol[: self.d]
+        return None if sol is None else sol[: self.d]
 
 
 #: Public alias — the incremental LP builder is reusable by callers that

@@ -69,11 +69,10 @@ class DeltaStarResult:
         ``δ*(S)`` (the certified min-max distance).
     point:
         A minimiser ``p0`` — the point ALGO decides.
-    distances:
-        Distance from ``point`` to each subset hull, aligned with
-        ``subsets``.
     subsets:
-        The index tuples of the size ``n-f`` subsets.
+        The index tuples of the size ``n-f`` subsets;
+        ``max_subset_distance(S, point, subsets, p)`` measures ``point``
+        against each of them.
     gap:
         Certified optimality gap (upper bound − LP lower bound); 0 for the
         exact-LP norms.
@@ -83,7 +82,6 @@ class DeltaStarResult:
 
     value: float
     point: np.ndarray
-    distances: np.ndarray
     subsets: tuple[tuple[int, ...], ...]
     gap: float
     iterations: int
@@ -406,16 +404,13 @@ def _delta_star_solve(
     # (e.g. Theorem 8's affinely-dependent inputs, or n >= (d+1)f + 1).
     g0 = gamma_point(S, f)
     if g0 is not None:
-        dists = max_subset_distance(S, g0, subsets, p)
-        return DeltaStarResult(0.0, g0, dists, subsets, 0.0, 0)
+        return DeltaStarResult(0.0, g0, subsets, 0.0, 0)
 
     if norm_order_is(p, 1.0) or math.isinf(p):
         value, point = _delta_star_exact_lp(S, subsets, p)
-        dists = max_subset_distance(S, point, subsets, p)
-        return DeltaStarResult(value, point, dists, subsets, 0.0, 0)
+        return DeltaStarResult(value, point, subsets, 0.0, 0)
 
     value, point, gap, iters = _delta_star_cutting_plane(
         S, subsets, p, tol, max_iter
     )
-    dists = max_subset_distance(S, point, subsets, p)
-    return DeltaStarResult(float(value), point, dists, subsets, float(gap), iters)
+    return DeltaStarResult(float(value), point, subsets, float(gap), iters)

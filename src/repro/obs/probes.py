@@ -250,7 +250,8 @@ class ValidityEnvelopeProbe(Probe):
     ``H_{(δ,p)}`` of the correct inputs — with δ the running max of the
     processes' achieved ``delta_used``, exactly as the post-hoc checker
     will judge it.  Checks are incremental: each ``(pid, round)``
-    intermediate value and each decision is measured once.
+    intermediate value and each decision is measured once, equal values
+    of one boundary by one projection (``ProblemSpec.measure``).
     """
 
     name = "validity"
@@ -266,17 +267,7 @@ class ValidityEnvelopeProbe(Probe):
         if honest is None:
             return
         problem = self.problem.achieved(view.delta_used())
-
-        def measure(what: str, pid: int, value: Any) -> None:
-            self.checks += 1
-            excess = problem.violation(
-                np.asarray(value, dtype=float).ravel(), honest
-            )
-            if excess > problem.tol:
-                self.violations.append(
-                    _outside_envelope(what, pid, excess, time)
-                )
-
+        new: dict[tuple[str, int], Any] = {}
         for pid in view.correct:
             my_values = getattr(view.processes[pid], "my_values", None)
             if my_values is not None:
@@ -284,11 +275,17 @@ class ValidityEnvelopeProbe(Probe):
                     if rnd < 1 or (pid, rnd) in self._checked_values:
                         continue
                     self._checked_values.add((pid, rnd))
-                    measure(f"round-{rnd} value", pid, my_values[rnd])
+                    new[f"round-{rnd} value", pid] = my_values[rnd]
             ctx = view.contexts[pid]
             if ctx.decided and pid not in self._checked_decisions:
                 self._checked_decisions.add(pid)
-                measure("decision", pid, ctx.decision)
+                new["decision", pid] = ctx.decision
+        self.checks += len(new)
+        for (what, pid), excess in problem.measure(new, honest).items():
+            if excess > problem.tol:
+                self.violations.append(
+                    _outside_envelope(what, pid, excess, time)
+                )
 
 
 class AgreementConvergenceProbe(Probe):

@@ -274,6 +274,8 @@ class LiveNode:
             self._serve_tasks.append(task)
         try:
             peer_id = await wire.read_hello(reader, instance=self.instance)
+            if peer_id == self.node_id or not 0 <= peer_id < self.n:
+                raise wire.WireError(f"HELLO from node {peer_id}: not a peer")
             writer.write(wire.encode_hello(self.node_id, self.instance))
             await writer.drain()
         except (wire.WireError, ConnectionError, OSError, EOFError):
@@ -289,16 +291,22 @@ class LiveNode:
             writer.close()
 
     def _on_record(self, peer_id: int, record: tuple) -> None:
+        kind, seq = record[0], record[1]
+        if kind == wire.MSG:
+            # The handshake's peer id is the only src a handler ever sees;
+            # a record that claims otherwise is refused before it is counted.
+            _, msg = wire.decode_message(record)
+            if msg.src != peer_id or msg.dst not in (self.node_id, ALL):
+                raise wire.WireError(
+                    f"link from node {peer_id} carried {msg.src} -> {msg.dst}"
+                )
         self.wire_frames_received += 1
-        seq = record[1]
         if seq <= self._last_seq.get(peer_id, -1):
             self.dupes_dropped += 1  # retransmit after reconnect
             return
         self._last_seq[peer_id] = seq
         self.frames_received += 1
-        kind = record[0]
         if kind == wire.MSG:
-            _, msg = wire.decode_message(record)
             stamp = wire.message_stamp(record)
             entry = (msg, ("remote", stamp) if stamp is not None else None)
             self._pending_msgs.setdefault(peer_id, []).append(entry)

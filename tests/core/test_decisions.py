@@ -14,6 +14,7 @@ from repro.core.krelaxed import k_relaxed_decision
 from repro.core.scalar import scalar_decision, scalar_decision_vector, trimmed_multiset
 from repro.geometry.distance import distance_to_hull, in_hull
 from repro.geometry.intersections import f_subsets
+from repro.geometry.minimax import max_subset_distance
 from repro.geometry.relaxed import KRelaxedHull
 
 
@@ -72,7 +73,7 @@ class TestAlgoDecision:
         res = algo_decision(S, 1)
         assert res.value > 0
         # every subset hull is within δ* of the point
-        for T, dist in zip(res.subsets, res.distances):
+        for dist in max_subset_distance(S, res.point, res.subsets, 2):
             assert dist <= res.value + 1e-7
 
     def test_zero_when_tverberg_applies(self, rng):

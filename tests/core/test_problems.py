@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -192,6 +193,116 @@ class TestCheckDecisions:
         )
         assert rep.agreement_ok
         assert spec.agreement_bound == 0.5 + 1e-12
+
+
+@dataclass(frozen=True)
+class _Counting(ExactBVC):
+    """ExactBVC that counts the geometric questions it is asked."""
+
+    asked: list = field(default_factory=list, compare=False)
+
+    def violation(self, decision, honest_inputs):
+        self.asked.append(decision.tobytes())
+        return super().violation(decision, honest_inputs)
+
+
+def _reference_check(spec, honest, decisions):
+    """``check`` as it was: one ``violation`` per pid, shared by nobody."""
+    honest = np.atleast_2d(np.asarray(honest, dtype=float))
+    decs = {pid: np.asarray(v, dtype=float).ravel() for pid, v in decisions.items()}
+    violations = {}
+    for pid, v in decs.items():
+        viol = spec.violation(v, honest)
+        if viol > spec.tol:
+            violations[pid] = viol
+    diam = agreement_diameter(decs)
+    return (
+        diam <= spec.agreement_bound, not violations, len(decs) > 0,
+        float(diam).hex(), [(pid, float(v).hex()) for pid, v in violations.items()],
+    )
+
+
+class TestGeometryAskedOnce:
+    """``check`` asks ``violation`` once per distinct decision (exact
+    bytes), remembers nothing between calls, and reports what a per-pid
+    loop reports."""
+
+    HONEST = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [3.0, 3.0], [1.0, 2.0]])
+
+    def test_identical_decisions_are_one_question(self):
+        spec = _Counting(2, 1)
+        point = np.array([1.0, 1.0])
+        rep = spec.check(self.HONEST, {pid: point.copy() for pid in range(7)})
+        assert rep.ok and len(spec.asked) == 1
+
+    def test_distinct_decisions_are_one_question_each(self):
+        spec = _Counting(2, 1)
+        points = [np.array([1.0, 1.0]), np.array([9.0, 9.0]), np.array([2.0, 1.0])]
+        rep = spec.check(self.HONEST, {pid: points[pid % 3] for pid in range(8)})
+        assert len(spec.asked) == 3
+        # every pid holding the invalid value is reported, with one float
+        assert list(rep.violations) == [1, 4, 7]
+        assert len({v.hex() for v in rep.violations.values()}) == 1
+
+    def test_signed_zero_is_two_questions(self):
+        spec = _Counting(1, 1)
+        spec.check(np.array([[-1.0], [1.0]]), {0: np.array([0.0]), 1: np.array([-0.0])})
+        assert len(spec.asked) == 2
+
+    def test_nothing_is_remembered_between_checks(self):
+        spec = _Counting(2, 1)
+        decisions = {0: np.array([1.0, 1.0]), 1: np.array([1.0, 1.0])}
+        spec.check(self.HONEST, decisions)
+        spec.check(self.HONEST, decisions)
+        assert len(spec.asked) == 2
+
+    def test_measure_keeps_keys_and_order(self):
+        spec = _Counting(2, 1)
+        out = spec.measure(
+            {("b", 2): [9.0, 9.0], ("a", 1): [1.0, 1.0], ("c", 0): [9.0, 9.0]},
+            self.HONEST,
+        )
+        assert list(out) == [("b", 2), ("a", 1), ("c", 0)]
+        assert out["b", 2] == out["c", 0] > 1.0 and out["a", 1] == 0.0
+        assert len(spec.asked) == 2
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ExactBVC(2, 1),
+            KRelaxedExactBVC(3, 1, k=2),
+            DeltaPExactBVC(2, 1, delta=0.3, p=1),
+            DeltaPExactBVC(2, 1, delta=0.3, p=2),
+            DeltaPExactBVC(2, 1, delta=0.3, p=math.inf),
+            DeltaPApproximateBVC(2, 1, delta=0.3, p=2, epsilon=0.05),
+        ],
+        ids=["exact", "krelaxed-k2", "delta-p1", "delta-p2", "delta-pinf", "delta-approx"],
+    )
+    @pytest.mark.parametrize("case", ["all-valid", "one-off-by-2tol", "two-share-invalid"])
+    def test_report_equals_the_per_pid_loop(self, spec, case):
+        rng = np.random.default_rng(21)
+        honest = rng.normal(scale=3.0, size=(6, spec.d))
+        inside = honest.mean(axis=0)
+        decisions = {pid: inside.copy() for pid in range(6)}
+        if case == "one-off-by-2tol":
+            # just past a vertex of the hull, along the outward direction
+            vertex = honest[np.argmax(honest[:, 0])]
+            step = np.zeros(spec.d)
+            step[0] = getattr(spec, "delta", 0.0) + 2 * spec.tol
+            decisions[3] = vertex + step
+        elif case == "two-share-invalid":
+            decisions[1] = decisions[4] = inside + 50.0
+        rep = spec.check(honest, decisions)
+        assert (
+            rep.agreement_ok, rep.validity_ok, rep.termination_ok,
+            float(rep.agreement_diameter).hex(),
+            [(pid, float(v).hex()) for pid, v in rep.violations.items()],
+        ) == _reference_check(spec, honest, decisions)
+        if case == "all-valid":
+            assert rep.ok
+        else:
+            expected = {"one-off-by-2tol": [3], "two-share-invalid": [1, 4]}[case]
+            assert list(rep.violations) == expected
 
 
 class TestProblemFor:

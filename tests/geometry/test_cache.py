@@ -9,6 +9,8 @@ must be immutable so a caller mutation cannot poison later hits.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,21 @@ class TestCacheCorrectness:
             origin[0] = 1e9
         with pytest.raises(ValueError):
             basis[0, 0] = 1e9
+
+
+    @pytest.mark.parametrize(
+        "shape, p", [((5, 2), 2), ((4, 3), math.inf), ((4, 3), 2)],
+        ids=["gamma-fast-path", "exact-lp", "cutting-plane"],
+    )
+    def test_delta_star_point_is_readonly_on_miss_and_hit(self, rng, shape, p):
+        # ``point`` is the one array a DeltaStarResult carries.
+        S = rng.normal(size=shape)
+        for result in (delta_star(S, 1, p=p), delta_star(S, 1, p=p)):
+            assert not result.point.flags.writeable
+            with pytest.raises(ValueError):
+                result.point[0] = 1e9
+        partition = tverberg_partition(rng.normal(size=(4, 1)), 2)
+        assert not partition.point.flags.writeable
 
 
 class TestCounters:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.distance import in_hull
-from repro.geometry.intersections import HullSystem
+from repro.geometry import intersections
+from repro.geometry.intersections import HullSystem, f_subsets
 
 SQ = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
@@ -73,6 +76,111 @@ class TestHullSystem:
         sys_ = HullSystem(3)
         with pytest.raises(ValueError):
             sys_.add_hull_constraint(SQ, coords=[0])  # 1 coord, 2-D points
+
+
+def _parent_lexicographic_point(system: HullSystem):
+    """``lexicographic_point`` as it was before the pins became local to
+    the call: a feasibility solve, then d minimisations that each append
+    their pin to ``rows_ub`` — run here on a copy, through ``solve``."""
+    system = copy.deepcopy(system)
+    sol = system.solve()
+    if sol is None:
+        return None
+    for j in range(system.d):
+        obj = np.zeros(system.d)
+        obj[j] = 1.0
+        sol_j = system.solve(obj)
+        if sol_j is None:
+            break
+        row = np.zeros(system.d + system.n_extra)
+        row[j] = 1.0
+        system.rows_ub.append((row, sol_j[j] + 1e-8))
+        sol = sol_j
+    return sol[: system.d]
+
+
+def _subset_system(rng, n, d, f, **constraint) -> HullSystem:
+    Y = rng.normal(scale=3.0, size=(n, d))
+    system = HullSystem(d)
+    for T in f_subsets(n, f):
+        system.add_hull_constraint(Y[list(T)], **constraint)
+    return system
+
+
+class TestLexicographicPointLeavesTheSystemAlone:
+    def _two_hulls(self) -> HullSystem:
+        system = HullSystem(3)
+        cube = np.array(list(itertools.product([0.0, 1.0], repeat=3)))
+        system.add_hull_constraint(cube)
+        system.add_hull_constraint(cube * 2.0 - 0.5)
+        return system
+
+    def test_rows_do_not_grow_and_calls_repeat(self):
+        # Regression: every call appended its d pin rows to rows_ub
+        # (0 -> 3 -> 6 here) and never removed them.
+        system = self._two_hulls()
+        n_eq, n_ub = len(system.rows_eq), len(system.rows_ub)
+        first = system.lexicographic_point()
+        second = system.lexicographic_point()
+        assert first.tobytes() == second.tobytes()
+        assert (len(system.rows_eq), len(system.rows_ub)) == (n_eq, n_ub)
+
+    def test_later_solves_see_the_whole_set(self):
+        # Regression: after one call the system was a 1e-8 sliver around
+        # the lexmin, so maximising x[0] answered 0 instead of 1.
+        system = self._two_hulls()
+        np.testing.assert_allclose(system.lexicographic_point(), 0.0, atol=1e-7)
+        far = system.solve(-np.eye(3)[0])
+        assert far[0] == pytest.approx(1.0, abs=1e-7)
+        assert system.feasible()
+
+    @pytest.mark.parametrize(
+        "n, d, f, constraint",
+        [
+            (6, 2, 1, {}),
+            (9, 3, 2, {}),
+            (5, 3, 1, {"delta": 2.5, "p": math.inf}),
+            (5, 3, 1, {"delta": 4.0, "p": 1}),
+        ],
+        ids=["gamma-d2", "gamma-d3-f2", "fattened-inf", "fattened-l1"],
+    )
+    def test_same_bytes_from_one_lp_fewer(self, rng, monkeypatch, n, d, f, constraint):
+        system = _subset_system(rng, n, d, f, **constraint)
+        calls = []
+        real = intersections.linprog
+
+        def recording(c, **kw):
+            calls.append((c.tobytes(), {
+                name: None if kw[name] is None else np.asarray(kw[name]).tobytes()
+                for name in ("A_ub", "b_ub", "A_eq", "b_eq")
+            }, kw["bounds"]))
+            return real(c, **kw)
+
+        monkeypatch.setattr(intersections, "linprog", recording)
+        expected = _parent_lexicographic_point(system)
+        parent_calls, calls[:] = list(calls), []
+        got = system.lexicographic_point()
+        assert got.tobytes() == expected.tobytes()
+        # the feasibility solve is gone; the d minimisations are the very
+        # LPs the parent ran: same rows, same order, pins after the base
+        assert len(parent_calls) == d + 1
+        assert calls == parent_calls[1:]
+
+    def test_empty_set_is_none(self):
+        system = HullSystem(2)
+        system.add_hull_constraint(SQ)
+        system.add_hull_constraint(SQ + 5.0)
+        assert system.lexicographic_point() is None
+        assert _parent_lexicographic_point(system) is None
+
+    def test_unbounded_coordinate_answers_as_before(self):
+        # A cylinder over coordinates (1, 2) leaves x[0] free: the first
+        # minimisation is unbounded and the feasibility solve answers.
+        system = HullSystem(3)
+        system.add_hull_constraint(SQ, coords=[1, 2])
+        got = system.lexicographic_point()
+        assert got.tobytes() == _parent_lexicographic_point(system).tobytes()
+        assert in_hull(SQ, got[1:], tol=1e-7)
 
 
 class TestMinimizePairLinf:

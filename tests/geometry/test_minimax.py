@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.workloads import degenerate_inputs, simplex_inputs
+from repro.geometry.distance import distance_to_hull
 from repro.geometry.intersections import f_subsets
 from repro.geometry.minimax import delta_star, max_subset_distance
 from repro.geometry.simplex import incenter_and_inradius
@@ -33,14 +34,16 @@ class TestDeltaStarBasics:
         S = rng.normal(size=(4, 2))  # d=2, f=1, n=4=(d+1)f+1
         res = delta_star(S, 1)
         assert res.value == 0.0
-        assert np.all(res.distances < 1e-6)
+        assert np.all(max_subset_distance(S, res.point, res.subsets, 2) < 1e-6)
 
     def test_distances_align_with_subsets(self, rng):
         S = rng.normal(size=(4, 3))
         res = delta_star(S, 1)
-        recomputed = max_subset_distance(S, res.point, res.subsets, 2)
-        np.testing.assert_allclose(res.distances, recomputed, atol=1e-9)
-        assert max(res.distances) == pytest.approx(res.value, abs=1e-6)
+        dists = max_subset_distance(S, res.point, res.subsets, 2)
+        assert dists.shape == (len(res.subsets),)
+        for T, dist in zip(res.subsets, dists):
+            assert dist == distance_to_hull(S[list(T)], res.point, 2).distance
+        assert max(dists) == pytest.approx(res.value, abs=1e-6)
 
 
 class TestLemma13:

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.exact_bvc import ExactBVCProcess
 from repro.obs.metrics import MetricsRegistry
+from repro.system.messages import ALL
 from repro.system.process import AsyncProcess
 from repro.system.transport import wire
 from repro.system.transport.base import TransportError
@@ -111,11 +112,12 @@ class TestHostileConnection:
     GOOD_MSG = (wire.MSG, 0, 1, 0, "bc:1", (1.0,), 0, None)
 
     def _feed(self, tmp_path, frames: list[bytes]):
-        """Connect to a fresh node 0 as its peer 1, send ``frames``, read
-        to EOF; returns the node and what the listener wrote back."""
+        """Connect to a fresh node 0 (of three) as its peer 1, send
+        ``frames``, read to EOF; returns the node and what the listener
+        wrote back."""
 
         async def go():
-            (node,) = make_nodes(tmp_path, [None])
+            node = make_nodes(tmp_path, [None] * 3)[0]
             await node.start_server()
             reader, writer = await asyncio.open_unix_connection(
                 node.address.path
@@ -174,6 +176,108 @@ class TestHostileConnection:
         assert node.frames_received == 1
         assert [entry[0].payload for entry in node._inq] == [(1.0,)]
         assert node._peer_decided == {} and node._peer_round == {}
+
+    @pytest.mark.parametrize(
+        "hello_id", [3, -1, 0], ids=["past-n", "negative", "own-id"]
+    )
+    def test_hello_from_no_peer_gets_no_answer(self, tmp_path, hello_id):
+        # Well-typed is not authentic: node 0 of three has peers 1 and 2.
+        node, answer = self._feed(tmp_path, [
+            wire.encode_hello(hello_id, "driver-test"),
+            wire.encode_record(self.GOOD_MSG),
+        ])
+        assert answer == b""
+        assert node.wire_frames_received == 0 and not node._inq
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            (wire.MSG, 1, 2, 0, "bc:2", (9.0,), 0, None),
+            (wire.MSG, 1, 0, 0, "bc:0", (9.0,), 0, None),
+            (wire.MSG, 1, 1, 2, "bc:1", (9.0,), 0, None),
+        ],
+        ids=["forged-src", "forged-own-src", "wrong-dst"],
+    )
+    def test_forged_identity_closes_the_connection(self, tmp_path, record):
+        # Regression: the async driver handed on_message the src the
+        # record claimed, so peer 1 could speak for peer 2.
+        node, answer = self._feed(tmp_path, [
+            wire.encode_hello(1, "driver-test"),
+            wire.encode_record(self.GOOD_MSG),
+            wire.encode_record(record),
+            wire.encode_record((wire.DECIDED, 2, 1)),
+        ])
+        assert answer == wire.encode_hello(0, "driver-test")
+        # The refused frame left no trace: not counted, its seq still free.
+        assert node.wire_frames_received == node.frames_received == 1
+        assert node._last_seq == {1: 0}
+        assert [entry[0].payload for entry in node._inq] == [(1.0,)]
+        assert node._peer_decided == {}
+
+    def test_broadcast_dst_is_accepted(self, tmp_path):
+        # What an atomic broadcast carries on every link it fans out to.
+        node = make_nodes(tmp_path, [None] * 3)[0]
+        node._on_record(1, (wire.MSG, 0, 1, ALL, "abc", (1.0,), 0, None))
+        assert node.frames_received == 1 and len(node._inq) == 1
+
+    def test_forger_cannot_reach_a_handler_or_stop_the_run(self, tmp_path):
+        """A connection that claims a legitimate id and then forges
+        records, against a running cluster: no handler ever sees the
+        forged src, the real peer's frames still arrive (a second HELLO
+        for its id is a reconnect), and every node decides."""
+        n = 4
+        seen: list[tuple[int, int, object]] = []
+
+        class Gossip(AsyncProcess):
+            def on_start(self, ctx):
+                self.heard: set[int] = set()
+                ctx.broadcast("hi", ctx.pid)
+
+            def on_message(self, ctx, src, tag, payload):
+                seen.append((ctx.pid, src, payload))
+                self.heard.add(src)
+                if len(self.heard) == n:
+                    ctx.decide(np.zeros(1))
+
+        async def go():
+            nodes = make_nodes(tmp_path, [Gossip() for _ in range(n)])
+            addresses = {}
+            for node in nodes:
+                addresses[node.node_id] = await node.start_server()
+            for node in nodes:
+                node.connect_peers(addresses)
+            reader, writer = await asyncio.open_unix_connection(
+                nodes[0].address.path
+            )
+            writer.write(b"".join([
+                wire.encode_hello(1, "driver-test"),
+                wire.encode_record((wire.MSG, 0, 2, 0, "hi", "forged", 0, None)),
+                wire.encode_record((wire.MSG, 0, 1, 3, "hi", "forged", 0, None)),
+            ]))
+            await writer.drain()
+            await asyncio.wait_for(reader.read(), timeout=1.0)  # closed on us
+            writer.close()
+            try:
+                results = await asyncio.wait_for(
+                    asyncio.gather(*(node.run() for node in nodes)), timeout=5.0
+                )
+            finally:
+                for node in nodes:
+                    await node.shutdown()
+            for node in nodes:
+                assert all(t.exception() is None for t in node._serve_tasks)
+            return nodes, results
+
+        nodes, results = asyncio.run(go())
+        assert all(node.completed and result.decisions for node, result in zip(nodes, results))
+        assert "forged" not in [payload for _, _, payload in seen]
+        assert sorted((pid, src) for pid, src, _ in seen) == [
+            (pid, src) for pid in range(n) for src in range(n)
+        ]
+        assert all(
+            link.stats.reconnects == 0 and link.stats.retransmits == 0
+            for node in nodes for link in node._peer_links
+        )
 
 
 class TestRunTimeout:
