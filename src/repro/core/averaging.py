@@ -149,8 +149,9 @@ class VerifiedAveragingProcess(AsyncProcess):
         self.p = p
         self.quorum = averaging_quorum(n, f)
 
-        #: (sender, round) -> Bracha RBC machine (via make_broadcast)
-        self._rb: dict[tuple[int, int], Any] = {}
+        #: wire tag -> ((sender, round), Bracha RBC machine via
+        #: make_broadcast), under rb_tag's spelling of the tag only
+        self._rb: dict[str, tuple[tuple[int, int], Any]] = {}
         self._delivered: dict[tuple[int, int], Any] = {}
         #: (sender, round) -> verified value vector
         self.verified: dict[tuple[int, int], np.ndarray] = {}
@@ -165,12 +166,28 @@ class VerifiedAveragingProcess(AsyncProcess):
 
     # --------------------------------------------------------------- helpers
     def _machine(self, sender: int, round: int) -> Any:
-        key = (sender, round)
-        if key not in self._rb:
-            self._rb[key] = make_broadcast(
-                "bracha", self.n, self.f, sender, self.pid
+        tag = rb_tag(sender, round)
+        entry = self._rb.get(tag)
+        if entry is None:
+            entry = self._rb[tag] = (
+                (sender, round),
+                make_broadcast("bracha", self.n, self.f, sender, self.pid),
             )
-        return self._rb[key]
+        return entry[1]
+
+    def _instance_of(self, tag: str) -> Optional[tuple[int, int]]:
+        """``(sender, round)`` named by a delivery's tag; None for a tag
+        that is not ours or names an instance this run cannot have."""
+        parts = tag.split(":")
+        if len(parts) != 3 or parts[0] != "rva":
+            return None
+        try:
+            sender, round = int(parts[1]), int(parts[2])
+        except ValueError:
+            return None
+        if not (0 <= sender < self.n and 0 <= round <= self.num_rounds):
+            return None  # cap instance creation against Byzantine tag spam
+        return sender, round
 
     def _rb_send(
         self,
@@ -188,19 +205,24 @@ class VerifiedAveragingProcess(AsyncProcess):
         value = tuple(float(x) for x in self.input_value)
         self._rb_send(ctx, self.pid, 0, self._machine(self.pid, 0).start(("val", value)))
 
+    def on_stop(self, ctx: Context) -> None:
+        for _, machine in self._rb.values():
+            machine.publish_counts()
+
     def on_message(self, ctx: Context, src: int, tag: str, payload: Any) -> None:
-        parts = tag.split(":")
-        if len(parts) != 3 or parts[0] != "rva":
-            return
-        try:
-            sender, round = int(parts[1]), int(parts[2])
-        except ValueError:
-            return
-        if not (0 <= sender < self.n and 0 <= round <= self.num_rounds):
-            return  # cap instance creation against Byzantine tag spam
-        machine = self._machine(sender, round)
-        self._rb_send(ctx, sender, round, machine.on_message(src, payload))
-        key = (sender, round)
+        # A hosted instance is found by the tag it was opened under; only
+        # a tag not seen before (or not in rb_tag's spelling) is parsed.
+        entry = self._rb.get(tag)
+        if entry is None:
+            key = self._instance_of(tag)
+            if key is None:
+                return
+            machine = self._machine(*key)
+        else:
+            key, machine = entry
+        out = machine.on_message(src, payload)
+        if out:
+            self._rb_send(ctx, key[0], key[1], out)
         if machine.delivered and key not in self._delivered:
             self._delivered[key] = machine.delivered_value
             self._ingest(key, machine.delivered_value)

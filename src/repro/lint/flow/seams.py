@@ -45,7 +45,14 @@ __all__ = [
 TRANSPORT_SEAMS: dict[str, frozenset[str]] = {
     # The message envelope and its helpers: pure data, wire-ready.
     "system/messages.py": frozenset(
-        {"ALL", "Message", "canonical_bytes", "defensive_copy", "estimate_bytes"}
+        {
+            "ALL",
+            "Message",
+            "canonical_bytes",
+            "defensive_copy",
+            "estimate_bytes",
+            "is_deeply_immutable",
+        }
     ),
     # The process-facing execution surface (what a live node must offer).
     "system/process.py": frozenset(

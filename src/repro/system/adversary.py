@@ -25,7 +25,7 @@ messages are fixed.
 from __future__ import annotations
 
 from abc import ABC
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -144,7 +144,7 @@ class MutateStrategy(ByzantineStrategy):
         new_payload = self.mutator(msg.tag, msg.payload, view.rng)
         if new_payload is None:
             return []
-        return [replace(msg, payload=new_payload)]
+        return [msg._replace(payload=new_payload)]
 
 
 class EquivocateStrategy(ByzantineStrategy):
@@ -162,7 +162,7 @@ class EquivocateStrategy(ByzantineStrategy):
         new_payload = self.mutator(msg.tag, msg.payload, msg.dst, view.rng)
         if new_payload is None:
             return []
-        return [replace(msg, payload=new_payload)]
+        return [msg._replace(payload=new_payload)]
 
 
 def perturb_payload(value: Any, rng: np.random.Generator, scale: float) -> Any:

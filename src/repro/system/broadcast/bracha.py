@@ -23,14 +23,20 @@ cannot inflate quorums by repetition).
 
 from __future__ import annotations
 
+import pickle
 from typing import Any, Optional
 
 from ...obs import metrics as _obs
-from ..messages import canonical_bytes, defensive_copy
+from ..messages import canonical_bytes, defensive_copy, is_deeply_immutable
 
 __all__ = ["BrachaState", "INIT", "ECHO", "READY"]
 
 INIT, ECHO, READY = "init", "echo", "ready"
+
+#: "Nothing keyed yet" — ``None`` is a legitimate broadcast value.
+_NO_VALUE: Any = object()
+#: What serialising a value no correct process would send can raise.
+_UNKEYABLE = (pickle.PickleError, TypeError, AttributeError, RecursionError)
 
 
 class BrachaState:
@@ -54,6 +60,11 @@ class BrachaState:
         self._echoes: dict[bytes, set[int]] = {}
         self._readys: dict[bytes, set[int]] = {}
         self._values: dict[bytes, Any] = {}
+        # The value object serialised last, and its key (see _key).
+        self._keyed: Any = _NO_VALUE
+        self._keyed_bytes = b""
+        # Phase messages handled since the last publish_counts().
+        self._seen = {INIT: 0, ECHO: 0, READY: 0}
         self.delivered_value: Optional[Any] = None
         self.delivered = False
 
@@ -70,43 +81,86 @@ class BrachaState:
         payload = (phase, value)
         return [(dst, payload) for dst in range(self.n)]
 
-    def _retain(self, key: bytes, value: Any) -> None:
-        # Retained past the handler while `value` is also forwarded:
-        # store a private copy so a sender-side mutation of the live
-        # payload cannot rewrite what we later deliver.  The first copy
-        # under a key stays private, so later votes need none.
+    def _voters(self, votes: dict[bytes, set[int]], key: bytes, value: Any) -> set[int]:
+        # First vote of its phase for this key: the value is retained
+        # past the handler while it is also forwarded, so store a
+        # private copy — a sender-side mutation of the live payload
+        # cannot rewrite what we later deliver.  The first copy under a
+        # key stays private, so later votes need none.
         if key not in self._values:
             self._values[key] = defensive_copy(value)
+        voters = votes[key] = set()
+        return voters
+
+    def _key(self, value: Any) -> bytes:
+        """Serialise a value :meth:`on_message` did not find remembered.
+
+        In the simulator a payload travels by reference: the n ECHO /
+        READY copies of one broadcast carry the object its INIT did, so
+        one serialisation keys them all.  Holding the object keeps the
+        identity test sound, and only an object nothing can mutate is
+        held — anything else is serialised on every delivery.
+        """
+        key = canonical_bytes(value)
+        if is_deeply_immutable(value):
+            self._keyed, self._keyed_bytes = value, key
+        return key
+
+    def publish_counts(self) -> None:
+        """Add the phase messages handled so far to the ambient
+        ``bcast.bracha.init / echo / ready`` counters.
+
+        :meth:`on_message` runs once per delivery and only counts on the
+        instance; the host publishes when it stops (``on_stop``).
+        """
+        for phase, count in self._seen.items():
+            if count:
+                _obs.inc(f"bcast.bracha.{phase}", count)
+                self._seen[phase] = 0
 
     # ----------------------------------------------------------- receiving
     def on_message(
         self, src: int, payload: tuple[str, Any]
     ) -> list[tuple[int, tuple[str, Any]]]:
-        """Process one phase message; returns the messages to send."""
+        """Process one phase message; returns the messages to send.
+
+        Never raises on a message's content: whatever a Byzantine peer
+        put there is counted (``bcast.bracha.malformed``) and dropped.
+        """
         try:
             phase, value = payload
         except (TypeError, ValueError):
             _obs.inc("bcast.bracha.malformed")
             return []
+        if type(phase) is not str or phase not in self._seen:
+            return []  # no such phase: nothing to vote on
+        if value is self._keyed:
+            key = self._keyed_bytes
+        else:
+            try:
+                key = self._key(value)
+            except _UNKEYABLE:
+                _obs.inc("bcast.bracha.malformed")
+                return []
+        self._seen[phase] += 1
         out: list[tuple[int, tuple[str, Any]]] = []
-        key = canonical_bytes(value)
-        if phase in (INIT, ECHO, READY):
-            _obs.inc(f"bcast.bracha.{phase}")
 
         if phase == INIT:
             if src == self.sender and not self._echoed:
                 self._echoed = True
                 out = self._burst(ECHO, value)
         elif phase == ECHO:
-            self._retain(key, value)
-            voters = self._echoes.setdefault(key, set())
+            voters = self._echoes.get(key)
+            if voters is None:
+                voters = self._voters(self._echoes, key, value)
             voters.add(src)
             if len(voters) >= self.echo_threshold and not self._readied:
                 self._readied = True
                 out = self._burst(READY, value)
-        elif phase == READY:
-            self._retain(key, value)
-            voters = self._readys.setdefault(key, set())
+        else:
+            voters = self._readys.get(key)
+            if voters is None:
+                voters = self._voters(self._readys, key, value)
             voters.add(src)
             if len(voters) >= self.f + 1 and not self._readied:
                 self._readied = True

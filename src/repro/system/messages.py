@@ -15,8 +15,7 @@ from __future__ import annotations
 import copy
 import io
 import pickle
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
@@ -26,6 +25,7 @@ __all__ = [
     "canonical_bytes",
     "defensive_copy",
     "estimate_bytes",
+    "is_deeply_immutable",
 ]
 
 
@@ -99,8 +99,21 @@ def _canon(x: Any) -> Any:
     if isinstance(x, np.generic):
         return ("__npscalar__", str(x.dtype), x.item())
     if isinstance(x, dict):
-        return ("__dict__", tuple(sorted((_canon(k), _canon(v)) for k, v in x.items())))
+        # Ordered by the keys' canonical bytes: a total order, where
+        # Python's ``<`` raises on the mixed-type keys a Byzantine peer
+        # is free to send.
+        items = [(_canon(k), _canon(v)) for k, v in x.items()]
+        items.sort(key=lambda item: _dump(item[0]))
+        return ("__dict__", tuple(items))
     return x
+
+
+def _dump(canon: Any) -> bytes:
+    buf = io.BytesIO()
+    pickler = pickle.Pickler(buf, protocol=4)
+    pickler.fast = True
+    pickler.dump(canon)
+    return buf.getvalue()
 
 
 def canonical_bytes(obj: Any) -> bytes:
@@ -116,11 +129,19 @@ def canonical_bytes(obj: Any) -> bytes:
     which of their parts happen to be the same object — a locally built
     payload against the same payload unpickled from a peer.
     """
-    buf = io.BytesIO()
-    pickler = pickle.Pickler(buf, protocol=4)
-    pickler.fast = True
-    pickler.dump(_canon(obj))
-    return buf.getvalue()
+    return _dump(_canon(obj))
+
+
+def is_deeply_immutable(obj: Any) -> bool:
+    """True for plain scalars and (nested) tuples of them — every honest
+    payload shape.  Nothing reachable from such an object can change, so
+    a fact derived from it (its canonical bytes) holds for as long as
+    the object is held."""
+    if type(obj) is tuple:
+        return _PLAIN_SCALARS.issuperset(map(type, obj)) or all(
+            map(is_deeply_immutable, obj)
+        )
+    return type(obj) in _PLAIN_SCALARS
 
 
 #: Destination sentinel for channel-level atomic broadcast: the network
@@ -130,9 +151,13 @@ def canonical_bytes(obj: Any) -> bytes:
 ALL = -1
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """One envelope in flight.
+
+    A tuple underneath: one is built per destination of every send, and
+    a tuple costs half of what a frozen dataclass does to construct.
+    Immutable either way; use ``msg._replace(payload=...)`` for a copy
+    with one field changed.
 
     Attributes
     ----------
@@ -148,6 +173,7 @@ class Message:
         Logical round for synchronous executions (None in async runs).
     seq:
         Per-sender send sequence number; preserves per-link FIFO order.
+        Bookkeeping, not content: equality and hashing ignore it.
     """
 
     src: int
@@ -155,7 +181,18 @@ class Message:
     tag: str
     payload: Any
     round: Optional[int] = None
-    seq: int = field(default=0, compare=False)
+    seq: int = 0
+
+    def __eq__(self, other: object) -> bool:
+        # Not NotImplemented for a foreign type: the reflected
+        # ``tuple.__eq__`` would then compare the six fields.
+        return other.__class__ is Message and self[:5] == other[:5]
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:5])
 
     @property
     def is_atomic_broadcast(self) -> bool:

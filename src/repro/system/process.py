@@ -59,9 +59,7 @@ class Context:
         """Queue a message to ``dst``."""
         if not 0 <= dst < self.n:
             raise ValueError(f"unknown destination {dst}")
-        self.outbox.append(
-            Message(self.pid, dst, tag, payload, round=round, seq=self._seq)
-        )
+        self.outbox.append(Message(self.pid, dst, tag, payload, round, self._seq))
         self._seq += 1
 
     def broadcast(self, tag: str, payload: Any, round: Optional[int] = None) -> None:
@@ -83,9 +81,7 @@ class Context:
         Byzantine sender may alter or drop the message but cannot send
         different versions to different receivers.
         """
-        self.outbox.append(
-            Message(self.pid, ALL, tag, payload, round=round, seq=self._seq)
-        )
+        self.outbox.append(Message(self.pid, ALL, tag, payload, round, self._seq))
         self._seq += 1
 
     def decide(self, value: Any) -> None:

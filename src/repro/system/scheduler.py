@@ -30,10 +30,10 @@ from ..obs import metrics as _obs
 from ..obs.causal import get_causal_collector, use_causal_collector
 from ..obs.metrics import MetricsRegistry, active_registry, use_registry
 from ..obs.probes import Probe, ProbeReport, ProbeView
-from ..obs.tracer import NULL_SPAN, get_tracer, trace_span
+from ..obs.tracer import get_tracer, trace_span
 from .adversary import Adversary, AdversaryView
 from .ids import validate_system_size
-from .messages import Message
+from .messages import ALL, Message
 from .network import Network, NetworkStats
 from .process import AsyncProcess, Context, SyncProcess
 
@@ -475,8 +475,30 @@ class AsyncScheduler(_Simulator):
             msgs = self.adversary.transform_outbox(pid, msgs, view)
             self.metrics.inc("sched.adversary.messages_in", honest_count)
             self.metrics.inc("sched.adversary.messages_out", len(msgs))
+        submit = self.network.submit
         for msg in msgs:
-            self.network.submit(msg)
+            submit(msg)
+
+    def _deliver(
+        self, msg: Message, steps: int, send_eid: Any, undecided: set[int]
+    ) -> None:
+        """Hand one popped message to its receiver(s) and collect what
+        their handlers queued."""
+        collector = self.collector
+        faulty = self.adversary.faulty
+        for dst in range(self.n) if msg.dst == ALL else (msg.dst,):
+            ctx = self.contexts[dst]
+            if ctx.halted:
+                continue
+            if collector.enabled:
+                collector.on_deliver(dst, send_eid, time=steps)
+            self.processes[dst].on_message(ctx, msg.src, msg.tag, msg.payload)
+            if ctx.decided:
+                undecided.discard(dst)
+            # Most handlers queue nothing; a faulty process is flushed
+            # regardless, its strategy may inject into an empty outbox.
+            if ctx.outbox or dst in faulty:
+                self._flush_outbox(dst)
 
     def _run(self, reg: MetricsRegistry) -> RunResult:
         transcript: Optional[list[tuple[int, Message]]] = (
@@ -488,6 +510,8 @@ class AsyncScheduler(_Simulator):
         collector = self.collector
         if collector.enabled:
             collector.now = 0
+        # The span sink is installed around the run, never inside it.
+        tracer = get_tracer()
         probe_view = self._attach_probes()
         for pid in range(self.n):
             self.processes[pid].on_start(self.contexts[pid])
@@ -519,27 +543,12 @@ class AsyncScheduler(_Simulator):
                 send_eid = collector.pop_send(msg.src, msg.dst)
             if transcript is not None:
                 transcript.append((steps, msg))
-            tracer = get_tracer()
-            step_span = (
-                tracer.span("sched.async.step", step=steps, src=msg.src,
-                            dst=msg.dst, tag=msg.tag)
-                if tracer.enabled
-                else NULL_SPAN
-            )
-            with step_span:
-                targets = range(self.n) if msg.is_atomic_broadcast else (msg.dst,)
-                for dst in targets:
-                    ctx = self.contexts[dst]
-                    if ctx.halted:
-                        continue
-                    if collector.enabled:
-                        collector.on_deliver(dst, send_eid, time=steps)
-                    self.processes[dst].on_message(
-                        ctx, msg.src, msg.tag, msg.payload
-                    )
-                    if ctx.decided:
-                        undecided.discard(dst)
-                    self._flush_outbox(dst)
+            if tracer.enabled:
+                with tracer.span("sched.async.step", step=steps, src=msg.src,
+                                 dst=msg.dst, tag=msg.tag):
+                    self._deliver(msg, steps, send_eid, undecided)
+            else:
+                self._deliver(msg, steps, send_eid, undecided)
             if probe_view is not None and steps % PROBE_INTERVAL == 0:
                 for probe in self.probes:
                     probe.on_boundary(probe_view, steps)

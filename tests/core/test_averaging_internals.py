@@ -40,6 +40,45 @@ class TestTags:
         assert not proc._rb  # no machines allocated
 
 
+    def test_machine_is_found_by_the_tag_it_was_opened_under(self):
+        proc = make_proc()
+        ctx = ctx_for(proc)
+        echo = ("echo", ("val", (0.0, 0.0)))
+        proc.on_message(ctx, 1, rb_tag(2, 1), echo)
+        assert list(proc._rb) == ["rva:2:1"] and proc._rb["rva:2:1"][0] == (2, 1)
+        proc.on_message(ctx, 3, rb_tag(2, 1), echo)
+        assert proc._machine(2, 1)._echoes.popitem()[1] == {1, 3}
+
+    def test_other_spellings_of_a_tag_reach_the_same_machine_unrecorded(self):
+        # int() accepts "01", " 1", "+1", "1_0"...: a Byzantine sender
+        # can spell one instance many ways.  They all parse to the same
+        # (sender, round); only rb_tag's spelling is ever remembered, so
+        # spam cannot grow the table.
+        proc = make_proc()
+        ctx = ctx_for(proc)
+        echo = ("echo", ("val", (0.0, 0.0)))
+        for src, tag in enumerate(("rva:2:1", "rva:02:1", "rva: 2:+1", "rva:2:0_1")):
+            proc.on_message(ctx, src, tag, echo)
+        assert list(proc._rb) == ["rva:2:1"]
+        assert proc._machine(2, 1)._echoes.popitem()[1] == {0, 1, 2, 3}
+
+    def test_on_stop_publishes_the_phase_counters(self):
+        from repro.obs.metrics import MetricsRegistry, use_registry
+
+        proc = make_proc()
+        ctx = ctx_for(proc)
+        with use_registry(MetricsRegistry()) as reg:
+            for sender in (1, 2):
+                for src in (0, 1, 3):
+                    proc.on_message(
+                        ctx, src, rb_tag(sender, 0), ("echo", ("val", (0.0, 0.0)))
+                    )
+            assert reg.counter_value("bcast.bracha.echo") == 0
+            proc.on_stop(ctx)
+        assert reg.counter_value("bcast.bracha.echo") == 6
+        assert reg.counter_value("bcast.bracha.ready") == 0
+
+
 class TestIngestValidation:
     def test_valid_round0(self):
         proc = make_proc()

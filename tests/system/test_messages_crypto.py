@@ -29,6 +29,20 @@ class TestCanonicalBytes:
     def test_dict_order_insensitive(self):
         assert canonical_bytes({"a": 1, "b": 2}) == canonical_bytes({"b": 2, "a": 1})
 
+    def test_dict_with_unorderable_keys(self):
+        # Was: TypeError: '<' not supported between 'str' and 'int' —
+        # items were sorted with Python's ``<``, and a Byzantine peer is
+        # free to send mixed-type keys (the dict pickles, so it crosses
+        # the live wire).  Items are ordered by their keys' canonical
+        # bytes now, a total order.  No honest payload contains a dict
+        # (FLOW001 sent-kind inventory), so no key or digest moves.
+        mixed = {1: "a", "b": 2, (0, 1): None, 2.5: [np.float64(1.0)]}
+        shuffled = dict(reversed(list(mixed.items())))
+        assert list(mixed) != list(shuffled)
+        assert canonical_bytes(mixed) == canonical_bytes(shuffled)
+        assert canonical_bytes(mixed) != canonical_bytes({**mixed, 1: "b"})
+        assert canonical_bytes(("echo", mixed)) == canonical_bytes(["echo", shuffled])
+
     def test_tuple_vs_list_equal(self):
         assert canonical_bytes((1, 2)) == canonical_bytes([1, 2])
 
@@ -113,6 +127,24 @@ class TestMessage:
         m = Message(0, 1, "x", None)
         with pytest.raises(AttributeError):
             m.src = 2
+
+    def test_equality_and_hash_ignore_seq(self):
+        a = Message(0, 1, "x", ("v", 1.0), round=2, seq=4)
+        b = Message(0, 1, "x", ("v", 1.0), round=2, seq=9)
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert a != Message(0, 2, "x", ("v", 1.0), round=2, seq=4)
+        assert a != Message(0, 1, "x", ("v", 1.0), round=3, seq=4)
+
+    def test_is_not_equal_to_a_plain_tuple(self):
+        m = Message(0, 1, "x", None)
+        assert m != tuple(m) and tuple(m) != m
+        assert m not in [tuple(m)]
+
+    def test_replace_keeps_the_other_fields(self):
+        m = Message(0, 1, "x", "old", round=2, seq=4)
+        lie = m._replace(payload="new")
+        assert (lie.payload, lie.seq, m.payload) == ("new", 4, "old")
+        assert lie == Message(0, 1, "x", "new", round=2)
 
 
 class TestSignatures:

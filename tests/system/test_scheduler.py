@@ -266,6 +266,29 @@ class TestAsyncSchedulerEdgeCases:
         assert res.metrics.counter("sched.async.undelivered").value == 0
         assert set(res.decisions) == {0, 1, 2, 3}
 
+    def test_faulty_process_is_flushed_even_when_its_handler_queued_nothing(self):
+        # Counter.on_message never sends; the scheduler skips the flush
+        # of a correct process with an empty outbox, but a strategy may
+        # inject into an empty one — once per activation of its process,
+        # on_start included.
+        from repro.system.adversary import HonestStrategy
+        from repro.system.messages import Message
+
+        class Chime(HonestStrategy):
+            def inject(self, pid, view):
+                return [Message(pid, 0, "chime", None)]
+
+        procs = [Counter() for _ in range(4)]
+        res = AsyncScheduler(
+            procs, f=1, adversary=Adversary(faulty=[3], strategy=Chime()),
+            stop_when_correct_decided=False, record_transcript=True,
+        ).run()
+        activations = 1 + sum(1 for _, msg in res.transcript if msg.dst == 3)
+        assert activations == 5  # on_start, then one token from each process
+        assert res.stats.per_tag["chime"] == activations
+        assert res.metrics.counter_value("sched.adversary.messages_in") == 4
+        assert res.metrics.counter_value("sched.adversary.messages_out") == 4 + 5
+
     def test_self_addressed_message_delivered(self):
         class SelfPing(AsyncProcess):
             def on_start(self, ctx):
