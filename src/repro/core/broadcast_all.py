@@ -19,6 +19,7 @@ faulty process", which the algorithms must tolerate anyway.
 
 from __future__ import annotations
 
+import math
 from abc import abstractmethod
 from typing import Any, Optional
 
@@ -162,7 +163,7 @@ class BroadcastAllProcess(SyncProcess):
             return (
                 isinstance(v, tuple)
                 and len(v) == self.d
-                and all(isinstance(x, float) and np.isfinite(x) for x in v)
+                and all(isinstance(x, float) and math.isfinite(x) for x in v)
             )
 
         valid = [v for v in raw if well_formed(v)]

@@ -13,8 +13,8 @@ simplex turns this into a convex program over ``lam``:
   an active-set KKT polish that recovers the exact solution on the identified
   support.  This is the hot path (the minimax solver calls it thousands of
   times) so it is pure vectorised NumPy.
-* **p = 1 and p = inf** — linear programs, solved exactly with
-  ``scipy.optimize.linprog`` (HiGHS).
+* **p = 1 and p = inf** — linear programs, solved exactly with HiGHS
+  (through :func:`repro.geometry.lp.solve_lp`).
 * **general p** — a smooth convex objective ``sum |r_i|^p`` over the simplex,
   solved with SLSQP warm-started from the L2 projection.
 
@@ -28,9 +28,11 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy import sparse
+from scipy.optimize import minimize
 
 from ..obs import metrics as _obs
+from .lp import solve_lp
 from .norms import lp_norm, validate_p
 from .simplex_proj import project_to_simplex
 from .tolerance import norm_order_is
@@ -288,52 +290,32 @@ def nearest_point_l2(
     # interior points; settle membership exactly with one LP so interior
     # points report distance 0 (and exterior ones keep the FISTA answer).
     if 0.0 < dist <= 1e-5 * max(1.0, float(np.max(np.abs(pts)))):
-        exact_proj = _distance_lp_linprog(pts, x, math.inf)
+        exact_proj = _distance_lp_exact(pts, x, math.inf)
         if exact_proj.distance <= 1e-9 * max(1.0, float(np.max(np.abs(pts)))):
             return HullProjection(x.copy(), 0.0, exact_proj.weights)
     return HullProjection(point, dist, lam)
 
 
-def _distance_lp_linprog(pts: np.ndarray, x: np.ndarray, p: float) -> HullProjection:
+def _distance_lp_exact(pts: np.ndarray, x: np.ndarray, p: float) -> HullProjection:
     """Exact LP solve for p in {1, inf}."""
     m, d = pts.shape
-    if math.isinf(p):
-        # variables: lam (m), t (1); minimize t
-        # pts.T @ lam - x <= t,  x - pts.T @ lam <= t,  sum lam = 1, lam >= 0
-        n_var = m + 1
-        cobj = np.zeros(n_var)
-        cobj[m] = 1.0
-        A_ub = np.zeros((2 * d, n_var))
-        A_ub[:d, :m] = pts.T
-        A_ub[:d, m] = -1.0
-        A_ub[d:, :m] = -pts.T
-        A_ub[d:, m] = -1.0
-        b_ub = np.concatenate([x, -x])
-        A_eq = np.zeros((1, n_var))
-        A_eq[0, :m] = 1.0
-        b_eq = np.array([1.0])
-        bounds = [(0.0, None)] * m + [(0.0, None)]
-    else:  # p == 1
-        # variables: lam (m), s (d); minimize sum(s)
-        n_var = m + d
-        cobj = np.zeros(n_var)
-        cobj[m:] = 1.0
-        A_ub = np.zeros((2 * d, n_var))
-        A_ub[:d, :m] = pts.T
-        A_ub[:d, m:] = -np.eye(d)
-        A_ub[d:, :m] = -pts.T
-        A_ub[d:, m:] = -np.eye(d)
-        b_ub = np.concatenate([x, -x])
-        A_eq = np.zeros((1, n_var))
-        A_eq[0, :m] = 1.0
-        b_eq = np.array([1.0])
-        bounds = [(0.0, None)] * n_var
-    res = linprog(
-        cobj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs"
+    # variables: lam (m), then one bound t on every |resid_j| (p = inf) or
+    # one slack s_j per coordinate (p = 1); minimise t, or sum(s):
+    #   pts.T @ lam - x <= slack,  x - pts.T @ lam <= slack,
+    #   sum lam = 1,  lam >= 0,  slack >= 0
+    minus_slack = -np.ones((d, 1)) if math.isinf(p) else -np.eye(d)
+    A_ub = np.block([[pts.T, minus_slack], [-pts.T, minus_slack]])
+    n_var = A_ub.shape[1]
+    cobj = np.zeros(n_var)
+    cobj[m:] = 1.0
+    sum_lam = sparse.csr_array((np.ones(m), np.arange(m), [0, m]), shape=(1, n_var))
+    sol = solve_lp(
+        cobj, sparse.csr_array(A_ub), np.concatenate([x, -x]),
+        sum_lam, np.array([1.0]), np.zeros(n_var), np.full(n_var, np.inf),
     )
-    if not res.success:  # pragma: no cover - the LP is always feasible
-        raise RuntimeError(f"hull-distance LP failed: {res.message}")
-    lam = np.asarray(res.x[:m])
+    if sol is None:  # pragma: no cover - the LP is always feasible
+        raise RuntimeError("hull-distance LP failed")
+    lam = sol[:m]
     lam = np.maximum(lam, 0.0)
     lam /= lam.sum()
     point = pts.T @ lam
@@ -343,13 +325,13 @@ def _distance_lp_linprog(pts: np.ndarray, x: np.ndarray, p: float) -> HullProjec
 def distance_l1(points: np.ndarray, x: np.ndarray) -> float:
     """``dist_1(x, H(points))`` via exact LP."""
     pts = _as_points(points)
-    return _distance_lp_linprog(pts, np.asarray(x, dtype=float).ravel(), 1.0).distance
+    return _distance_lp_exact(pts, np.asarray(x, dtype=float).ravel(), 1.0).distance
 
 
 def distance_linf(points: np.ndarray, x: np.ndarray) -> float:
     """``dist_inf(x, H(points))`` via exact LP."""
     pts = _as_points(points)
-    return _distance_lp_linprog(pts, np.asarray(x, dtype=float).ravel(), math.inf).distance
+    return _distance_lp_exact(pts, np.asarray(x, dtype=float).ravel(), math.inf).distance
 
 
 def _distance_lp_general(pts: np.ndarray, x: np.ndarray, p: float) -> HullProjection:
@@ -405,7 +387,7 @@ def distance_to_hull(
     if norm_order_is(p, 2.0):
         return nearest_point_l2(pts, xv)
     if norm_order_is(p, 1.0) or math.isinf(p):
-        return _distance_lp_linprog(pts, xv, p)
+        return _distance_lp_exact(pts, xv, p)
     return _distance_lp_general(pts, xv, p)
 
 
@@ -422,7 +404,7 @@ def convex_combination_weights(
     Raises ``ValueError`` if ``x`` is not in the hull (within ``tol``).
     """
     pts = _as_points(points)
-    proj = _distance_lp_linprog(pts, np.asarray(x, dtype=float).ravel(), math.inf)
+    proj = _distance_lp_exact(pts, np.asarray(x, dtype=float).ravel(), math.inf)
     if proj.distance > tol:
         raise ValueError(
             f"point is not in the hull (L_inf distance {proj.distance:.3g} > tol {tol:.3g})"

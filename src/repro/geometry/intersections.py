@@ -40,9 +40,10 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy import sparse
 
 from .cache import cached_kernel
+from .lp import csr_rows, solve_lp
 from .norms import validate_p
 from .projection import enumerate_coordinate_subsets, project_multiset
 from .tolerance import near_zero, norm_order_is
@@ -73,13 +74,18 @@ class _HullSystem:
     for one hull constraint.  ``δ_i = 0`` encodes plain hull membership;
     δ > 0 with p ∈ {1, inf} encodes fattened membership.  Projection
     constraints (cylinders) restrict only a coordinate subset of ``x``.
+
+    A row touches one ``x`` coordinate and one block, so rows are recorded
+    sparse — ``(cols, vals, rhs)``, columns ascending — and the matrix
+    handed to the solver is never dense (:func:`repro.geometry.lp.csr_rows`
+    assembles them, leaving exact zeros out).
     """
 
     def __init__(self, d: int):
         self.d = d
         self.n_extra = 0
-        self.rows_eq: list[tuple[np.ndarray, float]] = []
-        self.rows_ub: list[tuple[np.ndarray, float]] = []
+        self.rows_eq: list[tuple[np.ndarray, np.ndarray, float]] = []
+        self.rows_ub: list[tuple[np.ndarray, np.ndarray, float]] = []
         self.blocks: list[tuple[int, int]] = []  # (offset, size) per block
 
     # -- variable bookkeeping ------------------------------------------------
@@ -88,9 +94,6 @@ class _HullSystem:
         self.n_extra += size
         self.blocks.append((off, size))
         return off
-
-    def _row(self) -> np.ndarray:
-        return np.zeros(self.d + self.n_extra)
 
     def add_hull_constraint(
         self,
@@ -122,96 +125,51 @@ class _HullSystem:
         lam_off = self._alloc(m)
         use_l1_slack = fattened and norm_order_is(p, 1.0)
         s_off = self._alloc(k) if use_l1_slack else None
-
-        # rows are recorded at the current width; _assemble() pads them
-        n_now = self.d + self.n_extra
+        lam = np.arange(lam_off, lam_off + m)
 
         # sum(lam) == 1
-        row = np.zeros(n_now)
-        row[lam_off : lam_off + m] = 1.0
-        self.rows_eq.append((row, 1.0))
+        self.rows_eq.append((lam, np.ones(m), 1.0))
 
-        if not fattened:
-            # x[coords] - pts.T @ lam == 0
-            for j in range(k):
-                row = np.zeros(n_now)
-                row[coords[j]] = 1.0
-                row[lam_off : lam_off + m] = -pts[:, j]
-                self.rows_eq.append((row, 0.0))
-        elif math.isinf(p):
-            # |x[coords] - pts.T @ lam| <= delta componentwise
-            for j in range(k):
-                row = np.zeros(n_now)
-                row[coords[j]] = 1.0
-                row[lam_off : lam_off + m] = -pts[:, j]
-                self.rows_ub.append((row, delta))
-                self.rows_ub.append((-row, delta))
-        else:  # p == 1 with slack s: |resid_j| <= s_j, sum s <= delta
-            assert s_off is not None
-            for j in range(k):
-                row = np.zeros(n_now)
-                row[coords[j]] = 1.0
-                row[lam_off : lam_off + m] = -pts[:, j]
-                row[s_off + j] = -1.0
-                self.rows_ub.append((row, 0.0))
-                row2 = np.zeros(n_now)
-                row2[coords[j]] = -1.0
-                row2[lam_off : lam_off + m] = pts[:, j]
-                row2[s_off + j] = -1.0
-                self.rows_ub.append((row2, 0.0))
-            row = np.zeros(n_now)
-            row[s_off : s_off + k] = 1.0
-            self.rows_ub.append((row, delta))
+        # row j: resid_j = x[coords[j]] - pts[:, j] @ lam
+        head = np.concatenate(([0], lam))
+        resid = np.column_stack([np.ones(k), -pts.T])
+        for j in range(k):
+            cols, vals = head.copy(), resid[j]
+            cols[0] = coords[j]
+            if not fattened:
+                self.rows_eq.append((cols, vals, 0.0))
+            elif math.isinf(p):
+                # |resid_j| <= delta componentwise
+                self.rows_ub.append((cols, vals, delta))
+                self.rows_ub.append((cols, -vals, delta))
+            else:  # p == 1 with slack s: |resid_j| <= s_j, sum s <= delta
+                cols = np.append(cols, s_off + j)
+                self.rows_ub.append((cols, np.append(vals, -1.0), 0.0))
+                self.rows_ub.append((cols, np.append(-vals, -1.0), 0.0))
+        if use_l1_slack:
+            self.rows_ub.append((np.arange(s_off, s_off + k), np.ones(k), delta))
 
     # -- assembly & solving ---------------------------------------------------
-    def _assemble(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
-        n = self.d + self.n_extra
-
-        def padded(
-            rows: list[tuple[np.ndarray, float]],
-        ) -> tuple[np.ndarray, np.ndarray]:
-            if not rows:
-                return np.zeros((0, n)), np.zeros(0)
-            A = np.zeros((len(rows), n))
-            b = np.zeros(len(rows))
-            for i, (row, rhs) in enumerate(rows):
-                A[i, : row.size] = row
-                b[i] = rhs
-            return A, b
-
-        A_eq, b_eq = padded(self.rows_eq)
-        A_ub, b_ub = padded(self.rows_ub)
-        bounds = [(None, None)] * self.d + [(0.0, None)] * self.n_extra
-        return A_eq, b_eq, A_ub, b_ub, bounds
+    def _assemble(self, more_ub: Sequence[tuple] = (), n_more: int = 0) -> tuple:
+        """What :func:`solve_lp` takes after ``c``: one CSR block per side
+        (``more_ub`` rows after the recorded ones) and the bounds — ``x``
+        free, every block variable and ``n_more`` further ones ``>= 0``."""
+        n = self.d + self.n_extra + n_more
+        lb = np.zeros(n)
+        lb[: self.d] = -np.inf
+        return (
+            *csr_rows([*self.rows_ub, *more_ub], n),
+            *csr_rows(self.rows_eq, n),
+            lb,
+            np.full(n, np.inf),
+        )
 
     def solve(self, objective: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
         """Solve the LP; returns the full variable vector or None if infeasible."""
-        return self._solve(objective, *self._assemble())
-
-    def _solve(
-        self,
-        objective: Optional[np.ndarray],
-        A_eq: np.ndarray,
-        b_eq: np.ndarray,
-        A_ub: np.ndarray,
-        b_ub: np.ndarray,
-        bounds: list,
-    ) -> Optional[np.ndarray]:
         c = np.zeros(self.d + self.n_extra)
         if objective is not None:
             c[: objective.size] = objective
-        res = linprog(
-            c,
-            A_ub=A_ub if A_ub.size else None,
-            b_ub=b_ub if b_ub.size else None,
-            A_eq=A_eq if A_eq.size else None,
-            b_eq=b_eq if b_eq.size else None,
-            bounds=bounds,
-            method="highs",
-        )
-        if not res.success:
-            return None
-        return np.asarray(res.x)
+        return solve_lp(c, *self._assemble())
 
     def feasible(self) -> bool:
         return self.solve() is not None
@@ -228,40 +186,19 @@ class _HullSystem:
         """
         if self.d < 2 * d:
             raise ValueError(f"system has {self.d} point vars, need >= {2 * d}")
-        A_eq, b_eq, A_ub, b_ub, bounds = self._assemble()
         n = self.d + self.n_extra
-        # extend every row with a zero column for t, add |v1_j - v2_j| <= t
-        def widen(A: np.ndarray) -> np.ndarray:
-            return np.hstack([A, np.zeros((A.shape[0], 1))]) if A.size else np.zeros((0, n + 1))
-
-        extra = []
+        # one more column for t, and |v1_j - v2_j| <= t after the base rows
+        pair_rows = []
         for j in range(d):
-            row = np.zeros(n + 1)
-            row[j] = 1.0
-            row[d + j] = -1.0
-            row[n] = -1.0
-            extra.append(row)
-            row2 = np.zeros(n + 1)
-            row2[j] = -1.0
-            row2[d + j] = 1.0
-            row2[n] = -1.0
-            extra.append(row2)
-        A_ub2 = np.vstack([widen(A_ub)] + [np.array(extra)]) if extra else widen(A_ub)
-        b_ub2 = np.concatenate([b_ub, np.zeros(2 * d)])
+            cols = np.array([j, d + j, n])
+            pair_rows.append((cols, np.array([1.0, -1.0, -1.0]), 0.0))
+            pair_rows.append((cols, np.array([-1.0, 1.0, -1.0]), 0.0))
         c = np.zeros(n + 1)
         c[n] = 1.0
-        res = linprog(
-            c,
-            A_ub=A_ub2,
-            b_ub=b_ub2,
-            A_eq=widen(A_eq) if A_eq.size else None,
-            b_eq=b_eq if A_eq.size else None,
-            bounds=list(bounds) + [(0.0, None)],
-            method="highs",
-        )
-        if not res.success:
+        x = solve_lp(c, *self._assemble(pair_rows, 1))
+        if x is None:
             return None
-        return float(res.x[n]), np.asarray(res.x[: self.d])
+        return float(x[n]), x[: self.d]
 
     def lexicographic_point(self) -> Optional[np.ndarray]:
         """Lexicographically-minimal ``x`` in the feasible set (or None).
@@ -273,19 +210,19 @@ class _HullSystem:
         paper's algorithms require.  The pins live in this call's copy of
         the rows (after the base rows); the system itself is not changed.
         """
-        A_eq, b_eq, A_ub, b_ub, bounds = self._assemble()
+        n = self.d + self.n_extra
+        A_ub, b_ub, A_eq, b_eq, lb, ub = self._assemble()
         sol = None
         for j in range(self.d):
-            obj = np.zeros(self.d)
-            obj[j] = 1.0
-            sol_j = self._solve(obj, A_eq, b_eq, A_ub, b_ub, bounds)
+            c = np.zeros(n)
+            c[j] = 1.0
+            sol_j = solve_lp(c, A_ub, b_ub, A_eq, b_eq, lb, ub)
             if sol_j is None:
                 if j == 0:  # empty or unbounded: a feasibility solve says which
-                    sol = self.solve()
+                    sol = solve_lp(np.zeros(n), A_ub, b_ub, A_eq, b_eq, lb, ub)
                 break
-            pin = np.zeros((1, self.d + self.n_extra))
-            pin[0, j] = 1.0
-            A_ub = np.vstack([A_ub, pin])
+            pin = sparse.csr_array(([1.0], [j], [0, 1]), shape=(1, n))
+            A_ub = sparse.vstack([A_ub, pin], format="csr")
             b_ub = np.append(b_ub, sol_j[j] + _LEX_SLACK)
             sol = sol_j
         return None if sol is None else sol[: self.d]

@@ -44,13 +44,14 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy import sparse
 
 from ..obs import metrics as _obs
 from ..obs.tracer import trace_span
 from .cache import cached_kernel
 from .distance import distance_to_hull
 from .intersections import f_subsets, gamma_point
+from .lp import csr_rows, solve_lp
 from .norms import lp_norm, validate_p
 from .tolerance import norm_order_is
 
@@ -122,84 +123,42 @@ def _delta_star_exact_lp(
     L1 slack block for ``p = 1``), and finally the scalar ``t``.
     """
     n, d = S.shape
-    blocks = []
+    l1 = norm_order_is(p, 1.0)
+    t_idx = d + sum(len(T) for T in subsets) + (d * len(subsets) if l1 else 0)
+
+    rows_ub, rows_eq = [], []
     offset = d
     for T in subsets:
-        m = len(T)
-        lam_off = offset
-        offset += m
-        s_off = None
-        if norm_order_is(p, 1.0):
-            s_off = offset
-            offset += d
-        blocks.append((T, lam_off, s_off))
-    t_idx = offset
-    n_var = offset + 1
-
-    A_ub_rows, b_ub = [], []
-    A_eq_rows, b_eq = [], []
-    for T, lam_off, s_off in blocks:
         pts = S[list(T)]
         m = len(T)
-        row = np.zeros(n_var)
-        row[lam_off : lam_off + m] = 1.0
-        A_eq_rows.append(row)
-        b_eq.append(1.0)
+        lam = np.arange(offset, offset + m)
+        offset += m
+        rows_eq.append((lam, np.ones(m), 1.0))
+        if l1:
+            s_off = offset
+            offset += d
         for j in range(d):
-            if math.isinf(p):
-                # |x_j - pts[:, j] @ lam| <= t
-                r1 = np.zeros(n_var)
-                r1[j] = 1.0
-                r1[lam_off : lam_off + m] = -pts[:, j]
-                r1[t_idx] = -1.0
-                A_ub_rows.append(r1)
-                b_ub.append(0.0)
-                r2 = np.zeros(n_var)
-                r2[j] = -1.0
-                r2[lam_off : lam_off + m] = pts[:, j]
-                r2[t_idx] = -1.0
-                A_ub_rows.append(r2)
-                b_ub.append(0.0)
-            else:
-                # |x_j - pts[:, j] @ lam| <= s_j ; sum s <= t
-                r1 = np.zeros(n_var)
-                r1[j] = 1.0
-                r1[lam_off : lam_off + m] = -pts[:, j]
-                r1[s_off + j] = -1.0
-                A_ub_rows.append(r1)
-                b_ub.append(0.0)
-                r2 = np.zeros(n_var)
-                r2[j] = -1.0
-                r2[lam_off : lam_off + m] = pts[:, j]
-                r2[s_off + j] = -1.0
-                A_ub_rows.append(r2)
-                b_ub.append(0.0)
-        if norm_order_is(p, 1.0):
-            row = np.zeros(n_var)
-            row[s_off : s_off + d] = 1.0
-            row[t_idx] = -1.0
-            A_ub_rows.append(row)
-            b_ub.append(0.0)
+            # |x_j - pts[:, j] @ lam| <= t  (p = inf)  or  <= s_j  (p = 1)
+            cols = np.concatenate(([j], lam, [s_off + j if l1 else t_idx]))
+            vals = np.concatenate(([1.0], -pts[:, j]))
+            rows_ub.append((cols, np.append(vals, -1.0), 0.0))
+            rows_ub.append((cols, np.append(-vals, -1.0), 0.0))
+        if l1:  # sum s <= t
+            cols = np.append(np.arange(s_off, s_off + d), t_idx)
+            rows_ub.append((cols, np.append(np.ones(d), -1.0), 0.0))
 
+    n_var = t_idx + 1
     c = np.zeros(n_var)
     c[t_idx] = 1.0
-    bounds = (
-        [(None, None)] * d
-        + [(0.0, None)] * (offset - d)
-        + [(0.0, None)]
+    lb = np.zeros(n_var)
+    lb[:d] = -np.inf
+    x = solve_lp(
+        c, *csr_rows(rows_ub, n_var), *csr_rows(rows_eq, n_var),
+        lb, np.full(n_var, np.inf),
     )
-    res = linprog(
-        c,
-        A_ub=np.array(A_ub_rows),
-        b_ub=np.array(b_ub),
-        A_eq=np.array(A_eq_rows),
-        b_eq=np.array(b_eq),
-        bounds=bounds,
-        method="highs",
-    )
-    if not res.success:  # pragma: no cover - always feasible (x = any input)
-        raise RuntimeError(f"delta* LP failed: {res.message}")
-    return float(res.x[t_idx]), np.asarray(res.x[:d])
+    if x is None:  # pragma: no cover - always feasible (x = any input)
+        raise RuntimeError("delta* LP failed")
+    return float(x[t_idx]), x[:d]
 
 
 def _polish_slsqp(
@@ -312,19 +271,17 @@ def _delta_star_cutting_plane(
         for it in range(1, kelley_budget + 1):
             total_used += 1
             # Master LP: min t s.t. <g, x> - t <= h for each cut, x in box.
-            m = len(cuts_g)
             c = np.zeros(d + 1)
             c[d] = 1.0
-            A_ub = np.zeros((m, d + 1))
-            A_ub[:, :d] = np.array(cuts_g)
-            A_ub[:, d] = -1.0
-            b_ub = np.array(cuts_h)
-            bounds = [(float(l), float(u)) for l, u in zip(lo, hi)] + [(0.0, None)]
-            res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-            if not res.success:  # pragma: no cover - master LP is always feasible
+            A_ub = np.column_stack([np.array(cuts_g), -np.ones(len(cuts_g))])
+            sol = solve_lp(
+                c, sparse.csr_array(A_ub), np.array(cuts_h), None, None,
+                np.append(lo, 0.0), np.append(hi, np.inf),
+            )
+            if sol is None:  # pragma: no cover - master LP is always feasible
                 break
-            x_k = np.asarray(res.x[:d])
-            lower = max(lower, float(res.x[d]))
+            x_k = sol[:d]
+            lower = max(lower, float(sol[d]))
             f_k = add_cuts(x_k)
             if f_k < f_best:
                 f_best, x_best = f_k, x_k

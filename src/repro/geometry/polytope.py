@@ -29,12 +29,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy import sparse
 from scipy.spatial import ConvexHull as _Qhull
 from scipy.spatial import HalfspaceIntersection, QhullError
 
 from .distance import distance_linf, in_hull
 from .intersections import f_subsets
+from .lp import solve_lp
 
 __all__ = [
     "Polytope",
@@ -199,11 +200,12 @@ def _chebyshev_center(halfspaces: np.ndarray) -> Optional[tuple[np.ndarray, floa
     c = np.zeros(d + 1)
     c[-1] = -1.0
     A_ub = np.hstack([A, norms[:, None]])
-    res = linprog(c, A_ub=A_ub, b_ub=-b, bounds=[(None, None)] * d + [(0, None)],
-                  method="highs")
-    if not res.success or res.x[-1] <= 1e-12:
+    lb = np.full(d + 1, -np.inf)
+    lb[-1] = 0.0
+    x = solve_lp(c, sparse.csr_array(A_ub), -b, None, None, lb, np.full(d + 1, np.inf))
+    if x is None or x[-1] <= 1e-12:
         return None
-    return res.x[:d], float(res.x[-1])
+    return x[:d], float(x[-1])
 
 
 def intersect_hulls_polytope(point_sets: Sequence[np.ndarray]) -> Optional[Polytope]:

@@ -100,6 +100,53 @@ class TestBroadcastAll:
         assert Recorder(4, 1, 0, np.zeros(2)).total_rounds == 3
 
 
+class TestResolveDefaults:
+    """What counts as a well-formed broadcast value at d = 2: a tuple of
+    exactly d finite ``float``s (``np.float64`` is one); anything else is
+    a provably faulty sender and takes the first valid value."""
+
+    GOOD = (1.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (float("nan"), 0.0),
+            (0.0, float("inf")),
+            (float("-inf"), 0.0),
+            (np.float64("nan"), 0.0),
+            (1.0,),
+            (1.0, 2.0, 3.0),
+            (),
+            (1, 2),
+            (True, 0.0),
+            ("1.0", 2.0),
+            (None, 2.0),
+            (np.float32(1.0), 2.0),
+            [1.0, 2.0],
+            np.array([1.0, 2.0]),
+            None,
+            "ab",
+        ],
+        ids=repr,
+    )
+    def test_malformed_value_is_defaulted(self, bad):
+        proc = Recorder(4, 1, 0, np.zeros(2))
+        out = proc._resolve_defaults([self.GOOD, bad, (3.0, 4.0), self.GOOD])
+        assert out == [self.GOOD, self.GOOD, (3.0, 4.0), self.GOOD]
+        assert proc.defaulted_senders == [1]
+
+    def test_numpy_floats_are_well_formed(self):
+        proc = Recorder(4, 1, 0, np.zeros(2))
+        value = (np.float64(1.5), -0.0)
+        assert proc._resolve_defaults([value] * 4) == [value] * 4
+        assert proc.defaulted_senders == []
+
+    def test_nothing_valid_is_an_error(self):
+        proc = Recorder(4, 1, 0, np.zeros(2))
+        with pytest.raises(RuntimeError, match="more than f faults"):
+            proc._resolve_defaults([None, (float("nan"), 0.0), (1.0,), "x"])
+
+
 class TestTagRouting:
     """Round-1 deliveries at process 1 of n = 4: which tags reach which
     broadcast machine (every one of them validates its own delivery)."""

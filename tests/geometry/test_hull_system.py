@@ -92,9 +92,7 @@ def _parent_lexicographic_point(system: HullSystem):
         sol_j = system.solve(obj)
         if sol_j is None:
             break
-        row = np.zeros(system.d + system.n_extra)
-        row[j] = 1.0
-        system.rows_ub.append((row, sol_j[j] + 1e-8))
+        system.rows_ub.append((np.array([j]), np.array([1.0]), sol_j[j] + 1e-8))
         sol = sol_j
     return sol[: system.d]
 
@@ -147,22 +145,25 @@ class TestLexicographicPointLeavesTheSystemAlone:
     def test_same_bytes_from_one_lp_fewer(self, rng, monkeypatch, n, d, f, constraint):
         system = _subset_system(rng, n, d, f, **constraint)
         calls = []
-        real = intersections.linprog
+        real = intersections.solve_lp
 
-        def recording(c, **kw):
-            calls.append((c.tobytes(), {
-                name: None if kw[name] is None else np.asarray(kw[name]).tobytes()
-                for name in ("A_ub", "b_ub", "A_eq", "b_eq")
-            }, kw["bounds"]))
-            return real(c, **kw)
+        def recording(c, A_ub, b_ub, A_eq, b_eq, lb, ub):
+            calls.append(tuple(
+                np.asarray(part).tobytes()
+                for part in (c, A_ub.toarray(), b_ub, A_eq.toarray(), b_eq, lb, ub)
+            ))
+            return real(c, A_ub, b_ub, A_eq, b_eq, lb, ub)
 
-        monkeypatch.setattr(intersections, "linprog", recording)
+        monkeypatch.setattr(intersections, "solve_lp", recording)
         expected = _parent_lexicographic_point(system)
         parent_calls, calls[:] = list(calls), []
+        n_eq, n_ub = len(system.rows_eq), len(system.rows_ub)
         got = system.lexicographic_point()
         assert got.tobytes() == expected.tobytes()
+        assert (len(system.rows_eq), len(system.rows_ub)) == (n_eq, n_ub)
         # the feasibility solve is gone; the d minimisations are the very
-        # LPs the parent ran: same rows, same order, pins after the base
+        # LPs the parent ran, dense row for dense row: same rows, same
+        # order, pins after the base rows
         assert len(parent_calls) == d + 1
         assert calls == parent_calls[1:]
 
