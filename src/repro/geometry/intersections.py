@@ -29,8 +29,12 @@ min-max solver in :mod:`repro.geometry.minimax`.
 
 Deterministic point selection — the paper's algorithms require every
 non-faulty process to "deterministically choose a point" from these sets —
-is implemented as a lexicographic-minimum sequence of LPs, which is a pure
-function of the input multiset.
+is one LP, :meth:`_HullSystem.central_point`: the point whose smallest
+convex weight in any hull is largest, inside every hull wherever the set
+has room, not on its boundary.  Its bytes are a pure function of the input
+rows *in their order*, and every caller that needs agreement passes them
+canonically: the agreed multiset in commander order (exact BVC, ALGO), a
+claim's references sorted by sender (Relaxed Verified Averaging).
 """
 
 from __future__ import annotations
@@ -63,8 +67,6 @@ __all__ = [
 
 PNorm = Union[float, int]
 
-_LEX_SLACK = 1e-8
-
 
 class _HullSystem:
     """Incrementally-built LP encoding ``x ∈ ∩_i H_{(δ_i, p_i)}(A_i)``.
@@ -86,13 +88,12 @@ class _HullSystem:
         self.n_extra = 0
         self.rows_eq: list[tuple[np.ndarray, np.ndarray, float]] = []
         self.rows_ub: list[tuple[np.ndarray, np.ndarray, float]] = []
-        self.blocks: list[tuple[int, int]] = []  # (offset, size) per block
+        self.weights: list[tuple[int, int]] = []  # (offset, size) of each λ
 
     # -- variable bookkeeping ------------------------------------------------
     def _alloc(self, size: int) -> int:
         off = self.d + self.n_extra
         self.n_extra += size
-        self.blocks.append((off, size))
         return off
 
     def add_hull_constraint(
@@ -123,6 +124,7 @@ class _HullSystem:
             raise ValueError("linear encoding needs p in {1, inf} when delta > 0")
 
         lam_off = self._alloc(m)
+        self.weights.append((lam_off, m))
         use_l1_slack = fattened and norm_order_is(p, 1.0)
         s_off = self._alloc(k) if use_l1_slack else None
         lam = np.arange(lam_off, lam_off + m)
@@ -200,32 +202,29 @@ class _HullSystem:
             return None
         return float(x[n]), x[: self.d]
 
-    def lexicographic_point(self) -> Optional[np.ndarray]:
-        """Lexicographically-minimal ``x`` in the feasible set (or None).
+    def central_point(self) -> Optional[np.ndarray]:
+        """The ``x`` whose smallest hull weight is largest, or None if empty.
 
-        Minimises ``x[0]``, then pins ``x[0]`` (with a small slack to stay
-        numerically feasible) and minimises ``x[1]``, and so on.  Pure
-        function of the constraint system, hence identical at every
-        process given identical inputs — the "deterministic choice" the
-        paper's algorithms require.  The pins live in this call's copy of
-        the rows (after the base rows); the system itself is not changed.
+        One LP: maximise ``t`` s.t. ``λ >= t`` for every convex weight.  With
+        ``λ = μ + t·1``, ``μ >= 0``, that is one more column — each row's sum
+        over the weight columns — and no more rows; ``t <= 1`` as weights sum
+        to 1.  At ``t* > 0`` the point is inside every hull; at ``t* = 0`` it
+        is the vertex the solver ends on.  A pure function of the rows, built
+        on a copy of them: the system is not changed.
         """
         n = self.d + self.n_extra
         A_ub, b_ub, A_eq, b_eq, lb, ub = self._assemble()
-        sol = None
-        for j in range(self.d):
-            c = np.zeros(n)
-            c[j] = 1.0
-            sol_j = solve_lp(c, A_ub, b_ub, A_eq, b_eq, lb, ub)
-            if sol_j is None:
-                if j == 0:  # empty or unbounded: a feasibility solve says which
-                    sol = solve_lp(np.zeros(n), A_ub, b_ub, A_eq, b_eq, lb, ub)
-                break
-            pin = sparse.csr_array(([1.0], [j], [0, 1]), shape=(1, n))
-            A_ub = sparse.vstack([A_ub, pin], format="csr")
-            b_ub = np.append(b_ub, sol_j[j] + _LEX_SLACK)
-            sol = sol_j
-        return None if sol is None else sol[: self.d]
+        weight = np.zeros(n)
+        for off, size in self.weights:
+            weight[off : off + size] = 1.0
+        A_ub, A_eq = (
+            sparse.hstack([A, sparse.csr_array((A @ weight)[:, None])], format="csr")
+            for A in (A_ub, A_eq)
+        )
+        c = np.zeros(n + 1)
+        c[n] = -1.0
+        x = solve_lp(c, A_ub, b_ub, A_eq, b_eq, np.append(lb, 0.0), np.append(ub, 1.0))
+        return None if x is None else x[: self.d]
 
 
 #: Public alias — the incremental LP builder is reusable by callers that
@@ -274,7 +273,7 @@ def intersection_point(point_sets: Iterable[np.ndarray]) -> Optional[np.ndarray]
     sys_ = _HullSystem(d)
     for A in sets:
         sys_.add_hull_constraint(A)
-    return sys_.lexicographic_point()
+    return sys_.central_point()
 
 
 def gamma(Y: np.ndarray, f: int) -> bool:
@@ -295,7 +294,7 @@ def gamma_point(Y: np.ndarray, f: int) -> Optional[np.ndarray]:
     sys_ = _HullSystem(Y.shape[1])
     for T in f_subsets(n, f):
         sys_.add_hull_constraint(Y[list(T)])
-    return sys_.lexicographic_point()
+    return sys_.central_point()
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +325,7 @@ def psi_k_point(Y: np.ndarray, f: int, k: int) -> Optional[np.ndarray]:
             sys_.add_hull_constraint(
                 project_multiset(Y[list(T)], D), coords=list(D)
             )
-    return sys_.lexicographic_point()
+    return sys_.central_point()
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +370,7 @@ def gamma_delta_p_point(
         sys_ = _HullSystem(d)
         for T in f_subsets(n, f):
             sys_.add_hull_constraint(S[list(T)], delta=delta, p=p)
-        return sys_.lexicographic_point()
+        return sys_.central_point()
     from .minimax import delta_star
 
     result = delta_star(S, f, p=p)

@@ -1,7 +1,7 @@
 """The LP door: the one place SciPy's LP solver (HiGHS) is called.
 
 Every linear program of :mod:`repro.geometry` — ``Γ`` / ``Ψ`` feasibility
-and lexicographic selection, the exact ``δ*`` LP and the Kelley master,
+and the central point, the exact ``δ*`` LP and the Kelley master,
 hull distances for ``p ∈ {1, ∞}``, the Chebyshev centre — is handed to
 :func:`solve_lp` as sparse row blocks.  The blocks are stacked the way
 ``scipy.optimize.linprog`` stacks them (inequalities, then equalities),
@@ -31,9 +31,9 @@ _RESIDUAL_TOL = math.sqrt(1e-9) * 10
 
 #: The two HiGHS options ``linprog(method="highs")`` sets away from
 #: HiGHS's own defaults.  ``output_flag`` is not cosmetic: with it left on,
-#: HiGHS returns a different optimal vertex of some degenerate LPs (the
-#: third lexicographic stage of Γ over grid points, found by the property
-#: test), so the door sets what ``linprog`` sets.
+#: HiGHS returns a different optimal vertex of some degenerate LPs (found
+#: by the property test on a lexicographic selection over grid points), so
+#: the door sets what ``linprog`` sets.
 _HIGHS_OPTIONS = {"presolve": True, "output_flag": False}
 
 

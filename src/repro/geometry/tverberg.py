@@ -169,7 +169,7 @@ def partition_intersection_nonempty(
         for g in groups:
             for D in enumerate_coordinate_subsets(d, k):
                 sys_.add_hull_constraint(project_multiset(g, D), coords=list(D))
-        return sys_.lexicographic_point()
+        return sys_.central_point()
     if hull_kind == "delta-p":
         if base is not None:
             return base  # H(Y_l) ⊆ H_{(δ,p)}(Y_l)
@@ -181,7 +181,7 @@ def partition_intersection_nonempty(
             sys_ = _HullSystem(pts.shape[1])
             for g in groups:
                 sys_.add_hull_constraint(g, delta=delta, p=p)
-            return sys_.lexicographic_point()
+            return sys_.central_point()
         # p = 2 etc: accept any point whose max distance to parts is <= delta.
         candidate = pts.mean(axis=0)
         hulls = [DeltaPHull(g, delta, p) for g in groups]

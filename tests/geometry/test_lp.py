@@ -7,7 +7,10 @@ the program handed over before the door existed — so a SciPy whose
 ``milp`` and ``linprog`` stop agreeing fails here, not in a pinned digest.
 
 ``DenseHullSystem`` below is the row builder of the commit before the
-door, kept as the reference the sparse rows are compared against.
+door, kept as the reference the sparse rows are compared against.  Its
+``lexicographic_point`` is the d-LP selection ``_HullSystem`` made before
+``central_point`` replaced it, kept as the reference for "is the set
+empty" (``test_hull_system.py``).
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ class DenseHullSystem:
     def __init__(self, d):
         self.d, self.n_extra = d, 0
         self.rows_eq, self.rows_ub = [], []
+        self.weight_cols = []
 
     def _alloc(self, size):
         off = self.d + self.n_extra
@@ -80,6 +84,7 @@ class DenseHullSystem:
         m, k = pts.shape
         coords = list(range(self.d)) if coords is None else list(coords)
         lam_off = self._alloc(m)
+        self.weight_cols.extend(range(lam_off, lam_off + m))
         s_off = self._alloc(k) if delta and p == 1 else None
         n_now = self.d + self.n_extra
         row = np.zeros(n_now)
@@ -135,6 +140,21 @@ class DenseHullSystem:
             b_ub = np.append(b_ub, sol_j[j] + 1e-8)
             sol = sol_j
         return None if sol is None else sol[: self.d]
+
+    def central_point(self):
+        """Maximise ``t`` with every weight ``λ = μ + t``, ``μ >= 0``: one
+        more column holding each row's sum over the weight columns."""
+        A_ub, b_ub, A_eq, b_eq, lb, ub = self.assemble()
+        weight = np.zeros(lb.size)
+        weight[self.weight_cols] = 1.0
+        c = np.zeros(lb.size + 1)
+        c[-1] = -1.0
+        x = linprog_x(
+            c, np.column_stack([A_ub, A_ub @ weight]), b_ub,
+            np.column_stack([A_eq, A_eq @ weight]), b_eq,
+            np.append(lb, 0.0), np.append(ub, 1.0),
+        )
+        return None if x is None else x[: self.d]
 
     def minimize_pair_linf(self, d):
         n = self.d + self.n_extra
@@ -277,9 +297,10 @@ class TestHullSystemsThroughTheDoor:
             assert S.indices.tolist() == D.indices.tolist()
             assert S.data.tobytes() == D.data.tobytes()
 
-    #: Γ over these five grid points is degenerate at its third
-    #: lexicographic stage: HiGHS with ``output_flag`` left on (``milp``'s
-    #: default, not ``linprog``'s) ends on another optimal vertex, 1e-8 away.
+    #: Γ over these five grid points is degenerate: on the d-LP
+    #: lexicographic selection ``central_point`` replaced, HiGHS with
+    #: ``output_flag`` left on (``milp``'s default, not ``linprog``'s) ended
+    #: its third stage on another optimal vertex, 1e-8 away.
     DEGENERATE = np.array(
         [[0.0, 0, 0], [1, 0, -1], [0, 1, 0], [1, 1, 0], [0, 0, 1]]
     )
@@ -287,10 +308,11 @@ class TestHullSystemsThroughTheDoor:
     @given(hull_systems())
     @example((3, 1, DEGENERATE, {}))
     @settings(max_examples=60, deadline=None)
-    def test_lexicographic_point_with_pins(self, drawn):
+    def test_central_point(self, drawn):
         got, ref = both_systems(*drawn)
-        assert_same(got.lexicographic_point(), ref.lexicographic_point())
-        assert got.feasible() == (ref.lexicographic_point() is not None)
+        expected = ref.central_point()
+        assert_same(got.central_point(), expected)
+        assert got.feasible() == (expected is not None)
 
     @given(st.integers(0, 10_000), st.sampled_from([{}, {"delta": 0.5, "p": INF}]))
     @settings(max_examples=30, deadline=None)
@@ -345,8 +367,8 @@ class TestResidualVerdict:
     def test_an_optimum_that_misses_a_row_is_none(self, monkeypatch):
         """``linprog`` answers status 4 when the point HiGHS calls optimal
         violates a row or a bound by more than its tolerance; the door
-        answers None (``lexicographic_point`` and ``gamma_point`` branch
-        on it)."""
+        answers None (``central_point`` and ``gamma_point`` branch on
+        it)."""
         from scipy.optimize import OptimizeResult
 
         c, lb, ub = np.array([1.0]), np.array([0.0]), np.array([INF])

@@ -1,10 +1,12 @@
 """Bytes and sizes the LP door must keep — cut on the commit before it.
 
-Every literal below was printed by the parent commit (dense rows into
-``scipy.optimize.linprog``) for the same input; the sparse rows through
-``repro.geometry.lp.solve_lp`` must give the same bytes.  They depend on
-the HiGHS inside the installed SciPy, like the pinned sweep digests, so
-they live apart from ``test_lp.py`` (door ≡ ``linprog`` on *any* SciPy).
+Every literal below was printed by dense rows into
+``scipy.optimize.linprog`` for the same input (the scale guard's point by
+the sparse central-point LP, cut when it replaced the lexicographic one);
+the sparse rows through ``repro.geometry.lp.solve_lp`` must give the same
+bytes.  They depend on the HiGHS inside the installed SciPy, like the
+pinned sweep digests, so they live apart from ``test_lp.py`` (door ≡
+``linprog`` on *any* SciPy).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ def _inputs_13_2() -> np.ndarray:
 
 
 class TestScaleGuard:
-    """Γ over C(13, 4) = 715 subsets: 2,145 rows by 6,437 columns.  Dense,
+    """Γ over C(13, 4) = 715 subsets: 2,145 rows by 6,438 columns.  Dense,
     ``A_eq`` alone is 110 MB and one solve took seconds; sparse, the whole
     call stays in a few MiB.  Deterministic, not timed."""
 
@@ -40,7 +42,7 @@ class TestScaleGuard:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert point.tobytes().hex() == "016e0bab945cf1bfe3aa4399580ff1bf"
+        assert point.tobytes().hex() == "258b86100706ddbf64895d6501a2e1bf"
         assert peak < 16 * 2**20
 
     def test_algo_over_dolev_strong_at_13_2_4_runs(self):

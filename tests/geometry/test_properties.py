@@ -65,8 +65,8 @@ def test_delta_star_translation_invariance(seed):
 @given(seeds)
 @settings(max_examples=10, deadline=None)
 def test_gamma_point_deterministic_function_of_multiset(seed):
-    """The lexicographic selection is a pure function — the property that
-    gives the algorithms agreement."""
+    """The selection of a point of Γ is a pure function — the property
+    that gives the algorithms agreement."""
     rng = np.random.default_rng(seed)
     Y = rng.normal(size=(5, 2))
     p1 = gamma_point(Y, 1)

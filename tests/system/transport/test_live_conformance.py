@@ -169,7 +169,7 @@ class TestSimDigest:
         base_seed=2016,
         epsilon=0.05,
     )
-    DIGEST = "c37fdc1147ca0c2d3997d82a9e696a3833b49512e1b2e986448615827970aa76"
+    DIGEST = "d0f76da4316316d1daf1f38ca7410f70af3b51a122afb47ca1a320208c496a35"
 
     def test_sim_transport_reproduces_committed_sweep_digest(self):
         # The whole sweep engine routes through SimTransport; the
