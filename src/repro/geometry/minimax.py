@@ -34,6 +34,18 @@ The optimum is always attained inside ``H(S)`` (projecting any ``x`` onto
 projections onto convex sets being nonexpansive), so the master LP is run
 over the bounding box of ``S`` — keeping it bounded from the first
 iteration.
+
+For ``p = 2`` the same argument puts the optimum inside ``aff(S)``, and
+every ``H(P_i)`` lies there too.  When ``S`` spans only ``k < d``
+dimensions (e.g. an asynchronous round's ``n - f`` verified values), the
+cutting plane runs on the orthonormal coordinates of ``aff(S)`` and the
+minimiser is lifted back: the distance-preserving projection of the
+paper's Theorem 8 / Case II of Theorem 9, under which Lemma 13's simplex
+gives its incenter.  In ``d`` coordinates the master LP is free along
+the directions normal to ``aff(S)``, and Kelley spends its iterations
+fencing them off.  Only the Euclidean norm is invariant under that
+rotation, so every other ``p`` — and a full-dimensional ``S`` — is solved
+in ``R^d`` as given.
 """
 
 from __future__ import annotations
@@ -50,6 +62,7 @@ from ..obs import metrics as _obs
 from ..obs.tracer import trace_span
 from .cache import cached_kernel
 from .distance import distance_to_hull
+from .hull import affine_basis
 from .intersections import f_subsets, gamma_point
 from .lp import csr_rows, solve_lp
 from .norms import lp_norm, validate_p
@@ -58,6 +71,12 @@ from .tolerance import norm_order_is
 __all__ = ["DeltaStarResult", "delta_star", "max_subset_distance"]
 
 PNorm = Union[float, int]
+
+#: Cutting-plane stop rule: gap target (relative to the data scale),
+#: master LPs per cycle, and Kelley + SLSQP-polish cycles.
+_GAP_TOL = 1e-8
+_KELLEY_BUDGET = 25
+_POLISH_CYCLES = 4
 
 
 @dataclass(frozen=True)
@@ -226,18 +245,16 @@ def _polish_slsqp(
 
 
 def _delta_star_cutting_plane(
-    S: np.ndarray,
-    subsets: Sequence[tuple[int, ...]],
-    p: float,
-    tol: float,
-    max_iter: int,
+    S: np.ndarray, subsets: Sequence[tuple[int, ...]], p: float
 ) -> tuple[float, np.ndarray, float, int]:
     """Kelley cutting-plane + SLSQP-polish solver for finite ``p``.
 
     Kelley supplies a certified global *lower* bound (every cut is a
     global under-estimator); SLSQP supplies fast local convergence of the
     *upper* bound.  Alternating the two closes the gap orders of
-    magnitude faster than either alone.
+    magnitude faster than either alone.  It stops once the gap is at most
+    ``_GAP_TOL * max(1, scale)``, or after ``_POLISH_CYCLES`` rounds of
+    ``_KELLEY_BUDGET`` master LPs — 100 LPs at most.
     """
     n, d = S.shape
     lo = S.min(axis=0)
@@ -265,10 +282,9 @@ def _delta_star_cutting_plane(
     f_best = add_cuts(x_best)
     lower = 0.0
     it = 0
-    kelley_budget = min(max_iter, 25)
     total_used = 0
-    for _cycle in range(4):
-        for it in range(1, kelley_budget + 1):
+    for _cycle in range(_POLISH_CYCLES):
+        for it in range(1, _KELLEY_BUDGET + 1):
             total_used += 1
             # Master LP: min t s.t. <g, x> - t <= h for each cut, x in box.
             c = np.zeros(d + 1)
@@ -285,28 +301,19 @@ def _delta_star_cutting_plane(
             f_k = add_cuts(x_k)
             if f_k < f_best:
                 f_best, x_best = f_k, x_k
-            if f_best - lower <= tol * max(1.0, scale):
+            if f_best - lower <= _GAP_TOL * max(1.0, scale):
                 return f_best, x_best, f_best - lower, total_used
-            if total_used >= max_iter:
-                break
         # Polish the incumbent, feed the polished point back as cuts.
         x_pol, f_pol = _polish_slsqp(subset_pts, p, x_best, f_best, scale)
         if f_pol < f_best:
             x_best, f_best = x_pol, f_pol
             add_cuts(x_best)
-        if f_best - lower <= tol * max(1.0, scale) or total_used >= max_iter:
+        if f_best - lower <= _GAP_TOL * max(1.0, scale):
             break
     return f_best, x_best, f_best - lower, total_used
 
 
-def delta_star(
-    S: np.ndarray,
-    f: int,
-    *,
-    p: PNorm = 2,
-    tol: float = 1e-8,
-    max_iter: int = 400,
-) -> DeltaStarResult:
+def delta_star(S: np.ndarray, f: int, *, p: PNorm = 2) -> DeltaStarResult:
     """Compute ``δ*(S)`` and a minimiser for ``f`` faults under ``L_p``.
 
     Parameters
@@ -317,10 +324,6 @@ def delta_star(
         Maximum number of Byzantine inputs, ``0 <= f < n``.
     p:
         Norm order of the relaxation (Definition 9).
-    tol:
-        Relative optimality-gap target for the cutting-plane path.
-    max_iter:
-        Iteration cap for the cutting-plane path.
     """
     S = np.atleast_2d(np.asarray(S, dtype=float))
     n, d = S.shape
@@ -332,7 +335,7 @@ def delta_star(
     with trace_span(
         "geometry.delta_star", n=n, d=d, f=f, p=float(p)
     ) as span:
-        result = _delta_star_solve(S, n, f, p, tol, max_iter)
+        result = _delta_star_solve(S, n, f, p)
         span.tag(value=result.value, gap=result.gap,
                  iterations=result.iterations)
     reg = _obs.current_registry()
@@ -343,14 +346,7 @@ def delta_star(
 
 
 @cached_kernel("delta_star")
-def _delta_star_solve(
-    S: np.ndarray,
-    n: int,
-    f: int,
-    p: float,
-    tol: float,
-    max_iter: int,
-) -> DeltaStarResult:
+def _delta_star_solve(S: np.ndarray, n: int, f: int, p: float) -> DeltaStarResult:
     # Memoised under canonical keys (repro.geometry.cache): the solve is
     # wrapped, not delta_star itself, so call counters and trace spans
     # stay live per caller while repeated instances skip the solvers.
@@ -367,7 +363,16 @@ def _delta_star_solve(
         value, point = _delta_star_exact_lp(S, subsets, p)
         return DeltaStarResult(value, point, subsets, 0.0, 0)
 
-    value, point, gap, iters = _delta_star_cutting_plane(
-        S, subsets, p, tol, max_iter
-    )
+    if norm_order_is(p, 2.0):
+        origin, basis = affine_basis(S)
+        if basis.shape[0] < S.shape[1]:
+            # Solve in the k < d orthonormal coordinates of aff(S) and
+            # lift back (see the module docstring).
+            value, y, gap, iters = _delta_star_cutting_plane(
+                (S - origin) @ basis.T, subsets, p
+            )
+            return DeltaStarResult(
+                float(value), origin + y @ basis, subsets, float(gap), iters
+            )
+    value, point, gap, iters = _delta_star_cutting_plane(S, subsets, p)
     return DeltaStarResult(float(value), point, subsets, float(gap), iters)

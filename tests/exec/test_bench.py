@@ -59,18 +59,22 @@ def verdict_digest(instances) -> str:
 
 
 class TestBenchmarkVerdictIdentity:
-    """Decisions *and* verdicts of the repo benchmark's instances.  Cut
-    when a point of Γ became the one LP's central point instead of the
-    lexicographic minimum over d LPs; held since by every change that
-    only makes the geometric questions cheaper."""
+    """Decisions *and* verdicts of the repo benchmark's instances.  The
+    sync pins were cut when a point of Γ became the one LP's central point
+    instead of the lexicographic minimum over d LPs; ``sim-rva``'s when a
+    p = 2 δ* of affinely dependent verified values was first solved inside
+    their affine hull (only its ``averaging/n4d3f1`` cells moved).  Held
+    since by every change that only makes the geometric questions
+    cheaper."""
 
     @pytest.mark.parametrize(
         "workload, pinned",
         [
             ("sim-geometry", "4d5a1e845206f86270d9c2430f5fdb1bff76e63d130ce8c41ab988c2a0266155"),
             ("sim-broadcast", "aa874ef982044744d822537315062b73e8e835c01251a0182505f3ce85a23647"),
+            ("sim-rva", "4753de6b29f42902c6a8715449c6040587fe336ab55451502ded1c51873dae10"),
         ],
-        ids=["sim-geometry", "sim-broadcast"],
+        ids=["sim-geometry", "sim-broadcast", "sim-rva"],
     )
     def test_first_rep_of_every_cell(self, workload, pinned):
         instances = generate(workload, 2016, reps=1)
@@ -91,11 +95,11 @@ class TestBenchmarkVerdictIdentity:
             assert outcome.ok and not outcome.report.violations
 
 
-def honest_misses(seed: int) -> list[tuple[str, str, float]]:
-    """``(id, kind, violation)`` of every ``sim-geometry`` instance of
+def honest_misses(workload: str, seed: int) -> list[tuple[str, str, float]]:
+    """``(id, kind, violation)`` of every ``workload`` instance of
     ``seed`` that the benchmark does not classify ``ok``."""
     misses = []
-    for inst in generate("sim-geometry", seed):
+    for inst in generate(workload, seed):
         kind, violation = classify(run(inst.to_spec()))
         if kind != "ok":
             misses.append((inst.id, kind, violation))
@@ -108,4 +112,13 @@ def test_every_honest_geometry_run_is_ok(seed):
     (``algo-p1``, ``algo-pinf``, ``exact``, ``krelaxed-k2``), faulty or
     not, meets validity with the checker's own ``tol`` — no run is a
     ``tolerance`` miss.  CI's ``honest-validity`` job asks seeds 1-20."""
-    assert honest_misses(seed) == []
+    assert honest_misses("sim-geometry", seed) == []
+
+
+@pytest.mark.parametrize("seed", [7, 2016])
+def test_every_honest_rva_run_is_ok(seed):
+    """Every Relaxed Verified Averaging run meets validity, its round-1
+    values included: each is a δ* point, solved inside the affine hull of
+    the verified values when they span fewer than d dimensions.  CI's
+    ``honest-validity`` job asks seeds 1-20."""
+    assert honest_misses("sim-rva", seed) == []

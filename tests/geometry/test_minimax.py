@@ -6,10 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.workloads import degenerate_inputs, simplex_inputs
 from repro.geometry.distance import distance_to_hull
-from repro.geometry.intersections import f_subsets
+from repro.geometry.intersections import f_subsets, gamma_point
 from repro.geometry.minimax import delta_star, max_subset_distance
 from repro.geometry.simplex import incenter_and_inradius
 
@@ -65,6 +67,62 @@ class TestLemma13:
         S = simplex_inputs(rng, 5, 4)
         res = delta_star(S, 1)
         assert res.gap <= 1e-7 * max(1.0, res.value)
+
+
+def place(S0: np.ndarray, d: int, rng: np.random.Generator):
+    """``S0 ⊂ R^k`` carried into ``R^d`` by a random orthonormal map ``Q``
+    plus a translation ``t``: ``(S0 @ Q.T + t, Q, t)``."""
+    Q, _ = np.linalg.qr(rng.normal(size=(d, S0.shape[1])))
+    t = rng.normal(size=d)
+    return S0 @ Q.T + t, Q, t
+
+
+class TestLemma13InAffineHull:
+    """A k-simplex placed in R^d, d > k: δ* is solved inside its affine
+    hull (Theorem 8's distance-preserving projection), so Lemma 13 holds
+    there exactly — the inradius, attained at the placed incenter, in a
+    few cutting-plane iterations rather than a crawl along the normals."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("extra", [1, 2])
+    def test_placed_simplex_gives_its_incenter(self, k, extra):
+        for seed in range(3):
+            rng = np.random.default_rng([k, extra, seed])
+            S0 = simplex_inputs(rng, k + 1, k, min_inradius=0.25)
+            E, Q, t = place(S0, k + extra, rng)
+            center, r = incenter_and_inradius(S0)
+            res = delta_star(E, 1)
+            scale = float(np.max(np.ptp(E, axis=0)))
+            assert res.value == pytest.approx(r, rel=1e-9, abs=0.0)
+            np.testing.assert_allclose(
+                res.point, center @ Q.T + t, rtol=0.0, atol=1e-9 * scale
+            )
+            assert res.iterations <= 5
+
+
+class TestAffineHullReduction:
+    @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 2),
+           st.integers(1, 2), st.integers(0, 10))
+    @settings(max_examples=25, deadline=None)
+    def test_placed_inputs_keep_delta_star(self, seed, k, f, extra, pick):
+        # n in [k+1, (k+1)f], n > f: S0 spans R^k and Γ is (generically)
+        # empty.  Each value is within its certified gap above the one true
+        # δ*, so they agree to the larger gap; a full-rank solve that runs
+        # to the 100-LP cap stops at a gap of a few 1e-8, over 1e-9 relative.
+        lo = max(k + 1, f + 1)
+        n = lo + pick % ((k + 1) * f - lo + 1)
+        rng = np.random.default_rng(seed)
+        S0 = rng.normal(size=(n, k))
+        assume(gamma_point(S0, f) is None)
+        E, Q, t = place(S0, k + extra, rng)
+        flat, placed = delta_star(S0, f), delta_star(E, f)
+        assert abs(placed.value - flat.value) <= (
+            1e-9 * flat.value + max(flat.gap, placed.gap)
+        )
+        # aff(E) = t + range(Q): the point has no component off it
+        x = placed.point - t
+        scale = float(np.max(np.ptp(E, axis=0)))
+        assert np.linalg.norm(x - Q @ (Q.T @ x)) <= 1e-12 * scale
 
 
 class TestTheorem8:
