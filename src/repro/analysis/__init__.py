@@ -17,7 +17,6 @@ from .timeline import (
     render_explanation,
     render_timeline,
 )
-from .transcripts import TranscriptSummary, render_transcript, summarize_transcript
 from .workloads import (
     WORKLOADS,
     clustered_inputs,
@@ -38,16 +37,13 @@ __all__ = [
     "render_dot",
     "render_explanation",
     "render_timeline",
-    "TranscriptSummary",
     "TrialSummary",
     "WORKLOADS",
     "SpanStats",
     "metrics_record",
     "render_flame",
     "render_summary",
-    "render_transcript",
     "summarize_spans",
-    "summarize_transcript",
     "clustered_inputs",
     "collinear_inputs",
     "degenerate_inputs",

@@ -39,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..system.process import Context, Inbox, SyncProcess
+from ..system.process import Context, Inbox, Node, SyncProcess
 
 __all__ = ["NaiveAveragingProcess", "RingResult", "run_ring", "lemma10_demo"]
 
@@ -113,13 +113,11 @@ def run_ring(
     zero = np.zeros(d) if zero is None else np.asarray(zero, dtype=float)
     one = np.ones(d) if one is None else np.asarray(one, dtype=float)
 
-    nodes: list[SyncProcess] = []
-    ctxs: list[Context] = []
-    for role, copy in RING:
-        value = one if copy == 1 else zero
-        nodes.append(protocol_factory(value))
-        ctx = Context(role, 3, 1, np.random.default_rng(0))
-        ctxs.append(ctx)
+    nodes = [
+        Node(role, protocol_factory(one if copy == 1 else zero),
+             Context(role, 3, 1, np.random.default_rng(0)))
+        for role, copy in RING
+    ]
 
     n_ring = len(RING)
 
@@ -130,39 +128,29 @@ def run_ring(
         return None
 
     inboxes: list[dict[int, list]] = [dict() for _ in range(n_ring)]
-    for _ in range(max_rounds):
+    for r in range(max_rounds):
         round_msgs: list[tuple[int, int, str, object]] = []
-        for i, (role, _copy) in enumerate(RING):
-            ctx = ctxs[i]
-            if ctx.decided:
+        for i, node in enumerate(nodes):
+            # A decided copy stays silent; every other copy acts each round.
+            if node.ctx.decided:
                 continue
-            ctx.outbox = []
-            nodes[i].on_round(ctx, _current_round(ctx), inboxes[i])
-            for msg in ctx.outbox:
-                if msg.dst == role:
-                    round_msgs.append((i, i, msg.tag, msg.payload))
-                    continue
-                tgt = neighbour_with_role(i, msg.dst)
+            for msg in node.round(r, inboxes[i]):
+                tgt = i if msg.dst == node.pid else neighbour_with_role(i, msg.dst)
                 if tgt is not None:
                     round_msgs.append((i, tgt, msg.tag, msg.payload))
-            ctx._round = _current_round(ctx) + 1  # type: ignore[attr-defined]
         inboxes = [dict() for _ in range(n_ring)]
         for src_i, dst_i, tag, payload in round_msgs:
             src_role = RING[src_i][0]
             inboxes[dst_i].setdefault(src_role, []).append((tag, payload))
-        if all(ctx.decided for ctx in ctxs):
+        if all(node.ctx.decided for node in nodes):
             break
 
     decisions = {
-        RING[i]: np.asarray(ctxs[i].decision, dtype=float)
-        for i in range(n_ring)
-        if ctxs[i].decided
+        RING[i]: np.asarray(node.ctx.decision, dtype=float)
+        for i, node in enumerate(nodes)
+        if node.ctx.decided
     }
     return RingResult(decisions)
-
-
-def _current_round(ctx: Context) -> int:
-    return getattr(ctx, "_round", 0)
 
 
 def lemma10_demo(d: int = 2) -> RingResult:

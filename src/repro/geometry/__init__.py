@@ -25,7 +25,6 @@ from .distance import (
     in_hull,
     nearest_point_l2,
 )
-from .halfspaces import Halfspace, hull_halfspaces, separating_halfspace, supporting_halfspace
 from .hull import Hull, affine_basis, affine_dimension
 from .intersections import (
     f_subsets,
@@ -86,7 +85,6 @@ __all__ = [
     "DELTA_ATOL",
     "DeltaPHull",
     "DeltaStarResult",
-    "Halfspace",
     "Hull",
     "HullProjection",
     "KRelaxedHull",
@@ -123,7 +121,6 @@ __all__ = [
     "intersect_hulls_polytope",
     "polygon_vertices",
     "holder_upper_factor",
-    "hull_halfspaces",
     "in_hull",
     "incenter",
     "incenter_and_inradius",
@@ -150,9 +147,7 @@ __all__ = [
     "psi_k",
     "psi_k_point",
     "radon_partition",
-    "separating_halfspace",
     "simplex_b_vectors",
-    "supporting_halfspace",
     "tverberg_partition",
     "tverberg_point",
     "validate_p",

@@ -54,9 +54,10 @@ TRANSPORT_SEAMS: dict[str, frozenset[str]] = {
             "is_deeply_immutable",
         }
     ),
-    # The process-facing execution surface (what a live node must offer).
+    # The process-facing execution surface (what a live node must offer),
+    # and the one step every driver calls a handler through.
     "system/process.py": frozenset(
-        {"Context", "SyncProcess", "AsyncProcess", "Inbox"}
+        {"Context", "SyncProcess", "AsyncProcess", "Inbox", "Node"}
     ),
     # The buffer abstraction a real transport replaces wholesale.
     "system/network.py": frozenset({"Network", "NetworkStats"}),

@@ -64,7 +64,7 @@ class AdversaryView:
         committing its own.  Empty in asynchronous executions.
     sign:
         Signing capability restricted to the faulty ids (None when the
-        protocol is unauthenticated).
+        protocol is unauthenticated, and in asynchronous executions).
     """
 
     round: Optional[int]

@@ -62,6 +62,18 @@ class NetworkStats:
             self.per_tag_delivered.get(msg.tag, 0) + 1
         )
 
+    def merge(self, other: "NetworkStats") -> None:
+        """Add ``other``'s counts to these (tags in sorted order)."""
+        self.messages_sent += other.messages_sent
+        self.messages_delivered += other.messages_delivered
+        self.bytes_estimate += other.bytes_estimate
+        for tag in sorted(other.per_tag):
+            self.per_tag[tag] = self.per_tag.get(tag, 0) + other.per_tag[tag]
+        for tag in sorted(other.per_tag_delivered):
+            self.per_tag_delivered[tag] = (
+                self.per_tag_delivered.get(tag, 0) + other.per_tag_delivered[tag]
+            )
+
     def as_dict(self) -> dict:
         """Plain-data view (merged into ``RunResult.metrics``)."""
         return {

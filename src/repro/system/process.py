@@ -28,7 +28,7 @@ import numpy as np
 
 from .messages import ALL, Message
 
-__all__ = ["Context", "SyncProcess", "AsyncProcess", "Inbox"]
+__all__ = ["Context", "SyncProcess", "AsyncProcess", "Inbox", "Node"]
 
 #: Round inbox type: src pid -> list of (tag, payload) received this round.
 Inbox = Mapping[int, Sequence[tuple[str, Any]]]
@@ -39,8 +39,7 @@ class Context:
 
     Created by the scheduler; one per process.  Messages are not sent
     directly — they are queued in :attr:`outbox` and collected by the
-    scheduler (synchronous: at the end of the round; asynchronous: after
-    each event handler returns).
+    :class:`Node` after each handler returns.
     """
 
     def __init__(self, pid: int, n: int, f: int, rng: np.random.Generator):
@@ -125,3 +124,57 @@ class AsyncProcess(ABC):
 
     def on_stop(self, ctx: Context) -> None:
         """Called once when the execution ends."""
+
+
+class Node:
+    """One process as a driver sees it, and the only caller of a handler.
+
+    Each method skips a halted process, runs one handler and returns the
+    messages it queued, for the driver to route.  For a faulty process
+    (``adversary`` set) they first pass ``adversary.transform_outbox`` —
+    even when empty, a strategy may inject — counted on ``metrics``.
+    """
+
+    __slots__ = ("pid", "process", "ctx", "adversary", "metrics")
+
+    def __init__(self, pid: int, process: Any, ctx: Context,
+                 adversary: Any = None, metrics: Any = None):
+        self.pid = pid
+        self.process = process
+        self.ctx = ctx
+        self.adversary = adversary
+        self.metrics = metrics
+
+    def start(self, view: Any = None) -> Sequence[Message]:
+        """Run ``on_start``."""
+        if self.ctx.halted:
+            return ()
+        self.process.on_start(self.ctx)
+        return self._take(view)
+
+    def deliver(self, msg: Message, view: Any = None) -> Sequence[Message]:
+        """Run ``on_message`` for one delivered message."""
+        if self.ctx.halted:
+            return ()
+        self.process.on_message(self.ctx, msg.src, msg.tag, msg.payload)
+        return self._take(view)
+
+    def round(self, r: int, inbox: Inbox, view: Any = None) -> Sequence[Message]:
+        """Run ``on_round`` on round ``r``'s inbox."""
+        if self.ctx.halted:
+            return ()
+        self.process.on_round(self.ctx, r, inbox)
+        return self._take(view)
+
+    def _take(self, view: Any) -> Sequence[Message]:
+        ctx = self.ctx
+        msgs = ctx.outbox
+        if msgs:
+            ctx.outbox = []
+        if self.adversary is None:
+            return msgs
+        honest_count = len(msgs)
+        msgs = self.adversary.transform_outbox(self.pid, msgs, view)
+        self.metrics.inc("sched.adversary.messages_in", honest_count)
+        self.metrics.inc("sched.adversary.messages_out", len(msgs))
+        return msgs

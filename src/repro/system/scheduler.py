@@ -15,8 +15,13 @@
     strongest schedule that is still *eventually* fair, which is what the
     asynchronous model permits).
 
-Both return a :class:`RunResult` carrying decisions, transcript statistics
-and the per-process contexts for post-hoc assertions.
+Both are drivers over :class:`~repro.system.process.Node`, the one place a
+handler runs: they pick the next event, count and stamp it, and route
+what the handler queued.  ``run()`` is ``start()``, then ``step()`` until
+the run is done; ``run()`` returns a :class:`RunResult` carrying
+decisions, transcript statistics and the per-process contexts for
+post-hoc assertions.  Between two ``step()`` calls the state is plain
+values, so ``copy.deepcopy(scheduler)`` forks a run.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .adversary import Adversary, AdversaryView
 from .ids import validate_system_size
 from .messages import ALL, Message
 from .network import Network, NetworkStats
-from .process import AsyncProcess, Context, SyncProcess
+from .process import AsyncProcess, Context, Node, SyncProcess
 
 from typing import TYPE_CHECKING
 
@@ -95,8 +100,6 @@ class RunResult:
     contexts: dict[int, Context]
     faulty: frozenset[int]
     completed: bool
-    #: (round-or-step, message) pairs when recording was requested.
-    transcript: Optional[list[tuple[int, Message]]] = None
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     probes: tuple[ProbeReport, ...] = ()
     causal: Optional[Any] = None
@@ -133,18 +136,25 @@ def _make_contexts(
     }
 
 
+def _finish_probes(
+    probes: Sequence[Probe], probe_view: Optional[ProbeView], rounds: int
+) -> tuple[ProbeReport, ...]:
+    """Close every probe on ``probe_view`` and collect the reports."""
+    if probe_view is not None:
+        for probe in probes:
+            probe.on_finish(probe_view, rounds)
+    return tuple(probe.report() for probe in probes)
+
+
 class _Simulator:
     """What the two simulators share: how one is set up, the ambient
     context a run executes under, the probe lifecycle, and how a finished
-    loop becomes a :class:`RunResult`.  A subclass adds its own knobs,
-    the name (and extra tags) of its run span, and ``_run`` — the loop."""
+    run becomes a :class:`RunResult`.  A subclass is a driver: ``start``,
+    ``step`` (one event), and ``_step_until_done`` (when the run ends)."""
 
     _span = ""
 
-    def __init__(
-        self, processes, f, adversary, rng, sign, record_transcript,
-        metrics, probes, collector,
-    ):
+    def __init__(self, processes, f, adversary, rng, metrics, probes, collector):
         n = len(processes)
         validate_system_size(n, f)
         adversary = adversary or Adversary.none()
@@ -159,56 +169,57 @@ class _Simulator:
             custom = adversary.custom_processes.get(pid)
             self.processes[pid] = custom if custom is not None else proc
         self.rng = rng or np.random.default_rng(0)
-        self.sign = sign
-        self.record_transcript = bool(record_transcript)
         self.metrics = (
             metrics
             if metrics is not None
             else (active_registry() or MetricsRegistry())
         )
         self.probes = tuple(probes)
-        self.collector = collector
+        self.collector = (
+            collector if collector is not None else get_causal_collector()
+        )
         self.network = Network(n)
+        self.network.collector = self.collector
         self.contexts = _make_contexts(n, f, self.rng)
         self._adv_rng = np.random.default_rng(int(self.rng.integers(0, 2**63 - 1)))
+        self.nodes = [
+            Node(pid, self.processes[pid], self.contexts[pid],
+                 adversary if adversary.is_faulty(pid) else None, self.metrics)
+            for pid in range(n)
+        ]
+        self.started = False
+        self._probe_view: Optional[ProbeView] = None
         self._span_tags: dict[str, Any] = {}
 
     def run(self) -> RunResult:
-        """Run the loop until every correct process has decided (or cap)."""
-        if self.collector is None:
-            self.collector = get_causal_collector()
-        self.network.collector = self.collector
+        """``start()`` unless the run has started, then ``step()`` until
+        every correct process has decided (or the cap), then the result."""
         with use_causal_collector(self.collector), use_registry(
             self.metrics
-        ) as reg, trace_span(self._span, n=self.n, f=self.f, **self._span_tags):
-            return self._run(reg)
+        ), trace_span(self._span, n=self.n, f=self.f, **self._span_tags):
+            if not self.started:
+                self.start()
+            return self._finish(*self._step_until_done())
 
-    def _attach_probes(self) -> Optional[ProbeView]:
-        if not self.probes:
-            return None
-        probe_view = ProbeView(self.n, self.f, self.contexts, self.processes,
-                               self.adversary.faulty)
-        for probe in self.probes:
-            probe.attach(probe_view)
-        return probe_view
+    def start(self) -> None:
+        """Attach the probes; a subclass then starts its processes."""
+        if self.started:
+            raise RuntimeError("the run has already started")
+        self.started = True
+        if self.probes:
+            self._probe_view = ProbeView(self.n, self.f, self.contexts,
+                                         self.processes, self.adversary.faulty)
+            for probe in self.probes:
+                probe.attach(self._probe_view)
 
-    def _finish(
-        self,
-        reg: MetricsRegistry,
-        probe_view: Optional[ProbeView],
-        rounds: int,
-        completed: bool,
-        transcript: Optional[list[tuple[int, Message]]],
-    ) -> RunResult:
+    def _finish(self, rounds: int, completed: bool) -> RunResult:
         for pid, proc in self.processes.items():
             proc.on_stop(self.contexts[pid])
-        if probe_view is not None:
-            for probe in self.probes:
-                probe.on_finish(probe_view, rounds)
+        probes = _finish_probes(self.probes, self._probe_view, rounds)
         decisions = {
             pid: ctx.decision for pid, ctx in self.contexts.items() if ctx.decided
         }
-        _fold_network_stats(reg, self.network.stats)
+        _fold_network_stats(self.metrics, self.network.stats)
         return RunResult(
             decisions=decisions,
             rounds=rounds,
@@ -216,9 +227,8 @@ class _Simulator:
             contexts=self.contexts,
             faulty=self.adversary.faulty,
             completed=completed,
-            transcript=transcript,
-            metrics=reg,
-            probes=tuple(probe.report() for probe in self.probes),
+            metrics=self.metrics,
+            probes=probes,
             causal=self.collector if self.collector.enabled else None,
         )
 
@@ -238,134 +248,112 @@ class SynchronousScheduler(_Simulator):
         max_rounds: int = 10_000,
         sign: Optional[Callable[[int, Any], Any]] = None,
         topology: Optional["Topology"] = None,
-        record_transcript: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         probes: Sequence[Probe] = (),
         collector: Optional[Any] = None,
     ):
         super().__init__(
-            processes, f, adversary, rng, sign, record_transcript,
-            metrics, probes, collector,
+            processes, f, adversary, rng, metrics, probes, collector,
         )
         if topology is not None and topology.n != self.n:
             raise ValueError(
                 f"topology has {topology.n} nodes for {self.n} processes"
             )
         self.max_rounds = int(max_rounds)
+        self.sign = sign
         self.topology = topology
-
-    def _run(self, reg: MetricsRegistry) -> RunResult:
-        transcript: Optional[list[tuple[int, Message]]] = (
-            [] if self.record_transcript else None
-        )
-        inboxes: dict[int, dict[int, list[tuple[str, Any]]]] = {
+        #: The next round to run.
+        self.round = 0
+        self._correct = [nd for nd in self.nodes if nd.adversary is None]
+        self._faulty = [nd for nd in self.nodes if nd.adversary is not None]
+        self._inboxes: dict[int, dict[int, list[tuple[str, Any]]]] = {
             pid: {} for pid in range(self.n)
         }
-        completed = False
-        rounds_done = 0
+
+    def _step_until_done(self) -> tuple[int, bool]:
+        while not all(nd.ctx.decided or nd.ctx.halted for nd in self._correct):
+            if self.round >= self.max_rounds:
+                # A capped run reports the index of its last round.
+                return max(self.round - 1, 0), False
+            self.step()
+        return self.round, True
+
+    def step(self) -> list[Message]:
+        """Run one round; returns the messages it submitted (topology
+        drops excluded), which arrive at the start of the next round."""
+        r = self.round
+        reg = self.metrics
         collector = self.collector
-        probe_view = self._attach_probes()
-        for r in range(self.max_rounds):
-            rounds_done = r
-            if collector.enabled:
-                collector.now = r
-            with trace_span("sched.sync.round", round=r) as round_span:
-                correct_ids = [
-                    p for p in range(self.n) if not self.adversary.is_faulty(p)
-                ]
-                faulty_ids = [
-                    p for p in range(self.n) if self.adversary.is_faulty(p)
-                ]
+        if collector.enabled:
+            collector.now = r
+        with trace_span("sched.sync.round", round=r) as round_span:
+            inboxes = self._inboxes
 
-                # 1. Correct processes act on this round's inbox.
-                for pid in correct_ids:
-                    ctx = self.contexts[pid]
-                    if ctx.halted:
-                        continue
-                    ctx.outbox = []
-                    self.processes[pid].on_round(ctx, r, inboxes[pid])
-                correct_msgs: list[Message] = []
-                for pid in correct_ids:
-                    correct_msgs.extend(self.contexts[pid].outbox)
+            # 1. Correct processes act on this round's inbox.
+            correct_msgs: list[Message] = []
+            for node in self._correct:
+                correct_msgs.extend(node.round(r, inboxes[node.pid]))
 
-                # 2. Faulty processes act; the rushing adversary transforms
-                #    their traffic with the correct messages in view.
-                view = AdversaryView(
-                    round=r,
-                    n=self.n,
-                    f=self.f,
-                    rng=self._adv_rng,
-                    correct_outbox=tuple(correct_msgs),
-                    sign=self.sign,
-                )
-                faulty_msgs: list[Message] = []
-                for pid in faulty_ids:
-                    ctx = self.contexts[pid]
-                    if ctx.halted:
-                        continue
-                    ctx.outbox = []
-                    self.processes[pid].on_round(ctx, r, inboxes[pid])
-                    honest_count = len(ctx.outbox)
-                    transformed = self.adversary.transform_outbox(
-                        pid, ctx.outbox, view
-                    )
-                    faulty_msgs.extend(transformed)
-                    reg.inc("sched.adversary.messages_in", honest_count)
-                    reg.inc("sched.adversary.messages_out", len(transformed))
+            # 2. Faulty processes act; the rushing adversary transforms
+            #    their traffic with the correct messages in view.
+            view = AdversaryView(
+                round=r,
+                n=self.n,
+                f=self.f,
+                rng=self._adv_rng,
+                correct_outbox=tuple(correct_msgs),
+                sign=self.sign,
+            )
+            faulty_msgs: list[Message] = []
+            for node in self._faulty:
+                faulty_msgs.extend(node.round(r, inboxes[node.pid], view))
 
-                # 3. Deliver everything for the next round (per-link FIFO).
-                #    In incomplete graphs there is no channel across missing
-                #    edges: those messages are dropped at submission — for
-                #    Byzantine senders too (they cannot conjure wires).
-                for msg in correct_msgs + faulty_msgs:
-                    if (
-                        self.topology is not None
-                        and not msg.is_atomic_broadcast
-                        and not self.topology.allows(msg.src, msg.dst)
-                    ):
-                        reg.inc("sched.sync.topology_drops")
-                        continue
-                    if transcript is not None:
-                        transcript.append((r, msg))
-                    self.network.submit(msg)
-                reg.inc("sched.sync.rounds")
-                round_span.tag(
-                    sends=len(correct_msgs) + len(faulty_msgs),
-                    adversary_sends=len(faulty_msgs),
-                )
-                inboxes = {pid: {} for pid in range(self.n)}
-                for msg in self.network.drain_all():
-                    send_eid = (
-                        collector.pop_send(msg.src, msg.dst)
-                        if collector.enabled else None
-                    )
-                    if msg.is_atomic_broadcast:
-                        targets: Sequence[int] = (
-                            range(self.n)
-                            if self.topology is None
-                            else (*self.topology.neighbors(msg.src), msg.src)
-                        )
-                    else:
-                        targets = (msg.dst,)
-                    for dst in targets:
-                        if collector.enabled:
-                            collector.on_deliver(dst, send_eid, time=r)
-                        inboxes[dst].setdefault(msg.src, []).append(
-                            (msg.tag, msg.payload)
-                        )
-
-                if probe_view is not None:
-                    for probe in self.probes:
-                        probe.on_boundary(probe_view, r)
-                if all(
-                    self.contexts[pid].decided or self.contexts[pid].halted
-                    for pid in correct_ids
+            # 3. Deliver everything for the next round (per-link FIFO).
+            #    In incomplete graphs there is no channel across missing
+            #    edges: those messages are dropped at submission — for
+            #    Byzantine senders too (they cannot conjure wires).
+            submitted: list[Message] = []
+            for msg in correct_msgs + faulty_msgs:
+                if (
+                    self.topology is not None
+                    and not msg.is_atomic_broadcast
+                    and not self.topology.allows(msg.src, msg.dst)
                 ):
-                    completed = True
-                    rounds_done = r + 1
-                    break
+                    reg.inc("sched.sync.topology_drops")
+                    continue
+                submitted.append(msg)
+                self.network.submit(msg)
+            reg.inc("sched.sync.rounds")
+            round_span.tag(
+                sends=len(correct_msgs) + len(faulty_msgs),
+                adversary_sends=len(faulty_msgs),
+            )
+            self._inboxes = inboxes = {pid: {} for pid in range(self.n)}
+            for msg in self.network.drain_all():
+                send_eid = (
+                    collector.pop_send(msg.src, msg.dst)
+                    if collector.enabled else None
+                )
+                if msg.is_atomic_broadcast:
+                    targets: Sequence[int] = (
+                        range(self.n)
+                        if self.topology is None
+                        else (*self.topology.neighbors(msg.src), msg.src)
+                    )
+                else:
+                    targets = (msg.dst,)
+                for dst in targets:
+                    if collector.enabled:
+                        collector.on_deliver(dst, send_eid, time=r)
+                    inboxes[dst].setdefault(msg.src, []).append(
+                        (msg.tag, msg.payload)
+                    )
 
-        return self._finish(reg, probe_view, rounds_done, completed, transcript)
+            if self._probe_view is not None:
+                for probe in self.probes:
+                    probe.on_boundary(self._probe_view, r)
+        self.round = r + 1
+        return submitted
 
 
 # ---------------------------------------------------------------------------
@@ -443,116 +431,86 @@ class AsyncScheduler(_Simulator):
         policy: Optional[DeliveryPolicy] = None,
         rng: Optional[np.random.Generator] = None,
         max_steps: int = 1_000_000,
-        sign: Optional[Callable[[int, Any], Any]] = None,
-        stop_when_correct_decided: bool = True,
-        record_transcript: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         probes: Sequence[Probe] = (),
         collector: Optional[Any] = None,
     ):
         super().__init__(
-            processes, f, adversary, rng, sign, record_transcript,
-            metrics, probes, collector,
+            processes, f, adversary, rng, metrics, probes, collector,
         )
         self.policy = policy or RandomPolicy()
         self._span_tags = {"policy": type(self.policy).__name__}
         self.max_steps = int(max_steps)
-        self.stop_when_correct_decided = stop_when_correct_decided
-
-    def _flush_outbox(self, pid: int) -> None:
-        ctx = self.contexts[pid]
-        msgs = ctx.outbox
-        ctx.outbox = []
-        if self.adversary.is_faulty(pid):
-            view = AdversaryView(
-                round=None,
-                n=self.n,
-                f=self.f,
-                rng=self._adv_rng,
-                sign=self.sign,
-            )
-            honest_count = len(msgs)
-            msgs = self.adversary.transform_outbox(pid, msgs, view)
-            self.metrics.inc("sched.adversary.messages_in", honest_count)
-            self.metrics.inc("sched.adversary.messages_out", len(msgs))
-        submit = self.network.submit
-        for msg in msgs:
-            submit(msg)
-
-    def _deliver(
-        self, msg: Message, steps: int, send_eid: Any, undecided: set[int]
-    ) -> None:
-        """Hand one popped message to its receiver(s) and collect what
-        their handlers queued."""
-        collector = self.collector
-        faulty = self.adversary.faulty
-        for dst in range(self.n) if msg.dst == ALL else (msg.dst,):
-            ctx = self.contexts[dst]
-            if ctx.halted:
-                continue
-            if collector.enabled:
-                collector.on_deliver(dst, send_eid, time=steps)
-            self.processes[dst].on_message(ctx, msg.src, msg.tag, msg.payload)
-            if ctx.decided:
-                undecided.discard(dst)
-            # Most handlers queue nothing; a faulty process is flushed
-            # regardless, its strategy may inject into an empty outbox.
-            if ctx.outbox or dst in faulty:
-                self._flush_outbox(dst)
-
-    def _run(self, reg: MetricsRegistry) -> RunResult:
-        transcript: Optional[list[tuple[int, Message]]] = (
-            [] if self.record_transcript else None
-        )
-        queue_gauge = reg.gauge(
+        #: Messages delivered so far.
+        self.steps = 0
+        self._view = AdversaryView(round=None, n=self.n, f=self.f,
+                                   rng=self._adv_rng)
+        self._queue_gauge = self.metrics.gauge(
             f"sched.async.queue_depth.{type(self.policy).__name__}"
         )
-        collector = self.collector
-        if collector.enabled:
-            collector.now = 0
-        # The span sink is installed around the run, never inside it.
-        tracer = get_tracer()
-        probe_view = self._attach_probes()
-        for pid in range(self.n):
-            self.processes[pid].on_start(self.contexts[pid])
-            self._flush_outbox(pid)
+        #: Correct processes yet to decide.  A process decides only inside
+        #: its own handler, so one look after each handler keeps this exact.
+        self._undecided: set[int] = set()
 
-        # Correct processes yet to decide.  A process decides only inside
-        # its own handler, so one look after each handler keeps this exact.
-        undecided = {
-            p for p in range(self.n)
-            if not self.adversary.is_faulty(p) and not self.contexts[p].decided
+    def start(self) -> None:
+        """Run every process's ``on_start`` and submit what it queued."""
+        super().start()
+        if self.collector.enabled:
+            self.collector.now = 0
+        submit = self.network.submit
+        for node in self.nodes:
+            for msg in node.start(self._view):
+                submit(msg)
+        self._undecided = {
+            nd.pid for nd in self.nodes
+            if nd.adversary is None and not nd.ctx.decided
         }
-        steps = 0
-        completed = False
-        while steps < self.max_steps:
-            if self.stop_when_correct_decided and not undecided:
-                completed = True
-                break
-            links = self.network.pending_links()
-            if not links:
-                completed = not undecided
-                break
-            queue_gauge.set(self.network.pending_count())
-            link = self.policy.choose(links, self.network, self.rng)
-            msg = self.network.pop(link)
-            steps += 1
-            send_eid = None
-            if collector.enabled:
-                collector.now = steps
-                send_eid = collector.pop_send(msg.src, msg.dst)
-            if transcript is not None:
-                transcript.append((steps, msg))
-            if tracer.enabled:
-                with tracer.span("sched.async.step", step=steps, src=msg.src,
-                                 dst=msg.dst, tag=msg.tag):
-                    self._deliver(msg, steps, send_eid, undecided)
-            else:
-                self._deliver(msg, steps, send_eid, undecided)
-            if probe_view is not None and steps % PROBE_INTERVAL == 0:
-                for probe in self.probes:
-                    probe.on_boundary(probe_view, steps)
 
-        reg.counter("sched.async.steps").value = steps
-        reg.counter("sched.async.undelivered").value = self.network.pending_count()
-        return self._finish(reg, probe_view, steps, completed, transcript)
+    def _step_until_done(self) -> tuple[int, bool]:
+        while self._undecided and self.steps < self.max_steps:
+            if self.step() is None:
+                break
+        self.metrics.counter("sched.async.steps").value = self.steps
+        self.metrics.counter("sched.async.undelivered").value = (
+            self.network.pending_count()
+        )
+        return self.steps, not self._undecided
+
+    def step(self) -> Optional[Message]:
+        """Deliver one message on the link the policy picks; returns it,
+        or ``None`` when nothing is pending."""
+        network = self.network
+        links = network.pending_links()
+        if not links:
+            return None
+        self._queue_gauge.set(network.pending_count())
+        msg = network.pop(self.policy.choose(links, network, self.rng))
+        self.steps += 1
+        send_eid = None
+        if self.collector.enabled:
+            self.collector.now = self.steps
+            send_eid = self.collector.pop_send(msg.src, msg.dst)
+        tracer = get_tracer()
+        if tracer.enabled:
+            with tracer.span("sched.async.step", step=self.steps, src=msg.src,
+                             dst=msg.dst, tag=msg.tag):
+                self._deliver(msg, send_eid)
+        else:
+            self._deliver(msg, send_eid)
+        if self._probe_view is not None and self.steps % PROBE_INTERVAL == 0:
+            for probe in self.probes:
+                probe.on_boundary(self._probe_view, self.steps)
+        return msg
+
+    def _deliver(self, msg: Message, send_eid: Any) -> None:
+        """Hand one popped message to its receiver(s) and submit what
+        their handlers queued."""
+        collector = self.collector
+        submit = self.network.submit
+        for node in self.nodes if msg.dst == ALL else (self.nodes[msg.dst],):
+            if collector.enabled and not node.ctx.halted:
+                collector.on_deliver(node.pid, send_eid, time=self.steps)
+            for out in node.deliver(msg, self._view):
+                submit(out)
+            if node.ctx.decided:
+                self._undecided.discard(node.pid)

@@ -56,8 +56,8 @@ from ...obs.probes import Probe, ProbeView
 from ..adversary import Adversary
 from ..messages import ALL, Message, canonical_bytes
 from ..network import NetworkStats
-from ..process import AsyncProcess, Context, SyncProcess
-from ..scheduler import RunResult, _fold_network_stats
+from ..process import AsyncProcess, Context, Node, SyncProcess
+from ..scheduler import RunResult, _finish_probes, _fold_network_stats
 from ..topology import Topology
 from . import wire
 from .base import Transport, TransportError
@@ -175,6 +175,7 @@ class LiveNode:
         self.ctx = Context(
             self.node_id, self.n, self.f, np.random.default_rng(ctx_seed)
         )
+        self.node = Node(self.node_id, process, self.ctx)
         self.stats = NetworkStats()
         self.rounds_done = 0
         self.completed = False
@@ -323,9 +324,10 @@ class LiveNode:
         self._wake.set()
 
     # ------------------------------------------------------- outgoing side
-    async def _flush_outbox(self, round_: Optional[int] = None) -> None:
-        msgs = self.ctx.outbox
-        self.ctx.outbox = []
+    async def _route(
+        self, msgs: Sequence[Message], round_: Optional[int] = None
+    ) -> None:
+        """Send what a handler queued: peer links, plus local delivery."""
         collector = self.collector
         for msg in msgs:
             self.stats.record_send(msg)
@@ -390,14 +392,10 @@ class LiveNode:
             raise TransportError("a peer link failed permanently mid-run")
 
     async def _run_sync(self) -> None:
-        proc = self.process
         inbox: dict[int, list[tuple[str, Any]]] = {}
         for r in range(self.max_rounds):
             self.rounds_done = r
-            self.ctx.outbox = []
-            if not self.ctx.halted:
-                proc.on_round(self.ctx, r, inbox)
-            await self._flush_outbox(round_=r)
+            await self._route(self.node.round(r, inbox), round_=r)
             decided = self.ctx.decided
             for link in self._peer_links:
                 await link.send_round(r, decided)
@@ -454,9 +452,7 @@ class LiveNode:
             )
 
     async def _run_async(self) -> None:
-        proc = self.process
-        self.process.on_start(self.ctx)
-        await self._flush_outbox()
+        await self._route(self.node.start())
         inq = self._inq
         announced = False
         steps = 0
@@ -498,10 +494,7 @@ class LiveNode:
             steps += 1
             self.rounds_done = steps
             self._deliver_one(msg, meta, steps)
-            if self.ctx.halted:
-                continue
-            proc.on_message(self.ctx, msg.src, msg.tag, msg.payload)
-            await self._flush_outbox()
+            await self._route(self.node.deliver(msg))
 
     def _result(self) -> RunResult:
         decisions = (
@@ -748,18 +741,7 @@ class LiveTransport(Transport):
             contexts.update(result.contexts)
             rounds = max(rounds, result.rounds)
             completed = completed and result.completed
-            stats.messages_sent += result.stats.messages_sent
-            stats.messages_delivered += result.stats.messages_delivered
-            stats.bytes_estimate += result.stats.bytes_estimate
-            for tag in sorted(result.stats.per_tag):
-                stats.per_tag[tag] = (
-                    stats.per_tag.get(tag, 0) + result.stats.per_tag[tag]
-                )
-            for tag in sorted(result.stats.per_tag_delivered):
-                stats.per_tag_delivered[tag] = (
-                    stats.per_tag_delivered.get(tag, 0)
-                    + result.stats.per_tag_delivered[tag]
-                )
+            stats.merge(result.stats)
             for name, metric in result.metrics.snapshot().items():
                 if not name.startswith("net.live."):
                     continue
@@ -778,15 +760,10 @@ class LiveTransport(Transport):
                         result.metrics.histogram(name).samples
                     )
         _fold_network_stats(registry, stats)
-        probe_reports = ()
-        if probes:
-            proc_map = {pid: processes[pid] for pid in range(n)}
-            view = ProbeView(n, f, contexts, proc_map, frozenset())
-            for probe in probes:
-                probe.attach(view)
-            for probe in probes:
-                probe.on_finish(view, rounds)
-            probe_reports = tuple(probe.report() for probe in probes)
+        view = ProbeView(n, f, contexts, dict(enumerate(processes)), frozenset())
+        for probe in probes:
+            probe.attach(view)
+        probe_reports = _finish_probes(probes, view, rounds)
         return RunResult(
             decisions=decisions,
             rounds=rounds,

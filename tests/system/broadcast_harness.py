@@ -80,18 +80,20 @@ def counters(reg, prefix):
     }
 
 
-def run_eig(n, f, commander, value, adversary=None, seed=0, **sched):
-    """``sched``: further scheduler arguments (``record_transcript=True``)."""
+def eig_scheduler(n, f, commander, value, adversary=None, seed=0):
     procs = [
         EIGProcess(n, f, commander, pid, value if pid == commander else None)
         for pid in range(n)
     ]
-    return SynchronousScheduler(
-        procs, f, adversary, rng=np.random.default_rng(seed), **sched
-    ).run()
+    return SynchronousScheduler(procs, f, adversary, rng=np.random.default_rng(seed))
 
 
-def run_ds(n, f, sender, value, adversary=None, seed=0, **sched):
+def run_eig(n, f, commander, value, adversary=None, seed=0):
+    return eig_scheduler(n, f, commander, value, adversary, seed).run()
+
+
+def ds_scheduler(n, f, sender, value, adversary=None, seed=0):
+    """The scheduler and the signature scheme it signs with."""
     rng = np.random.default_rng(seed)
     scheme = SignatureScheme(n, rng)
     procs = [
@@ -105,17 +107,24 @@ def run_ds(n, f, sender, value, adversary=None, seed=0, **sched):
         adversary,
         rng=rng,
         sign=scheme.signer_for(set(adversary.faulty)),
-        **sched,
-    ).run(), scheme
+    ), scheme
 
 
-def run_bracha(n, f, sender, value, adversary=None, seed=0, max_steps=100_000,
-               **sched):
+def run_ds(n, f, sender, value, adversary=None, seed=0):
+    sched, scheme = ds_scheduler(n, f, sender, value, adversary, seed)
+    return sched.run(), scheme
+
+
+def bracha_scheduler(n, f, sender, value, adversary=None, seed=0,
+                     max_steps=100_000):
     procs = [
         BrachaProcess(n, f, sender, pid, value if pid == sender else None)
         for pid in range(n)
     ]
     return AsyncScheduler(
         procs, f, adversary, rng=np.random.default_rng(seed), max_steps=max_steps,
-        **sched,
-    ).run()
+    )
+
+
+def run_bracha(n, f, sender, value, adversary=None, seed=0, max_steps=100_000):
+    return bracha_scheduler(n, f, sender, value, adversary, seed, max_steps).run()

@@ -15,34 +15,42 @@ import pytest
 from repro import RunSpec, run
 from repro.exec.grid import build_adversary
 
-from .broadcast_harness import run_bracha, run_ds, run_eig
+from .broadcast_harness import bracha_scheduler, ds_scheduler, eig_scheduler
 
 N, F = 7, 2
 VALUE = (1.5, -2.0)
 
 
-def _transcript_run(kind, sender, adversary):
+def _sent_run(kind, sender, adversary):
+    """The run's result and every message it put on the network."""
     adversary = build_adversary(adversary, N, F)
+    sent = []
+    if kind == "bracha":
+        # The async step returns deliveries: drain the network so that
+        # every message sent is among them.
+        sched = bracha_scheduler(N, F, sender, VALUE, adversary)
+        sched.start()
+        while (msg := sched.step()) is not None:
+            sent.append(msg)
+        return sched.run(), sent
     if kind == "eig":
-        return run_eig(N, F, sender, VALUE, adversary, record_transcript=True)
-    if kind == "dolev-strong":
-        return run_ds(N, F, sender, VALUE, adversary, record_transcript=True)[0]
-    # The async transcript lists deliveries: drain the network so that
-    # every message sent is on it.
-    return run_bracha(N, F, sender, VALUE, adversary, record_transcript=True,
-                      stop_when_correct_decided=False)
+        sched = eig_scheduler(N, F, sender, VALUE, adversary)
+    else:
+        sched = ds_scheduler(N, F, sender, VALUE, adversary)[0]
+    sched.start()
+    while not all(sched.contexts[p].decided for p in range(N)
+                  if p not in sched.adversary.faulty):
+        sent.extend(sched.step())
+    return sched.run(), sent
 
 
 @pytest.mark.parametrize("adversary", ["none", "silent", "equivocate", "mutate"])
 @pytest.mark.parametrize("sender", [0, N - 1], ids=["correct-sender", "faulty-sender"])
 @pytest.mark.parametrize("kind", ["eig", "dolev-strong", "bracha"])
 def test_bytes_estimate_is_the_sum_of_message_sizes(kind, sender, adversary):
-    res = _transcript_run(kind, sender, adversary)
-    assert len(res.transcript) == res.stats.messages_sent
-    assert (
-        sum(msg.estimated_size() for _, msg in res.transcript)
-        == res.stats.bytes_estimate
-    )
+    res, sent = _sent_run(kind, sender, adversary)
+    assert len(sent) == res.stats.messages_sent
+    assert sum(msg.estimated_size() for msg in sent) == res.stats.bytes_estimate
     if adversary == "none" or sender == 0:
         assert res.stats.messages_sent > 0
 

@@ -89,8 +89,10 @@ class TestHaltBehaviour:
                 ctx.halt()
 
         procs = [HaltOnFirst() for _ in range(3)]
-        sched = AsyncScheduler(procs, f=0, stop_when_correct_decided=False)
-        sched.run()
+        sched = AsyncScheduler(procs, f=0)
+        sched.start()
+        while sched.step() is not None:
+            pass
         # each process handled exactly one message before halting
         assert all(p.seen == 1 for p in procs)
 

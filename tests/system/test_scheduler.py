@@ -223,14 +223,18 @@ class TestPinnedDeliveryOrder:
             VerifiedAveragingProcess(4, 1, pid, inputs[pid], num_rounds=4)
             for pid in range(4)
         ]
-        res = AsyncScheduler(
-            procs, f=1, policy=make_policy(),
-            rng=np.random.default_rng(2016), record_transcript=True,
-        ).run()
+        sched = AsyncScheduler(
+            procs, f=1, policy=make_policy(), rng=np.random.default_rng(2016),
+        )
+        sched.start()
+        delivered = []
+        while not all(ctx.decided for ctx in sched.contexts.values()):
+            delivered.append(sched.step())
+        res = sched.run()
         assert res.completed
-        assert res.rounds == steps
+        assert res.rounds == steps == len(delivered)
         h = hashlib.sha256()
-        for step, m in res.transcript:
+        for step, m in enumerate(delivered, 1):
             h.update(repr((step, m.src, m.dst, m.tag, m.seq, m.payload)).encode())
         assert h.hexdigest() == digest
         assert res.stats.bytes_estimate == nbytes
@@ -239,6 +243,41 @@ class TestPinnedDeliveryOrder:
         per_tag = {f"rva:{s}:{r}": 36 for s in range(4) for r in range(5)}
         per_tag.update(partial)
         assert res.stats.per_tag == per_tag
+
+
+class TestStep:
+    """``start()`` then ``step()``: what each step hands back."""
+
+    def test_sync_step_returns_the_round_submissions(self):
+        sched = SynchronousScheduler([EchoOnce() for _ in range(3)], f=0)
+        sched.start()
+        sent = sched.step()
+        assert len(sent) == 9  # 3 procs x 3 dests in round 0
+        assert all(msg.tag == "hello" for msg in sent)
+        assert sched.round == 1
+
+    def test_sync_quiet_round_submits_nothing(self):
+        sched = SynchronousScheduler([EchoOnce() for _ in range(3)], f=0)
+        sched.start()
+        sched.step()
+        assert sched.step() == []
+        res = sched.run()
+        assert res.completed and res.rounds == 2
+
+    def test_async_step_returns_each_delivery(self):
+        sched = AsyncScheduler([Counter() for _ in range(3)], f=0)
+        sched.start()
+        delivered = []
+        while (msg := sched.step()) is not None:
+            delivered.append(msg)
+        assert len(delivered) == sched.steps == 9
+        assert sched.network.pending_count() == 0
+
+    def test_start_twice_rejected(self):
+        sched = AsyncScheduler([Counter() for _ in range(3)], f=0)
+        sched.start()
+        with pytest.raises(RuntimeError):
+            sched.start()
 
 
 class TestAsyncSchedulerEdgeCases:
@@ -255,13 +294,14 @@ class TestAsyncSchedulerEdgeCases:
         assert undelivered > 0
 
     def test_delivery_into_decided_process_is_harmless(self):
-        # With early stop disabled the scheduler drains the queue into
+        # Stepping to quiescence drains the queue into
         # processes that already decided; decisions must not change.
         procs = [Counter() for _ in range(4)]
-        res = AsyncScheduler(
-            procs, f=1, rng=np.random.default_rng(2),
-            stop_when_correct_decided=False,
-        ).run()
+        sched = AsyncScheduler(procs, f=1, rng=np.random.default_rng(2))
+        sched.start()
+        while sched.step() is not None:
+            pass
+        res = sched.run()
         assert res.completed
         assert res.metrics.counter("sched.async.undelivered").value == 0
         assert set(res.decisions) == {0, 1, 2, 3}
@@ -279,11 +319,15 @@ class TestAsyncSchedulerEdgeCases:
                 return [Message(pid, 0, "chime", None)]
 
         procs = [Counter() for _ in range(4)]
-        res = AsyncScheduler(
+        sched = AsyncScheduler(
             procs, f=1, adversary=Adversary(faulty=[3], strategy=Chime()),
-            stop_when_correct_decided=False, record_transcript=True,
-        ).run()
-        activations = 1 + sum(1 for _, msg in res.transcript if msg.dst == 3)
+        )
+        sched.start()
+        delivered = []
+        while (msg := sched.step()) is not None:
+            delivered.append(msg)
+        res = sched.run()
+        activations = 1 + sum(1 for msg in delivered if msg.dst == 3)
         assert activations == 5  # on_start, then one token from each process
         assert res.stats.per_tag["chime"] == activations
         assert res.metrics.counter_value("sched.adversary.messages_in") == 4
