@@ -22,10 +22,10 @@ Commands
               topology file; prints a one-line JSON decision record
 ``launch``    spawn an n-node local live cluster (TCP or UDS), collect
               every node's decision, and judge agreement
-``lint``      protocol-aware static analysis: per-file rule families
-              (determinism/float-safety/resilience-bounds/handler-
-              hygiene/observability) plus whole-program flow analysis
-              (message exhaustiveness, determinism taint, quorum
+``lint``      protocol-aware static analysis in one pass: single-file
+              rule families (determinism/float-safety/resilience-
+              bounds/handler-hygiene/observability) and whole-program
+              ones (message exhaustiveness, determinism taint, quorum
               provenance, transport readiness); SARIF output and a
               stale-suppression audit (``--check-noqa``)
 
@@ -58,7 +58,7 @@ Examples::
     python -m repro launch --algorithm averaging --n 4 --d 2 --transport tcp
     python -m repro node --topology cluster/topology.json --id 2
     python -m repro lint src/repro benchmarks examples --check-noqa
-    python -m repro lint --format sarif
+    python -m repro lint src/repro benchmarks examples --format sarif
     python -m repro lint --list-rules
 """
 

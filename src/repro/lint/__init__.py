@@ -17,12 +17,12 @@ family     what it protects
            seeded-trajectory property of ``benchmarks/``/``examples/``)
 ``FLT``    float comparisons in ``geometry/``/``core/`` go through the
            tolerance helpers in :mod:`repro.geometry.tolerance`
-``RES``    resilience bounds in ``core/`` are expressed via
-           :mod:`repro.core.bounds` predicates, never re-derived inline
+``RES``    resilience bounds in ``core/`` and ``system/`` are expressed
+           via :mod:`repro.core.bounds` predicates, never re-derived inline
 ``HYG``    message handlers neither mutate module state nor retain
            references to in-flight payloads they also forward
 ``FLOW``   every message kind sent has a handler branch, no dead handlers
-           (whole-program, :mod:`repro.lint.flow`)
+           (whole-program, like TNT/QUO/XPT: :mod:`repro.lint.flow`)
 ``TNT``    wall-clock/RNG/set-order values never *flow* into decisions,
            payloads, or cache keys (interprocedural taint)
 ``QUO``    thresholds/quorums reach :mod:`repro.core.bounds` via dataflow
@@ -34,40 +34,37 @@ Findings are suppressible per line with ``# repro: noqa[RULE]`` (or a
 blanket ``# repro: noqa``); fixture/test files can opt into a scope with
 a file-level ``# repro: lint-as <path>`` directive.
 
-Entry points: ``python -m repro lint [paths...]`` or
-:func:`repro.lint.lint_paths`.
+One pass parses every file once, builds the whole-program model once,
+and runs every rule once; suppression and ``--check-noqa`` filter that
+one list of findings.
+
+Entry points: ``python -m repro lint [paths...]``,
+:func:`repro.lint.lint_paths` (files and directories) or
+:func:`repro.lint.lint_sources` (``(path, source)`` pairs).
 """
 
 from __future__ import annotations
 
 from .engine import (
-    FileContext,
     Finding,
     Rule,
     all_rules,
     get_rule,
-    lint_file,
-    lint_flow,
     lint_paths,
-    lint_source,
+    lint_sources,
     register,
-    stale_noqa,
 )
 
-# Importing the rule modules registers every shipped rule (the flow
-# registry populates lazily inside lint_flow/_validate_select).
-from . import rules as _rules  # noqa: E402,F401  (import-for-side-effect)
+# Importing the rule modules registers every shipped rule.
+from .rules import determinism, floats, hygiene, observability, resilience  # noqa: F401
+from .flow import rules as _flow_rules  # noqa: F401
 
 __all__ = [
-    "FileContext",
     "Finding",
     "Rule",
     "all_rules",
     "get_rule",
-    "lint_file",
-    "lint_flow",
     "lint_paths",
-    "lint_source",
+    "lint_sources",
     "register",
-    "stale_noqa",
 ]

@@ -12,7 +12,7 @@ import os
 import sys
 from collections import Counter
 
-from .engine import Finding, all_rules, lint_paths, stale_noqa
+from .engine import Finding, all_rules, lint_paths
 
 __all__ = ["run", "add_arguments"]
 
@@ -31,21 +31,9 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
              "(e.g. DET,FLT001,handler-hygiene)",
     )
     parser.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit findings as a JSON array (alias for --format json)",
-    )
-    parser.add_argument(
         "--format", default="text", choices=("text", "json", "sarif"),
         dest="output_format",
         help="output format: text (default), json, or sarif (2.1.0)",
-    )
-    parser.add_argument(
-        "--flow", action="store_true", default=True, dest="flow",
-        help="run the whole-program families FLOW/TNT/QUO/XPT (default)",
-    )
-    parser.add_argument(
-        "--no-flow", action="store_false", dest="flow",
-        help="per-file rules only; skip the interprocedural pass",
     )
     parser.add_argument(
         "--check-noqa", action="store_true",
@@ -62,9 +50,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _list_rules() -> int:
-    from .flow.rules import all_flow_rules
-
-    for rule in (*all_rules(), *all_flow_rules()):
+    for rule in all_rules():
         scopes = ", ".join(rule.scopes) if rule.scopes else "(all files)"
         print(f"{rule.id}  [{rule.family}]  {rule.summary}")
         print(f"        scope: {scopes}   severity: {rule.severity}")
@@ -86,18 +72,15 @@ def run(args: argparse.Namespace) -> int:
         on_file = lambda p: print(f"lint: {p}", file=sys.stderr)  # noqa: E731
     try:
         findings = lint_paths(
-            paths, select=select, on_file=on_file, flow=args.flow
+            paths, select=select, on_file=on_file, check_noqa=args.check_noqa
         )
-        if args.check_noqa:
-            findings = sorted(findings + stale_noqa(paths, flow=args.flow))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     errors = [f for f in findings if f.severity == "error"]
-    fmt = "json" if args.as_json else args.output_format
-    if fmt == "json":
+    if args.output_format == "json":
         print(json.dumps([f.__dict__ for f in findings], indent=2))
-    elif fmt == "sarif":
+    elif args.output_format == "sarif":
         from .sarif import render_sarif
 
         print(render_sarif(findings))

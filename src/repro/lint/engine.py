@@ -2,8 +2,12 @@
 
 The engine is deliberately small: a :class:`Rule` is an object with an
 ``id``, a ``severity``, a tuple of logical-path ``scopes`` it applies to,
-and a ``check(ctx)`` generator over :class:`Finding`.  Everything
-protocol-specific lives in :mod:`repro.lint.rules`.
+and a ``check(module, program)`` generator over :class:`Finding`.  One
+pass (:func:`lint_sources`) parses every file once into a
+:class:`~repro.lint.flow.model.ModuleInfo`, builds the whole-program
+model once, and runs every rule once per file in scope.  Everything
+protocol-specific lives in :mod:`repro.lint.rules` (single-file rules)
+and :mod:`repro.lint.flow.rules` (rules that follow values across files).
 
 Scoping
 -------
@@ -20,32 +24,33 @@ file-level directive::
 
 Suppression
 -----------
-A finding on line ``L`` is suppressed when line ``L`` carries
-``# repro: noqa[RULE]`` naming its rule id (or family prefix), or a
-blanket ``# repro: noqa``.  Suppressions are deliberately per-line and
+A finding on line ``L`` is suppressed when line ``L`` carries the comment
+``# repro: noqa[RULE]`` naming its rule id (or an id prefix such as
+``DET``), or a blanket ``# repro: noqa``.  Suppressions are deliberately per-line and
 grep-able — the point of the linter is that exceptions are visible.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import os
 import re
+import tokenize
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+
+from .flow.model import ModuleInfo, ProgramModel, build_model
 
 __all__ = [
-    "FileContext",
     "Finding",
     "Rule",
     "all_rules",
     "get_rule",
-    "lint_file",
-    "lint_flow",
     "lint_paths",
-    "lint_source",
+    "lint_sources",
+    "parse_module",
     "register",
-    "stale_noqa",
 ]
 
 
@@ -65,7 +70,9 @@ class Finding:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
 
-_NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[(?P<rules>[A-Za-z0-9_,\s]+)\])?")
+#: A bracket opens a rule list whatever it holds: ``noqa[FLT-typo]``
+#: names no rule (and suppresses nothing), it is not a blanket noqa.
+_NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[(?P<rules>[^\]]*))?")
 _LINT_AS_RE = re.compile(r"^#\s*repro:\s*lint-as\s+(?P<path>\S+)\s*$", re.MULTILINE)
 
 #: Directory-name markers that anchor a file's logical path.
@@ -95,30 +102,15 @@ def logical_path_for(path: str) -> str:
     return parts[-1]
 
 
-@dataclass
-class FileContext:
-    """Everything a rule may inspect about one file."""
-
-    path: str
-    logical_path: str
-    source: str
-    tree: ast.Module
-    lines: tuple[str, ...]
-
-    def in_scope(self, prefixes: Sequence[str]) -> bool:
-        """True when this file falls under any of the scope prefixes."""
-        if not prefixes:
-            return True
-        return any(self.logical_path.startswith(p) for p in prefixes)
-
-
 class Rule:
     """Base class for lint rules.
 
-    Subclasses set the class attributes and implement :meth:`check`.
-    ``scopes`` is a tuple of logical-path prefixes the rule applies to
-    (empty means every file); ``severity`` is ``"error"`` or
-    ``"warning"`` — only errors affect the exit code.
+    Subclasses set the class attributes and implement :meth:`check`, which
+    the engine calls once for every parsed file in scope.  ``scopes`` is a
+    tuple of logical-path prefixes the rule applies to (empty means every
+    file); ``severity`` is ``"error"`` or ``"warning"`` — only errors
+    affect the exit code.  ``program`` is the whole-program model all calls
+    share, for rules that follow a value across files.
     """
 
     id: str = ""
@@ -127,13 +119,21 @@ class Rule:
     scopes: tuple[str, ...] = ()
     summary: str = ""
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
+    def check(
+        self, module: ModuleInfo, program: ProgramModel
+    ) -> Iterator[Finding]:
         raise NotImplementedError
 
+    def applies_to(self, module: ModuleInfo) -> bool:
+        """True when ``module`` falls under any of the scope prefixes."""
+        return not self.scopes or module.logical_path.startswith(self.scopes)
+
     # Convenience for subclasses.
-    def finding(self, ctx: FileContext, node: ast.AST, message: str) -> Finding:
+    def finding(self, module: ModuleInfo, node: Any, message: str) -> Finding:
+        """A finding at ``node``: anything with ``lineno`` / ``col_offset``
+        (an AST node, a send site, a taint sink hit)."""
         return Finding(
-            path=ctx.path,
+            path=module.path,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1,
             rule=self.id,
@@ -166,118 +166,139 @@ def get_rule(rule_id: str) -> Rule:
     return _REGISTRY[rule_id]
 
 
-def _flow_registry() -> dict[str, "object"]:
-    """The flow-rule registry, imported lazily (flow depends on engine)."""
-    from .flow.rules import _FLOW_REGISTRY
-
-    return dict(_FLOW_REGISTRY)
-
-
-def _matches(rule_id: str, family: str, token: str) -> bool:
-    return rule_id.startswith(token) or family == token
-
-
-def _validate_select(wanted: Sequence[str]) -> None:
-    """Raise on tokens matching neither a per-file nor a flow rule."""
-    flow = _flow_registry()
-    unknown = [
-        w
-        for w in wanted
-        if not any(_matches(rid, _REGISTRY[rid].family, w) for rid in _REGISTRY)
-        and not any(
-            _matches(rid, rule.family, w)  # type: ignore[attr-defined]
-            for rid, rule in flow.items()
-        )
-    ]
-    if unknown:
-        raise ValueError(f"unknown rule or family: {', '.join(sorted(unknown))}")
+def _matches(rule: Rule, token: str) -> bool:
+    return rule.id.startswith(token) or rule.family == token
 
 
 def _select_rules(select: Optional[Iterable[str]]) -> tuple[Rule, ...]:
+    """Rules matching any id, id prefix or family name in ``select``
+    (every rule when None); raises on a token that matches none."""
     if select is None:
         return all_rules()
     wanted = [s.strip() for s in select if s.strip()]
-    _validate_select(wanted)
-    return tuple(
-        r for rid, r in sorted(_REGISTRY.items())
-        if any(_matches(rid, r.family, w) for w in wanted)
-    )
+    unknown = [w for w in wanted if not any(_matches(r, w) for r in all_rules())]
+    if unknown:
+        raise ValueError(f"unknown rule or family: {', '.join(sorted(unknown))}")
+    return tuple(r for r in all_rules() if any(_matches(r, w) for w in wanted))
 
 
-def _line_suppressed(lines: Sequence[str], finding: Finding) -> bool:
-    if not 1 <= finding.line <= len(lines):
-        return False
-    m = _NOQA_RE.search(lines[finding.line - 1])
-    if m is None:
-        return False
-    rules = m.group("rules")
-    if rules is None:
-        return True  # blanket noqa
-    names = {r.strip() for r in rules.split(",") if r.strip()}
-    return any(finding.rule == n or finding.rule.startswith(n) for n in names)
+def parse_module(path: str, source: str) -> ModuleInfo:
+    """Parse one file (raises ``SyntaxError``).
 
-
-def _suppressed(ctx: FileContext, finding: Finding) -> bool:
-    return _line_suppressed(ctx.lines, finding)
-
-
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    logical_path: Optional[str] = None,
-    select: Optional[Iterable[str]] = None,
-    suppress: bool = True,
-) -> list[Finding]:
-    """Lint one source string; returns unsuppressed findings, sorted.
-
-    ``logical_path`` defaults to :func:`logical_path_for` on ``path``,
-    overridden by an in-file ``# repro: lint-as`` directive.
-    ``suppress=False`` keeps noqa'd findings (used by ``--check-noqa``
-    to decide which suppressions still bite).
+    The logical path is :func:`logical_path_for` on ``path``, overridden
+    by an in-file ``# repro: lint-as`` directive.
     """
-    rules = _select_rules(select)
     directive = _LINT_AS_RE.search(source)
-    if directive is not None:
-        logical = directive.group("path")
-    elif logical_path is not None:
-        logical = logical_path
-    else:
-        logical = logical_path_for(path)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                path=path,
-                line=exc.lineno or 1,
-                col=(exc.offset or 0) + 1,
-                rule="PARSE",
-                message=f"cannot parse: {exc.msg}",
-            )
-        ]
-    ctx = FileContext(
-        path=path,
-        logical_path=logical,
-        source=source,
-        tree=tree,
-        lines=tuple(source.splitlines()),
+    logical = directive.group("path") if directive else logical_path_for(path)
+    return ModuleInfo(
+        path, logical, ast.parse(source, filename=path), tuple(source.splitlines())
     )
-    findings = [
-        f
-        for rule in rules
-        if ctx.in_scope(rule.scopes)
-        for f in rule.check(ctx)
-        if not (suppress and _suppressed(ctx, f))
-    ]
-    return sorted(findings)
 
 
-def lint_file(
-    path: str, select: Optional[Iterable[str]] = None
+#: line -> (the rule ids / prefixes a noqa names, or None for a blanket
+#: noqa; the comment's column)
+_NoqaTable = dict[int, tuple[Optional[tuple[str, ...]], int]]
+
+
+def _noqa_comments(source: str) -> _NoqaTable:
+    """Every noqa *comment* of a file.
+
+    Tokenize-based so prose mentions of the directive inside docstrings
+    (this repo documents its own linter) are not treated as
+    suppressions.
+    """
+    table: _NoqaTable = {}
+    if "noqa" not in source:
+        return table
+    try:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            m = _NOQA_RE.search(tok.string) if tok.type == tokenize.COMMENT else None
+            if m is not None:
+                spec = m.group("rules")
+                names = None if spec is None else tuple(
+                    n.strip() for n in spec.split(",") if n.strip()
+                )
+                table[tok.start[0]] = (names, tok.start[1])
+    except (tokenize.TokenError, IndentationError, SyntaxError):
+        pass
+    return table
+
+
+def _covers(names: Optional[tuple[str, ...]], rule: str) -> bool:
+    """Does a noqa naming ``names`` (None: blanket) cover ``rule``?"""
+    return names is None or rule.startswith(names)
+
+
+def lint_sources(
+    files: Iterable[tuple[str, str]],
+    select: Optional[Iterable[str]] = None,
+    check_noqa: bool = False,
 ) -> list[Finding]:
-    """Lint one file from disk."""
-    with open(path, encoding="utf-8") as fh:
-        return lint_source(fh.read(), path=path, select=select)
+    """Lint ``(path, source)`` pairs; returns unsuppressed findings, sorted.
+
+    Each file is parsed once, the whole-program model is built once over
+    them, and each rule runs once on every file in its scope.  Suppression
+    and the ``check_noqa`` audit are two filters over that one list of
+    raw findings: a noqa comment is *stale* when no raw finding on its
+    line is covered by it, and comes back as a ``NOQA`` finding — it hides
+    nothing today and would silently hide a future regression.  With
+    ``check_noqa`` every rule runs whatever ``select`` says, so staleness
+    is judged against the whole catalogue.
+    """
+    selected = _select_rules(select)
+    findings: list[Finding] = []
+    modules: list[ModuleInfo] = []
+    noqa: dict[str, _NoqaTable] = {}
+    for path, source in files:
+        try:
+            module = parse_module(path, source)
+        except SyntaxError as exc:
+            findings.append(
+                Finding(
+                    path=path,
+                    line=exc.lineno or 1,
+                    col=(exc.offset or 0) + 1,
+                    rule="PARSE",
+                    message=f"cannot parse: {exc.msg}",
+                )
+            )
+            continue
+        modules.append(module)
+        noqa[path] = _noqa_comments(source)
+    program = build_model(modules)
+    raw = [
+        f
+        for rule in (all_rules() if check_noqa else selected)
+        for module in modules
+        if rule.applies_to(module)
+        for f in rule.check(module, program)
+    ]
+    wanted = {rule.id for rule in selected}
+    for f in raw:
+        names, _ = noqa[f.path].get(f.line, ((), 0))
+        if f.rule in wanted and not _covers(names, f.rule):
+            findings.append(f)
+    if check_noqa:
+        live: dict[tuple[str, int], set[str]] = {}
+        for f in raw:
+            live.setdefault((f.path, f.line), set()).add(f.rule)
+        for path, table in noqa.items():
+            for line, (names, col) in table.items():
+                if not any(_covers(names, r) for r in live.get((path, line), ())):
+                    findings.append(
+                        Finding(
+                            path=path,
+                            line=line,
+                            col=col + 1,
+                            rule="NOQA",
+                            message=(
+                                "stale suppression: no finding on this line "
+                                "matches; remove it or it will hide a future "
+                                "regression"
+                            ),
+                        )
+                    )
+    return sorted(findings)
 
 
 def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
@@ -300,149 +321,17 @@ def lint_paths(
     paths: Sequence[str],
     select: Optional[Iterable[str]] = None,
     on_file: Optional[Callable[[str], None]] = None,
-    flow: bool = False,
+    check_noqa: bool = False,
 ) -> list[Finding]:
     """Lint files and directories; the CLI's workhorse.
 
-    ``on_file`` (when given) is called with each path before linting —
-    used by ``--verbose`` progress output.  With ``flow=True`` the
-    whole-program families (FLOW/TNT/QUO/XPT) run over the combined
-    file set after the per-file pass.
+    ``on_file`` (when given) is called with each path as it is read —
+    used by ``--verbose`` progress output.
     """
-    findings: list[Finding] = []
     sources: list[tuple[str, str]] = []
     for path in iter_python_files(paths):
         if on_file is not None:
             on_file(path)
         with open(path, encoding="utf-8") as fh:
-            source = fh.read()
-        sources.append((path, source))
-        findings.extend(lint_source(source, path=path, select=select))
-    if flow:
-        findings.extend(lint_flow(sources, select=select))
-    return sorted(findings)
-
-
-def _select_flow_rules(select: Optional[Iterable[str]]) -> tuple:
-    from .flow.rules import all_flow_rules
-
-    rules = all_flow_rules()
-    if select is None:
-        return rules
-    wanted = [s.strip() for s in select if s.strip()]
-    _validate_select(wanted)
-    return tuple(
-        r for r in rules if any(_matches(r.id, r.family, w) for w in wanted)
-    )
-
-
-def lint_flow(
-    files: Sequence[tuple[str, str]],
-    select: Optional[Iterable[str]] = None,
-    suppress: bool = True,
-) -> list[Finding]:
-    """Run the whole-program families over ``(path, source)`` pairs.
-
-    Files that fail to parse are skipped here — the per-file pass
-    already reported a ``PARSE`` finding for them.  Logical paths honour
-    ``# repro: lint-as`` so fixtures can opt into the program model.
-    """
-    from .flow.model import build_model
-
-    rules = _select_flow_rules(select)
-    if not rules:
-        return []
-    records: list[tuple[str, str, ast.Module, tuple[str, ...]]] = []
-    lines_by_path: dict[str, tuple[str, ...]] = {}
-    for path, source in files:
-        directive = _LINT_AS_RE.search(source)
-        logical = (
-            directive.group("path") if directive else logical_path_for(path)
-        )
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError:
-            continue
-        lines = tuple(source.splitlines())
-        records.append((path, logical, tree, lines))
-        lines_by_path[path] = lines
-    model = build_model(records)
-    findings: list[Finding] = []
-    for rule in rules:
-        for f in rule.check_program(model):
-            if suppress and _line_suppressed(lines_by_path.get(f.path, ()), f):
-                continue
-            findings.append(f)
-    return sorted(findings)
-
-
-def _iter_noqa_comments(source: str) -> Iterator[tuple[int, Optional[str], int]]:
-    """Yield ``(line, rule-spec-or-None, col)`` for every noqa *comment*.
-
-    Tokenize-based so prose mentions of the directive inside docstrings
-    (this repo documents its own linter) are not treated as
-    suppressions.
-    """
-    import io
-    import tokenize
-
-    try:
-        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-            if tok.type == tokenize.COMMENT:
-                m = _NOQA_RE.search(tok.string)
-                if m is not None:
-                    yield tok.start[0], m.group("rules"), tok.start[1]
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return
-
-
-def stale_noqa(
-    paths: Sequence[str], flow: bool = True
-) -> list[Finding]:
-    """Find ``# repro: noqa`` comments that no longer suppress anything.
-
-    A suppression is *live* when at least one raw finding on its line is
-    covered by its rule list (or any finding, for a blanket noqa).
-    Stale suppressions come back as ``NOQA`` findings — they hide
-    nothing today and would silently hide a future regression.
-    """
-    sources: list[tuple[str, str]] = []
-    for path in iter_python_files(paths):
-        with open(path, encoding="utf-8") as fh:
             sources.append((path, fh.read()))
-    raw: list[Finding] = []
-    for path, source in sources:
-        raw.extend(lint_source(source, path=path, suppress=False))
-    if flow:
-        raw.extend(lint_flow(sources, suppress=False))
-    by_line: dict[tuple[str, int], set[str]] = {}
-    for f in raw:
-        by_line.setdefault((f.path, f.line), set()).add(f.rule)
-    findings: list[Finding] = []
-    for path, source in sources:
-        for lineno, spec, col in _iter_noqa_comments(source):
-            live = by_line.get((path, lineno), set())
-            if spec is None:
-                covered = bool(live)
-            else:
-                names = {r.strip() for r in spec.split(",") if r.strip()}
-                covered = any(
-                    rule == n or rule.startswith(n)
-                    for rule in live
-                    for n in names
-                )
-            if not covered:
-                findings.append(
-                    Finding(
-                        path=path,
-                        line=lineno,
-                        col=col + 1,
-                        rule="NOQA",
-                        message=(
-                            "stale suppression: no finding on this line "
-                            "matches; remove it or it will hide a future "
-                            "regression"
-                        ),
-                    )
-                )
-    return sorted(findings)
+    return lint_sources(sources, select=select, check_noqa=check_noqa)

@@ -1,28 +1,9 @@
-"""Whole-program flow analysis: FLOW / TNT / QUO / XPT rule families.
+"""Whole-program analysis behind the FLOW / TNT / QUO / XPT rule families.
 
-See :mod:`repro.lint.flow.model` for the program model,
-:mod:`repro.lint.flow.msgflow` for the message-flow graph,
-:mod:`repro.lint.flow.taint` for the interprocedural determinism taint,
-:mod:`repro.lint.flow.seams` for the approved transport seam inventory,
-and :mod:`repro.lint.flow.rules` for the rules themselves.
-
-Entry point: :func:`repro.lint.engine.lint_paths` with ``flow=True``
-(what ``python -m repro lint`` does by default).
+See :mod:`repro.lint.flow.model` for the program model (and
+:class:`~repro.lint.flow.model.ModuleInfo`, the one record per parsed
+file every rule reads), :mod:`repro.lint.flow.msgflow` for the
+message-flow graph, :mod:`repro.lint.flow.taint` for the interprocedural
+determinism taint, :mod:`repro.lint.flow.seams` for the approved transport
+seam inventory, and :mod:`repro.lint.flow.rules` for the rules themselves.
 """
-
-from __future__ import annotations
-
-from .model import ProgramModel, build_model
-from .rules import FlowRule, all_flow_rules, register_flow
-from .seams import APPROVED_HANDLER_GLOBALS, SEAM_MODULES, TRANSPORT_SEAMS
-
-__all__ = [
-    "APPROVED_HANDLER_GLOBALS",
-    "FlowRule",
-    "ProgramModel",
-    "SEAM_MODULES",
-    "TRANSPORT_SEAMS",
-    "all_flow_rules",
-    "build_model",
-    "register_flow",
-]

@@ -1,9 +1,10 @@
 """Whole-program model: modules, imports, symbols, classes, call edges.
 
-The per-file rules in :mod:`repro.lint.rules` see one ``ast.Module`` at a
-time; the flow families (FLOW/TNT/QUO/XPT) need to follow a value across
-files — a tag helper defined in ``core/averaging.py`` and called from a
-method three hops away, a bounds predicate imported function-level inside
+Every linted file is parsed once into a :class:`ModuleInfo`; the rules
+in :mod:`repro.lint.rules` read one of them at a time, while the flow
+families (FLOW/TNT/QUO/XPT) need to follow a value across files — a tag
+helper defined in ``core/averaging.py`` and called from a method three
+hops away, a bounds predicate imported function-level inside
 ``system/broadcast/bracha.py``.  :class:`ProgramModel` is the shared
 substrate: every module keyed by its dotted name, an import table mapping
 every local alias to its fully-qualified target (module-level *and*
@@ -21,7 +22,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
+
+from ..rules.common import dotted_name
 
 __all__ = ["ClassInfo", "ModuleInfo", "ProgramModel", "build_model"]
 
@@ -53,21 +56,29 @@ class ClassInfo:
 
 @dataclass
 class ModuleInfo:
-    """One parsed module plus its symbol/import tables."""
+    """One parsed file plus its symbol/import tables."""
 
     path: str
     logical_path: str
-    name: str  # dotted module name, e.g. "repro.core.averaging"
     tree: ast.Module
     lines: tuple[str, ...]
-    is_package: bool
+    #: every node of ``tree`` in ``ast.walk`` order, walked once for all rules
+    nodes: list[ast.AST] = field(init=False)
+    name: str = field(init=False)  # dotted module name, e.g. "repro.core.averaging"
+    is_package: bool = field(init=False)
     #: local alias -> fully qualified target (module or module.symbol);
     #: includes function-level imports.
-    imports: dict[str, str] = field(default_factory=dict)
-    functions: dict[str, ast.FunctionDef] = field(default_factory=dict)
-    classes: dict[str, ClassInfo] = field(default_factory=dict)
+    imports: dict[str, str] = field(init=False, default_factory=dict)
+    functions: dict[str, ast.FunctionDef] = field(init=False, default_factory=dict)
+    classes: dict[str, ClassInfo] = field(init=False, default_factory=dict)
     #: module-level names bound to mutable values -> lineno of the binding
-    global_mutables: dict[str, int] = field(default_factory=dict)
+    global_mutables: dict[str, int] = field(init=False, default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.nodes = list(ast.walk(self.tree))
+        self.name, self.is_package = _module_name(self.logical_path)
+        _collect_imports(self)
+        _collect_symbols(self)
 
 
 def _module_name(logical_path: str) -> tuple[str, bool]:
@@ -106,7 +117,7 @@ def _is_mutable_binding(value: ast.AST) -> bool:
 
 
 def _collect_imports(info: ModuleInfo) -> None:
-    for node in ast.walk(info.tree):
+    for node in info.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]
@@ -131,7 +142,7 @@ def _collect_symbols(info: ModuleInfo) -> None:
             info.functions[node.name] = node
         elif isinstance(node, ast.ClassDef):
             bases = tuple(
-                name for name in (_dotted(b) for b in node.bases) if name is not None
+                name for name in (dotted_name(b) for b in node.bases) if name is not None
             )
             cls = ClassInfo(
                 name=node.name,
@@ -153,41 +164,15 @@ def _collect_symbols(info: ModuleInfo) -> None:
                         info.global_mutables[t.id] = node.lineno
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 class ProgramModel:
     """The resolved whole-program view the flow rules run over."""
 
     def __init__(self) -> None:
         self.modules: dict[str, ModuleInfo] = {}
         self.by_logical: dict[str, ModuleInfo] = {}
-
-    # ----------------------------------------------------------- construction
-    def add_module(
-        self, path: str, logical_path: str, tree: ast.Module, lines: tuple[str, ...]
-    ) -> None:
-        name, is_package = _module_name(logical_path)
-        info = ModuleInfo(
-            path=path,
-            logical_path=logical_path,
-            name=name,
-            tree=tree,
-            lines=lines,
-            is_package=is_package,
-        )
-        _collect_imports(info)
-        _collect_symbols(info)
-        self.modules[name] = info
-        self.by_logical[logical_path] = info
+        #: what the rules derive from the model, built once per model
+        #: (see ``repro.lint.flow.rules._once``)
+        self.derived: dict[object, object] = {}
 
     # ------------------------------------------------------------- resolution
     def resolve(self, module: ModuleInfo, dotted: str) -> Optional[str]:
@@ -275,16 +260,15 @@ class ProgramModel:
         return table
 
 
-def build_model(
-    files: list[tuple[str, str, ast.Module, tuple[str, ...]]]
-) -> ProgramModel:
-    """Assemble a model from ``(path, logical_path, tree, lines)`` records.
+def build_model(modules: Iterable[ModuleInfo]) -> ProgramModel:
+    """Assemble a model from parsed modules.
 
     Only files whose logical path falls under a program prefix join the
     model; fixture files opt in via ``# repro: lint-as core/...``.
     """
     model = ProgramModel()
-    for path, logical_path, tree, lines in files:
-        if logical_path.startswith(PROGRAM_PREFIXES):
-            model.add_module(path, logical_path, tree, lines)
+    for info in modules:
+        if info.logical_path.startswith(PROGRAM_PREFIXES):
+            model.modules[info.name] = info
+            model.by_logical[info.logical_path] = info
     return model

@@ -29,6 +29,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..rules.common import dotted_name
 from .model import ClassInfo, ModuleInfo, ProgramModel
 
 __all__ = ["MessageProfile", "SendSite", "class_profile", "HANDLER_ENTRYPOINTS"]
@@ -46,8 +47,8 @@ class SendSite:
 
     kind: Optional[str]
     method: str
-    line: int
-    col: int
+    lineno: int
+    col_offset: int
 
 
 @dataclass
@@ -56,8 +57,8 @@ class MessageProfile:
 
     cls: ClassInfo
     sends: list[SendSite] = field(default_factory=list)
-    #: kind -> line of the first dispatch test for it
-    handled: dict[str, int] = field(default_factory=dict)
+    #: kind -> the first dispatch test for it
+    handled: dict[str, ast.expr] = field(default_factory=dict)
 
 
 def _kind_of(text: str) -> str:
@@ -101,7 +102,7 @@ def resolve_tag_kind(
             return resolve_tag_kind(bound, env, module, model, depth + 1)
         return None
     if isinstance(expr, ast.Call):
-        name = _dotted(expr.func)
+        name = dotted_name(expr.func)
         if name is None:
             return None
         resolved = model.resolve(module, name)
@@ -118,17 +119,6 @@ def resolve_tag_kind(
                 if kind is not None:
                     return kind
         return None
-    return None
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
     return None
 
 
@@ -197,11 +187,11 @@ def _is_tag_expr(node: ast.AST, tag_names: set[str]) -> bool:
     return False
 
 
-def _handled_kinds(func: ast.FunctionDef) -> dict[str, int]:
+def _handled_kinds(func: ast.FunctionDef) -> dict[str, ast.expr]:
     tag_names = _tag_derived_names(func)
     if not tag_names:
         return {}
-    handled: dict[str, int] = {}
+    handled: dict[str, ast.expr] = {}
     for node in ast.walk(func):
         if isinstance(node, ast.Compare) and len(node.ops) == 1:
             if not isinstance(node.ops[0], (ast.Eq, ast.NotEq)):
@@ -213,7 +203,7 @@ def _handled_kinds(func: ast.FunctionDef) -> dict[str, int]:
                     and isinstance(lit, ast.Constant)
                     and isinstance(lit.value, str)
                 ):
-                    handled.setdefault(_kind_of(lit.value), node.lineno)
+                    handled.setdefault(_kind_of(lit.value), node)
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
@@ -223,7 +213,7 @@ def _handled_kinds(func: ast.FunctionDef) -> dict[str, int]:
             and isinstance(node.args[0], ast.Constant)
             and isinstance(node.args[0].value, str)
         ):
-            handled.setdefault(_kind_of(node.args[0].value), node.lineno)
+            handled.setdefault(_kind_of(node.args[0].value), node)
     return handled
 
 
@@ -240,9 +230,9 @@ def class_profile(model: ProgramModel, cls: ClassInfo) -> MessageProfile:
                 continue
             kind = resolve_tag_kind(node.args[tag_index], env, owner.module, model)
             profile.sends.append(
-                SendSite(kind=kind, method=name, line=node.lineno, col=node.col_offset)
+                SendSite(kind, name, node.lineno, node.col_offset)
             )
     for name, func in sorted(handler_closure(model, cls).items()):
-        for kind, line in _handled_kinds(func).items():
-            profile.handled.setdefault(kind, line)
+        for kind, test in _handled_kinds(func).items():
+            profile.handled.setdefault(kind, test)
     return profile

@@ -1,11 +1,11 @@
 """The four flow rule families: FLOW, TNT, QUO, XPT.
 
-Flow rules run over the :class:`~repro.lint.flow.model.ProgramModel`
-(whole program) rather than one file, so they subclass
-:class:`FlowRule` — same id/family/severity/scopes surface as the
-per-file :class:`~repro.lint.engine.Rule`, but ``check_program(model)``
-instead of ``check(ctx)``.  They register into their own registry;
-:func:`repro.lint.engine.lint_paths` merges both when ``flow=True``.
+These rules follow values across files: ``check(module, program)``
+reports findings in one module but reads the whole-program
+:class:`~repro.lint.flow.model.ProgramModel`, which one lint pass builds
+once and shares with every rule (as it does the taint analysis and the
+message profiles cached on it).  They are plain
+:class:`~repro.lint.engine.Rule` subclasses in the one registry.
 
 Families
 --------
@@ -22,11 +22,12 @@ Families
   into* quantity the paper's guarantees range over", which is why the
   DET002 perf-counter exemption is safe: TNT002 still fires if a timing
   ever leaks into a payload.
-* **QUO** — quorum provenance.  ``QUO001``: resilience-shaped arithmetic
-  (``3*f + 1`` ...) inline in ``system/`` (RES001 covers ``core/``).
-  ``QUO002``: a ``*threshold``/``*quorum`` binding whose value does not
-  reach :mod:`repro.core.bounds` through the dataflow — having the right
-  number is not enough, it must *provably come from* the audited bound.
+* **QUO** — quorum provenance.  ``QUO002``: a ``*threshold``/``*quorum``
+  binding whose value does not reach :mod:`repro.core.bounds` through
+  the dataflow — having the right number is not enough, it must
+  *provably come from* the audited bound.  (Resilience-shaped arithmetic
+  written inline, ``3*f + 1`` ..., is RES001's in ``core/`` and
+  ``system/`` alike.)
 * **XPT** — transport readiness (the static gate for ROADMAP item 1).
   ``XPT001``: mutable module-global state reachable from a message
   handler (breaks one-OS-process-per-node).  ``XPT002``: message payload
@@ -38,13 +39,13 @@ Families
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+import functools
+from typing import Callable, Iterator, Optional, TypeVar, cast
 
-from ..engine import Finding
+from ..engine import Finding, Rule, register
+from ..rules.common import dotted_name
 from ..rules.hygiene import HANDLER_METHODS
-from ..rules.resilience import _is_bound_mult
-from ..rules.common import is_int_const
-from .model import ClassInfo, ModuleInfo, ProgramModel
+from .model import ClassInfo, ModuleInfo, ProgramModel, _import_anchor
 from .msgflow import MessageProfile, class_profile
 from .seams import (
     APPROVED_HANDLER_GLOBALS,
@@ -53,105 +54,70 @@ from .seams import (
     TRANSPORT_SEAMS,
 )
 from .taint import TaintAnalysis, _TRANSPORT_PAYLOAD_ARG
-from .model import _import_anchor
 
-__all__ = ["FlowRule", "all_flow_rules", "register_flow"]
+__all__: list[str] = []
 
 _BOUNDS_PREFIX = "repro.core.bounds."
 
 
-class FlowRule:
-    """Base class for whole-program rules (FLOW/TNT/QUO/XPT)."""
-
-    id: str = ""
-    family: str = ""
-    severity: str = "error"
-    #: logical-path prefixes findings may be *reported* in.
-    scopes: tuple[str, ...] = ()
-    summary: str = ""
-
-    def check_program(self, model: ProgramModel) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def in_scope(self, module: ModuleInfo) -> bool:
-        if not self.scopes:
-            return True
-        return module.logical_path.startswith(self.scopes)
-
-    def finding(
-        self, module: ModuleInfo, line: int, col: int, message: str
-    ) -> Finding:
-        return Finding(
-            path=module.path,
-            line=line,
-            col=col + 1,
-            rule=self.id,
-            message=message,
-            severity=self.severity,
-        )
-
-
-_FLOW_REGISTRY: dict[str, FlowRule] = {}
-
-
-def register_flow(rule_cls: type[FlowRule]) -> type[FlowRule]:
-    rule = rule_cls()
-    if not rule.id:
-        raise ValueError(f"flow rule {rule_cls.__name__} has no id")
-    if rule.id in _FLOW_REGISTRY:
-        raise ValueError(f"duplicate flow rule id {rule.id!r}")
-    _FLOW_REGISTRY[rule.id] = rule
-    return rule_cls
-
-
-def all_flow_rules() -> tuple[FlowRule, ...]:
-    return tuple(_FLOW_REGISTRY[k] for k in sorted(_FLOW_REGISTRY))
-
-
 # --------------------------------------------------------------------- shared
+_T = TypeVar("_T")
+
+
+def _once(build: Callable[[ProgramModel], _T]) -> Callable[[ProgramModel], _T]:
+    """``build(model)`` runs once per model — so once per lint pass, however
+    many rules and modules ask."""
+
+    @functools.wraps(build)
+    def cached(model: ProgramModel) -> _T:
+        if build not in model.derived:
+            model.derived[build] = build(model)
+        return cast(_T, model.derived[build])
+
+    return cached
+
+
+@_once
+def _process_classes(model: ProgramModel) -> list[ClassInfo]:
+    return list(model.process_classes())
+
+
+@_once
 def _profiles(model: ProgramModel) -> list[MessageProfile]:
-    cached = getattr(model, "_flow_profiles", None)
-    if cached is None:
-        cached = [class_profile(model, cls) for cls in model.process_classes()]
-        model._flow_profiles = cached  # type: ignore[attr-defined]
-    return cached
+    return [class_profile(model, cls) for cls in _process_classes(model)]
 
 
+@_once
 def _taint(model: ProgramModel) -> TaintAnalysis:
-    cached = getattr(model, "_flow_taint", None)
-    if cached is None:
-        cached = TaintAnalysis(model)
-        model._flow_taint = cached  # type: ignore[attr-defined]
-    return cached
+    return TaintAnalysis(model)
 
 
 # ----------------------------------------------------------------------- FLOW
-@register_flow
-class UnhandledMessageKind(FlowRule):
+def _module_profiles(
+    program: ProgramModel, module: ModuleInfo
+) -> list[MessageProfile]:
+    return [p for p in _profiles(program) if p.cls.module is module]
+
+
+@register
+class UnhandledMessageKind(Rule):
     id = "FLOW001"
     family = "message-flow"
     scopes = ("core/", "system/")
     summary = "message kind sent with no handler branch in the sending class"
 
-    def check_program(self, model: ProgramModel) -> Iterator[Finding]:
-        seen: set[tuple[str, int, str]] = set()
-        for profile in _profiles(model):
-            module = profile.cls.module
-            if not self.in_scope(module):
-                continue
-            if not profile.handled and not profile.sends:
-                continue
+    def check(self, module: ModuleInfo, program: ProgramModel) -> Iterator[Finding]:
+        seen: set[tuple[int, str]] = set()
+        for profile in _module_profiles(program, module):
             for site in profile.sends:
                 if site.kind is None or site.kind in profile.handled:
                     continue
-                key = (module.path, site.line, site.kind)
-                if key in seen:
+                if (site.lineno, site.kind) in seen:
                     continue
-                seen.add(key)
+                seen.add((site.lineno, site.kind))
                 yield self.finding(
                     module,
-                    site.line,
-                    site.col,
+                    site,
                     f"kind '{site.kind}' sent in {profile.cls.name}."
                     f"{site.method} but no handler of {profile.cls.name} "
                     f"dispatches on it — the message is dropped at every "
@@ -159,35 +125,28 @@ class UnhandledMessageKind(FlowRule):
                 )
 
 
-@register_flow
-class DeadHandlerBranch(FlowRule):
+@register
+class DeadHandlerBranch(Rule):
     id = "FLOW002"
     family = "message-flow"
     scopes = ("core/", "system/")
     summary = "handler dispatches on a message kind the class never sends"
 
-    def check_program(self, model: ProgramModel) -> Iterator[Finding]:
-        seen: set[tuple[str, int, str]] = set()
-        for profile in _profiles(model):
-            module = profile.cls.module
-            if not self.in_scope(module):
-                continue
+    def check(self, module: ModuleInfo, program: ProgramModel) -> Iterator[Finding]:
+        seen: set[tuple[int, str]] = set()
+        for profile in _module_profiles(program, module):
             if not profile.sends:
                 continue  # receive-only classes dispatch on peers' kinds
             sent = {s.kind for s in profile.sends if s.kind is not None}
             if any(s.kind is None for s in profile.sends):
                 continue  # an unresolved send could cover any kind
-            for kind, line in profile.handled.items():
-                if kind in sent:
+            for kind, test in profile.handled.items():
+                if kind in sent or (test.lineno, kind) in seen:
                     continue
-                key = (module.path, line, kind)
-                if key in seen:
-                    continue
-                seen.add(key)
+                seen.add((test.lineno, kind))
                 yield self.finding(
                     module,
-                    line,
-                    0,
+                    test,
                     f"handler branch for kind '{kind}' in {profile.cls.name} "
                     f"but the class never sends it — dead protocol arm "
                     f"(renamed tag?)",
@@ -195,39 +154,30 @@ class DeadHandlerBranch(FlowRule):
 
 
 # ------------------------------------------------------------------------ TNT
-class _TaintRule(FlowRule):
+class _TaintRule(Rule):
     family = "determinism-taint"
     scopes = ("core/", "system/", "dst/", "exec/")
     sink: str = ""
     what: str = ""
-
-    def check_program(self, model: ProgramModel) -> Iterator[Finding]:
-        analysis = _taint(model)
-        seen: set[tuple[str, int]] = set()
-        for rec in analysis.iter_function_records():
-            if not self.in_scope(rec.module):
-                continue
-            for hit in analysis.sink_hits(rec):
-                if hit.sink != self.sink:
-                    continue
-                key = (hit.module.path, hit.line)
-                if key in seen:
-                    continue
-                seen.add(key)
-                kinds = ", ".join(sorted(hit.kinds))
-                via = f" ({hit.detail})" if hit.detail.startswith("via") else ""
-                yield self.finding(
-                    hit.module,
-                    hit.line,
-                    hit.col,
-                    f"nondeterministic value ({kinds}) flows into "
-                    f"{self.what}{via}; {self.fix}",
-                )
-
     fix: str = ""
 
+    def check(self, module: ModuleInfo, program: ProgramModel) -> Iterator[Finding]:
+        seen: set[int] = set()
+        for hit in _taint(program).sink_hits(module):
+            if hit.sink != self.sink or hit.lineno in seen:
+                continue
+            seen.add(hit.lineno)
+            kinds = ", ".join(sorted(hit.kinds))
+            via = f" ({hit.detail})" if hit.detail.startswith("via") else ""
+            yield self.finding(
+                module,
+                hit,
+                f"nondeterministic value ({kinds}) flows into "
+                f"{self.what}{via}; {self.fix}",
+            )
 
-@register_flow
+
+@register
 class TaintedDecision(_TaintRule):
     id = "TNT001"
     summary = "wall-clock/RNG/set-order value flows into decide()"
@@ -236,7 +186,7 @@ class TaintedDecision(_TaintRule):
     fix = "decisions must be a pure function of inputs and seeds"
 
 
-@register_flow
+@register
 class TaintedPayload(_TaintRule):
     id = "TNT002"
     summary = "wall-clock/RNG/set-order value flows into a message payload"
@@ -245,7 +195,7 @@ class TaintedPayload(_TaintRule):
     fix = "payloads must replay bit-identically from the trace"
 
 
-@register_flow
+@register
 class TaintedCacheKey(_TaintRule):
     id = "TNT003"
     scopes = ("core/", "system/", "dst/", "exec/", "geometry/")
@@ -256,44 +206,6 @@ class TaintedCacheKey(_TaintRule):
 
 
 # ------------------------------------------------------------------------ QUO
-@register_flow
-class InlineSystemBound(FlowRule):
-    id = "QUO001"
-    family = "quorum-provenance"
-    scopes = ("system/",)
-    summary = "resilience-shaped arithmetic inline in system/ (see RES001)"
-
-    _MESSAGE = (
-        "resilience arithmetic re-derived inline in system code; route it "
-        "through repro.core.bounds (rbc_min_n, bracha_ready_quorum, ...) so "
-        "the broadcast layer shares the audited predicates"
-    )
-
-    def check_program(self, model: ProgramModel) -> Iterator[Finding]:
-        for module in model.modules.values():
-            if not self.in_scope(module):
-                continue
-            reported: set[int] = set()
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-                    for a, b in ((node.left, node.right), (node.right, node.left)):
-                        if _is_bound_mult(a) and is_int_const(b):
-                            if id(node) not in reported:
-                                reported.add(id(node))
-                                reported.add(id(a))
-                                yield self.finding(
-                                    module, node.lineno, node.col_offset,
-                                    self._MESSAGE,
-                                )
-                            break
-            for node in ast.walk(module.tree):
-                if _is_bound_mult(node) and id(node) not in reported:
-                    reported.add(id(node))
-                    yield self.finding(
-                        module, node.lineno, node.col_offset, self._MESSAGE
-                    )
-
-
 def _derives_from_bounds(
     expr: ast.expr,
     module: ModuleInfo,
@@ -306,7 +218,7 @@ def _derives_from_bounds(
         return False
     for node in ast.walk(expr):
         if isinstance(node, ast.Call):
-            name = _call_dotted(node.func)
+            name = dotted_name(node.func)
             if name is None:
                 continue
             resolved = model.resolve(module, name)
@@ -332,35 +244,31 @@ def _derives_from_bounds(
     return False
 
 
-@register_flow
-class ThresholdProvenance(FlowRule):
+@register
+class ThresholdProvenance(Rule):
     id = "QUO002"
     family = "quorum-provenance"
     scopes = ("core/", "system/")
     summary = "threshold/quorum binding does not reach core.bounds via dataflow"
 
-    def check_program(self, model: ProgramModel) -> Iterator[Finding]:
-        for module in model.modules.values():
-            if not self.in_scope(module):
-                continue
-            if module.logical_path == "core/bounds.py":
-                continue
-            for func, env in _functions_with_env(module):
-                for node in ast.walk(func):
-                    target_name, value = _threshold_binding(node)
-                    if target_name is None or value is None:
-                        continue
-                    if _derives_from_bounds(value, module, model, env):
-                        continue
-                    yield self.finding(
-                        module,
-                        node.lineno,
-                        node.col_offset,
-                        f"'{target_name}' is bound without provenance from "
-                        f"repro.core.bounds; thresholds must reach a bounds "
-                        f"helper through the dataflow, not re-derive the "
-                        f"paper's arithmetic inline",
-                    )
+    def check(self, module: ModuleInfo, program: ProgramModel) -> Iterator[Finding]:
+        if module.logical_path == "core/bounds.py":
+            return
+        for func, env in _functions_with_env(module):
+            for node in ast.walk(func):
+                target_name, value = _threshold_binding(node)
+                if target_name is None or value is None:
+                    continue
+                if _derives_from_bounds(value, module, program, env):
+                    continue
+                yield self.finding(
+                    module,
+                    node,
+                    f"'{target_name}' is bound without provenance from "
+                    f"repro.core.bounds; thresholds must reach a bounds "
+                    f"helper through the dataflow, not re-derive the "
+                    f"paper's arithmetic inline",
+                )
 
 
 def _threshold_binding(
@@ -390,7 +298,7 @@ def _threshold_binding(
 def _functions_with_env(
     module: ModuleInfo,
 ) -> Iterator[tuple[ast.FunctionDef, dict[str, ast.expr]]]:
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if isinstance(node, ast.FunctionDef):
             env: dict[str, ast.expr] = {}
             for sub in ast.walk(node):
@@ -402,20 +310,19 @@ def _functions_with_env(
 
 
 # ------------------------------------------------------------------------ XPT
-@register_flow
-class HandlerReachableGlobal(FlowRule):
+@register
+class HandlerReachableGlobal(Rule):
     id = "XPT001"
     family = "transport-readiness"
     scopes = ("core/", "system/")
     summary = "mutable module-global state reachable from a message handler"
 
-    def check_program(self, model: ProgramModel) -> Iterator[Finding]:
-        seen: set[tuple[str, int, str]] = set()
-        for cls in model.process_classes():
-            module = cls.module
-            if not self.in_scope(module):
+    def check(self, module: ModuleInfo, program: ProgramModel) -> Iterator[Finding]:
+        seen: set[tuple[int, str]] = set()
+        for cls in _process_classes(program):
+            if cls.module is not module:
                 continue
-            for func in _handler_reach(model, cls):
+            for func in _handler_reach(program, cls):
                 for node in ast.walk(func):
                     if not isinstance(node, ast.Name):
                         continue
@@ -426,14 +333,12 @@ class HandlerReachableGlobal(FlowRule):
                         continue
                     if (module.logical_path, name) in APPROVED_HANDLER_GLOBALS:
                         continue
-                    key = (module.path, node.lineno, name)
-                    if key in seen:
+                    if (node.lineno, name) in seen:
                         continue
-                    seen.add(key)
+                    seen.add((node.lineno, name))
                     yield self.finding(
                         module,
-                        node.lineno,
-                        node.col_offset,
+                        node,
                         f"handler-reachable code touches mutable module "
                         f"global '{name}' (bound at line "
                         f"{module.global_mutables[name]}); per-node state "
@@ -526,62 +431,45 @@ def _impure_payload_children(
     return None
 
 
-@register_flow
-class ImpurePayload(FlowRule):
+@register
+class ImpurePayload(Rule):
     id = "XPT002"
     family = "transport-readiness"
     scopes = ("core/", "system/")
     summary = "message payload contains a non-data value"
 
-    def check_program(self, model: ProgramModel) -> Iterator[Finding]:
-        for module in model.modules.values():
-            if not self.in_scope(module):
+    def check(self, module: ModuleInfo, program: ProgramModel) -> Iterator[Finding]:
+        for node in module.nodes:
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+            ):
                 continue
-            for node in ast.walk(module.tree):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                ):
-                    continue
-                index = _TRANSPORT_PAYLOAD_ARG.get(node.func.attr)
-                if index is None:
-                    continue
-                payload: Optional[ast.expr] = None
-                if len(node.args) > index:
-                    payload = node.args[index]
-                else:
-                    for kw in node.keywords:
-                        if kw.arg == "payload":
-                            payload = kw.value
-                if payload is None:
-                    continue
-                reason = _impure_payload(payload, module, model)
-                if reason is not None:
-                    yield self.finding(
-                        module,
-                        node.lineno,
-                        node.col_offset,
-                        f"payload contains {reason}; payloads must be pure "
-                        f"data so a real transport can serialise them",
-                    )
+            index = _TRANSPORT_PAYLOAD_ARG.get(node.func.attr)
+            if index is None:
+                continue
+            payload: Optional[ast.expr] = None
+            if len(node.args) > index:
+                payload = node.args[index]
+            else:
+                for kw in node.keywords:
+                    if kw.arg == "payload":
+                        payload = kw.value
+            if payload is None:
+                continue
+            reason = _impure_payload(payload, module, program)
+            if reason is not None:
+                yield self.finding(
+                    module,
+                    node,
+                    f"payload contains {reason}; payloads must be pure "
+                    f"data so a real transport can serialise them",
+                )
 
 
-def _call_dotted(node: ast.AST) -> Optional[str]:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
+@_once
 def _seam_private_attrs(model: ProgramModel) -> frozenset[str]:
     """Private attribute names assigned on self inside seam-module classes."""
-    cached = getattr(model, "_seam_private_attrs", None)
-    if cached is not None:
-        return cached
     attrs: set[str] = set()
     for dotted in SEAM_MODULES:
         info = model.modules.get(dotted)
@@ -604,43 +492,37 @@ def _seam_private_attrs(model: ProgramModel) -> frozenset[str]:
                             and not t.attr.startswith("__")
                         ):
                             attrs.add(t.attr)
-    frozen = frozenset(attrs)
-    model._seam_private_attrs = frozen  # type: ignore[attr-defined]
-    return frozen
+    return frozenset(attrs)
 
 
-@register_flow
-class SeamDiscipline(FlowRule):
+@register
+class SeamDiscipline(Rule):
     id = "XPT003"
     family = "transport-readiness"
     scopes = ("core/", "system/broadcast/")
     summary = "transport module used outside the approved seam list"
 
-    def check_program(self, model: ProgramModel) -> Iterator[Finding]:
-        private_attrs = _seam_private_attrs(model)
-        for module in model.modules.values():
-            if not self.in_scope(module):
-                continue
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.ImportFrom):
-                    yield from self._check_import(module, node)
-                elif (
-                    isinstance(node, ast.Attribute)
-                    and node.attr in private_attrs
-                    and not (
-                        isinstance(node.value, ast.Name)
-                        and node.value.id == "self"
-                    )
-                ):
-                    yield self.finding(
-                        module,
-                        node.lineno,
-                        node.col_offset,
-                        f"access to transport-private attribute "
-                        f"'{node.attr}'; protocol code may touch the "
-                        f"transport only through the approved seams "
-                        f"(lint.flow.seams.TRANSPORT_SEAMS)",
-                    )
+    def check(self, module: ModuleInfo, program: ProgramModel) -> Iterator[Finding]:
+        private_attrs = _seam_private_attrs(program)
+        for node in module.nodes:
+            if isinstance(node, ast.ImportFrom):
+                yield from self._check_import(module, node)
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in private_attrs
+                and not (
+                    isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                )
+            ):
+                yield self.finding(
+                    module,
+                    node,
+                    f"access to transport-private attribute "
+                    f"'{node.attr}'; protocol code may touch the "
+                    f"transport only through the approved seams "
+                    f"(lint.flow.seams.TRANSPORT_SEAMS)",
+                )
 
     def _check_import(
         self, module: ModuleInfo, node: ast.ImportFrom
@@ -664,8 +546,7 @@ class SeamDiscipline(FlowRule):
                 continue
             yield self.finding(
                 module,
-                node.lineno,
-                node.col_offset,
+                node,
                 f"import of '{alias.name}' from {logical} is outside the "
                 f"approved transport seam list; the seam inventory "
                 f"(lint.flow.seams.TRANSPORT_SEAMS) is the interface the "

@@ -1,7 +1,4 @@
-"""Shipped rule families.  Importing this package registers every rule."""
+"""Shipped single-file rule families (DET, FLT, RES, HYG, OBS).
 
-from __future__ import annotations
-
-from . import determinism, floats, hygiene, observability, resilience
-
-__all__ = ["determinism", "floats", "hygiene", "observability", "resilience"]
+:mod:`repro.lint` imports every module here, which registers its rules.
+"""

@@ -30,7 +30,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..engine import FileContext, Finding, Rule, register
+from ..engine import Finding, Rule, register
+from ..flow.model import ModuleInfo, ProgramModel
 from .common import call_dotted_name, dotted_name
 
 __all__ = ["StdlibRandom", "WallClock", "UnseededRng", "SetIteration"]
@@ -85,20 +86,20 @@ class StdlibRandom(Rule):
     scopes = _SCOPES
     summary = "stdlib `random` (global state) in a replay-deterministic module"
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+    def check(self, module: ModuleInfo, program: ProgramModel) -> Iterator[Finding]:
+        for node in module.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name == "random" or alias.name.startswith("random."):
                         yield self.finding(
-                            ctx, node,
+                            module, node,
                             "stdlib `random` uses process-global state; draw "
                             "from the run's seeded np.random.Generator",
                         )
             elif isinstance(node, ast.ImportFrom):
                 if node.module == "random":
                     yield self.finding(
-                        ctx, node,
+                        module, node,
                         "stdlib `random` uses process-global state; draw "
                         "from the run's seeded np.random.Generator",
                     )
@@ -106,7 +107,7 @@ class StdlibRandom(Rule):
                 name = call_dotted_name(node)
                 if name is not None and name.startswith("random."):
                     yield self.finding(
-                        ctx, node,
+                        module, node,
                         f"`{name}()` draws from the global stdlib RNG; use "
                         "the run's seeded np.random.Generator",
                     )
@@ -119,13 +120,13 @@ class WallClock(Rule):
     scopes = _SCOPES
     summary = "wall-clock read in a replay-deterministic module"
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+    def check(self, module: ModuleInfo, program: ProgramModel) -> Iterator[Finding]:
+        for node in module.nodes:
             if isinstance(node, ast.Call):
                 name = call_dotted_name(node)
                 if name in _WALL_CLOCK:
                     yield self.finding(
-                        ctx, node,
+                        module, node,
                         f"`{name}()` reads the wall clock — replays cannot "
                         "reproduce it; use logical rounds/steps (or "
                         "time.perf_counter() for observability-only timing)",
@@ -139,8 +140,8 @@ class UnseededRng(Rule):
     scopes = _SCOPES
     summary = "unseeded or global-state NumPy RNG"
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+    def check(self, module: ModuleInfo, program: ProgramModel) -> Iterator[Finding]:
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = call_dotted_name(node)
@@ -152,19 +153,19 @@ class UnseededRng(Rule):
             if name.endswith(".default_rng") or name == "default_rng":
                 if unseeded:
                     yield self.finding(
-                        ctx, node,
+                        module, node,
                         "unseeded default_rng(); pass an explicit seed so "
                         "runs (and benchmark trajectories) are reproducible",
                     )
             elif name.endswith(".RandomState") and unseeded:
                 yield self.finding(
-                    ctx, node,
+                    module, node,
                     "unseeded RandomState(); pass an explicit seed",
                 )
             elif any(name.startswith(p) for p in _NP_RANDOM_PREFIXES):
                 if name.rsplit(".", 1)[-1] in _GLOBAL_DRAWS:
                     yield self.finding(
-                        ctx, node,
+                        module, node,
                         f"`{name}()` uses NumPy's process-global RNG; use an "
                         "explicitly seeded np.random.default_rng(seed)",
                     )
@@ -188,20 +189,20 @@ class SetIteration(Rule):
 
     _MATERIALISERS = ("list", "tuple", "enumerate")
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
+    def check(self, module: ModuleInfo, program: ProgramModel) -> Iterator[Finding]:
         msg = (
             "iteration order over a set depends on hash salting and varies "
             "across runs; iterate sorted(...) instead"
         )
-        for node in ast.walk(ctx.tree):
+        for node in module.nodes:
             if isinstance(node, ast.For) and _is_set_expr(node.iter):
-                yield self.finding(ctx, node.iter, msg)
+                yield self.finding(module, node.iter, msg)
             elif isinstance(
                 node, (ast.ListComp, ast.GeneratorExp, ast.DictComp)
             ):
                 for gen in node.generators:
                     if _is_set_expr(gen.iter):
-                        yield self.finding(ctx, gen.iter, msg)
+                        yield self.finding(module, gen.iter, msg)
             elif isinstance(node, ast.Call):
                 name = dotted_name(node.func)
                 if (
@@ -209,4 +210,4 @@ class SetIteration(Rule):
                     and node.args
                     and _is_set_expr(node.args[0])
                 ):
-                    yield self.finding(ctx, node, msg)
+                    yield self.finding(module, node, msg)

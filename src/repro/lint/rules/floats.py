@@ -25,7 +25,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..engine import FileContext, Finding, Rule, register
+from ..engine import Finding, Rule, register
+from ..flow.model import ModuleInfo, ProgramModel
 
 __all__ = ["FloatEquality"]
 
@@ -41,8 +42,8 @@ class FloatEquality(Rule):
     scopes = ("geometry/", "core/")
     summary = "bare ==/!= against a float literal"
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+    def check(self, module: ModuleInfo, program: ProgramModel) -> Iterator[Finding]:
+        for node in module.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left, *node.comparators]
@@ -52,7 +53,7 @@ class FloatEquality(Rule):
                 left, right = operands[i], operands[i + 1]
                 if _is_float_const(left) or _is_float_const(right):
                     yield self.finding(
-                        ctx, node,
+                        module, node,
                         "bare float equality; use repro.geometry.tolerance "
                         "(near_zero/close for computed values, norm_order_is "
                         "for canonical norm orders, exactly_zero for "

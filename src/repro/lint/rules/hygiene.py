@@ -30,7 +30,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
-from ..engine import FileContext, Finding, Rule, register
+from ..engine import Finding, Rule, register
+from ..flow.model import ModuleInfo, ProgramModel
 from .common import root_name
 
 __all__ = ["ModuleStateMutation", "RetainAndForward", "HANDLER_METHODS"]
@@ -92,15 +93,15 @@ class ModuleStateMutation(Rule):
     scopes = _SCOPES
     summary = "message handler mutates module-level state"
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        module_names = _module_level_names(ctx.tree)
-        for handler in _handler_methods(ctx.tree):
+    def check(self, module: ModuleInfo, program: ProgramModel) -> Iterator[Finding]:
+        module_names = _module_level_names(module.tree)
+        for handler in _handler_methods(module.tree):
             declared_global: set[str] = set()
             for node in ast.walk(handler):
                 if isinstance(node, ast.Global):
                     declared_global.update(node.names)
                     yield self.finding(
-                        ctx, node,
+                        module, node,
                         f"handler {handler.name}() binds module-level "
                         f"name(s) {', '.join(node.names)} via `global`; "
                         "per-process state belongs on the instance",
@@ -116,7 +117,7 @@ class ModuleStateMutation(Rule):
                             root = root_name(t)
                             if root is not None and root in module_names:
                                 yield self.finding(
-                                    ctx, t,
+                                    module, t,
                                     f"handler {handler.name}() writes through "
                                     f"module-level name `{root}`; handlers "
                                     "must only mutate instance state",
@@ -147,8 +148,8 @@ class RetainAndForward(Rule):
     scopes = _SCOPES
     summary = "handler stores and forwards the same in-flight payload"
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for handler in _handler_methods(ctx.tree):
+    def check(self, module: ModuleInfo, program: ProgramModel) -> Iterator[Finding]:
+        for handler in _handler_methods(module.tree):
             tainted = self._tainted_names(handler)
             if not tainted:
                 continue
@@ -158,7 +159,7 @@ class RetainAndForward(Rule):
             forwards = {name for name, _ in self._forwarded(handler, tainted)}
             for name in sorted(set(stores) & forwards):
                 yield self.finding(
-                    ctx, stores[name],
+                    module, stores[name],
                     f"handler {handler.name}() stores and forwards the same "
                     f"in-flight payload reference `{name}`; store a "
                     "defensive copy (repro.system.messages.defensive_copy) "

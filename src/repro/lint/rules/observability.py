@@ -31,7 +31,8 @@ import ast
 import re
 from typing import Iterator, Optional
 
-from ..engine import FileContext, Finding, Rule, register
+from ..engine import Finding, Rule, register
+from ..flow.model import ModuleInfo, ProgramModel
 
 __all__ = ["MetricNameShape"]
 
@@ -74,8 +75,8 @@ class MetricNameShape(Rule):
     scopes = _SCOPES
     summary = "telemetry name outside the dotted-lowercase namespace"
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+    def check(self, module: ModuleInfo, program: ProgramModel) -> Iterator[Finding]:
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             method = _called_method(node)
@@ -88,14 +89,14 @@ class MetricNameShape(Rule):
             name = arg.value
             if not _NAME_RE.match(name):
                 yield self.finding(
-                    ctx, arg,
+                    module, arg,
                     f"telemetry name {name!r} must be dotted lowercase "
                     "`<layer>.<component>.<what>` (>=2 segments, "
                     "[a-z0-9_] per segment)",
                 )
             elif method in _UNIT_CALLS and not name.endswith(_UNIT_SUFFIXES):
                 yield self.finding(
-                    ctx, arg,
+                    module, arg,
                     f"histogram name {name!r} must end in a unit suffix "
                     f"({', '.join(_UNIT_SUFFIXES)}) so rolled-up totals "
                     "stay unambiguous",

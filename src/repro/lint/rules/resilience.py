@@ -2,19 +2,21 @@
 
 Every algorithm module in ``core/`` gates on a process-count predicate
 of the Xiang–Vaidya shape — ``n >= 3f + 1``, ``n >= (d+1)f + 1``,
-``n >= (d+2)f + 1`` — and the whole point of :mod:`repro.core.bounds`
-is that those predicates exist in exactly one place, checked against
-the paper's theorems by the test suite.  An inline ``(d + 1) * f + 1``
-in an algorithm file is a second copy that can silently drift from the
-canonical one (and from the paper).
+``n >= (d+2)f + 1`` — and every broadcast primitive in ``system/`` on a
+quorum of the same shape (Bracha's ``2f + 1`` READY quorum).  The whole
+point of :mod:`repro.core.bounds` is that those predicates exist in
+exactly one place, checked against the paper's theorems by the test
+suite.  An inline ``(d + 1) * f + 1`` in an algorithm or broadcast file
+is a second copy that can silently drift from the canonical one (and
+from the paper).
 
 Rule
 ----
 * ``RES001`` — arithmetic of the shape ``c*f``, ``c*f + 1``,
   ``(d + c)*f`` or ``(d + c)*f + 1`` (``c`` an integer literal, ``f``/
-  ``d`` the conventional parameter names) anywhere in ``core/*.py``
-  outside ``core/bounds.py`` — including inside f-strings, where
-  re-derived bounds hide in error messages.
+  ``d`` the conventional parameter names) anywhere in ``core/`` or
+  ``system/`` outside ``core/bounds.py`` — including inside f-strings,
+  where re-derived bounds hide in error messages.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..engine import FileContext, Finding, Rule, register
+from ..engine import Finding, Rule, register
+from ..flow.model import ModuleInfo, ProgramModel
 from .common import is_int_const
 
 __all__ = ["InlineResilienceBound"]
@@ -73,20 +76,21 @@ def _is_bound_mult(node: ast.AST) -> bool:
 class InlineResilienceBound(Rule):
     id = "RES001"
     family = "resilience-bounds"
-    scopes = ("core/",)
+    scopes = ("core/", "system/")
     summary = "resilience bound re-derived inline instead of via core.bounds"
 
     _MESSAGE = (
-        "resilience arithmetic re-derived inline; express the precondition "
-        "via repro.core.bounds (exact_bvc_min_n, tverberg_min_n, "
-        "trim_min_size, ...) so every module shares one predicate"
+        "resilience arithmetic re-derived inline; express it via "
+        "repro.core.bounds (exact_bvc_min_n, tverberg_min_n, trim_min_size, "
+        "... for the algorithms; rbc_min_n, bracha_ready_quorum, ... for the "
+        "broadcast layer) so every module shares one predicate"
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.logical_path == "core/bounds.py":
+    def check(self, module: ModuleInfo, program: ProgramModel) -> Iterator[Finding]:
+        if module.logical_path == "core/bounds.py":
             return
         reported: set[int] = set()
-        for node in ast.walk(ctx.tree):
+        for node in module.nodes:
             # `c*f + 1` / `(d+c)*f + 1`: flag the Add, suppress the inner Mult.
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
                 for a, b in ((node.left, node.right), (node.right, node.left)):
@@ -94,12 +98,12 @@ class InlineResilienceBound(Rule):
                         if id(node) not in reported:
                             reported.add(id(node))
                             reported.add(id(a))
-                            yield self.finding(ctx, node, self._MESSAGE)
+                            yield self.finding(module, node, self._MESSAGE)
                         break
-        for node in ast.walk(ctx.tree):
+        for node in module.nodes:
             if (
                 _is_bound_mult(node)
                 and id(node) not in reported
             ):
                 reported.add(id(node))
-                yield self.finding(ctx, node, self._MESSAGE)
+                yield self.finding(module, node, self._MESSAGE)

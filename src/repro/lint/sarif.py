@@ -1,10 +1,10 @@
 """SARIF 2.1.0 export — findings as GitHub code-scanning annotations.
 
 ``python -m repro lint --format sarif`` emits one run with the full
-rule catalogue (per-file and flow families) as ``tool.driver.rules`` so
-code scanning renders rule help inline.  Only the subset of SARIF that
-GitHub's upload action consumes is produced: schema/version, driver
-metadata, rule descriptors, and physical locations.
+rule catalogue as ``tool.driver.rules`` so code scanning renders rule
+help inline.  Only the subset of SARIF that GitHub's upload action
+consumes is produced: schema/version, driver metadata, rule
+descriptors, and physical locations.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ _LEVELS = {"error": "error", "warning": "warning"}
 
 
 def _rule_catalogue() -> list[dict[str, Any]]:
-    from .flow.rules import all_flow_rules
-
     descriptors: list[dict[str, Any]] = []
-    for rule in (*all_rules(), *all_flow_rules()):
+    for rule in all_rules():
         descriptors.append(
             {
                 "id": rule.id,

@@ -1,16 +1,15 @@
 """Fixture-driven tests: each flow family catches its seeded violation.
 
 Fixtures opt into program scope with ``# repro: lint-as``; they are run
-through :func:`repro.lint.lint_flow` directly (per-file rules are
-exercised elsewhere), selecting the family under test so unrelated
-families cannot mask an assertion.
+through :func:`repro.lint.lint_sources`, selecting the family under test
+so unrelated families cannot mask an assertion.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.lint import lint_flow
+from repro.lint import lint_sources
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -20,7 +19,7 @@ def _flow(name, select=None, extra=()):
     files = [(str(path), path.read_text())]
     for extra_path, extra_src in extra:
         files.append((extra_path, extra_src))
-    return [f for f in lint_flow(files, select=select) if f.path == str(path)]
+    return [f for f in lint_sources(files, select=select) if f.path == str(path)]
 
 
 def test_flow001_unhandled_kind():
@@ -91,7 +90,7 @@ def test_xpt003_private_attr_access_on_transport_object():
         "def drain(net):\n"
         "    net._links.clear()\n"
     )
-    findings = lint_flow(
+    findings = lint_sources(
         [("proto.py", proto_src), ("net.py", net_src)], select=["XPT003"]
     )
     assert [f.rule for f in findings] == ["XPT003"]
@@ -106,8 +105,8 @@ def test_quo001_inline_system_bound():
         "def gate(n, f):\n"
         "    return n >= 3 * f + 1\n"
     )
-    findings = lint_flow([("g.py", src)], select=["QUO001"])
-    assert [f.rule for f in findings] == ["QUO001"]
+    findings = lint_sources([("g.py", src)], select=["RES001"])
+    assert [f.rule for f in findings] == ["RES001"]
 
 
 def test_quo002_accepts_bounds_provenance():
@@ -123,7 +122,7 @@ def test_quo002_accepts_bounds_provenance():
         "    def __init__(self, n, f):\n"
         "        self.quorum = averaging_quorum(n, f)\n"
     )
-    findings = lint_flow(
+    findings = lint_sources(
         [("ok.py", ok_src), ("b.py", bounds_src)], select=["QUO002"]
     )
     assert findings == []
@@ -133,9 +132,9 @@ def test_noqa_suppresses_flow_findings():
     src = (
         "# repro: lint-as system/fixture_quo_noqa.py\n"
         "def gate(n, f):\n"
-        "    return n >= 3 * f + 1  # repro: noqa[QUO001]\n"
+        "    return n >= 3 * f + 1  # repro: noqa[RES001]\n"
     )
-    assert lint_flow([("g.py", src)], select=["QUO001"]) == []
+    assert lint_sources([("g.py", src)], select=["RES001"]) == []
 
 
 def test_fixture_directory_produces_exactly_the_seeded_findings():
@@ -143,7 +142,7 @@ def test_fixture_directory_produces_exactly_the_seeded_findings():
     files = [
         (str(p), p.read_text()) for p in sorted(FIXTURES.glob("*.py"))
     ]
-    findings = lint_flow(files)
+    findings = lint_sources(files, select=["FLOW", "TNT", "QUO", "XPT"])
     by_file = {}
     for f in findings:
         by_file.setdefault(Path(f.path).name, set()).add(f.rule)
@@ -163,6 +162,6 @@ def test_fixture_directory_produces_exactly_the_seeded_findings():
 @pytest.mark.parametrize("family", ["FLOW", "TNT", "QUO", "XPT"])
 def test_families_selectable(family):
     files = [(str(p), p.read_text()) for p in sorted(FIXTURES.glob("*.py"))]
-    findings = lint_flow(files, select=[family])
+    findings = lint_sources(files, select=[family])
     assert findings, f"family {family} selected nothing"
     assert all(f.rule.startswith(family) for f in findings)

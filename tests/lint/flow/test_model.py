@@ -2,13 +2,13 @@
 
 import ast
 
-from repro.lint.flow.model import build_model
+from repro.lint.flow.model import ModuleInfo, build_model
 
 
 def _records(*files):
     out = []
     for path, logical, source in files:
-        out.append((path, logical, ast.parse(source), tuple(source.splitlines())))
+        out.append(ModuleInfo(path, logical, ast.parse(source), tuple(source.splitlines())))
     return out
 
 

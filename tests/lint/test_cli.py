@@ -36,7 +36,7 @@ def test_fixture_exits_nonzero_with_rule_id():
 
 
 def test_json_output_is_parseable():
-    proc = run_lint(str(FIXTURES / "res001_inline_bound.py"), "--json")
+    proc = run_lint(str(FIXTURES / "res001_inline_bound.py"), "--format", "json")
     assert proc.returncode == 1
     findings = json.loads(proc.stdout)
     assert [f["rule"] for f in findings] == ["RES001"]

@@ -3,7 +3,7 @@ decorated defs, and overlapping --select tokens."""
 
 import pytest
 
-from repro.lint import lint_source
+from repro.lint import lint_sources
 from repro.lint.engine import _select_rules
 
 
@@ -15,7 +15,7 @@ def test_lint_as_scopes_in_and_noqa_suppresses_on_same_file():
         "def f():\n"
         "    return time.time()  # repro: noqa[DET002]\n"
     )
-    assert lint_source(src, path="t.py") == []
+    assert lint_sources([("t.py", src)]) == []
 
 
 def test_noqa_for_wrong_rule_does_not_suppress():
@@ -25,7 +25,7 @@ def test_noqa_for_wrong_rule_does_not_suppress():
         "def f():\n"
         "    return time.time()  # repro: noqa[FLT001]\n"
     )
-    findings = lint_source(src, path="t.py")
+    findings = lint_sources([("t.py", src)])
     assert [f.rule for f in findings] == ["DET002"]
 
 
@@ -36,7 +36,7 @@ def test_family_prefix_noqa_suppresses_member_rule():
         "def f():\n"
         "    return time.time()  # repro: noqa[DET]\n"
     )
-    assert lint_source(src, path="t.py") == []
+    assert lint_sources([("t.py", src)]) == []
 
 
 def test_lint_as_directive_not_on_first_line_still_applies():
@@ -47,7 +47,7 @@ def test_lint_as_directive_not_on_first_line_still_applies():
         "def f():\n"
         "    return time.time()\n"
     )
-    findings = lint_source(src, path="t.py")
+    findings = lint_sources([("t.py", src)])
     assert [f.rule for f in findings] == ["DET002"]
 
 
@@ -60,7 +60,7 @@ def test_multiline_call_finding_anchors_to_first_line():
         "    return time.time(\n"
         "    )\n"
     )
-    findings = lint_source(src, path="t.py")
+    findings = lint_sources([("t.py", src)])
     assert len(findings) == 1
     assert findings[0].line == 4  # the call's first physical line
 
@@ -73,7 +73,7 @@ def test_noqa_on_multiline_statement_must_sit_on_the_anchor_line():
         "    return time.time(  # repro: noqa[DET002]\n"
         "    )\n"
     )
-    assert lint_source(suppressed, path="t.py") == []
+    assert lint_sources([("t.py", suppressed)]) == []
     # On the closing paren it does nothing: suppression is per-line.
     not_suppressed = (
         "# repro: lint-as core/x.py\n"
@@ -82,7 +82,7 @@ def test_noqa_on_multiline_statement_must_sit_on_the_anchor_line():
         "    return time.time(\n"
         "    )  # repro: noqa[DET002]\n"
     )
-    assert len(lint_source(not_suppressed, path="t.py")) == 1
+    assert len(lint_sources([("t.py", not_suppressed)])) == 1
 
 
 # -------------------------------------------------------------- decorated defs
@@ -95,7 +95,7 @@ def test_finding_inside_decorated_def():
         "def f():\n"
         "    return time.time()\n"
     )
-    findings = lint_source(src, path="t.py")
+    findings = lint_sources([("t.py", src)])
     assert [f.rule for f in findings] == ["DET002"]
     assert findings[0].line == 6
 
@@ -109,7 +109,7 @@ def test_decorated_handler_still_checked_by_hygiene():
         "    def on_message(src, payload):\n"
         "        _STATE[src] = payload\n"
     )
-    findings = lint_source(src, path="t.py")
+    findings = lint_sources([("t.py", src)])
     assert "HYG001" in {f.rule for f in findings}
 
 
@@ -122,14 +122,14 @@ def test_overlapping_select_tokens_do_not_duplicate_rules():
 
 
 def test_select_prefix_spans_per_file_and_flow_without_error():
-    # 'DET' matches per-file rules only; 'TNT' flow rules only; both in
-    # one select must validate (the registries are merged for checking).
+    # 'DET' matches single-file rules, 'TNT' whole-program ones; both in
+    # one select must validate.
     rules = _select_rules(["DET", "TNT"])
     assert {r.id for r in rules} >= {"DET001", "DET002", "DET003", "DET004"}
 
 
 def test_select_flow_only_token_yields_no_per_file_rules():
-    assert _select_rules(["FLOW001"]) == ()
+    assert [r.id for r in _select_rules(["FLOW001"])] == ["FLOW001"]
 
 
 def test_unknown_select_token_raises_even_with_valid_ones():

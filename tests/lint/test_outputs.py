@@ -1,4 +1,4 @@
-"""SARIF output, --check-noqa, and the --flow toggles."""
+"""SARIF output, --check-noqa, and the rule catalogue."""
 
 import json
 import os
@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.lint import Finding, stale_noqa
+from repro.lint import Finding, lint_paths
 from repro.lint.sarif import to_sarif
 
 REPO = Path(__file__).resolve().parents[2]
@@ -35,7 +35,7 @@ def test_sarif_structure_and_rule_catalogue():
     assert "sarif-2.1.0" in log["$schema"]
     (run,) = log["runs"]
     rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    # Per-file, flow, and synthesised rules are all described.
+    # Registered and synthesised rules are all described.
     assert {"DET001", "FLOW001", "TNT002", "XPT003", "PARSE", "NOQA"} <= rule_ids
     first, second = run["results"]
     assert first["ruleId"] == "TNT002" and first["level"] == "error"
@@ -76,7 +76,7 @@ def test_stale_noqa_flagged_and_live_noqa_kept(tmp_path):
         "def f():\n"
         "    return time.time()  # repro: noqa[DET002]\n"
     )
-    findings = stale_noqa([str(stale), str(live)])
+    findings = lint_paths([str(stale), str(live)], check_noqa=True)
     assert [f.rule for f in findings] == ["NOQA"]
     assert findings[0].path == str(stale)
     assert findings[0].line == 3
@@ -88,7 +88,7 @@ def test_docstring_mention_of_noqa_is_not_a_suppression(tmp_path):
         '"""Suppressions use ``# repro: noqa[RULE]`` on the line."""\n'
         "x = 1\n"
     )
-    assert stale_noqa([str(doc)]) == []
+    assert lint_paths([str(doc)], check_noqa=True) == []
 
 
 def test_blanket_noqa_live_when_any_finding_on_line(tmp_path):
@@ -99,7 +99,7 @@ def test_blanket_noqa_live_when_any_finding_on_line(tmp_path):
         "def g():\n"
         "    return time.time()  # repro: noqa\n"
     )
-    assert stale_noqa([str(f)]) == []
+    assert lint_paths([str(f)], check_noqa=True) == []
 
 
 def test_cli_check_noqa_gates(tmp_path):
@@ -113,19 +113,11 @@ def test_cli_check_noqa_gates(tmp_path):
 
 
 def test_shipped_tree_has_no_stale_noqa():
-    findings = stale_noqa([str(REPO / "src" / "repro")])
+    findings = lint_paths([str(REPO / "src" / "repro")], check_noqa=True)
     assert findings == [], "\n" + "\n".join(f.format() for f in findings)
 
 
-# ------------------------------------------------------------------ --flow
-def test_no_flow_skips_flow_families():
-    fixture = FLOW_FIXTURES / "flow001_unhandled_kind.py"
-    with_flow = run_lint(str(fixture))
-    assert with_flow.returncode == 1 and "FLOW001" in with_flow.stdout
-    without = run_lint(str(fixture), "--no-flow")
-    assert "FLOW001" not in without.stdout
-
-
+# --------------------------------------------------------------- catalogue
 def test_list_rules_includes_flow_families():
     proc = run_lint("--list-rules")
     assert proc.returncode == 0

@@ -1,10 +1,10 @@
 """Per-family rule behaviour: positives, negatives, scope edges."""
 
-from repro.lint import lint_source
+from repro.lint import lint_sources
 
 
 def rules_in(src: str, logical: str = "core/x.py", **kw) -> list[str]:
-    return [f.rule for f in lint_source(src, logical_path=logical, **kw)]
+    return [f.rule for f in lint_sources([(f"src/repro/{logical}", src)], **kw)]
 
 
 # -- determinism (DET00x) ----------------------------------------------------
@@ -17,7 +17,7 @@ class TestDeterminism:
 
     def test_wall_clock_flagged_perf_counter_allowed(self):
         src = "import time\nt0 = time.perf_counter()\nt1 = time.time()\n"
-        findings = lint_source(src, logical_path="system/x.py")
+        findings = lint_sources([("src/repro/system/x.py", src)])
         assert [(f.rule, f.line) for f in findings] == [("DET002", 3)]
 
     def test_datetime_now_flagged(self):

@@ -8,7 +8,6 @@ a new protocol message cannot ship without wire coverage.
 
 from __future__ import annotations
 
-import ast
 import asyncio
 import pickle
 from pathlib import Path
@@ -18,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lint.engine import iter_python_files, logical_path_for
+from repro.lint.engine import iter_python_files, parse_module
 from repro.lint.flow.model import build_model
 from repro.lint.flow.msgflow import class_profile
 from repro.system.messages import ALL, Message
@@ -39,18 +38,10 @@ REPRESENTATIVES = {
 
 def shipped_sent_kinds() -> set[str]:
     """FLOW-resolved message kinds sent by any shipped process class."""
-    records = []
-    for path in iter_python_files([str(SRC)]):
-        source = Path(path).read_text()
-        records.append(
-            (
-                path,
-                logical_path_for(path),
-                ast.parse(source),
-                tuple(source.splitlines()),
-            )
-        )
-    model = build_model(records)
+    model = build_model(
+        parse_module(path, Path(path).read_text())
+        for path in iter_python_files([str(SRC)])
+    )
     kinds: set[str] = set()
     for cls in model.process_classes():
         for site in class_profile(model, cls).sends:
