@@ -35,7 +35,6 @@ from .core import ConsensusOutcome, RunSpec, run
 from .core import bounds
 from .geometry import (
     DeltaPHull,
-    Hull,
     KRelaxedHull,
     delta_star,
     gamma_point,
@@ -50,7 +49,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ConsensusOutcome",
     "DeltaPHull",
-    "Hull",
     "KRelaxedHull",
     "RunSpec",
     "__version__",

@@ -680,10 +680,10 @@ def _demo_sources() -> tuple:
 def _metrics_exposition(args: argparse.Namespace) -> "str | int":
     """Build the exposition text for metrics snapshot/serve (or exit code)."""
     from .analysis.profiling import metrics_record
-    from .obs import global_registry, read_jsonl
+    from .obs import read_jsonl
     from .obs.prom import render_exposition
 
-    if getattr(args, "from_jsonl", None):
+    if args.from_jsonl:
         try:
             records = read_jsonl(args.from_jsonl)
         except (OSError, ValueError) as exc:
@@ -692,10 +692,10 @@ def _metrics_exposition(args: argparse.Namespace) -> "str | int":
         if snap is None:
             return _fail(f"{args.from_jsonl!r} holds no metrics record")
         return render_exposition(snap)
-    if getattr(args, "demo", False):
+    if args.demo:
         registry, profiler = _demo_sources()
         return render_exposition(registry.snapshot(), profiler.snapshot())
-    return render_exposition(global_registry().snapshot())
+    return _fail(f"metrics {args.action} needs --from FILE or --demo")
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
@@ -741,24 +741,12 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             print(f"  {name.ljust(width)}  {delta:+g}")
         return 0
 
-    # serve
-    text_or_code = _metrics_exposition(args)
-    if isinstance(text_or_code, int):
-        return text_or_code
-    if args.from_jsonl or args.demo:
-        # static snapshot: every scrape returns the same document
-        static_text = text_or_code
-
-        def source() -> str:
-            return static_text
-    else:
-        def source() -> str:
-            live = _metrics_exposition(args)
-            assert isinstance(live, str)
-            return live
-
+    # serve: every scrape returns the same document
+    text = _metrics_exposition(args)
+    if isinstance(text, int):
+        return text
     try:
-        server = serve_metrics(source, host=args.host, port=args.port,
+        server = serve_metrics(lambda: text, host=args.host, port=args.port,
                                max_requests=args.max_requests)
     except OSError as exc:
         return _fail(f"cannot bind {args.host}:{args.port}: {exc}")
@@ -1084,11 +1072,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="for diff: OLD.jsonl NEW.jsonl")
     p.add_argument("--from", dest="from_jsonl", default=None,
                    help="serve/snapshot the metrics record of an exported "
-                        "JSONL trace instead of the live registry")
+                        "JSONL trace")
     p.add_argument("--demo", action="store_true",
-                   help="populate the metrics from a small instrumented "
-                        "demo workload first (so a fresh process has "
-                        "something to scrape)")
+                   help="serve/snapshot the metrics of a small "
+                        "instrumented demo workload")
     p.add_argument("--host", default="127.0.0.1",
                    help="serve: bind address (default 127.0.0.1)")
     p.add_argument("--port", type=int, default=9464,

@@ -8,7 +8,7 @@ from .profiling import (
     render_summary,
     summarize_spans,
 )
-from .tables import format_table, print_table
+from .tables import format_table
 from .timeline import (
     CausalGraph,
     causal_records,
@@ -52,7 +52,6 @@ __all__ = [
     "gaussian_inputs",
     "make_workload",
     "measure_delta_star",
-    "print_table",
     "simplex_inputs",
     "sphere_inputs",
     "summarize_trials",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-__all__ = ["format_table", "print_table"]
+__all__ = ["format_table"]
 
 
 def _cell(x: Any) -> str:
@@ -41,9 +41,3 @@ def format_table(
         lines.append(" | ".join(c.ljust(w) for c, w in zip(r, widths)))
     return "\n".join(lines)
 
-
-def print_table(
-    headers: Sequence[str], rows: Sequence[Sequence[Any]], title: str = ""
-) -> None:
-    """Print an aligned table (benchmarks' reporting helper)."""
-    print("\n" + format_table(headers, rows, title) + "\n")

@@ -190,11 +190,3 @@ class BroadcastAllProcess(SyncProcess):
         every correct process (broadcast agreement).  Implementations call
         ``ctx.decide(...)``.
         """
-
-    @property
-    def total_rounds(self) -> int:
-        """Scheduler rounds this process needs (sends 0..f, decide at f+1;
-        the atomic channel needs exactly 2 regardless of f)."""
-        if self.broadcast == "atomic":
-            return 2
-        return self.f + 2

@@ -173,13 +173,10 @@ def _run(spec: RunSpec) -> ConsensusOutcome:
     )
     rounds = resolved_rounds(spec, inputs)
 
-    def problem(delta: float) -> ProblemSpec:
-        return problem_for(
-            spec.algorithm, d, spec.f, k=spec.k, p=spec.p,
-            epsilon=spec.epsilon, delta=delta, rounds=rounds,
-        )
-
-    requested = problem(spec.delta)
+    requested = problem_for(
+        spec.algorithm, d, spec.f, k=spec.k, p=spec.p,
+        epsilon=spec.epsilon, delta=spec.delta, rounds=rounds,
+    )
     probes = _spec_probes(spec, requested)
     rng = np.random.default_rng(spec.seed)
     backend = get_transport(spec.transport)
@@ -227,12 +224,9 @@ def _run(spec: RunSpec) -> ConsensusOutcome:
         and getattr(proc, "delta_used", None) is not None
     ]
     delta_used = max(deltas) if deltas else None
-    # By default the checker uses the δ the processes actually achieved,
-    # so the report verifies the algorithm's own claim.
-    judged = (
-        problem(spec.check_delta) if spec.check_delta is not None
-        else requested.achieved(delta_used)
-    )
+    # The checker uses the δ the processes actually achieved, so the
+    # report verifies the algorithm's own claim.
+    judged = requested.achieved(delta_used)
     report = judged.check(honest, decisions, terminated=result.completed)
     return ConsensusOutcome(
         decisions, report, result, honest, delta_used, judged

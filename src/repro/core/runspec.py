@@ -24,13 +24,12 @@ Canonical knob vocabulary (see ``docs/api.md``):
 ``max_steps``   asynchronous scheduler safety cap
 ``epsilon``   agreement target (approximate/averaging algorithms)
 ``delta``     relaxation radius requested of the checker/algorithm
-``check_delta``  validity-checker δ override (default: achieved δ*)
 ============  =========================================================
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Collection, Mapping, Optional, Union
 
 import numpy as np
@@ -118,10 +117,6 @@ class RunSpec:
     p, k, delta, epsilon:
         Relaxation knobs: norm order, coordinate relaxation, relaxation
         radius, agreement target.
-    check_delta:
-        Validity-checker δ override for the (δ,p)-relaxed algorithms
-        (``"algo"``, ``"averaging"``; default: the achieved δ* plus
-        :func:`~repro.core.problems.headroom`).
     mode:
         ``"averaging"`` selection mode: ``"optimal"`` (the paper's) or
         ``"zero"`` (classic verified-averaging baseline).
@@ -165,7 +160,6 @@ class RunSpec:
     k: int = 1
     delta: float = 0.0
     epsilon: float = 1e-2
-    check_delta: Optional[float] = None
     mode: str = "optimal"
     alpha: float = 0.5
     rounds: Optional[int] = None
@@ -299,26 +293,3 @@ class RunSpec:
                 )
             knobs[name] = None if value is None else types[0](value)
         return cls(**knobs)
-
-    def with_inputs(self, inputs: np.ndarray) -> "RunSpec":
-        """Copy of this spec pinned to an explicit input matrix."""
-        return replace(self, inputs=inputs, n=None, d=None)
-
-    def describe(self) -> dict[str, object]:
-        """Plain-data summary (for logs/JSON; arrays and objects elided)."""
-        out: dict[str, object] = {}
-        for fld in fields(self):
-            value = getattr(self, fld.name)
-            if fld.name == "inputs":
-                out[fld.name] = None if value is None else list(value.shape)
-            elif fld.name in ("adversary", "topology", "policy", "metrics"):
-                out[fld.name] = None if value is None else type(value).__name__
-            elif fld.name == "probes":
-                out[fld.name] = [
-                    probe if isinstance(probe, str)
-                    else getattr(probe, "name", type(probe).__name__)
-                    for probe in value
-                ]
-            else:
-                out[fld.name] = value
-        return out

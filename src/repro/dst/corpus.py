@@ -32,7 +32,7 @@ from typing import Any, Mapping, Optional, Sequence, Union
 
 from ..obs import MetricsRegistry, Tracer, use_registry, use_tracer, write_jsonl
 from ..obs.probes import Probe
-from .explore import CheckerFn, ExplorationResult, run_scenario
+from .explore import ExplorationResult, run_scenario
 from .scenarios import Scenario
 
 __all__ = [
@@ -96,15 +96,11 @@ class ReplayReport:
     def invariant(self) -> Optional[str]:
         return self.result.invariant
 
-    def span_names(self) -> set[str]:
-        return {s.name for s in self.tracer.spans}
-
 
 def replay(
     scenario_or_token: Union[Scenario, str],
     *,
     trace_path: Optional[Union[str, Path]] = None,
-    checkers: Optional[Mapping[str, CheckerFn]] = None,
     probes: Sequence[Union[str, Probe]] = (),
 ) -> ReplayReport:
     """Re-execute a scenario under full observability.
@@ -133,7 +129,7 @@ def replay(
         token=encode_token(scenario),
     )
     with use_tracer(tracer), use_registry(registry):
-        result = run_scenario(scenario, checkers=checkers, probes=probes)
+        result = run_scenario(scenario, probes=probes)
     tracer.event(
         "dst.replay.done",
         ok=result.ok,

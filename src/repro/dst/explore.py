@@ -3,12 +3,11 @@
 Every trial derives one :class:`Scenario` from the master seed, runs it
 through the full protocol stack, reads the verdict of the run's
 :class:`~repro.core.problems.ProblemSpec` (agreement / validity /
-termination — replaceable per call through ``checkers=``), and — when an
-invariant breaks — records a :class:`Violation` carrying a compact
-replay token and a ready-to-paste replay command.  Because a scenario is
-plain data, a violation found here is already a regression test: shrink
-it (:mod:`repro.dst.shrink`) and commit it to ``tests/corpus/``
-(:mod:`repro.dst.corpus`).
+termination), and — when an invariant breaks — records a
+:class:`Violation` carrying a compact replay token and a ready-to-paste
+replay command.  Because a scenario is plain data, a violation found
+here is already a regression test: shrink it (:mod:`repro.dst.shrink`)
+and commit it to ``tests/corpus/`` (:mod:`repro.dst.corpus`).
 
 Bug *injections* (:mod:`repro.dst.injections`) perturb the decision map
 after the run; the perturbed map is re-judged by the same
@@ -17,10 +16,8 @@ after the run; the perturbed map is re-judged by the same
 
 from __future__ import annotations
 
-import multiprocessing
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -55,14 +52,6 @@ ALGORITHM_NAMES = ("exact", "algo", "k1", "averaging")
 
 #: ε-agreement target used for the asynchronous algorithm in exploration.
 AVERAGING_EPSILON = 5e-2
-
-#: A checker inspects one finished run and returns a human-readable
-#: violation detail, or None when its invariant holds.  ``decisions`` is
-#: the (possibly injection-perturbed) correct-process decision map the
-#: invariants are evaluated on.
-CheckerFn = Callable[
-    [Scenario, ConsensusOutcome, Mapping[int, np.ndarray]], Optional[str]
-]
 
 
 def _verdict_details(
@@ -155,7 +144,6 @@ class Violation:
 def run_scenario(
     scenario: Scenario,
     *,
-    checkers: Optional[Mapping[str, CheckerFn]] = None,
     probes: Sequence[Union[str, Probe]] = (),
 ) -> ExplorationResult:
     """Execute one scenario and judge it.
@@ -164,8 +152,7 @@ def run_scenario(
     bug injection the same spec re-checks the perturbed decision map and
     that one report is also folded into every probe, so an injected
     split-brain shows up as ``agreement`` + ``validity`` violations both
-    in ``violations`` and in the probe reports.  ``checkers`` replaces
-    the verdict with caller-supplied invariants.
+    in ``violations`` and in the probe reports.
 
     ``probes`` enables online invariant probes for the run: names from
     :data:`repro.obs.probes.PROBE_NAMES` (or ``"all"``), or pre-built
@@ -199,16 +186,9 @@ def run_scenario(
             probe_reports, outcome.problem, report,
             time=int(outcome.result.rounds),
         )
-    if checkers is None:
-        violations = _verdict_details(report, outcome)
-    else:
-        found = {
-            name: fn(scenario, outcome, decisions)
-            for name, fn in checkers.items()
-        }
-        violations = {k: v for k, v in found.items() if v is not None}
     return ExplorationResult(
-        scenario=scenario, outcome=outcome, violations=violations,
+        scenario=scenario, outcome=outcome,
+        violations=_verdict_details(report, outcome),
         probe_reports=probe_reports,
     )
 
@@ -338,19 +318,9 @@ def sample_scenario(
     return scen
 
 
-#: Per-worker checker override, installed by the pool initializer (custom
-#: checkers would otherwise have to ride along with every pickled trial).
-_WORKER_CHECKERS: Optional[dict[str, CheckerFn]] = None
-
-
-def _worker_init(checkers: Optional[dict[str, CheckerFn]]) -> None:
-    global _WORKER_CHECKERS
-    _WORKER_CHECKERS = checkers
-
-
 def _explore_trial(scenario: Scenario) -> Optional[Violation]:
     """Pool work unit: run one pre-sampled scenario."""
-    result = run_scenario(scenario, checkers=_WORKER_CHECKERS)
+    result = run_scenario(scenario)
     return None if result.ok else violation_from(result)
 
 
@@ -361,8 +331,6 @@ def explore(
     *,
     input_scale: float = 3.0,
     inject: Optional[str] = None,
-    stop_on_first: bool = False,
-    checkers: Optional[Mapping[str, CheckerFn]] = None,
     workers: int = 1,
 ) -> list[Violation]:
     """Run ``trials`` sampled scenarios; return every invariant violation.
@@ -373,17 +341,7 @@ def explore(
     fans the trials over :func:`repro.exec.engine.pool_map`: the master
     RNG is consumed entirely by (serial) scenario sampling before any
     trial runs, and results come back in trial order, so the violation
-    list is identical to a serial sweep's regardless of worker count.  With
-    ``stop_on_first`` a parallel sweep still runs every trial but
-    returns only the first violation in trial order.
-
-    Custom ``checkers`` reach pool workers through the pool initializer,
-    which requires the ``fork`` start method: under ``spawn`` the
-    initargs are pickled, and checker callables (lambdas, local
-    functions) generally are not picklable.  On platforms without fork,
-    ``workers > 1`` with custom checkers therefore falls back to the
-    serial path with a :class:`RuntimeWarning` rather than crashing the
-    pool.
+    list is identical to a serial sweep's regardless of worker count.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -395,33 +353,8 @@ def explore(
                         inject=inject)
         for _ in range(trials)
     ]
-    methods = multiprocessing.get_all_start_methods()
-    serial = workers == 1 or trials == 1
-    if not serial and checkers is not None and "fork" not in methods:
-        warnings.warn(
-            "parallel explore with custom checkers requires the 'fork' "
-            "start method (spawn pickles pool initargs, and checker "
-            "callables are generally not picklable); running serially",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        serial = True
-    if serial:
-        violations: list[Violation] = []
-        for scenario in scenarios:
-            result = run_scenario(scenario, checkers=checkers)
-            if not result.ok:
-                violations.append(violation_from(result))
-                if stop_on_first:
-                    break
-        return violations
-    init_checkers = dict(checkers) if checkers is not None else None
-    found = [
-        violation
-        for violation in pool_map(
-            _explore_trial, scenarios, workers=workers,
-            initializer=_worker_init, initargs=(init_checkers,),
-        )
-        if violation is not None
-    ]
-    return found[:1] if stop_on_first else found
+    if workers == 1 or trials == 1:
+        found = [_explore_trial(scenario) for scenario in scenarios]
+    else:
+        found = pool_map(_explore_trial, scenarios, workers=workers)
+    return [violation for violation in found if violation is not None]

@@ -18,9 +18,9 @@ same output scenario in the same number of attempts.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
-from .explore import CheckerFn, run_scenario
+from .explore import run_scenario
 from .scenarios import Scenario, min_system_size
 
 __all__ = ["ShrinkResult", "scenario_size", "shrink"]
@@ -47,10 +47,6 @@ class ShrinkResult:
     attempts: int
     #: Edits that preserved the violation and were kept.
     accepted: int
-
-    @property
-    def improved(self) -> bool:
-        return scenario_size(self.shrunk) < scenario_size(self.original)
 
 
 def _renumber_without(s: Scenario, gone: int) -> Scenario:
@@ -123,14 +119,12 @@ def _candidates(s: Scenario) -> Iterator[Scenario]:
             )
 
 
-def _violates(
-    s: Scenario, invariant: str, checkers: Optional[Mapping[str, CheckerFn]]
-) -> bool:
+def _violates(s: Scenario, invariant: str) -> bool:
     try:
         s.validate()
     except ValueError:
         return False
-    result = run_scenario(s, checkers=checkers)
+    result = run_scenario(s)
     return invariant in result.violations
 
 
@@ -139,7 +133,6 @@ def shrink(
     *,
     invariant: Optional[str] = None,
     max_attempts: int = 200,
-    checkers: Optional[Mapping[str, CheckerFn]] = None,
 ) -> ShrinkResult:
     """Minimise ``scenario`` while the same invariant keeps failing.
 
@@ -155,7 +148,7 @@ def shrink(
         Re-execution budget; greedy passes stop when it runs out.
     """
     scenario.validate()
-    first = run_scenario(scenario, checkers=checkers)
+    first = run_scenario(scenario)
     if first.ok:
         raise ValueError(
             "scenario violates no invariant; nothing to shrink "
@@ -179,7 +172,7 @@ def shrink(
             if attempts >= max_attempts:
                 break
             attempts += 1
-            if _violates(candidate, target, checkers):
+            if _violates(candidate, target):
                 current = candidate
                 accepted += 1
                 progress = True

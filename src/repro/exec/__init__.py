@@ -33,7 +33,7 @@ from .live_launch import (
     run_node,
     write_topology,
 )
-from .results import SweepResult, TrialResult, decisions_to_hex, hex_to_decisions
+from .results import SweepResult, TrialResult, decisions_to_hex
 
 __all__ = [
     "ADVERSARIES",
@@ -49,7 +49,6 @@ __all__ = [
     "compare_grid",
     "decisions_to_hex",
     "derive_trial_seed",
-    "hex_to_decisions",
     "launch_local",
     "load_topology",
     "min_trial_size",

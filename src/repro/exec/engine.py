@@ -95,45 +95,32 @@ def run_trial(trial: TrialSpec) -> TrialResult:
     )
 
 
-def _worker_init(
-    initializer: Optional[Callable[..., None]], initargs: tuple[Any, ...]
-) -> None:
-    # Under fork the worker inherits the parent's warm cache table.  A
-    # parallel pass must compute its results independently — both so the
-    # serial-vs-parallel identity check can actually catch cache bugs and
-    # so timing comparisons are cold-vs-cold — so every worker starts
-    # from an empty table.
-    clear_cache()
-    if initializer is not None:
-        initializer(*initargs)
-
-
 def pool_map(
     fn: Callable[[_T], _R],
     items: Sequence[_T],
     *,
     workers: int,
     chunksize: Optional[int] = None,
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: tuple[Any, ...] = (),
 ) -> list[_R]:
     """``[fn(item) for item in items]`` over a pool of ``workers``
     processes, in item order.
 
     Workers are forked where the platform can (cheap start; the platform
-    default elsewhere), start from a cleared geometry cache, then run
-    ``initializer(*initargs)``.  Items go out in chunks of ``chunksize``
-    (default: ~4 chunks per worker, the classic balance between dispatch
-    overhead and tail latency) and an idle worker takes the next chunk.
+    default elsewhere) and start from a cleared geometry cache.  Items go
+    out in chunks of ``chunksize`` (default: ~4 chunks per worker, the
+    classic balance between dispatch overhead and tail latency) and an
+    idle worker takes the next chunk.
     """
     if chunksize is None:
         chunksize = max(1, math.ceil(len(items) / (workers * 4)))
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    with ctx.Pool(
-        processes=workers, initializer=_worker_init,
-        initargs=(initializer, initargs),
-    ) as pool:
+    # Under fork the worker inherits the parent's warm cache table.  A
+    # parallel pass must compute its results independently — both so the
+    # serial-vs-parallel identity check can actually catch cache bugs and
+    # so timing comparisons are cold-vs-cold — so every worker starts
+    # from an empty table.
+    with ctx.Pool(processes=workers, initializer=clear_cache) as pool:
         return pool.map(fn, items, chunksize=chunksize)
 
 

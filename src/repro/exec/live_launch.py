@@ -88,7 +88,7 @@ _ENVELOPE = {"schema": str, "instance": str, "kind": str, "nodes": list}
 
 #: RunSpec fields a document cannot carry: a live run is honest and
 #: seed-derived, so a spec that sets one of them is refused.
-_UNCARRIED = ("inputs", "adversary", "topology", "policy", "check_delta")
+_UNCARRIED = ("inputs", "adversary", "topology", "policy")
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-__all__ = ["TrialResult", "SweepResult", "decisions_to_hex", "hex_to_decisions"]
+__all__ = ["TrialResult", "SweepResult", "decisions_to_hex"]
 
 SCHEMA = "repro.exec.sweep/1"
 
@@ -36,16 +36,6 @@ def decisions_to_hex(
         (int(pid), tuple(float(x).hex() for x in np.asarray(vec).ravel()))
         for pid, vec in sorted(decisions.items())
     )
-
-
-def hex_to_decisions(
-    encoded: tuple[tuple[int, tuple[str, ...]], ...],
-) -> dict[int, np.ndarray]:
-    """Inverse of :func:`decisions_to_hex` (bit-exact round trip)."""
-    return {
-        int(pid): np.array([float.fromhex(h) for h in coords])
-        for pid, coords in encoded
-    }
 
 
 @dataclass(frozen=True)
@@ -112,19 +102,6 @@ class TrialResult:
         out = asdict(self)
         out["decisions"] = [[pid, list(coords)] for pid, coords in self.decisions]
         return out
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "TrialResult":
-        decisions = tuple(
-            (int(pid), tuple(str(h) for h in coords))
-            for pid, coords in d.get("decisions", [])
-        )
-        kwargs = dict(d)
-        kwargs["decisions"] = decisions
-        kwargs["metrics"] = dict(d.get("metrics", {}))
-        # files written before probes existed carry no count
-        kwargs["probe_violations"] = int(d.get("probe_violations", 0))
-        return cls(**kwargs)
 
 
 @dataclass
@@ -234,22 +211,3 @@ class SweepResult:
             fh.write(self.to_json())
             fh.write("\n")
         os.replace(tmp, path)
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "SweepResult":
-        if d.get("schema") != SCHEMA:
-            raise ValueError(f"unknown sweep schema {d.get('schema')!r}")
-        return cls(
-            trials=[TrialResult.from_dict(t) for t in d.get("trials", [])],
-            workers=int(d.get("workers", 1)),
-            wall_seconds=float(d.get("wall_seconds", 0.0)),
-            cpu_count=int(d.get("cpu_count", 1)),
-            skipped_trials=int(d.get("skipped_trials", 0)),
-            grid=dict(d.get("grid", {})),
-            cache_enabled=bool(d.get("cache_enabled", True)),
-        )
-
-    @classmethod
-    def load(cls, path: str) -> "SweepResult":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))

@@ -1,6 +1,6 @@
 """Geometric substrate for relaxed Byzantine vector consensus.
 
-Everything the paper's definitions and proofs consume: L_p norms, convex
+Everything the paper's definitions and proofs consume: L_p norms, affine
 hulls robust to degeneracy, point-to-hull distances, coordinate projections,
 the relaxed hulls ``H_k`` and ``H_{(δ,p)}``, the hull-intersection operators
 ``Γ`` / ``Ψ``, the certified ``δ*(S)`` min-max solver, simplex in-sphere
@@ -10,22 +10,18 @@ geometry (Lemmas 11–15), and Radon/Tverberg partitions (§8).
 from .cache import (
     cache_disabled,
     cache_enabled,
-    cache_stats,
     cached_kernel,
     clear_cache,
-    configure_cache,
     set_cache_enabled,
 )
 from .distance import (
     HullProjection,
-    convex_combination_weights,
-    distance_l1,
     distance_linf,
     distance_to_hull,
     in_hull,
     nearest_point_l2,
 )
-from .hull import Hull, affine_basis, affine_dimension
+from .hull import affine_basis
 from .intersections import (
     f_subsets,
     gamma,
@@ -39,12 +35,9 @@ from .intersections import (
 )
 from .minimax import DeltaStarResult, delta_star, max_subset_distance
 from .norms import (
-    holder_upper_factor,
-    lp_distance,
     lp_norm,
     max_edge_length,
     min_edge_length,
-    norm_equivalence_bounds,
     pairwise_lp_distances,
     validate_p,
 )
@@ -67,7 +60,7 @@ from .simplex import (
     simplex_b_vectors,
     vertex_facet_distances,
 )
-from .simplex_proj import project_rows_to_simplex, project_to_simplex
+from .simplex_proj import project_to_simplex
 from .tolerance import DELTA_ATOL, close, exactly_zero, near_zero, norm_order_is
 from .tverberg import (
     RadonPartition,
@@ -85,25 +78,19 @@ __all__ = [
     "DELTA_ATOL",
     "DeltaPHull",
     "DeltaStarResult",
-    "Hull",
     "HullProjection",
     "KRelaxedHull",
     "Polytope",
     "RadonPartition",
     "TverbergPartition",
     "affine_basis",
-    "affine_dimension",
     "cache_disabled",
     "cache_enabled",
-    "cache_stats",
     "cached_kernel",
     "clear_cache",
     "close",
-    "configure_cache",
     "set_cache_enabled",
-    "convex_combination_weights",
     "delta_star",
-    "distance_l1",
     "distance_linf",
     "distance_to_hull",
     "enumerate_coordinate_subsets",
@@ -120,7 +107,6 @@ __all__ = [
     "has_tverberg_partition",
     "intersect_hulls_polytope",
     "polygon_vertices",
-    "holder_upper_factor",
     "in_hull",
     "incenter",
     "incenter_and_inradius",
@@ -129,20 +115,17 @@ __all__ = [
     "intersection_point",
     "is_affinely_independent",
     "iter_set_partitions",
-    "lp_distance",
     "lp_norm",
     "max_edge_length",
     "max_subset_distance",
     "min_edge_length",
     "near_zero",
     "nearest_point_l2",
-    "norm_equivalence_bounds",
     "norm_order_is",
     "pairwise_lp_distances",
     "partition_intersection_nonempty",
     "project",
     "project_multiset",
-    "project_rows_to_simplex",
     "project_to_simplex",
     "psi_k",
     "psi_k_point",

@@ -64,11 +64,9 @@ from ..obs.tracer import trace_span
 __all__ = [
     "cache_disabled",
     "cache_enabled",
-    "cache_stats",
     "cached_kernel",
     "canonical_array_bytes",
     "clear_cache",
-    "configure_cache",
     "freeze_array",
     "set_cache_enabled",
 ]
@@ -162,14 +160,10 @@ class _GeometryCache:
     def __init__(self, max_entries: int = 8192) -> None:
         self.max_entries = max_entries
         self._store: dict[bytes, Any] = {}
-        self.hits = 0
-        self.misses = 0
 
     def lookup(self, key: bytes) -> tuple[bool, Any]:
         if key in self._store:
-            self.hits += 1
             return True, self._store[key]
-        self.misses += 1
         return False, None
 
     def store(self, key: bytes, value: Any) -> None:
@@ -179,9 +173,6 @@ class _GeometryCache:
 
     def clear(self) -> None:
         self._store.clear()
-
-    def __len__(self) -> int:
-        return len(self._store)
 
 
 _CACHE = _GeometryCache()
@@ -212,21 +203,8 @@ def cache_disabled() -> Iterator[None]:
 
 
 def clear_cache() -> None:
-    """Drop every stored entry (hit/miss totals are kept)."""
+    """Drop every stored entry."""
     _CACHE.clear()
-
-
-def configure_cache(max_entries: int) -> None:
-    """Resize the table (clears it; the bound keeps memory O(1) per worker)."""
-    if max_entries < 1:
-        raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-    _CACHE.max_entries = max_entries
-    _CACHE.clear()
-
-
-def cache_stats() -> dict[str, int]:
-    """Process-lifetime totals: hits, misses, and current entry count."""
-    return {"hits": _CACHE.hits, "misses": _CACHE.misses, "entries": len(_CACHE)}
 
 
 def cached_kernel(name: str) -> Callable[[F], F]:

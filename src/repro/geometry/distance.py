@@ -41,10 +41,8 @@ __all__ = [
     "HullProjection",
     "nearest_point_l2",
     "distance_to_hull",
-    "distance_l1",
     "distance_linf",
     "in_hull",
-    "convex_combination_weights",
 ]
 
 PNorm = Union[float, int]
@@ -322,12 +320,6 @@ def _distance_lp_exact(pts: np.ndarray, x: np.ndarray, p: float) -> HullProjecti
     return HullProjection(point, float(lp_norm(x - point, p)), lam)
 
 
-def distance_l1(points: np.ndarray, x: np.ndarray) -> float:
-    """``dist_1(x, H(points))`` via exact LP."""
-    pts = _as_points(points)
-    return _distance_lp_exact(pts, np.asarray(x, dtype=float).ravel(), 1.0).distance
-
-
 def distance_linf(points: np.ndarray, x: np.ndarray) -> float:
     """``dist_inf(x, H(points))`` via exact LP."""
     pts = _as_points(points)
@@ -395,18 +387,3 @@ def in_hull(points: np.ndarray, x: np.ndarray, tol: float = 1e-9) -> bool:
     """Membership test ``x in H(points)`` (within ``tol`` in L_inf)."""
     return distance_linf(points, x) <= tol
 
-
-def convex_combination_weights(
-    points: np.ndarray, x: np.ndarray, tol: float = 1e-9
-) -> np.ndarray:
-    """Weights expressing ``x`` as a convex combination of ``points``.
-
-    Raises ``ValueError`` if ``x`` is not in the hull (within ``tol``).
-    """
-    pts = _as_points(points)
-    proj = _distance_lp_exact(pts, np.asarray(x, dtype=float).ravel(), math.inf)
-    if proj.distance > tol:
-        raise ValueError(
-            f"point is not in the hull (L_inf distance {proj.distance:.3g} > tol {tol:.3g})"
-        )
-    return proj.weights

@@ -1,35 +1,19 @@
-"""Convex hull objects robust to degenerate (lower-dimensional) point sets.
+"""The affine hull of a point set, robust to degenerate inputs.
 
-``scipy.spatial.ConvexHull`` (Qhull) requires a full-dimensional point set.
 The paper's constructions are frequently degenerate on purpose — e.g. the
 proof of Theorem 8 hinges on affinely *dependent* inputs forcing
-``delta* = 0`` — so this module provides a :class:`Hull` that first reduces
-to the affine hull of the points (via SVD), then uses Qhull only when the
-reduced set is full-dimensional with enough points.
-
-A :class:`Hull` is a value object over an immutable ``(m, d)`` point array.
-All the expensive derived structures (affine basis, vertex set, Qhull
-facets) are computed lazily and cached.
+``delta* = 0`` — so the geometry kernels reduce a point set to orthonormal
+coordinates of its affine hull (via SVD) before solving in it.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Iterable, Union
-
 import numpy as np
-from scipy.spatial import ConvexHull as _QhullConvexHull
-from scipy.spatial import QhullError
 
-from ..obs import metrics as _obs
 from .cache import cached_kernel
-from .distance import HullProjection, distance_linf, distance_to_hull, in_hull
-from .norms import max_edge_length, min_edge_length
 from .tolerance import near_zero
 
-__all__ = ["Hull", "affine_dimension", "affine_basis"]
-
-PNorm = Union[float, int]
+__all__ = ["affine_basis"]
 
 _RANK_TOL = 1e-9
 
@@ -43,8 +27,8 @@ def affine_basis(points: np.ndarray, tol: float = _RANK_TOL) -> tuple[np.ndarray
     affine dimension.  Every point satisfies
     ``point ~= origin + basis.T @ coords`` for some ``coords``.
 
-    Memoised per process (the SVD repeats across the ``Hull`` objects
-    that every subset-enumeration loop rebuilds over the same points).
+    Memoised per process (the SVD repeats across every subset-enumeration
+    loop over the same points).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     origin = pts[0]
@@ -57,182 +41,3 @@ def affine_basis(points: np.ndarray, tol: float = _RANK_TOL) -> tuple[np.ndarray
         return origin, np.zeros((0, pts.shape[1]))
     rank = int(np.sum(s > tol * max(1.0, s[0])))
     return origin, vt[:rank]
-
-
-def affine_dimension(points: np.ndarray, tol: float = _RANK_TOL) -> int:
-    """Dimension of the affine hull of ``points`` (0 for a single point)."""
-    _, basis = affine_basis(points, tol)
-    return basis.shape[0]
-
-
-class Hull:
-    """Convex hull of a finite multiset of points in ``R^d``.
-
-    Parameters
-    ----------
-    points:
-        ``(m, d)`` array (or a single ``d``-vector).  Multiset semantics:
-        duplicates are allowed and preserved in :attr:`points`.
-
-    Notes
-    -----
-    The hull itself is a geometric set; duplicates do not change it, but
-    keeping them makes the subset bookkeeping of the paper's ``Γ`` operator
-    (:mod:`repro.geometry.intersections`) straightforward.
-    """
-
-    __slots__ = ("_points", "__dict__")
-
-    def __init__(self, points: np.ndarray | Iterable[Iterable[float]]):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
-            raise ValueError(f"Hull requires a nonempty (m, d) point array, got {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("Hull points must be finite")
-        self._points = pts.copy()
-        self._points.setflags(write=False)
-        _obs.inc("geometry.hull.constructions")
-
-    # ------------------------------------------------------------------ basic
-    @property
-    def points(self) -> np.ndarray:
-        """The generating points, ``(m, d)`` (read-only view)."""
-        return self._points
-
-    @property
-    def num_points(self) -> int:
-        """Number of generating points, counting multiplicity."""
-        return self._points.shape[0]
-
-    @property
-    def ambient_dim(self) -> int:
-        """Dimension ``d`` of the ambient space."""
-        return self._points.shape[1]
-
-    @cached_property
-    def affine(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(origin, basis)`` of the affine hull (see :func:`affine_basis`)."""
-        return affine_basis(self._points)
-
-    @property
-    def dim(self) -> int:
-        """Intrinsic (affine) dimension of the hull."""
-        return self.affine[1].shape[0]
-
-    @property
-    def is_degenerate(self) -> bool:
-        """True when the hull is not full-dimensional in the ambient space."""
-        return self.dim < self.ambient_dim
-
-    def reduced_points(self) -> np.ndarray:
-        """Points expressed in orthonormal coordinates of the affine hull.
-
-        Shape ``(m, dim)``.  Distances between points are preserved, which
-        is exactly the isometry used in the paper's Theorem 8 / Case II of
-        Theorem 9 ("we can find a projection ... preserving the distances").
-        """
-        origin, basis = self.affine
-        return (self._points - origin) @ basis.T
-
-    def lift(self, reduced: np.ndarray) -> np.ndarray:
-        """Map reduced affine-hull coordinates back to ambient coordinates."""
-        origin, basis = self.affine
-        reduced = np.asarray(reduced, dtype=float)
-        return origin + reduced @ basis
-
-    # --------------------------------------------------------------- vertices
-    @cached_property
-    def vertex_indices(self) -> np.ndarray:
-        """Indices (into :attr:`points`) of the hull's extreme points.
-
-        Works in the reduced affine coordinates so degenerate inputs are
-        handled; falls back to an LP-based extreme-point test when Qhull
-        cannot run (tiny point counts, 0/1-dimensional hulls).
-        """
-        m = self.num_points
-        k = self.dim
-        if k == 0:
-            return np.array([0])
-        red = self.reduced_points()
-        if k == 1:
-            coords = red[:, 0]
-            return np.unique([int(np.argmin(coords)), int(np.argmax(coords))])
-        if m > k + 1:
-            try:
-                q = _QhullConvexHull(red)
-                return np.sort(np.asarray(q.vertices))
-            except QhullError:  # pragma: no cover - reduced set is full-dim
-                pass
-        # Simplex or Qhull failure: every affinely independent point is a
-        # vertex; drop points expressible by the others.
-        keep = []
-        for i in range(m):
-            others = np.delete(red, i, axis=0)
-            if distance_linf(others, red[i]) > 1e-9:
-                keep.append(i)
-        if not keep:  # all identical
-            keep = [0]
-        return np.asarray(sorted(set(keep)))
-
-    @property
-    def vertices(self) -> np.ndarray:
-        """Coordinates of the extreme points, ``(v, d)``."""
-        return self._points[self.vertex_indices]
-
-    # ------------------------------------------------------------- predicates
-    def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        """Membership test (L_inf distance at most ``tol``)."""
-        return in_hull(self._points, x, tol)
-
-    def distance(self, x: np.ndarray, p: PNorm = 2) -> float:
-        """``dist_p(x, H)``."""
-        return distance_to_hull(self._points, x, p).distance
-
-    def project(self, x: np.ndarray, p: PNorm = 2) -> HullProjection:
-        """Nearest point of the hull to ``x`` under L_p."""
-        return distance_to_hull(self._points, x, p)
-
-    # --------------------------------------------------------------- geometry
-    def centroid(self) -> np.ndarray:
-        """Arithmetic mean of the generating points (always in the hull)."""
-        return self._points.mean(axis=0)
-
-    def max_edge(self, p: PNorm = 2) -> float:
-        """Longest edge between generating points (``max_{e in E} ||e||_p``)."""
-        return max_edge_length(self._points, p)
-
-    def min_edge(self, p: PNorm = 2) -> float:
-        """Shortest edge between distinct generating points."""
-        return min_edge_length(self._points, p)
-
-    def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
-        """Sample ``n`` points uniformly from random convex combinations.
-
-        Dirichlet(1) weights over the generating points — not uniform over
-        the hull volume, but always inside the hull; used for property
-        tests.
-        """
-        w = rng.dirichlet(np.ones(self.num_points), size=n)
-        return w @ self._points
-
-    # --------------------------------------------------------------- plumbing
-    def __repr__(self) -> str:
-        return (
-            f"Hull(m={self.num_points}, d={self.ambient_dim}, "
-            f"dim={self.dim})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        """Set equality of the hulls (mutual containment of vertices)."""
-        if not isinstance(other, Hull):
-            return NotImplemented
-        if self.ambient_dim != other.ambient_dim:
-            return False
-        return all(other.contains(v) for v in self.vertices) and all(
-            self.contains(v) for v in other.vertices
-        )
-
-    def __hash__(self) -> int:  # pragma: no cover - hulls are not hashable
-        raise TypeError("Hull objects are mutable-value-like and unhashable")

@@ -33,12 +33,9 @@ from .tolerance import exactly_zero, norm_order_is
 
 __all__ = [
     "lp_norm",
-    "lp_distance",
     "pairwise_lp_distances",
     "max_edge_length",
     "min_edge_length",
-    "holder_upper_factor",
-    "norm_equivalence_bounds",
     "validate_p",
 ]
 
@@ -94,15 +91,6 @@ def lp_norm(x: np.ndarray, p: PNorm = 2, axis: int = -1) -> np.ndarray:
     return out
 
 
-def lp_distance(u: np.ndarray, v: np.ndarray, p: PNorm = 2) -> float:
-    """Distance ``||u - v||_p`` between two points."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    return float(lp_norm(u - v, p))
-
-
 def pairwise_lp_distances(points: np.ndarray, p: PNorm = 2) -> np.ndarray:
     """All pairwise distances between rows of ``points`` (m x d).
 
@@ -142,29 +130,3 @@ def min_edge_length(points: np.ndarray, p: PNorm = 2) -> float:
     iu = np.triu_indices(m, k=1)
     return float(np.min(dmat[iu]))
 
-
-def holder_upper_factor(d: int, r: PNorm, p: PNorm) -> float:
-    """The factor ``d**(1/r - 1/p)`` from Hölder's inequality (Theorem 13).
-
-    For ``1 <= r <= p``:  ``norm_r(x) <= d**(1/r - 1/p) * norm_p(x)``.
-    ``1/inf`` is treated as ``0``.
-    """
-    r = validate_p(r)
-    p = validate_p(p)
-    if r > p:
-        raise ValueError(f"Hölder factor requires r <= p, got r={r}, p={p}")
-    inv_r = 0.0 if math.isinf(r) else 1.0 / r
-    inv_p = 0.0 if math.isinf(p) else 1.0 / p
-    return float(d) ** (inv_r - inv_p)
-
-
-def norm_equivalence_bounds(x: np.ndarray, r: PNorm, p: PNorm) -> tuple[float, float, float]:
-    """Evaluate both sides of Theorem 13 for a vector ``x``.
-
-    Returns ``(norm_p, norm_r, d**(1/r - 1/p) * norm_p)``; Theorem 13 asserts
-    ``norm_p <= norm_r <= d**(1/r-1/p) * norm_p`` for ``1 <= r <= p``.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    np_ = float(lp_norm(x, p))
-    nr = float(lp_norm(x, r))
-    return np_, nr, holder_upper_factor(x.size, r, p) * np_

@@ -23,13 +23,11 @@ for ``δ' ≤ δ`` — is exercised by the property tests.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence, Union
 
 import numpy as np
 
 from .distance import distance_to_hull
-from .hull import Hull
 from .norms import validate_p
 from .projection import Cylinder, enumerate_coordinate_subsets, project_multiset
 
@@ -80,15 +78,6 @@ class KRelaxedHull:
         """
         return max(c.distance(u, p) for c in self._cylinders)
 
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinate-wise (lo, hi) bounds that contain ``H_k(S)``.
-
-        For any ``k``, each single coordinate of a member point must lie in
-        the projected range of that coordinate (take any ``D`` containing
-        it), so the input bounding box always contains ``H_k(S)``.
-        """
-        return self.S.min(axis=0), self.S.max(axis=0)
-
     def __repr__(self) -> str:
         return f"KRelaxedHull(m={self.S.shape[0]}, d={self.d}, k={self.k})"
 
@@ -101,12 +90,15 @@ class DeltaPHull:
             raise ValueError(f"delta must be >= 0, got {delta}")
         self.p = validate_p(p)
         self.delta = float(delta)
-        self.hull = Hull(S)
-
-    @property
-    def S(self) -> np.ndarray:
-        """The generating multiset."""
-        return self.hull.points
+        pts = np.asarray(S, dtype=float)
+        if pts.ndim == 1:
+            pts = pts[None, :]
+        if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
+            raise ValueError(f"need a nonempty (m, d) point array, got {pts.shape}")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("hull points must be finite")
+        #: The generating multiset.
+        self.S = pts
 
     def contains(self, u: np.ndarray, tol: float = 1e-9) -> bool:
         """Membership: ``dist_p(u, H(S)) <= delta`` (within ``tol``)."""
@@ -114,31 +106,14 @@ class DeltaPHull:
 
     def distance_to_core(self, u: np.ndarray) -> float:
         """``dist_p(u, H(S))`` — distance to the *unrelaxed* hull."""
-        return distance_to_hull(self.hull.points, u, self.p).distance
+        return distance_to_hull(self.S, u, self.p).distance
 
     def violation(self, u: np.ndarray) -> float:
         """``max(0, dist_p(u, H(S)) - delta)``; zero iff ``u`` is a member."""
         return max(0.0, self.distance_to_core(u) - self.delta)
 
-    def witness_point(self, u: np.ndarray) -> np.ndarray:
-        """Nearest point of ``H_{(δ,p)}(S)`` to ``u``.
-
-        If ``u`` is a member it is returned unchanged; otherwise move from
-        ``u`` toward its hull projection until the residual distance is
-        exactly ``delta``.  (For p=2 this is the exact metric projection
-        onto the fattened hull; for other p it is a feasible witness.)
-        """
-        u = np.asarray(u, dtype=float).ravel()
-        proj = distance_to_hull(self.hull.points, u, self.p)
-        if proj.distance <= self.delta:
-            return u.copy()
-        if math.isinf(proj.distance):  # pragma: no cover - distances are finite
-            raise RuntimeError("infinite hull distance")
-        t = 1.0 - self.delta / proj.distance
-        return u + t * (proj.point - u)
-
     def __repr__(self) -> str:
         return (
-            f"DeltaPHull(m={self.hull.num_points}, d={self.hull.ambient_dim}, "
+            f"DeltaPHull(m={self.S.shape[0]}, d={self.S.shape[1]}, "
             f"delta={self.delta:.6g}, p={self.p})"
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["project_to_simplex", "project_rows_to_simplex"]
+__all__ = ["project_to_simplex"]
 
 
 def project_to_simplex(v: np.ndarray, radius: float = 1.0) -> np.ndarray:
@@ -45,17 +45,3 @@ def project_to_simplex(v: np.ndarray, radius: float = 1.0) -> np.ndarray:
     theta = css[rho - 1] / rho
     return np.maximum(v - theta, 0.0)
 
-
-def project_rows_to_simplex(V: np.ndarray, radius: float = 1.0) -> np.ndarray:
-    """Row-wise simplex projection of a 2-D array (vectorised batch form)."""
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    if radius <= 0:
-        raise ValueError(f"simplex radius must be positive, got {radius}")
-    n, m = V.shape
-    U = -np.sort(-V, axis=1)
-    css = np.cumsum(U, axis=1) - radius
-    ind = np.arange(1, m + 1)[None, :]
-    cond = U - css / ind > 0
-    rho = cond.shape[1] - np.argmax(cond[:, ::-1], axis=1)  # last True, 1-based
-    theta = css[np.arange(n), rho - 1] / rho
-    return np.maximum(V - theta[:, None], 0.0)

@@ -49,7 +49,6 @@ from .engine import (
     Finding,
     Rule,
     all_rules,
-    get_rule,
     lint_paths,
     lint_sources,
     register,
@@ -63,7 +62,6 @@ __all__ = [
     "Finding",
     "Rule",
     "all_rules",
-    "get_rule",
     "lint_paths",
     "lint_sources",
     "register",

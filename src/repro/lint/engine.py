@@ -46,7 +46,6 @@ __all__ = [
     "Finding",
     "Rule",
     "all_rules",
-    "get_rule",
     "lint_paths",
     "lint_sources",
     "parse_module",
@@ -159,11 +158,6 @@ def register(rule_cls: type[Rule]) -> type[Rule]:
 def all_rules() -> tuple[Rule, ...]:
     """Every registered rule, sorted by id."""
     return tuple(_REGISTRY[k] for k in sorted(_REGISTRY))
-
-
-def get_rule(rule_id: str) -> Rule:
-    """Look up one rule by exact id (raises ``KeyError`` when unknown)."""
-    return _REGISTRY[rule_id]
 
 
 def _matches(rule: Rule, token: str) -> bool:

@@ -102,7 +102,6 @@ TRANSPORT_SEAMS: dict[str, frozenset[str]] = {
         {
             "BROADCAST_KINDS",
             "BroadcastDefault",
-            "broadcast_rounds",
             "majority",
             "make_broadcast",
         }
@@ -111,20 +110,17 @@ TRANSPORT_SEAMS: dict[str, frozenset[str]] = {
         {
             "BROADCAST_KINDS",
             "BroadcastDefault",
-            "broadcast_rounds",
             "majority",
             "make_broadcast",
             "INIT",
             "ECHO",
             "READY",
-            "eig_total_rounds",
-            "ds_total_rounds",
         }
     ),
     # Protocol constants stay importable; the State classes do not.
     "system/broadcast/bracha.py": frozenset({"INIT", "ECHO", "READY"}),
-    "system/broadcast/om.py": frozenset({"eig_total_rounds"}),
-    "system/broadcast/dolev_strong.py": frozenset({"ds_total_rounds"}),
+    "system/broadcast/om.py": frozenset(),
+    "system/broadcast/dolev_strong.py": frozenset(),
 }
 
 #: Module names (dotted) covered by the seam discipline.

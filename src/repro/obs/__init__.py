@@ -43,7 +43,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     current_registry,
-    global_registry,
     use_registry,
 )
 from .perf import FixedBucketHistogram, PhaseProfiler, use_profiler
@@ -101,7 +100,6 @@ __all__ = [
     "dump_jsonl",
     "get_causal_collector",
     "get_tracer",
-    "global_registry",
     "header_record",
     "note_decision",
     "note_iteration",

@@ -269,41 +269,6 @@ class CausalCollector:
             fields=dict(fields) if fields else {},
         ))
 
-    # ------------------------------------------------------------- queries
-    def predecessors(self, eid: int) -> list[int]:
-        """Immediate happens-before predecessors of one event: the
-        process-local previous event plus (for deliveries) the send."""
-        event = self.events[eid]
-        preds: list[int] = []
-        for prior in range(eid - 1, -1, -1):
-            if self.events[prior].pid == event.pid:
-                preds.append(prior)
-                break
-        if event.cause is not None:
-            preds.append(event.cause)
-        return preds
-
-    def causal_cone(self, eid: int) -> list[int]:
-        """Every event that happens-before (or is) ``eid``, ascending."""
-        if not 0 <= eid < len(self.events):
-            raise IndexError(f"no event {eid} (have {len(self.events)})")
-        seen = {eid}
-        frontier = [eid]
-        while frontier:
-            nxt = frontier.pop()
-            for prior in self.predecessors(nxt):
-                if prior not in seen:
-                    seen.add(prior)
-                    frontier.append(prior)
-        return sorted(seen)
-
-    def decide_event(self, pid: int) -> Optional[CausalEvent]:
-        """The (first) decide event recorded for ``pid``, if any."""
-        for event in self.events:
-            if event.kind == "decide" and event.pid == pid:
-                return event
-        return None
-
     def to_records(self) -> list[dict[str, Any]]:
         """JSONL-ready ``{"type": "causal"}`` record dicts."""
         records: list[dict[str, Any]] = []
@@ -408,7 +373,8 @@ def note_decision(pid: int, *, time: Optional[int] = None, **fields: Any) -> Non
     Protocol code calls this at the moment ``ctx.decide`` fires, so the
     decide event lands in program order *after* the deliveries that
     justified it — that ordering is what makes
-    :meth:`CausalCollector.causal_cone` an explanation of the decision.
+    :meth:`repro.analysis.timeline.CausalGraph.causal_cone` an explanation
+    of the decision.
     """
     c = _collector
     if c.enabled:

@@ -405,8 +405,8 @@ def aggregate_metrics(trails: Sequence[NodeTrail]) -> dict[str, Any]:
     Counters sum; gauges keep the extreme envelope (``max`` of maxes,
     ``min`` of mins, last value = max across nodes — peaks, not means);
     histograms merge ``count``/``total``/``min``/``max`` exactly and
-    approximate the quantiles by count-weighted averaging (each node's
-    own ``/metrics`` endpoint stays the exact source).
+    carry no quantiles: the nodes' quantiles do not determine the merged
+    samples' (each node's own ``/metrics`` endpoint stays the source).
     """
     out: dict[str, Any] = {}
     for trail in trails:
@@ -435,16 +435,10 @@ def aggregate_metrics(trails: Sequence[NodeTrail]) -> dict[str, Any]:
                 prev = out.setdefault(name, {
                     "type": "histogram", "count": 0, "total": 0.0,
                     "min": np.inf, "max": -np.inf,
-                    "p50": 0.0, "p90": 0.0, "p99": 0.0,
                 })
                 if not count:
                     continue
-                merged_count = prev["count"] + count
-                for q in ("p50", "p90", "p99"):
-                    prev[q] = (
-                        prev[q] * prev["count"] + float(record[q]) * count
-                    ) / merged_count
-                prev["count"] = merged_count
+                prev["count"] += count
                 prev["total"] += float(record["total"])
                 prev["min"] = min(prev["min"], float(record["min"]))
                 prev["max"] = max(prev["max"], float(record["max"]))

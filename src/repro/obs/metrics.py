@@ -33,7 +33,6 @@ __all__ = [
     "MetricsRegistry",
     "active_registry",
     "current_registry",
-    "global_registry",
     "use_registry",
     "inc",
     "observe",
@@ -216,13 +215,7 @@ class MetricsRegistry:
 # ambient registry (single-threaded simulator: a simple stack suffices)
 # ---------------------------------------------------------------------------
 
-_GLOBAL = MetricsRegistry()
-_STACK: list[MetricsRegistry] = [_GLOBAL]
-
-
-def global_registry() -> MetricsRegistry:
-    """The process-wide fallback registry."""
-    return _GLOBAL
+_STACK: list[MetricsRegistry] = [MetricsRegistry()]
 
 
 def current_registry() -> MetricsRegistry:

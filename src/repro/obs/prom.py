@@ -95,7 +95,8 @@ def render_metrics_snapshot(
 
     Counters map to counters, gauges to gauges (with ``_min``/``_max``
     companion gauges), exact histograms to summaries with exact
-    quantiles.
+    quantiles.  A histogram record without quantiles (a fleet merge)
+    renders as ``_sum`` / ``_count`` only.
     """
     lines: list[str] = []
     for name in sorted(snapshot):
@@ -120,6 +121,8 @@ def render_metrics_snapshot(
             count = int(record.get("count", 0))
             if count:
                 for q, key in ((0.5, "p50"), (0.9, "p90"), (0.99, "p99")):
+                    if key not in record:
+                        continue
                     lines.append(
                         f'{pname}{{quantile="{q}"}} '
                         f"{_fmt(float(record[key]))}"

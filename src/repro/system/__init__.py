@@ -26,7 +26,6 @@ from .process import AsyncProcess, Context, Inbox, SyncProcess
 from .topology import (
     Topology,
     complete_topology,
-    erdos_renyi_topology,
     random_regular_topology,
     ring_lattice_topology,
     wheel_of_cliques_topology,
@@ -73,7 +72,6 @@ __all__ = [
     "Topology",
     "canonical_bytes",
     "complete_topology",
-    "erdos_renyi_topology",
     "random_regular_topology",
     "ring_lattice_topology",
     "validate_system_size",

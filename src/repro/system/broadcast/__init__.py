@@ -2,20 +2,19 @@
 
 Protocol code constructs machines through
 :func:`~repro.system.broadcast.interface.make_broadcast`; the concrete
-``*State`` classes and round-count helpers remain importable for tests
-and embeddings that poke at machine internals.
+``*State`` classes remain importable for tests and embeddings that poke
+at machine internals.
 """
 
 from .bracha import ECHO, INIT, READY, BrachaState
-from .dolev_strong import DolevStrongState, ds_total_rounds
+from .dolev_strong import DolevStrongState
 from .interface import (
     BROADCAST_KINDS,
     BroadcastDefault,
-    broadcast_rounds,
     majority,
     make_broadcast,
 )
-from .om import EIGState, eig_total_rounds
+from .om import EIGState
 
 __all__ = [
     "BROADCAST_KINDS",
@@ -26,9 +25,6 @@ __all__ = [
     "EIGState",
     "INIT",
     "READY",
-    "broadcast_rounds",
-    "ds_total_rounds",
-    "eig_total_rounds",
     "majority",
     "make_broadcast",
 ]

@@ -31,14 +31,9 @@ from ..crypto import Signature, SignatureScheme
 from ..messages import canonical_bytes
 from .interface import BroadcastDefault
 
-__all__ = ["DolevStrongState", "ds_total_rounds"]
+__all__ = ["DolevStrongState"]
 
 Chain = tuple[Signature, ...]
-
-
-def ds_total_rounds(f: int) -> int:
-    """Scheduler rounds an instance occupies (sends 0..f, last inbox f+1)."""
-    return f + 2
 
 
 class DolevStrongState:

@@ -25,7 +25,6 @@ from typing import Any, Optional
 __all__ = [
     "BROADCAST_KINDS",
     "BroadcastDefault",
-    "broadcast_rounds",
     "majority",
     "make_broadcast",
 ]
@@ -68,25 +67,6 @@ def majority(values: list[Any], default: Any = BroadcastDefault) -> Any:
     if 2 * best_cnt > len(values):
         return best_val
     return default
-
-
-def broadcast_rounds(kind: str, f: int) -> int:
-    """Scheduler rounds one instance of ``kind`` occupies (sync kinds).
-
-    Bracha is asynchronous — it has message phases, not lockstep rounds
-    — so asking for its round count is a ``ValueError``.
-    """
-    if kind == "eig":
-        from .om import eig_total_rounds
-
-        return eig_total_rounds(f)
-    if kind == "dolev-strong":
-        from .dolev_strong import ds_total_rounds
-
-        return ds_total_rounds(f)
-    if kind == "bracha":
-        raise ValueError("bracha is asynchronous; it has no round count")
-    raise ValueError(f"unknown broadcast kind {kind!r}; choices {BROADCAST_KINDS}")
 
 
 def make_broadcast(

@@ -35,15 +35,9 @@ from typing import Any
 from ...obs import metrics as _obs
 from .interface import BroadcastDefault, majority
 
-__all__ = ["EIGState", "eig_total_rounds"]
+__all__ = ["EIGState"]
 
 Path = tuple[int, ...]
-
-
-def eig_total_rounds(f: int) -> int:
-    """Scheduler rounds an EIG instance occupies: sends in rounds 0..f,
-    final deliveries land in round ``f + 1``."""
-    return f + 2
 
 
 class EIGState:

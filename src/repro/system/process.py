@@ -50,6 +50,7 @@ class Context:
         self.outbox: list[Message] = []
         self.decision: Optional[Any] = None
         self.decided = False
+        #: A handler sets this to stop participating once it returns.
         self.halted = False
         self._seq = 0
 
@@ -89,10 +90,6 @@ class Context:
             raise RuntimeError(f"process {self.pid} decided twice")
         self.decision = value
         self.decided = True
-
-    def halt(self) -> None:
-        """Stop participating (terminate) after the current handler."""
-        self.halted = True
 
 
 class SyncProcess(ABC):

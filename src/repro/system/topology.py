@@ -14,8 +14,6 @@ alike — a Byzantine process cannot conjure wires).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import networkx as nx
 
 __all__ = [
@@ -23,7 +21,6 @@ __all__ = [
     "complete_topology",
     "ring_lattice_topology",
     "random_regular_topology",
-    "erdos_renyi_topology",
     "wheel_of_cliques_topology",
 ]
 
@@ -119,20 +116,6 @@ def random_regular_topology(n: int, degree: int, seed: int = 0) -> Topology:
         if nx.is_connected(g):
             return Topology(nx.convert_node_labels_to_integers(g))
     raise RuntimeError("failed to sample a connected regular graph")
-
-
-def erdos_renyi_topology(
-    n: int, p: float, seed: int = 0, min_degree: Optional[int] = None
-) -> Topology:
-    """Erdős–Rényi graph, resampled until connected (and min-degree met)."""
-    for attempt in range(200):
-        g = nx.erdos_renyi_graph(n, p, seed=seed + attempt)
-        if not nx.is_connected(g):
-            continue
-        if min_degree is not None and min(dict(g.degree).values()) < min_degree:
-            continue
-        return Topology(g)
-    raise RuntimeError(f"no connected G(n={n}, p={p}) found; raise p")
 
 
 def wheel_of_cliques_topology(num_cliques: int, clique_size: int) -> Topology:

@@ -33,8 +33,14 @@ class TestCausalGraph:
         collector, _ = traced
         graph = CausalGraph.from_source(collector)
         assert len(graph) == len(collector.events)
-        decide = collector.decide_event(0)
-        assert graph.causal_cone(decide.eid) == collector.causal_cone(decide.eid)
+        # vector clocks characterise happens-before exactly: the cone of a
+        # decide is every event whose clock its clock dominates
+        decide = collector.events[graph.decide_eid(0)]
+        by_clock = [
+            ev.eid for ev in collector.events
+            if all(a <= b for a, b in zip(ev.clock, decide.clock))
+        ]
+        assert graph.causal_cone(decide.eid) == by_clock
 
     def test_from_jsonl_records(self, traced):
         collector, _ = traced

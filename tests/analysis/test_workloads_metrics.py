@@ -19,7 +19,7 @@ from repro.analysis.workloads import (
     simplex_inputs,
     sphere_inputs,
 )
-from repro.geometry.hull import affine_dimension
+from repro.geometry.hull import affine_basis
 
 
 class TestWorkloads:
@@ -44,14 +44,14 @@ class TestWorkloads:
 
     def test_degenerate_rank(self, rng):
         pts = degenerate_inputs(rng, 6, 4, rank=2)
-        assert affine_dimension(pts) <= 2
+        assert affine_basis(pts)[1].shape[0] <= 2
 
     def test_degenerate_rejects_high_rank(self, rng):
         with pytest.raises(ValueError):
             degenerate_inputs(rng, 4, 2, rank=3)
 
     def test_collinear(self, rng):
-        assert affine_dimension(collinear_inputs(rng, 5, 3)) <= 1
+        assert affine_basis(collinear_inputs(rng, 5, 3))[1].shape[0] <= 1
 
     def test_duplicated_distinct_count(self, rng):
         pts = duplicated_inputs(rng, 8, 3, distinct=2)

@@ -96,9 +96,6 @@ class TestBroadcastAll:
         # no exception and protocol messages were emitted
         assert ctx.outbox
 
-    def test_total_rounds_property(self):
-        assert Recorder(4, 1, 0, np.zeros(2)).total_rounds == 3
-
 
 class TestResolveDefaults:
     """What counts as a well-formed broadcast value at d = 2: a tuple of

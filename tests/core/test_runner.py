@@ -34,22 +34,6 @@ class TestRunnerSurface:
         assert 0 not in out.decisions
         assert set(out.decisions) == {1, 2, 3}
 
-    def test_algo_check_delta_override(self, rng):
-        """check_delta lets callers verify against a bound of their
-        choosing (e.g. the Table 1 value) rather than the achieved δ*."""
-        inputs = rng.normal(size=(4, 3))
-        out = run(RunSpec(
-            algorithm="algo", inputs=inputs, f=1, adversary=Adversary(faulty=[3]),
-            check_delta=100.0,
-        ))
-        assert out.report.validity_ok
-        tight = run(RunSpec(
-            algorithm="algo", inputs=inputs, f=1, adversary=Adversary(faulty=[3]),
-            check_delta=0.0,
-        ))
-        # a zero-δ check fails whenever δ* > 0
-        assert tight.report.validity_ok == (tight.delta_used <= 1e-7)
-
     def test_scalar_runner(self, rng):
         out = run(RunSpec(algorithm="scalar", inputs=rng.normal(size=(4, 1)), f=1))
         assert out.ok

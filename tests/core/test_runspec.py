@@ -77,7 +77,7 @@ class TestRunSpecValidation:
         scenario = Scenario("algo", n=5, d=3, f=1, seed=42, input_scale=2.0)
         assert scenario.inputs().tobytes() == expected.tobytes()
         # explicit inputs win
-        pinned = spec.with_inputs(np.zeros((4, 2)))
+        pinned = RunSpec(algorithm="algo", inputs=np.zeros((4, 2)), seed=42)
         assert pinned.resolved_inputs().shape == (4, 2)
         assert (pinned.n, pinned.d) == (4, 2)
 
@@ -103,15 +103,6 @@ class TestRunSpecValidation:
             with pytest.raises(ValueError, match="renamed"):
                 RunSpec(algorithm="algo", n=4, d=2, transport=legacy)
 
-    def test_describe_is_plain_data(self, rng):
-        spec = RunSpec(algorithm="algo", inputs=rng.normal(size=(4, 2)),
-                       adversary=Adversary(faulty=[3]),
-                       metrics=MetricsRegistry())
-        desc = spec.describe()
-        assert desc["inputs"] == [4, 2]
-        assert desc["adversary"] == "Adversary"
-        assert desc["metrics"] == "MetricsRegistry"
-        assert desc["algorithm"] == "algo"
 
 
 class TestOneVerdictPerRun:

@@ -72,7 +72,7 @@ class TestReplay:
         assert rep.ok
         events = {e.name for e in rep.tracer.events}
         assert {"dst.replay.start", "dst.replay.done"} <= events
-        assert rep.span_names()  # the protocol stack emitted spans
+        assert rep.tracer.spans  # the protocol stack emitted spans
         assert out.exists()
         assert read_jsonl(out)  # parses back
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,7 +70,7 @@ class TestRoundTrip:
         }
 
     def test_uncarried_fields_are_refused_not_dropped(self):
-        explicit = SPEC.with_inputs(np.zeros((4, 2)))
+        explicit = replace(SPEC, inputs=np.zeros((4, 2)), n=None, d=None)
         with pytest.raises(ValueError, match="inputs"):
             build_topology(explicit, pinned_nodes(), kind="uds")
 

@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 
 from repro.geometry import delta_star, gamma_point, tverberg_partition
+from repro.geometry import cache as cache_mod
 from repro.geometry.cache import (
     cache_disabled,
     cache_enabled,
-    cache_stats,
     cached_kernel,
     canonical_array_bytes,
     clear_cache,
-    configure_cache,
     set_cache_enabled,
 )
 from repro.geometry.hull import affine_basis
@@ -133,13 +132,13 @@ class TestCacheCorrectness:
 class TestCounters:
     def test_hits_and_misses_counted(self, rng):
         S = rng.normal(size=(5, 2))
-        before = cache_stats()
-        gamma_point(S, 1)
-        mid = cache_stats()
-        assert mid["misses"] == before["misses"] + 1
-        gamma_point(S, 1)
-        after = cache_stats()
-        assert after["hits"] == mid["hits"] + 1
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            gamma_point(S, 1)
+            assert reg.counter_value("geometry.cache.misses") == 1
+            assert reg.counter_value("geometry.cache.hits") == 0
+            gamma_point(S, 1)
+        assert reg.counter_value("geometry.cache.hits") == 1
 
     def test_obs_registry_counters(self, rng):
         S = rng.normal(size=(5, 2))
@@ -156,13 +155,14 @@ class TestControls:
     def test_cache_disabled_context(self, rng):
         S = rng.normal(size=(5, 2))
         gamma_point(S, 1)
-        stats = cache_stats()
-        with cache_disabled():
+        reg = MetricsRegistry()
+        with use_registry(reg), cache_disabled():
             assert not cache_enabled()
             gamma_point(S, 1)
         assert cache_enabled()
         # no lookup happened inside the context
-        assert cache_stats()["hits"] == stats["hits"]
+        assert reg.counter_value("geometry.cache.hits") == 0
+        assert reg.counter_value("geometry.cache.misses") == 0
 
     def test_set_cache_enabled_returns_previous(self):
         prev = set_cache_enabled(False)
@@ -170,14 +170,11 @@ class TestControls:
         assert set_cache_enabled(prev) is False
         assert cache_enabled()
 
-    def test_overflow_clears_table(self, rng):
-        configure_cache(max_entries=2)
-        try:
-            for i in range(4):
-                gamma_point(rng.normal(size=(4, 2)) + i, 1)
-            assert cache_stats()["entries"] <= 2
-        finally:
-            configure_cache(max_entries=8192)
+    def test_overflow_clears_table(self, rng, monkeypatch):
+        monkeypatch.setattr(cache_mod._CACHE, "max_entries", 2)
+        for i in range(4):
+            gamma_point(rng.normal(size=(4, 2)) + i, 1)
+        assert len(cache_mod._CACHE._store) <= 2
 
     def test_unhashable_args_bypass(self, rng):
         @cached_kernel("test_probe_kernel")
@@ -185,8 +182,9 @@ class TestControls:
             return float(S.sum())
 
         S = rng.normal(size=(3, 2))
-        before = cache_stats()
-        assert probed(S, lambda: None) == probed(S, lambda: None)
-        after = cache_stats()
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            assert probed(S, lambda: None) == probed(S, lambda: None)
         # callables cannot be canonicalised -> neither hit nor miss
-        assert after == before
+        assert reg.counter_value("geometry.cache.hits") == 0
+        assert reg.counter_value("geometry.cache.misses") == 0

@@ -10,8 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.distance import (
-    convex_combination_weights,
-    distance_l1,
     distance_linf,
     distance_to_hull,
     in_hull,
@@ -92,7 +90,7 @@ class TestNearestPointL2:
 class TestLpDistances:
     def test_l1_square(self):
         # outside the unit square diagonally: L1 distance adds up
-        assert distance_l1(UNIT_SQUARE, [2.0, 2.0]) == pytest.approx(2.0)
+        assert distance_to_hull(UNIT_SQUARE, [2.0, 2.0], 1).distance == pytest.approx(2.0)
 
     def test_linf_square(self):
         assert distance_linf(UNIT_SQUARE, [2.0, 3.0]) == pytest.approx(2.0)
@@ -129,7 +127,7 @@ class TestLpDistances:
 
     def test_single_point_lp(self):
         pt = np.array([[1.0, 1.0]])
-        assert distance_l1(pt, [2.0, 3.0]) == pytest.approx(3.0)
+        assert distance_to_hull(pt, [2.0, 3.0], 1).distance == pytest.approx(3.0)
         assert distance_linf(pt, [2.0, 3.0]) == pytest.approx(2.0)
 
 
@@ -144,12 +142,8 @@ class TestMembership:
         assert not in_hull(UNIT_SQUARE, [1.5, 0.5])
 
     def test_weights_valid(self):
-        w = convex_combination_weights(UNIT_SQUARE, [0.5, 0.5])
+        w = distance_to_hull(UNIT_SQUARE, [0.5, 0.5], math.inf).weights
         np.testing.assert_allclose(UNIT_SQUARE.T @ w, [0.5, 0.5], atol=1e-7)
-
-    def test_weights_raises_outside(self):
-        with pytest.raises(ValueError):
-            convex_combination_weights(UNIT_SQUARE, [2.0, 2.0])
 
     def test_degenerate_collinear(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])

@@ -1,4 +1,4 @@
-"""Tests for the degeneracy-robust Hull object."""
+"""Tests for the affine-hull reduction the geometry kernels solve in."""
 
 from __future__ import annotations
 
@@ -7,9 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry.hull import Hull, affine_basis, affine_dimension
+from repro.geometry.distance import distance_to_hull, in_hull
+from repro.geometry.hull import affine_basis
+from repro.geometry.norms import max_edge_length, min_edge_length
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+def affine_dimension(pts: np.ndarray) -> int:
+    return affine_basis(pts)[1].shape[0]
 
 
 class TestAffine:
@@ -38,81 +44,28 @@ class TestAffine:
             np.testing.assert_allclose(origin + coords @ basis, p, atol=1e-9)
 
 
-class TestHullBasics:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Hull(np.zeros((0, 2)))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            Hull(np.array([[np.inf, 0.0]]))
-
-    def test_single_vector_promoted(self):
-        h = Hull(np.array([1.0, 2.0]))
-        assert h.num_points == 1
-        assert h.ambient_dim == 2
-        assert h.dim == 0
-
-    def test_points_read_only(self):
-        h = Hull(SQUARE)
-        with pytest.raises(ValueError):
-            h.points[0, 0] = 99.0
-
-    def test_repr(self):
-        assert "Hull" in repr(Hull(SQUARE))
-
-    def test_unhashable(self):
-        with pytest.raises(TypeError):
-            hash(Hull(SQUARE))
-
-
-class TestVertices:
-    def test_square_vertices(self):
-        h = Hull(np.vstack([SQUARE, [[0.5, 0.5]]]))  # interior point added
-        assert set(map(tuple, h.vertices.tolist())) == set(
-            map(tuple, SQUARE.tolist())
-        )
-
-    def test_collinear_vertices_are_endpoints(self):
-        pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.5, 0.5]])
-        h = Hull(pts)
-        vs = set(map(tuple, h.vertices.tolist()))
-        assert vs == {(0.0, 0.0), (2.0, 2.0)}
-
-    def test_identical_points(self):
-        h = Hull(np.ones((4, 3)))
-        assert h.dim == 0
-        assert h.vertices.shape[0] == 1
-
-    def test_simplex_all_vertices(self, rng):
-        pts = rng.normal(size=(4, 3))
-        h = Hull(pts)
-        assert len(h.vertex_indices) == 4
-
-
 class TestContainmentGeometry:
     def test_contains_centroid(self, rng):
         pts = rng.normal(size=(6, 3))
-        assert Hull(pts).contains(pts.mean(axis=0))
+        assert in_hull(pts, pts.mean(axis=0))
 
     def test_distance_and_project(self):
-        h = Hull(SQUARE)
-        assert h.distance([2.0, 0.5]) == pytest.approx(1.0)
-        np.testing.assert_allclose(h.project([2.0, 0.5]).point, [1.0, 0.5], atol=1e-8)
+        proj = distance_to_hull(SQUARE, [2.0, 0.5])
+        assert proj.distance == pytest.approx(1.0)
+        np.testing.assert_allclose(proj.point, [1.0, 0.5], atol=1e-8)
 
     def test_max_min_edge(self):
-        h = Hull(SQUARE)
-        assert h.max_edge() == pytest.approx(np.sqrt(2))
-        assert h.min_edge() == pytest.approx(1.0)
+        assert max_edge_length(SQUARE) == pytest.approx(np.sqrt(2))
+        assert min_edge_length(SQUARE) == pytest.approx(1.0)
 
     def test_reduced_points_isometric(self, rng):
         """The affine reduction preserves pairwise distances (the paper's
         Theorem 8 / Case II projection argument)."""
         base = rng.normal(size=(2, 5))
         pts = rng.normal(size=(4, 2)) @ base + rng.normal(size=5)
-        h = Hull(pts)
-        red = h.reduced_points()
-        assert red.shape[1] == h.dim
+        origin, basis = affine_basis(pts)
+        red = (pts - origin) @ basis.T
+        assert red.shape[1] == 2
         for i in range(4):
             for j in range(4):
                 assert np.linalg.norm(pts[i] - pts[j]) == pytest.approx(
@@ -121,24 +74,9 @@ class TestContainmentGeometry:
 
     def test_lift_inverts_reduction(self, rng):
         pts = rng.normal(size=(4, 3))
-        h = Hull(pts)
-        np.testing.assert_allclose(h.lift(h.reduced_points()), pts, atol=1e-9)
-
-    def test_sample_inside(self, rng):
-        h = Hull(rng.normal(size=(5, 3)))
-        for x in h.sample(rng, 10):
-            assert h.contains(x, tol=1e-7)
-
-    def test_equality_same_set(self):
-        h1 = Hull(SQUARE)
-        h2 = Hull(np.vstack([SQUARE[::-1], [[0.3, 0.3]]]))
-        assert h1 == h2
-
-    def test_inequality(self):
-        assert Hull(SQUARE) != Hull(SQUARE * 2.0)
-
-    def test_equality_dim_mismatch(self):
-        assert Hull(SQUARE) != Hull(np.zeros((2, 3)))
+        origin, basis = affine_basis(pts)
+        red = (pts - origin) @ basis.T
+        np.testing.assert_allclose(origin + red @ basis, pts, atol=1e-9)
 
 
 @given(st.integers(0, 100_000), st.integers(2, 5), st.integers(1, 8))

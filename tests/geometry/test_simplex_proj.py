@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.geometry.simplex_proj import project_rows_to_simplex, project_to_simplex
+from repro.geometry.simplex_proj import project_to_simplex
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 
@@ -73,16 +73,3 @@ class TestProjectToSimplex:
             e[j] = 1.0
             assert g @ (e - out) <= 1e-8
 
-
-class TestRowwise:
-    def test_matches_single(self, rng):
-        V = rng.normal(size=(6, 5)) * 3
-        batch = project_rows_to_simplex(V)
-        for i in range(6):
-            np.testing.assert_allclose(
-                batch[i], project_to_simplex(V[i]), atol=1e-12
-            )
-
-    def test_rejects_bad_radius(self):
-        with pytest.raises(ValueError):
-            project_rows_to_simplex(np.ones((2, 2)), radius=-1.0)

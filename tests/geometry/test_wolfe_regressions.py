@@ -52,14 +52,14 @@ class TestWolfeRegression:
     def test_wolfe_matches_lp_on_cluster(self):
         """Euclidean distances from the cluster agree with the exact
         L_inf/L1 LP sandwich: d_inf <= d_2 <= d_1."""
-        from repro.geometry.distance import distance_l1, distance_linf
+        from repro.geometry.distance import distance_linf, distance_to_hull
 
         rng = np.random.default_rng(1)
         for _ in range(20):
             x = rng.normal(size=5) * 3
             d2 = nearest_point_l2(CRASH_S, x).distance
             assert distance_linf(CRASH_S, x) <= d2 + 1e-7
-            assert d2 <= distance_l1(CRASH_S, x) + 1e-7
+            assert d2 <= distance_to_hull(CRASH_S, x, 1).distance + 1e-7
 
     def test_duplicate_points(self):
         """Exact duplicates (multiset inputs) don't break the support

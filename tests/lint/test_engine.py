@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import all_rules, get_rule, lint_paths, lint_sources
+from repro.lint import all_rules, lint_paths, lint_sources
 from repro.lint.engine import logical_path_for
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -28,13 +28,9 @@ def test_registry_has_all_documented_rules():
     assert set(FIXTURE_RULES.values()) <= ids
 
 
-def test_get_rule_unknown_id():
-    with pytest.raises(KeyError):
-        get_rule("NOPE999")
-
-
 def test_every_fixture_exists_for_every_rule_family():
-    families = {get_rule(rid).family for rid in FIXTURE_RULES.values()}
+    by_id = {r.id: r for r in all_rules()}
+    families = {by_id[rid].family for rid in FIXTURE_RULES.values()}
     assert families == {"determinism", "float-safety", "resilience-bounds",
                         "handler-hygiene", "observability"}
 

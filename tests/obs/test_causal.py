@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from repro.analysis.timeline import CausalGraph
 from repro.core.runner import run
 from repro.core.runspec import RunSpec
 from repro.obs import validate_records
@@ -70,25 +71,26 @@ class TestHappensBefore:
         return c
 
     def test_cone_spans_the_whole_chain(self):
-        c = self._chain()
-        decide = c.decide_event(2)
+        graph = CausalGraph.from_source(self._chain())
+        decide = graph.decide_eid(2)
         assert decide is not None
-        assert c.causal_cone(decide.eid) == [0, 1, 2, 3, 4]
+        assert graph.causal_cone(decide) == [0, 1, 2, 3, 4]
 
     def test_cone_excludes_concurrent_events(self):
         c = self._chain()
         # a concurrent message 0 -> 1 the decide never saw
         c.on_send(0, 1, "late", time=2)
-        decide = c.decide_event(2)
-        cone = c.causal_cone(decide.eid)
+        graph = CausalGraph.from_source(c)
+        cone = graph.causal_cone(graph.decide_eid(2))
         assert c.events[-1].eid not in cone
 
     def test_cone_clock_dominance(self):
         # vector-clock characterisation: everything in the causal past of
         # the decide is componentwise <= the decide's clock
         c = self._chain()
-        decide = c.decide_event(2)
-        for eid in c.causal_cone(decide.eid):
+        graph = CausalGraph.from_source(c)
+        decide = c.events[graph.decide_eid(2)]
+        for eid in graph.causal_cone(decide.eid):
             ev = c.events[eid]
             assert all(
                 a <= b for a, b in zip(ev.clock, decide.clock)
@@ -97,14 +99,14 @@ class TestHappensBefore:
     def test_predecessors_program_order_and_cause(self):
         c = self._chain()
         deliver_at_2 = next(e for e in c.events if e.kind == "deliver" and e.pid == 2)
-        preds = c.predecessors(deliver_at_2.eid)
+        preds = CausalGraph.from_source(c).predecessors(deliver_at_2.eid)
         send_from_1 = next(e for e in c.events if e.kind == "send" and e.pid == 1)
         assert send_from_1.eid in preds
 
     def test_cone_bad_eid_raises(self):
-        c = self._chain()
+        graph = CausalGraph.from_source(self._chain())
         with pytest.raises(IndexError):
-            c.causal_cone(999)
+            graph.causal_cone(999)
 
 
 class TestRecords:
@@ -146,10 +148,11 @@ class TestIntegration:
         # every decided correct pid has a decide event whose cone contains
         # only messages delivered to it (its delivers all have dst == pid
         # or are upstream deliveries at other processes)
+        graph = CausalGraph.from_source(collector)
         for pid in outcome.decisions:
-            decide = collector.decide_event(pid)
+            decide = graph.decide_eid(pid)
             assert decide is not None, f"pid {pid} decided without a mark"
-            cone = set(collector.causal_cone(decide.eid))
+            cone = set(graph.causal_cone(decide))
             own_delivers = [
                 by_eid[eid] for eid in cone
                 if by_eid[eid].kind == "deliver" and by_eid[eid].pid == pid

@@ -308,3 +308,6 @@ class TestAggregateMetrics:
         assert hist["total"] == 40.0
         assert hist["mean"] == 10.0
         assert (hist["min"], hist["max"]) == (4.0, 20.0)
+        # the nodes' quantiles do not determine the merged samples' (the
+        # p99 of {10, 20, 4, 6} is 19.7; a count-weighted mean says 13.0)
+        assert not {"p50", "p90", "p99"} & set(hist)

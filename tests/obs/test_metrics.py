@@ -8,7 +8,6 @@ from repro.obs import MetricsRegistry, use_registry
 from repro.obs.metrics import (
     active_registry,
     current_registry,
-    global_registry,
     inc,
     observe,
     set_gauge,
@@ -78,10 +77,11 @@ class TestHistograms:
 
 class TestAmbientRegistry:
     def test_global_is_default(self):
-        assert current_registry() is global_registry()
+        assert isinstance(current_registry(), MetricsRegistry)
         assert active_registry() is None
 
     def test_use_registry_scopes(self):
+        ambient = current_registry()
         reg = MetricsRegistry()
         with use_registry(reg):
             assert current_registry() is reg
@@ -89,9 +89,9 @@ class TestAmbientRegistry:
             inc("scoped")
             observe("scoped.h", 1.0)
             set_gauge("scoped.g", 2.0)
-        assert current_registry() is global_registry()
+        assert current_registry() is ambient
         assert reg.counter_value("scoped") == 1
-        assert global_registry().counter_value("scoped") == 0
+        assert ambient.counter_value("scoped") == 0
 
     def test_nested_registries(self):
         outer, inner = MetricsRegistry(), MetricsRegistry()

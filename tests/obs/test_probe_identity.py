@@ -57,17 +57,6 @@ class TestAggregation:
         for agg in summary["per_algorithm"].values():
             assert agg["probe_violations"] == 0
 
-    def test_trial_result_round_trips_probe_count(self):
-        from repro.exec.results import TrialResult
-
-        probed = run_grid(_grid(probes=("all",)))
-        trial = replace(probed.trials[0], probe_violations=3)
-        assert TrialResult.from_dict(trial.to_dict()).probe_violations == 3
-        # pre-probe files (no key at all) default to zero
-        d = trial.to_dict()
-        del d["probe_violations"]
-        assert TrialResult.from_dict(d).probe_violations == 0
-
     def test_grid_rejects_unknown_probe_name(self):
         import pytest
 

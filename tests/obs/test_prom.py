@@ -71,6 +71,16 @@ class TestMetricsRendering:
         assert "# TYPE repro_sched_sync_backlog gauge" in text
         assert "# TYPE repro_sched_round_seconds summary" in text
 
+    def test_quantile_free_summary_is_sum_and_count(self):
+        # a fleet merge carries no quantiles: render none
+        record = {"type": "histogram", "count": 4, "total": 40.0,
+                  "min": 4.0, "max": 20.0, "mean": 10.0}
+        got = samples(render_metrics_snapshot({"net.live.queue_wait_us": record}))
+        assert got == {
+            ("repro_net_live_queue_wait_us_sum", ()): 40.0,
+            ("repro_net_live_queue_wait_us_count", ()): 4.0,
+        }
+
     def test_untouched_gauge_is_omitted(self):
         reg = MetricsRegistry()
         reg.gauge("sched.sync.backlog")  # registered but never set

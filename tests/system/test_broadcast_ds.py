@@ -13,7 +13,7 @@ from repro.system.adversary import (
     MutateStrategy,
     SilentStrategy,
 )
-from repro.system.broadcast.dolev_strong import DolevStrongState, ds_total_rounds
+from repro.system.broadcast.dolev_strong import DolevStrongState
 from repro.system.crypto import SignatureScheme
 from repro.system.messages import Message
 
@@ -65,9 +65,6 @@ class TestDSUnit:
         assert st.decide() == "a"
         st.receive(1, 0, ("b", (s2,)))
         assert st.decide() == "DEFAULT"
-
-    def test_total_rounds(self):
-        assert ds_total_rounds(2) == 4
 
     def test_round0_burst_shares_one_payload_object(self, rng):
         # n destinations, one payload: the network sizes a burst once.

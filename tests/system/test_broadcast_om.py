@@ -15,7 +15,7 @@ from repro.system.adversary import (
     MutateStrategy,
     SilentStrategy,
 )
-from repro.system.broadcast.om import EIGState, eig_total_rounds
+from repro.system.broadcast.om import EIGState
 
 from .broadcast_harness import counters, run_eig
 
@@ -65,10 +65,6 @@ class TestEIGStateUnit:
         st.receive(1, 0, "garbage")
         st.receive(1, 0, (None, "x"))
         assert st.tree == {}
-
-    def test_total_rounds(self):
-        assert eig_total_rounds(1) == 3
-        assert eig_total_rounds(2) == 4
 
     def test_round0_burst_shares_one_payload_object(self):
         # n destinations, one payload: the network sizes a burst once.

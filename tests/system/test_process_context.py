@@ -50,12 +50,6 @@ class TestContext:
         with pytest.raises(RuntimeError):
             ctx.decide("w")
 
-    def test_halt_flag(self):
-        ctx = make_ctx()
-        assert not ctx.halted
-        ctx.halt()
-        assert ctx.halted
-
     def test_per_process_rng_independent(self):
         c1 = Context(0, 2, 0, np.random.default_rng(1))
         c2 = Context(1, 2, 0, np.random.default_rng(2))
@@ -69,7 +63,7 @@ class HaltEarly(SyncProcess):
         if r == 0:
             ctx.broadcast("x", ctx.pid, round=0)
         else:
-            ctx.halt()
+            ctx.halted = True
 
 
 class TestHaltBehaviour:
@@ -86,7 +80,7 @@ class TestHaltBehaviour:
 
             def on_message(self, ctx, src, tag, payload):
                 self.seen += 1
-                ctx.halt()
+                ctx.halted = True
 
         procs = [HaltOnFirst() for _ in range(3)]
         sched = AsyncScheduler(procs, f=0)

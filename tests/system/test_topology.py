@@ -10,7 +10,6 @@ from repro.system.scheduler import SynchronousScheduler
 from repro.system.topology import (
     Topology,
     complete_topology,
-    erdos_renyi_topology,
     random_regular_topology,
     ring_lattice_topology,
     wheel_of_cliques_topology,
@@ -42,15 +41,6 @@ class TestTopology:
     def test_random_regular_rejects_degree(self):
         with pytest.raises(ValueError):
             random_regular_topology(4, 5)
-
-    def test_erdos_renyi_min_degree(self):
-        t = erdos_renyi_topology(12, 0.5, seed=1, min_degree=3)
-        assert t.min_degree() >= 3
-        assert t.is_connected()
-
-    def test_erdos_renyi_too_sparse(self):
-        with pytest.raises(RuntimeError):
-            erdos_renyi_topology(20, 0.01, seed=1)
 
     def test_wheel_of_cliques(self):
         t = wheel_of_cliques_topology(3, 3)
