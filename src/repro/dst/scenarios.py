@@ -44,7 +44,7 @@ from ..system.adversary import (
 )
 from ..system.messages import Message
 from ..system.network import Network
-from ..system.scheduler import DeliveryPolicy, FifoPolicy, RandomPolicy
+from ..system.scheduler import DeliveryPolicy, FifoPolicy, LinkDraw, RandomPolicy
 
 __all__ = [
     "FAULT_KINDS",
@@ -423,7 +423,7 @@ class ScenarioPolicy(DeliveryPolicy):
         self,
         links: Sequence[tuple[int, int]],
         network: Network,
-        rng: np.random.Generator,
+        rng: LinkDraw,
     ) -> tuple[int, int]:
         w = self._window_at(self.step)
         self.step += 1

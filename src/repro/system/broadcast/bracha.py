@@ -33,10 +33,31 @@ __all__ = ["BrachaState", "INIT", "ECHO", "READY"]
 
 INIT, ECHO, READY = "init", "echo", "ready"
 
-#: "Nothing keyed yet" — ``None`` is a legitimate broadcast value.
-_NO_VALUE: Any = object()
 #: What serialising a value no correct process would send can raise.
 _UNKEYABLE = (pickle.PickleError, TypeError, AttributeError, RecursionError)
+
+#: Canonical key of every deeply immutable value object a BrachaState
+#: serialised, by identity, shared by all instances (see _key).  Each
+#: entry holds its object, so an id is never reused while it is keyed.
+#: Cleared wholesale (never iterated) when it outgrows the bound.
+_KEYS: dict[int, tuple[Any, bytes]] = {}
+_KEYS_MAX = 4096
+
+
+def _key(value: Any) -> bytes:
+    """Serialise a value :meth:`BrachaState.on_message` found in no entry.
+
+    In the simulator a payload travels by reference: the INIT, ECHO and
+    READY copies of one broadcast, at every receiver, carry one object,
+    so one serialisation keys them all.  Only an object nothing can
+    mutate is remembered — anything else is serialised on every delivery.
+    """
+    key = canonical_bytes(value)
+    if is_deeply_immutable(value):
+        if len(_KEYS) > _KEYS_MAX:
+            _KEYS.clear()
+        _KEYS[id(value)] = (value, key)
+    return key
 
 
 class BrachaState:
@@ -60,9 +81,6 @@ class BrachaState:
         self._echoes: dict[bytes, set[int]] = {}
         self._readys: dict[bytes, set[int]] = {}
         self._values: dict[bytes, Any] = {}
-        # The value object serialised last, and its key (see _key).
-        self._keyed: Any = _NO_VALUE
-        self._keyed_bytes = b""
         # Phase messages handled since the last publish_counts().
         self._seen = {INIT: 0, ECHO: 0, READY: 0}
         self.delivered_value: Optional[Any] = None
@@ -92,20 +110,6 @@ class BrachaState:
         voters = votes[key] = set()
         return voters
 
-    def _key(self, value: Any) -> bytes:
-        """Serialise a value :meth:`on_message` did not find remembered.
-
-        In the simulator a payload travels by reference: the n ECHO /
-        READY copies of one broadcast carry the object its INIT did, so
-        one serialisation keys them all.  Holding the object keeps the
-        identity test sound, and only an object nothing can mutate is
-        held — anything else is serialised on every delivery.
-        """
-        key = canonical_bytes(value)
-        if is_deeply_immutable(value):
-            self._keyed, self._keyed_bytes = value, key
-        return key
-
     def publish_counts(self) -> None:
         """Add the phase messages handled so far to the ambient
         ``bcast.bracha.init / echo / ready`` counters.
@@ -134,11 +138,12 @@ class BrachaState:
             return []
         if type(phase) is not str or phase not in self._seen:
             return []  # no such phase: nothing to vote on
-        if value is self._keyed:
-            key = self._keyed_bytes
+        hit = _KEYS.get(id(value))
+        if hit is not None and hit[0] is value:
+            key = hit[1]
         else:
             try:
-                key = self._key(value)
+                key = _key(value)
             except _UNKEYABLE:
                 _obs.inc("bcast.bracha.malformed")
                 return []

@@ -32,6 +32,8 @@ __all__ = [
 #: Assumed wire cost of fixed-width fields (ids, seq, round, framing).
 _ENVELOPE_BYTES = 24
 _SCALAR_BYTES = 8
+#: Exact types that :func:`estimate_bytes` counts as one scalar slot.
+_SIZED_SCALARS = frozenset({int, float, bool, type(None)})
 
 
 def estimate_bytes(obj: Any) -> int:
@@ -42,6 +44,9 @@ def estimate_bytes(obj: Any) -> int:
     bytes, strings/bytes their length, NumPy arrays their buffer size,
     containers the sum of their items plus a small per-item overhead.
     """
+    if type(obj) is tuple and _SIZED_SCALARS.issuperset(map(type, obj)):
+        # A flat run of numbers (an honest vector) without a call per item.
+        return 2 + _SCALAR_BYTES * len(obj)
     if obj is None or isinstance(obj, (int, float, bool, np.generic)):
         return _SCALAR_BYTES
     if isinstance(obj, (str, bytes)):
@@ -73,9 +78,10 @@ def defensive_copy(obj: Any) -> Any:
     a mutation through either reference silently corrupts the other — in
     a Byzantine-fault simulator that can masquerade as equivocation.
     Retained payloads must go through this helper (enforced by the HYG002
-    lint rule).  Immutable scalars are returned as-is.
+    lint rule).  Immutable scalars and deeply immutable tuples of them
+    (what ``copy.deepcopy`` would hand back unchanged) are returned as-is.
     """
-    if isinstance(obj, _IMMUTABLE):
+    if isinstance(obj, _IMMUTABLE) or is_deeply_immutable(obj):
         return obj
     return copy.deepcopy(obj)
 

@@ -51,6 +51,7 @@ __all__ = [
     "RunResult",
     "SynchronousScheduler",
     "DeliveryPolicy",
+    "LinkDraw",
     "RandomPolicy",
     "FifoPolicy",
     "DelayPolicy",
@@ -361,11 +362,69 @@ class SynchronousScheduler(_Simulator):
 # ---------------------------------------------------------------------------
 
 
+_WORD = 0xFFFFFFFF
+#: 64-bit PCG64 outputs fetched per refill of a :class:`LinkDraw`.
+_RAW_BATCH = 256
+
+
+class LinkDraw:
+    """``Generator.integers(low, high)`` for one PCG64 stream, answered
+    from a buffer of raw words instead of one NumPy call per draw.
+
+    Each draw equals ``int(rng.integers(low, high))`` on a twin of
+    ``rng``: NumPy's Lemire bounded-int32 method over the same 32-bit
+    words (the low, then the high half of each 64-bit output, starting
+    from the state's buffered half-word).  Building it reads ``rng``'s
+    state; from then on the draw owns the stream, and ``rng`` itself
+    must not be drawn from again.  ``integers`` is the whole interface:
+    it is what a :class:`DeliveryPolicy` receives as ``rng``.
+    """
+
+    __slots__ = ("_rng", "_words")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        bitgen = rng.bit_generator
+        if type(bitgen) is not np.random.PCG64:
+            raise TypeError(
+                f"LinkDraw replicates PCG64 only, not {type(bitgen).__name__}"
+            )
+        state = bitgen.state
+        self._rng = rng
+        # Words still to hand out, next one last (``list.pop`` order).
+        self._words = [state["uinteger"]] if state["has_uint32"] else []
+
+    def _refill(self) -> list[int]:
+        raw = self._rng.bit_generator.random_raw(_RAW_BATCH)
+        halves = np.column_stack((raw & _WORD, raw >> 32))  # low, high
+        self._words = halves.ravel()[::-1].tolist()
+        return self._words
+
+    def integers(self, low: int, high: int) -> int:
+        """A uniform int in ``[low, high)``, exactly as NumPy draws it."""
+        k = high - low
+        if k == 1:  # NumPy draws no word for a one-value range
+            return low
+        if not 1 < k <= 1 << 32:
+            raise ValueError(f"range size {k} outside [1, 2**32]")
+        words = self._words or self._refill()
+        m = words.pop() * k
+        if m & _WORD < k:
+            reject_below = ((1 << 32) - k) % k
+            while m & _WORD < reject_below:
+                words = self._words or self._refill()
+                m = words.pop() * k
+        return low + (m >> 32)
+
+
 class DeliveryPolicy:
-    """Chooses which pending link delivers next."""
+    """Chooses which pending link delivers next.
+
+    ``rng`` is the scheduler's :class:`LinkDraw`: a policy draws with
+    ``rng.integers(low, high)``, and every draw is part of the schedule.
+    """
 
     def choose(
-        self, links: Sequence[tuple[int, int]], network: Network, rng: np.random.Generator
+        self, links: Sequence[tuple[int, int]], network: Network, rng: LinkDraw
     ) -> tuple[int, int]:
         raise NotImplementedError
 
@@ -445,9 +504,10 @@ class AsyncScheduler(_Simulator):
         self.steps = 0
         self._view = AdversaryView(round=None, n=self.n, f=self.f,
                                    rng=self._adv_rng)
-        self._queue_gauge = self.metrics.gauge(
-            f"sched.async.queue_depth.{type(self.policy).__name__}"
-        )
+        # Built after the contexts and the adversary are seeded from
+        # ``self.rng``: from here on only the delivery policy draws from
+        # it.  It lives on the scheduler, so a deepcopy forks its buffer.
+        self._draw = LinkDraw(self.rng)
         #: Correct processes yet to decide.  A process decides only inside
         #: its own handler, so one look after each handler keeps this exact.
         self._undecided: set[int] = set()
@@ -483,8 +543,7 @@ class AsyncScheduler(_Simulator):
         links = network.pending_links()
         if not links:
             return None
-        self._queue_gauge.set(network.pending_count())
-        msg = network.pop(self.policy.choose(links, network, self.rng))
+        msg = network.pop(self.policy.choose(links, network, self._draw))
         self.steps += 1
         send_eid = None
         if self.collector.enabled:

@@ -100,17 +100,6 @@ class TestAsyncSchedulerMetrics:
         assert m.counter_value("net.bytes_estimate") > 0
         assert m.counter_value("net.delivered.tok") > 0
 
-    def test_queue_depth_gauge_named_after_policy(self):
-        res = AsyncScheduler(
-            [TokenCounter() for _ in range(4)],
-            f=1,
-            policy=DelayPolicy(victims=[0]),
-            adversary=Adversary(faulty=[3], strategy=SilentStrategy()),
-        ).run()
-        g = res.metrics.gauge("sched.async.queue_depth.DelayPolicy")
-        assert g.updates > 0
-        assert g.max >= 1
-
     def test_delay_policy_starvation_counter(self):
         pol = DelayPolicy(victims=[0])
         res = AsyncScheduler(

@@ -114,7 +114,9 @@ def fresh(value):
 
 @pytest.fixture
 def keyed(monkeypatch):
-    """The values ``canonical_bytes`` was asked to serialise, in order."""
+    """The values ``canonical_bytes`` was asked to serialise, in order,
+    starting from an empty shared key memo."""
+    monkeypatch.setattr(bracha, "_KEYS", {})
     calls = []
 
     def spy(value):
@@ -126,7 +128,7 @@ def keyed(monkeypatch):
 
 
 class TestVoteKey:
-    """A vote is keyed by the object it carries: serialised when the
+    """A vote is keyed by the object it carries: serialised when any
     instance first sees that object, looked up by identity afterwards."""
 
     VALUE = ("val", (0.5, -1.25))
@@ -141,6 +143,16 @@ class TestVoteKey:
                 state.on_message(src, (phase, self.VALUE))
         assert len(keyed) == 1
         assert state.delivered and state.delivered_value == self.VALUE
+
+    def test_one_object_is_serialised_once_per_run(self, keyed):
+        # Every receiver of one broadcast keys its copies from one entry.
+        states = [BrachaState(4, 1, 0, pid) for pid in range(4)]
+        for state in states:
+            state.on_message(0, (INIT, self.VALUE))
+            for src in range(4):
+                state.on_message(src, (ECHO, self.VALUE))
+        assert len(keyed) == 1
+        assert all(s._readied for s in states)
 
     def test_equal_but_distinct_objects_vote_together(self, keyed):
         # The live shape: every vote is a freshly decoded tuple.  Each
@@ -265,10 +277,15 @@ class TestHostileValues:
 
 
 class _RekeyingBracha(BrachaState):
-    """The reference: serialises the value of every message."""
+    """The reference: serialises the value of every message (each one
+    sees an empty key memo of its own)."""
 
-    def _key(self, value):
-        return canonical_bytes(value)
+    def on_message(self, src, payload):
+        shared, bracha._KEYS = bracha._KEYS, {}
+        try:
+            return super().on_message(src, payload)
+        finally:
+            bracha._KEYS = shared
 
 
 #: Identical objects (each index names one object, delivered again and
