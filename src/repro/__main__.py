@@ -2,26 +2,23 @@
 
 Commands
 --------
-``demo``      run a quick end-to-end ALGO demonstration
-``bounds``    print the paper's process-count bounds for given (d, f)
-``delta``     compute δ*(S) for random or provided inputs
-``verdicts``  execute the impossibility constructions for a given d
+``claims``    the paper's answers for one (d, f): the tight process-count
+              bounds, δ*(S) of random inputs, and the Theorem 3–6
+              impossibility constructions
+``explain``   run one spec under causal tracing and reconstruct the
+              provenance (causal cone) of a process's decision
 ``fuzz``      deterministic-simulation soak test of one algorithm
+``replay``    re-execute a replay token / seed file; ``--shrink`` minimises
+              the violating scenario instead
 ``sweep``     run an experiment grid (algorithm × d × f × n × adversary),
               optionally across a worker pool, with serial/parallel
               bit-identity checking and a JSON report
-``shrink``    minimise a violating scenario while the violation persists
-``replay``    re-execute a replay token / seed file under full tracing
-``explain``   run one spec under causal tracing and reconstruct the
-              provenance (causal cone) of a process's decision
-``trace``     run any other command under the tracer, dump JSONL + summary
-``metrics``   Prometheus text-format snapshots: ``serve`` a scrapeable
-              endpoint, ``snapshot`` to stdout/file, ``diff`` counter
-              deltas between two exported JSONL traces
-``node``      run ONE live consensus node (own OS process) from a
-              topology file; prints a one-line JSON decision record
 ``launch``    spawn an n-node local live cluster (TCP or UDS), collect
               every node's decision, and judge agreement
+``node``      run ONE live consensus node (own OS process) from a
+              topology file; prints a one-line JSON decision record
+``fleet``     stitch per-node live trails: causal graph, post-hoc probes,
+              cross-node explanations, aggregated Prometheus metrics
 ``lint``      protocol-aware static analysis in one pass: single-file
               rule families (determinism/float-safety/resilience-
               bounds/handler-hygiene/observability) and whole-program
@@ -29,34 +26,36 @@ Commands
               provenance, transport readiness); SARIF output and a
               stale-suppression audit (``--check-noqa``)
 
-``fuzz``/``shrink``/``replay`` are the deterministic simulation-testing
-loop (see ``docs/fuzzing.md``): every violation ``fuzz`` prints comes
-with a replay token; ``shrink`` minimises it; ``replay`` reproduces it
-bit-for-bit with a span/metrics forensic trail.
+``fuzz``/``replay`` are the deterministic simulation-testing loop (see
+``docs/fuzzing.md``): every violation ``fuzz`` prints comes with a replay
+token; ``replay --shrink`` minimises it; ``replay`` reproduces it
+bit-for-bit.
 
 Every command accepts ``--quiet`` / ``--verbose``, wired to the tracer's
 log level (``--verbose`` echoes debug events to stderr as they happen).
+``explain``, ``fuzz``, ``replay`` and ``sweep`` also take ``--trace-out
+FILE``: the run's spans, events and metrics go to FILE as JSONL and a
+timing summary follows the command's own output (``--verbose`` adds the
+span tree).  Every bad argument exits 2 with one ``error:`` line.
 
 Examples::
 
-    python -m repro demo --d 4 --seed 3
-    python -m repro bounds --d 5 --f 2
-    python -m repro delta --n 5 --d 4 --f 1 --seed 0
-    python -m repro verdicts --d 3
-    python -m repro fuzz --algorithm averaging --trials 50 --seed 7
-    python -m repro fuzz --algorithm algo --trials 5 --inject split-brain
-    python -m repro sweep --algorithms algo,exact --d 2,3 --reps 4 --workers 4
-    python -m repro sweep --reps 8 --workers 2 --compare --out sweep.json
-    python -m repro shrink --token dst1-...
-    python -m repro replay --token dst1-... --trace failure.jsonl
+    python -m repro claims --d 5 --f 2
+    python -m repro claims --d 4 --n 5 --seed 0 --p inf
+    python -m repro explain --algorithm algo --d 4 --seed 3
+    python -m repro explain --algorithm algo --d 3 --trace-out run.jsonl
     python -m repro explain --algorithm algo --d 2 --f 1 --pid 0 --probes all
     python -m repro explain --algorithm averaging --format dot --out cone.dot
-    python -m repro trace --out run.jsonl demo --d 3
-    python -m repro trace --flame sweep --algorithms algo,averaging --reps 2
-    python -m repro metrics serve --demo --port 9464 --max-requests 1
-    python -m repro metrics snapshot --from run.jsonl
+    python -m repro fuzz --algorithm averaging --trials 50 --seed 7
+    python -m repro fuzz --algorithm algo --trials 5 --inject split-brain
+    python -m repro replay --shrink --token dst1-... --out seed.json
+    python -m repro replay --token dst1-... --trace-out failure.jsonl
+    python -m repro sweep --algorithms algo,exact --d 2,3 --reps 4 --workers 4
+    python -m repro sweep --reps 8 --workers 2 --compare --out sweep.json
+    python -m repro sweep --algorithms algo,averaging --reps 2 --trace-out s.jsonl
     python -m repro launch --algorithm averaging --n 4 --d 2 --transport tcp
     python -m repro node --topology cluster/topology.json --id 2
+    python -m repro fleet metrics --trail-dir traces --out fleet.prom
     python -m repro lint src/repro benchmarks examples --check-noqa
     python -m repro lint src/repro benchmarks examples --format sarif
     python -m repro lint --list-rules
@@ -65,66 +64,59 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from typing import Any, Optional
 
 import numpy as np
 
 
-def _fail(message: str) -> int:
-    """Clean CLI error: one line on stderr, exit code 2, no traceback."""
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+class UsageError(Exception):
+    """A bad argument or an unusable path: ``main`` prints one ``error:``
+    line and exits 2, never a traceback."""
 
 
-def _cmd_demo(args: argparse.Namespace) -> int:
-    from .core import RunSpec, run
-    from .core.bounds import exact_bvc_min_n, theorem9_bound
-    from .obs import trace_event
-    from .system import Adversary
+def _write(path: str, content: "str | list[dict[str, Any]]", quiet: bool) -> None:
+    """Write one output file: text, or a list of JSONL records."""
+    from .obs.export import dump_jsonl
+
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            if isinstance(content, str):
+                fh.write(content)
+            else:
+                dump_jsonl(content, fh)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc}") from None
+    if not quiet:
+        lines = "" if isinstance(content, str) else f" ({len(content)} lines)"
+        print(f"wrote {path}{lines}")
+
+
+def _json_text(doc: Any, sort_keys: bool = True) -> str:
+    return json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n"
+
+
+def _cmd_claims(args: argparse.Namespace) -> int:
+    from .core import (
+        bounds,
+        theorem3_verdict,
+        theorem4_verdict,
+        theorem5_verdict,
+        theorem6_verdict,
+    )
+    from .geometry import delta_star
+    from .geometry.norms import max_edge_length, min_edge_length
 
     d, f = args.d, args.f
     n = args.n if args.n is not None else d + 1
-    if d < 1:
-        return _fail(f"--d must be >= 1, got {d}")
-    if f < 1:
-        return _fail(f"--f must be >= 1, got {f}")
-    if n < 3 * f + 1:
-        return _fail(
-            f"inconsistent system size: ALGO requires n >= 3f+1 "
-            f"(got --n {n}, --f {f}; try --n {3 * f + 1} or larger)"
-        )
-    rng = np.random.default_rng(args.seed)
-    inputs = rng.normal(size=(n, d))
-    inputs[-1] = 25.0  # adversarially chosen faulty input
-    if not args.quiet:
-        print(f"n={n}, d={d}, f={f}; exact BVC needs n >= {exact_bvc_min_n(d, f)}")
-    trace_event("demo.start", n=n, d=d, f=f, seed=args.seed)
-    try:
-        run(RunSpec(algorithm="exact", inputs=inputs, f=f,
-                    adversary=Adversary(faulty=[n - 1])))
-        if not args.quiet:
-            print("exact BVC: succeeded (Γ nonempty for this instance)")
-    except ValueError as exc:
-        if not args.quiet:
-            print(f"exact BVC: {exc}")
-    out = run(RunSpec(algorithm="algo", inputs=inputs, f=f,
-                      adversary=Adversary(faulty=[n - 1])))
-    trace_event("demo.done", ok=out.ok, delta=out.delta_used)
-    print(f"ALGO: ok={out.ok}  δ*={out.delta_used:.6f}  "
-          f"(Theorem 9 bound {theorem9_bound(out.honest_inputs, n):.6f})")
-    if not args.quiet:
-        print(f"decision: {np.round(next(iter(out.decisions.values())), 4)}")
-        m = out.metrics
-        print(f"traffic: {m.counter_value('net.messages_sent')} messages, "
-              f"~{m.counter_value('net.bytes_estimate')} bytes, "
-              f"{m.counter_value('geometry.delta_star.calls')} δ* solves")
-    return 0
+    if d < 2:
+        raise UsageError(f"--d must be >= 2 (Theorem 5's construction), got {d}")
+    if n < 2:
+        raise UsageError(f"--n must be >= 2, got {n}")
+    if not 0 <= f < n:
+        raise UsageError(f"inconsistent --n/--f: need 0 <= f < n, got n={n}, f={f}")
 
-
-def _cmd_bounds(args: argparse.Namespace) -> int:
-    from .core import bounds
-
-    d, f = args.d, args.f
     rows = [
         ("exact BVC (sync)", bounds.exact_bvc_min_n(d, f)),
         ("approximate BVC (async)", bounds.approx_bvc_min_n(d, f)),
@@ -142,42 +134,18 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         k = bounds.kappa(3 * f + 1, f, d, 2)
         print(f"  κ(3f+1={3 * f + 1}, f, d, 2) = {k:.4f}  "
               f"(δ* < κ · max-edge at the minimum system size)")
-    return 0
 
-
-def _cmd_delta(args: argparse.Namespace) -> int:
-    from .geometry import delta_star
-    from .geometry.norms import max_edge_length, min_edge_length
-
-    if args.n < 2:
-        return _fail(f"--n must be >= 2, got {args.n}")
-    if not 0 <= args.f < args.n:
-        return _fail(
-            f"inconsistent --n/--f: need 0 <= f < n, got n={args.n}, f={args.f}"
-        )
     rng = np.random.default_rng(args.seed)
-    S = rng.normal(size=(args.n, args.d))
-    res = delta_star(S, args.f, p=args.p)
-    print(f"random inputs: n={args.n}, d={args.d}, f={args.f}, p={args.p}, "
-          f"seed={args.seed}")
+    S = rng.normal(size=(n, d))
+    res = delta_star(S, f, p=args.p)
+    print(f"\nrandom inputs: n={n}, d={d}, f={f}, p={args.p}, seed={args.seed}")
     print(f"δ*(S)      = {res.value:.9f}   (certified gap {res.gap:.2e})")
     print(f"minimiser  = {np.round(res.point, 5)}")
     print(f"min-edge/2 = {min_edge_length(S) / 2:.9f}")
-    if args.n >= 3:
-        print(f"max-edge/(n-2) = {max_edge_length(S) / (args.n - 2):.9f}")
-    return 0
+    if n >= 3:
+        print(f"max-edge/(n-2) = {max_edge_length(S) / (n - 2):.9f}")
 
-
-def _cmd_verdicts(args: argparse.Namespace) -> int:
-    from .core import (
-        theorem3_verdict,
-        theorem4_verdict,
-        theorem5_verdict,
-        theorem6_verdict,
-    )
-
-    d = args.d
-    print(f"impossibility constructions at d={d} (f=1):")
+    print(f"\nimpossibility constructions at d={d} (f=1):")
     if d >= 3:
         print(f"  Theorem 3 (k=2, n=d+1):      Ψ(Y) empty = {theorem3_verdict(d)}")
         sep, thr = theorem4_verdict(d)
@@ -192,16 +160,17 @@ def _cmd_verdicts(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from .dst import explore, save_seed, shrink
+    from .dst import encode_token, explore, save_seed, shrink
+    from .dst.explore import replay_command
 
     if args.trials < 1:
-        return _fail(f"--trials must be >= 1, got {args.trials}")
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
     try:
         violations = explore(args.algorithm, trials=args.trials,
                              seed=args.seed, inject=args.inject,
                              workers=args.workers)
     except ValueError as exc:
-        return _fail(str(exc))
+        raise UsageError(str(exc)) from None
     print(f"{args.trials} sampled scenarios of {args.algorithm!r}: "
           f"{len(violations)} invariant violations")
     for i, v in enumerate(violations):
@@ -211,14 +180,11 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
               f"faults={s.strategy_label()} windows={len(s.schedule)}")
         if args.shrink:
             res = shrink(s, invariant=v.invariant)
-            from .dst import encode_token
-
             small = res.shrunk
             print(f"      shrunk:   n={small.n} d={small.d} f={small.f} "
                   f"clauses={len(small.faults)} windows={len(small.schedule)} "
                   f"({res.accepted} edits kept of {res.attempts} tried)")
-            print(f"      replay: python -m repro replay --token "
-                  f"{encode_token(small)}")
+            print(f"      replay: {replay_command(encode_token(small))}")
         else:
             print(f"      replay: {v.replay_command}")
             print(f"      shrink: {v.shrink_command}")
@@ -259,14 +225,14 @@ def _str_tuple(text: str) -> tuple[str, ...]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    import json
     from contextlib import nullcontext
 
     from .exec import SweepGrid, compare_grid, run_grid
     from .geometry import cache_disabled
 
     if args.workers < 1:
-        return _fail(f"--workers must be >= 1, got {args.workers}")
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
+    cache_scope = cache_disabled if args.no_cache else nullcontext
     try:
         grid = SweepGrid(
             algorithms=args.algorithms,
@@ -281,15 +247,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             epsilon=args.epsilon,
             probes=args.probes if args.probes else (),
         )
+        with cache_scope():
+            if args.compare:
+                doc = compare_grid(grid, workers=args.workers,
+                                   chunksize=args.chunksize,
+                                   measure_cache=args.measure_cache)
+            else:
+                result = run_grid(grid, workers=args.workers,
+                                  chunksize=args.chunksize)
     except ValueError as exc:
-        return _fail(str(exc))
-    cache_scope = cache_disabled if args.no_cache else nullcontext
+        raise UsageError(str(exc)) from None
 
     if args.compare:
-        with cache_scope():
-            doc = compare_grid(grid, workers=args.workers,
-                               chunksize=args.chunksize,
-                               measure_cache=args.measure_cache)
         summary = doc["summary"]
         if not args.quiet:
             print(f"{doc['trial_count']} trials "
@@ -311,18 +280,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               f"{doc['identical']} "
               f"(digest {doc['decisions_digest']['serial'][:16]}...)")
         if args.out:
-            try:
-                with open(args.out, "w") as fh:
-                    json.dump(doc, fh, indent=2)
-                    fh.write("\n")
-            except OSError as exc:
-                return _fail(f"cannot write {args.out!r}: {exc}")
-            if not args.quiet:
-                print(f"wrote {args.out}")
+            _write(args.out, _json_text(doc, sort_keys=False), args.quiet)
         return 0 if doc["identical"] else 1
 
-    with cache_scope():
-        result = run_grid(grid, workers=args.workers, chunksize=args.chunksize)
     summary = result.summary()
     print(f"{result.trial_count} trials ({result.skipped_trials} trials "
           f"skipped), {result.ok_count} ok, workers={result.workers}, "
@@ -338,44 +298,35 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"  {name}: {row['ok']}/{row['trials']} ok, "
                   f"{row['messages']} msgs, {row['wall_seconds']:.3f}s")
     if args.out:
-        try:
-            result.save(args.out)
-        except OSError as exc:
-            return _fail(f"cannot write {args.out!r}: {exc}")
-        if not args.quiet:
-            print(f"wrote {args.out}")
+        _write(args.out, result.to_json() + "\n", args.quiet)
     return 0 if result.ok_count == result.trial_count else 1
 
 
-def _resolve_scenario(args: argparse.Namespace):
-    """Shared --token/--seed-file resolution for shrink/replay.
-
-    Returns (scenario, seed_case_or_None) or an int error code.
-    """
+def _resolve_scenario(args: argparse.Namespace) -> tuple:
+    """``--token`` / ``--seed-file`` to (scenario, seed case or None)."""
     from .dst import decode_token
     from .dst.corpus import load_seed
 
     if bool(args.token) == bool(args.seed_file):
-        return _fail("provide exactly one of --token or --seed-file")
+        raise UsageError("provide exactly one of --token or --seed-file")
     if args.token:
         try:
             return decode_token(args.token), None
         except ValueError as exc:
-            return _fail(str(exc))
+            raise UsageError(str(exc)) from None
     try:
         case = load_seed(args.seed_file)
     except (OSError, ValueError, KeyError) as exc:
-        return _fail(f"cannot load seed file {args.seed_file!r}: {exc}")
+        raise UsageError(
+            f"cannot load seed file {args.seed_file!r}: {exc}"
+        ) from None
     return case.scenario, case
 
 
-def _cmd_shrink(args: argparse.Namespace) -> int:
+def _shrink(args: argparse.Namespace, scenario, case) -> int:
     from .dst import encode_token, save_seed, shrink
+    from .dst.explore import replay_command
 
-    resolved = _resolve_scenario(args)
-    if isinstance(resolved, int):
-        return resolved
-    scenario, case = resolved
     invariant = args.invariant
     if invariant is None and case is not None:
         invariant = case.expected_violation
@@ -383,7 +334,7 @@ def _cmd_shrink(args: argparse.Namespace) -> int:
         res = shrink(scenario, invariant=invariant,
                      max_attempts=args.max_attempts)
     except ValueError as exc:
-        return _fail(str(exc))
+        raise UsageError(str(exc)) from None
     o, s = res.original, res.shrunk
     print(f"shrinking while {res.invariant!r} stays violated: "
           f"{res.accepted} edits kept of {res.attempts} tried")
@@ -393,10 +344,13 @@ def _cmd_shrink(args: argparse.Namespace) -> int:
           f"windows={len(s.schedule)}")
     token = encode_token(s)
     print(f"  token:  {token}")
-    print(f"  replay: python -m repro replay --token {token}")
+    print(f"  replay: {replay_command(token)}")
     if args.out:
-        save_seed(args.out, s, expect={"violates": res.invariant},
-                  notes=args.notes or "shrunk counterexample")
+        try:
+            save_seed(args.out, s, expect={"violates": res.invariant},
+                      notes=args.notes or "shrunk counterexample")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out!r}: {exc}") from None
         print(f"  saved:  {args.out}")
     return 0
 
@@ -404,15 +358,17 @@ def _cmd_shrink(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     from .dst import replay
 
-    resolved = _resolve_scenario(args)
-    if isinstance(resolved, int):
-        return resolved
-    scenario, case = resolved
+    scenario, case = _resolve_scenario(args)
+    if args.shrink:
+        return _shrink(args, scenario, case)
+    stray = [f"--{name}" for name in ("invariant", "out", "notes")
+             if getattr(args, name)]
+    if stray:
+        raise UsageError(f"only valid with --shrink: {', '.join(stray)}")
     try:
-        report = replay(scenario, trace_path=args.trace,
-                        probes=args.probes if args.probes else ())
+        report = replay(scenario, probes=args.probes if args.probes else ())
     except ValueError as exc:
-        return _fail(str(exc))
+        raise UsageError(str(exc)) from None
     s = scenario
     print(f"replayed {s.algorithm!r}: n={s.n} d={s.d} f={s.f} seed={s.seed} "
           f"faults={s.strategy_label()} windows={len(s.schedule)}"
@@ -434,8 +390,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     m = report.metrics
     print(f"forensics: {len(report.tracer.spans)} spans, "
           f"{m.counter_value('net.messages_sent')} messages, "
-          f"{result.outcome.result.rounds} rounds/steps"
-          + (f" -> {report.trace_path}" if report.trace_path else ""))
+          f"{result.outcome.result.rounds} rounds/steps")
     if case is not None:
         mismatch = case.check(result)
         if mismatch:
@@ -448,44 +403,20 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 1 if not result.ok else 0
 
 
-def _cmd_explain(args: argparse.Namespace) -> int:
-    import json
-
+def _show(args: argparse.Namespace, graph) -> None:
+    """Render a causal graph in ``--format`` for ``--pid``, to ``--out``
+    or stdout (``explain`` and ``fleet explain``)."""
     from .analysis.timeline import (
-        CausalGraph,
         cone_json,
         render_dot,
         render_explanation,
         render_timeline,
     )
-    from .core import RunSpec, run
-    from .exec.grid import build_adversary, min_trial_size
-    from .obs.causal import CausalCollector, use_causal_collector
-    from .obs.export import dump_jsonl, header_record
 
-    n = args.n if args.n is not None else min_trial_size(
-        args.algorithm, args.d, args.f, args.k
-    )
-    try:
-        adversary = build_adversary(args.adversary, n, args.f)
-        spec = RunSpec(
-            algorithm=args.algorithm, n=n, d=args.d, f=args.f,
-            adversary=adversary, p=args.p, k=args.k, epsilon=args.epsilon,
-            rounds=args.rounds, seed=args.seed,
-            probes=args.probes if args.probes else (),
-        )
-    except ValueError as exc:
-        return _fail(str(exc))
-    collector = CausalCollector(n)
-    with use_causal_collector(collector):
-        try:
-            out = run(spec)
-        except ValueError as exc:
-            return _fail(str(exc))
-    graph = CausalGraph.from_source(collector)
-    decided = graph.decided_pids()
-    pid = args.pid if args.pid is not None else (decided[0] if decided else 0)
-
+    pid = args.pid
+    if pid is None:
+        decided = graph.decided_pids()
+        pid = decided[0] if decided else 0
     if args.format == "timeline":
         rendered = render_timeline(graph)
     elif args.format == "json":
@@ -495,47 +426,66 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     else:
         rendered = render_explanation(graph, pid)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(rendered + "\n")
-        except OSError as exc:
-            return _fail(f"cannot write {args.out!r}: {exc}")
-        if not args.quiet:
-            print(f"wrote {args.out}")
+        _write(args.out, rendered + "\n", args.quiet)
     else:
         print(rendered)
+
+
+def _runspec(args: argparse.Namespace, **fields: Any):
+    """The ``RunSpec`` of the shared spec options (see ``_spec_options``)."""
+    from .core import RunSpec
+
+    return RunSpec(
+        algorithm=args.algorithm, n=args.n, d=args.d, f=args.f,
+        seed=args.seed, p=args.p, k=args.k, epsilon=args.epsilon,
+        rounds=args.rounds, **fields,
+    )
+
+
+def _cmd_explain(args: argparse.Namespace) -> int:
+    from .analysis.timeline import CausalGraph
+    from .core import run
+    from .exec.grid import build_adversary, min_trial_size
+    from .obs.causal import CausalCollector, use_causal_collector
+    from .obs.export import header_record
+
+    try:
+        if args.n is None:
+            args.n = min_trial_size(args.algorithm, args.d, args.f, args.k)
+        spec = _runspec(
+            args, adversary=build_adversary(args.adversary, args.n, args.f),
+            probes=args.probes if args.probes else (),
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if args.pid is not None and not 0 <= args.pid < args.n:
+        raise UsageError(f"--pid must be in 0..{args.n - 1}, got {args.pid}")
+    collector = CausalCollector(args.n)
+    with use_causal_collector(collector):
+        try:
+            out = run(spec)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+    graph = CausalGraph.from_source(collector)
+    _show(args, graph)
     if not args.quiet:
-        print(f"\nrun: ok={out.ok} algorithm={args.algorithm} n={n} "
+        print(f"\nrun: ok={out.ok} algorithm={args.algorithm} n={args.n} "
               f"d={args.d} f={args.f} adversary={args.adversary} "
               f"seed={args.seed}; {len(graph)} causal events, "
-              f"decided pids {decided}")
+              f"decided pids {graph.decided_pids()}")
         for report in out.probe_reports:
             status = "ok" if report.ok else "VIOLATED"
             print(f"probe {report.name}: {status} "
                   f"({report.checks} checks, {len(report.violations)} "
                   f"violations)")
     if args.causal_out:
-        records = [header_record()] + collector.to_records()
-        try:
-            with open(args.causal_out, "w", encoding="utf-8") as fh:
-                lines = dump_jsonl(records, fh)
-        except OSError as exc:
-            return _fail(f"cannot write {args.causal_out!r}: {exc}")
-        if not args.quiet:
-            print(f"wrote {args.causal_out} ({lines} lines)")
+        _write(args.causal_out, [header_record()] + collector.to_records(),
+               args.quiet)
     return 0
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    import json
-
-    from .analysis.timeline import (
-        cone_json,
-        render_dot,
-        render_explanation,
-        render_timeline,
-    )
-    from .obs.export import dump_jsonl, header_record
+    from .obs.export import header_record
     from .obs.fleet import (
         aggregate_metrics,
         discover_trails,
@@ -548,7 +498,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if args.trail_dir:
         paths.extend(discover_trails(args.trail_dir))
     if not paths:
-        return _fail(
+        raise UsageError(
             "fleet needs per-node trails: positional JSONL files and/or "
             "--trail-dir (written by 'repro launch --trace-dir' or "
             "'repro node --trace')"
@@ -556,20 +506,14 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     try:
         trails = load_trails(sorted(set(paths)))
     except (OSError, ValueError) as exc:
-        return _fail(f"cannot load trails: {exc}")
+        raise UsageError(f"cannot load trails: {exc}") from None
 
     if args.action == "metrics":
         from .obs.prom import render_metrics_snapshot
 
         text = render_metrics_snapshot(aggregate_metrics(trails))
         if args.out:
-            try:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                return _fail(f"cannot write {args.out!r}: {exc}")
-            if not args.quiet:
-                print(f"wrote {args.out}")
+            _write(args.out, text, args.quiet)
         else:
             print(text, end="")
         return 0
@@ -577,7 +521,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     try:
         graph, report = stitch(trails)
     except (KeyError, ValueError) as exc:
-        return _fail(f"cannot stitch trails: {exc}")
+        raise UsageError(f"cannot stitch trails: {exc}") from None
 
     if not args.quiet:
         print(
@@ -590,14 +534,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     if args.action == "stitch":
         if args.out:
-            records = [header_record()] + list(graph.events)
-            try:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    lines = dump_jsonl(records, fh)
-            except OSError as exc:
-                return _fail(f"cannot write {args.out!r}: {exc}")
-            if not args.quiet:
-                print(f"wrote {args.out} ({lines} lines)")
+            _write(args.out, [header_record()] + list(graph.events), args.quiet)
         if not report.complete:
             print(
                 f"INCOMPLETE: {report.orphan_delivers} delivers have no "
@@ -610,7 +547,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         try:
             reports, context = fleet_probes(trails, graph, inject=args.inject)
         except ValueError as exc:
-            return _fail(str(exc))
+            raise UsageError(str(exc)) from None
         for probe in reports:
             status = "ok" if probe.ok else "VIOLATED"
             print(f"probe {probe.name}: {status} ({probe.checks} checks, "
@@ -630,151 +567,24 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 "context": context,
                 "ok": ok,
             }
-            try:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    json.dump(payload, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-            except OSError as exc:
-                return _fail(f"cannot write {args.out!r}: {exc}")
-            if not args.quiet:
-                print(f"wrote {args.out}")
+            _write(args.out, _json_text(payload), args.quiet)
         return 0 if ok else 1
 
     # explain: cross-node decision cone over the merged graph
-    decided = graph.decided_pids()
-    pid = args.pid if args.pid is not None else (decided[0] if decided else 0)
-    if args.format == "timeline":
-        rendered = render_timeline(graph)
-    elif args.format == "json":
-        rendered = json.dumps(cone_json(graph, pid), indent=2, sort_keys=True)
-    elif args.format == "dot":
-        rendered = render_dot(graph, pid=pid)
-    else:
-        rendered = render_explanation(graph, pid)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(rendered + "\n")
-        except OSError as exc:
-            return _fail(f"cannot write {args.out!r}: {exc}")
-        if not args.quiet:
-            print(f"wrote {args.out}")
-    else:
-        print(rendered)
-    return 0
-
-
-def _demo_sources() -> tuple:
-    """Populate a registry + profiler with a tiny instrumented workload."""
-    from .core import RunSpec, run
-    from .obs import MetricsRegistry, PhaseProfiler, use_profiler, use_registry
-
-    registry = MetricsRegistry()
-    profiler = PhaseProfiler()
-    with use_registry(registry), use_profiler(profiler):
-        run(RunSpec(algorithm="algo", n=6, d=2, f=1, seed=11))
-        run(RunSpec(algorithm="averaging", n=6, d=2, f=1, seed=7))
-    return registry, profiler
-
-
-def _metrics_exposition(args: argparse.Namespace) -> "str | int":
-    """Build the exposition text for metrics snapshot/serve (or exit code)."""
-    from .analysis.profiling import metrics_record
-    from .obs import read_jsonl
-    from .obs.prom import render_exposition
-
-    if args.from_jsonl:
-        try:
-            records = read_jsonl(args.from_jsonl)
-        except (OSError, ValueError) as exc:
-            return _fail(f"cannot read {args.from_jsonl!r}: {exc}")
-        snap = metrics_record(records)
-        if snap is None:
-            return _fail(f"{args.from_jsonl!r} holds no metrics record")
-        return render_exposition(snap)
-    if args.demo:
-        registry, profiler = _demo_sources()
-        return render_exposition(registry.snapshot(), profiler.snapshot())
-    return _fail(f"metrics {args.action} needs --from FILE or --demo")
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    from .analysis.profiling import metrics_record
-    from .obs import read_jsonl
-    from .obs.prom import diff_counter_snapshots, serve_metrics
-
-    if args.action == "snapshot":
-        text = _metrics_exposition(args)
-        if isinstance(text, int):
-            return text
-        if args.out:
-            try:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                return _fail(f"cannot write {args.out!r}: {exc}")
-            if not args.quiet:
-                print(f"wrote {args.out}")
-        else:
-            print(text, end="")
-        return 0
-
-    if args.action == "diff":
-        if len(args.files) != 2:
-            return _fail("metrics diff needs exactly two JSONL files")
-        snaps = []
-        for path in args.files:
-            try:
-                records = read_jsonl(path)
-            except (OSError, ValueError) as exc:
-                return _fail(f"cannot read {path!r}: {exc}")
-            snap = metrics_record(records)
-            if snap is None:
-                return _fail(f"{path!r} holds no metrics record")
-            snaps.append(snap)
-        deltas = diff_counter_snapshots(snaps[0], snaps[1])
-        if not deltas:
-            print("no counter deltas")
-            return 0
-        width = max(len(name) for name in deltas)
-        for name, delta in deltas.items():
-            print(f"  {name.ljust(width)}  {delta:+g}")
-        return 0
-
-    # serve: every scrape returns the same document
-    text = _metrics_exposition(args)
-    if isinstance(text, int):
-        return text
-    try:
-        server = serve_metrics(lambda: text, host=args.host, port=args.port,
-                               max_requests=args.max_requests)
-    except OSError as exc:
-        return _fail(f"cannot bind {args.host}:{args.port}: {exc}")
-    host, port = server.address
-    print(f"serving Prometheus metrics on http://{host}:{port}/metrics"
-          + (f" (exiting after {args.max_requests} request(s))"
-             if args.max_requests else ""), flush=True)
-    try:
-        served = server.serve_forever()
-    except KeyboardInterrupt:
-        return 0
-    if not args.quiet:
-        print(f"served {served} request(s)")
+    _show(args, graph)
     return 0
 
 
 def _cmd_node(args: argparse.Namespace) -> int:
-    import json
-
     from .exec.live_launch import load_topology, run_node
     from .system.transport.base import TransportError
 
     try:
         doc = load_topology(args.topology)
     except (OSError, ValueError) as exc:
-        return _fail(f"cannot load topology {args.topology!r}: {exc}")
+        raise UsageError(f"cannot load topology {args.topology!r}: {exc}") from None
     if not 0 <= args.id < doc["n"]:
-        return _fail(f"--id must be in 0..{doc['n'] - 1}, got {args.id}")
+        raise UsageError(f"--id must be in 0..{doc['n'] - 1}, got {args.id}")
 
     def emit(record: dict) -> None:
         # Printed before any --linger window so the launcher can read the
@@ -787,31 +597,23 @@ def _cmd_node(args: argparse.Namespace) -> int:
             linger=args.linger, trace_path=args.trace, emit=emit,
         )
     except (TransportError, OSError) as exc:
-        return _fail(f"node {args.id} failed: {exc}")
+        raise UsageError(f"node {args.id} failed: {exc}") from None
     return 0 if record["decided"] and record["completed"] else 1
 
 
 def _cmd_launch(args: argparse.Namespace) -> int:
-    import json
-
-    from .core import RunSpec
     from .exec.live_launch import launch_local
 
     if args.n < 2:
-        return _fail(f"--n must be >= 2, got {args.n}")
+        raise UsageError(f"--n must be >= 2, got {args.n}")
     try:
-        spec = RunSpec(
-            algorithm=args.algorithm, n=args.n, d=args.d, f=args.f,
-            seed=args.seed, broadcast=args.broadcast, p=args.p, k=args.k,
-            epsilon=args.epsilon, rounds=args.rounds,
-        )
         report = launch_local(
-            spec, kind=args.transport,
+            _runspec(args, broadcast=args.broadcast), kind=args.transport,
             timeout=args.timeout, metrics_port=args.metrics_port,
             linger=args.linger, trace_dir=args.trace_dir,
         )
     except ValueError as exc:
-        return _fail(str(exc))
+        raise UsageError(str(exc)) from None
     print(f"launched {report['n']} {args.transport} nodes: "
           f"{report['algorithm']} d={report['d']} f={report['f']} "
           f"seed={report['seed']} ({report['instance']})")
@@ -830,60 +632,57 @@ def _cmd_launch(args: argparse.Namespace) -> int:
           f"{report['decided_nodes']}/{report['n']} decided -> "
           + ("OK" if report["ok"] else "FAILED"))
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            return _fail(f"cannot write {args.out!r}: {exc}")
-        if not args.quiet:
-            print(f"wrote {args.out}")
+        _write(args.out, _json_text(report), args.quiet)
     return 0 if report["ok"] else 1
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from .lint import cli as lint_cli
+class _Parser(argparse.ArgumentParser):
+    """A command parser that lets files follow options.
 
-    return lint_cli.run(args)
+    Plain argparse fills a ``nargs="*"`` positional at its first chance,
+    so in ``fleet stitch --out x.jsonl a.jsonl`` the trail list is
+    already closed (empty) when ``a.jsonl`` arrives.  Parsing options
+    first and positionals second (``parse_known_intermixed_args``) takes
+    the files wherever they stand.
+    """
+
+    _mixing = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._mixing:
+            return super().parse_known_args(args, namespace)
+        self._mixing = True
+        try:
+            return self.parse_known_intermixed_args(args, namespace)
+        finally:
+            self._mixing = False
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from .analysis.profiling import render_flame, render_summary
-    from .obs import (
-        MetricsRegistry,
-        Tracer,
-        trace_to_records,
-        use_registry,
-        use_tracer,
-        write_jsonl,
-    )
+def _spec_options(
+    algorithm: str, n: Optional[int], n_help: str
+) -> argparse.ArgumentParser:
+    """The ``RunSpec`` options of ``explain`` and ``launch``.
 
-    rest = list(args.rest)
-    if rest and rest[0] == "--":
-        rest = rest[1:]
-    if not rest:
-        return _fail("trace requires a command to run, "
-                     "e.g. 'trace --out run.jsonl demo --d 3'")
-    if rest[0] == "trace":
-        return _fail("trace cannot wrap itself")
-
-    level = "warning" if args.quiet else ("debug" if args.verbose else "info")
-    tracer = Tracer(level=level, echo=args.verbose)
-    registry = MetricsRegistry()
-    with use_tracer(tracer), use_registry(registry):
-        inner_code = main(rest)
-    try:
-        lines = write_jsonl(args.out, tracer, registry)
-    except OSError as exc:
-        return _fail(f"cannot write trace to {args.out!r}: {exc}")
-    records = trace_to_records(tracer, registry)
-    if not args.quiet:
-        print(f"\n--- trace: {len(tracer.spans)} spans, "
-              f"{len(tracer.events)} events -> {args.out} ({lines} lines)")
-        print(render_summary(records))
-        if args.flame:
-            print("\n" + render_flame(records))
-    return inner_code
+    Built fresh per command: argparse shares a parent's action objects
+    with every child, so one parent could not carry two defaults.
+    """
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--algorithm", default=algorithm,
+                      help="exact,algo,krelaxed,scalar,iterative,averaging "
+                           f"(default {algorithm})")
+    spec.add_argument("--n", type=int, default=n, help=n_help)
+    spec.add_argument("--d", type=int, default=2)
+    spec.add_argument("--f", type=int, default=1)
+    spec.add_argument("--seed", type=int, default=0,
+                      help="master seed: inputs, per-process rngs, "
+                           "signature keys")
+    spec.add_argument("--p", type=float, default=2.0)
+    spec.add_argument("--k", type=int, default=1)
+    spec.add_argument("--epsilon", type=float, default=5e-2)
+    spec.add_argument("--rounds", type=int, default=None,
+                      help="protocol rounds (default: the algorithm's own "
+                           "estimate)")
+    return spec
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -899,38 +698,58 @@ def build_parser() -> argparse.ArgumentParser:
                            help="warnings only (tracer level 'warning')")
     verbosity.add_argument("--verbose", action="store_true",
                            help="echo debug events (tracer level 'debug')")
-    sub = parser.add_subparsers(dest="command", required=True)
+    traced = argparse.ArgumentParser(add_help=False)
+    traced.add_argument("--trace-out", metavar="FILE", default=None,
+                        help="write the run's spans, events and metrics to "
+                             "FILE as JSONL and print a timing summary "
+                             "(--verbose adds the span tree)")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Parser)
 
-    p = sub.add_parser("demo", parents=[common],
-                       help="quick end-to-end ALGO demonstration")
-    p.add_argument("--d", type=int, default=3)
+    p = sub.add_parser(
+        "claims", parents=[common],
+        help="the paper's claims at (d, f): tight n-bounds, δ*(S), and "
+             "the Theorem 3-6 impossibility constructions",
+    )
+    p.add_argument("--d", type=int, default=3,
+                   help="dimension (default 3; the constructions need d >= 2)")
+    p.add_argument("--f", type=int, default=1, help="fault budget (default 1)")
     p.add_argument("--n", type=int, default=None,
-                   help="processes (default d+1; must satisfy n >= 3f+1)")
-    p.add_argument("--f", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_demo)
+                   help="processes of the random δ*(S) instance (default d+1)")
+    p.add_argument("--p", type=float, default=2.0,
+                   help="norm of δ*(S) (default 2; 1 and inf are exact LPs)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random δ*(S) inputs")
+    p.set_defaults(func=_cmd_claims)
 
-    p = sub.add_parser("bounds", parents=[common],
-                       help="print the paper's n-bounds")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--f", type=int, required=True)
-    p.set_defaults(func=_cmd_bounds)
+    p = sub.add_parser(
+        "explain", parents=[common, traced, _spec_options(
+            "algo", None, "processes (default: smallest legal n for the cell)"
+        )],
+        help="run one spec under causal tracing; explain a decision's "
+             "provenance (causal cone / timeline / DOT)",
+    )
+    p.add_argument("--adversary", default="none",
+                   help="named adversary: none,honest,silent,crash,mutate,"
+                        "equivocate,duplicate (default none)")
+    p.add_argument("--pid", type=int, default=None,
+                   help="process whose decision to explain (default: the "
+                        "lowest decided pid)")
+    p.add_argument("--probes", type=_str_tuple, default=None,
+                   help="comma list of online probes to run alongside "
+                        "(validity,agreement,broadcast or 'all')")
+    p.add_argument("--format", default="cone",
+                   choices=["cone", "timeline", "json", "dot"],
+                   help="cone: text causal cone (default); timeline: "
+                        "per-round event groups; json: machine-readable "
+                        "cone; dot: Graphviz DAG")
+    p.add_argument("--out", default=None,
+                   help="write the rendering to this file instead of stdout")
+    p.add_argument("--causal-out", default=None,
+                   help="also dump the full causal event log as JSONL")
+    p.set_defaults(func=_cmd_explain)
 
-    p = sub.add_parser("delta", parents=[common],
-                       help="compute δ*(S) on random inputs")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--f", type=int, default=1)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_delta)
-
-    p = sub.add_parser("verdicts", parents=[common],
-                       help="run the impossibility constructions")
-    p.add_argument("--d", type=int, default=3)
-    p.set_defaults(func=_cmd_verdicts)
-
-    p = sub.add_parser("fuzz", parents=[common],
+    p = sub.add_parser("fuzz", parents=[common, traced],
                        help="deterministic-simulation soak test")
     p.add_argument("--algorithm", default="algo",
                    choices=["exact", "algo", "k1", "averaging"])
@@ -950,7 +769,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fuzz)
 
     p = sub.add_parser(
-        "sweep", parents=[common],
+        "replay", parents=[common, traced],
+        help="re-execute a token/seed file under full tracing, or "
+             "minimise it (--shrink)",
+    )
+    p.add_argument("--token", default=None,
+                   help="replay token (dst1-...) as printed by fuzz")
+    p.add_argument("--seed-file", default=None,
+                   help="corpus seed file (tests/corpus/*.json)")
+    p.add_argument("--probes", type=_str_tuple, default=(),
+                   help="comma-separated online probes to run alongside "
+                        "the replay (validity, agreement, broadcast, or "
+                        "'all')")
+    p.add_argument("--shrink", action="store_true",
+                   help="minimise the scenario while the same invariant "
+                        "keeps failing, instead of replaying it")
+    p.add_argument("--invariant", default=None,
+                   choices=["agreement", "validity", "termination"],
+                   help="with --shrink: invariant to preserve (default: "
+                        "first violated)")
+    p.add_argument("--max-attempts", type=int, default=200,
+                   help="with --shrink: edits to try (default 200)")
+    p.add_argument("--out", default=None,
+                   help="with --shrink: write the shrunk scenario as a "
+                        "seed file")
+    p.add_argument("--notes", default=None,
+                   help="with --shrink: notes stored in the --out seed file")
+    p.set_defaults(func=_cmd_replay)
+
+    p = sub.add_parser(
+        "sweep", parents=[common, traced],
         help="run a deterministic experiment grid (optionally in parallel)",
     )
     p.add_argument("--algorithms", type=_str_tuple, default=("algo",),
@@ -993,98 +841,31 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the sweep/comparison report as JSON")
     p.set_defaults(func=_cmd_sweep)
 
-    for name, helptext in (
-        ("shrink", "minimise a violating scenario (same invariant must "
-                   "keep failing)"),
-        ("replay", "re-execute a token/seed file under full tracing"),
-    ):
-        p = sub.add_parser(name, parents=[common], help=helptext)
-        p.add_argument("--token", default=None,
-                       help="replay token (dst1-...) as printed by fuzz")
-        p.add_argument("--seed-file", default=None,
-                       help="corpus seed file (tests/corpus/*.json)")
-        if name == "shrink":
-            p.add_argument("--invariant", default=None,
-                           choices=["agreement", "validity", "termination"],
-                           help="invariant to preserve (default: first "
-                                "violated)")
-            p.add_argument("--max-attempts", type=int, default=200)
-            p.add_argument("--out", default=None,
-                           help="write the shrunk scenario as a seed file")
-            p.add_argument("--notes", default=None,
-                           help="notes stored in the --out seed file")
-            p.set_defaults(func=_cmd_shrink)
-        else:
-            p.add_argument("--trace", default=None,
-                           help="dump the forensic span/metrics trail as "
-                                "JSONL to this path")
-            p.add_argument("--probes", type=_str_tuple, default=(),
-                           help="comma-separated online probes to run "
-                                "alongside the replay (validity, agreement, "
-                                "broadcast, or 'all')")
-            p.set_defaults(func=_cmd_replay)
-
     p = sub.add_parser(
-        "explain", parents=[common],
-        help="run one spec under causal tracing; explain a decision's "
-             "provenance (causal cone / timeline / DOT)",
+        "launch",
+        parents=[common, _spec_options("averaging", 4, "processes (default 4)")],
+        help="spawn an n-node local live cluster and judge agreement",
     )
-    p.add_argument("--algorithm", default="algo",
-                   help="exact,algo,krelaxed,scalar,iterative,averaging")
-    p.add_argument("--n", type=int, default=None,
-                   help="processes (default: smallest legal n for the cell)")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--f", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--adversary", default="none",
-                   help="named adversary: none,honest,silent,crash,mutate,"
-                        "equivocate,duplicate (default none)")
-    p.add_argument("--pid", type=int, default=None,
-                   help="process whose decision to explain (default: the "
-                        "lowest decided pid)")
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--epsilon", type=float, default=5e-2)
-    p.add_argument("--probes", type=_str_tuple, default=None,
-                   help="comma list of online probes to run alongside "
-                        "(validity,agreement,broadcast or 'all')")
-    p.add_argument("--format", default="cone",
-                   choices=["cone", "timeline", "json", "dot"],
-                   help="cone: text causal cone (default); timeline: "
-                        "per-round event groups; json: machine-readable "
-                        "cone; dot: Graphviz DAG")
+    p.add_argument("--transport", default="tcp", choices=["tcp", "uds"],
+                   help="loopback TCP or Unix-domain sockets (default tcp)")
+    p.add_argument("--broadcast", default="eig",
+                   choices=["eig", "dolev-strong", "atomic"],
+                   help="sync algorithms' broadcast primitive (default eig)")
+    p.add_argument("--timeout", type=float, default=120.0,
+                   help="whole-cluster wall-clock budget in seconds")
+    p.add_argument("--metrics-port", type=int, default=None,
+                   help="base port: node PID serves /metrics on "
+                        "metrics-port + PID (every node)")
+    p.add_argument("--linger", type=float, default=0.0,
+                   help="nodes keep serving /metrics this long after "
+                        "deciding")
+    p.add_argument("--trace-dir", default=None,
+                   help="collect one causal-traced JSONL trail per node "
+                        "in this directory (enables the fleet probe "
+                        "block in the report)")
     p.add_argument("--out", default=None,
-                   help="write the rendering to this file instead of stdout")
-    p.add_argument("--causal-out", default=None,
-                   help="also dump the full causal event log as JSONL")
-    p.set_defaults(func=_cmd_explain)
-
-    p = sub.add_parser(
-        "metrics", parents=[common],
-        help="Prometheus text-format metrics: serve / snapshot / diff",
-    )
-    p.add_argument("action", choices=["serve", "snapshot", "diff"],
-                   help="serve: HTTP endpoint at /metrics; snapshot: "
-                        "exposition text to stdout/--out; diff: counter "
-                        "deltas between two exported JSONL traces")
-    p.add_argument("files", nargs="*",
-                   help="for diff: OLD.jsonl NEW.jsonl")
-    p.add_argument("--from", dest="from_jsonl", default=None,
-                   help="serve/snapshot the metrics record of an exported "
-                        "JSONL trace")
-    p.add_argument("--demo", action="store_true",
-                   help="serve/snapshot the metrics of a small "
-                        "instrumented demo workload")
-    p.add_argument("--host", default="127.0.0.1",
-                   help="serve: bind address (default 127.0.0.1)")
-    p.add_argument("--port", type=int, default=9464,
-                   help="serve: TCP port; 0 picks a free port (default 9464)")
-    p.add_argument("--max-requests", type=int, default=None,
-                   help="serve: exit after N scrapes (CI smoke uses 1)")
-    p.add_argument("--out", default=None,
-                   help="snapshot: write the exposition text to this file")
-    p.set_defaults(func=_cmd_metrics)
+                   help="write the full launch report as JSON")
+    p.set_defaults(func=_cmd_launch)
 
     p = sub.add_parser(
         "node", parents=[common],
@@ -1106,45 +887,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="export this node's trail (spans, metrics, causal "
                         "events) as JSONL; enables causal tracing")
     p.set_defaults(func=_cmd_node)
-
-    p = sub.add_parser(
-        "launch", parents=[common],
-        help="spawn an n-node local live cluster and judge agreement",
-    )
-    p.add_argument("--algorithm", default="averaging",
-                   help="exact,algo,krelaxed,scalar,iterative,averaging "
-                        "(default averaging)")
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--f", type=int, default=1)
-    p.add_argument("--transport", default="tcp", choices=["tcp", "uds"],
-                   help="loopback TCP or Unix-domain sockets (default tcp)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="master seed: inputs, per-node rngs, signature keys")
-    p.add_argument("--broadcast", default="eig",
-                   choices=["eig", "dolev-strong", "atomic"],
-                   help="sync algorithms' broadcast primitive (default eig)")
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--epsilon", type=float, default=5e-2)
-    p.add_argument("--rounds", type=int, default=None,
-                   help="protocol rounds (default: the algorithm's own "
-                        "estimate, resolved into the topology file)")
-    p.add_argument("--timeout", type=float, default=120.0,
-                   help="whole-cluster wall-clock budget in seconds")
-    p.add_argument("--metrics-port", type=int, default=None,
-                   help="base port: node PID serves /metrics on "
-                        "metrics-port + PID (every node)")
-    p.add_argument("--linger", type=float, default=0.0,
-                   help="nodes keep serving /metrics this long after "
-                        "deciding")
-    p.add_argument("--trace-dir", default=None,
-                   help="collect one causal-traced JSONL trail per node "
-                        "in this directory (enables the fleet probe "
-                        "block in the report)")
-    p.add_argument("--out", default=None,
-                   help="write the full launch report as JSON")
-    p.set_defaults(func=_cmd_launch)
 
     p = sub.add_parser(
         "fleet", parents=[common],
@@ -1184,40 +926,53 @@ def build_parser() -> argparse.ArgumentParser:
     from .lint import cli as lint_cli
 
     lint_cli.add_arguments(p)
-    p.set_defaults(func=_cmd_lint)
-
-    p = sub.add_parser(
-        "trace", parents=[common],
-        help="run another command under the tracer; dump JSONL + summary",
-    )
-    p.add_argument("--out", default="repro_trace.jsonl",
-                   help="JSONL output path (default repro_trace.jsonl)")
-    p.add_argument("--flame", action="store_true",
-                   help="also print the span tree (text flame graph)")
-    p.add_argument("rest", nargs=argparse.REMAINDER,
-                   help="the command to run, with its own flags")
-    p.set_defaults(func=_cmd_trace)
+    p.set_defaults(func=lint_cli.run)
     return parser
+
+
+def _report_trace(args: argparse.Namespace, tracer, registry) -> None:
+    """Write the ``--trace-out`` trail and print its timing summary."""
+    from .analysis.profiling import render_flame, render_summary
+    from .obs import header_record, trace_to_records
+
+    records = trace_to_records(tracer, registry)
+    _write(args.trace_out, [header_record()] + records, quiet=True)
+    if not args.quiet:
+        print(f"\n--- trace: {len(tracer.spans)} spans, "
+              f"{len(tracer.events)} events -> {args.trace_out} "
+              f"({len(records) + 1} lines)")
+        print(render_summary(records))
+        if args.verbose:
+            print("\n" + render_flame(records))
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point (returns the process exit code)."""
-    from .obs import Tracer, get_tracer, set_tracer
+    from contextlib import ExitStack
+
+    from .obs import MetricsRegistry, Tracer, use_registry, use_tracer
 
     args = build_parser().parse_args(argv)
-    installed = None
-    tracer = get_tracer()
-    if getattr(args, "verbose", False) and not tracer.enabled:
-        # --verbose outside `trace`: echo debug events without collecting
-        # a span dump.
-        installed = set_tracer(Tracer(level="debug", echo=True))
-    elif getattr(args, "quiet", False) and tracer.enabled:
-        tracer.level = "warning"
+    trace_out = getattr(args, "trace_out", None)
+    tracer = registry = None
     try:
-        return args.func(args)
-    finally:
-        if installed is not None:
-            set_tracer(installed)
+        with ExitStack() as scope:
+            if trace_out or args.verbose:
+                # --verbose alone echoes debug events without keeping a
+                # trail; --trace-out keeps every span, event and metric
+                level = ("warning" if args.quiet
+                         else "debug" if args.verbose else "info")
+                tracer = scope.enter_context(
+                    use_tracer(Tracer(level=level, echo=args.verbose)))
+            if trace_out:
+                registry = scope.enter_context(use_registry(MetricsRegistry()))
+            code = args.func(args)
+        if trace_out:
+            _report_trace(args, tracer, registry)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -16,9 +16,9 @@ Two persistence layers:
   replays every committed seed on every run.
 
 Replays execute under a real :class:`~repro.obs.tracer.Tracer` and a
-fresh :class:`~repro.obs.metrics.MetricsRegistry`, so a reproduced
-failure comes with a span/metrics forensic trail (optionally dumped to
-JSONL via ``trace_path``).
+:class:`~repro.obs.metrics.MetricsRegistry` (the installed ones, when a
+caller such as ``--trace-out`` installed them; fresh ones otherwise), so
+a reproduced failure comes with a span/metrics forensic trail.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
 
-from ..obs import MetricsRegistry, Tracer, use_registry, use_tracer, write_jsonl
+from ..obs import MetricsRegistry, Tracer, get_tracer, use_registry, use_tracer
+from ..obs.metrics import active_registry
 from ..obs.probes import Probe
 from .explore import ExplorationResult, run_scenario
 from .scenarios import Scenario
@@ -86,7 +87,6 @@ class ReplayReport:
     result: ExplorationResult
     tracer: Tracer
     metrics: MetricsRegistry
-    trace_path: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -100,25 +100,24 @@ class ReplayReport:
 def replay(
     scenario_or_token: Union[Scenario, str],
     *,
-    trace_path: Optional[Union[str, Path]] = None,
     probes: Sequence[Union[str, Probe]] = (),
 ) -> ReplayReport:
     """Re-execute a scenario under full observability.
 
-    The run always collects spans and metrics; when ``trace_path`` is
-    given the trail is additionally written as a JSONL trace file
-    readable by :func:`repro.obs.read_jsonl` and the profiling
-    renderers.  ``probes`` enables online invariant probes (see
-    :func:`repro.dst.explore.run_scenario`); their reports ride on
-    ``report.result.probe_reports``.
+    The run always collects spans and metrics, into the installed tracer
+    and registry when there are any (``--trace-out`` writes those as
+    JSONL), else into fresh ones.  ``probes`` enables online invariant
+    probes (see :func:`repro.dst.explore.run_scenario`); their reports
+    ride on ``report.result.probe_reports``.
     """
     scenario = (
         decode_token(scenario_or_token)
         if isinstance(scenario_or_token, str)
         else scenario_or_token
     )
-    tracer = Tracer(level="info")
-    registry = MetricsRegistry()
+    ambient = get_tracer()
+    tracer = ambient if isinstance(ambient, Tracer) else Tracer(level="info")
+    registry = active_registry() or MetricsRegistry()
     tracer.event(
         "dst.replay.start",
         algorithm=scenario.algorithm,
@@ -136,11 +135,7 @@ def replay(
         violations=sorted(result.violations),
         probe_violations=result.probe_violations,
     )
-    out: Optional[str] = None
-    if trace_path is not None:
-        write_jsonl(trace_path, tracer, registry)
-        out = str(trace_path)
-    return ReplayReport(result=result, tracer=tracer, metrics=registry, trace_path=out)
+    return ReplayReport(result=result, tracer=tracer, metrics=registry)
 
 
 # ---------------------------------------------------------------------------

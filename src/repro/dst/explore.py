@@ -43,6 +43,7 @@ __all__ = [
     "ExplorationResult",
     "Violation",
     "explore",
+    "replay_command",
     "run_scenario",
     "sample_scenario",
 ]
@@ -111,6 +112,11 @@ class ExplorationResult:
         return next(iter(self.violations), None)
 
 
+def replay_command(token: str, *flags: str) -> str:
+    """Ready-to-paste ``python -m repro replay`` line for a replay token."""
+    return " ".join(("python -m repro replay", *flags, "--token", token))
+
+
 @dataclass(frozen=True)
 class Violation:
     """An invariant violation, replayable from its token alone."""
@@ -126,11 +132,11 @@ class Violation:
     @property
     def replay_command(self) -> str:
         """Ready-to-paste CLI command reproducing this violation."""
-        return f"python -m repro replay --token {self.token}"
+        return replay_command(self.token)
 
     @property
     def shrink_command(self) -> str:
-        return f"python -m repro shrink --token {self.token}"
+        return replay_command(self.token, "--shrink")
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         s = self.scenario

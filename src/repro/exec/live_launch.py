@@ -269,7 +269,8 @@ def run_node(
 
     from ..obs.causal import CausalCollector, use_causal_collector
     from ..obs.export import write_jsonl
-    from ..obs.prom import serve_metrics
+    from ..obs.metrics import MetricsRegistry, use_registry
+    from ..obs.prom import MetricsServer
     from ..obs.tracer import Tracer, use_tracer
 
     spec = RunSpec.from_document(doc, envelope=_ENVELOPE)
@@ -283,6 +284,9 @@ def run_node(
         max_rounds=spec.max_rounds, max_steps=spec.max_steps,
     )
 
+    # What the handlers count (bcast.*, geometry.*) goes to the ambient
+    # registry; _result() folds only the transport's counters.
+    protocol = MetricsRegistry()
     server = None
     if metrics_port is not None:
         # Re-snapshotted per scrape: _result() folds the node's current
@@ -290,9 +294,11 @@ def run_node(
         from ..obs.prom import render_exposition
 
         def source() -> str:
-            return render_exposition(node._result().metrics.snapshot())
+            return render_exposition(
+                {**protocol.snapshot(), **node._result().metrics.snapshot()}
+            )
 
-        server = serve_metrics(source, port=metrics_port)
+        server = MetricsServer(source, port=metrics_port)
         server.start_background()
 
     async def drive() -> Any:
@@ -313,7 +319,8 @@ def run_node(
         **spec.to_document(),
     )
     try:
-        with use_tracer(tracer), use_causal_collector(collector):
+        with use_tracer(tracer), use_causal_collector(collector), \
+                use_registry(protocol):
             with tracer.span(
                 "transport.node", pid=pid, instance=doc["instance"]
             ):

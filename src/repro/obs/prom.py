@@ -1,33 +1,28 @@
-"""Prometheus text-format exposition of metrics and phase profiles.
+"""Prometheus text-format exposition of metrics.
 
-Renders a :class:`~repro.obs.metrics.MetricsRegistry` snapshot (and
-optionally a :class:`~repro.obs.perf.PhaseProfiler` snapshot) as the
+Renders a :class:`~repro.obs.metrics.MetricsRegistry` snapshot as the
 Prometheus text exposition format (version 0.0.4), so any scraper — or
 plain ``curl`` — can consume the repo's telemetry:
 
 * counters → ``# TYPE <name> counter`` + one sample;
 * gauges → ``gauge`` (last-written value; ``_min``/``_max`` companions);
 * exact histograms (:class:`~repro.obs.metrics.Histogram`) → ``summary``
-  with exact ``quantile`` labels plus ``_sum``/``_count``;
-* fixed-bucket phase timers → native ``histogram`` with cumulative
-  ``le`` buckets, labelled by phase path.
+  with exact ``quantile`` labels plus ``_sum``/``_count``.
 
 Metric names are mapped into the Prometheus grammar by replacing every
 character outside ``[a-zA-Z0-9_:]`` with ``_`` and prefixing ``repro_``
-(``geometry.delta_star.seconds`` → ``repro_geometry_delta_star_seconds``);
-the original dotted name is kept as a ``path`` label only where the
-mapping is lossy (phase paths contain ``/``).
+(``geometry.delta_star.seconds`` → ``repro_geometry_delta_star_seconds``).
 
 :func:`parse_prometheus_text` is a small validating parser used by the
 tests and the CI smoke job: it checks every line against the exposition
 grammar and returns the samples, so "the endpoint serves valid
 Prometheus text" is a mechanical assertion, not a claim.
 
-The HTTP side (:func:`serve_metrics`) is a deliberately tiny stdlib
+The HTTP side (:class:`MetricsServer`) is a deliberately tiny stdlib
 server — one ``GET /metrics`` route over
-:class:`http.server.ThreadingHTTPServer` — because the simulator is a
-research artifact, not a production daemon; anything heavier belongs to
-the service layer of ROADMAP item 3.
+:class:`http.server.ThreadingHTTPServer` — that a live node
+(``repro node`` / ``repro launch --metrics-port``) runs for the length
+of its run; ``repro fleet metrics`` renders the same text offline.
 """
 
 from __future__ import annotations
@@ -40,13 +35,10 @@ from typing import Any, Callable, Mapping, Optional
 __all__ = [
     "CONTENT_TYPE",
     "MetricsServer",
-    "diff_counter_snapshots",
     "parse_prometheus_text",
     "prom_name",
     "render_metrics_snapshot",
-    "render_profiler_snapshot",
     "render_exposition",
-    "serve_metrics",
 ]
 
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -82,10 +74,6 @@ def _fmt(value: float) -> str:
         return "-Inf"
     f = float(value)
     return repr(int(f)) if f.is_integer() and abs(f) < 2**53 else repr(f)
-
-
-def _escape_label(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def render_metrics_snapshot(
@@ -134,71 +122,12 @@ def render_metrics_snapshot(
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def render_profiler_snapshot(
-    snapshot: Mapping[str, Any], *, prefix: str = "repro_"
-) -> str:
-    """Render a ``PhaseProfiler.snapshot()`` document as exposition text.
-
-    Two families under ``repro_perf_``: every span path becomes one
-    series of the ``phase_seconds`` histogram (cumulative ``le`` buckets
-    straight from the fixed bucket ladder) and one
-    ``phase_cpu_seconds_total`` counter.
-    """
-    phases: Mapping[str, Any] = snapshot.get("phases", {})
-    lines: list[str] = []
-    if phases:
-        family = prefix + "perf_"
-        base = family + "phase_seconds"
-        lines.append(f"# HELP {base} wall seconds per profiled phase")
-        lines.append(f"# TYPE {base} histogram")
-        for path in sorted(phases):
-            entry = phases[path]
-            label = _escape_label(path)
-            cumulative = 0
-            saw_inf = False
-            for bound, count in entry.get("buckets", []):
-                cumulative += int(count)
-                saw_inf = saw_inf or bound == "inf"
-                le = "+Inf" if bound == "inf" else _fmt(float(bound))
-                lines.append(
-                    f'{base}_bucket{{phase="{label}",le="{le}"}} {cumulative}'
-                )
-            count_total = int(entry.get("count", 0))
-            if not saw_inf:  # a histogram always ends with its +Inf bucket
-                lines.append(
-                    f'{base}_bucket{{phase="{label}",le="+Inf"}} {count_total}'
-                )
-            lines.append(
-                f'{base}_sum{{phase="{label}"}} '
-                f"{_fmt(float(entry.get('wall_seconds', 0.0)))}"
-            )
-            lines.append(f'{base}_count{{phase="{label}"}} {count_total}')
-        cpu = family + "phase_cpu_seconds_total"
-        lines.append(f"# HELP {cpu} CPU seconds per profiled phase")
-        lines.append(f"# TYPE {cpu} counter")
-        for path in sorted(phases):
-            label = _escape_label(path)
-            lines.append(
-                f'{cpu}{{phase="{label}"}} '
-                f"{_fmt(float(phases[path].get('cpu_seconds', 0.0)))}"
-            )
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def render_exposition(
-    metrics_snapshot: Optional[Mapping[str, Any]] = None,
-    perf_snapshot: Optional[Mapping[str, Any]] = None,
-    *,
-    prefix: str = "repro_",
+    snapshot: Optional[Mapping[str, Any]], *, prefix: str = "repro_"
 ) -> str:
-    """Full scrape body: metrics first, then the phase profile (if any)."""
-    parts = []
-    if metrics_snapshot:
-        parts.append(render_metrics_snapshot(metrics_snapshot, prefix=prefix))
-    if perf_snapshot and perf_snapshot.get("phases"):
-        parts.append(render_profiler_snapshot(perf_snapshot, prefix=prefix))
-    body = "".join(parts)
-    return body if body else "# (no metrics recorded)\n"
+    """Full scrape body: the metrics, or a comment when none are recorded."""
+    body = render_metrics_snapshot(snapshot, prefix=prefix) if snapshot else ""
+    return body or "# (no metrics recorded)\n"
 
 
 # ---------------------------------------------------------------------------
@@ -236,26 +165,6 @@ def parse_prometheus_text(
     return samples
 
 
-def diff_counter_snapshots(
-    before: Mapping[str, Any], after: Mapping[str, Any]
-) -> dict[str, float]:
-    """Per-counter deltas between two ``MetricsRegistry.snapshot()`` docs.
-
-    Only counters participate (gauges are point-in-time, histograms have
-    no subtraction); counters absent from ``before`` count from zero.
-    """
-    out: dict[str, float] = {}
-    for name, record in after.items():
-        if record.get("type") != "counter":
-            continue
-        prev = before.get(name, {})
-        base = float(prev.get("value", 0)) if prev.get("type") == "counter" else 0.0
-        delta = float(record["value"]) - base
-        if delta:
-            out[name] = delta
-    return dict(sorted(out.items()))
-
-
 # ---------------------------------------------------------------------------
 # the scrapeable endpoint
 # ---------------------------------------------------------------------------
@@ -265,9 +174,7 @@ class MetricsServer:
     """A tiny ``GET /metrics`` HTTP server over a body-producing callable.
 
     ``source`` is called per scrape and must return the exposition text —
-    so a live registry is re-snapshotted on every request, while a static
-    snapshot just returns the same string.  ``max_requests`` makes the
-    serve loop terminate after N scrapes (the CI smoke job scrapes once).
+    so a live registry is re-snapshotted on every request.
     """
 
     def __init__(
@@ -276,11 +183,8 @@ class MetricsServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_requests: Optional[int] = None,
     ) -> None:
         self.source = source
-        self.max_requests = max_requests
-        self.requests_served = 0
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -298,10 +202,9 @@ class MetricsServer:
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
                 self.wfile.write(body)
-                outer.requests_served += 1
 
             def log_message(self, format: str, *args: Any) -> None:
-                return  # scrapes stay silent; the CLI prints its own line
+                return  # scrapes stay silent
 
         self._httpd = ThreadingHTTPServer((host, port), Handler)
         self._httpd.daemon_threads = True
@@ -312,26 +215,15 @@ class MetricsServer:
         host, port = self._httpd.server_address[:2]
         return str(host), int(port)
 
-    def serve_forever(self) -> int:
-        """Serve until ``max_requests`` scrapes (or forever); returns the
-        number of requests served."""
+    def serve_forever(self) -> None:
+        """Serve until :meth:`shutdown`."""
         try:
-            if self.max_requests is None:
-                self._httpd.serve_forever(poll_interval=0.1)
-            else:
-                # handlers run in their own threads, so the count moves
-                # after handle_request returns; a short accept timeout
-                # keeps the bound re-checked instead of blocking on a
-                # request that never comes
-                self._httpd.timeout = 0.1
-                while self.requests_served < self.max_requests:
-                    self._httpd.handle_request()
+            self._httpd.serve_forever(poll_interval=0.1)
         finally:
             self._httpd.server_close()
-        return self.requests_served
 
     def start_background(self) -> threading.Thread:
-        """Serve from a daemon thread (tests); returns the thread."""
+        """Serve from a daemon thread; returns the thread."""
         thread = threading.Thread(target=self.serve_forever, daemon=True)
         thread.start()
         return thread
@@ -339,15 +231,3 @@ class MetricsServer:
     def shutdown(self) -> None:
         self._httpd.shutdown()
 
-
-def serve_metrics(
-    source: Callable[[], str],
-    *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    max_requests: Optional[int] = None,
-) -> MetricsServer:
-    """Construct (but do not start) a :class:`MetricsServer` for ``source``."""
-    return MetricsServer(
-        source, host=host, port=port, max_requests=max_requests
-    )

@@ -23,7 +23,14 @@ from repro.dst.corpus import (
     save_seed,
 )
 from repro.dst.scenarios import FaultClause, Scenario, ScheduleWindow
-from repro.obs import read_jsonl
+from repro.obs import (
+    MetricsRegistry,
+    Tracer,
+    read_jsonl,
+    use_registry,
+    use_tracer,
+    write_jsonl,
+)
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
 CORPUS = load_corpus(CORPUS_DIR)
@@ -68,13 +75,21 @@ class TestTokens:
 class TestReplay:
     def test_replay_collects_forensics(self, tmp_path):
         out = tmp_path / "trace.jsonl"
-        rep = replay(small_scenario(), trace_path=out)
+        rep = replay(small_scenario())
         assert rep.ok
         events = {e.name for e in rep.tracer.events}
         assert {"dst.replay.start", "dst.replay.done"} <= events
         assert rep.tracer.spans  # the protocol stack emitted spans
-        assert out.exists()
+        write_jsonl(out, rep.tracer, rep.metrics)
         assert read_jsonl(out)  # parses back
+
+    def test_replay_records_into_installed_sinks(self):
+        # what `replay --trace-out` relies on: the trail main() writes
+        tracer, registry = Tracer(), MetricsRegistry()
+        with use_tracer(tracer), use_registry(registry):
+            rep = replay(small_scenario())
+        assert rep.tracer is tracer and rep.metrics is registry
+        assert tracer.spans and registry.counter_value("net.messages_sent") > 0
 
     def test_replay_from_token_matches_scenario_replay(self):
         s = small_scenario()

@@ -51,12 +51,11 @@ class TestScenarioProbes:
 
 
 class TestReplayProbes:
-    def test_replay_forwards_probes(self, tmp_path):
+    def test_replay_forwards_probes(self):
         report = replay(
             Scenario(algorithm="algo", n=6, d=2, f=1, seed=3,
                      inject="split-brain"),
             probes=("all",),
-            trace_path=str(tmp_path / "trace.jsonl"),
         )
         assert report.result.probe_violations >= 1
         done = next(e for e in report.tracer.events

@@ -8,19 +8,14 @@ import urllib.request
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.perf import PhaseProfiler, use_profiler
 from repro.obs.prom import (
     CONTENT_TYPE,
     MetricsServer,
-    diff_counter_snapshots,
     parse_prometheus_text,
     prom_name,
     render_exposition,
     render_metrics_snapshot,
-    render_profiler_snapshot,
-    serve_metrics,
 )
-from repro.obs.tracer import trace_span
 
 
 def samples(text: str) -> dict[tuple[str, tuple[tuple[str, str], ...]], float]:
@@ -86,41 +81,9 @@ class TestMetricsRendering:
         reg.gauge("sched.sync.backlog")  # registered but never set
         assert render_metrics_snapshot(reg.snapshot()) == ""
 
-
-class TestProfilerRendering:
-    def _profiler(self) -> PhaseProfiler:
-        p = PhaseProfiler()
-        with use_profiler(p), trace_span("core.run"):
-            with trace_span("geometry.delta_star"):
-                pass
-        return p
-
-    def test_phase_histograms_have_cumulative_buckets(self):
-        text = render_profiler_snapshot(self._profiler().snapshot())
-        parsed = parse_prometheus_text(text)
-        buckets = [
-            (labels, value)
-            for name, labels, value in parsed
-            if name == "repro_perf_phase_seconds_bucket"
-            and labels.get("phase") == "core.run"
-        ]
-        assert buckets, "no bucket samples for core.run"
-        values = [v for _, v in buckets]
-        assert values == sorted(values)  # cumulative, monotone
-        inf_rows = [ls for ls, _ in buckets if ls["le"] == "+Inf"]
-        assert inf_rows, "histogram is missing its +Inf bucket"
-        got = samples(text)
-        assert got[
-            ("repro_perf_phase_seconds_count", (("phase", "core.run"),))
-        ] == 1
-
-    def test_nested_phase_path_is_a_label(self):
-        text = render_profiler_snapshot(self._profiler().snapshot())
-        assert 'phase="core.run/geometry.delta_star"' in text
-
     def test_empty_exposition_placeholder(self):
-        assert render_exposition(None, None) == "# (no metrics recorded)\n"
-        assert parse_prometheus_text(render_exposition(None, None)) == []
+        assert render_exposition(None) == "# (no metrics recorded)\n"
+        assert parse_prometheus_text(render_exposition(None)) == []
 
 
 class TestParser:
@@ -137,28 +100,6 @@ class TestParser:
         assert got == [("x_bucket", {"le": "+Inf", "phase": 'a\\"b'}, 3.0)]
 
 
-class TestDiff:
-    def test_counter_deltas_only(self):
-        a = MetricsRegistry()
-        a.inc("bcast.bracha.echo", 2)
-        a.set_gauge("sched.sync.backlog", 1.0)
-        before = a.snapshot()
-        a.inc("bcast.bracha.echo", 3)
-        a.inc("bcast.om.decisions", 7)
-        a.set_gauge("sched.sync.backlog", 9.0)
-        after = a.snapshot()
-        assert diff_counter_snapshots(before, after) == {
-            "bcast.bracha.echo": 3.0,
-            "bcast.om.decisions": 7.0,
-        }
-
-    def test_unchanged_counters_are_dropped(self):
-        reg = MetricsRegistry()
-        reg.inc("bcast.bracha.echo")
-        snap = reg.snapshot()
-        assert diff_counter_snapshots(snap, snap) == {}
-
-
 class TestServer:
     def _scrape(self, url: str) -> tuple[int, str, str]:
         with urllib.request.urlopen(url, timeout=10) as resp:
@@ -171,7 +112,7 @@ class TestServer:
     def test_serves_valid_exposition_on_metrics_route(self):
         reg = MetricsRegistry()
         reg.inc("bcast.bracha.echo", 5)
-        server = serve_metrics(
+        server = MetricsServer(
             lambda: render_exposition(reg.snapshot()), port=0
         )
         host, port = server.address
@@ -215,18 +156,6 @@ class TestServer:
         finally:
             server.shutdown()
             thread.join(timeout=10)
-
-    def test_max_requests_bounds_the_serve_loop(self):
-        server = MetricsServer(
-            lambda: "# (no metrics recorded)\n", port=0, max_requests=1
-        )
-        host, port = server.address
-        thread = server.start_background()
-        status, _, _ = self._scrape(f"http://{host}:{port}/metrics")
-        thread.join(timeout=10)
-        assert status == 200
-        assert not thread.is_alive()
-        assert server.requests_served == 1
 
     def test_source_failure_is_a_500_not_a_crash(self):
         def boom() -> str:

@@ -71,7 +71,7 @@ class TestSyncSchedulerMetrics:
         assert reg.counter_value("net.messages_sent") == 16
 
     def test_ambient_registry_inherited(self):
-        # A run started inside use_registry (the `repro trace` CLI path)
+        # A run started inside use_registry (the `--trace-out` CLI path)
         # records into that scope's registry.
         reg = MetricsRegistry()
         with use_registry(reg):

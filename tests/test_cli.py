@@ -8,34 +8,46 @@ from repro.__main__ import build_parser, main
 
 
 class TestCLI:
-    def test_demo(self, capsys):
-        assert main(["demo", "--d", "3", "--seed", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "ALGO: ok=True" in out
+    def test_nine_commands(self):
+        import argparse
+
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == ["claims", "explain", "fuzz", "replay",
+                                     "sweep", "launch", "node", "fleet",
+                                     "lint"]
 
     def test_bounds(self, capsys):
-        assert main(["bounds", "--d", "3", "--f", "1"]) == 0
+        assert main(["claims", "--d", "3", "--f", "1"]) == 0
         out = capsys.readouterr().out
         assert "n >= 5" in out  # exact BVC at d=3, f=1
         assert "n >= 6" in out  # approximate
 
     def test_delta(self, capsys):
-        assert main(["delta", "--n", "4", "--d", "3", "--seed", "2"]) == 0
+        assert main(["claims", "--n", "4", "--d", "3", "--seed", "2"]) == 0
         out = capsys.readouterr().out
         assert "δ*(S)" in out and "certified gap" in out
 
     def test_delta_p_inf(self, capsys):
-        assert main(["delta", "--n", "4", "--d", "3", "--p", "inf"]) == 0
+        assert main(["claims", "--n", "4", "--d", "3", "--p", "inf"]) == 0
 
     def test_verdicts(self, capsys):
-        assert main(["verdicts", "--d", "3"]) == 0
+        assert main(["claims", "--d", "3"]) == 0
         out = capsys.readouterr().out
         assert "Ψ(Y) empty = True" in out
 
     def test_verdicts_low_d(self, capsys):
-        assert main(["verdicts", "--d", "2"]) == 0
+        assert main(["claims", "--d", "2"]) == 0
         out = capsys.readouterr().out
         assert "need d >= 3" in out
+
+    def test_claims_prints_three_sections(self, capsys):
+        assert main(["claims"]) == 0
+        out = capsys.readouterr().out
+        for header in ("tight process-count bounds for d=3, f=1:",
+                       "random inputs: n=4, d=3, f=1, p=2.0, seed=0",
+                       "impossibility constructions at d=3 (f=1):"):
+            assert header in out
 
     def test_fuzz_clean_run_exits_zero(self, capsys):
         assert main(["fuzz", "--algorithm", "k1", "--trials", "3"]) == 0
@@ -58,7 +70,7 @@ class TestCLI:
 
 
 class TestDstLoop:
-    """The fuzz -> shrink -> replay loop exposed by the CLI."""
+    """The fuzz -> replay --shrink -> replay loop exposed by the CLI."""
 
     def find_token(self, capsys) -> str:
         code = main(["fuzz", "--algorithm", "algo", "--trials", "1",
@@ -83,7 +95,8 @@ class TestDstLoop:
     def test_shrink_token_and_save_seed(self, tmp_path, capsys):
         token = self.find_token(capsys)
         seed_file = tmp_path / "seed.json"
-        assert main(["shrink", "--token", token, "--out", str(seed_file)]) == 0
+        assert main(["replay", "--shrink", "--token", token,
+                     "--out", str(seed_file)]) == 0
         out = capsys.readouterr().out
         assert "shrunk:" in out and seed_file.exists()
         # The saved seed replays with its recorded expectation.
@@ -95,8 +108,10 @@ class TestDstLoop:
 
         token = self.find_token(capsys)
         trace = tmp_path / "replay.jsonl"
-        main(["replay", "--token", token, "--trace", str(trace)])
-        assert read_jsonl(trace)
+        main(["replay", "--token", token, "--trace-out", str(trace)])
+        records = read_jsonl(trace)
+        assert any(r["type"] == "span" for r in records)
+        assert "forensics:" in capsys.readouterr().out
 
     def test_replay_clean_corpus_seed_exits_zero(self, capsys):
         from pathlib import Path
@@ -117,8 +132,19 @@ class TestDstLoop:
         from repro.dst import Scenario, encode_token
 
         token = encode_token(Scenario(algorithm="algo", n=4, d=2, f=1, seed=11))
-        assert main(["shrink", "--token", token]) == 2
+        assert main(["replay", "--shrink", "--token", token]) == 2
         assert "nothing to shrink" in capsys.readouterr().err
+
+    def test_shrink_options_need_shrink(self, tmp_path, capsys):
+        from repro.dst import Scenario, encode_token
+
+        token = encode_token(Scenario(algorithm="algo", n=4, d=2, f=1, seed=11))
+        out = tmp_path / "seed.json"
+        assert main(["replay", "--token", token, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: only valid with --shrink: --out\n"
+        )
+        assert not out.exists()
 
 
 class TestArgumentValidation:
@@ -127,51 +153,63 @@ class TestArgumentValidation:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["demo", "--n", "3"],  # n < 3f+1 at f=1
-            ["demo", "--n", "6", "--f", "2"],
-            ["demo", "--d", "0"],
-            ["demo", "--f", "0"],
-            ["delta", "--n", "1", "--d", "2"],
-            ["delta", "--n", "4", "--d", "2", "--f", "4"],
+            ["explain", "--n", "3"],  # n < 3f+1 at f=1
+            ["explain", "--n", "6", "--f", "2"],
+            ["explain", "--d", "0"],
+            ["explain", "--f", "-1"],
+            ["claims", "--n", "1", "--d", "2"],
+            ["claims", "--n", "4", "--d", "2", "--f", "4"],
             ["fuzz", "--trials", "0"],
+            # values the library rejects, and ranges the command checks
+            pytest.param(["explain", "--algorithm", "nope"], id="explain-algorithm"),
+            pytest.param(["explain", "--algorithm", "krelaxed", "--k", "0"],
+                         id="explain-k"),
+            pytest.param(["explain", "--pid", "99"], id="explain-pid"),
+            pytest.param(["sweep", "--d", "0"], id="sweep-d"),
+            pytest.param(["claims", "--d", "0"], id="claims-d0"),
+            pytest.param(["claims", "--d", "1"], id="claims-d1"),
+            pytest.param(["claims", "--f", "-1"], id="claims-f"),
         ],
     )
     def test_inconsistent_args_exit_2(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
-    def test_demo_error_suggests_fix(self, capsys):
-        main(["demo", "--n", "3"])
+    def test_size_error_names_the_bound(self, capsys):
+        main(["explain", "--n", "3"])
         assert "n >= 3f+1" in capsys.readouterr().err
 
 
 class TestQuietVerbose:
-    def test_quiet_demo_prints_only_verdict(self, capsys):
-        assert main(["demo", "--quiet", "--d", "3", "--seed", "1"]) == 0
+    def test_quiet_explain_prints_only_the_rendering(self, capsys):
+        assert main(["explain", "--quiet", "--d", "3", "--seed", "1"]) == 0
         out = capsys.readouterr().out
-        assert "ALGO: ok=" in out
-        assert "traffic:" not in out
-        assert "decision:" not in out
+        assert "causal cone" in out
+        assert "run: ok=" not in out
 
-    def test_verbose_demo_echoes_events(self, capsys):
-        assert main(["demo", "--verbose", "--d", "3", "--seed", "1"]) == 0
+    def test_verbose_echoes_events(self, capsys):
+        assert main(["explain", "--verbose", "--d", "3", "--seed", "1"]) == 0
         err = capsys.readouterr().err
-        assert "demo.start" in err and "demo.done" in err
+        assert "core.algo.decide" in err
 
     def test_quiet_and_verbose_conflict(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["demo", "--quiet", "--verbose"])
+            build_parser().parse_args(["claims", "--quiet", "--verbose"])
 
 
 class TestTrace:
+    """``--trace-out FILE`` on explain, fuzz, replay and sweep."""
+
     def test_trace_demo_writes_valid_jsonl(self, tmp_path, capsys):
         from repro.analysis.profiling import metrics_record, summarize_spans
         from repro.obs import read_jsonl
 
         out = tmp_path / "demo.jsonl"
-        assert main(["trace", "--out", str(out), "demo", "--d", "3"]) == 0
+        assert main(["explain", "--algorithm", "algo", "--d", "3",
+                     "--trace-out", str(out)]) == 0
         records = read_jsonl(out)  # validates structure
         names = {s.name for s in summarize_spans(records)}
         assert "sched.sync.run" in names
@@ -188,8 +226,8 @@ class TestTrace:
         from repro.obs import read_jsonl
 
         out = tmp_path / "fuzz.jsonl"
-        code = main(["trace", "--out", str(out), "fuzz",
-                     "--algorithm", "averaging", "--trials", "1"])
+        code = main(["fuzz", "--algorithm", "averaging", "--trials", "1",
+                     "--trace-out", str(out)])
         assert code == 0
         names = {s.name for s in summarize_spans(read_jsonl(out))}
         assert "sched.async.run" in names
@@ -197,27 +235,25 @@ class TestTrace:
 
     def test_trace_flame_prints_tree(self, tmp_path, capsys):
         out = tmp_path / "t.jsonl"
-        assert main(["trace", "--out", str(out), "--flame", "demo",
-                     "--d", "3"]) == 0
-        assert "sched.sync.round" in capsys.readouterr().out
+        argv = ["explain", "--d", "3", "--trace-out", str(out)]
+        assert main(argv) == 0
+        assert "\n  sched.sync.run " not in capsys.readouterr().out
+        assert main(argv + ["--verbose"]) == 0
+        assert "\n  sched.sync.run " in capsys.readouterr().out
 
     def test_trace_propagates_inner_exit_code(self, tmp_path, capsys):
-        out = tmp_path / "bad.jsonl"
-        assert main(["trace", "--out", str(out), "demo", "--n", "3"]) == 2
+        from repro.obs import read_jsonl
 
-    def test_trace_requires_a_command(self, capsys):
-        assert main(["trace"]) == 2
-        assert "requires a command" in capsys.readouterr().err
-
-    def test_trace_cannot_nest(self, capsys):
-        assert main(["trace", "trace", "demo"]) == 2
-        assert "cannot wrap itself" in capsys.readouterr().err
+        out = tmp_path / "found.jsonl"
+        assert main(["fuzz", "--trials", "1", "--seed", "3", "--inject",
+                     "split-brain", "--trace-out", str(out)]) == 1
+        assert read_jsonl(out)
 
     def test_trace_unwritable_out_path_clean_error(self, capsys):
-        code = main(["trace", "--out", "/nonexistent/dir/x.jsonl",
-                     "demo", "--d", "3"])
+        code = main(["explain", "--d", "3",
+                     "--trace-out", "/nonexistent/dir/x.jsonl"])
         assert code == 2
-        assert "cannot write trace" in capsys.readouterr().err
+        assert "error: cannot write" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -335,94 +371,6 @@ class TestReplayProbesCLI:
         assert "probe agreement" in out
 
 
-class TestMetricsCLI:
-    def test_demo_snapshot_is_valid_prometheus_text(self, capsys):
-        from repro.obs.prom import parse_prometheus_text
-
-        assert main(["metrics", "snapshot", "--demo"]) == 0
-        out = capsys.readouterr().out
-        samples = parse_prometheus_text(out)
-        names = {name for name, _, _ in samples}
-        assert any(n.startswith("repro_bcast_") for n in names)
-        assert "repro_perf_phase_seconds_count" in names
-
-    @pytest.mark.parametrize("action", ["snapshot", "serve"])
-    def test_sourceless_report_is_a_usage_error(self, action, capsys):
-        # without --from or --demo there is nothing to report: a fresh CLI
-        # process has run nothing
-        assert main(["metrics", action, "--port", "0"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: metrics {action} needs --from FILE or --demo\n"
-        )
-
-    def test_snapshot_out_writes_file(self, tmp_path, capsys):
-        path = tmp_path / "metrics.prom"
-        assert main(["metrics", "snapshot", "--demo", "--quiet",
-                     "--out", str(path)]) == 0
-        assert "repro_" in path.read_text()
-
-    def test_diff_reports_counter_deltas(self, tmp_path, capsys):
-        from repro.core import RunSpec, run
-        from repro.obs import (MetricsRegistry, Tracer, use_registry,
-                               use_tracer, write_jsonl)
-
-        paths = []
-        for reps, name in ((1, "a"), (2, "b")):
-            registry = MetricsRegistry()
-            tracer = Tracer()
-            with use_registry(registry), use_tracer(tracer):
-                for seed in range(reps):
-                    run(RunSpec(algorithm="algo", n=6, d=2, f=1, seed=seed))
-            path = tmp_path / f"{name}.jsonl"
-            write_jsonl(path, tracer, registry)
-            paths.append(str(path))
-        assert main(["metrics", "diff", *paths]) == 0
-        out = capsys.readouterr().out
-        assert "bcast.om.decisions" in out and "+" in out
-
-    def test_diff_needs_two_files(self, capsys):
-        assert main(["metrics", "diff", "only-one.jsonl"]) == 2
-
-    def test_serve_demo_single_scrape_round_trip(self, capsys):
-        import socket
-        import threading
-        import urllib.request
-
-        from repro.obs.prom import parse_prometheus_text
-
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
-
-        codes = []
-        thread = threading.Thread(
-            target=lambda: codes.append(
-                main(["metrics", "serve", "--demo", "--port", str(port),
-                      "--max-requests", "1"])
-            ),
-            daemon=True,
-        )
-        thread.start()
-        body = None
-        for _ in range(100):
-            try:
-                with urllib.request.urlopen(
-                    f"http://127.0.0.1:{port}/metrics", timeout=5
-                ) as resp:
-                    body = resp.read().decode()
-                break
-            except OSError:
-                thread.join(timeout=0.1)
-        thread.join(timeout=10)
-        assert not thread.is_alive() and codes == [0]
-        assert body is not None
-        assert parse_prometheus_text(body)
-        out = capsys.readouterr().out
-        assert f"http://127.0.0.1:{port}/metrics" in out
-
-
 class TestFleetCLI:
     """``repro fleet`` over a synthetic two-node trail directory."""
 
@@ -534,6 +482,19 @@ class TestFleetCLI:
             name: value for name, _, value in parse_prometheus_text(body)
         }
         assert samples["repro_net_live_frames_sent"] == 2.0  # summed
+
+    def test_trail_files_after_options(self, tmp_path, capsys):
+        import os
+
+        trail_dir = self.write_cluster(tmp_path)
+        files = sorted(os.path.join(trail_dir, name)
+                       for name in os.listdir(trail_dir))
+        out = tmp_path / "stitched.jsonl"
+        assert main(["fleet", "stitch", "--out", str(out), *files]) == 0
+        assert "stitched 2 trails" in capsys.readouterr().out
+        assert main(["fleet", "explain", "--pid", "1", files[0],
+                     "--format", "explain", files[1]]) == 0
+        assert "origin=[0, 0]" in capsys.readouterr().out
 
     def test_no_trails_is_a_usage_error(self, capsys):
         assert main(["fleet", "stitch"]) == 2
