@@ -166,15 +166,15 @@ class BroadcastAllProcess(SyncProcess):
                 and all(isinstance(x, float) and math.isfinite(x) for x in v)
             )
 
-        valid = [v for v in raw if well_formed(v)]
-        if not valid:
+        ok = [well_formed(v) for v in raw]
+        if not any(ok):
             raise RuntimeError(
                 "all broadcasts resolved to the default — more than f faults?"
             )
-        substitute = valid[0]
+        substitute = raw[ok.index(True)]
         out = []
-        for sender, v in enumerate(raw):
-            if well_formed(v):
+        for sender, (v, good) in enumerate(zip(raw, ok)):
+            if good:
                 out.append(v)
             else:
                 self.defaulted_senders.append(sender)

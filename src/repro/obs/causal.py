@@ -124,8 +124,9 @@ class CausalCollector:
     ) -> int:
         """Stamp one message submission; returns the send event's id.
 
-        Called by :meth:`repro.system.network.Network.submit` once per
-        accepted message (atomic broadcasts count once — their single
+        Called once per accepted message, by
+        :meth:`repro.system.network.Network.submit` or by the synchronous
+        round's exchange (atomic broadcasts count once — their single
         send event fans out to one deliver event per target).
         """
         if time is None:

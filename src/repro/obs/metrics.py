@@ -228,8 +228,8 @@ def active_registry() -> Optional[MetricsRegistry]:
 
     Unlike :func:`current_registry` this never falls back to the global
     registry; schedulers use it so that a run started inside a
-    ``use_registry`` scope (the ``repro trace`` CLI) records into that
-    scope's registry, while standalone runs get a private one.
+    ``use_registry`` scope (a command run with ``--trace-out``) records
+    into that scope's registry, while standalone runs get a private one.
     """
     return _STACK[-1] if len(_STACK) > 1 else None
 

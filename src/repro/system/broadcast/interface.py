@@ -46,27 +46,14 @@ def majority(values: list[Any], default: Any = BroadcastDefault) -> Any:
 
     NumPy arrays and nested tuples are compared via their canonical byte
     serialisation so that numerically identical vectors vote together.
-    One object voting several times — a correct commander's value fills
-    its EIG subtree by reference — is serialised once.
+    A unanimous vote by one object — a correct commander's value fills
+    its EIG subtree by reference — is returned without serialising it,
+    and one object voting several times is serialised once.  The vote
+    itself lives with its one protocol caller, the EIG resolution.
     """
-    from ..messages import canonical_bytes
+    from .om import _majority
 
-    counts: dict[bytes, tuple[int, Any]] = {}
-    # id(vote) -> key, for this call only: ``values`` keeps every vote
-    # alive until we return, so no id can be reused under us.
-    keys: dict[int, bytes] = {}
-    for v in values:
-        key = keys.get(id(v))
-        if key is None:
-            key = keys[id(v)] = canonical_bytes(v)
-        cnt, _ = counts.get(key, (0, v))
-        counts[key] = (cnt + 1, v)
-    if not counts:
-        return default
-    best_cnt, best_val = max(counts.values(), key=lambda t: t[0])
-    if 2 * best_cnt > len(values):
-        return best_val
-    return default
+    return _majority(values, default, {})
 
 
 def make_broadcast(

@@ -30,14 +30,41 @@ inject values into parts of the tree they do not control.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import is_, itemgetter
 from typing import Any
 
 from ...obs import metrics as _obs
-from .interface import BroadcastDefault, majority
+from .interface import BroadcastDefault
 
 __all__ = ["EIGState"]
 
 Path = tuple[int, ...]
+
+
+def _majority(values: list[Any], default: Any, keys: dict[int, bytes]) -> Any:
+    """:func:`~repro.system.broadcast.interface.majority`, reading and
+    filling the caller's ``id(vote) -> canonical bytes`` memo.  The
+    caller keeps every vote it keys alive for as long as it holds
+    ``keys``, so no id is reused under it."""
+    if not values:
+        return default
+    first = values[0]
+    if all(map(is_, values, repeat(first))):
+        return first
+    from ..messages import canonical_bytes
+
+    counts: dict[bytes, tuple[int, Any]] = {}
+    for v in values:
+        key = keys.get(id(v))
+        if key is None:
+            key = keys[id(v)] = canonical_bytes(v)
+        cnt, _ = counts.get(key, (0, v))
+        counts[key] = (cnt + 1, v)
+    best_cnt, best_val = max(counts.values(), key=itemgetter(0))
+    if 2 * best_cnt > len(values):
+        return best_val
+    return default
 
 
 class EIGState:
@@ -151,21 +178,27 @@ class EIGState:
     # ------------------------------------------------------------ deciding
     def decide(self) -> Any:
         """Recursive-majority resolution of the EIG tree (run once, after
-        all ``f + 1`` delivery rounds)."""
+        all ``f + 1`` delivery rounds).  Each distinct vote object is
+        serialised at most once per resolution; the memo goes with it."""
         self._publish_receipts()
         if not self._decided:
-            self._decision = self._resolve((self.commander,))
+            root = (self.commander,)
+            self._decision = (
+                self._resolve(root, {}) if self.f
+                else self.tree.get(root, self.default)
+            )
             self._decided = True
             _obs.inc("bcast.om.decisions")
         return self._decision
 
-    def _resolve(self, path: Path) -> Any:
-        stored = self.tree.get(path, self.default)
-        if len(path) == self.f + 1:
-            return stored
-        children = [
-            self._resolve(path + (j,)) for j in range(self.n) if j not in path
-        ]
-        if not children:  # pragma: no cover - n > f+1 always gives children
-            return stored
-        return majority(children, default=self.default)
+    def _resolve(self, path: Path, keys: dict[int, bytes]) -> Any:
+        """Majority over the children of ``path`` (``len(path) <= f``):
+        the stored leaves one level up from the bottom, else each child's
+        own resolution.  Missing entries count as the default."""
+        others = [j for j in range(self.n) if j not in path]
+        if len(path) == self.f:
+            tree, default = self.tree, self.default
+            children = [tree.get(path + (j,), default) for j in others]
+        else:
+            children = [self._resolve(path + (j,), keys) for j in others]
+        return _majority(children, self.default, keys)

@@ -12,14 +12,18 @@ decides *when* each buffered message is delivered.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Deque, Iterator, Optional, Sequence
 
 from ..obs.causal import NULL_COLLECTOR
 from .messages import Message
 
 __all__ = ["Network", "NetworkStats"]
+
+#: A message's tag (``Message`` is a tuple).
+_TAG = itemgetter(2)
 
 #: "No send recorded yet" — ``None`` is a legitimate payload.
 _NO_PAYLOAD: Any = object()
@@ -62,6 +66,27 @@ class NetworkStats:
             self.per_tag_delivered.get(msg.tag, 0) + 1
         )
 
+    def record_sends(self, msgs: Sequence[Message]) -> None:
+        """:meth:`record_send` for each of ``msgs``, in order."""
+        last_payload, last_tag = self._last_payload, self._last_tag
+        size = self._last_size
+        total = 0
+        for msg in msgs:
+            if msg.payload is not last_payload or msg.tag != last_tag:
+                last_payload, last_tag = msg.payload, msg.tag
+                size = msg.estimated_size()
+            total += size
+        self._last_payload, self._last_tag = last_payload, last_tag
+        self._last_size = size
+        self.messages_sent += len(msgs)
+        self.bytes_estimate += total
+        _add_counts(self.per_tag, msgs)
+
+    def record_deliveries(self, msgs: Sequence[Message]) -> None:
+        """:meth:`record_delivery` for each of ``msgs``, in order."""
+        self.messages_delivered += len(msgs)
+        _add_counts(self.per_tag_delivered, msgs)
+
     def merge(self, other: "NetworkStats") -> None:
         """Add ``other``'s counts to these (tags in sorted order)."""
         self.messages_sent += other.messages_sent
@@ -83,6 +108,13 @@ class NetworkStats:
             "per_tag": dict(self.per_tag),
             "per_tag_delivered": dict(self.per_tag_delivered),
         }
+
+
+def _add_counts(per_tag: dict[str, int], msgs: Sequence[Message]) -> None:
+    """Count ``msgs`` into ``per_tag``; a new tag is added where its first
+    message falls, as one increment per message would add it."""
+    for tag, count in Counter(map(_TAG, msgs)).items():
+        per_tag[tag] = per_tag.get(tag, 0) + count
 
 
 class Network:
@@ -161,7 +193,9 @@ class Network:
         return self._count
 
     def drain_all(self) -> Iterator[Message]:
-        """Deliver everything, link by link (synchronous round flush)."""
+        """Deliver everything, link by link: the order in which a
+        synchronous round delivers (``SynchronousScheduler`` fills its
+        inboxes in this order without buffering)."""
         for link in list(self._pending):
             q = self._links[link]
             while q:

@@ -27,6 +27,7 @@ values, so ``copy.deepcopy(scheduler)`` forks a run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -234,6 +235,10 @@ class _Simulator:
         )
 
 
+#: A message's sender and receiver (``Message`` is a tuple).
+_SRC, _DST = itemgetter(0), itemgetter(1)
+
+
 class SynchronousScheduler(_Simulator):
     """Lockstep-round executor with a rushing Byzantine adversary."""
 
@@ -270,6 +275,8 @@ class SynchronousScheduler(_Simulator):
         self._inboxes: dict[int, dict[int, list[tuple[str, Any]]]] = {
             pid: {} for pid in range(self.n)
         }
+        self._pids = frozenset(range(self.n))
+        self._dsts = self._pids | {ALL}
 
     def _step_until_done(self) -> tuple[int, bool]:
         while not all(nd.ctx.decided or nd.ctx.halted for nd in self._correct):
@@ -310,51 +317,80 @@ class SynchronousScheduler(_Simulator):
                 faulty_msgs.extend(node.round(r, inboxes[node.pid], view))
 
             # 3. Deliver everything for the next round (per-link FIFO).
-            #    In incomplete graphs there is no channel across missing
-            #    edges: those messages are dropped at submission — for
-            #    Byzantine senders too (they cannot conjure wires).
-            submitted: list[Message] = []
-            for msg in correct_msgs + faulty_msgs:
-                if (
-                    self.topology is not None
-                    and not msg.is_atomic_broadcast
-                    and not self.topology.allows(msg.src, msg.dst)
-                ):
-                    reg.inc("sched.sync.topology_drops")
-                    continue
-                submitted.append(msg)
-                self.network.submit(msg)
+            submitted = self._exchange(correct_msgs + faulty_msgs, r)
             reg.inc("sched.sync.rounds")
             round_span.tag(
                 sends=len(correct_msgs) + len(faulty_msgs),
                 adversary_sends=len(faulty_msgs),
             )
-            self._inboxes = inboxes = {pid: {} for pid in range(self.n)}
-            for msg in self.network.drain_all():
-                send_eid = (
-                    collector.pop_send(msg.src, msg.dst)
-                    if collector.enabled else None
-                )
-                if msg.is_atomic_broadcast:
-                    targets: Sequence[int] = (
-                        range(self.n)
-                        if self.topology is None
-                        else (*self.topology.neighbors(msg.src), msg.src)
-                    )
-                else:
-                    targets = (msg.dst,)
-                for dst in targets:
-                    if collector.enabled:
-                        collector.on_deliver(dst, send_eid, time=r)
-                    inboxes[dst].setdefault(msg.src, []).append(
-                        (msg.tag, msg.payload)
-                    )
 
             if self._probe_view is not None:
                 for probe in self.probes:
                     probe.on_boundary(self._probe_view, r)
         self.round = r + 1
         return submitted
+
+    def _exchange(self, msgs: list[Message], r: int) -> list[Message]:
+        """Move round ``r``'s messages into next round's inboxes; returns
+        the ones that were sent, in submission order.
+
+        A lockstep round delivers everything it sends, so no message
+        waits in a :class:`Network` buffer: the endpoints are checked,
+        the sends are counted and stamped in submission order, and the
+        deliveries in link order — ``(src, dst)`` ascending, an atomic
+        broadcast's ``dst = ALL`` first, FIFO within a link — which is
+        the order of ``Network.drain_all``.  In an incomplete graph
+        there is no channel across a missing edge: such a message is
+        dropped at submission, for a Byzantine sender too (it cannot
+        conjure wires), but only once its endpoints are known to exist.
+        """
+        n = self.n
+        if not (self._pids.issuperset(map(_SRC, msgs))
+                and self._dsts.issuperset(map(_DST, msgs))):
+            bad = next(m for m in msgs
+                       if m.src not in self._pids or m.dst not in self._dsts)
+            raise ValueError(f"message endpoints out of range: {bad!r}")
+        topology = self.topology
+        if topology is not None:
+            sent = [m for m in msgs
+                    if m.dst == ALL or topology.allows(m.src, m.dst)]
+            if len(sent) < len(msgs):
+                self.metrics.inc("sched.sync.topology_drops",
+                                 len(msgs) - len(sent))
+            msgs = sent
+        stats = self.network.stats
+        stats.record_sends(msgs)
+        collector = self.collector
+        traced = collector.enabled
+        if traced:
+            for m in msgs:
+                collector.on_send(m.src, m.dst, m.tag, seq=m.seq, round=m.round)
+        # Sorted by (src, dst) as two stable sorts on one int each: list.sort
+        # compares machine-size int keys directly, where a tuple key goes
+        # through the generic item-by-item comparison.
+        in_link_order = sorted(msgs, key=_DST)
+        in_link_order.sort(key=_SRC)
+        stats.record_deliveries(in_link_order)
+        self._inboxes = inboxes = {pid: {} for pid in range(n)}
+        everyone = range(n)
+        for src, dst, tag, payload, _, _ in in_link_order:
+            if dst != ALL:
+                targets: Sequence[int] = (dst,)
+            elif topology is None:
+                targets = everyone
+            else:
+                targets = (*topology.neighbors(src), src)
+            send_eid = collector.pop_send(src, dst) if traced else None
+            entry = (tag, payload)
+            for t in targets:
+                if traced:
+                    collector.on_deliver(t, send_eid, time=r)
+                box = inboxes[t]
+                if src in box:
+                    box[src].append(entry)
+                else:
+                    box[src] = [entry]
+        return msgs
 
 
 # ---------------------------------------------------------------------------

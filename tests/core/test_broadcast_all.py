@@ -143,6 +143,22 @@ class TestResolveDefaults:
         with pytest.raises(RuntimeError, match="more than f faults"):
             proc._resolve_defaults([None, (float("nan"), 0.0), (1.0,), "x"])
 
+    def test_each_value_is_checked_once(self):
+        checks = []
+
+        class Counted(tuple):
+            def __len__(self):
+                checks.append(self)
+                return tuple.__len__(self)
+
+        raw = [Counted((1.0, 2.0)), Counted((1.0,)), Counted((3.0, 4.0)), None]
+        proc = Recorder(4, 1, 0, np.zeros(2))
+        out = proc._resolve_defaults(raw)
+        assert out == [raw[0], raw[0], raw[2], raw[0]]
+        assert out[1] is raw[0]
+        assert proc.defaulted_senders == [1, 3]
+        assert sorted(map(id, checks)) == sorted(map(id, raw[:3]))
+
 
 class TestTagRouting:
     """Round-1 deliveries at process 1 of n = 4: which tags reach which

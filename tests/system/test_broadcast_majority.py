@@ -3,7 +3,9 @@
 Pinned on the implementation that serialised every vote: what wins, what
 ties, which *object* comes back (``_resolve_defaults`` requires a tuple,
 and list and tuple votes pool, so the representative must not drift),
-and what one call costs in ``canonical_bytes``.
+and what one call costs in ``canonical_bytes`` — nothing for a
+unanimous vote by one object, and one serialisation per distinct vote
+object over a whole EIG resolution.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import pytest
 
 import repro.system.messages as messages
 from repro.system.broadcast.interface import majority
+from repro.system.broadcast.om import EIGState
 
 
 class TestMajorityVerdict:
@@ -68,10 +71,16 @@ class TestMajorityCost:
         monkeypatch.setattr(messages, "canonical_bytes", counting)
         return calls
 
-    def test_one_object_voting_k_times_is_serialised_once(self, serialised):
+    def test_a_unanimous_object_is_not_serialised(self, serialised):
         vote = (1.0, 2.0)
         assert majority([vote] * 5, default="D") is vote
-        assert len(serialised) == 1
+        assert majority([None] * 3, default="D") is None
+        assert serialised == []
+
+    def test_one_object_voting_k_times_is_serialised_once(self, serialised):
+        vote, other = (1.0, 2.0), (3.0,)
+        assert majority([vote] * 5 + [other], default="D") is vote
+        assert serialised == [vote, other]
 
     def test_equal_but_distinct_objects_are_each_serialised(self, serialised):
         votes = [tuple([1.0, 2.0]) for _ in range(5)]
@@ -86,7 +95,40 @@ class TestMajorityCost:
         assert len(serialised) == 3
 
     def test_nothing_is_remembered_between_calls(self, serialised):
-        vote = (1.0, 2.0)
-        majority([vote, vote])
-        majority([vote, vote])
-        assert len(serialised) == 2
+        vote, other = (1.0, 2.0), (3.0,)
+        majority([vote, vote, other])
+        majority([vote, vote, other])
+        assert len(serialised) == 4
+
+
+class TestEIGDecideCost:
+    """One ``EIGState.decide`` keys each distinct vote object once, over
+    all of its majority calls, and keeps no key past its return."""
+
+    @staticmethod
+    def split_tree(a, b):
+        # n = 7, f = 2, commander 0: every level-2 relay of an even id
+        # says ``a``, of an odd id ``b``; the leaves alternate the same way.
+        st = EIGState(7, 2, 0, 1)
+        st.tree[(0,)] = a
+        for i in range(1, 7):
+            st.tree[(0, i)] = a if i % 2 == 0 else b
+            for j in range(1, 7):
+                if j != i:
+                    st.tree[(0, i, j)] = a if j % 2 == 0 else b
+        return st
+
+    def test_each_vote_object_is_serialised_once_per_decide(self, monkeypatch):
+        calls = []
+        real = messages.canonical_bytes
+        monkeypatch.setattr(
+            messages, "canonical_bytes", lambda obj: calls.append(obj) or real(obj)
+        )
+        a, b = (1.0, 2.0), (3.0, 4.0)
+        first, second = self.split_tree(a, b), self.split_tree(a, b)
+        assert first.decide() == second.decide()
+        # the six level-1 majorities are split, so both objects vote in a
+        # serialised call: once per decide each, none remembered across
+        assert sorted(map(id, calls)) == sorted(map(id, [a, b, a, b]))
+        first.decide()
+        assert len(calls) == 4

@@ -129,3 +129,29 @@ class TestTopologyScheduling:
         res = SynchronousScheduler(procs, f=1, adversary=adv, topology=topo).run()
         # process 2 is not adjacent to 0: it must not hear the spam
         assert 0 not in res.decisions[2]
+
+
+class TestEndpointsBeforeTopology:
+    """A message to a process that does not exist is an error whether or
+    not a topology is installed — never a topology drop.  (A forged
+    sender id is refused earlier, by ``Adversary.transform_outbox``.)"""
+
+    @pytest.mark.parametrize(
+        "topo", [None, ring_lattice_topology(5, 1)], ids=["no-topology", "ring"]
+    )
+    @pytest.mark.parametrize("dst", [99, 5, -2])
+    def test_out_of_range_destination_raises(self, topo, dst):
+        from repro.system.adversary import Adversary, ByzantineStrategy
+        from repro.system.messages import Message
+
+        class Forger(ByzantineStrategy):
+            def inject(self, pid, view):
+                return [Message(pid, dst, "x", "forged", round=view.round)]
+
+        sched = SynchronousScheduler(
+            [Probe() for _ in range(5)], f=1,
+            adversary=Adversary(faulty=[3], strategy=Forger()), topology=topo,
+        )
+        with pytest.raises(ValueError, match="message endpoints out of range"):
+            sched.run()
+        assert sched.metrics.counter_value("sched.sync.topology_drops") == 0
