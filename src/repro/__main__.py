@@ -22,8 +22,8 @@ Commands
 ``lint``      protocol-aware static analysis in one pass: single-file
               rule families (determinism/float-safety/resilience-
               bounds/handler-hygiene/observability) and whole-program
-              ones (message exhaustiveness, determinism taint, quorum
-              provenance, transport readiness); SARIF output and a
+              ones (message exhaustiveness, quorum provenance,
+              transport readiness); SARIF output and a
               stale-suppression audit (``--check-noqa``)
 
 ``fuzz``/``replay`` are the deterministic simulation-testing loop (see

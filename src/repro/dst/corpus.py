@@ -88,14 +88,6 @@ class ReplayReport:
     tracer: Tracer
     metrics: MetricsRegistry
 
-    @property
-    def ok(self) -> bool:
-        return self.result.ok
-
-    @property
-    def invariant(self) -> Optional[str]:
-        return self.result.invariant
-
 
 def replay(
     scenario_or_token: Union[Scenario, str],

@@ -204,9 +204,6 @@ class TrialSpec:
     #: Online probe names (never objects — cells must stay picklable).
     probes: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
 
 def build_runspec(trial: TrialSpec) -> RunSpec:
     """Materialise a cell into a runnable :class:`RunSpec`.

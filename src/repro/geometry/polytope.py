@@ -72,11 +72,6 @@ class Polytope:
             distance_linf(points, v) <= tol for v in self.vertices
         )
 
-    def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
-        """Random points inside (Dirichlet mixture of vertices)."""
-        w = rng.dirichlet(np.ones(self.num_vertices), size=n)
-        return w @ self.vertices
-
     def centroid(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
 

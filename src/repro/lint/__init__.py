@@ -14,7 +14,8 @@ Rule families (see ``docs/static_analysis.md``):
 family     what it protects
 =========  ================================================================
 ``DET``    replay determinism of ``core/``, ``system/``, ``dst/`` (and the
-           seeded-trajectory property of ``benchmarks/``/``examples/``)
+           seeded-trajectory property of ``benchmarks/``/``examples/``);
+           no timer at all in ``core/``/``system/``
 ``FLT``    float comparisons in ``geometry/``/``core/`` go through the
            tolerance helpers in :mod:`repro.geometry.tolerance`
 ``RES``    resilience bounds in ``core/`` and ``system/`` are expressed
@@ -22,12 +23,10 @@ family     what it protects
 ``HYG``    message handlers neither mutate module state nor retain
            references to in-flight payloads they also forward
 ``FLOW``   every message kind sent has a handler branch, no dead handlers
-           (whole-program, like TNT/QUO/XPT: :mod:`repro.lint.flow`)
-``TNT``    wall-clock/RNG/set-order values never *flow* into decisions,
-           payloads, or cache keys (interprocedural taint)
+           (whole-program, like QUO/XPT: :mod:`repro.lint.flow`)
 ``QUO``    thresholds/quorums reach :mod:`repro.core.bounds` via dataflow
-``XPT``    transport readiness: no handler-reachable module globals, pure
-           data payloads, transport touched only via the approved seams
+``XPT``    transport readiness: no handler-reachable module globals,
+           transport touched only via the approved seams
 =========  ================================================================
 
 Findings are suppressible per line with ``# repro: noqa[RULE]`` (or a

@@ -130,7 +130,7 @@ class Rule:
     # Convenience for subclasses.
     def finding(self, module: ModuleInfo, node: Any, message: str) -> Finding:
         """A finding at ``node``: anything with ``lineno`` / ``col_offset``
-        (an AST node, a send site, a taint sink hit)."""
+        (an AST node or a send site)."""
         return Finding(
             path=module.path,
             line=getattr(node, "lineno", 1),

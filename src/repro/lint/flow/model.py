@@ -2,7 +2,7 @@
 
 Every linted file is parsed once into a :class:`ModuleInfo`; the rules
 in :mod:`repro.lint.rules` read one of them at a time, while the flow
-families (FLOW/TNT/QUO/XPT) need to follow a value across files — a tag
+families (FLOW/QUO/XPT) need to follow a value across files — a tag
 helper defined in ``core/averaging.py`` and called from a method three
 hops away, a bounds predicate imported function-level inside
 ``system/broadcast/bracha.py``.  :class:`ProgramModel` is the shared

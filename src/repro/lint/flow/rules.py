@@ -1,10 +1,10 @@
-"""The four flow rule families: FLOW, TNT, QUO, XPT.
+"""The three flow rule families: FLOW, QUO, XPT.
 
 These rules follow values across files: ``check(module, program)``
 reports findings in one module but reads the whole-program
 :class:`~repro.lint.flow.model.ProgramModel`, which one lint pass builds
-once and shares with every rule (as it does the taint analysis and the
-message profiles cached on it).  They are plain
+once and shares with every rule (as it does the message profiles cached
+on it).  They are plain
 :class:`~repro.lint.engine.Rule` subclasses in the one registry.
 
 Families
@@ -14,14 +14,6 @@ Families
   message is silently dropped at every correct receiver).  ``FLOW002``:
   a handler dispatches on a kind the class never sends (dead protocol
   arm — usually a renamed tag).
-* **TNT** — interprocedural determinism taint.  ``TNT001``: a value
-  derived from wall clock / unseeded RNG / set-iteration order reaches
-  ``decide()``.  ``TNT002``: such a value reaches a message payload.
-  ``TNT003``: such a value reaches a geometry/memo cache key.  These
-  upgrade DET001–004 from "source present in file" to "source *flows
-  into* quantity the paper's guarantees range over", which is why the
-  DET002 perf-counter exemption is safe: TNT002 still fires if a timing
-  ever leaks into a payload.
 * **QUO** — quorum provenance.  ``QUO002``: a ``*threshold``/``*quorum``
   binding whose value does not reach :mod:`repro.core.bounds` through
   the dataflow — having the right number is not enough, it must
@@ -30,10 +22,9 @@ Families
   ``system/`` alike.)
 * **XPT** — transport readiness (the static gate for ROADMAP item 1).
   ``XPT001``: mutable module-global state reachable from a message
-  handler (breaks one-OS-process-per-node).  ``XPT002``: message payload
-  contains a non-data value (lambda, process/context/RNG object).
-  ``XPT003``: protocol code imports a non-seam name from a transport
-  module, or touches a transport object's private attribute.
+  handler (breaks one-OS-process-per-node).  ``XPT003``: protocol code
+  imports a non-seam name from a transport module, or touches a
+  transport object's private attribute.
 """
 
 from __future__ import annotations
@@ -53,7 +44,6 @@ from .seams import (
     SEAM_MODULES,
     TRANSPORT_SEAMS,
 )
-from .taint import TaintAnalysis, _TRANSPORT_PAYLOAD_ARG
 
 __all__: list[str] = []
 
@@ -85,11 +75,6 @@ def _process_classes(model: ProgramModel) -> list[ClassInfo]:
 @_once
 def _profiles(model: ProgramModel) -> list[MessageProfile]:
     return [class_profile(model, cls) for cls in _process_classes(model)]
-
-
-@_once
-def _taint(model: ProgramModel) -> TaintAnalysis:
-    return TaintAnalysis(model)
 
 
 # ----------------------------------------------------------------------- FLOW
@@ -151,58 +136,6 @@ class DeadHandlerBranch(Rule):
                     f"but the class never sends it — dead protocol arm "
                     f"(renamed tag?)",
                 )
-
-
-# ------------------------------------------------------------------------ TNT
-class _TaintRule(Rule):
-    family = "determinism-taint"
-    scopes = ("core/", "system/", "dst/", "exec/")
-    sink: str = ""
-    what: str = ""
-    fix: str = ""
-
-    def check(self, module: ModuleInfo, program: ProgramModel) -> Iterator[Finding]:
-        seen: set[int] = set()
-        for hit in _taint(program).sink_hits(module):
-            if hit.sink != self.sink or hit.lineno in seen:
-                continue
-            seen.add(hit.lineno)
-            kinds = ", ".join(sorted(hit.kinds))
-            via = f" ({hit.detail})" if hit.detail.startswith("via") else ""
-            yield self.finding(
-                module,
-                hit,
-                f"nondeterministic value ({kinds}) flows into "
-                f"{self.what}{via}; {self.fix}",
-            )
-
-
-@register
-class TaintedDecision(_TaintRule):
-    id = "TNT001"
-    summary = "wall-clock/RNG/set-order value flows into decide()"
-    sink = "decide"
-    what = "decision state"
-    fix = "decisions must be a pure function of inputs and seeds"
-
-
-@register
-class TaintedPayload(_TaintRule):
-    id = "TNT002"
-    summary = "wall-clock/RNG/set-order value flows into a message payload"
-    sink = "payload"
-    what = "a message payload"
-    fix = "payloads must replay bit-identically from the trace"
-
-
-@register
-class TaintedCacheKey(_TaintRule):
-    id = "TNT003"
-    scopes = ("core/", "system/", "dst/", "exec/", "geometry/")
-    summary = "wall-clock/RNG/set-order value flows into a cache key"
-    sink = "cachekey"
-    what = "a cache key"
-    fix = "cache keys must be deterministic or hits/misses diverge per run"
 
 
 # ------------------------------------------------------------------------ QUO
@@ -380,91 +313,6 @@ def _handler_reach(
             ):
                 frontier.append(func.id)
     yield from reached.values()
-
-
-_IMPURE_NAMES = frozenset({"ctx", "self"})
-
-
-def _impure_payload(
-    expr: ast.expr, module: ModuleInfo, model: ProgramModel
-) -> Optional[str]:
-    """Reason the payload expression is not pure data, else None."""
-    if isinstance(expr, ast.Lambda):
-        return "a lambda (not picklable wire data)"
-    if isinstance(expr, ast.Name):
-        if expr.id in _IMPURE_NAMES:
-            return f"'{expr.id}' (a live object, not wire data)"
-        resolved = model.resolve(module, expr.id)
-        if resolved is not None and (
-            model.function(resolved) is not None
-            or model.class_info(resolved) is not None
-        ):
-            return f"a reference to {expr.id} (function/class, not wire data)"
-        return None
-    if isinstance(expr, ast.Attribute):
-        if expr.attr == "rng" or expr.attr.endswith("_rng"):
-            return "an RNG object (process-local state, not wire data)"
-        if isinstance(expr.value, ast.Name) and expr.value.id in _IMPURE_NAMES:
-            return None  # self.x / ctx.x reads a value; fine
-        return _impure_payload_children(expr.value, module, model)
-    if isinstance(expr, ast.Call):
-        # The call's *result* may be data; only its arguments are payload
-        # subexpressions (a lambda argument still travels).
-        for arg in (*expr.args, *[kw.value for kw in expr.keywords]):
-            reason = _impure_payload(arg, module, model)
-            if reason is not None:
-                return reason
-        if isinstance(expr.func, ast.Lambda):
-            return "a lambda (not picklable wire data)"
-        return None
-    return _impure_payload_children(expr, module, model)
-
-
-def _impure_payload_children(
-    expr: ast.AST, module: ModuleInfo, model: ProgramModel
-) -> Optional[str]:
-    for child in ast.iter_child_nodes(expr):
-        if isinstance(child, ast.expr):
-            reason = _impure_payload(child, module, model)
-            if reason is not None:
-                return reason
-    return None
-
-
-@register
-class ImpurePayload(Rule):
-    id = "XPT002"
-    family = "transport-readiness"
-    scopes = ("core/", "system/")
-    summary = "message payload contains a non-data value"
-
-    def check(self, module: ModuleInfo, program: ProgramModel) -> Iterator[Finding]:
-        for node in module.nodes:
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-            ):
-                continue
-            index = _TRANSPORT_PAYLOAD_ARG.get(node.func.attr)
-            if index is None:
-                continue
-            payload: Optional[ast.expr] = None
-            if len(node.args) > index:
-                payload = node.args[index]
-            else:
-                for kw in node.keywords:
-                    if kw.arg == "payload":
-                        payload = kw.value
-            if payload is None:
-                continue
-            reason = _impure_payload(payload, module, program)
-            if reason is not None:
-                yield self.finding(
-                    module,
-                    node,
-                    f"payload contains {reason}; payloads must be pure "
-                    f"data so a real transport can serialise them",
-                )
 
 
 @_once

@@ -16,8 +16,10 @@ Rules
 * ``DET001`` — the stdlib ``random`` module (global, unseedable-per-run
   state) is banned; draw from the run's ``np.random.Generator``.
 * ``DET002`` — wall-clock reads (``time.time()``, ``datetime.now()``,
-  …) are banned; ``time.perf_counter()`` is deliberately allowed for
-  observability timings that never feed protocol decisions.
+  …) are banned; in ``core/`` and ``system/`` so are the timers
+  (``time.perf_counter()``, ``time.monotonic()`` and their ``_ns``
+  forms), since nothing there times anything.  Elsewhere a timer is
+  allowed for observability timings that never feed protocol decisions.
 * ``DET003`` — unseeded RNG construction (``np.random.default_rng()``
   with no seed, ``np.random.RandomState()``) and the legacy global
   ``np.random.*`` draw functions.
@@ -52,6 +54,17 @@ _WALL_CLOCK = frozenset(
         "datetime.date.today",
     }
 )
+
+#: Timers: no wall-clock meaning, but a different value on every run
+#: (also called bare, after ``from time import perf_counter``).
+_TIMERS = frozenset(
+    f"{prefix}{name}"
+    for prefix in ("time.", "")
+    for name in ("perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns")
+)
+
+#: Where a timer is a finding too: the protocol code, which times nothing.
+_TIMER_SCOPES = ("core/", "system/")
 
 #: Legacy global-state draw/seed functions on ``np.random``.
 _GLOBAL_DRAWS = frozenset(
@@ -118,9 +131,10 @@ class WallClock(Rule):
     id = "DET002"
     family = "determinism"
     scopes = _SCOPES
-    summary = "wall-clock read in a replay-deterministic module"
+    summary = "wall-clock read (or, in core/ and system/, a timer)"
 
     def check(self, module: ModuleInfo, program: ProgramModel) -> Iterator[Finding]:
+        timers = module.logical_path.startswith(_TIMER_SCOPES)
         for node in module.nodes:
             if isinstance(node, ast.Call):
                 name = call_dotted_name(node)
@@ -129,7 +143,15 @@ class WallClock(Rule):
                         module, node,
                         f"`{name}()` reads the wall clock — replays cannot "
                         "reproduce it; use logical rounds/steps (or "
-                        "time.perf_counter() for observability-only timing)",
+                        "time.perf_counter() for observability-only timing "
+                        "outside core/ and system/)",
+                    )
+                elif timers and name in _TIMERS:
+                    yield self.finding(
+                        module, node,
+                        f"`{name}()` differs on every run, and protocol code "
+                        "times nothing; time it from the caller, outside "
+                        "core/ and system/",
                     )
 
 

@@ -8,7 +8,6 @@ without any plumbing::
 
     from repro.obs import metrics
     metrics.inc("bcast.bracha.echo")          # ambient registry
-    metrics.observe("geometry.delta_star.seconds", dt)
 
 Outside any run the ambient registry is a process-global one, so
 standalone kernel calls (CLI, notebooks) still accumulate somewhere
@@ -35,8 +34,6 @@ __all__ = [
     "current_registry",
     "use_registry",
     "inc",
-    "observe",
-    "set_gauge",
 ]
 
 
@@ -190,9 +187,6 @@ class MetricsRegistry:
         c = self._counters.get(name)
         return c.value if c is not None else default
 
-    def names(self) -> list[str]:
-        return sorted({*self._counters, *self._gauges, *self._histograms})
-
     def snapshot(self) -> dict[str, Any]:
         """Plain-data view of every metric (JSON-serialisable)."""
         out: dict[str, Any] = {}
@@ -249,12 +243,3 @@ def inc(name: str, amount: int = 1) -> None:
     """Increment a counter on the ambient registry."""
     _STACK[-1].counter(name).inc(amount)
 
-
-def observe(name: str, value: float) -> None:
-    """Record a histogram sample on the ambient registry."""
-    _STACK[-1].histogram(name).observe(value)
-
-
-def set_gauge(name: str, value: float) -> None:
-    """Set a gauge on the ambient registry."""
-    _STACK[-1].gauge(name).set(value)

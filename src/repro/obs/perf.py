@@ -225,10 +225,6 @@ class PhaseProfiler:
         """Events have no aggregate: dropped."""
         return None
 
-    def clear(self) -> None:
-        self._aggs.clear()
-        self._stack.clear()
-
     def __len__(self) -> int:
         return len(self._aggs)
 

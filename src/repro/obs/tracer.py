@@ -69,11 +69,6 @@ class SpanRecord:
     t1: Optional[float] = None
     tags: dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def duration(self) -> float:
-        """Span length in seconds (0.0 while still open)."""
-        return (self.t1 - self.t0) if self.t1 is not None else 0.0
-
 
 @dataclass(frozen=True)
 class EventRecord:

@@ -42,18 +42,12 @@ class Topology:
         """Sorted neighbour ids of ``pid`` (excluding ``pid`` itself)."""
         return tuple(sorted(self.graph.neighbors(pid)))
 
-    def degree(self, pid: int) -> int:
-        return self.graph.degree[pid]
-
     def min_degree(self) -> int:
         return min(dict(self.graph.degree).values())
 
     def allows(self, src: int, dst: int) -> bool:
         """True when a channel exists (self-delivery always allowed)."""
         return src == dst or self.graph.has_edge(src, dst)
-
-    def is_connected(self) -> bool:
-        return nx.is_connected(self.graph)
 
     def diameter(self) -> int:
         return nx.diameter(self.graph)

@@ -34,18 +34,26 @@ and field types; anything else a peer sends is a :class:`WireError`.
 
 A link encodes each record once, when it is enqueued; the frame bytes
 are the snapshot, so a sender mutating a payload object afterwards can
-never corrupt a queued or in-flight frame.  Payloads rely on the XPT002
-lint contract (plain picklable data — no lambdas, processes, contexts,
-or RNGs).  Pickle protocol 4 matches
+never corrupt a queued or in-flight frame.  Pickle protocol 4 matches
 :func:`~repro.system.messages.canonical_bytes`.
+
+A payload is builtin data — tuples, lists, dicts, str, bytes, int,
+float, bool, None — plus :class:`~repro.system.crypto.Signature`, the
+one class a frame may name.  :func:`decode_body` unpickles with a
+:class:`pickle.Unpickler` whose ``find_class`` returns ``Signature`` and
+refuses every other global, so a peer's frame can build data but never
+call into this process: an ndarray payload, or ``os.system`` smuggled
+in by a hostile peer, is a :class:`WireError`.
 """
 
 from __future__ import annotations
 
+import io
 import pickle
 import struct
 from typing import Any, Optional
 
+from ..crypto import Signature
 from ..messages import Message
 
 __all__ = [
@@ -96,7 +104,7 @@ _INT, _STR, _NONE = (int,), (str,), type(None)
 
 #: record type -> its fields after the type tag, in order, each with the
 #: exact types a value may have (``bool`` is not an ``int`` here);
-#: ``None`` in place of the types means any picklable payload.
+#: ``None`` in place of the types means any payload the reader unpickles.
 RECORD_FIELDS: dict[str, tuple[tuple[str, Optional[tuple[type, ...]]], ...]] = {
     HELLO: (("node_id", _INT), ("wire_version", _INT), ("instance", _STR)),
     MSG: (
@@ -203,10 +211,20 @@ def _check_fields(values: tuple, fields: tuple, what: str) -> None:
             )
 
 
+class _FrameUnpickler(pickle.Unpickler):
+    """Unpickles builtin data and :class:`Signature`; any other global a
+    body names is refused before it is looked up, let alone called."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        if module == Signature.__module__ and name == "Signature":
+            return Signature
+        raise pickle.UnpicklingError(f"frame names the global {module}.{name}")
+
+
 def decode_body(body: bytes) -> tuple:
     """Unpickle one frame body and check it against :data:`RECORD_FIELDS`."""
     try:
-        record = pickle.loads(body)
+        record = _FrameUnpickler(io.BytesIO(body)).load()
     except Exception as exc:
         raise WireError(f"undecodable frame body: {exc}") from exc
     if not isinstance(record, tuple) or not record:

@@ -76,7 +76,7 @@ class TestReplay:
     def test_replay_collects_forensics(self, tmp_path):
         out = tmp_path / "trace.jsonl"
         rep = replay(small_scenario())
-        assert rep.ok
+        assert rep.result.ok
         events = {e.name for e in rep.tracer.events}
         assert {"dst.replay.start", "dst.replay.done"} <= events
         assert rep.tracer.spans  # the protocol stack emitted spans
@@ -93,7 +93,7 @@ class TestReplay:
 
     def test_replay_from_token_matches_scenario_replay(self):
         s = small_scenario()
-        assert replay(encode_token(s)).ok == replay(s).ok
+        assert replay(encode_token(s)).result.ok == replay(s).result.ok
 
 
 class TestSeedFiles:

@@ -151,7 +151,7 @@ class TestGammaPolytope:
 class TestPolytopeObject:
     def test_sample_inside(self, rng):
         P = Polytope(SQ)
-        for x in P.sample(rng, 5):
+        for x in rng.dirichlet(np.ones(P.num_vertices), size=5) @ P.vertices:
             assert P.contains(x)
 
     def test_equals(self):

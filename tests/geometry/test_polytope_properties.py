@@ -70,7 +70,7 @@ def test_intersection_contains_mixture_points(seed):
     P = intersect_hulls_polytope([a, b])
     if P is None:
         return
-    for x in P.sample(rng, 5):
+    for x in rng.dirichlet(np.ones(P.num_vertices), size=5) @ P.vertices:
         assert in_hull(a, x, tol=1e-5)
         assert in_hull(b, x, tol=1e-5)
 

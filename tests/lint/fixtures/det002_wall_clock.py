@@ -1,8 +1,8 @@
 # repro: lint-as system/fixture_det002.py
-"""Fixture: wall-clock read in a deterministic layer -> exactly one DET002.
+"""Fixture: wall-clock read in a deterministic layer -> DET002.
 
-``time.perf_counter()`` is allowed (duration-only, never branches a
-protocol decision), so only the ``time.time()`` call is a finding.
+In ``system/`` (and ``core/``) the timer is a finding too: protocol code
+times nothing, so both calls below are DET002.
 """
 
 import time

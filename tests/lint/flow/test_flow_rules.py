@@ -34,24 +34,6 @@ def test_flow002_dead_handler():
     assert "'legacy'" in findings[0].message
 
 
-def test_tnt001_rng_into_decide():
-    findings = _flow("tnt001_tainted_decision.py", select=["TNT"])
-    assert [f.rule for f in findings] == ["TNT001"]
-    assert "rng" in findings[0].message
-
-
-def test_tnt002_wall_clock_into_payload_interprocedurally():
-    findings = _flow("tnt002_tainted_payload.py", select=["TNT"])
-    assert [f.rule for f in findings] == ["TNT002"]
-    assert "time" in findings[0].message
-
-
-def test_tnt003_set_order_into_cache_key():
-    findings = _flow("tnt003_tainted_cache_key.py", select=["TNT"])
-    assert findings and all(f.rule == "TNT003" for f in findings)
-    assert "setorder" in findings[0].message
-
-
 def test_quo002_threshold_without_provenance():
     findings = _flow("quo002_threshold_no_provenance.py", select=["QUO"])
     assert [f.rule for f in findings] == ["QUO002"]
@@ -62,13 +44,6 @@ def test_xpt001_handler_reachable_global():
     findings = _flow("xpt001_handler_global.py", select=["XPT"])
     assert [f.rule for f in findings] == ["XPT001"]
     assert "_DELIVERIES" in findings[0].message
-
-
-def test_xpt002_impure_payloads():
-    findings = _flow("xpt002_impure_payload.py", select=["XPT"])
-    assert [f.rule for f in findings] == ["XPT002", "XPT002"]
-    joined = " ".join(f.message for f in findings)
-    assert "lambda" in joined and "RNG" in joined
 
 
 def test_xpt003_seam_import_violation():
@@ -142,24 +117,20 @@ def test_fixture_directory_produces_exactly_the_seeded_findings():
     files = [
         (str(p), p.read_text()) for p in sorted(FIXTURES.glob("*.py"))
     ]
-    findings = lint_sources(files, select=["FLOW", "TNT", "QUO", "XPT"])
+    findings = lint_sources(files, select=["FLOW", "QUO", "XPT"])
     by_file = {}
     for f in findings:
         by_file.setdefault(Path(f.path).name, set()).add(f.rule)
     assert by_file == {
         "flow001_unhandled_kind.py": {"FLOW001"},
         "flow002_dead_handler.py": {"FLOW002"},
-        "tnt001_tainted_decision.py": {"TNT001"},
-        "tnt002_tainted_payload.py": {"TNT002"},
-        "tnt003_tainted_cache_key.py": {"TNT003"},
         "quo002_threshold_no_provenance.py": {"QUO002"},
         "xpt001_handler_global.py": {"XPT001"},
-        "xpt002_impure_payload.py": {"XPT002"},
         "xpt003_seam_violation.py": {"XPT003"},
     }
 
 
-@pytest.mark.parametrize("family", ["FLOW", "TNT", "QUO", "XPT"])
+@pytest.mark.parametrize("family", ["FLOW", "QUO", "XPT"])
 def test_families_selectable(family):
     files = [(str(p), p.read_text()) for p in sorted(FIXTURES.glob("*.py"))]
     findings = lint_sources(files, select=[family])

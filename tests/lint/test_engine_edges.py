@@ -122,9 +122,9 @@ def test_overlapping_select_tokens_do_not_duplicate_rules():
 
 
 def test_select_prefix_spans_per_file_and_flow_without_error():
-    # 'DET' matches single-file rules, 'TNT' whole-program ones; both in
+    # 'DET' matches single-file rules, 'QUO' whole-program ones; both in
     # one select must validate.
-    rules = _select_rules(["DET", "TNT"])
+    rules = _select_rules(["DET", "QUO"])
     assert {r.id for r in rules} >= {"DET001", "DET002", "DET003", "DET004"}
 
 

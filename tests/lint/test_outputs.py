@@ -26,7 +26,7 @@ def run_lint(*argv: str) -> subprocess.CompletedProcess:
 def test_sarif_structure_and_rule_catalogue():
     findings = [
         Finding(path="src/repro/core/x.py", line=3, col=5,
-                rule="TNT002", message="tainted payload"),
+                rule="XPT001", message="handler-reachable global"),
         Finding(path="src/repro/core/y.py", line=1, col=1,
                 rule="PARSE", message="cannot parse"),
     ]
@@ -36,9 +36,9 @@ def test_sarif_structure_and_rule_catalogue():
     (run,) = log["runs"]
     rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
     # Registered and synthesised rules are all described.
-    assert {"DET001", "FLOW001", "TNT002", "XPT003", "PARSE", "NOQA"} <= rule_ids
+    assert {"DET001", "FLOW001", "XPT001", "XPT003", "PARSE", "NOQA"} <= rule_ids
     first, second = run["results"]
-    assert first["ruleId"] == "TNT002" and first["level"] == "error"
+    assert first["ruleId"] == "XPT001" and first["level"] == "error"
     loc = first["locations"][0]["physicalLocation"]
     assert loc["artifactLocation"]["uri"] == "src/repro/core/x.py"
     assert loc["region"] == {"startLine": 3, "startColumn": 5}
@@ -46,12 +46,12 @@ def test_sarif_structure_and_rule_catalogue():
 
 
 def test_cli_sarif_on_fixture(tmp_path):
-    proc = run_lint(str(FLOW_FIXTURES / "tnt001_tainted_decision.py"),
+    proc = run_lint(str(FLOW_FIXTURES / "xpt001_handler_global.py"),
                     "--format", "sarif")
     assert proc.returncode == 1  # findings still drive the exit code
     log = json.loads(proc.stdout)
     rules_hit = {r["ruleId"] for r in log["runs"][0]["results"]}
-    assert "TNT001" in rules_hit
+    assert "XPT001" in rules_hit
 
 
 def test_cli_sarif_clean_tree_is_valid_and_empty():
@@ -121,5 +121,5 @@ def test_shipped_tree_has_no_stale_noqa():
 def test_list_rules_includes_flow_families():
     proc = run_lint("--list-rules")
     assert proc.returncode == 0
-    for rule_id in ("FLOW001", "TNT001", "QUO002", "XPT003"):
+    for rule_id in ("FLOW001", "QUO002", "XPT001", "XPT003"):
         assert rule_id in proc.stdout

@@ -17,8 +17,19 @@ class TestDeterminism:
 
     def test_wall_clock_flagged_perf_counter_allowed(self):
         src = "import time\nt0 = time.perf_counter()\nt1 = time.time()\n"
-        findings = lint_sources([("src/repro/system/x.py", src)])
+        findings = lint_sources([("src/repro/exec/x.py", src)])
         assert [(f.rule, f.line) for f in findings] == [("DET002", 3)]
+
+    def test_timers_flagged_in_core_and_system(self):
+        src = (
+            "import time\nfrom time import monotonic\n"
+            "a = time.perf_counter()\nb = time.perf_counter_ns()\n"
+            "c = time.monotonic_ns()\nd = monotonic()\n"
+        )
+        for logical in ("core/x.py", "system/transport/x.py"):
+            assert rules_in(src, logical) == ["DET002"] * 4
+        assert rules_in(src, "geometry/x.py") == []
+        assert rules_in(src, "dst/x.py") == []
 
     def test_datetime_now_flagged(self):
         src = "import datetime\nstamp = datetime.datetime.now()\n"

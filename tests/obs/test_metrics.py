@@ -9,8 +9,6 @@ from repro.obs.metrics import (
     active_registry,
     current_registry,
     inc,
-    observe,
-    set_gauge,
 )
 
 
@@ -87,8 +85,6 @@ class TestAmbientRegistry:
             assert current_registry() is reg
             assert active_registry() is reg
             inc("scoped")
-            observe("scoped.h", 1.0)
-            set_gauge("scoped.g", 2.0)
         assert current_registry() is ambient
         assert reg.counter_value("scoped") == 1
         assert ambient.counter_value("scoped") == 0

@@ -42,7 +42,6 @@ class TestSpans:
         (span,) = t.spans
         assert span.t1 is not None
         assert span.t1 >= span.t0
-        assert span.duration >= 0.0
 
     def test_sibling_spans_share_parent_across_exits(self):
         t = Tracer()
@@ -133,7 +132,7 @@ class TestEvents:
 class TestEdgeCases:
     def test_open_span_exports_with_null_t1(self):
         # A span never exited (crash mid-run) must still export cleanly:
-        # t1 stays None in the record and duration reads as 0.0.
+        # t1 stays None in the record.
         from repro.obs import trace_to_records, validate_records
 
         t = Tracer()
@@ -144,7 +143,6 @@ class TestEdgeCases:
                 pass
         open_rec = next(s for s in t.spans if s.name == "sched.sync.run")
         assert open_rec.t1 is None
-        assert open_rec.duration == 0.0
         # the nested span still parented under the open one
         inner = next(s for s in t.spans if s.name == "sched.sync.round")
         assert inner.parent_id == open_rec.span_id

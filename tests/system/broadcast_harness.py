@@ -76,7 +76,7 @@ def counters(reg, prefix):
     """``reg``'s counters under ``prefix``, keyed by the rest of the name."""
     return {
         name[len(prefix):]: reg.counter_value(name)
-        for name in reg.names() if name.startswith(prefix)
+        for name in reg.snapshot() if name.startswith(prefix)
     }
 
 

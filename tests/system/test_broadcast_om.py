@@ -148,8 +148,8 @@ class TestEIGReceive:
             st = EIGState(7, 2, 0, 3)
             st.receive(1, 0, ((0,), "v"))
             st.receive(1, 0, "garbage")
-            assert "bcast.om.relays_stored" not in reg.names()
-            assert "bcast.om.relays_rejected" not in reg.names()
+            assert "bcast.om.relays_stored" not in reg.snapshot()
+            assert "bcast.om.relays_rejected" not in reg.snapshot()
             st.messages_for_round(1)
             assert reg.counter_value("bcast.om.relays_stored") == 1
             assert reg.counter_value("bcast.om.relays_rejected") == 1
@@ -170,7 +170,7 @@ class TestEIGReceive:
             st.messages_for_round(0)
             st.messages_for_round(1)
             st.decide()
-        assert reg.names() == ["bcast.om.decisions"]
+        assert list(reg.snapshot()) == ["bcast.om.decisions"]
 
 
 class TestEIGFailureFree:

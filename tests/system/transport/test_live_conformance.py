@@ -60,12 +60,18 @@ LIVE_CASES = [
     ("algo", dict(n=4, d=3, f=1, p=2.0)),
     ("krelaxed", dict(n=6, d=4, f=1, k=1)),
     ("averaging", dict(n=7, d=2, f=2, epsilon=5e-2)),
+    # Signature chains cross the wire: Signature is the one class a
+    # frame may name.
+    ("algo", dict(n=7, d=2, f=2, broadcast="dolev-strong")),
 ]
+
+#: ``algo`` twice: the Dolev-Strong row is named after its broadcast.
+CASE_IDS = [a + (f"-{k['broadcast']}" if "broadcast" in k else "") for a, k in LIVE_CASES]
 
 
 class TestLiveConformance:
     @pytest.mark.parametrize(
-        "algorithm,knobs", LIVE_CASES, ids=[c[0] for c in LIVE_CASES]
+        "algorithm,knobs", LIVE_CASES, ids=CASE_IDS
     )
     def test_honest_decision_over_uds(self, algorithm, knobs):
         outcome = run(

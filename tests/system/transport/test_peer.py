@@ -612,12 +612,10 @@ class TestEncodeAtEnqueue:
     def test_frame_is_the_snapshot(self):
         # The record is encoded inside send_message: what the sender does
         # to the payload object afterwards never reaches the wire.
-        import numpy as np
-
         async def go():
             peer = FakePeer()
             link = peer.link()
-            payload = np.array([1.0, 2.0])
+            payload = [1.0, 2.0]
             await link.send_message(Message(0, 1, "bc:0", payload))
             payload[0] = 99.0
             link.start()

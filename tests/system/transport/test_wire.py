@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.lint.engine import iter_python_files, parse_module
 from repro.lint.flow.model import build_model
 from repro.lint.flow.msgflow import class_profile
+from repro.system.crypto import Signature
 from repro.system.messages import ALL, Message
 from repro.system.transport import wire
 
@@ -28,11 +29,11 @@ SRC = Path(__file__).resolve().parents[3] / "src" / "repro"
 #: One representative message per shipped kind (tag prefix before ":").
 #: Payload shapes mirror what the algorithms actually put on the wire.
 REPRESENTATIVES = {
-    "bc": Message(0, 2, "bc:0", np.array([1.5, -2.0, 0.25]), round=0),
+    "bc": Message(0, 2, "bc:0", ((0, 1), (1.5, -2.0, 0.25)), round=0),
     "abc": Message(1, ALL, "abc", ("echo", 0, (0.5, 1.0)), round=1),
-    "rva": Message(2, 3, "rva:echo:4", (4, np.array([0.1, 0.2])), round=None),
-    "iter": Message(3, 1, "iter", np.array([0.0, 7.0]), round=5),
-    "val": Message(0, 1, "val", np.array([2.0]), round=0),
+    "rva": Message(2, 3, "rva:4:1", ("echo", ("val", (0.1, 0.2))), round=None),
+    "iter": Message(3, 1, "iter", (0.0, 7.0), round=5),
+    "val": Message(0, 1, "val", (2.0,), round=0),
 }
 
 
@@ -77,14 +78,30 @@ class TestMessageRoundTrip:
         assert decoded.dst == msg.dst
         assert decoded.tag == msg.tag
         assert decoded.round == msg.round
-        assert _payload_equal(decoded.payload, msg.payload)
+        assert decoded.payload == msg.payload
 
     def test_payload_defensively_copied(self):
-        payload = np.array([1.0, 2.0])
+        payload = [1.0, 2.0]
         frame = wire.encode_message(Message(0, 1, "bc:0", payload), 0)
         payload[0] = 99.0  # sender mutates after queueing
         _, decoded = wire.decode_message(roundtrip(frame))
         assert decoded.payload[0] == 1.0
+
+    def test_signature_chain_roundtrip(self):
+        # Dolev-Strong's (value, chain): Signature is the one class a
+        # frame may name.
+        chain = (Signature(0, b"\x01" * 32), Signature(3, b"\x02" * 32))
+        msg = Message(0, 2, "bc:0", ((0.5, 1.5), chain), round=1)
+        _, decoded = wire.decode_message(roundtrip(wire.encode_message(msg, 3)))
+        assert decoded.payload == msg.payload
+        assert all(type(s) is Signature for s in decoded.payload[1])
+
+    def test_ndarray_payload_refused(self):
+        # An ndarray pickles through numpy's reconstructor, a global the
+        # reader will not look up: payloads are builtin data.
+        frame = wire.encode_message(Message(0, 1, "iter", np.array([1.0])), 0)
+        with pytest.raises(wire.WireError, match="numpy"):
+            roundtrip(frame)
 
     def test_atomic_envelope_detection(self):
         # The broadcast-channel destination survives the wire as it is.
@@ -98,23 +115,11 @@ class TestMessageRoundTrip:
         assert not decoded.is_atomic_broadcast
 
 
-def _payload_equal(a, b) -> bool:
-    if isinstance(b, np.ndarray):
-        return isinstance(a, np.ndarray) and np.array_equal(a, b)
-    if isinstance(b, tuple):
-        return (
-            isinstance(a, tuple)
-            and len(a) == len(b)
-            and all(_payload_equal(x, y) for x, y in zip(a, b))
-        )
-    return a == b
-
-
 class TestVersionedMessages:
     STAMP = (42, 17, (3, 17, 0, 5))
 
     def test_stamp_roundtrip(self):
-        msg = Message(1, 2, "rva:echo:0", np.array([0.5]), round=3)
+        msg = Message(1, 2, "rva:echo:0", (0.5,), round=3)
         record = roundtrip(wire.encode_message(msg, 9, stamp=self.STAMP))
         assert len(record) == 8
         assert wire.message_stamp(record) == self.STAMP
@@ -299,6 +304,76 @@ class TestDecodeTable:
                 assert types is None or any(
                     row.startswith(f"{name}/{field}=") for row in DECODE_TABLE
                 ), (name, field)
+
+
+def _text(s: str) -> bytes:
+    """A SHORT_BINUNICODE push of ``s``."""
+    raw = s.encode()
+    return pickle.SHORT_BINUNICODE + bytes([len(raw)]) + raw
+
+
+def _hostile_bodies(module: str, name: str, arg: str) -> dict[str, bytes]:
+    """Hand-built bodies that reach ``module.name`` — and, where the
+    opcode calls what it found, call it with ``arg`` — one per opcode
+    that can name a global."""
+    line = f"{module}\n{name}\n".encode()
+    stack_global = _text(module) + _text(name) + pickle.STACK_GLOBAL
+    args = pickle.MARK + _text(arg) + pickle.TUPLE
+    call = stack_global + args + pickle.REDUCE
+    return {
+        "GLOBAL": pickle.GLOBAL + line + pickle.STOP,
+        "STACK_GLOBAL": pickle.PROTO + b"\x04" + stack_global + pickle.STOP,
+        "INST": pickle.MARK + _text(arg) + pickle.INST + line + pickle.STOP,
+        "OBJ": pickle.MARK + pickle.GLOBAL + line + _text(arg)
+        + pickle.OBJ + pickle.STOP,
+        "NEWOBJ": pickle.PROTO + b"\x04" + stack_global + args
+        + pickle.NEWOBJ + pickle.STOP,
+        # A well-formed MSG record whose payload is the call.
+        "REDUCE": pickle.PROTO + b"\x04" + pickle.MARK + _text(wire.MSG)
+        + b"".join(pickle.BININT1 + bytes([i]) for i in (0, 0, 1))
+        + _text("bc:0") + call + pickle.NONE + pickle.NONE
+        + pickle.TUPLE + pickle.STOP,
+    }
+
+
+HOSTILE_TARGETS = [
+    ("os", "system"),
+    ("builtins", "eval"),
+    ("numpy._core.multiarray", "_reconstruct"),
+    ("repro.system.crypto", "SignatureScheme"),
+]
+
+
+class TestHostileGlobals:
+    """A frame can build data and Signatures, and nothing else: every
+    other global it names is refused before it is looked up."""
+
+    @staticmethod
+    def _attack(target, sentinel) -> str:
+        # The argument a call gets: through os.system or eval it would
+        # create the sentinel file.
+        if target == ("os", "system"):
+            return f"touch {sentinel}"
+        return f"open({str(sentinel)!r}, 'w').close()"
+
+    @pytest.mark.parametrize("target", HOSTILE_TARGETS, ids=".".join)
+    @pytest.mark.parametrize(
+        "opcode", ["GLOBAL", "STACK_GLOBAL", "INST", "OBJ", "NEWOBJ", "REDUCE"]
+    )
+    def test_refused_and_nothing_runs(self, tmp_path, target, opcode):
+        sentinel = tmp_path / "sentinel"
+        body = _hostile_bodies(*target, self._attack(target, sentinel))[opcode]
+        with pytest.raises(wire.WireError, match=r"names the global " + ".".join(target)):
+            wire.decode_body(body)
+        assert not sentinel.exists()
+
+    @pytest.mark.parametrize("opcode", ["INST", "OBJ", "REDUCE"])
+    def test_the_bodies_run_under_plain_pickle(self, tmp_path, opcode):
+        # The control: the same bytes through pickle.loads do execute.
+        sentinel = tmp_path / "sentinel"
+        target = ("builtins", "eval")
+        pickle.loads(_hostile_bodies(*target, self._attack(target, sentinel))[opcode])
+        assert sentinel.exists()
 
 
 #: ``encode_for_version(record, WIRE_VERSION)`` at the parent commit — the
