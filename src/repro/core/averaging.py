@@ -157,7 +157,6 @@ class VerifiedAveragingProcess(AsyncProcess):
         self.verified: dict[tuple[int, int], np.ndarray] = {}
         #: claims delivered but not yet verifiable (waiting on references)
         self._pending: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._invalid: set[tuple[int, int]] = set()
         self.current_round = 0  # highest round we have broadcast
         self.my_values: dict[int, np.ndarray] = {0: self.input_value.copy()}
         self.delta_used: Optional[float] = None
@@ -176,18 +175,12 @@ class VerifiedAveragingProcess(AsyncProcess):
         return entry[1]
 
     def _instance_of(self, tag: str) -> Optional[tuple[int, int]]:
-        """``(sender, round)`` named by a delivery's tag; None for a tag
-        that is not ours or names an instance this run cannot have."""
+        """``(sender, round)`` named by a delivery's tag, which the door
+        has parsed; None for a tag not ours or past the last round."""
         parts = tag.split(":")
-        if len(parts) != 3 or parts[0] != "rva":
-            return None
-        try:
-            sender, round = int(parts[1]), int(parts[2])
-        except ValueError:
-            return None
-        if not (0 <= sender < self.n and 0 <= round <= self.num_rounds):
+        if parts[0] != "rva" or int(parts[2]) > self.num_rounds:
             return None  # cap instance creation against Byzantine tag spam
-        return sender, round
+        return int(parts[1]), int(parts[2])
 
     def _rb_send(
         self,
@@ -230,35 +223,11 @@ class VerifiedAveragingProcess(AsyncProcess):
 
     # ---------------------------------------------------------- verification
     def _ingest(self, key: tuple[int, int], payload: Any) -> None:
-        """Classify a freshly delivered claim: verify now, queue, or reject."""
-        sender, round = key
-        if round == 0:
-            try:
-                kind, value = payload
-                vec = np.asarray(value, dtype=float).ravel()
-            except (TypeError, ValueError):
-                self._invalid.add(key)
-                return
-            if kind != "val" or vec.size != self.d or not np.all(np.isfinite(vec)):
-                self._invalid.add(key)
-                return
-            self.verified[key] = vec
-            return
-        try:
-            kind, refs = payload
-            refs = tuple(int(r) for r in refs)
-        except (TypeError, ValueError):
-            self._invalid.add(key)
-            return
-        if (
-            kind != "refs"
-            or len(refs) != self.quorum
-            or len(set(refs)) != len(refs)
-            or any(not 0 <= r < self.n for r in refs)
-        ):
-            self._invalid.add(key)
-            return
-        self._pending[key] = refs
+        """Verify a round-0 claim now, queue a later one on its refs (shape: the door's)."""
+        if key[1] == 0:
+            self.verified[key] = np.asarray(payload[1], dtype=float)
+        else:
+            self._pending[key] = payload[1]
 
     def _round_value(self, round: int, refs: tuple[int, ...]) -> np.ndarray:
         """Deterministic value of a round ``round >= 1`` claim.

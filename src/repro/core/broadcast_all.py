@@ -19,21 +19,22 @@ faulty process", which the algorithms must tolerate anyway.
 
 from __future__ import annotations
 
-import math
 from abc import abstractmethod
 from typing import Any, Optional
 
 import numpy as np
 
-from ..system.broadcast.interface import make_broadcast
+from ..system.broadcast.interface import BroadcastDefault, make_broadcast
 from ..system.crypto import SignatureScheme
 from ..system.process import Context, Inbox, SyncProcess
 
 __all__ = ["BroadcastAllProcess", "broadcast_tag"]
 
 
-def broadcast_tag(instance: int) -> str:
-    """Network tag for broadcast instance ``instance`` (commander id)."""
+def broadcast_tag(instance: int, signed: bool = False) -> str:
+    """Tag of broadcast ``instance``: ``ds:`` if ``signed`` (Dolev–Strong), else ``bc:``."""
+    if signed:
+        return f"ds:{instance}"
     return f"bc:{instance}"
 
 
@@ -79,6 +80,7 @@ class BroadcastAllProcess(SyncProcess):
         if broadcast == "dolev-strong" and scheme is None:
             raise ValueError("dolev-strong broadcast requires a SignatureScheme")
         self.broadcast = broadcast
+        self._signed = broadcast == "dolev-strong"
         if broadcast == "atomic":
             # atomic channel: one slot per sender, filled on delivery
             self.instances: dict[int, Any] = {}
@@ -93,7 +95,7 @@ class BroadcastAllProcess(SyncProcess):
             }
         #: Received tag -> machine, under the spelling ``broadcast_tag``
         #: produces (``on_round`` parses any other).
-        self._by_tag = {broadcast_tag(c): st for c, st in self.instances.items()}
+        self._by_tag = {broadcast_tag(c, self._signed): st for c, st in self.instances.items()}
         self.multiset: Optional[list[Any]] = None
         self.defaulted_senders: list[int] = []
 
@@ -106,11 +108,11 @@ class BroadcastAllProcess(SyncProcess):
         by_tag = self._by_tag
         for src, entries in inbox.items():
             for tag, payload in entries:
-                if not tag.startswith("bc:"):
-                    continue
                 state = by_tag.get(tag)
                 if state is None:
-                    # Not the canonical spelling ("bc:07"), or no instance.
+                    # Another spelling ("bc:07") of this run's family, or none.
+                    if not tag.startswith("ds:" if self._signed else "bc:"):
+                        continue
                     try:
                         instance = int(tag.split(":", 1)[1])
                     except ValueError:
@@ -124,7 +126,7 @@ class BroadcastAllProcess(SyncProcess):
         if round <= self.f:
             for instance, state in self.instances.items():
                 own = self._own_value if instance == self.pid else None
-                tag = broadcast_tag(instance)
+                tag = broadcast_tag(instance, self._signed)
                 for dst, payload in state.messages_for_round(round, own):
                     ctx.send(dst, tag, payload, round=round)
             return
@@ -157,29 +159,14 @@ class BroadcastAllProcess(SyncProcess):
             self.decide_from_multiset(ctx, S)
 
     def _resolve_defaults(self, raw: list[Any]) -> list[tuple[float, ...]]:
-        """Replace default (provably-faulty) entries deterministically."""
-
-        def well_formed(v: Any) -> bool:
-            return (
-                isinstance(v, tuple)
-                and len(v) == self.d
-                and all(isinstance(x, float) and math.isfinite(x) for x in v)
-            )
-
-        ok = [well_formed(v) for v in raw]
-        if not any(ok):
+        """Replace default (provably-faulty) entries; any other passed the door."""
+        valid = [v for v in raw if v is not BroadcastDefault]
+        if not valid:
             raise RuntimeError(
                 "all broadcasts resolved to the default — more than f faults?"
             )
-        substitute = raw[ok.index(True)]
-        out = []
-        for sender, (v, good) in enumerate(zip(raw, ok)):
-            if good:
-                out.append(v)
-            else:
-                self.defaulted_senders.append(sender)
-                out.append(substitute)
-        return out
+        self.defaulted_senders += [c for c, v in enumerate(raw) if v is BroadcastDefault]
+        return [valid[0] if v is BroadcastDefault else v for v in raw]
 
     # ------------------------------------------------------------------ hook
     @abstractmethod

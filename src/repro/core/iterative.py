@@ -104,6 +104,7 @@ class IterativeBVCProcess(SyncProcess):
         self.num_rounds = int(num_rounds)
         self.alpha = float(alpha)
         self.value = np.asarray(input_value, dtype=float).ravel().copy()
+        self.d = self.value.size
         self.history: list[np.ndarray] = [self.value.copy()]
         self.stalled_rounds = 0
 
@@ -121,15 +122,9 @@ class IterativeBVCProcess(SyncProcess):
             if src == self.pid:
                 continue
             for tag, payload in entries:
-                if tag != "iter":
-                    continue
-                try:
-                    vec = np.asarray(payload, dtype=float).ravel()
-                except (TypeError, ValueError):
-                    continue
-                if vec.size == self.value.size and np.all(np.isfinite(vec)):
-                    received.append(vec)
-                break  # one state per neighbour per round
+                if tag == "iter":  # d finite floats: the door checked
+                    received.append(np.asarray(payload, dtype=float))
+                    break  # one state per neighbour per round
         new_value = iterative_update(
             self.value, received, self.f, alpha=self.alpha
         )

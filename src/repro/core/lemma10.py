@@ -62,10 +62,11 @@ class NaiveAveragingProcess(SyncProcess):
 
     def __init__(self, input_value: np.ndarray):
         self.input_value = np.asarray(input_value, dtype=float).ravel()
+        self.d = self.input_value.size
 
     def on_round(self, ctx: Context, round: int, inbox: Inbox) -> None:
         if round == 0:
-            ctx.broadcast("val", tuple(self.input_value), round=0)
+            ctx.broadcast("val", tuple(map(float, self.input_value)), round=0)
             return
         values = [self.input_value]
         for src in sorted(inbox):

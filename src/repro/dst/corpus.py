@@ -68,7 +68,10 @@ def decode_token(token: str) -> Scenario:
     packed = token[len(_TOKEN_PREFIX):]
     packed += "=" * (-len(packed) % 4)
     try:
-        payload = zlib.decompress(base64.urlsafe_b64decode(packed.encode("ascii")))
+        inflater = zlib.decompressobj()
+        payload = inflater.decompress(base64.urlsafe_b64decode(packed.encode("ascii")), 1 << 20)
+        if inflater.unconsumed_tail:  # a scenario inflates to a few hundred bytes
+            raise ValueError("inflates past 1 MiB")
         data = json.loads(payload.decode("utf-8"))
     except Exception as exc:
         raise ValueError(f"corrupt replay token: {exc}") from exc

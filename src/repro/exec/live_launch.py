@@ -464,7 +464,7 @@ def launch_local(
                 )
                 try:
                     records[pid] = json.loads(line)
-                except ValueError:
+                except (ValueError, RecursionError):
                     tail = (err or out or "").strip().splitlines()
                     errors.append(
                         f"node {pid}: no decision line (exit "

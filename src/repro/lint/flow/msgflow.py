@@ -76,50 +76,49 @@ def _local_assignments(func: ast.FunctionDef) -> dict[str, ast.expr]:
     return env
 
 
-def resolve_tag_kind(
+def resolve_tag_kinds(
     expr: ast.expr,
     env: dict[str, ast.expr],
     module: ModuleInfo,
     model: ProgramModel,
     depth: int = 0,
-) -> Optional[str]:
-    """Best-effort message kind of a tag expression, else None."""
+) -> tuple[str, ...]:
+    """Best-effort message kinds of a tag expression (all a helper returns)."""
     if depth > 4:
-        return None
+        return ()
     if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
-        return _kind_of(expr.value)
+        return (_kind_of(expr.value),)
     if isinstance(expr, ast.JoinedStr):
         if expr.values and isinstance(expr.values[0], ast.Constant):
             head = str(expr.values[0].value)
             if ":" in head:
-                return _kind_of(head)
+                return (_kind_of(head),)
             if len(expr.values) == 1:
-                return head
-        return None
+                return (head,)
+        return ()
     if isinstance(expr, ast.Name):
         bound = env.get(expr.id)
         if bound is not None and bound is not expr:
-            return resolve_tag_kind(bound, env, module, model, depth + 1)
-        return None
+            return resolve_tag_kinds(bound, env, module, model, depth + 1)
+        return ()
     if isinstance(expr, ast.Call):
         name = dotted_name(expr.func)
         if name is None:
-            return None
+            return ()
         resolved = model.resolve(module, name)
         target = model.function(resolved) if resolved else None
         if target is None:
-            return None
+            return ()
         target_module, func = target
         func_env = _local_assignments(func)
+        kinds: tuple[str, ...] = ()
         for node in ast.walk(func):
             if isinstance(node, ast.Return) and node.value is not None:
-                kind = resolve_tag_kind(
+                kinds += resolve_tag_kinds(
                     node.value, func_env, target_module, model, depth + 1
                 )
-                if kind is not None:
-                    return kind
-        return None
-    return None
+        return kinds
+    return ()
 
 
 def handler_closure(
@@ -210,10 +209,11 @@ def _handled_kinds(func: ast.FunctionDef) -> dict[str, ast.expr]:
             and node.func.attr == "startswith"
             and _is_tag_expr(node.func.value, tag_names)
             and node.args
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)
         ):
-            handled.setdefault(_kind_of(node.args[0].value), node)
+            arg = node.args[0]  # a literal, or either arm of a conditional
+            for lit in (arg.body, arg.orelse) if isinstance(arg, ast.IfExp) else (arg,):
+                if isinstance(lit, ast.Constant) and isinstance(lit.value, str):
+                    handled.setdefault(_kind_of(lit.value), node)
     return handled
 
 
@@ -228,10 +228,11 @@ def class_profile(model: ProgramModel, cls: ClassInfo) -> MessageProfile:
             tag_index = _TRANSPORT_TAG_ARG.get(node.func.attr)
             if tag_index is None or len(node.args) <= tag_index:
                 continue
-            kind = resolve_tag_kind(node.args[tag_index], env, owner.module, model)
-            profile.sends.append(
-                SendSite(kind, name, node.lineno, node.col_offset)
-            )
+            kinds = resolve_tag_kinds(node.args[tag_index], env, owner.module, model)
+            for kind in kinds or (None,):
+                profile.sends.append(
+                    SendSite(kind, name, node.lineno, node.col_offset)
+                )
     for name, func in sorted(handler_closure(model, cls).items()):
         for kind, test in _handled_kinds(func).items():
             profile.handled.setdefault(kind, test)

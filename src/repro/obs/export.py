@@ -197,7 +197,7 @@ def read_jsonl(path: Union[str, Any]) -> list[dict[str, Any]]:
                 continue
             try:
                 records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
     validate_records(records)
     return records

@@ -23,40 +23,29 @@ cannot inflate quorums by repetition).
 
 from __future__ import annotations
 
-import pickle
 from typing import Any, Optional
 
 from ...obs import metrics as _obs
-from ..messages import canonical_bytes, defensive_copy, is_deeply_immutable
+from ..messages import canonical_bytes, defensive_copy
 
 __all__ = ["BrachaState", "INIT", "ECHO", "READY"]
 
 INIT, ECHO, READY = "init", "echo", "ready"
 
-#: What serialising a value no correct process would send can raise.
-_UNKEYABLE = (pickle.PickleError, TypeError, AttributeError, RecursionError)
-
-#: Canonical key of every deeply immutable value object a BrachaState
-#: serialised, by identity, shared by all instances (see _key).  Each
-#: entry holds its object, so an id is never reused while it is keyed.
-#: Cleared wholesale (never iterated) when it outgrows the bound.
+#: Canonical key of each (door-admitted, deeply immutable) value object a
+#: BrachaState serialised, by identity, shared by all instances: all copies
+#: of a simulated broadcast carry one object.  Each entry holds its object,
+#: so no id is reused while keyed.  Cleared wholesale past the bound.
 _KEYS: dict[int, tuple[Any, bytes]] = {}
 _KEYS_MAX = 4096
 
 
 def _key(value: Any) -> bytes:
-    """Serialise a value :meth:`BrachaState.on_message` found in no entry.
-
-    In the simulator a payload travels by reference: the INIT, ECHO and
-    READY copies of one broadcast, at every receiver, carry one object,
-    so one serialisation keys them all.  Only an object nothing can
-    mutate is remembered — anything else is serialised on every delivery.
-    """
+    """Serialise a value :meth:`BrachaState.on_message` found in no entry."""
     key = canonical_bytes(value)
-    if is_deeply_immutable(value):
-        if len(_KEYS) > _KEYS_MAX:
-            _KEYS.clear()
-        _KEYS[id(value)] = (value, key)
+    if len(_KEYS) > _KEYS_MAX:
+        _KEYS.clear()
+    _KEYS[id(value)] = (value, key)
     return key
 
 
@@ -100,11 +89,8 @@ class BrachaState:
         return [(dst, payload) for dst in range(self.n)]
 
     def _voters(self, votes: dict[bytes, set[int]], key: bytes, value: Any) -> set[int]:
-        # First vote of its phase for this key: the value is retained
-        # past the handler while it is also forwarded, so store a
-        # private copy — a sender-side mutation of the live payload
-        # cannot rewrite what we later deliver.  The first copy under a
-        # key stays private, so later votes need none.
+        # First vote of its phase for this key: the value outlives the
+        # handler, so it is kept as a defensive copy (HYG002).
         if key not in self._values:
             self._values[key] = defensive_copy(value)
         voters = votes[key] = set()
@@ -128,25 +114,11 @@ class BrachaState:
     ) -> list[tuple[int, tuple[str, Any]]]:
         """Process one phase message; returns the messages to send.
 
-        Never raises on a message's content: whatever a Byzantine peer
-        put there is counted (``bcast.bracha.malformed``) and dropped.
+        ``payload`` has passed the door (:mod:`repro.system.door`).
         """
-        try:
-            phase, value = payload
-        except (TypeError, ValueError):
-            _obs.inc("bcast.bracha.malformed")
-            return []
-        if type(phase) is not str or phase not in self._seen:
-            return []  # no such phase: nothing to vote on
+        phase, value = payload
         hit = _KEYS.get(id(value))
-        if hit is not None and hit[0] is value:
-            key = hit[1]
-        else:
-            try:
-                key = _key(value)
-            except _UNKEYABLE:
-                _obs.inc("bcast.bracha.malformed")
-                return []
+        key = hit[1] if hit is not None and hit[0] is value else _key(value)
         self._seen[phase] += 1
         out: list[tuple[int, tuple[str, Any]]] = []
 

@@ -120,16 +120,8 @@ class DolevStrongState:
 
     # ----------------------------------------------------------- receiving
     def receive(self, r: int, src: int, payload: tuple[Any, Chain]) -> None:
-        """Validate and record a relayed value delivered in round ``r``."""
-        try:
-            value, chain = payload
-            chain = tuple(chain)
-        except (TypeError, ValueError):
-            _obs.inc("bcast.ds.rejected")
-            return
-        if not all(isinstance(s, Signature) for s in chain):
-            _obs.inc("bcast.ds.rejected")
-            return
+        """Verify and record a relayed value delivered in round ``r``."""
+        value, chain = payload
         if not self._valid_chain(value, chain, min_len=r):
             _obs.inc("bcast.ds.rejected")
             return

@@ -23,9 +23,9 @@ ids starting with the commander.  ``tree[(c, i1, ..., ik)]`` is "the value
   malformed entries treated as the protocol default.
 
 The machine validates every incoming relay: the path must start at the
-commander, consist of distinct ids, have the sender as its last hop, and
-have the length dictated by the round — so Byzantine processes cannot
-inject values into parts of the tree they do not control.
+commander, have the sender as its last hop and the length dictated by the
+round (the door checks its ids are distinct) — so Byzantine processes
+cannot inject values into parts of the tree they do not control.
 """
 
 from __future__ import annotations
@@ -149,26 +149,13 @@ class EIGState:
     def receive(self, r: int, src: int, payload: tuple[Path, Any]) -> None:
         """Store one relayed ``(path, value)`` delivered in round ``r``.
 
-        Malformed relays (wrong length, wrong last hop, repeated ids, not
-        rooted at the commander) are discarded — a correct process never
-        produces them, so they can only come from Byzantine senders.
-        First write wins, so duplicates cannot overwrite.
+        Its shape passed the door (:mod:`repro.system.door`).  A relay of
+        the wrong length for the round, not rooted at the commander or not
+        last relayed by its sender is discarded — a correct process never
+        sends one.  First write wins, so duplicates cannot overwrite.
         """
-        try:
-            path, value = payload
-            path = tuple(map(int, path))
-        except (TypeError, ValueError):
-            self._rejected += 1
-            return
-        if (
-            len(path) != r
-            or not path
-            or path[0] != self.commander
-            or path[-1] != src
-            or len(set(path)) != len(path)
-            or min(path) < 0
-            or max(path) >= self.n
-        ):
+        path, value = payload
+        if len(path) != r or path[0] != self.commander or path[-1] != src:
             self._rejected += 1
             return
         if path not in self.tree:

@@ -26,6 +26,7 @@ from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .door import reject
 from .messages import ALL, Message
 
 __all__ = ["Context", "SyncProcess", "AsyncProcess", "Inbox", "Node"]
@@ -130,9 +131,10 @@ class Node:
     messages it queued, for the driver to route.  For a faulty process
     (``adversary`` set) they first pass ``adversary.transform_outbox`` —
     even when empty, a strategy may inject — counted on ``metrics``.
+    No handler sees a payload :func:`~repro.system.door.reject` refuses.
     """
 
-    __slots__ = ("pid", "process", "ctx", "adversary", "metrics")
+    __slots__ = ("pid", "process", "ctx", "adversary", "metrics", "d")
 
     def __init__(self, pid: int, process: Any, ctx: Context,
                  adversary: Any = None, metrics: Any = None):
@@ -141,6 +143,7 @@ class Node:
         self.ctx = ctx
         self.adversary = adversary
         self.metrics = metrics
+        self.d = getattr(process, "d", None)  # from the run's inputs
 
     def start(self, view: Any = None) -> Sequence[Message]:
         """Run ``on_start``."""
@@ -153,14 +156,18 @@ class Node:
         """Run ``on_message`` for one delivered message."""
         if self.ctx.halted:
             return ()
-        self.process.on_message(self.ctx, msg.src, msg.tag, msg.payload)
+        if reject(msg.tag, msg.payload, self.ctx.n, self.d, self.ctx.f) is None:
+            self.process.on_message(self.ctx, msg.src, msg.tag, msg.payload)
         return self._take(view)
 
     def round(self, r: int, inbox: Inbox, view: Any = None) -> Sequence[Message]:
         """Run ``on_round`` on round ``r``'s inbox."""
         if self.ctx.halted:
             return ()
-        self.process.on_round(self.ctx, r, inbox)
+        n, d, f = self.ctx.n, self.d, self.ctx.f
+        admitted = {src: [e for e in es if reject(*e, n, d, f) is None]
+                    for src, es in inbox.items()}
+        self.process.on_round(self.ctx, r, admitted)
         return self._take(view)
 
     def _take(self, view: Any) -> Sequence[Message]:

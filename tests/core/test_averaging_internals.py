@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.averaging import VerifiedAveragingProcess, rb_tag
-from repro.system.process import Context
+from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.system.messages import Message
+from repro.system.process import Context, Node
 
 
 def make_proc(**kw):
@@ -19,24 +21,35 @@ def ctx_for(proc):
     return Context(proc.pid, proc.n, proc.f, np.random.default_rng(0))
 
 
+def door_drops(proc, sender, round, claim):
+    """Deliver the INIT of ``claim`` through a node's door; True when the
+    door dropped it, so that no Bracha machine was ever opened."""
+    node = Node(proc.pid, proc, ctx_for(proc))
+    with use_registry(MetricsRegistry()) as reg:
+        node.deliver(Message(sender, proc.pid, rb_tag(sender, round), ("init", claim)))
+    return reg.counter_value("node.malformed.rva") == 1 and not proc._rb
+
+
 class TestTags:
     def test_rb_tag_format(self):
         assert rb_tag(2, 5) == "rva:2:5"
 
     def test_foreign_tags_ignored(self):
+        # An rva tag the door cannot parse is dropped there; a tag of no
+        # family reaches the handler, which ignores it.
         proc = make_proc()
-        ctx = ctx_for(proc)
-        proc.on_message(ctx, 1, "not-rva", ("x",))
-        proc.on_message(ctx, 1, "rva:bad:tag:extra", ("x",))
-        proc.on_message(ctx, 1, "rva:zz:0", ("x",))
-        assert not ctx.outbox  # nothing happened
+        node = Node(proc.pid, proc, ctx_for(proc))
+        for tag in ("not-rva", "rva:bad:tag:extra", "rva:zz:0"):
+            assert node.deliver(Message(1, 0, tag, ("x",))) == []
+        assert not proc._rb  # nothing happened
 
     def test_out_of_range_instances_capped(self):
         """Byzantine tag spam beyond num_rounds creates no state."""
         proc = make_proc(num_rounds=2)
-        ctx = ctx_for(proc)
-        proc.on_message(ctx, 1, rb_tag(0, 99), ("init", ("val", (0.0, 0.0))))
-        proc.on_message(ctx, 1, rb_tag(9, 0), ("init", ("val", (0.0, 0.0))))
+        node = Node(proc.pid, proc, ctx_for(proc))
+        # past the last round: the handler's cap; no such sender: the door's
+        node.deliver(Message(1, 0, rb_tag(0, 99), ("init", ("refs", (0, 1, 2)))))
+        node.deliver(Message(1, 0, rb_tag(9, 0), ("init", ("val", (0.0, 0.0)))))
         assert not proc._rb  # no machines allocated
 
 
@@ -80,6 +93,9 @@ class TestTags:
 
 
 class TestIngestValidation:
+    """A claim is typed at the door, before its Bracha instance exists;
+    what reaches ``_ingest`` is verified or waits for its references."""
+
     def test_valid_round0(self):
         proc = make_proc()
         proc._ingest((1, 0), ("val", (3.0, 4.0)))
@@ -95,8 +111,7 @@ class TestIngestValidation:
     ])
     def test_invalid_round0(self, payload):
         proc = make_proc()
-        proc._ingest((1, 0), payload)
-        assert (1, 0) in proc._invalid
+        assert door_drops(proc, 1, 0, payload)
         assert (1, 0) not in proc.verified
 
     def test_valid_refs(self):
@@ -113,8 +128,8 @@ class TestIngestValidation:
     ])
     def test_invalid_refs(self, payload):
         proc = make_proc()
-        proc._ingest((2, 1), payload)
-        assert (2, 1) in proc._invalid
+        assert door_drops(proc, 2, 1, payload)
+        assert (2, 1) not in proc._pending
 
     def test_round_value_average(self):
         proc = make_proc()

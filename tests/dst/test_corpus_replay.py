@@ -9,7 +9,10 @@ must keep failing the same way).
 
 from __future__ import annotations
 
+import base64
 import json
+import tracemalloc
+import zlib
 from pathlib import Path
 
 import pytest
@@ -64,6 +67,24 @@ class TestTokens:
     def test_corrupt_payload_rejected(self):
         with pytest.raises(ValueError, match="corrupt replay token"):
             decode_token("dst1-not!really@base64")
+
+    def test_token_inflating_past_the_cap_is_rejected(self):
+        # A few KB of deflated blanks that would inflate to 8 MiB: the
+        # reader stops at its cap instead of allocating all of it.
+        packed = base64.urlsafe_b64encode(zlib.compress(b" " * (8 << 20), 9))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="corrupt replay token"):
+                decode_token("dst1-" + packed.decode("ascii"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    def test_truncated_token_is_rejected(self):
+        token = encode_token(small_scenario())
+        with pytest.raises(ValueError, match="corrupt replay token"):
+            decode_token(token[:-8])
 
     def test_tokens_canonical(self):
         # Same scenario -> same token, independent of construction order.

@@ -12,6 +12,7 @@ from repro.__main__ import main
 from repro.core.runspec import RUN_KNOBS, RunSpec
 from repro.exec.live_launch import (
     build_topology,
+    launch_local,
     load_topology,
     write_topology,
 )
@@ -117,3 +118,18 @@ def test_file_format_did_not_move(tmp_path):
     path = tmp_path / "topology.json"
     write_topology(str(path), good_document())
     assert path.read_text() == PINNED_FILE
+
+
+def test_deeply_nested_decision_line_is_no_decision(tmp_path):
+    # A node printing a line json.loads cannot recurse through
+    # (RecursionError, not a ValueError) is reported like any other bad
+    # line instead of crashing the launcher.
+    fake = tmp_path / "python"
+    fake.write_text("#!/bin/sh\nprintf '%100000s' | tr ' ' '['\n")
+    fake.chmod(0o755)
+    (tmp_path / "cluster").mkdir()
+    report = launch_local(SPEC, kind="uds",
+                          workdir=str(tmp_path / "cluster"), python=str(fake))
+    assert not report["ok"]
+    assert len(report["errors"]) == 4
+    assert all("no decision line" in e for e in report["errors"])

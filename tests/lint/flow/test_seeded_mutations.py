@@ -162,9 +162,9 @@ SEEDS = [
     (
         "FLOW001-unhandled-kind",
         "core/lemma10.py",
-        '            ctx.broadcast("val", tuple(self.input_value), round=0)\n',
+        '            ctx.broadcast("val", tuple(map(float, self.input_value)), round=0)\n',
         '            ctx.broadcast("hello", (), round=0)\n'
-        '            ctx.broadcast("val", tuple(self.input_value), round=0)\n',
+        '            ctx.broadcast("val", tuple(map(float, self.input_value)), round=0)\n',
         {"FLOW001"},
     ),
     (

@@ -68,6 +68,13 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="invalid JSON"):
             read_jsonl(path)
 
+    def test_deeply_nested_line_rejected(self, tmp_path):
+        # json.loads raises RecursionError here, not JSONDecodeError.
+        path = tmp_path / "deep.jsonl"
+        path.write_text("[" * 100_000 + "\n")
+        with pytest.raises(ValueError, match="deep.jsonl:1: invalid JSON"):
+            read_jsonl(path)
+
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError, match="unknown type"):
             validate_records([{"type": "mystery"}])

@@ -1,4 +1,8 @@
-"""Shared harness embedding broadcast state machines into processes."""
+"""Shared harness embedding broadcast state machines into processes.
+
+Its tags (``eig``, ``auth``, ``rb``) are of no family the door checks:
+each machine is exercised on whatever values a test hands it.
+"""
 
 from __future__ import annotations
 
@@ -45,11 +49,11 @@ class DSProcess(SyncProcess):
     def on_round(self, ctx, r, inbox):
         for src, entries in inbox.items():
             for tag, payload in entries:
-                if tag == "ds":
+                if tag == "auth":
                     self.state.receive(r, src, payload)
         if r <= self.f:
             for dst, payload in self.state.messages_for_round(r, self.value):
-                ctx.send(dst, "ds", payload, round=r)
+                ctx.send(dst, "auth", payload, round=r)
         if r == self.f + 1:
             ctx.decide(self.state.decide())
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import pickle
 import threading
 
@@ -12,6 +11,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.core.averaging import VerifiedAveragingProcess
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.system.adversary import (
     Adversary,
@@ -21,7 +21,9 @@ from repro.system.adversary import (
 )
 from repro.system.broadcast import bracha
 from repro.system.broadcast.bracha import ECHO, INIT, READY, BrachaState
-from repro.system.messages import canonical_bytes
+from repro.system.door import reject
+from repro.system.messages import Message, canonical_bytes
+from repro.system.process import Context, Node
 
 from .broadcast_harness import run_bracha
 
@@ -99,9 +101,9 @@ class TestBrachaUnit:
         assert all(p is out[0][1] for _, p in out)
 
     def test_malformed_payload_ignored(self):
-        st = BrachaState(4, 1, 0, 1)
-        assert st.on_message(0, "junk") == []
-        assert st.on_message(0, ("weird", 1, 2)) == []
+        # Dropped at the door, before the machine is handed them.
+        assert reject("rva:0:0", "junk", 4, 2, 1) == "rva"
+        assert reject("rva:0:0", ("weird", 1, 2), 4, 2, 1) == "rva"
 
 
 def fresh(value):
@@ -187,27 +189,19 @@ class TestVoteKey:
             assert state.on_message(2, (ECHO, self.VALUE)) == []
         assert state._echoes == {canonical_bytes(self.VALUE): {2}}
 
-    def test_mutable_value_is_rekeyed_after_in_place_mutation(self, keyed):
-        # A list can change between two deliveries of the same object:
-        # it is never remembered, so the second delivery is serialised
-        # again and votes under the key of what the list holds *now*.
-        state = BrachaState(4, 1, 0, 1)
-        live = ["val", [1.0, 2.0]]
-        state.on_message(0, (ECHO, live))
-        before = canonical_bytes(live)
-        live[1].append(3.0)
-        state.on_message(2, (ECHO, live))
-        assert len(keyed) == 2
-        assert state._echoes == {before: {0}, canonical_bytes(live): {2}}
-        assert state._values[before] == ["val", [1.0, 2.0]]
+    def test_a_mutable_value_never_reaches_a_machine(self):
+        # A key is remembered by identity, so it must stay the key of its
+        # object: the door admits tuples of immutable items only.
+        for value in (["val", [1.0, 2.0]], ("val", [1.0, 2.0])):
+            assert reject("rva:0:0", (ECHO, value), 4, 2, 1) == "rva"
 
     def test_mutable_part_inside_a_tuple_is_not_remembered(self, keyed):
-        state = BrachaState(4, 1, 0, 1)
-        live = ("val", [1.0])
-        state.on_message(0, (ECHO, live))
-        live[1][0] = 9.0
-        state.on_message(2, (ECHO, live))
-        assert len(keyed) == 2 and len(state._echoes) == 2
+        # Not even serialised: the door drops it before a machine, or the
+        # key memo, sees it.
+        proc = VerifiedAveragingProcess(4, 1, 1, np.zeros(2), num_rounds=2)
+        node = Node(1, proc, Context(1, 4, 1, np.random.default_rng(0)))
+        node.deliver(Message(0, 1, "rva:0:0", (ECHO, ("val", [1.0]))))
+        assert keyed == [] and bracha._KEYS == {} and not proc._rb
 
     def test_phase_counters_are_published_by_the_host(self):
         with use_registry(MetricsRegistry()) as reg:
@@ -226,7 +220,8 @@ class TestVoteKey:
 
 class TestHostileValues:
     """Whatever a Byzantine peer puts in a phase message is counted and
-    dropped: ``on_message`` never raises on content.
+    dropped by the door (``node.malformed.rva``) before a machine exists
+    for it: ``on_message`` is never handed such content.
 
     No honest payload contains a dict, a lock or a non-string phase (the
     FLOW001 sent-kind inventory: ``("val", floats)`` / ``("refs", ints)``),
@@ -234,46 +229,44 @@ class TestHostileValues:
     """
 
     def handle(self, payload):
+        proc = VerifiedAveragingProcess(4, 1, 1, np.zeros(2), num_rounds=2)
+        node = Node(1, proc, Context(1, 4, 1, np.random.default_rng(0)))
         with use_registry(MetricsRegistry()) as reg:
-            state = BrachaState(4, 1, 0, 1)
-            out = state.on_message(2, payload)
-        return state, out, reg.counter_value("bcast.bracha.malformed")
+            out = node.deliver(Message(2, 1, "rva:0:0", payload))
+        assert "rva:0:0" not in proc._rb  # no machine ever saw it
+        return out, reg.counter_value("node.malformed.rva")
 
     def test_mixed_type_dict_keys_do_not_crash_the_handler(self):
         # Was: TypeError: '<' not supported between 'str' and 'int' —
         # the value was serialised (dict items sorted with ``<``) before
         # the phase was even looked at.  A dict is picklable, so this
         # crosses the live wire too.
-        value = {1: "a", "b": 2}
-        state, out, malformed = self.handle((ECHO, value))
-        assert out == [] and malformed == 0
-        assert state._echoes == {canonical_bytes({"b": 2, 1: "a"}): {2}}
+        out, malformed = self.handle((ECHO, {1: "a", "b": 2}))
+        assert out == [] and malformed == 1
 
     def test_unknown_phase_is_not_keyed(self, keyed):
-        state, out, malformed = self.handle(("bogus", {1: "a", "b": 2}))
-        assert out == [] and malformed == 0 and keyed == []
-        assert not state._echoes and not state._readys
+        out, malformed = self.handle(("bogus", {1: "a", "b": 2}))
+        assert out == [] and malformed == 1 and keyed == []
 
     @pytest.mark.parametrize("phase", [INIT, ECHO, READY])
     def test_unserialisable_value_is_malformed(self, phase):
         for value in (threading.Lock(), lambda: None, (x for x in ())):
-            state, out, malformed = self.handle((phase, ("val", value)))
+            out, malformed = self.handle((phase, ("val", value)))
             assert out == [] and malformed == 1
-            assert not state._echoed and not state._echoes and not state._readys
 
     def test_bottomless_value_is_malformed(self):
         value = ()
         for _ in range(20_000):
             value = (value,)
-        state, out, malformed = self.handle((ECHO, value))
-        assert out == [] and malformed == 1 and not state._echoes
+        out, malformed = self.handle((ECHO, value))
+        assert out == [] and malformed == 1
 
     @pytest.mark.parametrize(
         "phase", [np.array([1, 2]), ["echo"], {"echo": 1}, 7, None, b"echo"]
     )
     def test_non_string_phase_is_ignored(self, phase):
-        state, out, malformed = self.handle((phase, "v"))
-        assert out == [] and not state._echoes and not state._readys
+        out, malformed = self.handle((phase, ("val", (1.0, 2.0))))
+        assert out == [] and malformed == 1
 
 
 class _RekeyingBracha(BrachaState):
@@ -289,18 +282,15 @@ class _RekeyingBracha(BrachaState):
 
 
 #: Identical objects (each index names one object, delivered again and
-#: again), equal ones (0 == 1 == 2, 4 == 5), distinct ones, and two
-#: mutable lists the machine below changes in place between deliveries.
+#: again), equal ones (0 == 1, 3 == 4) and distinct ones — the deeply
+#: immutable values the door lets through.
 _POOL = [
     ("val", (1.0, 2.0)),
     fresh(("val", (1.0, 2.0))),
-    ["val", [1.0, 2.0]],
     ("val", (1.0, 2.5)),
     ("refs", (0, 1, 2)),
     fresh(("refs", (0, 1, 2))),
-    ["refs", [0, 1]],
-    None,
-    {1: "a", "b": 2},
+    ("val", (-0.0, 2.0)),
 ]
 
 
@@ -311,14 +301,13 @@ class VoteKeyMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        # Fresh lists per example; the immutable entries are shared.
-        self.pool = copy.deepcopy(_POOL)
+        self.pool = _POOL
         self.memo = BrachaState(4, 1, 0, 1)
         self.reference = _RekeyingBracha(4, 1, 0, 1)
 
     @rule(
         src=st.integers(0, 3),
-        phase=st.sampled_from([INIT, ECHO, READY, "bogus"]),
+        phase=st.sampled_from([INIT, ECHO, READY]),
         index=st.integers(0, len(_POOL) - 1),
     )
     def deliver(self, src, phase, index):
@@ -326,10 +315,6 @@ class VoteKeyMachine(RuleBasedStateMachine):
         assert self.memo.on_message(src, payload) == self.reference.on_message(
             src, payload
         )
-
-    @rule(which=st.sampled_from([2, 6]), item=st.integers(0, 3))
-    def mutate_in_place(self, which, item):
-        self.pool[which][1].append(item)
 
     @invariant()
     def same_state(self):

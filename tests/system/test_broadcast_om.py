@@ -16,6 +16,7 @@ from repro.system.adversary import (
     SilentStrategy,
 )
 from repro.system.broadcast.om import EIGState
+from repro.system.door import reject
 
 from .broadcast_harness import counters, run_eig
 
@@ -50,9 +51,10 @@ class TestEIGStateUnit:
         st.receive(1, 2, ((0,), "w"))  # last hop mismatch: src=2 but path (0,)
         assert st.tree == {(0,): "v"}
         st.receive(1, 0, ((1, 1), "w"))  # repeated ids + wrong length
-        st.receive(2, 0, ((0, 0), "w"))  # repeats
         st.receive(2, 3, ((0, 9), "w"))  # out of range... also last!=src
         assert st.tree == {(0,): "v"}
+        # Repeated ids never reach a machine: the door drops them.
+        assert reject("bc:0", ((0, 0), (1.0, 2.0)), 4, 2, 1) == "bc"
 
     def test_first_write_wins(self):
         st = EIGState(4, 1, 0, 1)
@@ -61,10 +63,9 @@ class TestEIGStateUnit:
         assert st.tree[(0,)] == "v"
 
     def test_malformed_payload_ignored(self):
-        st = EIGState(4, 1, 0, 1)
-        st.receive(1, 0, "garbage")
-        st.receive(1, 0, (None, "x"))
-        assert st.tree == {}
+        # Dropped at the door, before the machine is handed them.
+        assert reject("bc:0", "garbage", 4, 2, 1) == "bc"
+        assert reject("bc:0", (None, (1.0, 2.0)), 4, 2, 1) == "bc"
 
     def test_round0_burst_shares_one_payload_object(self):
         # n destinations, one payload: the network sizes a burst once.
@@ -87,48 +88,55 @@ class TestEIGStateUnit:
         assert first[0][1] is not second[0][1]
 
 
-#: ``case -> (round, src, payload, stored path or None)`` at pid 3 of
-#: n = 7, f = 2, commander 0.  Accept / reject and the counter totals are
-#: those of the per-message implementation the table was first run against.
+V = (0.5, 1.5)
+
+#: ``case -> (round, src, payload, verdict)`` at pid 3 of n = 7, f = 2,
+#: commander 0, d = 2.  The verdict is the stored path, or who rejects:
+#: the door (the shape) or the machine (the path against the round, the
+#: commander and the last hop).  Accept / reject are those of the
+#: per-message implementation the table was first run against, except
+#: the last four rows: ids are exact ints, never normalised through int().
 _RELAYS = {
-    "valid round 1": (1, 0, ((0,), "v"), (0,)),
-    "valid round 2": (2, 2, ((0, 2), "v"), (0, 2)),
-    "valid round 3": (3, 2, ((0, 6, 2), "v"), (0, 6, 2)),
-    "wrong length for the round": (2, 0, ((0,), "v"), None),
-    "wrong root": (2, 2, ((1, 2), "v"), None),
-    "wrong last hop": (2, 3, ((0, 2), "v"), None),
-    "repeated id": (3, 2, ((0, 2, 2), "v"), None),
-    "id < 0": (3, 2, ((0, -1, 2), "v"), None),
-    "id >= n": (3, 2, ((0, 7, 2), "v"), None),
-    "empty path": (0, 0, ((), "v"), None),
-    "non-iterable path": (1, 0, (5, "v"), None),
-    "None path": (1, 0, (None, "v"), None),
-    "non-int-able element": (2, 2, ((0, "x"), "v"), None),
-    "None element": (2, 2, ((0, None), "v"), None),
-    "payload is not a pair": (1, 0, "garbage", None),
-    "payload is a triple": (1, 0, ((0,), "v", "w"), None),
-    "payload is None": (1, 0, None, None),
-    # ids are normalised through int() before any check
-    "True as an id": (2, 1, ((0, True), "v"), (0, 1)),
-    "float as an id": (2, 1, ((0, 1.0), "v"), (0, 1)),
-    "str as an id": (2, 1, ((0, "1"), "v"), (0, 1)),
-    "list as a path": (2, 1, ([0, 1], "v"), (0, 1)),
+    "valid round 1": (1, 0, ((0,), V), (0,)),
+    "valid round 2": (2, 2, ((0, 2), V), (0, 2)),
+    "valid round 3": (3, 2, ((0, 6, 2), V), (0, 6, 2)),
+    "wrong length for the round": (2, 0, ((0,), V), "machine"),
+    "wrong root": (2, 2, ((1, 2), V), "machine"),
+    "wrong last hop": (2, 3, ((0, 2), V), "machine"),
+    "repeated id": (3, 2, ((0, 2, 2), V), "door"),
+    "id < 0": (3, 2, ((0, -1, 2), V), "door"),
+    "id >= n": (3, 2, ((0, 7, 2), V), "door"),
+    "empty path": (0, 0, ((), V), "door"),
+    "non-iterable path": (1, 0, (5, V), "door"),
+    "None path": (1, 0, (None, V), "door"),
+    "non-int-able element": (2, 2, ((0, "x"), V), "door"),
+    "None element": (2, 2, ((0, None), V), "door"),
+    "payload is not a pair": (1, 0, "garbage", "door"),
+    "payload is a triple": (1, 0, ((0,), V, "w"), "door"),
+    "payload is None": (1, 0, None, "door"),
+    "True as an id": (2, 1, ((0, True), V), "door"),
+    "float as an id": (2, 1, ((0, 1.0), V), "door"),
+    "str as an id": (2, 1, ((0, "1"), V), "door"),
+    "list as a path": (2, 1, ([0, 1], V), "door"),
 }
 
 
 class TestEIGReceive:
     @pytest.mark.parametrize("case", sorted(_RELAYS))
     def test_malformed_relay_table(self, case):
-        r, src, payload, stored = _RELAYS[case]
+        r, src, payload, verdict = _RELAYS[case]
         reg = MetricsRegistry()
         with use_registry(reg):
             st = EIGState(7, 2, 0, 3)
-            st.receive(r, src, payload)
+            dropped = reject("bc:0", payload, 7, 2, 2) is not None
+            if not dropped:
+                st.receive(r, src, payload)
             st.decide()
-        assert st.tree == ({} if stored is None else {stored: "v"})
+        stored = verdict if isinstance(verdict, tuple) else None
+        assert dropped == (verdict == "door")
+        assert st.tree == ({} if stored is None else {stored: V})
         assert reg.counter_value("bcast.om.relays_stored") == (stored is not None)
-        assert reg.counter_value("bcast.om.relays_rejected") == (stored is None)
-        assert reg.counter_value("bcast.om.decisions") == 1
+        assert reg.counter_value("bcast.om.relays_rejected") == (verdict == "machine")
 
     def test_duplicate_is_neither_stored_nor_rejected(self):
         reg = MetricsRegistry()
@@ -147,7 +155,7 @@ class TestEIGReceive:
         with use_registry(reg):
             st = EIGState(7, 2, 0, 3)
             st.receive(1, 0, ((0,), "v"))
-            st.receive(1, 0, "garbage")
+            st.receive(1, 2, ((0,), "w"))  # wrong last hop
             assert "bcast.om.relays_stored" not in reg.snapshot()
             assert "bcast.om.relays_rejected" not in reg.snapshot()
             st.messages_for_round(1)

@@ -11,14 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.averaging import VerifiedAveragingProcess
 from repro.system.broadcast import bracha
 from repro.system.broadcast.bracha import ECHO, READY, BrachaState
 from repro.system.messages import (
+    Message,
     canonical_bytes,
     defensive_copy,
     estimate_bytes,
     is_deeply_immutable,
 )
+from repro.system.process import Context, Node
 
 
 class TestDefensiveCopy:
@@ -60,19 +63,17 @@ class TestSharedKeyMemo:
 
     def test_mutated_byzantine_list_is_never_served_from_the_memo(self):
         # A Byzantine sender hands every receiver one list object and
-        # rewrites it between their deliveries.  Each receiver votes
-        # under what the list holds when it arrives, and the list is
-        # never remembered.
-        live = ["val", [1.0, 2.0]]
-        first, second = BrachaState(4, 1, 0, 1), BrachaState(4, 1, 0, 2)
-        first.on_message(3, (ECHO, live))
-        before = canonical_bytes(live)
-        live[1][0] = 666.0
-        second.on_message(3, (ECHO, live))
-        assert first._echoes == {before: {3}}
-        assert second._echoes == {canonical_bytes(live): {3}}
+        # rewrites it between their deliveries.  The door drops it at
+        # each receiver: no machine votes on it, and it is never keyed.
+        live = ("val", [1.0, 2.0])
+        procs = [VerifiedAveragingProcess(4, 1, pid, np.zeros(2), num_rounds=2)
+                 for pid in (1, 2)]
+        for pid, proc in zip((1, 2), procs):
+            node = Node(pid, proc, Context(pid, 4, 1, np.random.default_rng(0)))
+            node.deliver(Message(3, pid, "rva:0:0", (ECHO, live)))
+            live[1][0] = 666.0
         assert bracha._KEYS == {}
-        assert first._values[before] == ["val", [1.0, 2.0]]
+        assert not procs[0]._rb and not procs[1]._rb
 
     def test_memo_is_bounded(self, monkeypatch):
         monkeypatch.setattr(bracha, "_KEYS_MAX", 3)

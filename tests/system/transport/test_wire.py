@@ -2,8 +2,9 @@
 
 The message round-trip coverage is cross-checked against the FLOW001
 sent-kind inventory: every message kind any shipped process class sends
-must round-trip through ``encode_message``/``decode_message`` here, so
-a new protocol message cannot ship without wire coverage.
+must round-trip through ``encode_message``/``decode_message`` here, and
+have a door schema its representative passes, so a new protocol message
+cannot ship without wire coverage or a schema.
 """
 
 from __future__ import annotations
@@ -21,20 +22,25 @@ from repro.lint.engine import iter_python_files, parse_module
 from repro.lint.flow.model import build_model
 from repro.lint.flow.msgflow import class_profile
 from repro.system.crypto import Signature
+from repro.system.door import SCHEMAS, reject
 from repro.system.messages import ALL, Message
 from repro.system.transport import wire
 
 SRC = Path(__file__).resolve().parents[3] / "src" / "repro"
 
 #: One representative message per shipped kind (tag prefix before ":").
-#: Payload shapes mirror what the algorithms actually put on the wire.
+#: Payload shapes are what the algorithms actually put on the wire, in a
+#: run of the ``(n, d, f)`` below.
 REPRESENTATIVES = {
-    "bc": Message(0, 2, "bc:0", ((0, 1), (1.5, -2.0, 0.25)), round=0),
-    "abc": Message(1, ALL, "abc", ("echo", 0, (0.5, 1.0)), round=1),
-    "rva": Message(2, 3, "rva:4:1", ("echo", ("val", (0.1, 0.2))), round=None),
+    "bc": Message(0, 2, "bc:0", ((0, 1), (1.5, -2.0)), round=1),
+    "ds": Message(0, 2, "ds:0", ((1.5, -2.0), (Signature(0, b"\x01" * 32),)),
+                  round=0),
+    "abc": Message(1, ALL, "abc", (0.5, 1.0), round=0),
+    "rva": Message(2, 3, "rva:4:0", ("echo", ("val", (0.1, 0.2))), round=None),
     "iter": Message(3, 1, "iter", (0.0, 7.0), round=5),
-    "val": Message(0, 1, "val", (2.0,), round=0),
+    "val": Message(0, 1, "val", (2.0, -0.0), round=0),
 }
+N, D, F = 5, 2, 1
 
 
 def shipped_sent_kinds() -> set[str]:
@@ -67,6 +73,15 @@ class TestMessageRoundTrip:
         assert kinds, "flow analysis found no sent kinds — model broken?"
         missing = kinds - set(REPRESENTATIVES)
         assert not missing, f"no wire round-trip coverage for {missing}"
+
+    def test_every_shipped_kind_has_a_door_schema(self):
+        missing = shipped_sent_kinds() - set(SCHEMAS)
+        assert not missing, f"no payload schema for {missing}"
+
+    @pytest.mark.parametrize("kind", sorted(REPRESENTATIVES))
+    def test_representative_passes_the_door(self, kind):
+        msg = REPRESENTATIVES[kind]
+        assert reject(msg.tag, msg.payload, N, D, F) is None
 
     @pytest.mark.parametrize("kind", sorted(REPRESENTATIVES))
     def test_roundtrip_identity(self, kind):

@@ -1,8 +1,9 @@
 """docs/transport.md states each boundary's schema; the code owns it.
 
-The wire's per-kind field table and the topology file's knob table are
-written out in the docs for readers; this keeps them the same rows, in
-the same order, as ``wire.RECORD_FIELDS`` / ``wire.STAMP_FIELDS`` and
+The wire's per-kind field table, the door's payload schemas and the
+topology file's knob table are written out in the docs for readers; this
+keeps them the same rows, in the same order, as ``wire.RECORD_FIELDS`` /
+``wire.STAMP_FIELDS``, ``repro.system.door.SCHEMAS`` and
 ``repro.core.runspec.RUN_KNOBS``.
 """
 
@@ -12,6 +13,7 @@ import re
 from pathlib import Path
 
 from repro.core.runspec import RUN_KNOBS
+from repro.system.door import SCHEMAS
 from repro.system.transport import wire
 
 DOC = Path(__file__).resolve().parents[1] / "docs" / "transport.md"
@@ -45,6 +47,15 @@ def test_wire_field_table_is_the_codes():
         for field, types in fields
     ] + [["stamp", field, type_names(types)] for field, types in wire.STAMP_FIELDS]
     assert table_after("### Field types") == expected
+
+
+def test_payload_schema_table_is_the_codes():
+    rows = table_after("### Payload schemas")
+    assert [[row[0], row[2]] for row in rows] == [
+        [family, build.__doc__.strip()] for family, build in SCHEMAS.items()
+    ]
+    for row in rows:
+        assert row[1].startswith(row[0]), row
 
 
 def test_topology_knob_table_is_the_codes():
