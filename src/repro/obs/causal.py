@@ -155,8 +155,8 @@ class CausalCollector:
     def stamp(self, eid: int) -> tuple[int, int, tuple[int, ...]]:
         """The ``(eid, lamport, clock)`` wire stamp of a recorded event.
 
-        The live transport attaches this to outgoing MSG frames (wire
-        version 2) so the receiving node's collector can merge the
+        The live transport attaches this to outgoing MSG frames (the
+        record's ``stamp``) so the receiving node's collector can merge the
         sender's clocks even though the two collectors live in different
         OS processes.
         """

@@ -4,20 +4,26 @@ before the first ``:``): exact builtin types, lengths from the run's
 ``(n, d, f)``, finite floats.  The verdict is a pure function of
 ``(tag, payload, n, d, f)``, so every correct node drops the same
 messages and Bracha's agreement and totality arguments stand; it reads
-only positions whose length it has bounded, so a pickle-memo DAG fails
+only positions whose length it has bounded, so a memo DAG fails
 at its first wrong type.  ``-0.0`` is not normalised: that would build a
 tuple per delivery and break Bracha's identity memo, to which ``0.0`` and
-``-0.0`` are just two byte-keys."""
+``-0.0`` are just two byte-keys.
+
+Each family also has its live-wire layout in :data:`LAYOUTS`: a pack
+that takes exactly the types its check reads, and an unpack that gives
+them back.  A layout knows no ``(n, d, f)``: its counts (d, path, refs,
+chain) are one byte each, in the frame; the check bounds them."""
 
 from __future__ import annotations
 
 from math import isfinite
+from struct import Struct
 from typing import Any, Callable, Optional
 
 from ..obs import metrics as _obs
 from .crypto import Signature
 
-__all__ = ["SCHEMAS", "reject"]
+__all__ = ["LAYOUTS", "SCHEMAS", "reject"]
 
 _FLOAT, _INT = frozenset({float}), frozenset({int})
 _PIDS: dict[int, frozenset[int]] = {}  # n -> its pids
@@ -84,3 +90,89 @@ def reject(tag: str, payload: Any, n: int, d: Optional[int], f: int) -> Optional
             _ADMITTED.clear()
         _ADMITTED[key] = payload
     return None
+
+
+# ------------------------------------------------------------ wire layouts
+
+_F64 = tuple(Struct(f"!B{k}d") for k in range(256))  # a count byte, then floats
+_U16 = tuple(Struct(f"!B{k}H") for k in range(256))  # a count byte, then pids
+_SIG = Struct("!H32s")  # signer, SHA-256 digest
+_PHASES, _KINDS = ("init", "echo", "ready"), ("val", "refs")
+Share = Callable[[bytes, Any], Any]
+Layout = tuple[Callable[[Any], bytes], Callable[[bytes, int, Share], tuple[Any, int]]]
+
+
+def _out(v: Any, structs: tuple[Struct, ...] = _F64, exact: frozenset = _FLOAT) -> bytes:
+    if type(v) is not tuple or not exact.issuperset(map(type, v)):
+        raise TypeError(f"not a tuple of {next(iter(exact)).__name__}: {v!r:.80}")
+    return structs[len(v)].pack(len(v), *v)
+
+
+def _in(b: bytes, i: int, share: Optional[Share] = None,
+        structs: tuple[Struct, ...] = _F64) -> tuple[Any, int]:
+    s = structs[b[i]]
+    v, j = s.unpack_from(b, i)[1:], i + s.size
+    return (v if share is None else share(b"v" + b[i:j], v)), j
+
+
+def _pair(p: Any) -> Any:
+    if type(p) is not tuple or len(p) != 2:
+        raise TypeError(f"not a pair: {p!r:.80}")
+    return p
+
+
+def _rva_out(p: Any) -> bytes:
+    """u8 phase (init, echo, ready) · u8 kind (val, refs) · u8 d + d × f64, or u8 k + k × u16 pids"""
+    phase, (kind, body) = _pair(p)[0], _pair(p[1])
+    k = _KINDS.index(kind)
+    return bytes((_PHASES.index(phase), k)) + (_out(body, _U16, _INT) if k else _out(body))
+
+
+def _rva_in(b: bytes, i: int, share: Share) -> tuple[Any, int]:
+    kind = _KINDS[b[i + 1]]
+    body, j = _in(b, i + 2, None, _U16 if kind == "refs" else _F64)
+    return (_PHASES[b[i]], share(b"r" + b[i + 1:j], (kind, body))), j
+
+
+def _eig_out(p: Any) -> bytes:
+    """u8 k + k × u16 path · u8 d + d × f64"""
+    return _out(_pair(p)[0], _U16, _INT) + _out(p[1])
+
+
+def _eig_in(b: bytes, i: int, share: Share) -> tuple[Any, int]:
+    path, j = _in(b, i, None, _U16)
+    v, j = _in(b, j, share)
+    return (path, v), j
+
+
+def _ds_out(p: Any) -> bytes:
+    """u8 d + d × f64 · u8 k + k × (u16 signer, 32-byte digest)"""
+    v, chain = _pair(p)
+    if type(chain) is not tuple or not all(
+            type(s) is Signature and type(s.signer) is int and type(s.digest) is bytes
+            and len(s.digest) == 32 for s in chain):
+        raise TypeError(f"not a chain of Signatures: {chain!r:.80}")
+    return _out(v) + bytes((len(chain),)) + b"".join(_SIG.pack(s.signer, s.digest) for s in chain)
+
+
+def _ds_in(b: bytes, i: int, share: Share) -> tuple[Any, int]:
+    v, j = _in(b, i, share)
+    end = j + 1 + b[j] * _SIG.size
+    if end > len(b):
+        raise ValueError(f"a chain of {b[j]} Signatures past the frame's end")
+    return (v, tuple(Signature(*_SIG.unpack_from(b, m)) for m in range(j + 1, end, _SIG.size))), end
+
+
+def _vec_out(p: Any) -> bytes:
+    """u8 d + d × f64"""
+    return _out(p)
+
+
+#: Tag family -> (pack, unpack), in SCHEMAS' order; docs/transport.md
+#: shows each pack's docstring.  ``unpack(b, i, share)`` reads a payload
+#: at ``b[i:]`` and returns it with its end, passing the part an identity
+#: memo keys (Bracha's value, an EIG or Dolev–Strong vote) through
+#: ``share(key, part)``, which returns the one object of those bytes.
+LAYOUTS: dict[str, Layout] = {
+    "rva": (_rva_out, _rva_in), "bc": (_eig_out, _eig_in), "ds": (_ds_out, _ds_in),
+    **dict.fromkeys(("abc", "iter", "val"), (_vec_out, _in))}

@@ -15,7 +15,7 @@ from __future__ import annotations
 import copy
 import io
 import pickle
-from typing import Any, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -43,28 +43,44 @@ def estimate_bytes(obj: Any) -> int:
     ``Network.submit`` so it must stay allocation-light.  Scalars count 8
     bytes, strings/bytes their length, NumPy arrays their buffer size,
     containers the sum of their items plus a small per-item overhead.
+    A builtin type goes through :data:`_SIZES` by exact type; a subclass,
+    a NumPy value or a protocol object by ``isinstance`` below.
     """
-    if type(obj) is tuple and _SIZED_SCALARS.issuperset(map(type, obj)):
-        # A flat run of numbers (an honest vector) without a call per item.
-        return 2 + _SCALAR_BYTES * len(obj)
-    if obj is None or isinstance(obj, (int, float, bool, np.generic)):
+    size = _SIZES.get(type(obj))
+    if size is not None:
+        return size(obj)
+    if isinstance(obj, (int, float, bool, np.generic)):
         return _SCALAR_BYTES
     if isinstance(obj, (str, bytes)):
         return len(obj)
     if isinstance(obj, np.ndarray):
         return int(obj.nbytes)
     if isinstance(obj, (tuple, list, set, frozenset)):
-        return 2 + sum(estimate_bytes(v) for v in obj)
+        return _estimate_items(obj)
     if isinstance(obj, dict):
-        return 2 + sum(
-            estimate_bytes(k) + estimate_bytes(v) for k, v in obj.items()
-        )
+        return _estimate_dict(obj)
     # Unknown protocol object (e.g. a Signature dataclass): fall back to
     # its instance dict when present, else one scalar slot.
     d = getattr(obj, "__dict__", None)
     if d:
         return estimate_bytes(d)
     return _SCALAR_BYTES
+
+
+def _estimate_items(obj: Any) -> int:
+    if _SIZED_SCALARS.issuperset(map(type, obj)):
+        # A flat run of numbers (an honest vector) without a call per item.
+        return 2 + _SCALAR_BYTES * len(obj)
+    return 2 + sum(map(estimate_bytes, obj))
+
+
+def _estimate_dict(obj: dict) -> int:
+    return 2 + sum(estimate_bytes(k) + estimate_bytes(v) for k, v in obj.items())
+
+
+_SIZES: dict[type, Callable[[Any], int]] = {
+    **dict.fromkeys(_SIZED_SCALARS, lambda obj: _SCALAR_BYTES), str: len, bytes: len,
+    **dict.fromkeys((tuple, list, set, frozenset), _estimate_items), dict: _estimate_dict}
 
 
 _IMMUTABLE = (int, float, bool, str, bytes, frozenset, type(None))

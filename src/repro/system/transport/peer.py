@@ -50,7 +50,7 @@ __all__ = ["LinkStats", "PeerLink"]
 Dialer = Callable[[], Awaitable[tuple[Any, Any]]]
 
 #: Most frames one ``write`` carries (and one reconnect retransmits): a
-#: full default queue, ~18 KiB of the ~70-byte protocol frames — well
+#: full default queue, ~12 KiB of the ~50-byte protocol frames — well
 #: inside one socket buffer, so the single ``drain`` rarely has to wait.
 MAX_BATCH_FRAMES = 256
 

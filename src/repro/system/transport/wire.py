@@ -1,81 +1,68 @@
-"""Length-prefixed wire protocol for live transports.
+"""Length-prefixed, typed-layout wire protocol for live transports.
 
-Frame layout (everything big-endian)::
+A frame is a big-endian ``u32`` length and a body whose first byte names
+its record; the rest is that record's ``struct`` layout
+(:data:`RECORD_LAYOUTS`).  A record decodes to a tuple:
 
-    +----------------+----------------------------------------+
-    | length: u32    | body: pickled record (length bytes)    |
-    +----------------+----------------------------------------+
-
-The body is one *record* — a plain tuple whose first element is the
-record type and whose remaining fields are listed, with their types, in
-:data:`RECORD_FIELDS`.  :func:`decode_body` checks every record against
-that table, so whatever a reader is handed already has the right arity
-and field types; anything else a peer sends is a :class:`WireError`.
-
-``HELLO``
-    ``(HELLO, node_id, wire_version, instance)`` — exchanged once per
-    connection, both directions, before anything else
-    (:func:`read_hello`).  There is one wire version,
+``(HELLO, node_id, wire_version, instance)``
+    exchanged once per connection, both directions, before anything
+    else (:func:`read_hello`).  There is one wire version,
     :data:`WIRE_VERSION`; a HELLO advertising another one — or another
     instance, or an unexpected identity — aborts the connection.
-``MSG``
-    ``(MSG, link_seq, src, dst, tag, payload, round, stamp)`` where
-    ``stamp`` is the *causal stamp* ``(origin_eid, lamport, clock)`` —
-    the sender-local event id, Lamport timestamp, and vector clock of
-    the send event — or ``None`` when causal tracing is off.
-    ``link_seq`` is the per-link monotonic sequence number used for
-    receiver-side deduplication across reconnects.
-``ROUND``
-    ``(ROUND, link_seq, round, decided)`` — synchronous round barrier
-    marker: the sender finished emitting its round-``round`` traffic on
-    this link (per-link FIFO makes the marker a happens-after fence).
-``DECIDED``
-    ``(DECIDED, link_seq, node_id)`` — asynchronous termination marker.
+``(MSG, link_seq, src, dst, tag, payload, round, stamp)``
+    one protocol message.  ``stamp`` is the *causal stamp*
+    ``(origin_eid, lamport, clock)`` of the send event, or ``None`` when
+    tracing is off; ``link_seq`` numbers the link's frames for
+    receiver-side deduplication across reconnects.  The payload is
+    written in the layout of its tag's family (the text before the first
+    ``:``, :data:`repro.system.door.LAYOUTS`); a tag of no family has no
+    layout and is a :class:`WireError` both ways.
+``(ROUND, link_seq, round, decided)``
+    synchronous round barrier: the sender emitted all its round-``round``
+    traffic on this link (per-link FIFO makes it a happens-after fence).
+``(DECIDED, link_seq, node_id)``
+    asynchronous termination marker.
 
-A link encodes each record once, when it is enqueued; the frame bytes
-are the snapshot, so a sender mutating a payload object afterwards can
-never corrupt a queued or in-flight frame.  Pickle protocol 4 matches
-:func:`~repro.system.messages.canonical_bytes`.
+:func:`encode_record` takes exactly the types :func:`decode_body` gives
+back (``bool`` is no ``int``, a list no tuple) and refuses anything
+else, so whatever is on the wire is deeply immutable and a frame is its
+payload's snapshot.  :func:`decode_body` reads ``struct`` fields and
+UTF-8 and nothing else; every count is in the frame, and a body its
+layout does not consume exactly is a :class:`WireError`.
 
-A payload is builtin data — tuples, lists, dicts, str, bytes, int,
-float, bool, None — plus :class:`~repro.system.crypto.Signature`, the
-one class a frame may name.  :func:`decode_body` unpickles with a
-:class:`pickle.Unpickler` whose ``find_class`` returns ``Signature`` and
-refuses every other global, so a peer's frame can build data but never
-call into this process: an ndarray payload, or ``os.system`` smuggled
-in by a hostile peer, is a :class:`WireError`.
+The decoder interns each tag by its bytes, each payload by its family
+and bytes, and the part of it an identity memo keys, so the n copies of
+one broadcast value a node receives are one object, as in the
+simulator: the door's memo, Bracha's key memo and EIG's unanimity
+shortcut hit here too.  Each table holds what it keys and is cleared
+wholesale past :data:`INTERN_MAX` entries.
 """
 
 from __future__ import annotations
 
-import io
-import pickle
 import struct
+from functools import partial
 from typing import Any, Optional
 
-from ..crypto import Signature
+from ..door import LAYOUTS
 from ..messages import Message
 
 __all__ = [
     "DECIDED",
     "HELLO",
+    "INTERN_MAX",
     "MAX_FRAME_BYTES",
     "MSG",
-    "RECORD_FIELDS",
+    "RECORD_LAYOUTS",
     "ROUND",
-    "STAMP_FIELDS",
     "WIRE_VERSION",
     "WireError",
     "check_hello",
     "decode_body",
     "decode_message",
-    "encode_decided",
     "encode_for_version",
     "encode_hello",
-    "encode_message",
     "encode_record",
-    "encode_round",
-    "frame",
     "message_record",
     "message_stamp",
     "read_frames",
@@ -83,7 +70,7 @@ __all__ = [
 ]
 
 #: The one protocol version; advertised in every HELLO.
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 #: Upper bound on one frame body — a corrupt length prefix must not make
 #: the receiver allocate gigabytes.
@@ -93,48 +80,137 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 #: mark, so a wake-up takes whatever the reader was allowed to buffer.
 READ_BYTES = 64 * 1024
 
-_LEN = struct.Struct("!I")
+#: Entries an intern table holds before it is cleared.
+INTERN_MAX = 4096
 
-HELLO = "hello"
-MSG = "msg"
-ROUND = "round"
-DECIDED = "decided"
+HELLO, MSG, ROUND, DECIDED = "hello", "msg", "round", "decided"
 
-_INT, _STR, _NONE = (int,), (str,), type(None)
-
-#: record type -> its fields after the type tag, in order, each with the
-#: exact types a value may have (``bool`` is not an ``int`` here);
-#: ``None`` in place of the types means any payload the reader unpickles.
-RECORD_FIELDS: dict[str, tuple[tuple[str, Optional[tuple[type, ...]]], ...]] = {
-    HELLO: (("node_id", _INT), ("wire_version", _INT), ("instance", _STR)),
-    MSG: (
-        ("link_seq", _INT), ("src", _INT), ("dst", _INT), ("tag", _STR),
-        ("payload", None), ("round", (int, _NONE)), ("stamp", (tuple, _NONE)),
-    ),
-    ROUND: (("link_seq", _INT), ("round", _INT), ("decided", (bool,))),
-    DECIDED: (("link_seq", _INT), ("node_id", _INT)),
+#: Record (and a MSG's stamp) -> its layout; the record byte is its
+#: index here.  docs/transport.md shows each, then each family's.
+RECORD_LAYOUTS = {
+    HELLO: "u8 0 · i16 node_id · u16 wire_version · instance: UTF-8 to the end",
+    MSG: "u8 1 · u64 link_seq · i16 src · i16 dst · u8 flags · u8 k · tag: k bytes "
+         "of UTF-8 · i32 round if flags & 1 · stamp if flags & 2 · payload: its "
+         "tag family's layout, to the end",
+    ROUND: "u8 2 · u64 link_seq · i32 round · u8 decided (0 or 1)",
+    DECIDED: "u8 3 · u64 link_seq · i16 node_id",
+    "stamp": "u64 origin_eid · u64 lamport · u16 k · k × u64 clock",
 }
 
-#: The fields of a MSG record's causal stamp; ``clock`` holds ints only.
-STAMP_FIELDS = (("origin_eid", _INT), ("lamport", _INT), ("clock", (tuple,)))
+_RECORDS = (HELLO, MSG, ROUND, DECIDED)  # record byte -> record
+#: Fixed-layout record -> (its struct, the exact type of each field after
+#: the record byte; a last ``str`` is the UTF-8 rest of the body).
+_FIXED = {HELLO: (struct.Struct("!BhH"), (int, int, str)),
+          ROUND: (struct.Struct("!BQi?"), (int, int, bool)),
+          DECIDED: (struct.Struct("!BQh"), (int, int))}
+_LEN, _MSG = struct.Struct("!I"), struct.Struct("!BQhhBB")
+_ROUND_NO, _STAMP = struct.Struct("!i"), struct.Struct("!QQH")
+_INT = frozenset({int})
+_FAMILIES = {family: code for code, family in enumerate(LAYOUTS)}
+_PACKS = tuple(pack for pack, _ in LAYOUTS.values())
+_UNPACKS = tuple(unpack for _, unpack in LAYOUTS.values())
+
+#: The decoder's intern tables: a tag's bytes -> (tag, family code); per
+#: family, a payload's bytes -> the payload; a part's -> the part.
+_TAGS: dict[bytes, tuple[str, int]] = {}
+_PAYLOADS: tuple[dict[bytes, Any], ...] = tuple({} for _ in LAYOUTS)
+_PARTS: dict[bytes, Any] = {}
+#: The encoder's: a tag -> (its bytes, head layouts, family code, pack);
+#: a payload object's id -> (it, family code, packed bytes).  An entry
+#: holds its object, so no id is reused while keyed, and a packed payload
+#: is deeply immutable.
+_TAGS_OUT: dict[str, tuple[Any, ...]] = {}
+_PACKED: dict[int, tuple[Any, int, bytes]] = {}
 
 
 class WireError(ValueError):
     """Malformed frame, oversized frame, or handshake mismatch."""
 
 
+def _intern(table: dict[Any, Any], key: Any, value: Any) -> Any:
+    if len(table) > INTERN_MAX:
+        table.clear()
+    return table.setdefault(key, value)
+
+
+_SHARE = partial(_intern, _PARTS)
+
+
+def _family(tag: str) -> int:
+    code = _FAMILIES.get(tag.partition(":")[0])
+    if code is None:
+        raise ValueError(f"tag {tag!r} names no payload layout")
+    return code
+
+
 # --------------------------------------------------------------- encoding
 
 
+def _fixed_out(record: tuple) -> bytes:
+    kind, *fields = record
+    head, types = _FIXED[kind]
+    if tuple(map(type, fields)) != types:
+        raise TypeError(f"fields {fields!r} are not {', '.join(t.__name__ for t in types)}")
+    tail = fields.pop().encode() if types[-1] is str else b""
+    return _LEN.pack(head.size + len(tail)) + head.pack(_RECORDS.index(kind), *fields) + tail
+
+
+def _tag_out(tag: Any) -> tuple[Any, ...]:
+    if type(tag) is not str:
+        raise TypeError(f"tag is {type(tag).__name__}")
+    raw, code = tag.encode(), _family(tag)
+    head = f"!I{_MSG.format[1:]}{len(raw)}s"  # the frame's length, the body's head
+    return raw, struct.Struct(head), struct.Struct(head + "i"), code, _PACKS[code]
+
+
+def _msg_out(record: tuple) -> bytes:
+    _, link_seq, src, dst, tag, payload, round_, stamp = record
+    out = _TAGS_OUT.get(tag) if type(tag) is str else None
+    if out is None:
+        out = _intern(_TAGS_OUT, tag, _tag_out(tag))
+    raw, head, head_round, code, pack = out
+    hit = _PACKED.get(id(payload))
+    if hit is None or hit[0] is not payload or hit[1] != code:
+        if len(_PACKED) > INTERN_MAX:
+            _PACKED.clear()
+        hit = _PACKED[id(payload)] = (payload, code, pack(payload))
+    if type(link_seq) is not int or type(src) is not int or type(dst) is not int:
+        raise TypeError(f"link_seq, src, dst are not all ints: {(link_seq, src, dst)!r}")
+    tail = hit[2]
+    if stamp is not None:
+        if type(stamp) is not tuple or len(stamp) != 3 or type(stamp[2]) is not tuple:
+            raise TypeError(f"stamp is not (eid, lamport, clock tuple): {stamp!r}")
+        eid, lamport, clock = stamp
+        if not _INT.issuperset(map(type, (eid, lamport, *clock))):
+            raise TypeError(f"stamp holds a non-int: {stamp!r}")
+        tail = (_STAMP.pack(eid, lamport, len(clock)) + struct.pack(f"!{len(clock)}Q", *clock)
+                + tail)
+    flags = 0 if stamp is None else 2  # 1 is the MSG record byte
+    if round_ is None:
+        return head.pack(head.size - _LEN.size + len(tail), 1, link_seq, src, dst, flags,
+                         len(raw), raw) + tail
+    if type(round_) is not int:
+        raise TypeError(f"round is {type(round_).__name__}")
+    return head_round.pack(head_round.size - _LEN.size + len(tail), 1, link_seq, src, dst,
+                           flags | 1, len(raw), raw, round_) + tail
+
+
+_ENCODERS = {MSG: _msg_out, **dict.fromkeys(_FIXED, _fixed_out)}
+
+
 def encode_record(record: tuple) -> bytes:
-    """Frame one record: length prefix + pickled body."""
-    body = pickle.dumps(record, protocol=4)
-    if len(body) > MAX_FRAME_BYTES:
+    """One record's frame: length prefix + its layout; a record that is
+    not exactly a layout's types and counts is a :class:`WireError`."""
+    try:
+        frame = _ENCODERS[record[0]](record)
+    except (IndexError, KeyError, TypeError, ValueError, struct.error) as exc:
+        raise WireError(f"malformed record {record!r:.80}: {exc}") from exc
+    if len(frame) - _LEN.size > MAX_FRAME_BYTES:
         raise WireError(
-            f"frame body of {len(body)} bytes exceeds the "
+            f"frame body of {len(frame) - _LEN.size} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte cap"
         )
-    return _LEN.pack(len(body)) + body
+    return frame
 
 
 def encode_hello(node_id: int, instance: str) -> bytes:
@@ -164,21 +240,6 @@ def message_record(
     )
 
 
-def encode_message(
-    msg: Message, link_seq: int, stamp: Optional[tuple] = None
-) -> bytes:
-    """Encode one protocol message (the bytes snapshot the payload)."""
-    return encode_record(message_record(msg, link_seq, stamp))
-
-
-def encode_round(link_seq: int, round: int, decided: bool) -> bytes:
-    return encode_record((ROUND, int(link_seq), int(round), bool(decided)))
-
-
-def encode_decided(link_seq: int, node_id: int) -> bytes:
-    return encode_record((DECIDED, int(link_seq), int(node_id)))
-
-
 def encode_for_version(record: tuple, version: int) -> bytes:
     """Encode a record for a connection running at ``version`` — which
     can only be :data:`WIRE_VERSION`."""
@@ -190,56 +251,62 @@ def encode_for_version(record: tuple, version: int) -> bytes:
     return encode_record(record)
 
 
-def frame(body: bytes) -> bytes:
-    """Attach the length prefix to an already-pickled body (tests)."""
-    return _LEN.pack(len(body)) + body
-
-
 # --------------------------------------------------------------- decoding
 
 
-def _check_fields(values: tuple, fields: tuple, what: str) -> None:
-    if len(values) != len(fields):
-        raise WireError(
-            f"malformed {what}: {len(values)} fields, expected {len(fields)}"
-        )
-    for value, (name, types) in zip(values, fields):
-        if types is not None and type(value) not in types:
-            raise WireError(
-                f"malformed {what}: {name} is {type(value).__name__}, "
-                f"expected {' or '.join(t.__name__ for t in types)}"
-            )
+def _fixed_in(body: bytes) -> tuple:
+    kind = _RECORDS[body[0]]
+    head, types = _FIXED[kind]
+    record = (kind, *head.unpack_from(body)[1:])
+    if types[-1] is str:
+        record += (body[head.size:].decode(),)
+    if _fixed_out(record)[_LEN.size:] != body:  # trailing bytes, a bool byte past 1
+        raise ValueError(f"a {kind} body off its layout")
+    return record
 
 
-class _FrameUnpickler(pickle.Unpickler):
-    """Unpickles builtin data and :class:`Signature`; any other global a
-    body names is refused before it is looked up, let alone called."""
+def _msg_in(body: bytes) -> tuple:
+    _, seq, src, dst, flags, k = _MSG.unpack_from(body)
+    i = _MSG.size + k
+    raw = body[_MSG.size:i]
+    tag_code = _TAGS.get(raw)
+    if tag_code is None:
+        tag = raw.decode()
+        tag_code = _intern(_TAGS, raw, (tag, _family(tag)))
+    tag, code = tag_code
+    round_ = stamp = None
+    if flags & 1:
+        (round_,) = _ROUND_NO.unpack_from(body, i)
+        i += _ROUND_NO.size
+    if flags & 2:
+        eid, lamport, k = _STAMP.unpack_from(body, i)
+        stamp = (eid, lamport, struct.unpack_from(f"!{k}Q", body, i + _STAMP.size))
+        i += _STAMP.size + 8 * k
+    if flags > 3:
+        raise ValueError(f"unknown MSG flags {flags:#x}")
+    key = body[i:]
+    payloads = _PAYLOADS[code]
+    payload = payloads.get(key)
+    if payload is None:
+        payload, end = _UNPACKS[code](key, 0, _SHARE)
+        if end != len(key):
+            raise ValueError(f"{len(key) - end} bytes past the payload's layout")
+        payload = _intern(payloads, key, payload)
+    return (MSG, seq, src, dst, tag, payload, round_, stamp)
 
-    def find_class(self, module: str, name: str) -> Any:
-        if module == Signature.__module__ and name == "Signature":
-            return Signature
-        raise pickle.UnpicklingError(f"frame names the global {module}.{name}")
+
+_DECODERS = tuple(_msg_in if kind == MSG else _fixed_in for kind in _RECORDS)
 
 
 def decode_body(body: bytes) -> tuple:
-    """Unpickle one frame body and check it against :data:`RECORD_FIELDS`."""
+    """The record one frame body holds, by its layout; anything else is a
+    :class:`WireError`."""
+    if not body or body[0] >= len(_DECODERS):
+        raise WireError(f"undecodable frame body: unknown record type {body[:1]!r}")
     try:
-        record = _FrameUnpickler(io.BytesIO(body)).load()
-    except Exception as exc:
+        return _DECODERS[body[0]](body)
+    except (IndexError, ValueError, struct.error) as exc:
         raise WireError(f"undecodable frame body: {exc}") from exc
-    if not isinstance(record, tuple) or not record:
-        raise WireError(f"frame body is not a record tuple: {record!r}")
-    kind = record[0]
-    fields = RECORD_FIELDS.get(kind) if type(kind) is str else None
-    if fields is None:
-        raise WireError(f"unknown record type {kind!r}")
-    _check_fields(record[1:], fields, kind)
-    stamp = record[7] if kind == MSG else None
-    if stamp is not None:
-        _check_fields(stamp, STAMP_FIELDS, "msg stamp")
-        if not all(type(c) is int for c in stamp[2]):
-            raise WireError("malformed msg stamp: clock holds a non-int")
-    return record
 
 
 def decode_message(record: tuple) -> tuple[int, Message]:

@@ -161,21 +161,32 @@ class TestNode:
         assert reg.counter_value("node.malformed.iter") == 2
 
 
-def memo_dag_body(k):
-    """A MSG frame body whose payload is ``x = (x, x)`` nested ``k``
-    times: pickle's memo writes each level in 4 bytes, a tree walk
-    visits ``2**k`` leaves."""
+def memo_dag(k):
+    """``x = (x, x)`` nested ``k`` times: a tree walk visits ``2**k``
+    leaves."""
     x = ()
     for _ in range(k):
         x = (x, x)
-    return pickle.dumps(("msg", 0, 0, 1, "rva:0:0", ("init", x), None, None),
+    return x
+
+
+def memo_dag_body(k):
+    """A pickle-wire MSG frame body carrying :func:`memo_dag`: pickle's
+    memo writes each level in 4 bytes."""
+    return pickle.dumps(("msg", 0, 0, 1, "rva:0:0", ("init", memo_dag(k)), None, None),
                         protocol=4)
 
 
 def test_memo_dag_frame_is_dropped_at_the_door():
     body = memo_dag_body(21)
     assert len(body) < 150
-    _, msg = wire.decode_message(wire.decode_body(body))
+    # No typed layout holds it: the wire refuses the frame unread.
+    start = time.perf_counter()
+    with pytest.raises(wire.WireError):
+        wire.decode_body(body)
+    assert time.perf_counter() - start < 1e-3
+    # The object itself, handed to a Node, is dropped at the door.
+    msg = Message(0, 1, "rva:0:0", ("init", memo_dag(21)))
     proc = VerifiedAveragingProcess(N, F, 1, np.zeros(D), num_rounds=2)
     node = Node(1, proc, Context(1, N, F, np.random.default_rng(0)))
     with use_registry(MetricsRegistry()) as reg:

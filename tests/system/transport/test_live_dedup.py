@@ -44,7 +44,7 @@ class TestDeliveryDedup:
     def test_wire_vs_effective_counters(self, tmp_path):
         node = make_node(tmp_path)
         record = wire.decode_body(
-            wire.encode_message(Message(1, 0, "bc:1", (1.0,)), 0)[4:]
+            wire.encode_record(wire.message_record(Message(1, 0, "iter", (1.0,)), 0))[4:]
         )
         replay(node, record, 3)  # original + two retransmits
         assert node.wire_frames_received == 3
@@ -64,7 +64,7 @@ class TestDeliveryDedup:
             node = make_node(tmp_path)
             stamp = (0, 1, (0, 1))
             record = wire.decode_body(
-                wire.encode_message(Message(1, 0, "bc:1", (1.0,)), 0, stamp)[4:]
+                wire.encode_record(wire.message_record(Message(1, 0, "iter", (1.0,)), 0, stamp))[4:]
             )
             replay(node, record, 2)
             for msg, meta in node._pending_msgs.pop(1):
@@ -77,7 +77,7 @@ class TestDeliveryDedup:
     def test_fold_exposes_the_invariant_as_metrics(self, tmp_path):
         node = make_node(tmp_path)
         record = wire.decode_body(
-            wire.encode_message(Message(1, 0, "bc:1", (1.0,)), 0)[4:]
+            wire.encode_record(wire.message_record(Message(1, 0, "iter", (1.0,)), 0))[4:]
         )
         replay(node, record, 2)
         registry = MetricsRegistry()

@@ -10,6 +10,7 @@ gives exactly the per-sample histogram.
 from __future__ import annotations
 
 import asyncio
+import pickle
 import time
 
 import numpy as np
@@ -42,6 +43,12 @@ class PingSelf(AsyncProcess):
 
     def on_message(self, ctx, src, tag, payload):
         ctx.send(ctx.pid, "ping", payload + 1)
+
+
+def v2_frame(record: tuple) -> bytes:
+    """``record`` as the pickle wire (version 2) framed it."""
+    body = pickle.dumps(record, protocol=4)
+    return len(body).to_bytes(4, "big") + body
 
 
 def make_nodes(tmp_path, processes, f=1) -> list[LiveNode]:
@@ -109,7 +116,7 @@ class TestHostileConnection:
     """What a listener does with bytes no honest link would send: close
     the connection, deliver nothing, and end its handler task cleanly."""
 
-    GOOD_MSG = (wire.MSG, 0, 1, 0, "bc:1", (1.0,), 0, None)
+    GOOD_MSG = (wire.MSG, 0, 1, 0, "iter", (1.0,), 0, None)
 
     def _feed(self, tmp_path, frames: list[bytes]):
         """Connect to a fresh node 0 (of three) as its peer 1, send
@@ -137,38 +144,42 @@ class TestHostileConnection:
     @pytest.mark.parametrize(
         "hello",
         [
-            (wire.HELLO, 1, 1, "driver-test"),      # version 1: refused now
-            (wire.HELLO, 1, "two", "driver-test"),  # was an uncaught ValueError
-            (wire.HELLO, None, 2, "driver-test"),
-            (wire.HELLO, 1, 2, "another-run"),
-            GOOD_MSG,
+            wire.encode_record((wire.HELLO, 1, 1, "driver-test")),  # version 1
+            # On the pickle wire these were an uncaught ValueError and a
+            # wrong-typed id; now they are no record at all.
+            v2_frame((wire.HELLO, 1, "two", "driver-test")),
+            v2_frame((wire.HELLO, None, 2, "driver-test")),
+            wire.encode_record((wire.HELLO, 1, wire.WIRE_VERSION, "another-run")),
+            wire.encode_record(GOOD_MSG),
         ],
         ids=["v1", "str-version", "none-id", "instance", "not-a-hello"],
     )
     def test_bad_hello_gets_no_answer(self, tmp_path, hello):
-        node, answer = self._feed(
-            tmp_path, [wire.encode_record(hello), wire.encode_record(self.GOOD_MSG)]
-        )
+        node, answer = self._feed(tmp_path, [hello, wire.encode_record(self.GOOD_MSG)])
         assert answer == b""  # closed before our HELLO went out
         assert node.wire_frames_received == 0
 
     @pytest.mark.parametrize(
         "record",
         [
-            (wire.MSG, "0", 1, 0, "bc:1", (1.0,), 0, None),
-            (wire.MSG, 1, 1, 0, "bc:1", (1.0,), 0, (42, 17)),
+            (wire.MSG, "0", 1, 0, "iter", (1.0,), 0, None),
+            (wire.MSG, 1, 1, 0, "iter", (1.0,), 0, (42, 17)),
             (wire.ROUND, 1, "0", False),
-            (wire.MSG, 1, 1, 0, "bc:1", (1.0,), 0),  # the version-1 shape
+            (wire.MSG, 1, 1, 0, "iter", (1.0,), 0),  # the version-1 shape
         ],
         ids=["str-link-seq", "2-element-stamp", "str-round", "7-tuple"],
     )
     def test_malformed_record_closes_the_connection(self, tmp_path, record):
         # Regression: a wrong-typed link_seq / round reached int() in
-        # _on_record and ended the handler task with a ValueError.
+        # _on_record and ended the handler task with a ValueError.  No
+        # typed frame carries one; the pickle wire's framing of it is no
+        # record.
+        with pytest.raises(wire.WireError):
+            wire.encode_record(record)
         node, answer = self._feed(tmp_path, [
             wire.encode_hello(1, "driver-test"),
             wire.encode_record(self.GOOD_MSG),
-            wire.encode_record(record),
+            v2_frame(record),
             wire.encode_record((wire.DECIDED, 2, 1)),
         ])
         assert answer == wire.encode_hello(0, "driver-test")
@@ -192,9 +203,9 @@ class TestHostileConnection:
     @pytest.mark.parametrize(
         "record",
         [
-            (wire.MSG, 1, 2, 0, "bc:2", (9.0,), 0, None),
-            (wire.MSG, 1, 0, 0, "bc:0", (9.0,), 0, None),
-            (wire.MSG, 1, 1, 2, "bc:1", (9.0,), 0, None),
+            (wire.MSG, 1, 2, 0, "iter", (9.0,), 0, None),
+            (wire.MSG, 1, 0, 0, "iter", (9.0,), 0, None),
+            (wire.MSG, 1, 1, 2, "iter", (9.0,), 0, None),
         ],
         ids=["forged-src", "forged-own-src", "wrong-dst"],
     )
@@ -227,11 +238,14 @@ class TestHostileConnection:
         for its id is a reconnect), and every node decides."""
         n = 4
         seen: list[tuple[int, int, object]] = []
+        FORGED = (-1.0,)  # no honest Gossip sends it
 
         class Gossip(AsyncProcess):
+            d = 1  # the door admits its 1-float "iter" payloads
+
             def on_start(self, ctx):
                 self.heard: set[int] = set()
-                ctx.broadcast("hi", ctx.pid)
+                ctx.broadcast("iter", (float(ctx.pid),))
 
             def on_message(self, ctx, src, tag, payload):
                 seen.append((ctx.pid, src, payload))
@@ -251,8 +265,8 @@ class TestHostileConnection:
             )
             writer.write(b"".join([
                 wire.encode_hello(1, "driver-test"),
-                wire.encode_record((wire.MSG, 0, 2, 0, "hi", "forged", 0, None)),
-                wire.encode_record((wire.MSG, 0, 1, 3, "hi", "forged", 0, None)),
+                wire.encode_record((wire.MSG, 0, 2, 0, "iter", FORGED, 0, None)),
+                wire.encode_record((wire.MSG, 0, 1, 3, "iter", FORGED, 0, None)),
             ]))
             await writer.drain()
             await asyncio.wait_for(reader.read(), timeout=1.0)  # closed on us
@@ -270,7 +284,7 @@ class TestHostileConnection:
 
         nodes, results = asyncio.run(go())
         assert all(node.completed and result.decisions for node, result in zip(nodes, results))
-        assert "forged" not in [payload for _, _, payload in seen]
+        assert FORGED not in [payload for _, _, payload in seen]
         assert sorted((pid, src) for pid, src, _ in seen) == [
             (pid, src) for pid in range(n) for src in range(n)
         ]

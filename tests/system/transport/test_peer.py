@@ -9,6 +9,7 @@ runs — so the link under test speaks to a faithful counterpart.
 from __future__ import annotations
 
 import asyncio
+import pickle
 import struct
 
 import pytest
@@ -20,6 +21,12 @@ from repro.system.transport.peer import MAX_BATCH_FRAMES, PeerLink
 INSTANCE = "test-run"
 
 
+def v2_frame(record: tuple) -> bytes:
+    """``record`` as the pickle wire (version 2) framed it."""
+    body = pickle.dumps(record, protocol=4)
+    return len(body).to_bytes(4, "big") + body
+
+
 class MiniListener:
     """UDS listener doing the HELLO exchange, then recording frames."""
 
@@ -29,12 +36,12 @@ class MiniListener:
         node_id: int,
         instance: str = INSTANCE,
         validate: bool = True,
-        reply: tuple | None = None,
+        reply: bytes | None = None,
     ):
         self.path = path
         self.node_id = node_id
         self.instance = instance
-        #: The record answered in place of this listener's own HELLO —
+        #: The frame answered in place of this listener's own HELLO —
         #: lets a test hand the dialer a malformed or foreign one.
         self.reply = reply
         #: False replies with our HELLO without checking theirs — lets a
@@ -70,7 +77,7 @@ class MiniListener:
                 wire.check_hello(hello, instance=self.instance)
             writer.write(
                 wire.encode_hello(self.node_id, self.instance)
-                if self.reply is None else wire.encode_record(self.reply)
+                if self.reply is None else self.reply
             )
             await writer.drain()
             async for record in wire.read_frames(reader):
@@ -113,7 +120,7 @@ class TestHandshakeAndDelivery:
             await listener.start()
             link = make_link(path)
             link.start()
-            await link.send_message(Message(0, 1, "bc:0", (1.0, 2.0)))
+            await link.send_message(Message(0, 1, "iter", (1.0, 2.0)))
             await link.send_decided()
             await link.close()
             await listener.stop()
@@ -138,7 +145,7 @@ class TestHandshakeAndDelivery:
             await link._writer_task  # dies on the mismatched HELLO reply
             assert isinstance(link.failed, wire.WireError)
             with pytest.raises(wire.WireError, match="failed permanently"):
-                await link.send_message(Message(0, 1, "bc:0", ()))
+                await link.send_message(Message(0, 1, "iter", ()))
             await listener.stop()
 
         asyncio.run(go())
@@ -196,7 +203,7 @@ class TestReconnect:
             )
             link.start()
             for i in range(3):
-                await link.send_message(Message(0, 1, "bc:0", (float(i),)))
+                await link.send_message(Message(0, 1, "iter", (float(i),)))
             # Wait for delivery before closing so the assertions below
             # don't depend on the close()-time drain grace.
             deadline = asyncio.get_running_loop().time() + 5.0
@@ -290,9 +297,9 @@ class TestBackpressure:
             listener = MiniListener(path, node_id=1)
             await listener.start()
             link = make_link(path, queue_limit=1)
-            await link.send_message(Message(0, 1, "bc:0", (0.0,)))  # fills
+            await link.send_message(Message(0, 1, "iter", (0.0,)))  # fills
             blocked = asyncio.ensure_future(
-                link.send_message(Message(0, 1, "bc:0", (1.0,)))
+                link.send_message(Message(0, 1, "iter", (1.0,)))
             )
             await asyncio.sleep(0)  # the producer is now parked on put()
             assert not blocked.done()
@@ -319,7 +326,7 @@ class TestVersionNegotiation:
             link = make_link(path)
             link.start()
             await link.send_message(
-                Message(0, 1, "bc:0", (1.0,)), stamp=self.STAMP
+                Message(0, 1, "iter", (1.0,)), stamp=self.STAMP
             )
             await link.close()
             await listener.stop()
@@ -331,17 +338,17 @@ class TestVersionNegotiation:
     @pytest.mark.parametrize(
         "reply",
         [
-            (wire.HELLO, 1, "two", INSTANCE),  # was a plain ValueError
-            (wire.HELLO, None, 2, INSTANCE),   # was a plain TypeError
-            (wire.HELLO, 1, 1, INSTANCE),      # version 1: no longer spoken
-            (wire.HELLO, 1, 2),
-            (wire.ROUND, 0, 0, False),
+            v2_frame((wire.HELLO, 1, "two", INSTANCE)),  # pickled: no record
+            v2_frame((wire.HELLO, None, 2, INSTANCE)),
+            wire.encode_record((wire.HELLO, 1, 1, INSTANCE)),  # version 1
+            b"\x00\x00\x00\x03\x00\x00\x01",  # a HELLO cut inside its head
+            wire.encode_record((wire.ROUND, 0, 0, False)),
         ],
         ids=["str-version", "none-id", "v1", "short", "not-a-hello"],
     )
     def test_bad_hello_reply_fails_the_link_for_good(self, tmp_path, reply):
-        # Regression: a HELLO with a wrong-typed field used to kill the
-        # writer task with an exception nothing caught — link.failed
+        # Regression: a HELLO with a wrong-typed field (on the pickle
+        # wire) used to kill the writer task with an exception nothing caught — link.failed
         # stayed None, on_failure never ran, the node sat out run_timeout.
         path = str(tmp_path / "n1.sock")
         calls: list[int] = []
@@ -370,8 +377,8 @@ class TestLinkTelemetry:
             await listener.start()
             link = make_link(path)
             # Enqueue before starting the writer so frames measurably wait.
-            await link.send_message(Message(0, 1, "bc:0", (0.0,)))
-            await link.send_message(Message(0, 1, "bc:0", (1.0,)))
+            await link.send_message(Message(0, 1, "iter", (0.0,)))
+            await link.send_message(Message(0, 1, "iter", (1.0,)))
             link.start()
             await link.close()
             await listener.stop()
@@ -400,7 +407,7 @@ class TestLinkTelemetry:
             link = make_link(path, backoff_base=0.001, chaos_close_after=1)
             link.start()
             for i in range(3):
-                await link.send_message(Message(0, 1, "bc:0", (float(i),)))
+                await link.send_message(Message(0, 1, "iter", (float(i),)))
             deadline = asyncio.get_running_loop().time() + 5.0
             while len(listener.records) < 3:
                 assert asyncio.get_running_loop().time() < deadline
@@ -431,7 +438,7 @@ class TestSequenceNumbers:
         )
 
         record = wire.decode_body(
-            wire.encode_message(Message(1, 0, "bc:1", (1.0,)), 0)[4:]
+            wire.encode_record(wire.message_record(Message(1, 0, "iter", (1.0,)), 0))[4:]
         )
         node._on_record(1, record)
         node._on_record(1, record)  # exact retransmit
@@ -504,7 +511,7 @@ def split_frames(data: bytes) -> list[tuple]:
 
 
 def msg(i: int) -> Message:
-    return Message(0, 1, "bc:0", (float(i),))
+    return Message(0, 1, "iter", (float(i),))
 
 
 class TestBurstWrite:
@@ -616,7 +623,10 @@ class TestEncodeAtEnqueue:
             peer = FakePeer()
             link = peer.link()
             payload = [1.0, 2.0]
-            await link.send_message(Message(0, 1, "bc:0", payload))
+            with pytest.raises(wire.WireError, match="not a tuple"):
+                # A payload the sender could mutate later has no layout.
+                await link.send_message(Message(0, 1, "iter", payload))
+            await link.send_message(Message(0, 1, "iter", tuple(payload)))
             payload[0] = 99.0
             link.start()
             await link.close()

@@ -2,15 +2,18 @@
 
 The message round-trip coverage is cross-checked against the FLOW001
 sent-kind inventory: every message kind any shipped process class sends
-must round-trip through ``encode_message``/``decode_message`` here, and
-have a door schema its representative passes, so a new protocol message
-cannot ship without wire coverage or a schema.
+must round-trip through ``encode_record(message_record(...))`` /
+``decode_message`` here, and have a door schema its representative
+passes, so a new protocol message cannot ship without wire coverage or a
+schema.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import pickle
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +60,16 @@ def shipped_sent_kinds() -> set[str]:
     return kinds
 
 
+def encode_message(msg: Message, link_seq: int, stamp=None) -> bytes:
+    return wire.encode_record(wire.message_record(msg, link_seq, stamp))
+
+
+def v2_frame(record: tuple) -> bytes:
+    """``record`` as the pickle wire (version 2) framed it."""
+    body = pickle.dumps(record, protocol=4)
+    return len(body).to_bytes(4, "big") + body
+
+
 def roundtrip(frame: bytes) -> tuple:
     """Strip the length prefix and decode the body."""
     length = int.from_bytes(frame[:4], "big")
@@ -86,7 +99,7 @@ class TestMessageRoundTrip:
     @pytest.mark.parametrize("kind", sorted(REPRESENTATIVES))
     def test_roundtrip_identity(self, kind):
         msg = REPRESENTATIVES[kind]
-        record = roundtrip(wire.encode_message(msg, 17))
+        record = roundtrip(encode_message(msg, 17))
         seq, decoded = wire.decode_message(record)
         assert seq == 17
         assert decoded.src == msg.src
@@ -96,36 +109,38 @@ class TestMessageRoundTrip:
         assert decoded.payload == msg.payload
 
     def test_payload_defensively_copied(self):
-        payload = [1.0, 2.0]
-        frame = wire.encode_message(Message(0, 1, "bc:0", payload), 0)
-        payload[0] = 99.0  # sender mutates after queueing
+        # A payload the sender could mutate after queueing is refused:
+        # the wire carries tuples only, so a frame is its snapshot.
+        with pytest.raises(wire.WireError, match="not a tuple"):
+            encode_message(Message(0, 1, "iter", [1.0, 2.0]), 0)
+        frame = encode_message(Message(0, 1, "iter", (1.0, 2.0)), 0)
         _, decoded = wire.decode_message(roundtrip(frame))
         assert decoded.payload[0] == 1.0
 
     def test_signature_chain_roundtrip(self):
-        # Dolev-Strong's (value, chain): Signature is the one class a
-        # frame may name.
+        # Dolev-Strong's (value, chain): each link of the chain is a
+        # signer and a 32-byte digest, and decodes to a Signature.
         chain = (Signature(0, b"\x01" * 32), Signature(3, b"\x02" * 32))
-        msg = Message(0, 2, "bc:0", ((0.5, 1.5), chain), round=1)
-        _, decoded = wire.decode_message(roundtrip(wire.encode_message(msg, 3)))
+        msg = Message(0, 2, "ds:0", ((0.5, 1.5), chain), round=1)
+        _, decoded = wire.decode_message(roundtrip(encode_message(msg, 3)))
         assert decoded.payload == msg.payload
         assert all(type(s) is Signature for s in decoded.payload[1])
 
     def test_ndarray_payload_refused(self):
-        # An ndarray pickles through numpy's reconstructor, a global the
-        # reader will not look up: payloads are builtin data.
-        frame = wire.encode_message(Message(0, 1, "iter", np.array([1.0])), 0)
-        with pytest.raises(wire.WireError, match="numpy"):
-            roundtrip(frame)
+        # Payloads are tuples of builtin scalars: an ndarray, or a tuple
+        # of NumPy floats, has no layout.
+        for payload in (np.array([1.0]), (np.float64(1.0),)):
+            with pytest.raises(wire.WireError, match="float"):
+                encode_message(Message(0, 1, "iter", payload), 0)
 
     def test_atomic_envelope_detection(self):
         # The broadcast-channel destination survives the wire as it is.
         _, decoded = wire.decode_message(
-            roundtrip(wire.encode_message(Message(0, ALL, "abc", ()), 0))
+            roundtrip(encode_message(Message(0, ALL, "abc", ()), 0))
         )
         assert decoded.dst == ALL and decoded.is_atomic_broadcast
         _, decoded = wire.decode_message(
-            roundtrip(wire.encode_message(Message(0, 1, "bc:0", ()), 0))
+            roundtrip(encode_message(Message(0, 1, "iter", ()), 0))
         )
         assert not decoded.is_atomic_broadcast
 
@@ -134,8 +149,8 @@ class TestVersionedMessages:
     STAMP = (42, 17, (3, 17, 0, 5))
 
     def test_stamp_roundtrip(self):
-        msg = Message(1, 2, "rva:echo:0", (0.5,), round=3)
-        record = roundtrip(wire.encode_message(msg, 9, stamp=self.STAMP))
+        msg = Message(1, 2, "iter", (0.5,), round=3)
+        record = roundtrip(encode_message(msg, 9, stamp=self.STAMP))
         assert len(record) == 8
         assert wire.message_stamp(record) == self.STAMP
         seq, decoded = wire.decode_message(record)
@@ -146,11 +161,11 @@ class TestVersionedMessages:
         # A stamp may be handed over with numpy ints or a list clock; it
         # is written — so the reader always sees — plain ints and a tuple.
         stamp = (np.int64(1), np.int64(4), [np.int64(2), np.int64(4)])
-        record = roundtrip(wire.encode_message(Message(0, 1, "val", ()), 0, stamp=stamp))
+        record = roundtrip(encode_message(Message(0, 1, "val", ()), 0, stamp=stamp))
         assert wire.message_stamp(record) == (1, 4, (2, 4))
 
     def test_unstamped_v2_frame_has_no_stamp(self):
-        record = roundtrip(wire.encode_message(Message(0, 1, "val", ()), 0))
+        record = roundtrip(encode_message(Message(0, 1, "val", ()), 0))
         assert len(record) == 8
         assert wire.message_stamp(record) is None
 
@@ -160,9 +175,14 @@ class TestVersionedMessages:
         rec = wire.message_record(Message(0, 1, "val", ()), 5, self.STAMP)
         record = roundtrip(wire.encode_for_version(rec, wire.WIRE_VERSION))
         assert wire.message_stamp(record) == self.STAMP
-        for version in (1, 3):
+        for version in (1, 2):
             with pytest.raises(wire.WireError, match="wire version"):
                 wire.encode_for_version(rec, version)
+
+    def test_v2_hello_refused(self):
+        # The pickle wire's HELLO names no record: refused unread.
+        with pytest.raises(wire.WireError, match="unknown record type"):
+            roundtrip(v2_frame((wire.HELLO, 3, 2, "run-x")))
 
     def test_v1_hello_refused(self):
         record = roundtrip(wire.encode_record((wire.HELLO, 3, 1, "run-x")))
@@ -192,31 +212,37 @@ class TestControlRecords:
             wire.check_hello(record, instance="run-x", expected_id=4)
 
     def test_round_roundtrip(self):
-        assert roundtrip(wire.encode_round(5, 2, True)) == (
+        assert roundtrip(wire.encode_record((wire.ROUND, 5, 2, True))) == (
             wire.ROUND, 5, 2, True,
         )
 
     def test_decided_roundtrip(self):
-        assert roundtrip(wire.encode_decided(9, 1)) == (wire.DECIDED, 9, 1)
+        assert roundtrip(wire.encode_record((wire.DECIDED, 9, 1))) == (
+            wire.DECIDED, 9, 1,
+        )
 
 
 class TestMalformedFrames:
     def test_oversized_body_refused_at_encode(self, monkeypatch):
         monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 64)
         with pytest.raises(wire.WireError, match="exceeds"):
-            wire.encode_record((wire.MSG, 0, 0, 1, "bc:0", bytes(1024), 0))
+            wire.encode_record((wire.MSG, 0, 0, 1, "iter", (0.0,) * 16, 0, None))
 
     def test_undecodable_body(self):
+        # A MSG record byte and then too few bytes for its head.
         with pytest.raises(wire.WireError, match="undecodable"):
-            wire.decode_body(b"\x00not a pickle")
+            wire.decode_body(b"\x01not a frame")
 
     def test_non_tuple_body(self):
-        with pytest.raises(wire.WireError, match="not a record tuple"):
+        # What the pickle wire sent: its first byte is no record.
+        with pytest.raises(wire.WireError, match="unknown record type"):
             wire.decode_body(pickle.dumps(["msg", 1]))
 
     def test_unknown_record_type(self):
         with pytest.raises(wire.WireError, match="unknown record type"):
             wire.decode_body(pickle.dumps(("gossip", 1, 2)))
+        with pytest.raises(wire.WireError, match="unknown record type"):
+            wire.decode_body(bytes([len(wire.RECORD_LAYOUTS) - 1]))
 
     @pytest.mark.parametrize(
         "record",
@@ -229,6 +255,8 @@ class TestMalformedFrames:
     )
     def test_wrong_arity(self, record):
         with pytest.raises(wire.WireError, match="malformed"):
+            wire.encode_record(record)
+        with pytest.raises(wire.WireError, match="unknown record type"):
             wire.decode_body(pickle.dumps(record))
 
 
@@ -237,10 +265,26 @@ STAMP = (42, 17, (3, 17, 0, 5))
 #: One well-formed record per shape the wire carries.
 GOOD_RECORDS = {
     "hello": (wire.HELLO, 3, wire.WIRE_VERSION, "run-x"),
-    "msg": (wire.MSG, 9, 1, 2, "rva:echo:0", (4, (0.5, -1.25)), 3, None),
-    "msg-stamped": (wire.MSG, 17, 0, ALL, "abc", ("echo", 0), None, STAMP),
+    "msg": (wire.MSG, 9, 1, 2, "bc:1", ((1, 4), (0.5, -1.25)), 3, None),
+    "msg-stamped": (wire.MSG, 17, 0, ALL, "abc", (0.5, 1.0), None, STAMP),
     "round": (wire.ROUND, 5, 2, True),
     "decided": (wire.DECIDED, 9, 1),
+}
+
+_INT, _STR, _NONE = (int,), (str,), type(None)
+
+#: record type -> its fields after the type tag, in order, each with the
+#: exact types a value may have (``bool`` is not an ``int`` here);
+#: ``None`` in place of the types means a payload, whose layout is its
+#: tag family's.
+RECORD_FIELDS = {
+    wire.HELLO: (("node_id", _INT), ("wire_version", _INT), ("instance", _STR)),
+    wire.MSG: (
+        ("link_seq", _INT), ("src", _INT), ("dst", _INT), ("tag", _STR),
+        ("payload", None), ("round", (int, _NONE)), ("stamp", (tuple, _NONE)),
+    ),
+    wire.ROUND: (("link_seq", _INT), ("round", _INT), ("decided", (bool,))),
+    wire.DECIDED: (("link_seq", _INT), ("node_id", _INT)),
 }
 
 #: A value of a type no field of that declared type accepts.
@@ -256,7 +300,7 @@ def _decode_table() -> dict[str, tuple[tuple, bool]]:
         rows[f"{name}/ok"] = (good, True)
         rows[f"{name}/short"] = (good[:-1], False)
         rows[f"{name}/long"] = (good + (None,), False)
-        for i, (field, types) in enumerate(wire.RECORD_FIELDS[good[0]], start=1):
+        for i, (field, types) in enumerate(RECORD_FIELDS[good[0]], start=1):
             if types is None:
                 continue  # the payload is any picklable value
             for typ in types:
@@ -287,9 +331,9 @@ def _decode_table() -> dict[str, tuple[tuple, bool]]:
 
 DECODE_TABLE = _decode_table()
 
-#: The rows the parent commit (two wire versions, arity checks only)
-#: already refused with a ``WireError``; every other rejected row is a
-#: frame it accepted.  ``kind/unhashable`` raised ``TypeError`` there.
+#: The rows the two-version pickle wire (arity checks only) already
+#: refused with a ``WireError``; every other rejected row is a frame it
+#: accepted.  ``kind/unhashable`` raised ``TypeError`` there.
 REJECTED_AT_PARENT = {
     "hello/short", "hello/long", "msg/long", "msg-stamped/long",
     "round/short", "round/long", "decided/short", "decided/long",
@@ -298,15 +342,20 @@ REJECTED_AT_PARENT = {
 
 
 class TestDecodeTable:
+    """A typed frame cannot carry a wrong type: the encoder refuses every
+    row the table rejects and round-trips every row it accepts, and the
+    pickled form of any row is no frame at all."""
+
     @pytest.mark.parametrize("row", sorted(DECODE_TABLE))
     def test_verdict(self, row):
         record, accepted = DECODE_TABLE[row]
-        body = pickle.dumps(record, protocol=4)
+        with pytest.raises(wire.WireError):
+            wire.decode_body(pickle.dumps(record, protocol=4))
         if accepted:
-            assert wire.decode_body(body) == record
+            assert wire.decode_body(wire.encode_record(record)[4:]) == record
         else:
             with pytest.raises(wire.WireError):
-                wire.decode_body(body)
+                wire.encode_record(record)
 
     def test_nothing_the_parent_refused_is_accepted_now(self):
         assert REJECTED_AT_PARENT <= {
@@ -315,7 +364,9 @@ class TestDecodeTable:
 
     def test_table_covers_every_typed_field(self):
         for name, good in GOOD_RECORDS.items():
-            for field, types in wire.RECORD_FIELDS[good[0]]:
+            for field, types in RECORD_FIELDS[good[0]]:
+                # Every field is one the code's layout names.
+                assert field in wire.RECORD_LAYOUTS[good[0]], (name, field)
                 assert types is None or any(
                     row.startswith(f"{name}/{field}=") for row in DECODE_TABLE
                 ), (name, field)
@@ -360,8 +411,8 @@ HOSTILE_TARGETS = [
 
 
 class TestHostileGlobals:
-    """A frame can build data and Signatures, and nothing else: every
-    other global it names is refused before it is looked up."""
+    """Nothing a frame holds is unpickled: a body that would name a
+    global is no record, and refused before any of it is read."""
 
     @staticmethod
     def _attack(target, sentinel) -> str:
@@ -378,7 +429,7 @@ class TestHostileGlobals:
     def test_refused_and_nothing_runs(self, tmp_path, target, opcode):
         sentinel = tmp_path / "sentinel"
         body = _hostile_bodies(*target, self._attack(target, sentinel))[opcode]
-        with pytest.raises(wire.WireError, match=r"names the global " + ".".join(target)):
+        with pytest.raises(wire.WireError, match="unknown record type"):
             wire.decode_body(body)
         assert not sentinel.exists()
 
@@ -391,18 +442,15 @@ class TestHostileGlobals:
         assert sentinel.exists()
 
 
-#: ``encode_for_version(record, WIRE_VERSION)`` at the parent commit — the
-#: one-version wire is the old version 2, byte for byte.
+#: ``encode_for_version(record, WIRE_VERSION)`` at wire version 3, the
+#: typed layouts (the pickle wire's frames were 39, 71, 32 and 32 bytes,
+#: and 87 stamped, for the records it pinned; 14, 49, 18, 15 and 99 here).
 PINNED_FRAMES = {
-    "hello": "000000238004951800000000000000288c0568656c6c6f944b034b02"
-             "8c0572756e2d789474942e",
-    "msg": "000000438004953800000000000000288c036d7367944b094b014b02"
-           "8c0a7276613a6563686f3a30944b04473fe000000000000047bff400"
-           "0000000000869486944b034e74942e",
-    "round": "0000001c8004951100000000000000288c05726f756e64944b054b02"
-             "8874942e",
-    "decided": "0000001c80049511000000000000008c0764656369646564944b09"
-               "4b0187942e",
+    "hello": "0000000a000003000372756e2d78",
+    "msg": "0000002d01000000000000000900010002010462633a31000000030200010004"
+           "023fe0000000000000bff4000000000000",
+    "round": "0000000e0200000000000000050000000201",
+    "decided": "0000000b0300000000000000090001",
 }
 
 
@@ -413,14 +461,14 @@ class TestPinnedBytes:
         assert frame.hex() == PINNED_FRAMES[name]
 
     def test_stamped_message_bytes_did_not_move(self):
-        msg = Message(1, 2, "rva:echo:0", (4, (0.5, -1.25)), round=3)
+        msg = Message(1, 2, "bc:1", ((1, 4), (0.5, -1.25)), round=3)
         record = wire.message_record(msg, 9, STAMP)
         assert wire.encode_for_version(record, wire.WIRE_VERSION).hex() == (
-            "000000538004954800000000000000288c036d7367944b094b014b02"
-            "8c0a7276613a6563686f3a30944b04473fe000000000000047bff400"
-            "0000000000869486944b034b2a4b11284b034b114b004b057494879474942e"
+            "0000005f01000000000000000900010002030462633a3100000003000000000000"
+            "002a00000000000000110004000000000000000300000000000000110000000000"
+            "00000000000000000000050200010004023fe0000000000000bff4000000000000"
         )
-        assert wire.encode_message(msg, 9, stamp=STAMP) == (
+        assert encode_message(msg, 9, stamp=STAMP) == (
             wire.encode_for_version(record, wire.WIRE_VERSION)
         )
 
@@ -438,8 +486,8 @@ class TestReadFrames:
     def test_stream_of_frames(self):
         data = (
             wire.encode_hello(0, "i")
-            + wire.encode_round(0, 1, False)
-            + wire.encode_decided(1, 0)
+            + wire.encode_record((wire.ROUND, 0, 1, False))
+            + wire.encode_record((wire.DECIDED, 1, 0))
         )
         records = self._collect(data)
         assert [r[0] for r in records] == [wire.HELLO, wire.ROUND, wire.DECIDED]
@@ -447,8 +495,8 @@ class TestReadFrames:
     def test_truncated_trailing_frame_is_clean_eof(self):
         # A frame cut off mid-body counts as connection loss: the sender
         # retransmits it after reconnecting, so the reader just stops.
-        whole = wire.encode_round(0, 1, False)
-        records = self._collect(whole + wire.encode_decided(1, 0)[:5])
+        whole = wire.encode_record((wire.ROUND, 0, 1, False))
+        records = self._collect(whole + wire.encode_record((wire.DECIDED, 1, 0))[:5])
         assert [r[0] for r in records] == [wire.ROUND]
 
     def test_oversized_announced_frame_raises(self):
@@ -492,19 +540,17 @@ def _read_all(reader) -> list[tuple]:
     return asyncio.run(go())
 
 
-_SCALARS = st.one_of(
-    st.integers(-2**40, 2**40), st.floats(allow_nan=False), st.text(max_size=8),
-    st.binary(max_size=300),
-)
+_FLOATS = st.lists(st.floats(allow_nan=False), max_size=40).map(tuple)
 _RECORDS = st.one_of(
     st.builds(lambda s, r, d: (wire.ROUND, s, r, d),
               st.integers(0, 10**6), st.integers(0, 99), st.booleans()),
     st.builds(lambda s, n: (wire.DECIDED, s, n),
               st.integers(0, 10**6), st.integers(0, 99)),
     st.builds(lambda s, p: (wire.MSG, s, 0, 1, "bc:0", p, None, None),
-              st.integers(0, 10**6), st.tuples(_SCALARS, _SCALARS)),
+              st.integers(0, 10**6),
+              st.tuples(st.lists(st.integers(0, 99), max_size=4).map(tuple), _FLOATS)),
     st.builds(lambda s, p: (wire.MSG, s, 2, 0, "val", p, 3, (7, 12, (5, 12))),
-              st.integers(0, 10**6), st.lists(_SCALARS, max_size=4)),
+              st.integers(0, 10**6), _FLOATS),
 )
 
 
@@ -541,7 +587,7 @@ class TestReadFramesChunking:
         assert _read_all(ChunkedReader(_cut(stream, sizes))) == expected
 
     def test_oversized_prefix_raises_before_the_body_is_buffered(self):
-        good = wire.encode_round(0, 1, False)
+        good = wire.encode_record((wire.ROUND, 0, 1, False))
         head = (wire.MAX_FRAME_BYTES + 1).to_bytes(4, "big")
         reader = ChunkedReader([good + head, b"x" * 1024, b"x" * 1024])
         with pytest.raises(wire.WireError, match="exceeds"):
@@ -559,7 +605,7 @@ class TestReadFramesChunking:
         assert reader.reads == 2
 
     def test_undecodable_body_raises(self):
-        stream = wire.encode_round(0, 1, False) + wire.frame(b"\x00not a pickle")
+        stream = wire.encode_record((wire.ROUND, 0, 1, False)) + v2_frame((wire.ROUND, 1, 2, False))
         with pytest.raises(wire.WireError, match="undecodable"):
             _read_all(ChunkedReader(_cut(stream, [7])))
 
@@ -570,6 +616,206 @@ class TestReadFramesChunking:
                     raise ConnectionResetError("peer went away")
                 return await super().read(n)
 
-        whole = wire.encode_round(0, 1, False)
-        records = _read_all(Resetting([whole + wire.encode_decided(1, 0)[:5]]))
+        whole = wire.encode_record((wire.ROUND, 0, 1, False))
+        records = _read_all(Resetting([whole + wire.encode_record((wire.DECIDED, 1, 0))[:5]]))
         assert [r[0] for r in records] == [wire.ROUND]
+
+
+def test_the_wire_binds_no_pickle():
+    # Nothing reachable from a socket unpickles: the module holds no
+    # pickle binding and its source names no Unpickler.
+    assert not [
+        name for name, value in vars(wire).items()
+        if value is pickle or getattr(value, "__module__", None) in ("pickle", "_pickle")
+    ]
+    assert "Unpickler" not in Path(wire.__file__).read_text(encoding="utf-8")
+
+
+@st.composite
+def _systems(draw) -> tuple[int, int, int]:
+    """A random ``(n, d, f)`` with ``n >= 3f + 1``."""
+    f = draw(st.integers(0, 3))
+    return draw(st.integers(3 * f + 1, 3 * f + 4)), draw(st.integers(1, 6)), f
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _shaped(draw, kind: str, n: int, d: int, f: int) -> Message:
+    """A message of ``kind`` shaped as its REPRESENTATIVES row, at ``(n, d, f)``."""
+    floats = tuple(draw(st.lists(_FINITE, min_size=d, max_size=d)))
+    pids = draw(st.permutations(range(n)))
+    src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    round_ = draw(st.none() | st.integers(0, 50))
+    if kind == "bc":
+        path = tuple(pids[:draw(st.integers(1, f + 1))])
+        return Message(src, dst, f"bc:{path[0]}", (path, floats), round=round_)
+    if kind == "ds":
+        chain = tuple(Signature(p, draw(st.binary(min_size=32, max_size=32)))
+                      for p in pids[:draw(st.integers(1, f + 1))])
+        return Message(src, dst, f"ds:{chain[0].signer}", (floats, chain), round=round_)
+    if kind == "rva":
+        r = draw(st.integers(0, 3))
+        body = ("val", floats) if r == 0 else ("refs", tuple(pids[:n - f]))
+        phase = draw(st.sampled_from(["init", "echo", "ready"]))
+        return Message(src, dst, f"rva:{src}:{r}", (phase, body), round=round_)
+    return Message(src, ALL if kind == "abc" else dst, kind, floats, round=round_)
+
+
+class TestRoundTripProperty:
+    @pytest.mark.parametrize("kind", sorted(REPRESENTATIVES))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_every_representative_shape_roundtrips(self, kind, data):
+        n, d, f = data.draw(_systems())
+        msg = data.draw(_shaped(kind, n, d, f))
+        assert reject(msg.tag, msg.payload, n, d, f) is None
+        record = wire.message_record(msg, data.draw(st.integers(0, 2**63)))
+        decoded = roundtrip(wire.encode_record(record))
+        assert decoded == record
+        assert reject(msg.tag, decoded[5], n, d, f) is None
+
+
+def _body(draw) -> bytes:
+    """A valid frame body of any record, any family, at a random system."""
+    n, d, f = draw(_systems())
+    kind = draw(st.sampled_from(["hello", "round", "decided", *sorted(REPRESENTATIVES)]))
+    if kind == "hello":
+        record = (wire.HELLO, draw(st.integers(0, 99)), wire.WIRE_VERSION,
+                  draw(st.text(max_size=12)))
+    elif kind == "round":
+        record = (wire.ROUND, draw(st.integers(0, 2**40)), draw(st.integers(0, 99)),
+                  draw(st.booleans()))
+    elif kind == "decided":
+        record = (wire.DECIDED, draw(st.integers(0, 2**40)), draw(st.integers(0, 99)))
+    else:
+        stamp = draw(st.none() | st.tuples(
+            st.integers(0, 2**40), st.integers(0, 2**40),
+            st.lists(st.integers(0, 2**40), max_size=n).map(tuple)))
+        record = wire.message_record(draw(_shaped(kind, n, d, f)), 0, stamp)
+    return wire.encode_record(record)[4:]
+
+
+_BODIES = st.composite(_body)()
+
+
+def _decode(body: bytes):
+    """The record ``body`` decodes to, or None for a ``WireError``; any
+    other exception propagates and fails the test."""
+    try:
+        return wire.decode_body(body)
+    except wire.WireError:
+        return None
+
+
+class TestDecoderFuzz:
+    """Hostile bodies give a ``WireError`` or a payload the door refuses:
+    never another exception, a hang, or an allocation past the frame's."""
+
+    @settings(max_examples=150, deadline=1000)
+    @given(_BODIES, st.data())
+    def test_a_truncated_body_is_refused(self, body, data):
+        # A HELLO's instance runs to the end: cut, it is another instance,
+        # which check_hello refuses.
+        cut = body[:data.draw(st.integers(0, len(body) - 1))]
+        record = _decode(cut)
+        if body[0] == 0 and record is not None:
+            with pytest.raises(wire.WireError, match="instance mismatch"):
+                wire.check_hello(record, instance=wire.decode_body(body)[3])
+        else:
+            assert record is None
+
+    @settings(max_examples=150, deadline=1000)
+    @given(_BODIES, st.binary(min_size=1, max_size=64))
+    def test_an_oversized_body_is_refused(self, body, extra):
+        record = _decode(body + extra)
+        if body[0] == 0 and record is not None:
+            assert record[3] != wire.decode_body(body)[3]
+        else:
+            assert record is None
+
+    @settings(max_examples=400, deadline=1000)
+    @given(_BODIES, st.data())
+    def test_a_rewritten_byte_is_refused_or_is_another_frame(self, body, data):
+        # Covers lying counts (tag, d, path, refs, chain, clock), unknown
+        # record and flag bytes: what decodes is a frame the encoder
+        # writes byte for byte, so nothing is read twice or skipped.
+        pos = data.draw(st.integers(0, len(body) - 1))
+        hostile = body[:pos] + bytes([data.draw(st.integers(0, 255))]) + body[pos + 1:]
+        record = _decode(hostile)
+        if record is not None:
+            assert wire.encode_record(record)[4:] == hostile
+
+    @settings(max_examples=50, deadline=1000)
+    @given(_BODIES)
+    def test_a_count_that_lies_allocates_nothing_past_the_frame(self, body):
+        # Each count at its maximum over a body that cannot hold it.
+        for hostile in (
+            b"\x01" + bytes(12) + b"\x02\xff" + b"iter",   # tag of 255 bytes
+            b"\x01" + bytes(12) + b"\x02\x04iter" + b"\xff\xff" * 9,  # clock
+            b"\x01" + bytes(12) + b"\x00\x04iter\xff",     # d = 255
+            b"\x01" + bytes(12) + b"\x00\x04ds:0\x00\xff",  # chain of 255
+            body[:1] + b"\xff" * (len(body) - 1),
+        ):
+            tracemalloc.start()
+            try:
+                _decode(hostile)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024, (hostile, peak)
+
+    @settings(max_examples=100, deadline=1000)
+    @given(st.integers(len(wire.RECORD_LAYOUTS) - 1, 255), st.binary(max_size=64))
+    def test_an_unknown_record_byte_is_refused(self, kind, rest):
+        with pytest.raises(wire.WireError, match="unknown record type"):
+            wire.decode_body(bytes([kind]) + rest)
+
+    @settings(max_examples=100, deadline=1000)
+    @given(st.text(min_size=1, max_size=20).filter(lambda t: t.partition(":")[0] not in SCHEMAS))
+    def test_a_tag_of_no_family_is_refused(self, tag):
+        with pytest.raises(wire.WireError, match="no payload layout"):
+            wire.encode_record((wire.MSG, 0, 0, 1, tag, (1.0,), None, None))
+        good = wire.encode_record((wire.MSG, 0, 0, 1, "iter", (1.0,), None, None))[4:]
+        raw = tag.encode()
+        if len(raw) < 256:
+            body = good[:14] + bytes([len(raw)]) + raw + good[19:]
+            with pytest.raises(wire.WireError, match="no payload layout"):
+                wire.decode_body(body)
+
+    @settings(max_examples=100, deadline=1000)
+    @given(st.binary(min_size=1, max_size=16).filter(lambda b: not _utf8(b)))
+    def test_bad_utf8_is_refused(self, raw):
+        hello = wire.encode_hello(1, "x")[4:-1]
+        with pytest.raises(wire.WireError, match="utf-8"):
+            wire.decode_body(hello + raw)
+        good = wire.encode_record((wire.MSG, 0, 0, 1, "iter", (1.0,), None, None))[4:]
+        with pytest.raises(wire.WireError, match="utf-8"):
+            wire.decode_body(good[:14] + bytes([len(raw)]) + raw + good[19:])
+
+    @settings(max_examples=100, deadline=None)
+    @given(_systems(), st.data())
+    def test_non_finite_floats_and_foreign_pids_decode_and_the_door_refuses(self, nfd, data):
+        n, d, f = nfd
+        bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        floats = (bad,) + tuple(data.draw(st.lists(_FINITE, min_size=d - 1, max_size=d - 1)))
+        foreign = data.draw(st.integers(n, 2**16 - 1))
+        for tag, payload in [
+            ("iter", floats),
+            ("bc:0", ((0,), floats)),
+            ("bc:0", ((0, foreign), data.draw(_shaped("abc", n, d, f)).payload)),
+            ("ds:0", (floats, (Signature(0, bytes(32)),))),
+            ("rva:0:0", ("echo", ("val", floats))),
+            ("rva:0:1", ("echo", ("refs", (foreign,) + tuple(range(n - f - 1))))),
+        ]:
+            record = roundtrip(wire.encode_record((wire.MSG, 0, 0, 1, tag, payload, None, None)))
+            assert reject(tag, record[5], n, d, f) is not None, (tag, payload)
+
+
+def _utf8(raw: bytes) -> bool:
+    try:
+        raw.decode()
+    except UnicodeDecodeError:
+        return False
+    return True

@@ -1,9 +1,9 @@
 """docs/transport.md states each boundary's schema; the code owns it.
 
-The wire's per-kind field table, the door's payload schemas and the
-topology file's knob table are written out in the docs for readers; this
-keeps them the same rows, in the same order, as ``wire.RECORD_FIELDS`` /
-``wire.STAMP_FIELDS``, ``repro.system.door.SCHEMAS`` and
+The wire's frame layouts, the door's payload schemas and the topology
+file's knob table are written out in the docs for readers; this keeps
+them the same rows, in the same order, as ``wire.RECORD_LAYOUTS`` plus
+``repro.system.door.LAYOUTS``, ``repro.system.door.SCHEMAS`` and
 ``repro.core.runspec.RUN_KNOBS``.
 """
 
@@ -13,7 +13,7 @@ import re
 from pathlib import Path
 
 from repro.core.runspec import RUN_KNOBS
-from repro.system.door import SCHEMAS
+from repro.system.door import LAYOUTS, SCHEMAS
 from repro.system.transport import wire
 
 DOC = Path(__file__).resolve().parents[1] / "docs" / "transport.md"
@@ -32,21 +32,12 @@ def table_after(heading: str) -> list[list[str]]:
     return rows[2:]  # header and |---| separator
 
 
-def type_names(types) -> str:
-    if types is None:
-        return "any"
-    return " or ".join(
-        "None" if t is type(None) else t.__name__ for t in types
-    )
-
-
 def test_wire_field_table_is_the_codes():
-    expected = [
-        [kind, field, type_names(types)]
-        for kind, fields in wire.RECORD_FIELDS.items()
-        for field, types in fields
-    ] + [["stamp", field, type_names(types)] for field, types in wire.STAMP_FIELDS]
-    assert table_after("### Field types") == expected
+    # One table: each record's layout, then each family's payload layout.
+    expected = [[name, layout] for name, layout in wire.RECORD_LAYOUTS.items()] + [
+        [family, pack.__doc__.strip()] for family, (pack, _) in LAYOUTS.items()
+    ]
+    assert table_after("### Frame layouts") == expected
 
 
 def test_payload_schema_table_is_the_codes():
@@ -70,7 +61,11 @@ def test_topology_knob_table_is_the_codes():
 
 def test_record_shapes_name_every_field():
     rows = {row[0]: row[1] for row in table_after("## Wire protocol")}
-    for kind, fields in wire.RECORD_FIELDS.items():
+    assert set(rows) == {kind.upper() for kind in wire.RECORD_LAYOUTS if kind != "stamp"}
+    for kind, layout in wire.RECORD_LAYOUTS.items():
+        if kind == "stamp":
+            continue
         shape = re.findall(r"\w+", rows[kind.upper()])
         assert shape[0] == kind
-        assert shape[1:] == [field for field, _ in fields], kind
+        # Every field of the decoded record is one its layout writes.
+        assert all(field in layout for field in shape[1:]), kind
