@@ -64,11 +64,12 @@ def _eig(tag: str, p: Any, n: int, d: Optional[int], f: int) -> bool:
 
 
 def _ds(tag: str, p: Any, n: int, d: Optional[int], f: int) -> bool:
-    """(d floats, chain): a chain of 1 to f + 1 Signature"""
+    """(d floats, chain): a chain of 1 to f + 1 Signature, each by a pid with a 32-byte digest"""
     return (type(p) is tuple and len(p) == 2 and _floats(tag, p[0], n, d, f)
             and type(p[1]) is tuple and 0 < len(p[1]) <= f + 1
             and all(type(s) is Signature and type(getattr(s, "signer", None)) is int
-                    and type(getattr(s, "digest", None)) is bytes for s in p[1]))
+                    and 0 <= s.signer < n and type(getattr(s, "digest", None)) is bytes
+                    and len(s.digest) == 32 for s in p[1]))
 
 
 #: Tag family -> check; docs/transport.md shows each one's docstring.

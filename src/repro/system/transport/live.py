@@ -4,7 +4,15 @@ Each :class:`LiveNode` owns one protocol process, one listening socket,
 and one outgoing :class:`~repro.system.transport.peer.PeerLink` per
 peer, and drives the process through the exact same
 :class:`~repro.system.process.Context` surface the simulator uses — the
-protocol code cannot tell the backends apart.  Execution models:
+protocol code cannot tell the backends apart.
+
+Every accepted connection is an :class:`_Inbound` asyncio protocol: it
+splits the bytes into frames in ``data_received``, checks the first one
+as the peer's HELLO and answers it, and hands every later record to
+:meth:`LiveNode._on_record` in the same call — no reader task, no
+stream.  The outgoing side writes each frame to its link's transport in
+the sending call (see :mod:`~repro.system.transport.peer`).  Execution
+models:
 
 * **Synchronous** — lockstep rounds over an asynchronous network via
   round-barrier markers: after emitting its round-``r`` traffic a node
@@ -27,7 +35,8 @@ Requesting an adversarial live run raises
 Both backends surface the same ``net.*`` metrics; the live one adds
 ``net.live.*`` counters (handshakes, reconnects, retransmits, dedup
 drops, backpressure waits, bytes, wire vs effective frame deliveries)
-plus a send-queue wait histogram and depth-peak gauge.
+plus a queue-wait histogram (0 for a frame sent while its link is
+connected) and a disconnected-backlog depth-peak gauge.
 
 When a :class:`~repro.obs.causal.CausalCollector` is installed
 (ambient, per process), every node stamps its sends and deliveries: the
@@ -46,6 +55,7 @@ import os
 import tempfile
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -61,13 +71,13 @@ from ..scheduler import RunResult, _finish_probes, _fold_network_stats
 from ..topology import Topology
 from . import wire
 from .base import Transport, TransportError
-from .peer import LinkStats, PeerLink
+from .peer import LinkProtocol, LinkStats, PeerLink
 
 __all__ = ["LiveNode", "LiveTransport", "NodeAddress", "node_seeds"]
 
 #: Deliveries the async driver handles back to back before it yields to
 #: the event loop once: long enough to amortise the loop turn, short
-#: enough that link writers, co-hosted nodes and ``run_timeout`` get a
+#: enough that the sockets, co-hosted nodes and ``run_timeout`` get a
 #: turn after about a millisecond of handler work (~15 us a delivery).
 YIELD_EVERY = 64
 
@@ -87,18 +97,23 @@ class NodeAddress:
     path: str = ""
 
     def dialer(self) -> Callable[[], Any]:
-        """Zero-argument coroutine factory opening a connection here."""
+        """Zero-argument coroutine factory opening a connection here:
+        ``(transport, protocol)`` with a :class:`LinkProtocol` on it."""
         if self.kind == "tcp":
             host, port = self.host, self.port
 
             def dial_tcp() -> Any:
-                return asyncio.open_connection(host, port)
+                return asyncio.get_running_loop().create_connection(
+                    LinkProtocol, host, port
+                )
 
             return dial_tcp
         path = self.path
 
         def dial_uds() -> Any:
-            return asyncio.open_unix_connection(path)
+            return asyncio.get_running_loop().create_unix_connection(
+                LinkProtocol, path
+            )
 
         return dial_uds
 
@@ -137,6 +152,47 @@ def node_seeds(seed: int, n: int) -> list[int]:
     """
     rng = np.random.default_rng(seed)
     return [int(s) for s in rng.integers(0, 2**63 - 1, size=n)]
+
+
+class _Inbound(asyncio.Protocol):
+    """The listener's end of one connection.
+
+    Its first record must be a HELLO from a peer, answered with this
+    node's; every later record goes to :meth:`LiveNode._on_record` from
+    ``data_received``, in the loop turn its bytes arrived.  A bad HELLO,
+    an oversized length prefix, or a malformed or forged record closes
+    the connection: nothing at or after it is delivered.
+    """
+
+    def __init__(self, node: "LiveNode") -> None:
+        self.node = node
+        self.peer_id: Optional[int] = None
+        self.transport: Any = None
+        self.feed = wire.FrameSplitter().feed
+
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+        self.node._inbound.add(transport)
+
+    def data_received(self, data: bytes) -> None:
+        node, peer_id = self.node, self.peer_id
+        try:
+            for body in self.feed(data):
+                record = wire.decode_body(body)
+                if peer_id is None:
+                    peer_id = self.peer_id = node._accept(record)
+                    self.transport.write(
+                        wire.encode_hello(node.node_id, node.instance)
+                    )
+                else:
+                    node._on_record(peer_id, record)
+        except wire.WireError:
+            self.transport.close()
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        # A partial frame left in the splitter dies with the connection:
+        # its sender retransmits it.
+        self.node._inbound.discard(self.transport)
 
 
 class LiveNode:
@@ -194,11 +250,12 @@ class LiveNode:
         #: The links in peer-id order, fixed once by connect_peers.
         self._peer_links: tuple[PeerLink, ...] = ()
         self._server: Any = None
-        self._server_conns: list[Any] = []
-        self._serve_tasks: list[Any] = []
-        # Receive state: plain containers, written by the connection
-        # handlers and read by the driver on the one event loop (no
-        # threads, and no await inside an update, so no lock).
+        #: Transports of the accepted connections still open.
+        self._inbound: set[Any] = set()
+        # Receive state: plain containers, written by the inbound
+        # protocols' data_received and read by the driver on the one
+        # event loop (no threads, and no await inside an update, so no
+        # lock).
         # Message buffers hold (Message, meta) pairs where meta describes
         # the delivery's causal provenance: ("local", send_eid) for
         # self-deliveries, ("remote", (origin_eid, lamport, clock)) for
@@ -216,17 +273,19 @@ class LiveNode:
     # ------------------------------------------------------------ lifecycle
     async def start_server(self) -> NodeAddress:
         """Bind the listener; returns the (possibly port-resolved) address."""
+        loop = asyncio.get_running_loop()
+        accept = partial(_Inbound, self)
         if self.address.kind == "tcp":
-            self._server = await asyncio.start_server(
-                self._serve_conn, host=self.address.host, port=self.address.port
+            self._server = await loop.create_server(
+                accept, host=self.address.host, port=self.address.port
             )
             port = self._server.sockets[0].getsockname()[1]
             self.address = NodeAddress(
                 self.node_id, "tcp", host=self.address.host, port=int(port)
             )
         elif self.address.kind == "uds":
-            self._server = await asyncio.start_unix_server(
-                self._serve_conn, path=self.address.path
+            self._server = await loop.create_unix_server(
+                accept, path=self.address.path
             )
         else:
             raise TransportError(f"unknown address kind {self.address.kind!r}")
@@ -255,41 +314,29 @@ class LiveNode:
     async def shutdown(self) -> None:
         for link in self._peer_links:
             link.abort()
+        for transport in list(self._inbound):
+            transport.close()
         if self._server is not None:
+            # Closed after its connections: a server's wait_closed may
+            # wait for every connection it accepted to end.
             self._server.close()
             try:
                 await self._server.wait_closed()
             except (ConnectionError, OSError):
                 pass
-        for writer in self._server_conns:
-            writer.close()
-        # Drain the handler tasks now (they wake on the EOF the close
-        # above produced) so loop teardown finds nothing to cancel.
-        if self._serve_tasks:
-            await asyncio.gather(*self._serve_tasks, return_exceptions=True)
+        # One loop turn: the closes' connection_lost callbacks run now,
+        # so loop teardown finds no socket open.
+        await asyncio.sleep(0)
 
     # ------------------------------------------------------- incoming side
-    async def _serve_conn(self, reader: Any, writer: Any) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._serve_tasks.append(task)
-        try:
-            peer_id = await wire.read_hello(reader, instance=self.instance)
-            if peer_id == self.node_id or not 0 <= peer_id < self.n:
-                raise wire.WireError(f"HELLO from node {peer_id}: not a peer")
-            writer.write(wire.encode_hello(self.node_id, self.instance))
-            await writer.drain()
-        except (wire.WireError, ConnectionError, OSError, EOFError):
-            writer.close()
-            return
-        self._server_conns.append(writer)
-        try:
-            async for record in wire.read_frames(reader):
-                self._on_record(peer_id, record)
-        except (wire.WireError, ConnectionError, OSError):
-            pass
-        finally:
-            writer.close()
+    def _accept(self, record: tuple) -> int:
+        """The peer id a connection's first record, its HELLO, names;
+        a :class:`~repro.system.transport.wire.WireError` for anything
+        but a HELLO of this instance from a peer."""
+        peer_id = wire.check_hello(record, instance=self.instance)
+        if peer_id == self.node_id or not 0 <= peer_id < self.n:
+            raise wire.WireError(f"HELLO from node {peer_id}: not a peer")
+        return peer_id
 
     def _on_record(self, peer_id: int, record: tuple) -> None:
         kind, seq = record[0], record[1]

@@ -1,58 +1,58 @@
-"""One outgoing peer link: dial, handshake, retransmit, backpressure.
+"""One outgoing peer link: dial, handshake, direct writes, retransmit.
 
-Each live node keeps one :class:`PeerLink` per remote peer.  The link
-owns a bounded send queue and a writer task:
+Each live node keeps one :class:`PeerLink` per remote peer.  A link is
+*connected* — it holds a handshaken :class:`LinkProtocol` and writes each
+frame to that socket transport in the sender's own call — or
+*disconnected*, when frames wait in a backlog while a connector task
+dials.  No queue and no task sit on the data path:
 
-* **Handshake** — on every (re)connect the dialer sends its HELLO
-  (node id, wire version, instance id) and reads the listener's HELLO
-  back (:func:`repro.system.transport.wire.read_hello`).  A malformed
-  HELLO, another wire version, another instance or another identity
-  permanently fails the link (such a peer will never become right).
-* **Reconnect** — connection refusal or loss triggers capped exponential
-  backoff (``delay = min(base * 2**attempt, cap)``); the attempt counter
-  resets after a successful handshake.  The batch being written when
-  the connection died is retransmitted first, whole — frames only leave
-  the in-flight batch after a successful ``drain()``.  The receiver
-  deduplicates by the per-link sequence number, so retransmission is
-  exactly-once at the protocol layer.
-* **Backpressure** — ``send()`` awaits when the queue holds
-  ``queue_limit`` frames, propagating slowness to the producing
-  protocol loop instead of buffering without bound.
+* **Handshake** — on every (re)connect the dialer sends its HELLO and
+  awaits the listener's, which :class:`LinkProtocol` reads in
+  ``data_received``.  A malformed HELLO, another wire version, instance
+  or identity permanently fails the link.
+* **Sending** — a record is encoded once, by
+  :func:`~repro.system.transport.wire.encode_for_version`, in the call
+  that sends it; those bytes are the payload's snapshot, and only a
+  record that encodes takes a sequence number.  A connected link hands
+  the frame to ``transport.write`` in that call, and the frame counts as
+  sent there.  Frames sent while disconnected go out in one write right
+  after the next handshake.
+* **In flight** — the frames written since the transport's write buffer
+  was last empty (a clean close flushed them all).  After a loss they go
+  out again, whole and first, on the next connection; the receiver's
+  per-link sequence dedup makes delivery exactly-once.
+* **Reconnect** — capped exponential backoff (``min(base * 2**attempt,
+  cap)``), reset by a handshake.  The connector runs only while the link
+  is disconnected: at once after a loss that left frames in flight,
+  otherwise at the next send.
+* **Backpressure** — a connected link's sender waits while its transport
+  has paused writing (``pause_writing`` / ``resume_writing``); a
+  disconnected link's sender waits once ``queue_limit`` frames are
+  backlogged.
 
-The queue holds *encoded frames*: a record is encoded once, when it is
-enqueued, and those bytes are the snapshot of its payload (nothing the
-sender does to the object later can reach the wire).  The writer takes
-everything queued — up to :data:`MAX_BATCH_FRAMES` — and hands it to
-the socket in one ``write`` and one ``drain``.
-
-Timings use the event loop's monotonic clock only (never the wall
-clock), and the backoff schedule is a fixed deterministic ramp — links
-carry no randomness of their own.
-
-Beyond the six link counters, each link records transport telemetry the
-node folds into its registry: bytes written (``bytes_sent``), the
-deepest the send queue ever got (``queue_depth_peak``), and per-frame
-queue-wait times (``queue_wait_samples``, seconds from enqueue to first
-write attempt, i.e. to the moment the writer takes the frame into a
-batch — exported as the ``net.live.queue_wait_us`` histogram).
+Timings use the event loop's monotonic clock, and the backoff schedule
+is a fixed ramp — links carry no randomness of their own.  Each link
+also records bytes written, the deepest its backlog got
+(``queue_depth_peak``) and one queue-wait sample per frame (seconds from
+the send call to its first ``write``: 0 for a frame sent while
+connected), which the node folds into ``net.live.*``.
 """
 
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from typing import Any, Awaitable, Callable, Optional
 
 from . import wire
 
-__all__ = ["LinkStats", "PeerLink"]
+__all__ = ["LinkProtocol", "LinkStats", "PeerLink"]
 
-#: (reader, writer) pair as returned by asyncio.open_connection.
+#: ``(transport, conn)`` as ``loop.create_connection(LinkProtocol, ...)``
+#: returns it: the link writes through ``conn`` (``write``, ``drain``,
+#: ``close``) and reads the HELLO and the connection's end off
+#: ``transport.get_protocol()``.
 Dialer = Callable[[], Awaitable[tuple[Any, Any]]]
-
-#: Most frames one ``write`` carries (and one reconnect retransmits): a
-#: full default queue, ~12 KiB of the ~50-byte protocol frames — well
-#: inside one socket buffer, so the single ``drain`` rarely has to wait.
-MAX_BATCH_FRAMES = 256
 
 
 class LinkStats:
@@ -64,11 +64,10 @@ class LinkStats:
     and ``queue_wait_samples`` are *not* counters (a peak maxes, samples
     concatenate) and are folded explicitly.
 
-    ``frames_sent`` / ``bytes_sent`` count a frame once, when the
-    ``drain()`` of the batch carrying it succeeds.  ``retransmits``
-    counts frames handed to a socket *again*: every frame of the batch
-    that was in flight when a connection died, each time that batch is
-    written to a new connection.
+    ``frames_sent`` / ``bytes_sent`` count a frame once, when it is first
+    handed to a connected transport.  ``retransmits`` counts frames
+    written *again*: every frame in flight when a connection died, each
+    time it goes out on a new one.
     """
 
     COUNTER_FIELDS = (
@@ -98,6 +97,76 @@ class LinkStats:
         return {name: getattr(self, name) for name in self.COUNTER_FIELDS}
 
 
+class LinkProtocol(asyncio.Protocol):
+    """The dialer's end of one connection.
+
+    It reads one record, the listener's HELLO, into :attr:`hello` (the
+    listener sends nothing after it; later bytes are dropped unread),
+    turns ``pause_writing`` / ``resume_writing`` into :meth:`drain`, and
+    resolves :attr:`closed` with ``connection_lost``'s exception.  Its
+    ``write`` is the transport's own.
+    """
+
+    write: Callable[[bytes], None]
+
+    def __init__(self) -> None:
+        loop = asyncio.get_running_loop()
+        self.hello: asyncio.Future[tuple] = loop.create_future()
+        self.closed: asyncio.Future[Optional[BaseException]] = loop.create_future()
+        #: Called as ``on_lost(self, exc)`` from ``connection_lost``.
+        self.on_lost: Optional[Callable[[Any, Optional[BaseException]], None]] = None
+        self.transport: Any = None
+        self._splitter = wire.FrameSplitter()
+        self._resumed: Optional[asyncio.Future[None]] = None
+
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+        self.write = transport.write
+
+    def data_received(self, data: bytes) -> None:
+        if self.hello.done():
+            return
+        try:
+            for body in self._splitter.feed(data):
+                self.hello.set_result(wire.decode_body(body))
+                return
+        except wire.WireError as exc:
+            self.hello.set_exception(exc)
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        if not self.hello.done():
+            self.hello.set_exception(
+                ConnectionResetError("connection closed before the peer's HELLO")
+            )
+        self.closed.set_result(exc)
+        self.resume_writing()
+        if self.on_lost is not None:
+            self.on_lost(self, exc)
+
+    def pause_writing(self) -> None:
+        self._resumed = self.closed.get_loop().create_future()
+
+    def resume_writing(self) -> None:
+        resumed, self._resumed = self._resumed, None
+        if resumed is not None:
+            resumed.set_result(None)
+
+    @property
+    def paused(self) -> bool:
+        return self._resumed is not None
+
+    async def drain(self) -> None:
+        """Return once the transport takes writes again; raise
+        ``ConnectionResetError`` once the connection is gone."""
+        if self._resumed is not None:
+            await self._resumed
+        if self.closed.done():
+            raise ConnectionResetError("connection lost")
+
+    def close(self) -> None:
+        self.transport.close()
+
+
 class PeerLink:
     """Reliable, ordered, deduplicatable frame stream to one peer."""
 
@@ -124,31 +193,36 @@ class PeerLink:
         self.backoff_base = float(backoff_base)
         self.backoff_cap = float(backoff_cap)
         self.max_dial_failures = int(max_dial_failures)
-        #: How long a *disconnected* writer keeps redialling after
-        #: close() while frames are still undelivered.  Without the
-        #: grace, a node exiting during a peer's reconnect window could
-        #: abandon its queued DECIDED announcement and leave that peer
-        #: waiting forever.
+        #: How long a *disconnected* link keeps redialling after close()
+        #: while frames are still undelivered.  Without the grace, a node
+        #: exiting during a peer's reconnect window could abandon its
+        #: backlogged DECIDED announcement and leave that peer waiting
+        #: forever.
         self.drain_grace = float(drain_grace)
-        #: After this many successfully written frames, the link aborts
-        #: its own socket once — the fault-injection hook the reconnect
-        #: tests (and the disconnect-survival acceptance run) flip on.
-        #: A batch that would cross the count is cut there: the head is
-        #: written and drained, the rest rides over the reconnect.
+        #: After this many frames sent, the link writes half of the next
+        #: one and closes its own connection, once — the fault-injection
+        #: hook the reconnect tests (and the disconnect-survival
+        #: acceptance run) flip on.  The torn frame stays in flight and
+        #: goes out whole after the reconnect.
         self.chaos_close_after = chaos_close_after
         #: Called (no arguments) when the link fails permanently, so an
         #: owner blocked on something else learns of it at once.
         self.on_failure = on_failure
         self.stats = LinkStats()
-        #: ``(encoded frame, enqueue time)``; ``None`` is close()'s sentinel.
-        self._queue: asyncio.Queue[Optional[tuple[bytes, float]]] = (
-            asyncio.Queue(maxsize=self.queue_limit)
-        )
-        #: Frames taken off the queue and not yet drained to a socket —
-        #: the unit that is retransmitted, whole, after a reconnect.
-        self._batch: list[bytes] = []
+        #: Frames not yet written to the current connection, oldest first:
+        #: ``(frame, send time)``, or ``(frame, None)`` for one that was in
+        #: flight on a lost connection.
+        self._backlog: deque[tuple[bytes, Optional[float]]] = deque()
+        #: Frames written since the transport's buffer was last empty.
+        self._inflight: list[bytes] = []
         self._next_seq = 0
-        self._writer_task: Optional[asyncio.Task[None]] = None
+        #: The handshaken connection while connected, else None.
+        self._proto: Optional[LinkProtocol] = None
+        self._conn: Any = None
+        self._connector: Optional[asyncio.Task[None]] = None
+        #: Resolved when the backlog is flushed (or the link fails).
+        self._room: Optional[asyncio.Future[None]] = None
+        self._started = False
         self._failure: Optional[BaseException] = None
         self._closed = False
         self._closing = asyncio.Event()
@@ -156,41 +230,47 @@ class PeerLink:
 
     # ----------------------------------------------------------- lifecycle
     def start(self) -> None:
-        """Spawn the writer task (idempotent)."""
-        if self._writer_task is None:
-            self._writer_task = asyncio.get_running_loop().create_task(
-                self._writer_loop(), name=f"peerlink-{self.self_id}->{self.peer_id}"
-            )
+        """Start dialling (idempotent)."""
+        if not self._started:
+            self._started = True
+            self._connect()
 
     async def close(self) -> None:
-        """Flush nothing further; stop the writer after the queue drains.
+        """Close the connection once what was sent is written.
 
-        A *connected* writer drains the queue before exiting.  A writer
-        stuck in the dial/backoff path with nothing left to deliver
-        returns immediately: the peer it is redialling has typically
-        exited for good (the cluster is past its decision), so waiting
-        out the full reconnect ramp would stall teardown for minutes.
-        If frames *are* still undelivered — e.g. a DECIDED announcement
-        queued while the connection was down — the writer keeps
-        redialling for ``drain_grace`` seconds before giving up, so the
-        last frames of a run are not silently dropped.
+        A connected link closes its transport, which flushes the write
+        buffer first.  A link stuck in the dial/backoff path with nothing
+        left to deliver returns immediately: the peer it is redialling
+        has typically exited for good (the cluster is past its
+        decision), so waiting out the full reconnect ramp would stall
+        teardown for minutes.  If frames *are* still undelivered — e.g. a
+        DECIDED announcement sent while the connection was down — the
+        link keeps redialling for ``drain_grace`` seconds before giving
+        up, so the last frames of a run are not silently dropped.
         """
         if self._closed:
             return
         self._closed = True
         self._closing.set()
-        await self._queue.put(None)
-        if self._writer_task is not None:
+        if self._proto is not None:
+            proto = self._proto
+            self._conn.close()
+            await proto.closed  # _on_lost requeues what an error left in flight
+        if self._backlog and self._started and self._failure is None:
+            self._connect()
+        if self._connector is not None:
             try:
-                await self._writer_task
+                await self._connector
             except asyncio.CancelledError:
                 pass
 
     def abort(self) -> None:
         """Tear the link down immediately (run teardown path)."""
         self._closed = True
-        if self._writer_task is not None:
-            self._writer_task.cancel()
+        if self._connector is not None:
+            self._connector.cancel()
+        if self._proto is not None:
+            self._proto.transport.abort()
 
     @property
     def failed(self) -> Optional[BaseException]:
@@ -198,57 +278,160 @@ class PeerLink:
         return self._failure
 
     # ------------------------------------------------------------- sending
-    def next_seq(self) -> int:
-        """Allocate the next per-link sequence number."""
-        seq = self._next_seq
-        self._next_seq += 1
-        return seq
-
     async def send_message(self, msg: Any, stamp: Optional[tuple] = None) -> None:
-        """Queue one protocol message, optionally with its causal stamp."""
-        await self._put(wire.message_record(msg, self.next_seq(), stamp))
+        """Send one protocol message, optionally with its causal stamp."""
+        waiter = self._put(wire.message_record(msg, self._next_seq, stamp))
+        if waiter is not None:
+            await waiter
 
     async def send_round(self, round: int, decided: bool) -> None:
-        await self._put((wire.ROUND, self.next_seq(), int(round), bool(decided)))
+        waiter = self._put((wire.ROUND, self._next_seq, int(round), bool(decided)))
+        if waiter is not None:
+            await waiter
 
     async def send_decided(self) -> None:
-        await self._put((wire.DECIDED, self.next_seq(), self.self_id))
+        waiter = self._put((wire.DECIDED, self._next_seq, self.self_id))
+        if waiter is not None:
+            await waiter
 
-    async def _put(self, record: tuple) -> None:
+    def _put(self, record: tuple) -> Optional[Awaitable[None]]:
+        """Encode ``record`` (which carries the next sequence number) and
+        write it, or backlog it while disconnected; returns what the
+        sender must await, if anything."""
         if self._failure is not None:
             raise wire.WireError(
                 f"link to node {self.peer_id} failed permanently: "
                 f"{self._failure}"
             ) from self._failure
-        # Encoded here, once: the bytes are the payload's snapshot.
-        item = (
-            wire.encode_for_version(record, wire.WIRE_VERSION),
-            asyncio.get_running_loop().time(),
-        )
-        if self._queue.full():
-            self.stats.backpressure_waits += 1
-            await self._queue.put(item)
-        else:
-            self._queue.put_nowait(item)
-        depth = self._queue.qsize()
-        if depth > self.stats.queue_depth_peak:
-            self.stats.queue_depth_peak = depth
+        # Encoded here, once: the bytes are the payload's snapshot.  A
+        # record that does not encode takes no sequence number.
+        frame = wire.encode_for_version(record, wire.WIRE_VERSION)
+        self._next_seq += 1
+        stats = self.stats
+        proto = self._proto
+        if proto is not None and stats.frames_sent != self.chaos_close_after:
+            self._conn.write(frame)
+            stats.frames_sent += 1
+            stats.bytes_sent += len(frame)
+            stats.queue_wait_samples.append(0.0)
+            if proto.transport.get_write_buffer_size():
+                self._inflight.append(frame)
+                if proto.paused:
+                    stats.backpressure_waits += 1
+                    return self._writable(proto)
+            elif self._inflight:
+                self._inflight.clear()
+            return None
+        backlog = self._backlog
+        backlog.append((frame, asyncio.get_running_loop().time()))
+        if proto is not None:
+            # The chaos hook's frame: _flush tears it and drops the link.
+            try:
+                self._flush(self._conn)
+            except ConnectionResetError:
+                self._detach()
+                self._requeue()
+                self._connect()
+            return None
+        if len(backlog) > stats.queue_depth_peak:
+            stats.queue_depth_peak = len(backlog)
+        if self._started and not self._closed:
+            self._connect()
+        if len(backlog) > self.queue_limit:
+            stats.backpressure_waits += 1
+            if self._room is None:
+                self._room = asyncio.get_running_loop().create_future()
+            return self._wait_room(self._room)
+        return None
 
-    # -------------------------------------------------------- writer task
+    async def _writable(self, proto: LinkProtocol) -> None:
+        try:
+            await proto.drain()
+        except ConnectionError:
+            pass  # _on_lost has taken the loss in hand
+
+    async def _wait_room(self, room: asyncio.Future[None]) -> None:
+        await room
+        if self._failure is not None:
+            raise wire.WireError(
+                f"link to node {self.peer_id} failed permanently: "
+                f"{self._failure}"
+            ) from self._failure
+
+    # ---------------------------------------------------------- connection
     def _fail(self, failure: BaseException) -> None:
         self._failure = failure
+        self._wake_room()
         if self.on_failure is not None:
             self.on_failure()
 
-    async def _writer_loop(self) -> None:
+    def _wake_room(self) -> None:
+        room, self._room = self._room, None
+        if room is not None:
+            room.set_result(None)
+
+    def _connect(self) -> None:
+        if self._connector is None or self._connector.done():
+            self._connector = asyncio.get_running_loop().create_task(
+                self._connect_loop(),
+                name=f"peerlink-{self.self_id}->{self.peer_id}",
+            )
+
+    def _detach(self) -> None:
+        self._proto = self._conn = None
+
+    def _requeue(self) -> None:
+        """Put the frames in flight back at the head of the backlog."""
+        if self._inflight:
+            self._backlog.extendleft((frame, None) for frame in reversed(self._inflight))
+            self._inflight = []
+
+    def _on_lost(self, proto: LinkProtocol, exc: Optional[BaseException]) -> None:
+        if proto is not self._proto:
+            return  # a connection the link already gave up
+        self._detach()
+        if exc is None:
+            self._inflight.clear()  # a clean close wrote every buffered byte
+        elif self._inflight:
+            self._requeue()
+            if not self._closed:
+                self._connect()
+
+    def _flush(self, conn: Any) -> None:
+        """Write the whole backlog in one write: frames that were in
+        flight on a lost connection first, then the ones sent since.  The
+        chaos hook cuts it inside the frame past ``chaos_close_after``
+        and closes the connection (``ConnectionResetError``)."""
+        stats, backlog = self.stats, self._backlog
+        now = asyncio.get_running_loop().time()
+        frames: list[bytes] = []
+        torn = False
+        while backlog and not torn:
+            frame, since = backlog.popleft()
+            frames.append(frame)
+            if since is None:
+                stats.retransmits += 1
+                continue
+            torn = stats.frames_sent == self.chaos_close_after
+            stats.frames_sent += 1
+            stats.bytes_sent += len(frame)
+            stats.queue_wait_samples.append(now - since)
+        data = b"".join(frames)
+        self._inflight += frames
+        if not torn:
+            conn.write(data)
+            return
+        self.chaos_close_after = None
+        stats.chaos_closes += 1
+        conn.write(data[: len(data) - len(frames[-1]) // 2])
+        conn.close()
+        raise ConnectionResetError("chaos: forced close")
+
+    async def _connect_loop(self) -> None:
         attempt = 0
-        batch = self._batch
-        closing = False  # close()'s sentinel has been taken off the queue
-        frames_written = 0
-        chaos_at = self.chaos_close_after  # None once it has fired
         while True:
             try:
-                reader, writer = await self.dial()
+                transport, conn = await self.dial()
             except (ConnectionError, OSError):
                 attempt += 1
                 if attempt > self.max_dial_failures:
@@ -260,10 +443,15 @@ class PeerLink:
                 if await self._backoff_or_closing(attempt):
                     return
                 continue
+            proto = transport.get_protocol()
             try:
-                await self._handshake(reader, writer)
-            except (wire.WireError, ConnectionError, OSError, EOFError) as exc:
-                writer.close()
+                conn.write(wire.encode_hello(self.self_id, self.instance))
+                wire.check_hello(
+                    await proto.hello, instance=self.instance,
+                    expected_id=self.peer_id,
+                )
+            except (wire.WireError, ConnectionError, OSError) as exc:
+                conn.close()
                 if isinstance(exc, wire.WireError):
                     self._fail(exc)  # malformed or mismatching HELLO: permanent
                     return
@@ -285,74 +473,40 @@ class PeerLink:
             attempt = 0
             self.stats.handshakes += 1
             try:
-                while True:
-                    if batch:
-                        # First iteration after a reconnect: the batch in
-                        # flight when the connection died goes out again.
-                        self.stats.retransmits += len(batch)
-                    else:
-                        closing = await self._take_batch()
-                    cut = len(batch)
-                    if chaos_at is not None and frames_written + cut > chaos_at:
-                        cut = chaos_at - frames_written
-                    if cut:
-                        data = b"".join(batch[:cut])
-                        writer.write(data)
-                        await writer.drain()
-                        self.stats.frames_sent += cut
-                        self.stats.bytes_sent += len(data)
-                        frames_written += cut
-                        del batch[:cut]
-                    if batch:
-                        # Fault injection (only the chaos cut leaves frames
-                        # behind): drop the connection (graceful FIN, so
-                        # drained frames still arrive) and force the
-                        # reconnect path; the rest of the batch rides over it.
-                        chaos_at = None
-                        self.stats.chaos_closes += 1
-                        writer.close()
-                        raise ConnectionResetError("chaos: forced close")
-                    if closing:
-                        writer.close()
-                        try:
-                            await writer.wait_closed()
-                        except (ConnectionError, OSError):
-                            pass
-                        return
-            except (ConnectionError, OSError, EOFError):
-                # Connection died mid-stream: whatever was being written
-                # stays in `batch` and goes out first after reconnect.
-                writer.close()
+                while self._backlog:
+                    self._flush(conn)
+                    await conn.drain()
+                    if not transport.get_write_buffer_size():
+                        self._inflight.clear()
+            except (ConnectionError, OSError):
+                # Whatever this connection had in flight goes out first,
+                # whole, on the next one.
+                conn.close()
+                self._requeue()
                 attempt += 1
                 if await self._backoff_or_closing(attempt):
                     return
-
-    async def _take_batch(self) -> bool:
-        """Wait for a frame, then move everything queued (at most
-        :data:`MAX_BATCH_FRAMES`) into the batch, sampling each frame's
-        queue wait once; True when close()'s sentinel was reached."""
-        batch = self._batch
-        item = await self._queue.get()
-        now = asyncio.get_running_loop().time()
-        waits = self.stats.queue_wait_samples
-        while item is not None:
-            frame, enqueued_at = item
-            batch.append(frame)
-            waits.append(max(0.0, now - enqueued_at))
-            if len(batch) == MAX_BATCH_FRAMES or self._queue.empty():
-                return False
-            item = self._queue.get_nowait()
-        return True
+                continue
+            self._proto, self._conn = proto, conn
+            proto.on_lost = self._on_lost
+            self._wake_room()
+            if not self._closed:
+                return
+            # close() is waiting on this delivery: finish it, and redial
+            # (within the grace) if the close left frames in flight.
+            self._conn.close()
+            await proto.closed
+            if not self._backlog:
+                return
 
     async def _backoff_or_closing(self, attempt: int) -> bool:
-        """Back off before the next dial; True if the writer should stop.
+        """Back off before the next dial; True if the connector should stop.
 
-        close() interrupts the ramp, but a closing writer that still
-        holds undelivered frames (an in-flight batch or anything queued
-        beyond the close() sentinel) keeps redialling until
-        ``drain_grace`` runs out — dropping the tail of a run (a DECIDED
-        announcement, the last round marker) would strand peers that are
-        still waiting on it.
+        close() interrupts the ramp, but a closing link that still holds
+        undelivered frames keeps redialling until ``drain_grace`` runs
+        out — dropping the tail of a run (a DECIDED announcement, the
+        last round marker) would strand peers that are still waiting on
+        it.
         """
         delay = self._backoff(attempt)
         if not self._closing.is_set():
@@ -362,8 +516,7 @@ class PeerLink:
                 # drain-grace decision below.
             except asyncio.TimeoutError:
                 return False
-        if not self._batch and self._queue.qsize() <= 1:
-            # Nothing left but the close() sentinel: stop immediately.
+        if not self._backlog:
             return True
         loop = asyncio.get_running_loop()
         if self._close_deadline is None:
@@ -373,13 +526,6 @@ class PeerLink:
             return True
         await asyncio.sleep(min(delay, remaining))
         return False
-
-    async def _handshake(self, reader: Any, writer: Any) -> None:
-        writer.write(wire.encode_hello(self.self_id, self.instance))
-        await writer.drain()
-        await wire.read_hello(
-            reader, instance=self.instance, expected_id=self.peer_id
-        )
 
     def _backoff(self, attempt: int) -> float:
         return min(self.backoff_base * (2.0 ** (attempt - 1)), self.backoff_cap)

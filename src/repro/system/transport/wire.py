@@ -6,7 +6,7 @@ its record; the rest is that record's ``struct`` layout
 
 ``(HELLO, node_id, wire_version, instance)``
     exchanged once per connection, both directions, before anything
-    else (:func:`read_hello`).  There is one wire version,
+    else (:func:`check_hello`).  There is one wire version,
     :data:`WIRE_VERSION`; a HELLO advertising another one — or another
     instance, or an unexpected identity — aborts the connection.
 ``(MSG, link_seq, src, dst, tag, payload, round, stamp)``
@@ -22,6 +22,10 @@ its record; the rest is that record's ``struct`` layout
     traffic on this link (per-link FIFO makes it a happens-after fence).
 ``(DECIDED, link_seq, node_id)``
     asynchronous termination marker.
+
+Both ends cut the byte stream into frame bodies with one
+:class:`FrameSplitter`, synchronously, in their protocol's
+``data_received``.
 
 :func:`encode_record` takes exactly the types :func:`decode_body` gives
 back (``bool`` is no ``int``, a list no tuple) and refuses anything
@@ -42,13 +46,14 @@ from __future__ import annotations
 
 import struct
 from functools import partial
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from ..door import LAYOUTS
 from ..messages import Message
 
 __all__ = [
     "DECIDED",
+    "FrameSplitter",
     "HELLO",
     "INTERN_MAX",
     "MAX_FRAME_BYTES",
@@ -65,8 +70,6 @@ __all__ = [
     "encode_record",
     "message_record",
     "message_stamp",
-    "read_frames",
-    "read_hello",
 ]
 
 #: The one protocol version; advertised in every HELLO.
@@ -75,10 +78,6 @@ WIRE_VERSION = 3
 #: Upper bound on one frame body — a corrupt length prefix must not make
 #: the receiver allocate gigabytes.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
-
-#: One ``read()`` of ``read_frames``: asyncio's default stream high-water
-#: mark, so a wake-up takes whatever the reader was allowed to buffer.
-READ_BYTES = 64 * 1024
 
 #: Entries an intern table holds before it is cleared.
 INTERN_MAX = 4096
@@ -331,9 +330,11 @@ def check_hello(
 
     Raises :class:`WireError` on a wire version other than
     :data:`WIRE_VERSION`, an instance mismatch, or (when ``expected_id``
-    is given) an unexpected peer identity — the connection must be
-    dropped in every case.
+    is given) an unexpected peer identity, and on any record but a
+    HELLO — the connection must be dropped in every case.
     """
+    if record[0] != HELLO:
+        raise WireError(f"expected HELLO, got {record[0]!r}")
     _, node_id, version, peer_instance = record
     if version != WIRE_VERSION:
         raise WireError(
@@ -352,53 +353,47 @@ def check_hello(
     return node_id
 
 
-async def read_hello(
-    reader: Any, *, instance: str, expected_id: Optional[int] = None
-) -> int:
-    """Read the HELLO a peer opens a connection with and validate it
-    (:func:`check_hello`); returns the peer's node id.  Both ends of a
-    handshake — listener and dialer — read the other side's HELLO here.
-    """
-    (length,) = _LEN.unpack(await reader.readexactly(_LEN.size))
-    if length > MAX_FRAME_BYTES:
-        raise WireError(f"oversized HELLO frame ({length} bytes)")
-    record = decode_body(await reader.readexactly(length))
-    if record[0] != HELLO:
-        raise WireError(f"expected HELLO, got {record[0]!r}")
-    return check_hello(record, instance=instance, expected_id=expected_id)
+class FrameSplitter:
+    """Bytes in, whole frame bodies out: the one reader both ends of a
+    link use, fed from ``data_received`` in whatever pieces the socket
+    gives.  An oversized length prefix is a :class:`WireError` as soon as
+    its four bytes are in, after the bodies before it and before any of
+    its own is kept; a partial frame waits for the next :meth:`feed`, and
+    one left at connection loss is simply dropped (its sender
+    retransmits it)."""
 
+    __slots__ = ("_buf", "_need")
 
-async def read_frames(reader: Any) -> Any:
-    """Async generator of decoded records from an ``asyncio.StreamReader``.
+    def __init__(self) -> None:
+        self._buf = bytearray()
+        #: Bytes ``_buf`` must hold before another parse can finish a frame.
+        self._need = 0
 
-    Each wake-up reads whatever the socket has (up to :data:`READ_BYTES`)
-    and yields every complete frame in it; an incomplete tail waits for
-    the next read.  Terminates cleanly on EOF or connection loss (a
-    truncated trailing frame counts as connection loss — the sender will
-    retransmit it after reconnecting); raises :class:`WireError` on an
-    oversized length prefix, before any of that body is buffered, and on
-    an undecodable body.
-    """
-    buf = bytearray()
-    while True:
-        try:
-            chunk = await reader.read(READ_BYTES)
-        except ConnectionError:
-            return
-        if not chunk:
-            return  # EOF; a partial frame left in buf is the sender's to resend
-        buf += chunk
-        pos = 0
-        while len(buf) - pos >= _LEN.size:
-            (length,) = _LEN.unpack_from(buf, pos)
+    def feed(self, data: bytes) -> Iterator[bytes]:
+        """Every frame body ``data`` completes, in order.  A consumer that
+        stops early (it closes the connection) leaves the rest unread."""
+        buf = self._buf
+        if buf:
+            buf += data
+            if len(buf) < self._need:
+                return
+            data = bytes(buf)
+            buf.clear()
+        pos, size = 0, len(data)
+        while size - pos >= _LEN.size:
+            (length,) = _LEN.unpack_from(data, pos)
             if length > MAX_FRAME_BYTES:
                 raise WireError(
                     f"announced frame of {length} bytes exceeds the "
                     f"{MAX_FRAME_BYTES}-byte cap"
                 )
             end = pos + _LEN.size + length
-            if end > len(buf):
+            if end > size:
+                self._need = end - pos
                 break
-            yield decode_body(bytes(buf[pos + _LEN.size:end]))
+            yield data[pos + _LEN.size:end]
             pos = end
-        del buf[:pos]
+        else:
+            self._need = _LEN.size
+        if pos < size:
+            buf += memoryview(data)[pos:]

@@ -26,7 +26,7 @@ ADMITTED = {
             ("rva:2:3", ("ready", ("refs", (3, 0, 1))))],
     "bc": [("bc:1", ((1,), (0.5, 1.5))), ("bc:0", ((0, 2), (0.0, -0.0)))],
     "ds": [("ds:0", ((0.5, 1.5), (SIG,))),
-           ("ds:3", ((0.5, 1.5), (SIG, Signature(3, b"")))),],
+           ("ds:3", ((0.5, 1.5), (SIG, Signature(3, b"\x02" * 32)))),],
     "abc": [("abc", (1.0, 2.0))],
     "iter": [("iter", (1e300, -1e-300))],
     "val": [("val", (0.0, 1.0))],
@@ -71,6 +71,10 @@ REJECTED = {
         ("ds:0", ((0.5, 1.0), (SIG, "sig"))),
         ("ds:0", ((0.5, 1.0), (Signature("0", b""),))),
         ("ds:0", ((0.5, 1.0), (Signature(0, "digest"),))),
+        ("ds:3", ((0.5, 1.5), (SIG, Signature(3, b"")))),  # no 32-byte digest
+        ("ds:0", ((0.5, 1.0), (Signature(0, b"\x01" * 33),))),
+        ("ds:0", ((0.5, 1.0), (Signature(4, b"\x01" * 32),))),  # no such signer
+        ("ds:0", ((0.5, 1.0), (Signature(-1, b"\x01" * 32),))),
         ("ds:0", ((0.5,), (SIG,))),
         ("ds:0", (((0,), (0.5, 1.0)), (SIG,))),       # an EIG relay's shape
     ],

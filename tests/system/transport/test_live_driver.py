@@ -1,10 +1,12 @@
-"""LiveNode's drivers: wake-ups, the run-to-completion bound, metric folds.
+"""LiveNode's drivers and its inbound protocol: wake-ups, hostile bytes,
+frame splitting, the run-to-completion bound, metric folds.
 
 The receive path takes no lock and arms no timer per message; what wakes
 a waiting driver is one event, set by every effective record *and* by a
 link that fails permanently.  These tests pin the cases that event has
-to cover, and that folding the per-frame queue-wait samples in bulk
-gives exactly the per-sample histogram.
+to cover, what the listener's protocol does with bytes no honest link
+sends, and that folding the per-frame queue-wait samples in bulk gives
+exactly the per-sample histogram.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ import pytest
 
 from repro.core.exact_bvc import ExactBVCProcess
 from repro.obs.metrics import MetricsRegistry
-from repro.system.messages import ALL
+from repro.system.messages import ALL, Message
 from repro.system.process import AsyncProcess
 from repro.system.transport import wire
 from repro.system.transport.base import TransportError
-from repro.system.transport.live import LiveNode, LiveTransport, NodeAddress
+from repro.system.transport.live import LiveNode, LiveTransport, NodeAddress, _Inbound
 
 
 class Silent(AsyncProcess):
@@ -61,6 +63,16 @@ def make_nodes(tmp_path, processes, f=1) -> list[LiveNode]:
         )
         for pid in range(n)
     ]
+
+
+def catch_loop_errors() -> list[dict]:
+    """What the running loop's exception handler is handed from now on
+    (a protocol callback that raises lands there)."""
+    errors: list[dict] = []
+    asyncio.get_running_loop().set_exception_handler(
+        lambda loop, context: errors.append(context)
+    )
+    return errors
 
 
 class TestDeadLinkWakesTheDriver:
@@ -114,16 +126,18 @@ class TestDeadLinkWakesTheDriver:
 
 class TestHostileConnection:
     """What a listener does with bytes no honest link would send: close
-    the connection, deliver nothing, and end its handler task cleanly."""
+    the connection, deliver nothing, and raise nothing into the loop."""
 
     GOOD_MSG = (wire.MSG, 0, 1, 0, "iter", (1.0,), 0, None)
 
     def _feed(self, tmp_path, frames: list[bytes]):
         """Connect to a fresh node 0 (of three) as its peer 1, send
         ``frames``, read to EOF; returns the node and what the listener
-        wrote back."""
+        wrote back.  The node must have closed the connection itself,
+        and its protocol must have raised nothing into the loop."""
 
         async def go():
+            errors = catch_loop_errors()
             node = make_nodes(tmp_path, [None] * 3)[0]
             await node.start_server()
             reader, writer = await asyncio.open_unix_connection(
@@ -133,10 +147,10 @@ class TestHostileConnection:
             await writer.drain()
             answer = await asyncio.wait_for(reader.read(), timeout=1.0)
             writer.close()
-            (task,) = node._serve_tasks
-            await asyncio.wait_for(task, timeout=1.0)
-            assert task.exception() is None
+            await asyncio.sleep(0)
+            assert not node._inbound  # closed on our side too
             await node.shutdown()
+            assert errors == []
             return node, answer
 
         return asyncio.run(go())
@@ -254,6 +268,7 @@ class TestHostileConnection:
                     ctx.decide(np.zeros(1))
 
         async def go():
+            errors = catch_loop_errors()
             nodes = make_nodes(tmp_path, [Gossip() for _ in range(n)])
             addresses = {}
             for node in nodes:
@@ -278,8 +293,7 @@ class TestHostileConnection:
             finally:
                 for node in nodes:
                     await node.shutdown()
-            for node in nodes:
-                assert all(t.exception() is None for t in node._serve_tasks)
+            assert errors == []
             return nodes, results
 
         nodes, results = asyncio.run(go())
@@ -292,6 +306,111 @@ class TestHostileConnection:
             link.stats.reconnects == 0 and link.stats.retransmits == 0
             for node in nodes for link in node._peer_links
         )
+
+
+class RecordingTransport:
+    """What an inbound protocol writes and whether it closed."""
+
+    def __init__(self):
+        self.written = b""
+        self.closed = False
+
+    def write(self, data: bytes) -> None:
+        assert not self.closed
+        self.written += data
+
+    def close(self) -> None:
+        self.closed = True
+
+
+class TestInboundProtocol:
+    """The listener's protocol, fed by hand: frame and read boundaries
+    are unrelated, a bad prefix closes at once, and a torn tail dies with
+    its connection."""
+
+    FRAMES = [
+        wire.encode_hello(1, "driver-test"),
+        wire.encode_record((wire.MSG, 0, 1, 0, "iter", (1.0,), 0, None)),
+        wire.encode_record((wire.MSG, 1, 1, ALL, "abc", (2.0, 3.0), 0, (4, 5, (1, 2, 3)))),
+        wire.encode_record((wire.ROUND, 2, 0, True)),
+        wire.encode_record((wire.DECIDED, 3, 1)),
+    ]
+
+    def _connect(self, tmp_path):
+        node = make_nodes(tmp_path, [None] * 3)[0]
+        seen: list[tuple] = []
+        on_record = node._on_record
+
+        def spy(peer_id, record):
+            seen.append((peer_id, record))
+            on_record(peer_id, record)
+
+        node._on_record = spy
+        transport = RecordingTransport()
+        proto = _Inbound(node)
+        proto.connection_made(transport)
+        return node, proto, transport, seen
+
+    def test_one_byte_at_a_time_gives_the_one_call_records(self, tmp_path):
+        stream = b"".join(self.FRAMES)
+        _, whole, whole_t, at_once = self._connect(tmp_path)
+        whole.data_received(stream)
+        _, trickle, trickle_t, by_byte = self._connect(tmp_path)
+        for i in range(len(stream)):
+            trickle.data_received(stream[i:i + 1])
+        assert len(at_once) == len(self.FRAMES) - 1
+        assert by_byte == at_once
+        assert trickle_t.written == whole_t.written == wire.encode_hello(0, "driver-test")
+        assert not whole_t.closed and not trickle_t.closed
+
+    def test_oversized_prefix_closes_before_the_body_is_buffered(self, tmp_path):
+        node, proto, transport, seen = self._connect(tmp_path)
+        head = (wire.MAX_FRAME_BYTES + 1).to_bytes(4, "big")
+        proto.data_received(self.FRAMES[0] + self.FRAMES[1] + head[:3])
+        assert not transport.closed and len(seen) == 1
+        proto.data_received(head[3:] + b"x" * 64)
+        assert transport.closed
+        assert len(seen) == 1  # the frame before the prefix, nothing after
+        # Nothing of the announced body was kept.
+        assert proto.feed.__self__._buf == b""
+
+    def test_torn_tail_is_dropped_and_the_sender_retransmits_it(self, tmp_path):
+        # Over a real socket: the link tears its third frame in half and
+        # closes (the chaos hook).  The listener drops the half frame when
+        # the connection ends; the frame comes again, whole, on the next
+        # connection — every frame arrives exactly once, in order.
+        async def go():
+            errors = catch_loop_errors()
+            nodes = make_nodes(tmp_path, [None] * 2, f=0)
+            for node in nodes:
+                await node.start_server()
+            nodes[0].connect_peers({node.node_id: node.address for node in nodes})
+            link = nodes[0]._links[1]
+            link.chaos_close_after, link.backoff_base = 2, 0.001
+            link.start()
+            receiver = nodes[1]
+            deadline = asyncio.get_running_loop().time() + 5.0
+            while link._proto is None:  # connected: each send is one write
+                assert asyncio.get_running_loop().time() < deadline
+                await asyncio.sleep(0.01)
+            for i in range(4):
+                await link.send_message(Message(0, 1, "iter", (float(i),)))
+            while receiver.frames_received < 4:
+                assert asyncio.get_running_loop().time() < deadline
+                await asyncio.sleep(0.01)
+            await link.close()
+            for node in nodes:
+                await node.shutdown()
+            assert errors == []
+            return receiver, link
+
+        receiver, link = asyncio.run(go())
+        assert [entry[0].payload for entry in receiver._inq] == [
+            (0.0,), (1.0,), (2.0,), (3.0,)
+        ]
+        assert receiver.wire_frames_received == 4 and receiver.dupes_dropped == 0
+        assert link.stats.chaos_closes == 1 and link.stats.reconnects == 1
+        assert link.stats.retransmits == 1  # the torn frame, whole
 
 
 class TestRunTimeout:

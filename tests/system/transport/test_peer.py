@@ -1,9 +1,11 @@
 """PeerLink: handshake, reconnect/backoff, retransmission, backpressure.
 
-Each test stands up a miniature listener that performs the real
-listener-side handshake (read HELLO, validate, reply HELLO) and then
-collects decoded records — the same sequence ``LiveNode._serve_conn``
-runs — so the link under test speaks to a faithful counterpart.
+Each socket test stands up a miniature listener protocol that performs
+the real listener-side handshake (read HELLO, validate, reply HELLO) and
+then collects decoded records — the same sequence ``LiveNode``'s inbound
+protocol runs — so the link under test speaks to a faithful counterpart.
+The in-memory tests (:class:`FakePeer`) put a scripted transport under a
+real :class:`LinkProtocol`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import pytest
 
 from repro.system.messages import Message
 from repro.system.transport import wire
-from repro.system.transport.peer import MAX_BATCH_FRAMES, PeerLink
+from repro.system.transport.live import NodeAddress
+from repro.system.transport.peer import LinkProtocol, PeerLink
 
 INSTANCE = "test-run"
 
@@ -50,50 +53,65 @@ class MiniListener:
         self.records: list[tuple] = []
         self.connections = 0
         self._server = None
-        self._tasks: list[asyncio.Task] = []
+        self._transports: set = set()
 
     async def start(self) -> None:
-        self._server = await asyncio.start_unix_server(
-            self._serve, path=self.path
+        self._server = await asyncio.get_running_loop().create_unix_server(
+            lambda: _MiniConnection(self), path=self.path
         )
 
     async def stop(self) -> None:
+        for transport in list(self._transports):
+            transport.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if self._tasks:  # handlers wake on EOF; drain before asserting
-            await asyncio.gather(*self._tasks, return_exceptions=True)
+        await asyncio.sleep(0)
 
-    async def _serve(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._tasks.append(task)
-        self.connections += 1
+
+class _MiniConnection(asyncio.Protocol):
+    def __init__(self, listener: MiniListener):
+        self.listener = listener
+        self.splitter = wire.FrameSplitter()
+        self.greeted = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.listener.connections += 1
+        self.listener._transports.add(transport)
+
+    def data_received(self, data: bytes) -> None:
+        listener = self.listener
         try:
-            head = await reader.readexactly(4)
-            (length,) = struct.unpack("!I", head)
-            hello = wire.decode_body(await reader.readexactly(length))
-            if self.validate:
-                wire.check_hello(hello, instance=self.instance)
-            writer.write(
-                wire.encode_hello(self.node_id, self.instance)
-                if self.reply is None else self.reply
-            )
-            await writer.drain()
-            async for record in wire.read_frames(reader):
-                self.records.append(record)
-        except (wire.WireError, ConnectionError, OSError, EOFError):
-            pass
-        finally:
-            writer.close()
+            for body in self.splitter.feed(data):
+                record = wire.decode_body(body)
+                if self.greeted:
+                    listener.records.append(record)
+                    continue
+                if listener.validate:
+                    wire.check_hello(record, instance=listener.instance)
+                self.transport.write(
+                    wire.encode_hello(listener.node_id, listener.instance)
+                    if listener.reply is None else listener.reply
+                )
+                self.greeted = True
+        except wire.WireError:
+            self.transport.close()
+
+    def connection_lost(self, exc) -> None:
+        self.listener._transports.discard(self.transport)
 
 
 def make_link(path: str, **kwargs) -> PeerLink:
-    def dial():
-        return asyncio.open_unix_connection(path)
-
     kwargs.setdefault("instance", INSTANCE)
-    return PeerLink(0, 1, dial, **kwargs)
+    return PeerLink(0, 1, NodeAddress(1, "uds", path=path).dialer(), **kwargs)
+
+
+async def until(predicate, timeout: float = 5.0) -> None:
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline
+        await asyncio.sleep(0.01)
 
 
 class TestBackoffSchedule:
@@ -140,9 +158,11 @@ class TestHandshakeAndDelivery:
                 path, node_id=1, instance="other-run", validate=False
             )
             await listener.start()
-            link = make_link(path)
+            failed = asyncio.Event()
+            link = make_link(path, on_failure=failed.set)
             link.start()
-            await link._writer_task  # dies on the mismatched HELLO reply
+            # Dies on the mismatched HELLO reply.
+            await asyncio.wait_for(failed.wait(), timeout=1.0)
             assert isinstance(link.failed, wire.WireError)
             with pytest.raises(wire.WireError, match="failed permanently"):
                 await link.send_message(Message(0, 1, "iter", ()))
@@ -154,19 +174,19 @@ class TestHandshakeAndDelivery:
         path = str(tmp_path / "never.sock")  # nothing ever listens here
 
         async def go():
+            failed = asyncio.Event()
             link = make_link(
                 path, backoff_base=0.001, backoff_cap=0.002,
-                max_dial_failures=3,
+                max_dial_failures=3, on_failure=failed.set,
             )
             link.start()
-            await link._writer_task
+            await asyncio.wait_for(failed.wait(), timeout=5.0)
             assert isinstance(link.failed, ConnectionError)
             assert "unreachable" in str(link.failed)
             with pytest.raises(wire.WireError, match="failed permanently"):
                 await link.send_decided()
 
         asyncio.run(go())
-
 
     def test_silent_listener_exhausts_handshake_budget(self, tmp_path):
         # A listener that accepts but drops the connection before its
@@ -177,18 +197,20 @@ class TestHandshakeAndDelivery:
         async def go():
             listener = MiniListener(path, node_id=1, instance="other-run")
             await listener.start()
+            failed = asyncio.Event()
             link = make_link(
                 path, backoff_base=0.001, backoff_cap=0.002,
-                max_dial_failures=3,
+                max_dial_failures=3, on_failure=failed.set,
             )
             link.start()
-            await link._writer_task
+            await asyncio.wait_for(failed.wait(), timeout=5.0)
             await listener.stop()
-            return link
+            return link, listener
 
-        link = asyncio.run(go())
+        link, listener = asyncio.run(go())
         assert isinstance(link.failed, ConnectionError)
         assert "never completed a handshake" in str(link.failed)
+        assert listener.connections == 4  # the first dial and 3 retries
 
 
 class TestReconnect:
@@ -206,30 +228,29 @@ class TestReconnect:
                 await link.send_message(Message(0, 1, "iter", (float(i),)))
             # Wait for delivery before closing so the assertions below
             # don't depend on the close()-time drain grace.
-            deadline = asyncio.get_running_loop().time() + 5.0
-            while len(listener.records) < 3:
-                assert asyncio.get_running_loop().time() < deadline
-                await asyncio.sleep(0.01)
+            await until(lambda: {r[1] for r in listener.records} == {0, 1, 2})
             await link.close()
             await listener.stop()
             return listener, link
 
         listener, link = asyncio.run(go())
-        # The forced close is graceful (drained frames arrived); the rest
-        # of the batch rides over the reconnect, so the listener sees
-        # every sequence number exactly once.
+        # All three frames were sent before the handshake, so they go out
+        # in one write; the chaos hook writes frame 0 and half of frame 1,
+        # then closes.  Both were in flight (nothing has seen that
+        # connection's buffer empty since), so both go out again, whole
+        # and first, on the new connection: the listener saw frame 0
+        # twice (the receiver's seq dedup drops the second), the torn
+        # half of frame 1 never, and every frame at least once, in order.
         seqs = [r[1] for r in listener.records if r[0] == wire.MSG]
-        assert seqs == [0, 1, 2]
+        assert seqs == [0, 0, 1, 2]
         assert link.stats.chaos_closes == 1
         assert link.stats.reconnects == 1
-        # All three frames were queued before the first dial, so they form
-        # one batch; the chaos cut drains frame 0 and the other two are
-        # handed to the new connection (LinkStats: frames, not batches).
         assert link.stats.retransmits == 2
+        assert link.stats.frames_sent == 3
         assert listener.connections == 2
 
     def test_close_interrupts_backoff(self, tmp_path):
-        # Regression: a writer redialling a peer that exited for good used
+        # Regression: a link redialling a peer that exited for good used
         # to serve out its full backoff ramp before noticing close() —
         # stalling cluster teardown for minutes.
         path = str(tmp_path / "gone.sock")
@@ -249,9 +270,9 @@ class TestReconnect:
 
     def test_close_drains_undelivered_frames_within_grace(self, tmp_path):
         # Regression: a node exiting while a peer link was mid-reconnect
-        # used to abandon queued frames — if the abandoned frame was the
-        # DECIDED announcement, the peer waited on it forever.  close()
-        # now keeps redialling for `drain_grace` when frames remain.
+        # used to abandon backlogged frames — if the abandoned frame was
+        # the DECIDED announcement, the peer waited on it forever.
+        # close() keeps redialling for `drain_grace` when frames remain.
         path = str(tmp_path / "n1.sock")
 
         async def go():
@@ -261,7 +282,7 @@ class TestReconnect:
             await asyncio.sleep(0.05)  # dial fails: nothing listening yet
             listener = MiniListener(path, node_id=1)
             await listener.start()
-            await link.close()  # must deliver the queued DECIDED first
+            await link.close()  # must deliver the backlogged DECIDED first
             await listener.stop()
             return listener
 
@@ -291,6 +312,8 @@ class TestReconnect:
 
 class TestBackpressure:
     def test_full_queue_counts_and_waits(self, tmp_path):
+        # The backlog of a link not yet connected holds queue_limit
+        # frames; the sender that finds it full waits for a connection.
         path = str(tmp_path / "n1.sock")
 
         async def go():
@@ -301,10 +324,10 @@ class TestBackpressure:
             blocked = asyncio.ensure_future(
                 link.send_message(Message(0, 1, "iter", (1.0,)))
             )
-            await asyncio.sleep(0)  # the producer is now parked on put()
+            await asyncio.sleep(0)  # the sender is now parked
             assert not blocked.done()
             assert link.stats.backpressure_waits == 1
-            link.start()  # the writer drains the queue, unblocking it
+            link.start()  # the handshake flushes the backlog, unblocking it
             await blocked
             await link.close()
             await listener.stop()
@@ -348,17 +371,26 @@ class TestVersionNegotiation:
     )
     def test_bad_hello_reply_fails_the_link_for_good(self, tmp_path, reply):
         # Regression: a HELLO with a wrong-typed field (on the pickle
-        # wire) used to kill the writer task with an exception nothing caught — link.failed
-        # stayed None, on_failure never ran, the node sat out run_timeout.
+        # wire) used to kill the link with an exception nothing caught —
+        # link.failed stayed None, on_failure never ran, the node sat
+        # out run_timeout.
         path = str(tmp_path / "n1.sock")
         calls: list[int] = []
 
         async def go():
             listener = MiniListener(path, node_id=1, reply=reply)
             await listener.start()
-            link = make_link(path, on_failure=lambda: calls.append(1))
+            failed = asyncio.Event()
+
+            def on_failure():
+                calls.append(1)
+                failed.set()
+
+            link = make_link(path, on_failure=on_failure)
             link.start()
-            await asyncio.wait_for(link._writer_task, timeout=1.0)
+            await asyncio.wait_for(failed.wait(), timeout=1.0)
+            await asyncio.sleep(0.05)  # no redial follows
+            await link.close()
             await listener.stop()
             return link, listener
 
@@ -376,21 +408,25 @@ class TestLinkTelemetry:
             listener = MiniListener(path, node_id=1)
             await listener.start()
             link = make_link(path)
-            # Enqueue before starting the writer so frames measurably wait.
+            # Sent before dialling, so these two measurably wait.
             await link.send_message(Message(0, 1, "iter", (0.0,)))
             await link.send_message(Message(0, 1, "iter", (1.0,)))
             link.start()
+            await until(lambda: len(listener.records) == 2)
+            # Connected: written in the sender's turn, so it waits 0.
+            await link.send_message(Message(0, 1, "iter", (2.0,)))
             await link.close()
             await listener.stop()
             return link
 
         link = asyncio.run(go())
         stats = link.stats
-        assert stats.frames_sent == 2
+        assert stats.frames_sent == 3
         assert stats.bytes_sent > 0
         assert stats.queue_depth_peak == 2
-        assert len(stats.queue_wait_samples) == 2
-        assert all(s >= 0.0 for s in stats.queue_wait_samples)
+        assert len(stats.queue_wait_samples) == 3
+        assert all(s > 0.0 for s in stats.queue_wait_samples[:2])
+        assert stats.queue_wait_samples[2] == 0.0
         # as_dict exposes exactly the counter fields — gauges and samples
         # fold into the registry elsewhere, under their own metric types.
         assert set(stats.as_dict()) == set(stats.COUNTER_FIELDS)
@@ -398,7 +434,8 @@ class TestLinkTelemetry:
 
     def test_retransmit_samples_queue_wait_once(self, tmp_path):
         # A frame that rides over a reconnect is retransmitted, but its
-        # time-in-queue was already measured: one sample per frame.
+        # wait was already measured at its first write: one sample per
+        # frame.
         path = str(tmp_path / "n1.sock")
 
         async def go():
@@ -408,28 +445,35 @@ class TestLinkTelemetry:
             link.start()
             for i in range(3):
                 await link.send_message(Message(0, 1, "iter", (float(i),)))
-            deadline = asyncio.get_running_loop().time() + 5.0
-            while len(listener.records) < 3:
-                assert asyncio.get_running_loop().time() < deadline
-                await asyncio.sleep(0.01)
+            await until(lambda: {r[1] for r in listener.records} == {0, 1, 2})
             await link.close()
             await listener.stop()
             return link
 
         link = asyncio.run(go())
-        assert link.stats.retransmits == 2  # frames 1 and 2 of the one batch
+        assert link.stats.retransmits == 2  # frames 0 and 1 of the torn write
         assert len(link.stats.queue_wait_samples) == 3
 
 
 class TestSequenceNumbers:
-    def test_monotonic_per_link(self, tmp_path):
-        link = make_link(str(tmp_path / "x.sock"))
-        assert [link.next_seq() for _ in range(4)] == [0, 1, 2, 3]
+    def test_monotonic_per_link(self):
+        async def go():
+            peer = FakePeer()
+            link = peer.link()
+            link.start()
+            await peer.connected()
+            for i in range(3):
+                await link.send_message(msg(i))
+            await link.send_decided()
+            await link.close()
+            return peer
+
+        assert [r[1] for r in asyncio.run(go()).delivered] == [0, 1, 2, 3]
 
     def test_receiver_drops_duplicate_seq(self, tmp_path):
         # Receiver-side dedup lives in LiveNode._on_record; drive it
         # directly with a replayed record, as a retransmitting link would.
-        from repro.system.transport.live import LiveNode, NodeAddress
+        from repro.system.transport.live import LiveNode
 
         node = LiveNode(
             0, 2, 0, process=None,
@@ -446,61 +490,6 @@ class TestSequenceNumbers:
         assert len(node._pending_msgs[1]) == 1
 
 
-class FakeWriter:
-    """Counts writes; ``drain`` can stall on a gate or fail once."""
-
-    def __init__(self, peer: "FakePeer"):
-        self.peer = peer
-        self.writes: list[bytes] = []
-
-    def write(self, data: bytes) -> None:
-        self.writes.append(bytes(data))
-
-    async def drain(self) -> None:
-        if len(self.writes) == 1:
-            return  # our HELLO
-        await self.peer.gate.wait()
-        if self.peer.fail_drains:
-            self.peer.fail_drains -= 1
-            raise ConnectionResetError("fake: connection died in drain")
-        self.peer.delivered.extend(split_frames(self.writes[-1]))
-
-    def close(self) -> None:
-        pass
-
-    async def wait_closed(self) -> None:
-        pass
-
-
-class FakePeer:
-    """In-memory stand-in for the socket and the remote HELLO: ``dial``
-    hands the link a real StreamReader holding the peer's HELLO and a
-    :class:`FakeWriter`, one pair per connection."""
-
-    def __init__(self, fail_drains: int = 0):
-        self.fail_drains = fail_drains
-        self.gate = asyncio.Event()
-        self.gate.set()
-        self.writers: list[FakeWriter] = []
-        #: Records whose batch was drained successfully, in wire order.
-        self.delivered: list[tuple] = []
-
-    async def dial(self):
-        reader = asyncio.StreamReader()
-        reader.feed_data(wire.encode_hello(1, INSTANCE))
-        writer = FakeWriter(self)
-        self.writers.append(writer)
-        return reader, writer
-
-    def link(self, **kwargs) -> PeerLink:
-        kwargs.setdefault("backoff_base", 0.001)
-        return PeerLink(0, 1, self.dial, instance=INSTANCE, **kwargs)
-
-    def data_writes(self) -> list[bytes]:
-        """Every write after each connection's HELLO, in order."""
-        return [w for writer in self.writers for w in writer.writes[1:]]
-
-
 def split_frames(data: bytes) -> list[tuple]:
     records, pos = [], 0
     while pos < len(data):
@@ -510,12 +499,105 @@ def split_frames(data: bytes) -> list[tuple]:
     return records
 
 
+class FakeTransport:
+    """A socket transport in memory under a real :class:`LinkProtocol`:
+    it answers our HELLO with the peer's, hands written frames to
+    :attr:`FakePeer.delivered`, and does what its peer scripts — keep a
+    write in its buffer and die, or stop taking writes (pausing the
+    protocol past ``FakePeer.high`` frames)."""
+
+    def __init__(self, peer: "FakePeer"):
+        self.peer = peer
+        self.proto = LinkProtocol()
+        self.writes: list[bytes] = []
+        #: Frames written but not yet taken by the (stalled) peer.
+        self.buffer: list[tuple] = []
+        self.closing = False
+        self.proto.connection_made(self)
+
+    def get_protocol(self) -> LinkProtocol:
+        return self.proto
+
+    def get_write_buffer_size(self) -> int:
+        return len(self.buffer)
+
+    def write(self, data: bytes) -> None:
+        assert not self.closing
+        self.writes.append(bytes(data))
+        loop = asyncio.get_running_loop()
+        if len(self.writes) == 1:  # our HELLO: the peer answers with its own
+            loop.call_soon(self.proto.data_received, wire.encode_hello(1, INSTANCE))
+            return
+        peer = self.peer
+        if peer.fail_writes:
+            # The kernel takes none of it, and the connection dies.
+            peer.fail_writes -= 1
+            self.buffer.extend(split_frames(data))
+            self._lose(ConnectionResetError("fake: connection died"))
+        elif peer.stalled:
+            self.buffer.extend(split_frames(data))
+            if len(self.buffer) >= peer.high and not self.proto.paused:
+                self.proto.pause_writing()
+        else:
+            peer.delivered.extend(split_frames(data))
+
+    def resume(self) -> None:
+        self.peer.delivered.extend(self.buffer)
+        self.buffer.clear()
+        self.proto.resume_writing()
+
+    def close(self) -> None:
+        self._lose(None)
+
+    def abort(self) -> None:
+        self._lose(None)
+
+    def _lose(self, exc) -> None:
+        if not self.closing:
+            self.closing = True
+            asyncio.get_running_loop().call_soon(self.proto.connection_lost, exc)
+
+
+class FakePeer:
+    """In-memory stand-in for the socket and the remote HELLO: ``dial``
+    hands the link a :class:`FakeTransport` and its protocol, one per
+    connection."""
+
+    def __init__(self, fail_writes: int = 0, high: int = 4):
+        self.fail_writes = fail_writes
+        self.stalled = False
+        self.high = high
+        self.transports: list[FakeTransport] = []
+        #: Records the peer took, in wire order.
+        self.delivered: list[tuple] = []
+
+    async def dial(self):
+        transport = FakeTransport(self)
+        self.transports.append(transport)
+        return transport, transport.proto
+
+    def link(self, **kwargs) -> PeerLink:
+        kwargs.setdefault("backoff_base", 0.001)
+        return PeerLink(0, 1, self.dial, instance=INSTANCE, **kwargs)
+
+    def data_writes(self) -> list[bytes]:
+        """Every write after each connection's HELLO, in order."""
+        return [w for transport in self.transports for w in transport.writes[1:]]
+
+    async def connected(self) -> None:
+        """Wait out the handshake of the first connection."""
+        await until(lambda: self.transports and self.transports[0].proto.hello.done())
+        await asyncio.sleep(0)
+
+
 def msg(i: int) -> Message:
     return Message(0, 1, "iter", (float(i),))
 
 
 class TestBurstWrite:
     def test_queued_burst_goes_out_in_one_write(self):
+        # Frames sent before the handshake wait in the backlog and go out
+        # together, in one write, right after it.
         k = 9
 
         async def go():
@@ -539,59 +621,72 @@ class TestBurstWrite:
         assert len(link.stats.queue_wait_samples) == k
         assert link.stats.retransmits == 0
 
-    def test_batch_is_capped(self):
-        k = 2 * MAX_BATCH_FRAMES + 10
+    def test_frames_are_written_in_the_senders_turn(self):
+        # Once connected there is no queue and no writer task: each send
+        # hands its one frame to the transport before it returns, and a
+        # frame the kernel took at once is not in flight.
+        k = 5
 
         async def go():
             peer = FakePeer()
-            link = peer.link(queue_limit=k)
+            link = peer.link()
+            link.start()
+            await peer.connected()
+            writes = []
             for i in range(k):
                 await link.send_message(msg(i))
-            link.start()
+                writes.append(len(peer.data_writes()))
+                assert link._inflight == []
             await link.close()
-            return peer, link
+            return peer, link, writes
 
-        peer, link = asyncio.run(go())
-        sizes = [len(split_frames(w)) for w in peer.data_writes()]
-        assert sizes == [MAX_BATCH_FRAMES, MAX_BATCH_FRAMES, 10]
+        peer, link, writes = asyncio.run(go())
+        assert writes == list(range(1, k + 1))
+        assert [len(split_frames(w)) for w in peer.data_writes()] == [1] * k
         assert [r[1] for r in peer.delivered] == list(range(k))
-        assert link.stats.frames_sent == k
+        assert link.stats.queue_wait_samples == [0.0] * k
+        assert link.stats.queue_depth_peak == 0
 
     def test_failed_drain_retransmits_the_whole_batch(self):
-        # Frames leave the in-flight batch only after a successful
-        # drain(): the sender cannot know how much of a failed write
-        # arrived, so the same bytes go out again on the next connection
+        # A write the kernel did not take, on a connection that then
+        # died: the sender cannot know how much of it arrived, so every
+        # frame in flight goes out again, whole, on the next connection
         # (the receiver's seq dedup makes that exactly-once).
         k = 5
 
         async def go():
-            peer = FakePeer(fail_drains=1)
+            peer = FakePeer(fail_writes=1)
             link = peer.link()
             for i in range(k):
                 await link.send_message(msg(i))
             link.start()
+            await until(lambda: len(peer.delivered) == k)
             await link.close()
             return peer, link
 
         peer, link = asyncio.run(go())
         first, second = peer.data_writes()
         assert first == second
-        assert len(peer.writers) == 2
+        assert len(peer.transports) == 2
         assert [r[1] for r in peer.delivered] == list(range(k))
         assert link.stats.retransmits == k
         assert link.stats.reconnects == 1
-        assert link.stats.frames_sent == k  # counted once, when drained
+        assert link.stats.frames_sent == k  # counted once, at the first write
         assert link.stats.bytes_sent == len(second)
         assert len(link.stats.queue_wait_samples) == k  # none on retransmit
 
     def test_stalled_peer_blocks_senders_then_delivers_in_order(self):
+        # Backpressure on a connected link is the transport's: past its
+        # high-water mark it pauses the protocol, and a sender waits for
+        # resume_writing.
         k = 20
 
         async def go():
-            peer = FakePeer()
-            peer.gate.clear()  # the peer stops reading: drain() stalls
-            link = peer.link(queue_limit=4)
+            peer = FakePeer(high=4)
+            link = peer.link()
             link.start()
+            await peer.connected()
+            peer.stalled = True  # the peer stops reading
 
             async def produce():
                 for i in range(k):
@@ -601,10 +696,13 @@ class TestBurstWrite:
             for _ in range(50):
                 await asyncio.sleep(0)
             assert not producer.done()
-            assert link._queue.qsize() == 4  # the bound is in frames
-            assert link.stats.backpressure_waits > 0
+            (transport,) = peer.transports
+            assert len(transport.buffer) == 4  # the bound is the water mark
+            assert len(link._inflight) == 4
+            assert link.stats.backpressure_waits == 1
             assert peer.delivered == []
-            peer.gate.set()
+            peer.stalled = False
+            transport.resume()
             await asyncio.wait_for(producer, timeout=5.0)
             await link.close()
             return peer, link
@@ -612,13 +710,16 @@ class TestBurstWrite:
         peer, link = asyncio.run(go())
         assert [r[1] for r in peer.delivered] == list(range(k))
         assert link.stats.frames_sent == k
-        assert link.stats.queue_depth_peak == 4
+        assert link.stats.queue_depth_peak == 0  # the backlog is for reconnects
 
 
 class TestEncodeAtEnqueue:
     def test_frame_is_the_snapshot(self):
         # The record is encoded inside send_message: what the sender does
-        # to the payload object afterwards never reaches the wire.
+        # to the payload object afterwards never reaches the wire.  A
+        # payload its family's layout refuses raises there, before it
+        # takes a sequence number — a live sender raises on what the
+        # simulator's receiving door would count and drop.
         async def go():
             peer = FakePeer()
             link = peer.link()
@@ -634,6 +735,7 @@ class TestEncodeAtEnqueue:
 
         (record,) = asyncio.run(go()).delivered
         assert wire.decode_message(record)[1].payload[0] == 1.0
+        assert record[1] == 0  # the refused payload left no gap
 
 
 class TestFailureCallback:
@@ -641,12 +743,19 @@ class TestFailureCallback:
         calls: list[int] = []
 
         async def go():
+            failed = asyncio.Event()
+
+            def on_failure():
+                calls.append(1)
+                failed.set()
+
             link = make_link(
                 str(tmp_path / "never.sock"), backoff_base=0.001,
-                max_dial_failures=1, on_failure=lambda: calls.append(1),
+                max_dial_failures=1, on_failure=on_failure,
             )
             link.start()
-            await link._writer_task
+            await asyncio.wait_for(failed.wait(), timeout=5.0)
+            await asyncio.sleep(0.05)
             return link
 
         link = asyncio.run(go())

@@ -10,7 +10,6 @@ schema.
 
 from __future__ import annotations
 
-import asyncio
 import math
 import pickle
 import tracemalloc
@@ -18,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.lint.engine import iter_python_files, parse_module
@@ -473,52 +472,34 @@ class TestPinnedBytes:
         )
 
 
+def _split(chunks: list[bytes]) -> list[tuple]:
+    """The records one :class:`wire.FrameSplitter` gives for ``chunks``,
+    fed one ``data_received`` at a time, decoded as the protocols do."""
+    splitter = wire.FrameSplitter()
+    return [wire.decode_body(body) for chunk in chunks for body in splitter.feed(chunk)]
+
+
 class TestReadFrames:
-    def _collect(self, data: bytes) -> list[tuple]:
-        async def go():
-            reader = asyncio.StreamReader()
-            reader.feed_data(data)
-            reader.feed_eof()
-            return [record async for record in wire.read_frames(reader)]
-
-        return asyncio.run(go())
-
     def test_stream_of_frames(self):
         data = (
             wire.encode_hello(0, "i")
             + wire.encode_record((wire.ROUND, 0, 1, False))
             + wire.encode_record((wire.DECIDED, 1, 0))
         )
-        records = self._collect(data)
+        records = _split([data])
         assert [r[0] for r in records] == [wire.HELLO, wire.ROUND, wire.DECIDED]
 
     def test_truncated_trailing_frame_is_clean_eof(self):
-        # A frame cut off mid-body counts as connection loss: the sender
-        # retransmits it after reconnecting, so the reader just stops.
+        # A frame cut off mid-body is held for the next feed; at
+        # connection loss it is dropped, and the sender retransmits it.
         whole = wire.encode_record((wire.ROUND, 0, 1, False))
-        records = self._collect(whole + wire.encode_record((wire.DECIDED, 1, 0))[:5])
+        records = _split([whole + wire.encode_record((wire.DECIDED, 1, 0))[:5]])
         assert [r[0] for r in records] == [wire.ROUND]
 
     def test_oversized_announced_frame_raises(self):
         head = (wire.MAX_FRAME_BYTES + 1).to_bytes(4, "big")
         with pytest.raises(wire.WireError, match="exceeds"):
-            self._collect(head + b"x")
-
-
-class ChunkedReader:
-    """Stands in for a StreamReader: each ``read`` returns the next chunk
-    (whatever the socket happened to have), then EOF."""
-
-    def __init__(self, chunks: list[bytes]):
-        self.chunks = list(chunks)
-        self.reads = 0
-
-    async def read(self, n: int) -> bytes:
-        self.reads += 1
-        if not self.chunks:
-            return b""
-        assert len(self.chunks[0]) <= n
-        return self.chunks.pop(0)
+            _split([head + b"x"])
 
 
 def _cut(data: bytes, sizes: list[int]) -> list[bytes]:
@@ -533,11 +514,22 @@ def _cut(data: bytes, sizes: list[int]) -> list[bytes]:
     return chunks
 
 
-def _read_all(reader) -> list[tuple]:
-    async def go():
-        return [record async for record in wire.read_frames(reader)]
+class Feeder:
+    """Feeds chunks to one splitter, as ``data_received`` calls would,
+    keeping the records and counting the feeds made."""
 
-    return asyncio.run(go())
+    def __init__(self, chunks: list[bytes]):
+        self.chunks = list(chunks)
+        self.feeds = 0
+        self.records: list[tuple] = []
+
+    def run(self) -> list[tuple]:
+        splitter = wire.FrameSplitter()
+        while self.chunks:
+            self.feeds += 1
+            for body in splitter.feed(self.chunks.pop(0)):
+                self.records.append(wire.decode_body(body))
+        return self.records
 
 
 _FLOATS = st.lists(st.floats(allow_nan=False), max_size=40).map(tuple)
@@ -555,8 +547,8 @@ _RECORDS = st.one_of(
 
 
 class TestReadFramesChunking:
-    """``read_frames`` takes whatever each read returns: frame boundaries
-    and read boundaries are unrelated."""
+    """``FrameSplitter`` takes whatever each ``data_received`` hands it:
+    frame boundaries and read boundaries are unrelated."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -567,9 +559,9 @@ class TestReadFramesChunking:
         frames = [wire.encode_record(r) for r in records]
         expected = [wire.decode_body(f[4:]) for f in frames]
         stream = b"".join(frames)
-        assert _read_all(ChunkedReader(_cut(stream, sizes))) == expected
-        assert _read_all(ChunkedReader(_cut(stream, [1]))) == expected
-        assert _read_all(ChunkedReader([stream] if stream else [])) == expected
+        assert _split(_cut(stream, sizes)) == expected
+        assert _split(_cut(stream, [1])) == expected
+        assert _split([stream] if stream else []) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -584,41 +576,54 @@ class TestReadFramesChunking:
         keep = data.draw(st.integers(1, len(frames[-1]) - 1))
         stream = b"".join(frames[:-1]) + frames[-1][:keep]
         expected = [wire.decode_body(f[4:]) for f in frames[:-1]]
-        assert _read_all(ChunkedReader(_cut(stream, sizes))) == expected
+        assert _split(_cut(stream, sizes)) == expected
 
     def test_oversized_prefix_raises_before_the_body_is_buffered(self):
         good = wire.encode_record((wire.ROUND, 0, 1, False))
         head = (wire.MAX_FRAME_BYTES + 1).to_bytes(4, "big")
-        reader = ChunkedReader([good + head, b"x" * 1024, b"x" * 1024])
+        feeder = Feeder([good + head, b"x" * 1024, b"x" * 1024])
         with pytest.raises(wire.WireError, match="exceeds"):
-            _read_all(reader)
-        # Refused on the read that completed the prefix: none of the
-        # announced body was asked for.
-        assert reader.reads == 1
-        assert len(reader.chunks) == 2
+            feeder.run()
+        # Refused in the feed that completed the prefix, after the frame
+        # before it: none of the announced body was asked for.
+        assert feeder.records == [wire.decode_body(good[4:])]
+        assert feeder.feeds == 1
+        assert len(feeder.chunks) == 2
 
     def test_prefix_split_across_reads_is_still_checked(self):
         head = (wire.MAX_FRAME_BYTES + 1).to_bytes(4, "big")
-        reader = ChunkedReader([head[:2], head[2:], b"x" * 64])
+        feeder = Feeder([head[:2], head[2:], b"x" * 64])
         with pytest.raises(wire.WireError, match="exceeds"):
-            _read_all(reader)
-        assert reader.reads == 2
+            feeder.run()
+        assert feeder.feeds == 2
 
     def test_undecodable_body_raises(self):
         stream = wire.encode_record((wire.ROUND, 0, 1, False)) + v2_frame((wire.ROUND, 1, 2, False))
         with pytest.raises(wire.WireError, match="undecodable"):
-            _read_all(ChunkedReader(_cut(stream, [7])))
+            _split(_cut(stream, [7]))
 
     def test_connection_reset_ends_the_stream_cleanly(self):
-        class Resetting(ChunkedReader):
-            async def read(self, n: int) -> bytes:
-                if not self.chunks:
-                    raise ConnectionResetError("peer went away")
-                return await super().read(n)
+        # The listener's protocol loses its connection with half a frame
+        # buffered: what came whole was delivered, the half is dropped,
+        # and nothing raises.
+        from repro.system.transport.live import LiveNode, NodeAddress, _Inbound
 
-        whole = wire.encode_record((wire.ROUND, 0, 1, False))
-        records = _read_all(Resetting([whole + wire.encode_record((wire.DECIDED, 1, 0))[:5]]))
-        assert [r[0] for r in records] == [wire.ROUND]
+        class Transport:
+            def write(self, data: bytes) -> None:
+                pass
+
+        node = LiveNode(0, 2, 0, None, NodeAddress(0, "uds", path="unused"),
+                        instance="i")
+        proto, transport = _Inbound(node), Transport()
+        proto.connection_made(transport)
+        proto.data_received(
+            wire.encode_hello(1, "i") + wire.encode_record((wire.ROUND, 0, 1, False))
+            + wire.encode_record((wire.DECIDED, 1, 1))[:5]
+        )
+        proto.connection_lost(ConnectionResetError("peer went away"))
+        assert node._peer_round == {1: 1} and node._peer_decided == {}
+        assert node.wire_frames_received == 1
+        assert transport not in node._inbound
 
 
 def test_the_wire_binds_no_pickle():
@@ -675,6 +680,48 @@ class TestRoundTripProperty:
         decoded = roundtrip(wire.encode_record(record))
         assert decoded == record
         assert reject(msg.tag, decoded[5], n, d, f) is None
+
+
+@st.composite
+def _door_candidate(draw) -> tuple[tuple[int, int, int], str, object]:
+    """A system, then a tag and payload of some family near its schema:
+    each part is right or off by a little (a length, a type, a pid, a
+    signer, a digest) — the ground the door and a layout could split on."""
+    n, d, f = draw(_systems())
+    near = st.floats() | st.integers(-2, 2) | st.booleans()
+    floats = st.one_of(
+        st.lists(_FINITE, min_size=d, max_size=d),
+        st.lists(_FINITE, min_size=d, max_size=d),
+        st.lists(near, min_size=max(0, d - 1), max_size=d + 1),
+    ).map(tuple)
+    pid = st.integers(0, n - 1) | st.integers(-2, n + 2) | st.integers(2**15, 2**17)
+    pids = st.lists(pid, min_size=0, max_size=n + 1).map(tuple)
+    digest = st.binary(min_size=32, max_size=32) | st.binary(max_size=40)
+    chain = st.lists(st.builds(Signature, pid, digest), min_size=0, max_size=f + 2).map(tuple)
+    family = draw(st.sampled_from(sorted(SCHEMAS)))
+    if family == "bc":
+        return (n, d, f), f"bc:{draw(pid)}", (draw(pids), draw(floats))
+    if family == "ds":
+        return (n, d, f), f"ds:{draw(pid)}", (draw(floats), draw(chain))
+    if family == "rva":
+        r = draw(st.integers(-1, 3))
+        body = draw(st.tuples(st.sampled_from(["val", "refs"]), floats | pids))
+        phase = draw(st.sampled_from(["init", "echo", "ready", "hello"]))
+        return (n, d, f), f"rva:{draw(pid)}:{r}", (phase, body)
+    return (n, d, f), family, draw(floats)
+
+
+class TestDoorAndLayoutAgree:
+    @settings(max_examples=600, deadline=None)
+    @given(_door_candidate())
+    def test_every_admitted_payload_encodes_and_roundtrips(self, candidate):
+        # A payload the door admits is one the wire can carry: a live
+        # sender never meets a WireError on what a simulated receiver
+        # would hand its handler.
+        (n, d, f), tag, payload = candidate
+        assume(reject(tag, payload, n, d, f) is None)
+        record = (wire.MSG, 0, 0, 1, tag, payload, None, None)
+        assert roundtrip(wire.encode_record(record)) == record
 
 
 def _body(draw) -> bytes:
