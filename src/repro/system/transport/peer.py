@@ -18,9 +18,12 @@ dials.  No queue and no task sit on the data path:
   sent there.  Frames sent while disconnected go out in one write right
   after the next handshake.
 * **In flight** — the frames written since the transport's write buffer
-  was last empty (a clean close flushed them all).  After a loss they go
-  out again, whole and first, on the next connection; the receiver's
-  per-link sequence dedup makes delivery exactly-once.
+  was last empty (a clean close flushed them all), and any written to a
+  transport that was closing (a failed write drops its buffer).  A
+  closing transport takes no further frame: the link counts it as lost.
+  After a loss the frames in flight go out again, whole and first, on
+  the next connection; the receiver's per-link sequence dedup makes
+  delivery exactly-once.
 * **Reconnect** — capped exponential backoff (``min(base * 2**attempt,
   cap)``), reset by a handshake.  The connector runs only while the link
   is disconnected: at once after a loss that left frames in flight,
@@ -309,12 +312,20 @@ class PeerLink:
         self._next_seq += 1
         stats = self.stats
         proto = self._proto
+        if proto is not None and proto.transport.is_closing():
+            # The peer closed the connection or a write failed: the
+            # transport drops what it is handed now, and may have dropped
+            # what is in flight.
+            self._detach()
+            self._requeue()
+            proto = None
         if proto is not None and stats.frames_sent != self.chaos_close_after:
             self._conn.write(frame)
             stats.frames_sent += 1
             stats.bytes_sent += len(frame)
             stats.queue_wait_samples.append(0.0)
-            if proto.transport.get_write_buffer_size():
+            transport = proto.transport
+            if transport.get_write_buffer_size() or transport.is_closing():
                 self._inflight.append(frame)
                 if proto.paused:
                     stats.backpressure_waits += 1

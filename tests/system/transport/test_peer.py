@@ -521,6 +521,9 @@ class FakeTransport:
     def get_write_buffer_size(self) -> int:
         return len(self.buffer)
 
+    def is_closing(self) -> bool:
+        return self.closing
+
     def write(self, data: bytes) -> None:
         assert not self.closing
         self.writes.append(bytes(data))
@@ -529,7 +532,13 @@ class FakeTransport:
             loop.call_soon(self.proto.data_received, wire.encode_hello(1, INSTANCE))
             return
         peer = self.peer
-        if peer.fail_writes:
+        peer.data_writes_seen += 1
+        if peer.data_writes_seen == peer.reset_at:
+            # As asyncio does when send() fails: the transport drops the
+            # data and its buffer, is closing at once, and reports the
+            # loss on the next loop turn.
+            self._lose(ConnectionResetError("fake: reset in send"))
+        elif peer.fail_writes:
             # The kernel takes none of it, and the connection dies.
             peer.fail_writes -= 1
             self.buffer.extend(split_frames(data))
@@ -563,8 +572,12 @@ class FakePeer:
     hands the link a :class:`FakeTransport` and its protocol, one per
     connection."""
 
-    def __init__(self, fail_writes: int = 0, high: int = 4):
+    def __init__(self, fail_writes: int = 0, high: int = 4, reset_at: int = 0):
         self.fail_writes = fail_writes
+        #: The data write (counted over all connections) that fails as a
+        #: reset; 0 for none.
+        self.reset_at = reset_at
+        self.data_writes_seen = 0
         self.stalled = False
         self.high = high
         self.transports: list[FakeTransport] = []
@@ -674,6 +687,29 @@ class TestBurstWrite:
         assert link.stats.frames_sent == k  # counted once, at the first write
         assert link.stats.bytes_sent == len(second)
         assert len(link.stats.queue_wait_samples) == k  # none on retransmit
+
+    def test_a_write_the_transport_dropped_is_retransmitted(self):
+        # A send() that fails makes asyncio drop the frame and close the
+        # transport at once.  The frame stays in flight, the next send
+        # finds the transport closing and waits for the reconnect, and
+        # both go out on the new connection, in order.
+        async def go():
+            peer = FakePeer(reset_at=2)
+            link = peer.link()
+            link.start()
+            await peer.connected()
+            for i in range(4):
+                await link.send_message(msg(i))
+            await until(lambda: len(peer.delivered) >= 4)
+            await link.close()
+            return peer, link
+
+        peer, link = asyncio.run(go())
+        assert [r[1] for r in peer.delivered] == [0, 1, 2, 3]
+        assert len(peer.transports) == 2
+        assert link.stats.retransmits == 1  # frame 1, whose write was dropped
+        assert link.stats.reconnects == 1
+        assert link.stats.frames_sent == 4
 
     def test_stalled_peer_blocks_senders_then_delivers_in_order(self):
         # Backpressure on a connected link is the transport's: past its
