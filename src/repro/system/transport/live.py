@@ -10,9 +10,10 @@ Every accepted connection is an :class:`_Inbound` asyncio protocol: it
 splits the bytes into frames in ``data_received``, checks the first one
 as the peer's HELLO and answers it, and hands every later record to
 :meth:`LiveNode._on_record` in the same call — no reader task, no
-stream.  The outgoing side writes each frame to its link's transport in
-the sending call (see :mod:`~repro.system.transport.peer`).  Execution
-models:
+stream.  The outgoing side corks the frames a callback sends on a link
+and writes them in one ``transport.write`` when that callback ends (see
+:mod:`~repro.system.transport.peer`); a handler's sends await nothing
+unless a link pushes back.  Execution models:
 
 * **Synchronous** — lockstep rounds over an asynchronous network via
   round-barrier markers: after emitting its round-``r`` traffic a node
@@ -36,7 +37,8 @@ Both backends surface the same ``net.*`` metrics; the live one adds
 ``net.live.*`` counters (handshakes, reconnects, retransmits, dedup
 drops, backpressure waits, bytes, wire vs effective frame deliveries)
 plus a queue-wait histogram (0 for a frame sent while its link is
-connected) and a disconnected-backlog depth-peak gauge.
+connected) and a disconnected-backlog depth-peak gauge; ``writes``
+counts the ``transport.write`` calls that carried frames.
 
 When a :class:`~repro.obs.causal.CausalCollector` is installed
 (ambient, per process), every node stamps its sends and deliveries: the
@@ -232,6 +234,10 @@ class LiveNode:
             self.node_id, self.n, self.f, np.random.default_rng(ctx_seed)
         )
         self.node = Node(self.node_id, process, self.ctx)
+        #: Which driver reads the received messages, so each is held once:
+        #: the sync one takes ``_pending_msgs`` (per peer, until its ROUND
+        #: marker), the async one pops ``_inq``.
+        self._sync = isinstance(process, SyncProcess)
         self.stats = NetworkStats()
         self.rounds_done = 0
         self.completed = False
@@ -357,8 +363,10 @@ class LiveNode:
         if kind == wire.MSG:
             stamp = wire.message_stamp(record)
             entry = (msg, ("remote", stamp) if stamp is not None else None)
-            self._pending_msgs.setdefault(peer_id, []).append(entry)
-            self._inq.append(entry)
+            if self._sync:
+                self._pending_msgs.setdefault(peer_id, []).append(entry)
+            else:
+                self._inq.append(entry)
         elif kind == wire.ROUND:
             _, _, round_, decided = record
             bucket = self._round_msgs.setdefault(round_, {})
@@ -374,7 +382,8 @@ class LiveNode:
     async def _route(
         self, msgs: Sequence[Message], round_: Optional[int] = None
     ) -> None:
-        """Send what a handler queued: peer links, plus local delivery."""
+        """Send what a handler queued: peer links, plus local delivery.
+        Awaits only a waiter a link hands back (backpressure)."""
         collector = self.collector
         for msg in msgs:
             self.stats.record_send(msg)
@@ -395,12 +404,16 @@ class LiveNode:
                 stamp = collector.stamp(send_eid)
             if msg.dst == ALL:
                 for link in self._peer_links:
-                    await link.send_message(msg, stamp=stamp)
+                    waiter = link.send_message(msg, stamp)
+                    if waiter is not None:
+                        await waiter
                 self._deliver_local(msg, round_, send_eid)
             elif msg.dst == self.node_id:
                 self._deliver_local(msg, round_, send_eid)
             else:
-                await self._links[msg.dst].send_message(msg, stamp=stamp)
+                waiter = self._links[msg.dst].send_message(msg, stamp)
+                if waiter is not None:
+                    await waiter
 
     def _deliver_local(
         self, msg: Message, round_: Optional[int], send_eid: Optional[int]
@@ -445,7 +458,9 @@ class LiveNode:
             await self._route(self.node.round(r, inbox), round_=r)
             decided = self.ctx.decided
             for link in self._peer_links:
-                await link.send_round(r, decided)
+                waiter = link.send_round(r, decided)
+                if waiter is not None:
+                    await waiter
             # Barrier: every peer's round-r marker (hence all its round-r
             # traffic, by per-link FIFO) must arrive before round r+1.
             # A link that fails permanently wakes the wait and ends the run.
@@ -508,7 +523,9 @@ class LiveNode:
             if self.ctx.decided and not announced:
                 announced = True
                 for link in self._peer_links:
-                    await link.send_decided()
+                    waiter = link.send_decided()
+                    if waiter is not None:
+                        await waiter
             if announced and all(
                 self._peer_decided.get(p, False) for p in self._links
             ):
@@ -530,7 +547,9 @@ class LiveNode:
                     if announced:
                         for link in self._peer_links:
                             if not self._peer_decided.get(link.peer_id, False):
-                                await link.send_decided()
+                                waiter = link.send_decided()
+                                if waiter is not None:
+                                    await waiter
                 self._check_links()
                 continue
             if since_yield == YIELD_EVERY:

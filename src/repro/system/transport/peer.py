@@ -1,29 +1,37 @@
-"""One outgoing peer link: dial, handshake, direct writes, retransmit.
+"""One outgoing peer link: dial, handshake, corked writes, retransmit.
 
 Each live node keeps one :class:`PeerLink` per remote peer.  A link is
-*connected* — it holds a handshaken :class:`LinkProtocol` and writes each
-frame to that socket transport in the sender's own call — or
-*disconnected*, when frames wait in a backlog while a connector task
-dials.  No queue and no task sit on the data path:
+*connected* — it holds a handshaken :class:`LinkProtocol` and corks the
+frames sent on it for one write to that socket transport per event-loop
+callback — or *disconnected*, when frames wait in a backlog while a
+connector task dials.  No queue task and no coroutine per frame sit on
+the data path:
 
 * **Handshake** — on every (re)connect the dialer sends its HELLO and
   awaits the listener's, which :class:`LinkProtocol` reads in
   ``data_received``.  A malformed HELLO, another wire version, instance
   or identity permanently fails the link.
-* **Sending** — a record is encoded once, by
+* **Sending** — ``send_message`` / ``send_round`` / ``send_decided`` are
+  plain calls.  A record is encoded once, by
   :func:`~repro.system.transport.wire.encode_for_version`, in the call
   that sends it; those bytes are the payload's snapshot, and only a
-  record that encodes takes a sequence number.  A connected link hands
-  the frame to ``transport.write`` in that call, and the frame counts as
-  sent there.  Frames sent while disconnected go out in one write right
-  after the next handshake.
-* **In flight** — the frames written since the transport's write buffer
-  was last empty (a clean close flushed them all), and any written to a
-  transport that was closing (a failed write drops its buffer).  A
-  closing transport takes no further frame: the link counts it as lost.
-  After a loss the frames in flight go out again, whole and first, on
-  the next connection; the receiver's per-link sequence dedup makes
-  delivery exactly-once.
+  record that encodes takes a sequence number.  A connected link appends
+  the frame to its *cork*, and the frame counts as sent there.  The cork
+  goes out in one ``transport.write`` at the end of the loop callback
+  that sent its first frame (``loop.call_soon``, scheduled once per
+  non-empty cork), or at once when it holds ``queue_limit`` frames.
+  Frames sent while disconnected go out in one write right after the
+  next handshake.  A send returns the backpressure waiter the sender
+  must await, or ``None``.
+* **In flight** — the corked frames, the frames written since the
+  transport's write buffer was last empty (a clean close flushed them
+  all), and any written to a transport that was closing (a failed write
+  drops its buffer).  A closing transport takes no further frame: the
+  link counts it as lost.  After a loss the frames in flight go out
+  again, whole and first — the written ones, then the corked ones, in
+  sequence order — on the next connection; the receiver's per-link
+  sequence dedup makes delivery exactly-once.  ``close()`` writes the
+  cork before it closes the connection.
 * **Reconnect** — capped exponential backoff (``min(base * 2**attempt,
   cap)``), reset by a handshake.  The connector runs only while the link
   is disconnected: at once after a loss that left frames in flight,
@@ -35,10 +43,11 @@ dials.  No queue and no task sit on the data path:
 
 Timings use the event loop's monotonic clock, and the backoff schedule
 is a fixed ramp — links carry no randomness of their own.  Each link
-also records bytes written, the deepest its backlog got
+also records bytes and writes, the deepest its backlog got
 (``queue_depth_peak``) and one queue-wait sample per frame (seconds from
-the send call to its first ``write``: 0 for a frame sent while
-connected), which the node folds into ``net.live.*``.
+the send call to the write that carried it: 0 for a frame sent while
+connected, which goes out in its own callback), which the node folds
+into ``net.live.*``.
 """
 
 from __future__ import annotations
@@ -67,14 +76,17 @@ class LinkStats:
     and ``queue_wait_samples`` are *not* counters (a peak maxes, samples
     concatenate) and are folded explicitly.
 
-    ``frames_sent`` / ``bytes_sent`` count a frame once, when it is first
-    handed to a connected transport.  ``retransmits`` counts frames
-    written *again*: every frame in flight when a connection died, each
-    time it goes out on a new one.
+    ``frames_sent`` / ``bytes_sent`` count a frame once, when it is
+    corked on a connected link or first written after a handshake.
+    ``writes`` counts the ``transport.write`` calls that carried frames,
+    so ``frames_sent / writes`` is the coalescing.  ``retransmits`` counts
+    frames written *again*: every frame in flight (corked ones included)
+    when a connection died, each time it goes out on a new one.
     """
 
     COUNTER_FIELDS = (
         "frames_sent",
+        "writes",
         "retransmits",
         "reconnects",
         "handshakes",
@@ -87,6 +99,7 @@ class LinkStats:
 
     def __init__(self) -> None:
         self.frames_sent = 0
+        self.writes = 0
         self.retransmits = 0
         self.reconnects = 0
         self.handshakes = 0
@@ -218,6 +231,11 @@ class PeerLink:
         self._backlog: deque[tuple[bytes, Optional[float]]] = deque()
         #: Frames written since the transport's buffer was last empty.
         self._inflight: list[bytes] = []
+        #: Frames sent on the connection and not yet written, oldest
+        #: first; empty whenever the link is disconnected.
+        self._cork: list[bytes] = []
+        #: A callback that writes the cork is scheduled.
+        self._cork_due = False
         self._next_seq = 0
         #: The handshaken connection while connected, else None.
         self._proto: Optional[LinkProtocol] = None
@@ -241,11 +259,11 @@ class PeerLink:
     async def close(self) -> None:
         """Close the connection once what was sent is written.
 
-        A connected link closes its transport, which flushes the write
-        buffer first.  A link stuck in the dial/backoff path with nothing
-        left to deliver returns immediately: the peer it is redialling
-        has typically exited for good (the cluster is past its
-        decision), so waiting out the full reconnect ramp would stall
+        A connected link writes its cork and closes its transport, which
+        flushes the write buffer first.  A link stuck in the dial/backoff
+        path with nothing left to deliver returns immediately: the peer it
+        is redialling has typically exited for good (the cluster is past
+        its decision), so waiting out the full reconnect ramp would stall
         teardown for minutes.  If frames *are* still undelivered — e.g. a
         DECIDED announcement sent while the connection was down — the
         link keeps redialling for ``drain_grace`` seconds before giving
@@ -255,6 +273,7 @@ class PeerLink:
             return
         self._closed = True
         self._closing.set()
+        self._uncork()
         if self._proto is not None:
             proto = self._proto
             self._conn.close()
@@ -281,25 +300,22 @@ class PeerLink:
         return self._failure
 
     # ------------------------------------------------------------- sending
-    async def send_message(self, msg: Any, stamp: Optional[tuple] = None) -> None:
-        """Send one protocol message, optionally with its causal stamp."""
-        waiter = self._put(wire.message_record(msg, self._next_seq, stamp))
-        if waiter is not None:
-            await waiter
+    def send_message(
+        self, msg: Any, stamp: Optional[tuple] = None
+    ) -> Optional[Awaitable[None]]:
+        """Send one protocol message, optionally with its causal stamp;
+        returns the backpressure waiter the sender must await, or None."""
+        return self._put(wire.message_record(msg, self._next_seq, stamp))
 
-    async def send_round(self, round: int, decided: bool) -> None:
-        waiter = self._put((wire.ROUND, self._next_seq, int(round), bool(decided)))
-        if waiter is not None:
-            await waiter
+    def send_round(self, round: int, decided: bool) -> Optional[Awaitable[None]]:
+        return self._put((wire.ROUND, self._next_seq, int(round), bool(decided)))
 
-    async def send_decided(self) -> None:
-        waiter = self._put((wire.DECIDED, self._next_seq, self.self_id))
-        if waiter is not None:
-            await waiter
+    def send_decided(self) -> Optional[Awaitable[None]]:
+        return self._put((wire.DECIDED, self._next_seq, self.self_id))
 
     def _put(self, record: tuple) -> Optional[Awaitable[None]]:
         """Encode ``record`` (which carries the next sequence number) and
-        write it, or backlog it while disconnected; returns what the
+        cork it, or backlog it while disconnected; returns what the
         sender must await, if anything."""
         if self._failure is not None:
             raise wire.WireError(
@@ -317,33 +333,35 @@ class PeerLink:
             # transport drops what it is handed now, and may have dropped
             # what is in flight.
             self._detach()
-            self._requeue()
             proto = None
         if proto is not None and stats.frames_sent != self.chaos_close_after:
-            self._conn.write(frame)
+            cork = self._cork
+            cork.append(frame)
             stats.frames_sent += 1
             stats.bytes_sent += len(frame)
             stats.queue_wait_samples.append(0.0)
-            transport = proto.transport
-            if transport.get_write_buffer_size() or transport.is_closing():
-                self._inflight.append(frame)
-                if proto.paused:
-                    stats.backpressure_waits += 1
-                    return self._writable(proto)
-            elif self._inflight:
-                self._inflight.clear()
+            if len(cork) >= self.queue_limit:
+                self._uncork()
+            elif not self._cork_due:
+                self._cork_due = True
+                asyncio.get_running_loop().call_soon(self._uncork)
+            if proto.paused:
+                stats.backpressure_waits += 1
+                return self._writable(proto)
             return None
         backlog = self._backlog
         backlog.append((frame, asyncio.get_running_loop().time()))
         if proto is not None:
-            # The chaos hook's frame: _flush tears it and drops the link.
-            try:
-                self._flush(self._conn)
-            except ConnectionResetError:
-                self._detach()
-                self._requeue()
-                self._connect()
-            return None
+            # The chaos hook's frame: the cork goes out first, then
+            # _flush tears this frame and drops the link.
+            self._uncork()
+            if self._proto is not None:
+                try:
+                    self._flush(self._conn)
+                except ConnectionResetError:
+                    self._detach()
+                    self._connect()
+                return None
         if len(backlog) > stats.queue_depth_peak:
             stats.queue_depth_peak = len(backlog)
         if self._started and not self._closed:
@@ -354,6 +372,31 @@ class PeerLink:
                 self._room = asyncio.get_running_loop().create_future()
             return self._wait_room(self._room)
         return None
+
+    def _uncork(self) -> None:
+        """Write the cork to the connection in one write (a no-op when it
+        is empty, as it always is while disconnected).  The callback a
+        cork's first frame schedules; also called at once by a full
+        cork, ``close()`` and the chaos hook."""
+        self._cork_due = False
+        cork = self._cork
+        if not cork:
+            return
+        transport = self._proto.transport
+        if transport.is_closing():
+            # Lost since the cork's first frame: it goes out again, after
+            # what was in flight, on the next connection.
+            self._detach()
+            if not self._closed:
+                self._connect()
+            return
+        self._cork = []
+        self._conn.write(cork[0] if len(cork) == 1 else b"".join(cork))
+        self.stats.writes += 1
+        if transport.get_write_buffer_size() or transport.is_closing():
+            self._inflight += cork
+        elif self._inflight:
+            self._inflight.clear()
 
     async def _writable(self, proto: LinkProtocol) -> None:
         try:
@@ -389,7 +432,12 @@ class PeerLink:
             )
 
     def _detach(self) -> None:
+        """Count the connection as lost: the frames in flight, then the
+        corked ones, go back to the head of the backlog, in seq order."""
+        self._inflight += self._cork
+        self._cork = []
         self._proto = self._conn = None
+        self._requeue()
 
     def _requeue(self) -> None:
         """Put the frames in flight back at the head of the backlog."""
@@ -400,13 +448,13 @@ class PeerLink:
     def _on_lost(self, proto: LinkProtocol, exc: Optional[BaseException]) -> None:
         if proto is not self._proto:
             return  # a connection the link already gave up
-        self._detach()
         if exc is None:
-            self._inflight.clear()  # a clean close wrote every buffered byte
-        elif self._inflight:
-            self._requeue()
-            if not self._closed:
-                self._connect()
+            # A clean close wrote every buffered byte; the cork was never
+            # handed to the transport.
+            self._inflight.clear()
+        self._detach()
+        if self._backlog and not self._closed:
+            self._connect()
 
     def _flush(self, conn: Any) -> None:
         """Write the whole backlog in one write: frames that were in
@@ -429,6 +477,7 @@ class PeerLink:
             stats.queue_wait_samples.append(now - since)
         data = b"".join(frames)
         self._inflight += frames
+        stats.writes += 1
         if not torn:
             conn.write(data)
             return

@@ -67,7 +67,7 @@ class TestDeliveryDedup:
                 wire.encode_record(wire.message_record(Message(1, 0, "iter", (1.0,)), 0, stamp))[4:]
             )
             replay(node, record, 2)
-            for msg, meta in node._pending_msgs.pop(1):
+            for msg, meta in node._inq:
                 node._deliver_one(msg, meta, 0)
         assert node.stats.messages_delivered == 1
         delivers = [e for e in collector.events if e.kind == "deliver"]

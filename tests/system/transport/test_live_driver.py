@@ -18,6 +18,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core import RunSpec, run
 from repro.core.exact_bvc import ExactBVCProcess
 from repro.obs.metrics import MetricsRegistry
 from repro.system.messages import ALL, Message
@@ -375,8 +376,8 @@ class TestInboundProtocol:
         assert proto.feed.__self__._buf == b""
 
     def test_torn_tail_is_dropped_and_the_sender_retransmits_it(self, tmp_path):
-        # Over a real socket: the link tears its third frame in half and
-        # closes (the chaos hook).  The listener drops the half frame when
+        # Over a real socket: the link writes its two corked frames, then
+        # tears its third frame in half and closes (the chaos hook).  The listener drops the half frame when
         # the connection ends; the frame comes again, whole, on the next
         # connection — every frame arrives exactly once, in order.
         async def go():
@@ -390,11 +391,11 @@ class TestInboundProtocol:
             link.start()
             receiver = nodes[1]
             deadline = asyncio.get_running_loop().time() + 5.0
-            while link._proto is None:  # connected: each send is one write
+            while link._proto is None:  # connected: the sends are corked
                 assert asyncio.get_running_loop().time() < deadline
                 await asyncio.sleep(0.01)
             for i in range(4):
-                await link.send_message(Message(0, 1, "iter", (float(i),)))
+                assert link.send_message(Message(0, 1, "iter", (float(i),))) is None
             while receiver.frames_received < 4:
                 assert asyncio.get_running_loop().time() < deadline
                 await asyncio.sleep(0.01)
@@ -485,3 +486,53 @@ class TestQueueWaitFold:
         assert expected["count"] == 11
         got = merged.metrics.histogram("net.live.queue_wait_us").as_dict()
         assert got == expected
+
+
+class TestOneReceiveQueue:
+    @pytest.mark.parametrize(
+        "algorithm,knobs,unread",
+        [
+            ("algo", dict(n=4, d=2, f=1), "_inq"),
+            ("averaging", dict(n=4, d=2, f=1, epsilon=5e-2), "_pending_msgs"),
+        ],
+        ids=["sync", "async"],
+    )
+    def test_messages_go_only_to_the_drivers_queue(
+        self, monkeypatch, algorithm, knobs, unread
+    ):
+        # A sync driver buckets messages by ROUND marker, an async one
+        # pops _inq: a received message is held once, in the queue its
+        # node's driver reads, never also in the other one.
+        nodes: list[LiveNode] = []
+        connect_peers = LiveNode.connect_peers
+
+        def keep(self, addresses):
+            nodes.append(self)
+            connect_peers(self, addresses)
+
+        monkeypatch.setattr(LiveNode, "connect_peers", keep)
+        outcome = run(
+            RunSpec(algorithm=algorithm, seed=16, transport="live-uds", **knobs)
+        )
+        assert outcome.ok, outcome.report
+        assert len(nodes) == knobs["n"]
+        assert all(node.frames_received > 0 for node in nodes)
+        assert all(len(getattr(node, unread)) == 0 for node in nodes)
+
+
+class TestWriteCoalescing:
+    def test_a_write_carries_two_frames_or_more(self):
+        # Each link corks what one loop callback sends and writes it once
+        # when the callback ends: Bracha's echo / ready fan-out leaves
+        # several frames per link per callback.
+        outcome = run(
+            RunSpec(
+                algorithm="averaging", n=4, d=3, f=1, seed=2016,
+                transport="live-uds",
+            )
+        )
+        assert outcome.ok, outcome.report
+        metrics = outcome.result.metrics
+        writes = metrics.counter_value("net.live.writes")
+        frames = metrics.counter_value("net.live.frames_sent")
+        assert 0 < writes and writes * 2 <= frames, (writes, frames)

@@ -1,4 +1,4 @@
-"""PeerLink: handshake, reconnect/backoff, retransmission, backpressure.
+"""PeerLink: handshake, reconnect/backoff, cork, retransmission, backpressure.
 
 Each socket test stands up a miniature listener protocol that performs
 the real listener-side handshake (read HELLO, validate, reply HELLO) and
@@ -10,9 +10,12 @@ real :class:`LinkProtocol`.
 
 from __future__ import annotations
 
+import ast
 import asyncio
+import inspect
 import pickle
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,9 @@ from repro.system.transport.live import NodeAddress
 from repro.system.transport.peer import LinkProtocol, PeerLink
 
 INSTANCE = "test-run"
+SENDS = ("send_message", "send_round", "send_decided")
+SRC = Path(__file__).resolve().parents[3] / "src" / "repro"
+TESTS = Path(__file__).resolve().parents[2]
 
 
 def v2_frame(record: tuple) -> bytes:
@@ -138,8 +144,8 @@ class TestHandshakeAndDelivery:
             await listener.start()
             link = make_link(path)
             link.start()
-            await link.send_message(Message(0, 1, "iter", (1.0, 2.0)))
-            await link.send_decided()
+            assert link.send_message(Message(0, 1, "iter", (1.0, 2.0))) is None
+            assert link.send_decided() is None
             await link.close()
             await listener.stop()
             return listener, link
@@ -165,7 +171,7 @@ class TestHandshakeAndDelivery:
             await asyncio.wait_for(failed.wait(), timeout=1.0)
             assert isinstance(link.failed, wire.WireError)
             with pytest.raises(wire.WireError, match="failed permanently"):
-                await link.send_message(Message(0, 1, "iter", ()))
+                link.send_message(Message(0, 1, "iter", ()))
             await listener.stop()
 
         asyncio.run(go())
@@ -184,7 +190,7 @@ class TestHandshakeAndDelivery:
             assert isinstance(link.failed, ConnectionError)
             assert "unreachable" in str(link.failed)
             with pytest.raises(wire.WireError, match="failed permanently"):
-                await link.send_decided()
+                link.send_decided()
 
         asyncio.run(go())
 
@@ -225,7 +231,7 @@ class TestReconnect:
             )
             link.start()
             for i in range(3):
-                await link.send_message(Message(0, 1, "iter", (float(i),)))
+                assert link.send_message(Message(0, 1, "iter", (float(i),))) is None
             # Wait for delivery before closing so the assertions below
             # don't depend on the close()-time drain grace.
             await until(lambda: {r[1] for r in listener.records} == {0, 1, 2})
@@ -278,7 +284,7 @@ class TestReconnect:
         async def go():
             link = make_link(path, backoff_base=0.01, backoff_cap=0.02)
             link.start()
-            await link.send_decided()
+            assert link.send_decided() is None
             await asyncio.sleep(0.05)  # dial fails: nothing listening yet
             listener = MiniListener(path, node_id=1)
             await listener.start()
@@ -298,7 +304,7 @@ class TestReconnect:
                 path, backoff_base=0.01, backoff_cap=0.02, drain_grace=0.2
             )
             link.start()
-            await link.send_decided()
+            assert link.send_decided() is None
             await asyncio.sleep(0.05)  # dial fails: nothing listening
             start = asyncio.get_running_loop().time()
             await link.close()
@@ -320,10 +326,10 @@ class TestBackpressure:
             listener = MiniListener(path, node_id=1)
             await listener.start()
             link = make_link(path, queue_limit=1)
-            await link.send_message(Message(0, 1, "iter", (0.0,)))  # fills
-            blocked = asyncio.ensure_future(
-                link.send_message(Message(0, 1, "iter", (1.0,)))
-            )
+            assert link.send_message(Message(0, 1, "iter", (0.0,))) is None  # fills
+            waiter = link.send_message(Message(0, 1, "iter", (1.0,)))
+            assert waiter is not None
+            blocked = asyncio.ensure_future(waiter)
             await asyncio.sleep(0)  # the sender is now parked
             assert not blocked.done()
             assert link.stats.backpressure_waits == 1
@@ -348,9 +354,9 @@ class TestVersionNegotiation:
             await listener.start()
             link = make_link(path)
             link.start()
-            await link.send_message(
+            assert link.send_message(
                 Message(0, 1, "iter", (1.0,)), stamp=self.STAMP
-            )
+            ) is None
             await link.close()
             await listener.stop()
             return listener
@@ -409,12 +415,12 @@ class TestLinkTelemetry:
             await listener.start()
             link = make_link(path)
             # Sent before dialling, so these two measurably wait.
-            await link.send_message(Message(0, 1, "iter", (0.0,)))
-            await link.send_message(Message(0, 1, "iter", (1.0,)))
+            assert link.send_message(Message(0, 1, "iter", (0.0,))) is None
+            assert link.send_message(Message(0, 1, "iter", (1.0,))) is None
             link.start()
             await until(lambda: len(listener.records) == 2)
             # Connected: written in the sender's turn, so it waits 0.
-            await link.send_message(Message(0, 1, "iter", (2.0,)))
+            assert link.send_message(Message(0, 1, "iter", (2.0,))) is None
             await link.close()
             await listener.stop()
             return link
@@ -444,7 +450,7 @@ class TestLinkTelemetry:
             link = make_link(path, backoff_base=0.001, chaos_close_after=1)
             link.start()
             for i in range(3):
-                await link.send_message(Message(0, 1, "iter", (float(i),)))
+                assert link.send_message(Message(0, 1, "iter", (float(i),))) is None
             await until(lambda: {r[1] for r in listener.records} == {0, 1, 2})
             await link.close()
             await listener.stop()
@@ -463,8 +469,8 @@ class TestSequenceNumbers:
             link.start()
             await peer.connected()
             for i in range(3):
-                await link.send_message(msg(i))
-            await link.send_decided()
+                assert link.send_message(msg(i)) is None
+            assert link.send_decided() is None
             await link.close()
             return peer
 
@@ -487,7 +493,7 @@ class TestSequenceNumbers:
         node._on_record(1, record)
         node._on_record(1, record)  # exact retransmit
         assert node.dupes_dropped == 1
-        assert len(node._pending_msgs[1]) == 1
+        assert len(node._inq) == 1
 
 
 def split_frames(data: bytes) -> list[tuple]:
@@ -617,9 +623,9 @@ class TestBurstWrite:
             peer = FakePeer()
             link = peer.link()
             for i in range(k - 2):
-                await link.send_message(msg(i))
-            await link.send_round(0, False)
-            await link.send_decided()
+                assert link.send_message(msg(i)) is None
+            assert link.send_round(0, False) is None
+            assert link.send_decided() is None
             link.start()
             await link.close()
             return peer, link
@@ -635,9 +641,10 @@ class TestBurstWrite:
         assert link.stats.retransmits == 0
 
     def test_frames_are_written_in_the_senders_turn(self):
-        # Once connected there is no queue and no writer task: each send
-        # hands its one frame to the transport before it returns, and a
-        # frame the kernel took at once is not in flight.
+        # Once connected there is no queue task and no coroutine per
+        # frame: k sends in one loop callback are corked and go out in
+        # one write before the next callback runs, and a write the
+        # kernel took at once leaves nothing in flight.
         k = 5
 
         async def go():
@@ -645,18 +652,23 @@ class TestBurstWrite:
             link = peer.link()
             link.start()
             await peer.connected()
-            writes = []
             for i in range(k):
-                await link.send_message(msg(i))
-                writes.append(len(peer.data_writes()))
-                assert link._inflight == []
+                assert link.send_message(msg(i)) is None
+            assert peer.data_writes() == []
+            await asyncio.sleep(0)  # the next callback
+            writes = peer.data_writes()
+            inflight = list(link._inflight)
             await link.close()
-            return peer, link, writes
+            return peer, link, writes, inflight
 
-        peer, link, writes = asyncio.run(go())
-        assert writes == list(range(1, k + 1))
-        assert [len(split_frames(w)) for w in peer.data_writes()] == [1] * k
+        peer, link, writes, inflight = asyncio.run(go())
+        (write,) = writes
+        assert [r[1] for r in split_frames(write)] == list(range(k))
+        assert inflight == []
         assert [r[1] for r in peer.delivered] == list(range(k))
+        assert link.stats.writes == 1
+        assert link.stats.frames_sent == k
+        assert link.stats.bytes_sent == len(write)
         assert link.stats.queue_wait_samples == [0.0] * k
         assert link.stats.queue_depth_peak == 0
 
@@ -671,7 +683,7 @@ class TestBurstWrite:
             peer = FakePeer(fail_writes=1)
             link = peer.link()
             for i in range(k):
-                await link.send_message(msg(i))
+                assert link.send_message(msg(i)) is None
             link.start()
             await until(lambda: len(peer.delivered) == k)
             await link.close()
@@ -692,14 +704,16 @@ class TestBurstWrite:
         # A send() that fails makes asyncio drop the frame and close the
         # transport at once.  The frame stays in flight, the next send
         # finds the transport closing and waits for the reconnect, and
-        # both go out on the new connection, in order.
+        # both go out on the new connection, in order.  One send per
+        # callback: each cork is one frame, one write.
         async def go():
             peer = FakePeer(reset_at=2)
             link = peer.link()
             link.start()
             await peer.connected()
             for i in range(4):
-                await link.send_message(msg(i))
+                assert link.send_message(msg(i)) is None
+                await asyncio.sleep(0)
             await until(lambda: len(peer.delivered) >= 4)
             await link.close()
             return peer, link
@@ -714,19 +728,22 @@ class TestBurstWrite:
     def test_stalled_peer_blocks_senders_then_delivers_in_order(self):
         # Backpressure on a connected link is the transport's: past its
         # high-water mark it pauses the protocol, and a sender waits for
-        # resume_writing.
+        # resume_writing.  The cork holds at most queue_limit frames, so
+        # a sender that never yields still reaches the pause.
         k = 20
 
         async def go():
             peer = FakePeer(high=4)
-            link = peer.link()
+            link = peer.link(queue_limit=4)
             link.start()
             await peer.connected()
             peer.stalled = True  # the peer stops reading
 
             async def produce():
                 for i in range(k):
-                    await link.send_message(msg(i))
+                    waiter = link.send_message(msg(i))
+                    if waiter is not None:
+                        await waiter
 
             producer = asyncio.ensure_future(produce())
             for _ in range(50):
@@ -735,6 +752,7 @@ class TestBurstWrite:
             (transport,) = peer.transports
             assert len(transport.buffer) == 4  # the bound is the water mark
             assert len(link._inflight) == 4
+            assert link._cork == []
             assert link.stats.backpressure_waits == 1
             assert peer.delivered == []
             peer.stalled = False
@@ -746,7 +764,139 @@ class TestBurstWrite:
         peer, link = asyncio.run(go())
         assert [r[1] for r in peer.delivered] == list(range(k))
         assert link.stats.frames_sent == k
+        assert link.stats.writes == k // 4
         assert link.stats.queue_depth_peak == 0  # the backlog is for reconnects
+
+
+class TestCork:
+    def test_loss_before_the_uncork_requeues_the_cork_behind_the_inflight(self):
+        # Frames 0-1 are written but stuck in the stalled transport's
+        # buffer (in flight); frames 2-3 are corked when the connection
+        # dies.  All four go out again on the next connection, in seq
+        # order, in one write — nothing corked is lost or reordered.
+        async def go():
+            peer = FakePeer(high=100)
+            link = peer.link()
+            link.start()
+            await peer.connected()
+            peer.stalled = True
+            for i in range(2):
+                assert link.send_message(msg(i)) is None
+            await asyncio.sleep(0)
+            assert len(link._inflight) == 2
+            for i in range(2, 4):
+                assert link.send_message(msg(i)) is None
+            first = peer.transports[0]
+            first.closing = True
+            first.proto.connection_lost(ConnectionResetError("fake: died"))
+            peer.stalled = False
+            await until(lambda: len(peer.delivered) == 4)
+            await link.close()
+            return peer, link
+
+        peer, link = asyncio.run(go())
+        assert len(peer.transports) == 2
+        replay = peer.transports[1].writes[1:]
+        assert [[r[1] for r in split_frames(w)] for w in replay] == [[0, 1, 2, 3]]
+        assert [r[1] for r in peer.delivered] == [0, 1, 2, 3]
+        assert link.stats.retransmits == 4  # 2 in flight + 2 corked
+        assert link.stats.frames_sent == 4
+        assert link.stats.reconnects == 1
+
+    def test_close_writes_the_cork(self):
+        # close() in the callback that corked the frames writes them on
+        # the open connection: no redial, no retransmit.
+        k = 3
+
+        async def go():
+            peer = FakePeer()
+            link = peer.link()
+            link.start()
+            await peer.connected()
+            for i in range(k):
+                assert link.send_message(msg(i)) is None
+            await link.close()
+            return peer, link
+
+        peer, link = asyncio.run(go())
+        assert len(peer.transports) == 1
+        (write,) = peer.data_writes()
+        assert [r[1] for r in split_frames(write)] == list(range(k))
+        assert [r[1] for r in peer.delivered] == list(range(k))
+        assert link.stats.retransmits == 0
+
+    def test_cork_is_bounded_by_queue_limit(self):
+        # A sender that never yields writes every queue_limit frames; the
+        # remainder goes out when its callback ends.
+        async def go():
+            peer = FakePeer()
+            link = peer.link(queue_limit=3)
+            link.start()
+            await peer.connected()
+            for i in range(7):
+                assert link.send_message(msg(i)) is None
+            before = [len(split_frames(w)) for w in peer.data_writes()]
+            corked = len(link._cork)
+            await asyncio.sleep(0)
+            after = [len(split_frames(w)) for w in peer.data_writes()]
+            await link.close()
+            return peer, link, before, corked, after
+
+        peer, link, before, corked, after = asyncio.run(go())
+        assert (before, corked, after) == ([3, 3], 1, [3, 3, 1])
+        assert [r[1] for r in peer.delivered] == list(range(7))
+        assert link.stats.writes == 3
+
+    def test_sends_are_plain_calls_returning_a_waiter_or_none(self):
+        # No coroutine per frame: a send is a plain call, and what it
+        # returns is None or the backpressure waiter its sender awaits.
+        for name in SENDS:
+            assert not inspect.iscoroutinefunction(getattr(PeerLink, name))
+
+        async def go():
+            peer = FakePeer()
+            link = peer.link(queue_limit=1)
+            assert link.send_message(msg(0)) is None
+            waiter = link.send_round(0, False)  # past the backlog's bound
+            assert inspect.isawaitable(waiter)
+            link.start()
+            await asyncio.wait_for(waiter, timeout=5.0)
+            assert link.send_decided() is None
+            await link.close()
+            return peer
+
+        assert [r[0] for r in asyncio.run(go()).delivered] == [
+            wire.MSG, wire.ROUND, wire.DECIDED
+        ]
+
+    def test_no_call_site_awaits_a_send_or_drops_its_waiter(self):
+        # Awaiting a send's None is a TypeError; dropping its waiter loses
+        # the backpressure.  In the package every send's result is kept
+        # (and awaited when it is a waiter); in the tests no send is
+        # awaited directly.
+        for root, in_package in ((SRC, True), (TESTS, False)):
+            for path in sorted(root.rglob("*.py")):
+                text = path.read_text(encoding="utf-8")
+                if not any(name in text for name in SENDS):
+                    continue
+                tree = ast.parse(text)
+                parents = {
+                    child: node
+                    for node in ast.walk(tree)
+                    for child in ast.iter_child_nodes(node)
+                }
+                for node in ast.walk(tree):
+                    if not (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in SENDS
+                    ):
+                        continue
+                    where = f"{path}:{node.lineno}"
+                    parent = parents[node]
+                    assert not isinstance(parent, ast.Await), where
+                    if in_package:
+                        assert not isinstance(parent, ast.Expr), where
 
 
 class TestEncodeAtEnqueue:
@@ -762,8 +912,8 @@ class TestEncodeAtEnqueue:
             payload = [1.0, 2.0]
             with pytest.raises(wire.WireError, match="not a tuple"):
                 # A payload the sender could mutate later has no layout.
-                await link.send_message(Message(0, 1, "iter", payload))
-            await link.send_message(Message(0, 1, "iter", tuple(payload)))
+                link.send_message(Message(0, 1, "iter", payload))
+            assert link.send_message(Message(0, 1, "iter", tuple(payload))) is None
             payload[0] = 99.0
             link.start()
             await link.close()
