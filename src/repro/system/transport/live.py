@@ -10,7 +10,7 @@ Every accepted connection is an :class:`_Inbound` asyncio protocol: it
 splits the bytes into frames in ``data_received``, checks the first one
 as the peer's HELLO and answers it, and hands every later record to
 :meth:`LiveNode._on_record` in the same call — no reader task, no
-stream.  The outgoing side corks the frames a callback sends on a link
+stream.  The outgoing side queues the frames a callback sends on a link
 and writes them in one ``transport.write`` when that callback ends (see
 :mod:`~repro.system.transport.peer`); a handler's sends await nothing
 unless a link pushes back.  Execution models:
@@ -35,10 +35,9 @@ Requesting an adversarial live run raises
 
 Both backends surface the same ``net.*`` metrics; the live one adds
 ``net.live.*`` counters (handshakes, reconnects, retransmits, dedup
-drops, backpressure waits, bytes, wire vs effective frame deliveries)
-plus a queue-wait histogram (0 for a frame sent while its link is
-connected) and a disconnected-backlog depth-peak gauge; ``writes``
-counts the ``transport.write`` calls that carried frames.
+drops, backpressure waits, bytes, writes, wire vs effective frame
+deliveries) plus a queue-wait histogram and a disconnected-queue
+depth-peak gauge, folded over every node's links by one function.
 
 When a :class:`~repro.obs.causal.CausalCollector` is installed
 (ambient, per process), every node stamps its sends and deliveries: the
@@ -568,7 +567,7 @@ class LiveNode:
         )
         registry = MetricsRegistry()
         _fold_network_stats(registry, self.stats)
-        self._fold_live_metrics(registry)
+        _fold_live_metrics(registry, [self])
         return RunResult(
             decisions=decisions,
             rounds=self.rounds_done,
@@ -579,31 +578,37 @@ class LiveNode:
             metrics=registry,
         )
 
-    def _fold_live_metrics(self, registry: MetricsRegistry) -> None:
-        totals = {name: 0 for name in LinkStats.COUNTER_FIELDS}
-        depth_peak = 0
-        wait_samples: list[float] = []
-        for link in self._peer_links:
+
+def _fold_live_metrics(registry: MetricsRegistry, nodes: Sequence[LiveNode]) -> None:
+    """Add the nodes' link telemetry to ``registry`` as ``net.live.*``:
+    counters sum, the queue-depth peak maxes, queue-wait samples extend."""
+    totals = dict.fromkeys(
+        LinkStats.COUNTER_FIELDS
+        + ("dupes_dropped", "wire_frames_received", "frames_received"),
+        0,
+    )
+    depth_peak = 0
+    wait_samples: list[float] = []
+    for node in nodes:
+        totals["dupes_dropped"] += node.dupes_dropped
+        totals["wire_frames_received"] += node.wire_frames_received
+        totals["frames_received"] += node.frames_received
+        for link in node._peer_links:
             stats = link.stats
             for name, value in stats.as_dict().items():
                 totals[name] += value
             depth_peak = max(depth_peak, stats.queue_depth_peak)
             wait_samples.extend(stats.queue_wait_samples)
-        for name in sorted(totals):
-            registry.counter(f"net.live.{name}").value = totals[name]
-        registry.counter("net.live.dupes_dropped").value = self.dupes_dropped
-        registry.counter("net.live.wire_frames_received").value = (
-            self.wire_frames_received
+    for name, value in totals.items():
+        registry.inc(f"net.live.{name}", value)
+    if depth_peak:
+        gauge = registry.gauge("net.live.queue_depth_peak")
+        if not gauge.updates or depth_peak > gauge.value:
+            gauge.set(depth_peak)
+    if wait_samples:
+        registry.histogram("net.live.queue_wait_us").samples.extend(
+            sample * 1e6 for sample in wait_samples
         )
-        registry.counter("net.live.frames_received").value = (
-            self.frames_received
-        )
-        if depth_peak:
-            registry.set_gauge("net.live.queue_depth_peak", depth_peak)
-        if wait_samples:
-            registry.histogram("net.live.queue_wait_us").samples.extend(
-                sample * 1e6 for sample in wait_samples
-            )
 
 
 class LiveTransport(Transport):
@@ -716,7 +721,7 @@ class LiveTransport(Transport):
         n = len(processes)
         instance = f"inproc-{self.kind}-{seed}-{n}"
         try:
-            results = asyncio.run(
+            nodes = asyncio.run(
                 self._cluster(
                     processes, f, n, instance,
                     seed=seed, max_rounds=max_rounds, max_steps=max_steps,
@@ -729,7 +734,7 @@ class LiveTransport(Transport):
                     "running asyncio event loop"
                 ) from exc
             raise
-        return self._merge(results, processes, f, probes)
+        return self._merge(nodes, processes, f, probes)
 
     async def _cluster(
         self,
@@ -741,7 +746,7 @@ class LiveTransport(Transport):
         seed: int,
         max_rounds: int,
         max_steps: int,
-    ) -> list[RunResult]:
+    ) -> list[LiveNode]:
         tmpdir: Optional[tempfile.TemporaryDirectory] = None
         if self.kind == "uds":
             tmpdir = tempfile.TemporaryDirectory(prefix="repro-uds-")
@@ -776,12 +781,10 @@ class LiveTransport(Transport):
                 node.connect_peers(addresses)
             gathered = asyncio.gather(*(node.run() for node in nodes))
             try:
-                return list(
-                    await asyncio.wait_for(gathered, timeout=self.run_timeout)
-                )
+                await asyncio.wait_for(gathered, timeout=self.run_timeout)
             except asyncio.TimeoutError:
-                # Incomplete run: report whatever state the nodes reached.
-                return [node._result() for node in nodes]
+                pass  # incomplete run: report whatever state the nodes reached
+            return nodes
         finally:
             for node in nodes:
                 await node.shutdown()
@@ -790,41 +793,23 @@ class LiveTransport(Transport):
 
     def _merge(
         self,
-        results: list[RunResult],
+        nodes: Sequence[LiveNode],
         processes: list[Any],
         f: int,
         probes: Sequence[Probe],
     ) -> RunResult:
         n = len(processes)
-        decisions: dict[int, Any] = {}
-        contexts: dict[int, Context] = {}
+        contexts = {node.node_id: node.ctx for node in nodes}
+        decisions = {
+            pid: ctx.decision for pid, ctx in contexts.items() if ctx.decided
+        }
+        rounds = max((node.rounds_done for node in nodes), default=0)
+        completed = bool(nodes) and all(node.completed for node in nodes)
         stats = NetworkStats()
-        rounds = 0
-        completed = bool(results)
+        for node in nodes:
+            stats.merge(node.stats)
         registry = active_registry() or MetricsRegistry()
-        for result in results:
-            decisions.update(result.decisions)
-            contexts.update(result.contexts)
-            rounds = max(rounds, result.rounds)
-            completed = completed and result.completed
-            stats.merge(result.stats)
-            for name, metric in result.metrics.snapshot().items():
-                if not name.startswith("net.live."):
-                    continue
-                kind = metric.get("type")
-                if kind == "counter":
-                    registry.inc(name, int(metric["value"]))
-                elif kind == "gauge" and metric.get("updates"):
-                    # Peaks max across nodes rather than summing.
-                    gauge = registry.gauge(name)
-                    if not gauge.updates or metric["value"] > gauge.value:
-                        gauge.set(metric["value"])
-                elif kind == "histogram" and metric.get("count"):
-                    # The per-node registry is in-process: merge the
-                    # exact samples, not the snapshot's summary stats.
-                    registry.histogram(name).samples.extend(
-                        result.metrics.histogram(name).samples
-                    )
+        _fold_live_metrics(registry, nodes)
         _fold_network_stats(registry, stats)
         view = ProbeView(n, f, contexts, dict(enumerate(processes)), frozenset())
         for probe in probes:

@@ -1,53 +1,52 @@
-"""One outgoing peer link: dial, handshake, corked writes, retransmit.
+"""One outgoing peer link: dial, handshake, one write queue, retransmit.
 
-Each live node keeps one :class:`PeerLink` per remote peer.  A link is
-*connected* — it holds a handshaken :class:`LinkProtocol` and corks the
-frames sent on it for one write to that socket transport per event-loop
-callback — or *disconnected*, when frames wait in a backlog while a
-connector task dials.  No queue task and no coroutine per frame sit on
+Each live node keeps one :class:`PeerLink` per remote peer.  A link holds
+one queue of the frames not yet written to its current connection, and
+one method, ``_write``, hands the whole queue to the socket transport in
+one ``transport.write``.  No queue task and no coroutine per frame sit on
 the data path:
 
 * **Handshake** — on every (re)connect the dialer sends its HELLO and
   awaits the listener's, which :class:`LinkProtocol` reads in
   ``data_received``.  A malformed HELLO, another wire version, instance
-  or identity permanently fails the link.
+  or identity permanently fails the link.  The handshake writes the
+  queue, and the connector task ends.
 * **Sending** — ``send_message`` / ``send_round`` / ``send_decided`` are
   plain calls.  A record is encoded once, by
   :func:`~repro.system.transport.wire.encode_for_version`, in the call
   that sends it; those bytes are the payload's snapshot, and only a
-  record that encodes takes a sequence number.  A connected link appends
-  the frame to its *cork*, and the frame counts as sent there.  The cork
-  goes out in one ``transport.write`` at the end of the loop callback
-  that sent its first frame (``loop.call_soon``, scheduled once per
-  non-empty cork), or at once when it holds ``queue_limit`` frames.
-  Frames sent while disconnected go out in one write right after the
-  next handshake.  A send returns the backpressure waiter the sender
-  must await, or ``None``.
-* **In flight** — the corked frames, the frames written since the
-  transport's write buffer was last empty (a clean close flushed them
-  all), and any written to a transport that was closing (a failed write
-  drops its buffer).  A closing transport takes no further frame: the
-  link counts it as lost.  After a loss the frames in flight go out
-  again, whole and first — the written ones, then the corked ones, in
-  sequence order — on the next connection; the receiver's per-link
-  sequence dedup makes delivery exactly-once.  ``close()`` writes the
-  cork before it closes the connection.
+  record that encodes takes a sequence number.  The frame joins the
+  queue with its send time.  On a connected link the queue is written
+  at the end of the loop callback that sent its first frame
+  (``loop.call_soon``), or at once when it holds ``queue_limit`` frames.
+  A send returns the backpressure waiter the sender must await, or
+  ``None``.
+* **In flight** — the frames written since the transport's write buffer
+  was last empty (a clean close flushed them all), and any written to a
+  transport that was closing (a failed write drops its buffer).  A
+  closing transport takes no further write: the link counts the
+  connection as lost, and the frames in flight go back to the head of
+  the queue, ahead of the unwritten ones, to go out again, whole, on the
+  next connection; the receiver's per-link sequence dedup makes delivery
+  exactly-once.  ``close()`` writes the queue before it closes the
+  connection.
 * **Reconnect** — capped exponential backoff (``min(base * 2**attempt,
   cap)``), reset by a handshake.  The connector runs only while the link
-  is disconnected: at once after a loss that left frames in flight,
+  is disconnected: at once after a loss that left frames queued,
   otherwise at the next send.
-* **Backpressure** — a connected link's sender waits while its transport
-  has paused writing (``pause_writing`` / ``resume_writing``); a
-  disconnected link's sender waits once ``queue_limit`` frames are
-  backlogged.
+* **Backpressure** — one waiter: a sender waits while its transport has
+  paused writing (``pause_writing`` / ``resume_writing``), or while a
+  disconnected link queues more than ``queue_limit`` frames, until the
+  transport resumes, a new connection takes the queue, or the link
+  fails.
 
-Timings use the event loop's monotonic clock, and the backoff schedule
-is a fixed ramp — links carry no randomness of their own.  Each link
-also records bytes and writes, the deepest its backlog got
-(``queue_depth_peak``) and one queue-wait sample per frame (seconds from
-the send call to the write that carried it: 0 for a frame sent while
-connected, which goes out in its own callback), which the node folds
-into ``net.live.*``.
+The backoff schedule is a fixed ramp — links carry no randomness of
+their own.  ``_write`` is the one place that counts frames, bytes,
+writes and retransmits, and takes one queue-wait sample per frame (on
+the event loop's clock, from the send call to the write that carried
+it); the link also records the deepest its disconnected queue
+got (``queue_depth_peak``).  The node folds all of it into
+``net.live.*``.
 """
 
 from __future__ import annotations
@@ -61,8 +60,8 @@ from . import wire
 __all__ = ["LinkProtocol", "LinkStats", "PeerLink"]
 
 #: ``(transport, conn)`` as ``loop.create_connection(LinkProtocol, ...)``
-#: returns it: the link writes through ``conn`` (``write``, ``drain``,
-#: ``close``) and reads the HELLO and the connection's end off
+#: returns it: the link writes through ``conn`` (``write``, ``close``)
+#: and reads the HELLO and the connection's end off
 #: ``transport.get_protocol()``.
 Dialer = Callable[[], Awaitable[tuple[Any, Any]]]
 
@@ -76,11 +75,10 @@ class LinkStats:
     and ``queue_wait_samples`` are *not* counters (a peak maxes, samples
     concatenate) and are folded explicitly.
 
-    ``frames_sent`` / ``bytes_sent`` count a frame once, when it is
-    corked on a connected link or first written after a handshake.
-    ``writes`` counts the ``transport.write`` calls that carried frames,
-    so ``frames_sent / writes`` is the coalescing.  ``retransmits`` counts
-    frames written *again*: every frame in flight (corked ones included)
+    ``frames_sent`` / ``bytes_sent`` count a frame once, at its first
+    write.  ``writes`` counts the ``transport.write`` calls that carried
+    frames, so ``frames_sent / writes`` is the coalescing.
+    ``retransmits`` counts frames written *again*: each frame in flight
     when a connection died, each time it goes out on a new one.
     """
 
@@ -118,7 +116,7 @@ class LinkProtocol(asyncio.Protocol):
 
     It reads one record, the listener's HELLO, into :attr:`hello` (the
     listener sends nothing after it; later bytes are dropped unread),
-    turns ``pause_writing`` / ``resume_writing`` into :meth:`drain`, and
+    keeps ``pause_writing`` / ``resume_writing`` in :attr:`paused`, and
     resolves :attr:`closed` with ``connection_lost``'s exception.  Its
     ``write`` is the transport's own.
     """
@@ -131,9 +129,12 @@ class LinkProtocol(asyncio.Protocol):
         self.closed: asyncio.Future[Optional[BaseException]] = loop.create_future()
         #: Called as ``on_lost(self, exc)`` from ``connection_lost``.
         self.on_lost: Optional[Callable[[Any, Optional[BaseException]], None]] = None
+        #: Called (no arguments) when the transport takes writes again,
+        #: and when the connection is lost.
+        self.on_resume: Optional[Callable[[], None]] = None
+        self.paused = False
         self.transport: Any = None
         self._splitter = wire.FrameSplitter()
-        self._resumed: Optional[asyncio.Future[None]] = None
 
     def connection_made(self, transport: Any) -> None:
         self.transport = transport
@@ -160,24 +161,12 @@ class LinkProtocol(asyncio.Protocol):
             self.on_lost(self, exc)
 
     def pause_writing(self) -> None:
-        self._resumed = self.closed.get_loop().create_future()
+        self.paused = True
 
     def resume_writing(self) -> None:
-        resumed, self._resumed = self._resumed, None
-        if resumed is not None:
-            resumed.set_result(None)
-
-    @property
-    def paused(self) -> bool:
-        return self._resumed is not None
-
-    async def drain(self) -> None:
-        """Return once the transport takes writes again; raise
-        ``ConnectionResetError`` once the connection is gone."""
-        if self._resumed is not None:
-            await self._resumed
-        if self.closed.done():
-            raise ConnectionResetError("connection lost")
+        self.paused = False
+        if self.on_resume is not None:
+            self.on_resume()
 
     def close(self) -> None:
         self.transport.close()
@@ -212,7 +201,7 @@ class PeerLink:
         #: How long a *disconnected* link keeps redialling after close()
         #: while frames are still undelivered.  Without the grace, a node
         #: exiting during a peer's reconnect window could abandon its
-        #: backlogged DECIDED announcement and leave that peer waiting
+        #: queued DECIDED announcement and leave that peer waiting
         #: forever.
         self.drain_grace = float(drain_grace)
         #: After this many frames sent, the link writes half of the next
@@ -228,20 +217,16 @@ class PeerLink:
         #: Frames not yet written to the current connection, oldest first:
         #: ``(frame, send time)``, or ``(frame, None)`` for one that was in
         #: flight on a lost connection.
-        self._backlog: deque[tuple[bytes, Optional[float]]] = deque()
+        self._queue: deque[tuple[bytes, Optional[float]]] = deque()
         #: Frames written since the transport's buffer was last empty.
         self._inflight: list[bytes] = []
-        #: Frames sent on the connection and not yet written, oldest
-        #: first; empty whenever the link is disconnected.
-        self._cork: list[bytes] = []
-        #: A callback that writes the cork is scheduled.
-        self._cork_due = False
         self._next_seq = 0
         #: The handshaken connection while connected, else None.
         self._proto: Optional[LinkProtocol] = None
         self._conn: Any = None
         self._connector: Optional[asyncio.Task[None]] = None
-        #: Resolved when the backlog is flushed (or the link fails).
+        #: The backpressure waiter: resolved when the transport resumes,
+        #: a new connection takes the queue, or the link fails.
         self._room: Optional[asyncio.Future[None]] = None
         self._started = False
         self._failure: Optional[BaseException] = None
@@ -259,7 +244,7 @@ class PeerLink:
     async def close(self) -> None:
         """Close the connection once what was sent is written.
 
-        A connected link writes its cork and closes its transport, which
+        A connected link writes its queue and closes its transport, which
         flushes the write buffer first.  A link stuck in the dial/backoff
         path with nothing left to deliver returns immediately: the peer it
         is redialling has typically exited for good (the cluster is past
@@ -273,12 +258,12 @@ class PeerLink:
             return
         self._closed = True
         self._closing.set()
-        self._uncork()
-        if self._proto is not None:
-            proto = self._proto
-            self._conn.close()
+        proto = self._proto
+        if proto is not None:
+            self._write()
+            proto.close()
             await proto.closed  # _on_lost requeues what an error left in flight
-        if self._backlog and self._started and self._failure is None:
+        if self._queue and self._started and self._failure is None:
             self._connect()
         if self._connector is not None:
             try:
@@ -315,114 +300,106 @@ class PeerLink:
 
     def _put(self, record: tuple) -> Optional[Awaitable[None]]:
         """Encode ``record`` (which carries the next sequence number) and
-        cork it, or backlog it while disconnected; returns what the
-        sender must await, if anything."""
+        queue it; returns what the sender must await, if anything."""
         if self._failure is not None:
-            raise wire.WireError(
-                f"link to node {self.peer_id} failed permanently: "
-                f"{self._failure}"
-            ) from self._failure
+            raise self._broken()
         # Encoded here, once: the bytes are the payload's snapshot.  A
         # record that does not encode takes no sequence number.
         frame = wire.encode_for_version(record, wire.WIRE_VERSION)
         self._next_seq += 1
-        stats = self.stats
+        loop = asyncio.get_running_loop()
+        queue = self._queue
+        queue.append((frame, loop.time()))
+        depth = len(queue)
         proto = self._proto
-        if proto is not None and proto.transport.is_closing():
+        if proto is not None:
+            if depth >= self.queue_limit:
+                self._write()
+            elif depth == 1:
+                loop.call_soon(self._write)
+            return self._wait() if proto.paused else None
+        if depth > self.stats.queue_depth_peak:
+            self.stats.queue_depth_peak = depth
+        if self._started and not self._closed:
+            self._connect()
+        return self._wait() if depth > self.queue_limit else None
+
+    def _write(self) -> None:
+        """Write the queue to the connection in one write: the frames
+        that were in flight on a lost connection first, then the ones
+        sent since.  A no-op while disconnected or when the queue is
+        empty.  The chaos hook cuts the write inside the frame past
+        ``chaos_close_after`` and closes the connection."""
+        queue, proto = self._queue, self._proto
+        if proto is None or not queue:
+            return
+        transport = proto.transport
+        if transport.is_closing():
             # The peer closed the connection or a write failed: the
             # transport drops what it is handed now, and may have dropped
             # what is in flight.
-            self._detach()
-            proto = None
-        if proto is not None and stats.frames_sent != self.chaos_close_after:
-            cork = self._cork
-            cork.append(frame)
+            self._lost()
+            return
+        stats = self.stats
+        samples = stats.queue_wait_samples
+        now = asyncio.get_running_loop().time()
+        frames: list[bytes] = []
+        torn = False
+        while queue and not torn:
+            frame, since = queue.popleft()
+            frames.append(frame)
+            if since is None:
+                stats.retransmits += 1
+                continue
+            torn = stats.frames_sent == self.chaos_close_after
             stats.frames_sent += 1
             stats.bytes_sent += len(frame)
-            stats.queue_wait_samples.append(0.0)
-            if len(cork) >= self.queue_limit:
-                self._uncork()
-            elif not self._cork_due:
-                self._cork_due = True
-                asyncio.get_running_loop().call_soon(self._uncork)
-            if proto.paused:
-                stats.backpressure_waits += 1
-                return self._writable(proto)
-            return None
-        backlog = self._backlog
-        backlog.append((frame, asyncio.get_running_loop().time()))
-        if proto is not None:
-            # The chaos hook's frame: the cork goes out first, then
-            # _flush tears this frame and drops the link.
-            self._uncork()
-            if self._proto is not None:
-                try:
-                    self._flush(self._conn)
-                except ConnectionResetError:
-                    self._detach()
-                    self._connect()
-                return None
-        if len(backlog) > stats.queue_depth_peak:
-            stats.queue_depth_peak = len(backlog)
-        if self._started and not self._closed:
-            self._connect()
-        if len(backlog) > self.queue_limit:
-            stats.backpressure_waits += 1
-            if self._room is None:
-                self._room = asyncio.get_running_loop().create_future()
-            return self._wait_room(self._room)
-        return None
-
-    def _uncork(self) -> None:
-        """Write the cork to the connection in one write (a no-op when it
-        is empty, as it always is while disconnected).  The callback a
-        cork's first frame schedules; also called at once by a full
-        cork, ``close()`` and the chaos hook."""
-        self._cork_due = False
-        cork = self._cork
-        if not cork:
+            samples.append(now - since)
+        data = frames[0] if len(frames) == 1 else b"".join(frames)
+        stats.writes += 1
+        if torn:
+            self.chaos_close_after = None
+            stats.chaos_closes += 1
+            self._conn.write(data[: len(data) - len(frames[-1]) // 2])
+            self._conn.close()
+            self._inflight += frames
+            self._lost()
             return
-        transport = self._proto.transport
-        if transport.is_closing():
-            # Lost since the cork's first frame: it goes out again, after
-            # what was in flight, on the next connection.
-            self._detach()
-            if not self._closed:
-                self._connect()
-            return
-        self._cork = []
-        self._conn.write(cork[0] if len(cork) == 1 else b"".join(cork))
-        self.stats.writes += 1
+        self._conn.write(data)
         if transport.get_write_buffer_size() or transport.is_closing():
-            self._inflight += cork
+            self._inflight += frames
         elif self._inflight:
-            self._inflight.clear()
+            self._inflight = []
 
-    async def _writable(self, proto: LinkProtocol) -> None:
-        try:
-            await proto.drain()
-        except ConnectionError:
-            pass  # _on_lost has taken the loss in hand
+    def _wait(self) -> Awaitable[None]:
+        """The backpressure waiter, shared by every sender that waits."""
+        self.stats.backpressure_waits += 1
+        if self._room is None or self._room.done():  # done: its sender was cancelled
+            self._room = asyncio.get_running_loop().create_future()
+        return self._room
 
-    async def _wait_room(self, room: asyncio.Future[None]) -> None:
-        await room
-        if self._failure is not None:
-            raise wire.WireError(
-                f"link to node {self.peer_id} failed permanently: "
-                f"{self._failure}"
-            ) from self._failure
+    def _wake(self) -> None:
+        room, self._room = self._room, None
+        if room is None or room.done():
+            return
+        if self._failure is None:
+            room.set_result(None)
+        else:
+            room.set_exception(self._broken())
+
+    def _broken(self) -> wire.WireError:
+        error = wire.WireError(
+            f"link to node {self.peer_id} failed permanently: {self._failure}"
+        )
+        error.__cause__ = self._failure
+        return error
 
     # ---------------------------------------------------------- connection
     def _fail(self, failure: BaseException) -> None:
         self._failure = failure
-        self._wake_room()
+        self._wake()
         if self.on_failure is not None:
             self.on_failure()
-
-    def _wake_room(self) -> None:
-        room, self._room = self._room, None
-        if room is not None:
-            room.set_result(None)
 
     def _connect(self) -> None:
         if self._connector is None or self._connector.done():
@@ -431,61 +408,24 @@ class PeerLink:
                 name=f"peerlink-{self.self_id}->{self.peer_id}",
             )
 
-    def _detach(self) -> None:
-        """Count the connection as lost: the frames in flight, then the
-        corked ones, go back to the head of the backlog, in seq order."""
-        self._inflight += self._cork
-        self._cork = []
+    def _lost(self) -> None:
+        """Count the connection as lost: the frames in flight go back to
+        the head of the queue, ahead of the unwritten ones, and the link
+        redials if anything is queued."""
         self._proto = self._conn = None
-        self._requeue()
-
-    def _requeue(self) -> None:
-        """Put the frames in flight back at the head of the backlog."""
         if self._inflight:
-            self._backlog.extendleft((frame, None) for frame in reversed(self._inflight))
+            self._queue.extendleft((frame, None) for frame in reversed(self._inflight))
             self._inflight = []
+        if self._queue and not self._closed:
+            self._connect()
 
     def _on_lost(self, proto: LinkProtocol, exc: Optional[BaseException]) -> None:
         if proto is not self._proto:
             return  # a connection the link already gave up
         if exc is None:
-            # A clean close wrote every buffered byte; the cork was never
-            # handed to the transport.
-            self._inflight.clear()
-        self._detach()
-        if self._backlog and not self._closed:
-            self._connect()
-
-    def _flush(self, conn: Any) -> None:
-        """Write the whole backlog in one write: frames that were in
-        flight on a lost connection first, then the ones sent since.  The
-        chaos hook cuts it inside the frame past ``chaos_close_after``
-        and closes the connection (``ConnectionResetError``)."""
-        stats, backlog = self.stats, self._backlog
-        now = asyncio.get_running_loop().time()
-        frames: list[bytes] = []
-        torn = False
-        while backlog and not torn:
-            frame, since = backlog.popleft()
-            frames.append(frame)
-            if since is None:
-                stats.retransmits += 1
-                continue
-            torn = stats.frames_sent == self.chaos_close_after
-            stats.frames_sent += 1
-            stats.bytes_sent += len(frame)
-            stats.queue_wait_samples.append(now - since)
-        data = b"".join(frames)
-        self._inflight += frames
-        stats.writes += 1
-        if not torn:
-            conn.write(data)
-            return
-        self.chaos_close_after = None
-        stats.chaos_closes += 1
-        conn.write(data[: len(data) - len(frames[-1]) // 2])
-        conn.close()
-        raise ConnectionResetError("chaos: forced close")
+            # A clean close wrote every buffered byte.
+            self._inflight = []
+        self._lost()
 
     async def _connect_loop(self) -> None:
         attempt = 0
@@ -532,31 +472,24 @@ class PeerLink:
                 self.stats.reconnects += 1
             attempt = 0
             self.stats.handshakes += 1
-            try:
-                while self._backlog:
-                    self._flush(conn)
-                    await conn.drain()
-                    if not transport.get_write_buffer_size():
-                        self._inflight.clear()
-            except (ConnectionError, OSError):
-                # Whatever this connection had in flight goes out first,
-                # whole, on the next one.
-                conn.close()
-                self._requeue()
+            self._proto, self._conn = proto, conn
+            proto.on_lost, proto.on_resume = self._on_lost, self._wake
+            self._write()
+            self._wake()
+            if self._proto is None:
+                # The write tore or met a closing transport: whatever this
+                # connection had in flight goes out first on the next one.
                 attempt += 1
                 if await self._backoff_or_closing(attempt):
                     return
                 continue
-            self._proto, self._conn = proto, conn
-            proto.on_lost = self._on_lost
-            self._wake_room()
             if not self._closed:
                 return
             # close() is waiting on this delivery: finish it, and redial
             # (within the grace) if the close left frames in flight.
-            self._conn.close()
+            proto.close()
             await proto.closed
-            if not self._backlog:
+            if not self._queue:
                 return
 
     async def _backoff_or_closing(self, attempt: int) -> bool:
@@ -576,7 +509,7 @@ class PeerLink:
                 # drain-grace decision below.
             except asyncio.TimeoutError:
                 return False
-        if not self._backlog:
+        if not self._queue:
             return True
         loop = asyncio.get_running_loop()
         if self._close_deadline is None:

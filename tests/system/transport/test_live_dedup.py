@@ -21,7 +21,12 @@ from repro.obs.causal import CausalCollector, use_causal_collector
 from repro.obs.metrics import MetricsRegistry
 from repro.system.messages import Message
 from repro.system.transport import wire
-from repro.system.transport.live import LiveNode, LiveTransport, NodeAddress
+from repro.system.transport.live import (
+    LiveNode,
+    LiveTransport,
+    NodeAddress,
+    _fold_live_metrics,
+)
 
 INSTANCE = "dedup-test"
 
@@ -81,7 +86,7 @@ class TestDeliveryDedup:
         )
         replay(node, record, 2)
         registry = MetricsRegistry()
-        node._fold_live_metrics(registry)
+        _fold_live_metrics(registry, [node])
         wire_n = registry.counter_value("net.live.wire_frames_received")
         effective = registry.counter_value("net.live.frames_received")
         dupes = registry.counter_value("net.live.dupes_dropped")
@@ -120,35 +125,32 @@ class TestChaosReconnectInvariant:
 
 
 class DyingWriter:
-    """Wraps a link's StreamWriter: the first multi-frame batch is cut
-    three bytes short — so the peer gets some whole frames and a torn
-    one — and the connection then dies in ``drain()``.  The sender cannot
-    tell how much arrived and must retransmit the whole batch."""
+    """Wraps the ``conn`` a link's dial returns: the first multi-frame
+    write is cut three bytes short — so the peer gets some whole frames
+    and a torn one — and the connection dies inside that ``write``, the
+    way asyncio reports a failed send: the transport drops its buffer, is
+    closing at once, and reports the error to ``connection_lost``.  The
+    sender cannot tell how much arrived and must retransmit the whole
+    batch."""
 
-    def __init__(self, real, state: dict):
+    def __init__(self, real, transport, state: dict):
         self.real = real
+        self.transport = transport
         self.state = state
-        self.dying = False
 
     def write(self, data: bytes) -> None:
-        if not self.state["fired"] and _frame_count(data) >= 2:
-            self.state["fired"] = True
-            self.state["frames"] = _frame_count(data)
-            self.dying = True
-            data = data[:-3]
-        self.real.write(data)
-
-    async def drain(self) -> None:
-        await self.real.drain()
-        if self.dying:
-            self.real.close()
-            raise ConnectionResetError("test: connection died mid-batch")
+        if self.state["fired"] or _frame_count(data) < 2:
+            self.real.write(data)
+            return
+        self.state["fired"] = True
+        self.state["frames"] = _frame_count(data)
+        self.real.write(data[:-3])
+        self.transport._force_close(
+            ConnectionResetError("test: connection died mid-batch")
+        )
 
     def close(self) -> None:
         self.real.close()
-
-    async def wait_closed(self) -> None:
-        await self.real.wait_closed()
 
 
 def _frame_count(data: bytes) -> int:
@@ -183,8 +185,8 @@ class TestConnectionKilledMidBatch:
                 dial = link.dial
 
                 async def dying_dial():
-                    reader, writer = await dial()
-                    return reader, DyingWriter(writer, state)
+                    transport, conn = await dial()
+                    return transport, DyingWriter(conn, transport, state)
 
                 link.dial = dying_dial
                 link.backoff_base = 0.001

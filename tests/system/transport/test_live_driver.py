@@ -25,7 +25,13 @@ from repro.system.messages import ALL, Message
 from repro.system.process import AsyncProcess
 from repro.system.transport import wire
 from repro.system.transport.base import TransportError
-from repro.system.transport.live import LiveNode, LiveTransport, NodeAddress, _Inbound
+from repro.system.transport.live import (
+    LiveNode,
+    LiveTransport,
+    NodeAddress,
+    _fold_live_metrics,
+    _Inbound,
+)
 
 
 class Silent(AsyncProcess):
@@ -376,10 +382,11 @@ class TestInboundProtocol:
         assert proto.feed.__self__._buf == b""
 
     def test_torn_tail_is_dropped_and_the_sender_retransmits_it(self, tmp_path):
-        # Over a real socket: the link writes its two corked frames, then
-        # tears its third frame in half and closes (the chaos hook).  The listener drops the half frame when
-        # the connection ends; the frame comes again, whole, on the next
-        # connection — every frame arrives exactly once, in order.
+        # Over a real socket, one send per callback: the link writes its
+        # first two frames, one write each, then tears its third frame in
+        # half and closes (the chaos hook).  The listener drops the half
+        # frame when the connection ends; the frame comes again, whole, on
+        # the next connection — every frame arrives exactly once, in order.
         async def go():
             errors = catch_loop_errors()
             nodes = make_nodes(tmp_path, [None] * 2, f=0)
@@ -391,11 +398,12 @@ class TestInboundProtocol:
             link.start()
             receiver = nodes[1]
             deadline = asyncio.get_running_loop().time() + 5.0
-            while link._proto is None:  # connected: the sends are corked
+            while link._proto is None:  # connected: each send is written
                 assert asyncio.get_running_loop().time() < deadline
                 await asyncio.sleep(0.01)
             for i in range(4):
                 assert link.send_message(Message(0, 1, "iter", (float(i),))) is None
+                await asyncio.sleep(0)
             while receiver.frames_received < 4:
                 assert asyncio.get_running_loop().time() < deadline
                 await asyncio.sleep(0.01)
@@ -467,7 +475,7 @@ class TestQueueWaitFold:
     def test_node_fold_equals_per_sample_observation(self, tmp_path):
         for node in self._nodes(tmp_path):
             registry = MetricsRegistry()
-            node._fold_live_metrics(registry)
+            _fold_live_metrics(registry, [node])
             per_link = self.SAMPLES[node.node_id]
             folded = registry.histogram("net.live.queue_wait_us")
             assert folded.as_dict() == self._reference(
@@ -476,8 +484,8 @@ class TestQueueWaitFold:
             assert folded.count == sum(len(s) for s in per_link.values())
 
     def test_cluster_merge_equals_per_sample_observation(self, tmp_path):
-        results = [node._result() for node in self._nodes(tmp_path)]
-        merged = LiveTransport(kind="uds")._merge(results, [None] * 3, 0, ())
+        nodes = self._nodes(tmp_path)
+        merged = LiveTransport(kind="uds")._merge(nodes, [None] * 3, 0, ())
         expected = self._reference(
             self.SAMPLES[pid][p]
             for pid in sorted(self.SAMPLES)

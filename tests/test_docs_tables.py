@@ -4,7 +4,9 @@ The wire's frame layouts, the door's payload schemas and the topology
 file's knob table are written out in the docs for readers; this keeps
 them the same rows, in the same order, as ``wire.RECORD_LAYOUTS`` plus
 ``repro.system.door.LAYOUTS``, ``repro.system.door.SCHEMAS`` and
-``repro.core.runspec.RUN_KNOBS``.
+``repro.core.runspec.RUN_KNOBS``.  The link telemetry table names
+exactly the ``net.live.*`` metrics the live fold emits, each with its
+kind.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ import re
 from pathlib import Path
 
 from repro.core.runspec import RUN_KNOBS
+from repro.obs.metrics import MetricsRegistry
 from repro.system.door import LAYOUTS, SCHEMAS
 from repro.system.transport import wire
+from repro.system.transport.live import LiveNode, NodeAddress, _fold_live_metrics
 
 DOC = Path(__file__).resolve().parents[1] / "docs" / "transport.md"
 
@@ -69,3 +73,22 @@ def test_record_shapes_name_every_field():
         assert shape[0] == kind
         # Every field of the decoded record is one its layout writes.
         assert all(field in layout for field in shape[1:]), kind
+
+
+def test_link_telemetry_table_is_the_emitted_metrics(tmp_path):
+    addresses = {
+        pid: NodeAddress(pid, "uds", path=str(tmp_path / f"n{pid}.sock"))
+        for pid in range(2)
+    }
+    node = LiveNode(0, 2, 0, process=None, address=addresses[0], instance="docs")
+    node.connect_peers(addresses)
+    (link,) = node._peer_links
+    # A peak and a sample, so the gauge and the histogram are emitted too.
+    link.stats.queue_depth_peak = 1
+    link.stats.queue_wait_samples.append(1e-3)
+    registry = MetricsRegistry()
+    _fold_live_metrics(registry, [node])
+    emitted = {name: metric["type"] for name, metric in registry.snapshot().items()}
+    rows = table_after("### Link telemetry")
+    assert {row[0]: row[1] for row in rows} == emitted
+    assert len(rows) == len(emitted)
