@@ -301,11 +301,11 @@ def run_node(
         server = MetricsServer(source, port=metrics_port)
         server.start_background()
 
-    async def drive() -> Any:
+    async def drive() -> None:
         await node.start_server()
         node.connect_peers(addresses)
         try:
-            return await node.run()
+            await node.run()
         finally:
             await node.shutdown()
 
@@ -324,7 +324,7 @@ def run_node(
             with tracer.span(
                 "transport.node", pid=pid, instance=doc["instance"]
             ):
-                result = asyncio.run(drive())
+                asyncio.run(drive())
     finally:
         record = _node_record(doc, pid, node)
         if trace_path:
@@ -345,7 +345,6 @@ def run_node(
             time.sleep(linger)
         if server is not None:
             server.shutdown()
-    record["rounds"] = int(result.rounds)
     return record
 
 

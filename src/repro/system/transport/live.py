@@ -425,8 +425,8 @@ class LiveNode:
             self._inq.append((msg, meta))
 
     # ------------------------------------------------------------- driving
-    async def run(self) -> RunResult:
-        """Drive the process to decision; returns this node's RunResult."""
+    async def run(self) -> None:
+        """Drive the process to decision (``_result()`` reports it)."""
         self.collector = get_causal_collector()
         for link in self._peer_links:
             link.start()
@@ -444,7 +444,6 @@ class LiveNode:
             self.process.on_stop(self.ctx)
             for link in self._peer_links:
                 await link.close()
-        return self._result()
 
     def _check_links(self) -> None:
         if any(link.failed is not None for link in self._peer_links):

@@ -207,8 +207,10 @@ class PeerLink:
         #: After this many frames sent, the link writes half of the next
         #: one and closes its own connection, once — the fault-injection
         #: hook the reconnect tests (and the disconnect-survival
-        #: acceptance run) flip on.  The torn frame stays in flight and
-        #: goes out whole after the reconnect.
+        #: acceptance run) flip on.  On a connected link the frames sent
+        #: before it are written first, on their own; the torn frame, and
+        #: any written with it, stays in flight and goes out whole after
+        #: the reconnect.
         self.chaos_close_after = chaos_close_after
         #: Called (no arguments) when the link fails permanently, so an
         #: owner blocked on something else learns of it at once.
@@ -309,6 +311,8 @@ class PeerLink:
         self._next_seq += 1
         loop = asyncio.get_running_loop()
         queue = self._queue
+        if self.stats.frames_sent + len(queue) == self.chaos_close_after:
+            self._write()  # the hook tears its frame in a write of its own
         queue.append((frame, loop.time()))
         depth = len(queue)
         proto = self._proto
@@ -412,6 +416,7 @@ class PeerLink:
         """Count the connection as lost: the frames in flight go back to
         the head of the queue, ahead of the unwritten ones, and the link
         redials if anything is queued."""
+        self._proto.on_resume = None  # its connection_lost wakes no sender
         self._proto = self._conn = None
         if self._inflight:
             self._queue.extendleft((frame, None) for frame in reversed(self._inflight))

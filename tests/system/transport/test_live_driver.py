@@ -294,17 +294,17 @@ class TestHostileConnection:
             await asyncio.wait_for(reader.read(), timeout=1.0)  # closed on us
             writer.close()
             try:
-                results = await asyncio.wait_for(
+                await asyncio.wait_for(
                     asyncio.gather(*(node.run() for node in nodes)), timeout=5.0
                 )
             finally:
                 for node in nodes:
                     await node.shutdown()
             assert errors == []
-            return nodes, results
+            return nodes
 
-        nodes, results = asyncio.run(go())
-        assert all(node.completed and result.decisions for node, result in zip(nodes, results))
+        nodes = asyncio.run(go())
+        assert all(node.completed and node.ctx.decided for node in nodes)
         assert FORGED not in [payload for _, _, payload in seen]
         assert sorted((pid, src) for pid, src, _ in seen) == [
             (pid, src) for pid in range(n) for src in range(n)
@@ -382,11 +382,11 @@ class TestInboundProtocol:
         assert proto.feed.__self__._buf == b""
 
     def test_torn_tail_is_dropped_and_the_sender_retransmits_it(self, tmp_path):
-        # Over a real socket, one send per callback: the link writes its
-        # first two frames, one write each, then tears its third frame in
-        # half and closes (the chaos hook).  The listener drops the half
-        # frame when the connection ends; the frame comes again, whole, on
-        # the next connection — every frame arrives exactly once, in order.
+        # Over a real socket: the link's one write carries its first two
+        # frames whole, tears the third in half and closes (the chaos
+        # hook).  The listener drops the half frame when the connection
+        # ends; the frame comes again, whole, on the next connection —
+        # every frame arrives exactly once, in order.
         async def go():
             errors = catch_loop_errors()
             nodes = make_nodes(tmp_path, [None] * 2, f=0)
@@ -398,12 +398,11 @@ class TestInboundProtocol:
             link.start()
             receiver = nodes[1]
             deadline = asyncio.get_running_loop().time() + 5.0
-            while link._proto is None:  # connected: each send is written
+            while link._proto is None:  # connected: the sends share a write
                 assert asyncio.get_running_loop().time() < deadline
                 await asyncio.sleep(0.01)
             for i in range(4):
                 assert link.send_message(Message(0, 1, "iter", (float(i),))) is None
-                await asyncio.sleep(0)
             while receiver.frames_received < 4:
                 assert asyncio.get_running_loop().time() < deadline
                 await asyncio.sleep(0.01)

@@ -773,6 +773,34 @@ class TestBurstWrite:
         assert link.stats.writes == k // 4
         assert link.stats.queue_depth_peak == 0  # the backlog is for reconnects
 
+    def test_a_dropped_connection_wakes_no_sender(self):
+        # The link gives up a connection whose transport is closing before
+        # its loss is reported.  When connection_lost does arrive, the
+        # link is still redialling with more than queue_limit frames
+        # queued: the sender waiting on that bound stays parked.
+        async def go():
+            peer = FakePeer()
+            link = peer.link(queue_limit=2)
+            link.start()
+            await peer.connected()
+            redial = asyncio.get_running_loop().create_future()
+
+            async def dial_pending():
+                return await redial
+
+            link.dial = dial_pending
+            (transport,) = peer.transports
+            transport.closing = True  # lost; connection_lost not yet called
+            waiters = [link.send_message(msg(i)) for i in range(3)]
+            assert link._proto is None and waiters[:2] == [None, None]
+            transport.proto.connection_lost(ConnectionResetError("fake: died"))
+            await asyncio.sleep(0)
+            parked = not waiters[2].done()
+            link.abort()
+            return parked
+
+        assert asyncio.run(go())
+
 
 class TestCork:
     def test_loss_before_the_uncork_requeues_the_cork_behind_the_inflight(self):
