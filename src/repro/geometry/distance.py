@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import block_diag
 from scipy.optimize import minimize
 
 from ..obs import metrics as _obs
@@ -42,10 +43,13 @@ __all__ = [
     "nearest_point_l2",
     "distance_to_hull",
     "distance_linf",
+    "max_distance_linf",
     "in_hull",
 ]
 
 PNorm = Union[float, int]
+#: ``(points, x)`` pairs: hull-distance questions answered by one LP.
+Blocks = Sequence[tuple[np.ndarray, np.ndarray]]
 
 _EPS_SUPPORT = 1e-9
 
@@ -288,42 +292,56 @@ def nearest_point_l2(
     # interior points; settle membership exactly with one LP so interior
     # points report distance 0 (and exterior ones keep the FISTA answer).
     if 0.0 < dist <= 1e-5 * max(1.0, float(np.max(np.abs(pts)))):
-        exact_proj = _distance_lp_exact(pts, x, math.inf)
+        exact_proj = _distance_lp_exact([(pts, x)], math.inf)[0]
         if exact_proj.distance <= 1e-9 * max(1.0, float(np.max(np.abs(pts)))):
             return HullProjection(x.copy(), 0.0, exact_proj.weights)
     return HullProjection(point, dist, lam)
 
 
-def _distance_lp_exact(pts: np.ndarray, x: np.ndarray, p: float) -> HullProjection:
-    """Exact LP solve for p in {1, inf}."""
-    m, d = pts.shape
-    # variables: lam (m), then one bound t on every |resid_j| (p = inf) or
-    # one slack s_j per coordinate (p = 1); minimise t, or sum(s):
-    #   pts.T @ lam - x <= slack,  x - pts.T @ lam <= slack,
-    #   sum lam = 1,  lam >= 0,  slack >= 0
-    minus_slack = -np.ones((d, 1)) if math.isinf(p) else -np.eye(d)
-    A_ub = np.block([[pts.T, minus_slack], [-pts.T, minus_slack]])
+def _distance_lp_exact(blocks: Blocks, p: float) -> list[HullProjection]:
+    """Exact LP solve for p in {1, inf}, one projection per ``(pts, x)`` block."""
+    # variables: lam^1 .. lam^Q, then one bound t on every |resid_j| of every
+    # block (p = inf, so t is the largest block distance) or one slack s_j
+    # per coordinate (p = 1); minimise t, or sum(s):
+    #   pts_q.T @ lam^q - x_q <= slack,  x_q - pts_q.T @ lam^q <= slack,
+    #   sum lam^q = 1,  lam >= 0,  slack >= 0
+    lam_rows = block_diag(*(pts.T for pts, _ in blocks))
+    rows, n_lam = lam_rows.shape
+    minus_slack = -np.ones((rows, 1)) if math.isinf(p) else -np.eye(rows)
+    A_ub = np.block([[lam_rows, minus_slack], [-lam_rows, minus_slack]])
     n_var = A_ub.shape[1]
     cobj = np.zeros(n_var)
-    cobj[m:] = 1.0
-    sum_lam = sparse.csr_array((np.ones(m), np.arange(m), [0, m]), shape=(1, n_var))
+    cobj[n_lam:] = 1.0
+    offsets = np.cumsum([0] + [pts.shape[0] for pts, _ in blocks])
+    sum_lam = sparse.csr_array(
+        (np.ones(n_lam), np.arange(n_lam), offsets), shape=(len(blocks), n_var)
+    )
+    xs = np.concatenate([x for _, x in blocks])
     sol = solve_lp(
-        cobj, sparse.csr_array(A_ub), np.concatenate([x, -x]),
-        sum_lam, np.array([1.0]), np.zeros(n_var), np.full(n_var, np.inf),
+        cobj, sparse.csr_array(A_ub), np.concatenate([xs, -xs]),
+        sum_lam, np.ones(len(blocks)), np.zeros(n_var), np.full(n_var, np.inf),
     )
     if sol is None:  # pragma: no cover - the LP is always feasible
         raise RuntimeError("hull-distance LP failed")
-    lam = sol[:m]
-    lam = np.maximum(lam, 0.0)
-    lam /= lam.sum()
-    point = pts.T @ lam
-    return HullProjection(point, float(lp_norm(x - point, p)), lam)
+    out = []
+    for (pts, x), start, stop in zip(blocks, offsets, offsets[1:]):
+        lam = np.maximum(sol[start:stop], 0.0)
+        lam /= lam.sum()
+        point = pts.T @ lam
+        out.append(HullProjection(point, float(lp_norm(x - point, p)), lam))
+    return out
+
+
+def max_distance_linf(blocks: Blocks) -> float:
+    """``max_q dist_inf(x_q, H(pts_q))`` over ``(pts_q, x_q)`` blocks, as
+    one LP that bounds every block's residual by one ``t``."""
+    return max(proj.distance for proj in _distance_lp_exact(blocks, math.inf))
 
 
 def distance_linf(points: np.ndarray, x: np.ndarray) -> float:
     """``dist_inf(x, H(points))`` via exact LP."""
     pts = _as_points(points)
-    return _distance_lp_exact(pts, np.asarray(x, dtype=float).ravel(), math.inf).distance
+    return max_distance_linf([(pts, np.asarray(x, dtype=float).ravel())])
 
 
 def _distance_lp_general(pts: np.ndarray, x: np.ndarray, p: float) -> HullProjection:
@@ -379,7 +397,7 @@ def distance_to_hull(
     if norm_order_is(p, 2.0):
         return nearest_point_l2(pts, xv)
     if norm_order_is(p, 1.0) or math.isinf(p):
-        return _distance_lp_exact(pts, xv, p)
+        return _distance_lp_exact([(pts, xv)], p)[0]
     return _distance_lp_general(pts, xv, p)
 
 

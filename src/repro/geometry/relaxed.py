@@ -27,7 +27,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .distance import distance_to_hull
+from ..obs import metrics as _obs
+from .distance import distance_to_hull, max_distance_linf
 from .norms import validate_p
 from .projection import Cylinder, enumerate_coordinate_subsets, project_multiset
 
@@ -66,16 +67,28 @@ class KRelaxedHull:
         """The cylinder sets whose intersection is ``H_k(S)``."""
         return tuple(self._cylinders)
 
+    def _max_linf(self, u: np.ndarray) -> float:
+        u = np.asarray(u, dtype=float).ravel()
+        if u.size != self.d:
+            raise ValueError(f"expected a {self.d}-vector, got size {u.size}")
+        return max_distance_linf([(c.base_points, u[list(c.D)]) for c in self._cylinders])
+
     def contains(self, u: np.ndarray, tol: float = 1e-9) -> bool:
-        """Membership: every D-projection of ``u`` is in the projected hull."""
-        return all(c.contains(u, tol) for c in self._cylinders)
+        """Membership: every D-projection of ``u`` is within ``tol`` (L_inf)
+        of the projected hull — one LP over all ``C(d, k)`` cylinders."""
+        return self._max_linf(u) <= tol
 
     def violation(self, u: np.ndarray, p: PNorm = 2) -> float:
         """Largest projection-hull distance over all ``D in D_k``.
 
         Zero iff ``u`` is in ``H_k(S)``; a quantitative infeasibility
-        certificate used by the lower-bound demonstrations.
+        certificate used by the lower-bound demonstrations.  At p = inf
+        one LP answers all ``C(d, k)`` cylinders (their residuals share one
+        bound); other norms ask each cylinder in turn.
         """
+        if np.isinf(validate_p(p)):
+            _obs.inc("geometry.distance_to_hull.calls", len(self._cylinders))
+            return self._max_linf(u)
         return max(c.distance(u, p) for c in self._cylinders)
 
     def __repr__(self) -> str:

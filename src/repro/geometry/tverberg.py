@@ -36,7 +36,7 @@ from ..obs import metrics as _obs
 from ..obs.tracer import trace_span
 from .cache import cached_kernel
 from .intersections import intersection_point
-from .relaxed import DeltaPHull, KRelaxedHull
+from .relaxed import DeltaPHull
 from .tolerance import near_zero, norm_order_is
 
 __all__ = [
@@ -251,7 +251,3 @@ def tverberg_point(points: np.ndarray, f: int) -> np.ndarray:
         )
     return result.point
 
-
-# Re-export for callers that want the k-relaxed check's type without the
-# heavy imports.
-_ = KRelaxedHull

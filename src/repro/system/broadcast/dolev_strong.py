@@ -81,8 +81,7 @@ class DolevStrongState:
             return False
         if not signers or signers[0] != self.sender:
             return False
-        obj = self._signed_obj(value)
-        return all(self.scheme.verify(obj, sig) for sig in chain)
+        return self.scheme.verify_all(self._signed_obj(value), chain)
 
     # ------------------------------------------------------------- sending
     def messages_for_round(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -67,12 +67,16 @@ class SignatureScheme:
 
     def verify(self, obj: Any, sig: Signature) -> bool:
         """Check that ``sig`` is a valid signature on ``obj``."""
-        if not 0 <= sig.signer < self.n:
-            return False
-        expected = hmac.new(
-            self._secrets[sig.signer], canonical_bytes(obj), hashlib.sha256
-        ).digest()
-        return hmac.compare_digest(expected, sig.digest)
+        return self.verify_all(obj, (sig,))
+
+    def verify_all(self, obj: Any, sigs: Iterable[Signature]) -> bool:
+        """Check every signature in ``sigs`` on ``obj``, serialised once."""
+        data = canonical_bytes(obj)
+        return all(
+            0 <= s.signer < self.n and hmac.compare_digest(
+                hmac.new(self._secrets[s.signer], data, hashlib.sha256).digest(), s.digest)
+            for s in sigs
+        )
 
     def signer_for(self, pids: set[int]) -> Callable[[int, Any], Signature]:
         """A signing capability restricted to the given process ids.

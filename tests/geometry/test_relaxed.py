@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.geometry import distance as distance_mod
+from repro.geometry.distance import distance_to_hull
 from repro.geometry.relaxed import DeltaPHull, KRelaxedHull
+from repro.obs.metrics import MetricsRegistry, use_registry
 
 
 def random_points(seed: int, m: int, d: int) -> np.ndarray:
@@ -90,6 +93,91 @@ class TestKRelaxedHull:
                 for j in range(1, i):
                     if member[i]:
                         assert member[j], f"H_{i} member escaped H_{j}"
+
+
+def _hull_and_probe(seed: int, d: int, grid: bool, inside: bool):
+    """A random or integer-grid multiset and a point in or off its hull."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 9))
+    if grid:
+        S = rng.integers(-3, 4, size=(m, d)).astype(float)
+    else:
+        S = rng.normal(scale=float(rng.choice([0.5, 1.0, 10.0])), size=(m, d))
+    if inside:
+        return S, S.T @ rng.dirichlet(np.ones(m))
+    return S, S.mean(axis=0) + rng.normal(scale=2.0, size=d)
+
+
+class TestOneLPPerQuestion:
+    """At p = inf, ``violation`` and ``contains`` ask all C(d, k) cylinders
+    in one LP whose residuals share one bound; the answer is the largest
+    per-cylinder distance."""
+
+    @given(
+        st.integers(0, 2**31 - 1), st.integers(2, 4), st.booleans(), st.booleans()
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_lp_is_max_over_cylinders(self, seed, d, grid, inside):
+        S, u = _hull_and_probe(seed, d, grid, inside)
+        scale = max(1.0, float(np.max(np.abs(S))))
+        for k in range(1, d):
+            hk = KRelaxedHull(S, k)
+            per_cylinder = max(c.distance(u, math.inf) for c in hk.cylinders)
+            assert abs(hk.violation(u, math.inf) - per_cylinder) <= 1e-9 * scale
+
+    @given(
+        st.integers(0, 2**31 - 1), st.integers(2, 4), st.booleans(), st.booleans()
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_contains_agrees_with_every_cylinder(self, seed, d, grid, inside):
+        S, u = _hull_and_probe(seed, d, grid, inside)
+        for k in range(1, d):
+            hk = KRelaxedHull(S, k)
+            value = max(c.distance(u, math.inf) for c in hk.cylinders)
+            for tol in (1e-9, value / 2, value * 2, value + 1e-6):
+                if abs(value - tol) > 1e-12:
+                    assert hk.contains(u, tol) == all(
+                        c.contains(u, tol) for c in hk.cylinders
+                    )
+
+    @pytest.mark.parametrize("d, k", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)])
+    def test_one_solve_per_question(self, monkeypatch, d, k):
+        calls = []
+        real = distance_mod.solve_lp
+        monkeypatch.setattr(
+            distance_mod, "solve_lp", lambda *a: calls.append(1) or real(*a)
+        )
+        S = random_points(d, 6, d)
+        hk = KRelaxedHull(S, k)
+        u = S.max(axis=0) + 0.5
+        hk.violation(u, math.inf)
+        assert len(calls) == 1
+        hk.contains(u)
+        assert len(calls) == 2
+
+    def test_counter_counts_every_cylinder(self):
+        hk = KRelaxedHull(random_points(1, 5, 4), 2)
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            hk.violation(np.ones(4), math.inf)
+        assert reg.counter_value("geometry.distance_to_hull.calls") == 6
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_k_equals_d_is_the_hull_lp(self, d):
+        # Asked on the cylinder's own copy of S: the residual ``pts.T @ lam``
+        # is recomputed by BLAS, whose last bit can follow the array's
+        # memory alignment even when HiGHS returns the same weights.
+        for seed in range(10):
+            S, u = _hull_and_probe(seed, d, seed % 2 == 0, seed % 3 == 0)
+            hk = KRelaxedHull(S, d)
+            (cylinder,) = hk.cylinders
+            want = distance_to_hull(cylinder.base_points, u, math.inf).distance
+            assert hk.violation(u, math.inf).hex() == want.hex()
+
+    def test_rejects_wrong_size(self):
+        hk = KRelaxedHull(np.zeros((2, 3)), 2)
+        with pytest.raises(ValueError, match="3-vector"):
+            hk.contains(np.zeros(4))
 
 
 class TestDeltaPHull:

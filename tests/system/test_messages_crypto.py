@@ -187,3 +187,20 @@ class TestSignatures:
     def test_repr(self, rng):
         scheme = SignatureScheme(2, rng)
         assert "Sig(p0" in repr(scheme.sign(0, "x"))
+
+    def test_verify_all_serialises_once(self, rng, monkeypatch):
+        from repro.system import crypto
+
+        scheme = SignatureScheme(4, rng)
+        obj = ("ds", 0, 1, (1.0, 2.0))
+        chain = tuple(scheme.sign(i, obj) for i in range(4))
+        calls = []
+        real = crypto.canonical_bytes
+        monkeypatch.setattr(crypto, "canonical_bytes", lambda o: calls.append(o) or real(o))
+        assert scheme.verify_all(obj, chain)
+        assert len(calls) == 1
+        assert scheme.verify_all(obj, ())
+        forged = Signature(3, chain[2].digest)
+        assert not scheme.verify_all(obj, chain[:2] + (forged,) + chain[3:])
+        assert not scheme.verify_all(obj, chain + (Signature(9, chain[0].digest),))
+        assert not scheme.verify_all(("ds", 0, 1, (1.0, 2.5)), chain)
