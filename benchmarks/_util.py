@@ -2,9 +2,8 @@
 
 Every benchmark file reproduces one row of DESIGN.md's experiment index:
 it sweeps the experiment, prints a paper-vs-measured table (captured in
-``bench_output.txt`` when run with ``pytest benchmarks/ --benchmark-only
--s``), asserts the paper's qualitative claim, and times a representative
-kernel with pytest-benchmark.
+``bench_output.txt`` when run with ``pytest benchmarks
+--ignore=benchmarks/perf -s``) and asserts the paper's qualitative claim.
 """
 
 from __future__ import annotations

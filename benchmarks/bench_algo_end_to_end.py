@@ -52,7 +52,7 @@ def _adversaries():
 
 
 class TestAlgoEndToEnd:
-    def test_below_classic_bound_all_adversaries(self, benchmark):
+    def test_below_classic_bound_all_adversaries(self):
         rows = []
         for d in (3, 4, 5):
             n = d + 1
@@ -76,14 +76,8 @@ class TestAlgoEndToEnd:
             ["d", "n", "adversary", "delta*", *OBS_HEADERS, "verdict"],
             rows,
         )
-        rng = rng_for("algo-kernel")
-        inputs = rng.normal(size=(4, 3))
-        benchmark(
-            lambda: run_spec(algorithm="algo", inputs=inputs, f=1,
-                             adversary=Adversary(faulty=[3]), seed=0)
-        )
 
-    def test_crossover_vs_exact_bvc(self, benchmark):
+    def test_crossover_vs_exact_bvc(self):
         """The baseline comparison: exact BVC needs (d+1)f+1; ALGO works
         from 3f+1 with δ growing as n shrinks."""
         rows = []
@@ -111,14 +105,8 @@ class TestAlgoEndToEnd:
             ["d", "n", "ALGO delta*", "ALGO", "exact BVC"],
             rows,
         )
-        rng = rng_for("algo-cross-kernel")
-        inputs = rng.normal(size=(5, 3))
-        benchmark(
-            lambda: run_spec(algorithm="exact", inputs=inputs, f=1,
-                             adversary=Adversary(faulty=[4]), seed=0)
-        )
 
-    def test_delta_bound_honoured_outlier_faults(self, benchmark):
+    def test_delta_bound_honoured_outlier_faults(self):
         """The regime the bound protects: a faulty input far OUTSIDE the
         honest hull (inside the hull, Γ contains it and δ* collapses to
         0).  The measured δ* must stay below the Theorem 9 bound computed
@@ -140,11 +128,4 @@ class TestAlgoEndToEnd:
             "ALGO: achieved delta* vs Theorem 9 bound (outlier faulty input)",
             ["d", "n", "delta*", "Thm 9 bound", "verdict"],
             rows,
-        )
-        rng = rng_for("algo-bound-kernel")
-        honest = rng.normal(size=(3, 3))
-        inputs = np.vstack([honest, honest.mean(axis=0, keepdims=True) + 40.0])
-        benchmark(
-            lambda: run_spec(algorithm="algo", inputs=inputs, f=1,
-                             adversary=Adversary(faulty=[3]), seed=0)
         )

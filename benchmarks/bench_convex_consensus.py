@@ -35,7 +35,7 @@ def _run(inputs, f, adversary=None, seed=0):
 
 
 class TestConvexConsensus:
-    def test_end_to_end(self, benchmark):
+    def test_end_to_end(self):
         rows = []
         for d, n in [(2, 5), (2, 6), (3, 7)]:
             for name, strat in [
@@ -65,11 +65,8 @@ class TestConvexConsensus:
             ["d", "n", "adversary", "polytope vertices", "verdict"],
             rows,
         )
-        rng = rng_for("chc-kernel")
-        inputs = rng.normal(size=(5, 2))
-        benchmark(lambda: convex_consensus_decision(inputs, 1))
 
-    def test_generalises_vector_consensus(self, benchmark):
+    def test_generalises_vector_consensus(self):
         """Every exact-BVC decision point lies inside the agreed polytope
         computed from the same multiset — convex consensus is the
         set-valued generalisation [16] describes."""
@@ -90,6 +87,3 @@ class TestConvexConsensus:
             ["d", "n", "trials", "verdict"],
             rows,
         )
-        rng = rng_for("chc-gen-kernel")
-        S = rng.normal(size=(6, 2))
-        benchmark(lambda: convex_consensus_decision(S, 1))

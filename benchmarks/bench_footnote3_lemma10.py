@@ -23,7 +23,7 @@ from ._util import report, rng_for, run_spec
 
 
 class TestFootnote3:
-    def test_algo_at_n_equals_3f(self, benchmark):
+    def test_algo_at_n_equals_3f(self):
         """ALGO over the broadcast channel with n = 3 = 3f, f = 1."""
         rows = []
         for d in (2, 3, 4):
@@ -52,18 +52,10 @@ class TestFootnote3:
             ["d", "n", "adversary", "delta*", "rounds", "verdict"],
             rows,
         )
-        rng = rng_for("fn3-kernel")
-        inputs = rng.normal(size=(3, 3))
-        benchmark(
-            lambda: run_spec(
-                algorithm="algo", inputs=inputs, f=1,
-                adversary=Adversary(faulty=[2]), broadcast="atomic",
-            )
-        )
 
 
 class TestLemma10:
-    def test_ring_contradiction(self, benchmark):
+    def test_ring_contradiction(self):
         """The ring forces adjacent (p0, r1) — a correct pair in scenario
         C — into disagreement for the naive protocol."""
         rows = []
@@ -78,9 +70,8 @@ class TestLemma10:
             ["d", "n (per scenario)", "f", "|p0 - r1|_inf", "verdict"],
             rows,
         )
-        benchmark(lambda: lemma10_demo(d=2))
 
-    def test_scenario_b_validity_anchors(self, benchmark):
+    def test_scenario_b_validity_anchors(self):
         """The all-same-copy nodes decide their copy's input exactly —
         the scenario-B validity obligations the contradiction pivots on."""
         res = run_ring(NaiveAveragingProcess, d=2)
@@ -95,4 +86,3 @@ class TestLemma10:
         report("Lemma 10 ring decisions (d=2)", ["node", "decision"], rows)
         np.testing.assert_allclose(res.decisions[(Q, 0)], 0.0)
         np.testing.assert_allclose(res.decisions[(Q, 1)], 1.0)
-        benchmark(lambda: run_ring(NaiveAveragingProcess, d=2))

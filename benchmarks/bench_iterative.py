@@ -33,7 +33,7 @@ def equivocate(tag, payload, dst, rng):
 
 
 class TestIterative:
-    def test_topology_sweep(self, benchmark):
+    def test_topology_sweep(self):
         rows = []
         d, f, eps = 2, 1, 1e-2
         cases = [
@@ -67,14 +67,8 @@ class TestIterative:
              "final diameter", "validity"],
             rows,
         )
-        rng = rng_for("iter-kernel")
-        inputs = rng.normal(size=(6, 2))
-        benchmark(
-            lambda: run_spec(algorithm="iterative", inputs=inputs, f=1,
-                             rounds=10, epsilon=1e9)
-        )
 
-    def test_gap_visible_with_equivocation(self, benchmark):
+    def test_gap_visible_with_equivocation(self):
         """The necessary/sufficient gap: an equivocating neighbour can
         stall sparse-graph convergence even where the degree condition
         holds — while the complete graph still converges and validity
@@ -111,19 +105,8 @@ class TestIterative:
             ["topology", "degree condition", "converged", "worst diameter"],
             rows,
         )
-        rng = rng_for("iter-gap-kernel")
-        inputs = rng.normal(size=(9, 2))
-        topo = random_regular_topology(9, 6, seed=1)
-        benchmark(
-            lambda: run_spec(
-                algorithm="iterative", inputs=inputs, f=1, topology=topo,
-                rounds=10, epsilon=1e9,
-                adversary=Adversary(faulty=[8],
-                                    strategy=EquivocateStrategy(equivocate)),
-            )
-        )
 
-    def test_rounds_vs_diameter(self, benchmark):
+    def test_rounds_vs_diameter(self):
         """Failure-free convergence rounds grow with the graph diameter."""
         rows = []
         d, eps = 2, 1e-3
@@ -151,13 +134,4 @@ class TestIterative:
             "Iterative BVC failure-free: rounds to eps=1e-3 vs diameter",
             ["topology", "diameter", "rounds (probed)"],
             rows,
-        )
-        rng = rng_for("iter-diam-kernel")
-        inputs = rng.normal(size=(12, 2))
-        topo = wheel_of_cliques_topology(6, 2)
-        benchmark(
-            lambda: run_spec(
-                algorithm="iterative", inputs=inputs, f=1, topology=topo,
-                rounds=10, epsilon=1e9,
-            )
         )

@@ -12,6 +12,7 @@ end-to-end validation of the cutting-plane solver.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.analysis.workloads import simplex_inputs
 from repro.geometry.minimax import delta_star
@@ -23,7 +24,7 @@ TRIALS = 5
 
 
 class TestLemma13:
-    def test_delta_star_equals_inradius(self, benchmark):
+    def test_delta_star_equals_inradius(self):
         rows = []
         for d in (2, 3, 4, 5, 6, 7):
             worst_rel = 0.0
@@ -44,13 +45,10 @@ class TestLemma13:
             ["d", "trials", "max rel err (delta*)", "max |p0 - incenter|", "verdict"],
             rows,
         )
-        rng = rng_for("lem13-kernel")
-        S = simplex_inputs(rng, 6, 5)
-        benchmark(lambda: delta_star(S, 1).value)
 
-    def test_closed_form_kernel(self, benchmark):
-        """Time the closed form itself (the fast path ALGO could use for
-        f=1, n=d+1 simplex inputs)."""
-        rng = rng_for("lem13-closed")
-        S = simplex_inputs(rng, 6, 5)
-        benchmark(lambda: incenter_and_inradius(S)[1])
+    def test_closed_form_kernel(self):
+        """The closed form (the fast path ALGO could use for f=1, n=d+1
+        simplex inputs) gives the min-max solver's δ* at d = 5."""
+        S = simplex_inputs(rng_for("lem13-closed"), 6, 5)
+        r = incenter_and_inradius(S)[1]
+        assert r == pytest.approx(delta_star(S, 1).value, rel=1e-6)

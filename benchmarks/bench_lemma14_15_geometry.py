@@ -26,7 +26,7 @@ TRIALS = 20
 
 
 class TestLemma14And15:
-    def test_inequalities_hold(self, benchmark):
+    def test_inequalities_hold(self):
         rows = []
         for d in (2, 3, 4, 5, 6):
             worst14 = 0.0  # max of r / min_k r_k   (must stay < 1)
@@ -51,11 +51,8 @@ class TestLemma14And15:
              "max 2r/min-edge", "verdict"],
             rows,
         )
-        rng = rng_for("lem1415-kernel")
-        S = simplex_inputs(rng, 6, 5)
-        benchmark(lambda: min(facet_inradius(S, k) for k in range(6)))
 
-    def test_regular_simplex_near_tightness(self, benchmark):
+    def test_regular_simplex_near_tightness(self):
         """Near-regular simplices (sphere-like) push Lemma 15's ratio
         toward its supremum — the bound is asymptotically meaningful."""
         rows = []
@@ -71,4 +68,3 @@ class TestLemma14And15:
             ["d", "r·d/edge (regular)", "paper", "verdict"],
             rows,
         )
-        benchmark(lambda: 1.0 / np.sqrt(2.0 * 6 * 7))

@@ -25,7 +25,7 @@ from ._util import OBS_HEADERS, obs_columns, report, rng_for, run_spec
 
 
 class TestRVA:
-    def test_below_classic_bound(self, benchmark):
+    def test_below_classic_bound(self):
         rows = []
         for d in (3, 4):
             n = d + 1
@@ -50,17 +50,8 @@ class TestRVA:
              *OBS_HEADERS, "verdict"],
             rows,
         )
-        rng = rng_for("rva-kernel")
-        inputs = rng.normal(size=(4, 3))
-        benchmark(
-            lambda: run_spec(
-                algorithm="averaging", inputs=inputs, f=1,
-                adversary=Adversary(faulty=[3], strategy=SilentStrategy()),
-                epsilon=1e-2, seed=0,
-            )
-        )
 
-    def test_epsilon_sweep_convergence(self, benchmark):
+    def test_epsilon_sweep_convergence(self):
         """Rounds grow logarithmically in 1/ε; agreement always achieved."""
         rows = []
         rng = rng_for("rva-eps")
@@ -81,14 +72,8 @@ class TestRVA:
             ["eps", "planned rounds", "achieved diam", "verdict"],
             rows,
         )
-        benchmark(
-            lambda: run_spec(
-                algorithm="averaging", inputs=inputs, f=1,
-                adversary=Adversary(faulty=[3]), epsilon=1e-2, seed=5,
-            )
-        )
 
-    def test_adversarial_schedule(self, benchmark):
+    def test_adversarial_schedule(self):
         """Starvation scheduling (DelayPolicy) cannot break ε-agreement —
         only slow it down."""
         rows = []
@@ -108,15 +93,8 @@ class TestRVA:
             ["schedule", "steps", "agreement diam", "verdict"],
             rows,
         )
-        benchmark(
-            lambda: run_spec(
-                algorithm="averaging", inputs=inputs, f=1,
-                adversary=Adversary(faulty=[3], strategy=SilentStrategy()),
-                epsilon=1e-2, policy=DelayPolicy(victims=[0]), seed=6,
-            )
-        )
 
-    def test_zero_delta_baseline_crossover(self, benchmark):
+    def test_zero_delta_baseline_crossover(self):
         """δ=0 verified averaging works at n=(d+2)f+1 and the relaxed
         algorithm then achieves δ=0 as well — the two coincide above the
         classic bound, and only the relaxed one exists below it."""
@@ -138,13 +116,4 @@ class TestRVA:
             "RVA vs classic verified averaging across the (d+2)f+1 crossover (d=2)",
             ["n", "mode", "delta used", "agreement diam", "verdict"],
             rows,
-        )
-        rng = rng_for("rva-base-kernel")
-        inputs = rng.normal(size=(5, 2))
-        benchmark(
-            lambda: run_spec(
-                algorithm="averaging", inputs=inputs, f=1, mode="zero",
-                epsilon=1e-2, seed=7,
-                adversary=Adversary(faulty=[4], strategy=SilentStrategy()),
-            )
         )

@@ -12,8 +12,7 @@ It pins the two properties every other benchmark now leans on:
    measurable hit rate, and disabling it only costs time, never changes
    a bit.
 
-Measured: wall clock per mode, cache hit/miss totals, and the kernel
-timing of a small grid through the engine.
+Measured: wall clock per mode and cache hit/miss totals.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ def _grid(reps: int = 2) -> SweepGrid:
 
 
 class TestSweepEngine:
-    def test_serial_parallel_bit_identity(self, benchmark):
+    def test_serial_parallel_bit_identity(self):
         grid = _grid()
         serial, rows = sweep_rows(grid, workers=1)
         parallel = run_grid(grid, workers=2)
@@ -50,10 +49,8 @@ class TestSweepEngine:
         assert serial.trial_count == parallel.trial_count > 0
         assert serial.decisions_digest() == parallel.decisions_digest()
         assert serial.ok_count == serial.trial_count
-        small = SweepGrid(algorithms=("algo",), dimensions=(2,), reps=2)
-        benchmark(lambda: run_grid(small, workers=1))
 
-    def test_cache_changes_time_not_bits(self, benchmark):
+    def test_cache_changes_time_not_bits(self):
         grid = _grid()
         cached = run_grid(grid, workers=1)
         with cache_disabled():
@@ -72,10 +69,3 @@ class TestSweepEngine:
         assert cached.decisions_digest() == uncached.decisions_digest()
         assert hits > 0, "grid of repeated kernels must hit the cache"
         assert uncached.metric_total("geometry.cache.hits") == 0
-        small = SweepGrid(algorithms=("algo",), dimensions=(2,), reps=2)
-
-        def uncached_run():
-            with cache_disabled():
-                return run_grid(small, workers=1)
-
-        benchmark(uncached_run)

@@ -18,7 +18,7 @@ from ._util import report
 
 
 class TestTheorem4:
-    def test_forced_disagreement(self, benchmark):
+    def test_forced_disagreement(self):
         rows = []
         for d in (3, 4):
             for eps in (0.1, 0.2, 0.4):
@@ -33,9 +33,8 @@ class TestTheorem4:
             ["d", "k", "n", "eps", "paper (sep)", "measured sep", "verdict"],
             rows,
         )
-        benchmark(lambda: theorem4_verdict(3, k=2, eps=0.2))
 
-    def test_separation_grows_with_eps(self, benchmark):
+    def test_separation_grows_with_eps(self):
         """The construction scales: larger ε forces larger separation."""
         seps = []
         for eps in (0.05, 0.1, 0.2):
@@ -48,4 +47,3 @@ class TestTheorem4:
             ["eps", "separation"],
             [[e, s] for e, s in zip((0.05, 0.1, 0.2), seps)],
         )
-        benchmark(lambda: theorem4_verdict(3, k=2, eps=0.05))

@@ -18,7 +18,7 @@ from ._util import report
 
 
 class TestTheorem6:
-    def test_forced_disagreement(self, benchmark):
+    def test_forced_disagreement(self):
         rows = []
         delta, eps = 0.2, 0.1
         for d in (2, 3, 4):
@@ -33,9 +33,8 @@ class TestTheorem6:
             ["d", "delta", "eps", "n", "paper (sep)", "measured sep", "verdict"],
             rows,
         )
-        benchmark(lambda: theorem6_verdict(3, 0.2, 0.1))
 
-    def test_below_threshold_overlap(self, benchmark):
+    def test_below_threshold_overlap(self):
         """With x <= 2dδ + ε the construction loses its teeth: the output
         sets can coincide — confirming the proof needs its x condition."""
         rows = []
@@ -51,4 +50,3 @@ class TestTheorem6:
             ["d", "delta", "eps", "x", "paper", "measured sep", "verdict"],
             rows,
         )
-        benchmark(lambda: theorem6_verdict(2, 0.5, 0.1, x=0.2))

@@ -10,8 +10,7 @@ Paper claims:
 * both statements survive replacing H by H_k or H_{(δ,p)} (containment /
   our Theorem-3/5-backed emptiness results respectively).
 
-Measured: existence rates at and below the bound, and partition-search
-cost (the honest exponential baseline).
+Measured: existence rates at and below the bound.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ TRIALS = 8
 
 
 class TestTverberg:
-    def test_existence_at_and_below_bound(self, benchmark):
+    def test_existence_at_and_below_bound(self):
         rows = []
         for d, f in [(2, 1), (3, 1), (2, 2)]:
             n_bound = (d + 1) * f + 1
@@ -59,11 +58,8 @@ class TestTverberg:
             ["d", "f", "n at bound", "found at bound", "found below", "verdict"],
             rows,
         )
-        rng = rng_for("tvb-kernel")
-        pts = rng.normal(size=(7, 2))
-        benchmark(lambda: tverberg_partition(pts, 3))
 
-    def test_relaxed_hulls_preserve_statement(self, benchmark):
+    def test_relaxed_hulls_preserve_statement(self):
         """H ⊆ H_k, H ⊆ H_{(δ,p)}: every Tverberg partition survives the
         relaxation; and with δ=0 the tightness also survives."""
         rows = []
@@ -83,11 +79,4 @@ class TestTverberg:
             "§8: Tverberg statement under H_k and H_(δ,p) replacements",
             ["d", "f", "trials", "H_k verdict", "H_(δ,p) verdict", "overall"],
             rows,
-        )
-        rng = rng_for("tvb-relaxed-kernel")
-        pts = rng.normal(size=(4, 2))
-        benchmark(
-            lambda: partition_intersection_nonempty(
-                pts, ((0, 1), (2, 3)), "k-relaxed", k=1
-            )
         )

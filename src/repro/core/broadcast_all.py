@@ -53,9 +53,7 @@ class BroadcastAllProcess(SyncProcess):
         :class:`SignatureScheme`), or ``"atomic"`` — the paper's
         footnote-3 model where the network itself is a reliable broadcast
         channel, making Step 1 a single round and lifting the
-        ``n >= 3f+1`` requirement entirely.  (This knob was historically
-        named ``transport``; that name now selects the execution backend
-        on :class:`~repro.core.runspec.RunSpec`.)
+        ``n >= 3f+1`` requirement entirely.
     scheme:
         Signature scheme, required for the authenticated broadcast.
     """

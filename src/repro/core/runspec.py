@@ -185,13 +185,6 @@ class RunSpec:
                 f"unknown broadcast {self.broadcast!r}; choices "
                 f"{BROADCAST_KINDS + ('atomic',)}"
             )
-        if self.transport in BROADCAST_KINDS + ("atomic",):
-            raise ValueError(
-                f"transport={self.transport!r} names a broadcast "
-                f"primitive; the broadcast knob was renamed — write "
-                f"broadcast={self.transport!r}.  transport now selects "
-                f"the execution backend ('sim', 'live-tcp', 'live-uds')."
-            )
         from ..system.transport.base import transport_names
 
         if self.transport not in transport_names():

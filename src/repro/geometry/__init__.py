@@ -60,7 +60,6 @@ from .simplex import (
     simplex_b_vectors,
     vertex_facet_distances,
 )
-from .simplex_proj import project_to_simplex
 from .tolerance import DELTA_ATOL, close, exactly_zero, near_zero, norm_order_is
 from .tverberg import (
     RadonPartition,
@@ -126,7 +125,6 @@ __all__ = [
     "partition_intersection_nonempty",
     "project",
     "project_multiset",
-    "project_to_simplex",
     "psi_k",
     "psi_k_point",
     "radon_partition",

@@ -23,7 +23,7 @@ canonically:
   bit-identity contract;
 * scalars use exact encodings (``float.hex`` for floats), since knobs
   like ``delta``/``tol``/``p`` are passed-in values, not computed noise;
-* anything else (e.g. a ``probe`` callable) is *not* canonicalisable:
+* anything else (e.g. a callable) is *not* canonicalisable:
   the call bypasses the cache entirely rather than guessing.
 
 Results are frozen before they are stored — returned arrays are

@@ -29,7 +29,7 @@ min-max solver in :mod:`repro.geometry.minimax`.
 
 Deterministic point selection — the paper's algorithms require every
 non-faulty process to "deterministically choose a point" from these sets —
-is one LP, :meth:`_HullSystem.central_point`: the point whose smallest
+is one LP, :meth:`HullSystem.central_point`: the point whose smallest
 convex weight in any hull is largest, inside every hull wherever the set
 has room, not on its boundary.  Its bytes are a pure function of the input
 rows *in their order*, and every caller that needs agreement passes them
@@ -68,7 +68,7 @@ __all__ = [
 PNorm = Union[float, int]
 
 
-class _HullSystem:
+class HullSystem:
     """Incrementally-built LP encoding ``x ∈ ∩_i H_{(δ_i, p_i)}(A_i)``.
 
     Variables are laid out as ``[x (d), block_1, block_2, ...]`` where each
@@ -227,12 +227,6 @@ class _HullSystem:
         return None if x is None else x[: self.d]
 
 
-#: Public alias — the incremental LP builder is reusable by callers that
-#: need custom combinations of hull/cylinder constraints (e.g. the
-#: impossibility demonstrations in :mod:`repro.core.lower_bounds`).
-HullSystem = _HullSystem
-
-
 # ---------------------------------------------------------------------------
 # subset enumeration
 # ---------------------------------------------------------------------------
@@ -270,7 +264,7 @@ def intersection_point(point_sets: Iterable[np.ndarray]) -> Optional[np.ndarray]
     d = sets[0].shape[1]
     if any(A.shape[1] != d for A in sets):
         raise ValueError("all hulls must share the ambient dimension")
-    sys_ = _HullSystem(d)
+    sys_ = HullSystem(d)
     for A in sets:
         sys_.add_hull_constraint(A)
     return sys_.central_point()
@@ -291,7 +285,7 @@ def gamma_point(Y: np.ndarray, f: int) -> Optional[np.ndarray]:
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n = Y.shape[0]
-    sys_ = _HullSystem(Y.shape[1])
+    sys_ = HullSystem(Y.shape[1])
     for T in f_subsets(n, f):
         sys_.add_hull_constraint(Y[list(T)])
     return sys_.central_point()
@@ -318,7 +312,7 @@ def psi_k_point(Y: np.ndarray, f: int, k: int) -> Optional[np.ndarray]:
     n, d = Y.shape
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d={d}, got k={k}")
-    sys_ = _HullSystem(d)
+    sys_ = HullSystem(d)
     subsets = f_subsets(n, f)
     for D in enumerate_coordinate_subsets(d, k):
         for T in subsets:
@@ -333,20 +327,8 @@ def psi_k_point(Y: np.ndarray, f: int, k: int) -> Optional[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def gamma_delta_p(S: np.ndarray, f: int, delta: float, p: PNorm) -> bool:
-    """Nonemptiness of ``Γ_{(δ,p)}(S) = ∩_T H_{(δ,p)}(T)``.
-
-    Exact LP for ``p ∈ {1, inf}``; for ``p = 2`` compares ``δ`` against the
-    min-max optimum ``δ*(S)`` from :mod:`repro.geometry.minimax`; other
-    finite ``p`` fall back to the same minimax machinery.
-    """
-    p = validate_p(p)
-    if near_zero(delta):
-        return gamma(S, f)
-    if norm_order_is(p, 1.0) or math.isinf(p):
-        return gamma_delta_p_point(S, f, delta, p) is not None
-    from .minimax import delta_star  # deferred: minimax imports this module
-
-    return delta_star(S, f, p=p).value <= delta + 1e-9
+    """Nonemptiness of ``Γ_{(δ,p)}(S) = ∩_T H_{(δ,p)}(T)``."""
+    return gamma_delta_p_point(S, f, delta, p) is not None
 
 
 @cached_kernel("gamma_delta_p_point")
@@ -367,7 +349,7 @@ def gamma_delta_p_point(
     if near_zero(delta):
         return gamma_point(S, f)
     if norm_order_is(p, 1.0) or math.isinf(p):
-        sys_ = _HullSystem(d)
+        sys_ = HullSystem(d)
         for T in f_subsets(n, f):
             sys_.add_hull_constraint(S[list(T)], delta=delta, p=p)
         return sys_.central_point()

@@ -25,19 +25,17 @@ Implementation notes
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from ..obs import metrics as _obs
 from ..obs.tracer import trace_span
 from .cache import cached_kernel
-from .intersections import intersection_point
-from .relaxed import DeltaPHull
-from .tolerance import near_zero, norm_order_is
+from .intersections import HullSystem, intersection_point
+from .projection import enumerate_coordinate_subsets, project_multiset
 
 __all__ = [
     "RadonPartition",
@@ -134,86 +132,62 @@ def partition_intersection_nonempty(
     k: Optional[int] = None,
     delta: float = 0.0,
     p: PNorm = 2,
-    probe: Optional[Callable[[np.ndarray], Optional[np.ndarray]]] = None,
 ) -> Optional[np.ndarray]:
     """Common point of the part hulls under a chosen hull notion, or None.
 
     ``hull_kind``:
 
     * ``"convex"`` — ordinary convex hulls, exact joint LP;
-    * ``"k-relaxed"`` — ``H_k`` hulls (requires ``k``); checked by testing
-      the convex-hull Tverberg point first (``H ⊆ H_k``, §8) and falling
-      back to a per-cylinder joint LP through :func:`repro.geometry
-      .intersections.psi_k_point`-style encoding;
-    * ``"delta-p"`` — ``H_{(δ,p)}`` hulls; same containment shortcut, with
-      the convex case as witness.
+    * ``"k-relaxed"`` — ``H_k`` hulls (requires ``k``); the convex-hull
+      point is a witness when there is one (``H ⊆ H_k``, §8), otherwise
+      one joint LP over every part's cylinders, as :func:`repro.geometry
+      .intersections.psi_k_point` encodes them;
+    * ``"delta-p"`` — ``H_{(δ,p)}`` hulls; the same convex witness,
+      otherwise one joint :class:`HullSystem` LP, which refuses ``δ > 0``
+      at ``p`` outside ``{1, ∞}`` with a ``ValueError``.
     """
+    if hull_kind not in ("convex", "k-relaxed", "delta-p"):
+        raise ValueError(f"unknown hull_kind {hull_kind!r}")
+    if hull_kind == "k-relaxed" and k is None:
+        raise ValueError("k-relaxed check requires k")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     groups = [pts[list(part)] for part in parts]
     if any(g.shape[0] == 0 for g in groups):
         raise ValueError("all parts must be nonempty")
     base = intersection_point(groups)
-    if hull_kind == "convex":
-        return base
-    if hull_kind == "k-relaxed":
-        if k is None:
-            raise ValueError("k-relaxed check requires k")
-        if base is not None:
-            return base  # H(Y_l) ⊆ H_k(Y_l): a convex witness suffices (§8)
-        # No convex witness: search the relaxed intersection directly.
-        from .intersections import _HullSystem
-        from .projection import enumerate_coordinate_subsets, project_multiset
-
-        d = pts.shape[1]
-        sys_ = _HullSystem(d)
-        for g in groups:
+    if hull_kind == "convex" or base is not None:
+        return base  # H(Y_l) ⊆ H_k(Y_l) and ⊆ H_{(δ,p)}(Y_l): a witness (§8)
+    d = pts.shape[1]
+    sys_ = HullSystem(d)
+    for g in groups:
+        if hull_kind == "delta-p":
+            sys_.add_hull_constraint(g, delta=delta, p=p)
+        else:
             for D in enumerate_coordinate_subsets(d, k):
                 sys_.add_hull_constraint(project_multiset(g, D), coords=list(D))
-        return sys_.central_point()
-    if hull_kind == "delta-p":
-        if base is not None:
-            return base  # H(Y_l) ⊆ H_{(δ,p)}(Y_l)
-        if near_zero(delta):
-            return None
-        if norm_order_is(p, 1.0) or math.isinf(float(p)):
-            from .intersections import _HullSystem
-
-            sys_ = _HullSystem(pts.shape[1])
-            for g in groups:
-                sys_.add_hull_constraint(g, delta=delta, p=p)
-            return sys_.central_point()
-        # p = 2 etc: accept any point whose max distance to parts is <= delta.
-        candidate = pts.mean(axis=0)
-        hulls = [DeltaPHull(g, delta, p) for g in groups]
-        if all(h.contains(candidate) for h in hulls):
-            return candidate
-        return None
-    raise ValueError(f"unknown hull_kind {hull_kind!r}")
+    return sys_.central_point()
 
 
 @cached_kernel("tverberg_partition")
-def _tverberg_search(
-    pts: np.ndarray, r: int, hull_kind: str, **kwargs: Any
-) -> Optional[TverbergPartition]:
-    """Exhaustive canonical-order search (memoised; a ``probe`` callable
-    in ``kwargs`` is not canonicalisable and bypasses the cache)."""
+def _tverberg_search(pts: np.ndarray, r: int) -> Optional[TverbergPartition]:
+    """Exhaustive canonical-order search (memoised)."""
     reg = _obs.current_registry()
     for parts in iter_set_partitions(pts.shape[0], r):
         reg.inc("geometry.tverberg.partitions_checked")
-        point = partition_intersection_nonempty(pts, parts, hull_kind, **kwargs)
+        point = partition_intersection_nonempty(pts, parts)
         if point is not None:
             return TverbergPartition(parts, point)
     return None
 
 
-def tverberg_partition(
-    points: np.ndarray, r: int, hull_kind: str = "convex", **kwargs: Any
-) -> Optional[TverbergPartition]:
-    """First Tverberg partition of ``points`` into ``r`` parts, or None.
+def tverberg_partition(points: np.ndarray, r: int) -> Optional[TverbergPartition]:
+    """First convex-hull Tverberg partition of ``points`` into ``r`` parts,
+    or None.
 
     Exhaustive search in canonical partition order; deterministic for a
     given input.  The search itself is memoised per process (the call
-    counter and wall-time histogram stay live per caller).
+    counter and wall-time histogram stay live per caller).  For relaxed
+    hulls, ask :func:`partition_intersection_nonempty` about a partition.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     reg = _obs.current_registry()
@@ -221,7 +195,7 @@ def tverberg_partition(
     t0 = time.perf_counter()
     try:
         with trace_span("geometry.tverberg"):
-            return _tverberg_search(pts, r, hull_kind, **kwargs)
+            return _tverberg_search(pts, r)
     finally:
         reg.observe("geometry.tverberg.seconds", time.perf_counter() - t0)
 

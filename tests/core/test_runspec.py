@@ -95,12 +95,10 @@ class TestRunSpecValidation:
             RunSpec(algorithm="algo", n=4, d=2, transport="carrier-pigeon")
 
     def test_transport_rejects_legacy_broadcast_values(self):
-        # The knob that used to be called ``transport`` selected the
-        # broadcast primitive; passing one of those values to the new
-        # knob must fail loudly with migration guidance, not silently
-        # pick a backend.
+        # A broadcast primitive's name is not an execution backend: it
+        # must fail loudly, not silently pick a backend.
         for legacy in ("eig", "dolev-strong", "atomic"):
-            with pytest.raises(ValueError, match="renamed"):
+            with pytest.raises(ValueError, match="unknown transport"):
                 RunSpec(algorithm="algo", n=4, d=2, transport=legacy)
 
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.geometry.distance import in_hull
+from repro.geometry.distance import distance_to_hull, in_hull
 from repro.geometry.tverberg import (
     has_tverberg_partition,
     iter_set_partitions,
@@ -164,3 +164,24 @@ class TestTverberg:
         pts = rng.normal(size=(4, 2))
         with pytest.raises(ValueError):
             partition_intersection_nonempty(pts, [(0, 1), (2, 3)], "bogus")
+
+    # A segment and a point 9 away: at δ = 5, (5.5, 0) is 4.5 from both,
+    # yet the inputs' mean (2.875, 0) is 7.125 from the point.
+    GAP_PTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0], [10.0, 0.0]])
+    GAP_PARTS = ((0, 1, 2), (3,))
+
+    def test_delta_p_at_p2_refused_not_guessed(self):
+        """No linear encoding of H_(δ,2): the question is refused, not
+        answered None from a probe of the mean."""
+        with pytest.raises(ValueError):
+            partition_intersection_nonempty(
+                self.GAP_PTS, self.GAP_PARTS, "delta-p", delta=5.0, p=2
+            )
+
+    def test_delta_p_at_pinf_finds_the_gap_point(self):
+        pt = partition_intersection_nonempty(
+            self.GAP_PTS, self.GAP_PARTS, "delta-p", delta=5.0, p=math.inf
+        )
+        assert pt is not None
+        for part in self.GAP_PARTS:
+            assert distance_to_hull(self.GAP_PTS[list(part)], pt, math.inf).distance <= 5.0 + 1e-9

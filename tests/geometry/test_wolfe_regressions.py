@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry.distance import _wolfe_min_norm, nearest_point_l2
 from repro.geometry.minimax import delta_star
@@ -72,3 +74,52 @@ class TestWolfeRegression:
         pts = np.ones((5, 3)) + 1e-14 * np.arange(15).reshape(5, 3)
         proj = nearest_point_l2(pts, np.array([2.0, 1.0, 1.0]))
         assert proj.distance == pytest.approx(1.0, rel=1e-9)
+
+
+def _point_set(kind: str, rng: np.random.Generator) -> np.ndarray:
+    """One point multiset of the named shape, at most 12 rows."""
+    if kind == "cluster":  # CRASH_S: tight cluster plus two wild outliers
+        return CRASH_S[rng.permutation(9)[: rng.integers(2, 10)]]
+    m, d = int(rng.integers(2, 13)), int(rng.integers(1, 6))
+    if kind == "random":
+        return rng.normal(size=(m, d)) * rng.choice([0.1, 1.0, 50.0])
+    if kind == "duplicated":
+        rows = rng.normal(size=(int(rng.integers(1, m + 1)), d))
+        return rows[rng.integers(0, rows.shape[0], size=m)]
+    if kind == "collinear":
+        return rng.normal(size=d) + rng.normal(size=(m, 1)) * rng.normal(size=d)
+    return rng.integers(-2, 3, size=(m, d)).astype(float)  # integer grid
+
+
+class TestWolfeCertificate:
+    """``nearest_point_l2`` is the only p = 2 solver: each answer carries
+    its own proof.  ``y = point - x`` is the minimum-norm point of the
+    translated hull iff ``<y, p_j - x> >= ||y||^2`` for every point."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["random", "duplicated", "collinear", "grid", "cluster"]),
+        where=st.sampled_from(["inside", "vertex", "outside"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_weights_point_and_optimality(self, kind, where, seed):
+        rng = np.random.default_rng(seed)
+        pts = _point_set(kind, rng)
+        m, d = pts.shape
+        if where == "inside":
+            x = rng.dirichlet(np.ones(m)) @ pts
+        elif where == "vertex":
+            x = pts[rng.integers(m)].copy()
+        else:
+            spread = max(1.0, float(np.abs(pts).max()))
+            x = pts.mean(axis=0) + 10.0 * spread * rng.normal(size=d)
+        proj = nearest_point_l2(pts, x)
+        lam = proj.weights
+        assert lam.shape == (m,)
+        assert lam.min() >= 0.0
+        assert lam.sum() == pytest.approx(1.0, abs=1e-12)
+        scale = max(1.0, float(np.max(np.sum((pts - x) ** 2, axis=1))))
+        np.testing.assert_allclose(proj.point, pts.T @ lam, rtol=0, atol=1e-12 * np.sqrt(scale))
+        y = proj.point - x
+        gap = float(y @ y) - float(np.min((pts - x) @ y))
+        assert gap <= 1e-12 * scale

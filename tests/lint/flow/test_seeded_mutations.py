@@ -59,8 +59,8 @@ SEEDS = [
     (
         "FLT001-float-eq",
         "geometry/intersections.py",
-        "    p = validate_p(p)\n    if near_zero(delta):\n        return gamma(S, f)\n",
-        "    p = validate_p(p)\n    if delta == 0.0:\n        return gamma(S, f)\n",
+        "    if near_zero(delta):\n        return gamma_point(S, f)\n",
+        "    if delta == 0.0:\n        return gamma_point(S, f)\n",
         {"FLT001"},
     ),
     (

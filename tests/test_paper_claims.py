@@ -13,17 +13,10 @@ to the δ* solver can break, and fit tier-1 (13 tests, ~8 s):
 * ``bench_table1`` — Table 1's bound utilisation stays below 1;
 * ``bench_lemma13_inradius`` — δ* of a simplex is its inradius.
 
-The classes are imported, not copied: a claim has one definition.  The
-``benchmark`` fixture below switches pytest-benchmark's off for this
-module, so the kernel each claim also times runs once, untimed — what
-``--benchmark-disable`` does for the full suite.
+The classes are imported, not copied: a claim has one definition.
 """
 
 from __future__ import annotations
-
-from typing import Any
-
-import pytest
 
 from benchmarks.bench_lemma13_inradius import TestLemma13
 from benchmarks.bench_rva_async import TestRVA
@@ -32,9 +25,3 @@ from benchmarks.bench_thm4_krelaxed_async import TestTheorem4
 from benchmarks.bench_thm6_deltap_async import TestTheorem6
 
 __all__ = ["TestLemma13", "TestRVA", "TestTable1", "TestTheorem4", "TestTheorem6"]
-
-
-@pytest.fixture
-def benchmark(benchmark: Any) -> Any:
-    benchmark.disabled = True
-    return benchmark
