@@ -41,7 +41,8 @@ therefore verifiable — everywhere.
 from __future__ import annotations
 
 import math
-from typing import Any, Optional, Union
+from bisect import insort
+from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
@@ -93,7 +94,9 @@ def rounds_for_epsilon(initial_range: float, n: int, f: int, epsilon: float) -> 
     return 1 + max(1, needed)
 
 
-#: Cross-process memo of round-1 selections (see _select_round1).
+#: Cross-process memo of every round's claim value, keyed by the bytes of
+#: the referenced values (see _round_value and _select_round1).  Cached
+#: arrays are read-only: every process that verifies a claim shares one.
 _SELECT_CACHE: dict = {}
 _SELECT_CACHE_MAX = 4096
 
@@ -101,6 +104,20 @@ _SELECT_CACHE_MAX = 4096
 def rb_tag(sender: int, round: int) -> str:
     """Network tag of the reliable-broadcast instance ``(sender, round)``."""
     return f"rva:{sender}:{round}"
+
+
+def _memo_key(rows: Sequence[np.ndarray]) -> tuple[int, bytes]:
+    """Key of the claim value over ``rows``: their count and their bytes."""
+    return len(rows), b"".join(v.tobytes() for v in rows)
+
+
+def _remember(key: tuple, value: np.ndarray, *extra: Any) -> tuple:
+    """Store ``(value, *extra)`` under ``key``, with ``value`` made read-only."""
+    value.flags.writeable = False
+    if len(_SELECT_CACHE) > _SELECT_CACHE_MAX:
+        _SELECT_CACHE.clear()
+    _SELECT_CACHE[key] = entry = (value, *extra)
+    return entry
 
 
 class VerifiedAveragingProcess(AsyncProcess):
@@ -155,6 +172,8 @@ class VerifiedAveragingProcess(AsyncProcess):
         self._delivered: dict[tuple[int, int], Any] = {}
         #: (sender, round) -> verified value vector
         self.verified: dict[tuple[int, int], np.ndarray] = {}
+        #: round -> sorted senders whose claim of that round is verified
+        self._ready: dict[int, list[int]] = {}
         #: claims delivered but not yet verifiable (waiting on references)
         self._pending: dict[tuple[int, int], tuple[int, ...]] = {}
         self.current_round = 0  # highest round we have broadcast
@@ -226,20 +245,28 @@ class VerifiedAveragingProcess(AsyncProcess):
         """Verify a round-0 claim now, queue a later one on its refs (shape: the door's)."""
         if key[1] == 0:
             self.verified[key] = np.asarray(payload[1], dtype=float)
+            insort(self._ready.setdefault(0, []), key[0])
         else:
             self._pending[key] = payload[1]
 
     def _round_value(self, round: int, refs: tuple[int, ...]) -> np.ndarray:
-        """Deterministic value of a round ``round >= 1`` claim.
+        """Deterministic, read-only value of a round ``round >= 1`` claim.
 
         Round 1 applies the (δ,p) selection to the referenced inputs;
         later rounds average the referenced previous-round values.
-        Identical at every correct process — that is the verification.
+        Identical at every correct process — that is the verification —
+        so the average is memoised across process objects by the bytes of
+        the referenced values: the simulation averages each distinct
+        claim once per run, not once per process.
         """
-        X = np.stack([self.verified[(r, round - 1)] for r in refs])
+        rows = [self.verified[(r, round - 1)] for r in refs]
         if round == 1:
-            return self._select_round1(X)
-        return X.mean(axis=0)
+            return self._select_round1(rows)
+        key = _memo_key(rows)
+        cached = _SELECT_CACHE.get(key)
+        if cached is None:
+            cached = _remember(key, np.stack(rows).mean(axis=0))
+        return cached[0]
 
     def _note_delta(self, value: float) -> None:
         """Fold one verified round-1 claim's δ into :attr:`delta_used`.
@@ -256,21 +283,23 @@ class VerifiedAveragingProcess(AsyncProcess):
             value if self.delta_used is None else max(self.delta_used, value)
         )
 
-    def _select_round1(self, X: np.ndarray) -> np.ndarray:
-        # Every correct process recomputes the same deterministic selection
-        # for the same reference set; memoise across process objects so the
-        # simulation does the convex optimisation once per distinct claim.
-        key = (self.mode, self.delta, self.p, self.f, X.shape, X.tobytes())
+    def _select_round1(self, rows: Sequence[np.ndarray]) -> np.ndarray:
+        """Read-only round-1 selection over ``rows`` (the referenced inputs).
+
+        Every correct process recomputes the same deterministic selection
+        for the same reference set; it is memoised across process objects,
+        under :func:`_memo_key` of the rows and this process's relaxation,
+        so the simulation does the convex optimisation once per distinct
+        claim and stacks the rows only then.
+        """
+        key = (self.mode, self.delta, self.p, self.f, *_memo_key(rows))
         cached = _SELECT_CACHE.get(key)
         if cached is not None:
             self._note_delta(cached[1])
-            return cached[0].copy()
+            return cached[0]
         with trace_span("averaging.select"):
-            point = self._select_round1_uncached(X)
-        if len(_SELECT_CACHE) > _SELECT_CACHE_MAX:
-            _SELECT_CACHE.clear()
-        _SELECT_CACHE[key] = (point.copy(), self._claim_delta)
-        return point
+            point = self._select_round1_uncached(np.stack(rows))
+        return _remember(key, point.copy(), self._claim_delta)[0]
 
     def _select_round1_uncached(self, X: np.ndarray) -> np.ndarray:
         if self.mode == "zero":
@@ -307,15 +336,14 @@ class VerifiedAveragingProcess(AsyncProcess):
                 sender, round = key
                 if all((r, round - 1) in self.verified for r in refs):
                     self.verified[key] = self._round_value(round, refs)
+                    insort(self._ready.setdefault(round, []), sender)
                     del self._pending[key]
                     changed = True
 
             # Advance our own round when enough verified values exist.
             while self.current_round < self.num_rounds:
                 t = self.current_round
-                ready = sorted(
-                    s for (s, r) in self.verified if r == t
-                )
+                ready = self._ready.get(t, ())
                 if len(ready) < self.quorum:
                     break
                 refs = tuple(ready[: self.quorum])

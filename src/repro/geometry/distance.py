@@ -106,6 +106,7 @@ def _wolfe_min_norm(
         if dots[j] >= yy - tol * scale or j in support:
             # optimal, or no progress possible: accept the current point
             break
+        last_support, last_lam = support[:], lam_s
         support.append(j)
         lam_s = np.append(lam_s, 0.0)
         # inner loop: affine minimisation + line search back into simplex;
@@ -140,6 +141,12 @@ def _wolfe_min_norm(
             support = [s_ for s_, k_ in zip(support, keep) if k_]
             lam_s = lam_s[keep]
             lam_s /= lam_s.sum()
+        if support == last_support and np.array_equal(lam_s, last_lam):
+            # The step dropped p_j again and left the point where it was
+            # (x within rounding of the hull, the gap test missing by a
+            # hair): every later step would repeat it up to the cap, which
+            # returns this same point.
+            break
     else:
         # At the outer cap (numerical ties can cycle) the last feasible
         # point is still a valid upper bound on the distance, which is all

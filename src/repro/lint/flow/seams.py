@@ -158,10 +158,12 @@ SEAM_INTERNAL: frozenset[str] = frozenset(
 #: memoisation, deterministic, decision-transparent (see module docstring).
 APPROVED_HANDLER_GLOBALS: frozenset[tuple[str, str]] = frozenset(
     {
-        # Cross-instance memo of round-1 selections: every correct process
-        # recomputes the identical deterministic selection for the same
-        # reference set; the cache only dedupes the convex solve.  Cleared
-        # wholesale (never iterated), so hash order cannot leak.
+        # Cross-instance memo of every round's claim value: every correct
+        # process recomputes the identical deterministic value (round 1's
+        # selection, a later round's average) for the same referenced
+        # values; the cache only dedupes the solve or the mean, and its
+        # arrays are read-only.  Cleared wholesale (never iterated), so
+        # hash order cannot leak.
         ("core/averaging.py", "_SELECT_CACHE"),
     }
 )

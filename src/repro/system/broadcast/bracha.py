@@ -117,13 +117,19 @@ class BrachaState:
         ``payload`` has passed the door (:mod:`repro.system.door`).
         """
         phase, value = payload
+        self._seen[phase] += 1
+        # A closed phase — INIT once echoed, ECHO / READY once READY is sent
+        # and the value delivered — could change only voter sets, which
+        # nothing reads any more: it is counted, not keyed.
+        closed = self._echoed if phase == INIT else self.delivered and self._readied
+        if closed:
+            return []
         hit = _KEYS.get(id(value))
         key = hit[1] if hit is not None and hit[0] is value else _key(value)
-        self._seen[phase] += 1
         out: list[tuple[int, tuple[str, Any]]] = []
 
         if phase == INIT:
-            if src == self.sender and not self._echoed:
+            if src == self.sender:
                 self._echoed = True
                 out = self._burst(ECHO, value)
         elif phase == ECHO:

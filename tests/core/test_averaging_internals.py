@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import averaging as avg_mod
 from repro.core.averaging import VerifiedAveragingProcess, rb_tag
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.system.messages import Message
@@ -175,3 +178,66 @@ class TestModeValidation:
         np.testing.assert_array_equal(v1, v2)
         assert p2.delta_used == p1.delta_used
         assert len(avg_mod._SELECT_CACHE) == 1  # cache hit, no new entry
+
+
+class TestVerifyOnce:
+    """Each claim is verified once per run: the per-round index of
+    verified senders and the shared claim-value memo, checked after every
+    delivery of a random delivery order."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(order=st.randoms(use_true_random=False), d=st.integers(1, 3))
+    def test_random_delivery_orders(self, order, d):
+        n, f = 4, 1
+        inputs = np.random.default_rng(d).normal(size=(n, d))
+        procs = [
+            VerifiedAveragingProcess(n, f, pid, inputs[pid], num_rounds=3)
+            for pid in range(n)
+        ]
+        nodes = [
+            Node(pid, proc, Context(pid, n, f, np.random.default_rng(pid)))
+            for pid, proc in enumerate(procs)
+        ]
+        avg_mod._SELECT_CACHE.clear()
+        misses = []
+        remember = avg_mod._remember
+
+        def counting(key, *entry):
+            misses.append(key)
+            return remember(key, *entry)
+
+        avg_mod._remember = counting
+        try:
+            pending = [msg for node in nodes for msg in node.start()]
+            while pending:
+                msg = pending.pop(order.randrange(len(pending)))
+                pending.extend(nodes[msg.dst].deliver(msg))
+                for proc in procs:
+                    self._check_index(proc)
+                self._check_memo()
+        finally:
+            avg_mod._remember = remember
+
+        assert all(node.ctx.decided for node in nodes)
+        verifications = [
+            key for proc in procs for key in proc.verified if key[1] >= 1
+        ]
+        # one value per distinct claim, however many processes verify it
+        assert len(misses) == len(set(misses)) <= len(set(verifications))
+        assert len(verifications) == n * len(set(verifications))
+
+    @staticmethod
+    def _check_index(proc):
+        scan = {}
+        for sender, round in proc.verified:
+            scan.setdefault(round, []).append(sender)
+        assert proc._ready == {t: sorted(s) for t, s in scan.items()}
+
+    @staticmethod
+    def _check_memo():
+        for key, (value, *_) in avg_mod._SELECT_CACHE.items():
+            if len(key) == 2:  # a round >= 2 average over key[0] rows
+                rows = np.frombuffer(key[1]).reshape(key[0], -1)
+                assert value.tobytes() == np.stack(list(rows)).mean(axis=0).tobytes()
+            with pytest.raises(ValueError):
+                value[0] = 1.0

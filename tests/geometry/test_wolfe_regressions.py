@@ -32,6 +32,48 @@ CRASH_S = np.array(
 )
 
 
+#: Three 7-point sets in R^5 from ``tests/geometry/test_minimax.py``'s
+#: δ* solves, already translated by -x (so x = 0), that once ran the outer
+#: loop to its cap: x lies about 1e-12 from the hull, the gap test misses by
+#: a gap / scale of 1e-14 to 3e-14, and each step added a point the line
+#: search dropped again, leaving the point where it was.
+STALL_SETS = [
+    np.array(
+        [
+            [0.06299055670953763, 0.07447513899729996, 0.0069075168169319134, 0.04612982116733799, -0.04189938456246681],
+            [0.025875381437004297, -0.03234240355365062, -0.04321377800292292, -0.028859188184346518, -0.008861156307248513],
+            [-0.007073182243014592, 0.018904488779163175, -0.022280615391471303, -0.05306541880709359, 0.04722888965456748],
+            [-0.03826411970016594, 0.04331250479175819, 0.04531564213444483, -0.029035350361103607, 0.011682508186878465],
+            [0.014531270443043282, -0.027231049717102024, -0.058789745054426135, 0.06115954066481266, 0.009931732064261317],
+            [-14.16494650114739, -30.827450103773792, 29.17651216345848, -82.42413986688965, -120.05363310064604],
+            [-10.217273770022222, -71.17246578717346, 24.637053592166787, 35.17964701662811, -38.51088681254837],
+        ]
+    ),
+    np.array(
+        [
+            [0.06298315724547202, 0.07413064453552776, 0.00704508201660059, 0.04695576079251618, -0.04101932378434334],
+            [0.025867981972938686, -0.03268689801542282, -0.043076212803254244, -0.028033248559168333, -0.007981095529125043],
+            [-0.007080581707080202, 0.01855999431739097, -0.022143050191802627, -0.052239479181915405, 0.04810895043269095],
+            [-0.03827151916423155, 0.042968010329985984, 0.04545320733411351, -0.028209410735925422, 0.012562568965001936],
+            [0.014523870978977671, -0.02757554417887423, -0.05865217985475746, 0.061985480289990846, 0.010811792842384788],
+            [-14.164953900611456, -30.827794598235563, 29.17664972865815, -82.42331392726446, -120.05275303986792],
+            [-10.217281169486288, -71.17281028163525, 24.637191157366455, 35.18047295625328, -38.51000675177024],
+        ]
+    ),
+    np.array(
+        [
+            [0.0629349876723019, 0.07423390707057324, 0.007081234956241911, 0.04679172592057412, -0.041127797748487294],
+            [0.025819812399768577, -0.032583635480377335, -0.04304005986361292, -0.028197283431110387, -0.008089569493269],
+            [-0.007128751280250312, 0.018663256852436458, -0.022106897252161306, -0.05240351405385746, 0.04800047646854699],
+            [-0.03831968873740166, 0.04307127286503147, 0.04548936027375483, -0.028373445607867476, 0.012454095000857979],
+            [0.014475701405807562, -0.02747228164382874, -0.05861602691511614, 0.06182144541804879, 0.01070331887824083],
+            [-14.165002070184626, -30.827691335700518, 29.17668588159779, -82.4234779621364, -120.05286151383207],
+            [-10.217329339059457, -71.1727070191002, 24.6372273103061, 35.18030892138135, -38.51011522573439],
+        ]
+    ),
+]
+
+
 class TestWolfeRegression:
     def test_crash_instance_solves(self):
         res = delta_star(CRASH_S, 2)
@@ -123,3 +165,31 @@ class TestWolfeCertificate:
         y = proj.point - x
         gap = float(y @ y) - float(np.min((pts - x) @ y))
         assert gap <= 1e-12 * scale
+
+
+class TestStalledStep:
+    """A step that leaves the support and weights where they were would
+    repeat to the cap; the loop stops there, with the cap's answer."""
+
+    @pytest.mark.parametrize("index", range(len(STALL_SETS)))
+    def test_stall_ends_well_under_the_cap(self, monkeypatch, index):
+        P = STALL_SETS[index]
+        solves = []
+        lstsq = np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return lstsq(*args, **kwargs)
+
+        # one affine solve per inner pass: the cap (200 steps) took ~200
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        proj = nearest_point_l2(P, np.zeros(5))
+        monkeypatch.undo()
+        assert len(solves) <= 10
+        lam = proj.weights
+        assert lam.min() >= 0.0 and lam.sum() == pytest.approx(1.0, abs=1e-12)
+        assert proj.distance < 1e-11
+        # TestWolfeCertificate's optimality bound
+        scale = max(1.0, float(np.max(np.sum(P**2, axis=1))))
+        y = proj.point
+        assert float(y @ y) - float(np.min(P @ y)) <= 1e-12 * scale

@@ -50,10 +50,8 @@ SEEDS = [
     (
         "DET004-set-order",
         "core/averaging.py",
-        "                ready = sorted(\n"
-        "                    s for (s, r) in self.verified if r == t\n"
-        "                )\n",
-        "                ready = list({s for (s, r) in self.verified if r == t})\n",
+        "                ready = self._ready.get(t, ())\n",
+        "                ready = list(set(self._ready.get(t, ())))\n",
         {"DET004"},
     ),
     (
@@ -126,9 +124,9 @@ SEEDS = [
     (
         "TNT003-timer-cache-key",
         "core/averaging.py",
-        "        key = (self.mode, self.delta, self.p, self.f, X.shape, X.tobytes())\n",
+        "        key = (self.mode, self.delta, self.p, self.f, *_memo_key(rows))\n",
         "        import time\n"
-        "        key = (self.mode, self.delta, self.p, self.f, X.tobytes(), "
+        "        key = (self.mode, self.delta, self.p, self.f, *_memo_key(rows), "
         "time.perf_counter())\n",
         {"DET002"},
     ),

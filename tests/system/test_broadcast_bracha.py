@@ -331,6 +331,110 @@ class VoteKeyMachine(RuleBasedStateMachine):
 TestVoteKeyMachine = VoteKeyMachine.TestCase
 
 
+
+class _OpenBracha(BrachaState):
+    """The reference: every phase message is keyed and its voter recorded,
+    however long ago the instance delivered (no closed-instance return)."""
+
+    def on_message(self, src, payload):
+        phase, value = payload
+        key = canonical_bytes(value)
+        self._seen[phase] += 1
+        out = []
+        if phase == INIT:
+            if src == self.sender and not self._echoed:
+                self._echoed = True
+                out = self._burst(ECHO, value)
+            return out
+        votes = self._echoes if phase == ECHO else self._readys
+        if key not in votes:
+            self._voters(votes, key, value)
+        votes[key].add(src)
+        if phase == ECHO:
+            if len(votes[key]) >= self.echo_threshold and not self._readied:
+                self._readied = True
+                out = self._burst(READY, value)
+            return out
+        if len(votes[key]) >= self.f + 1 and not self._readied:
+            self._readied = True
+            out = self._burst(READY, value)
+        if len(votes[key]) >= self.ready_threshold and not self.delivered:
+            self.delivered = True
+            self.delivered_value = self._values[key]
+        return out
+
+
+@settings(max_examples=150, stateful_step_count=40, deadline=None)
+class ClosedInstanceMachine(RuleBasedStateMachine):
+    """One random message sequence into a ``BrachaState`` and into the
+    reference that never closes: same outputs, delivery, phase counts and
+    flags.  Their voter sets may differ once the instance has delivered:
+    a closed instance no longer records ECHO / READY voters, and nothing
+    reads a voter set after delivery (the only ECHO / READY effects left,
+    sending READY and delivering, have both happened)."""
+
+    def __init__(self):
+        super().__init__()
+        self.pool = _POOL
+        self.closing = BrachaState(4, 1, 0, 1)
+        self.reference = _OpenBracha(4, 1, 0, 1)
+
+    @rule(
+        src=st.integers(0, 3),
+        phase=st.sampled_from([INIT, ECHO, READY]),
+        index=st.integers(0, len(_POOL) - 1),
+    )
+    def deliver(self, src, phase, index):
+        payload = (phase, self.pool[index])
+        assert self.closing.on_message(src, payload) == self.reference.on_message(
+            src, payload
+        )
+
+    @invariant()
+    def same_state(self):
+        closing, reference = self.closing, self.reference
+        assert closing._seen == reference._seen
+        assert (closing._echoed, closing._readied) == (
+            reference._echoed,
+            reference._readied,
+        )
+        assert closing.delivered == reference.delivered
+        assert closing.delivered_value == reference.delivered_value
+        if not closing.delivered:
+            assert closing._echoes == reference._echoes
+            assert closing._readys == reference._readys
+
+
+TestClosedInstanceMachine = ClosedInstanceMachine.TestCase
+
+
+class TestClosedInstance:
+    VALUE = ("val", (0.5, -1.25))
+
+    def delivered_by_readys(self):
+        state = BrachaState(4, 1, 0, 1)
+        for src in (0, 2, 3):
+            state.on_message(src, (READY, self.VALUE))
+        assert state.delivered and state._readied and not state._echoed
+        return state
+
+    def test_late_init_still_echoes_once(self):
+        state = self.delivered_by_readys()
+        out = state.on_message(0, (INIT, self.VALUE))
+        assert [payload for _, payload in out] == [(ECHO, self.VALUE)] * 4
+        assert state.on_message(0, (INIT, self.VALUE)) == []
+        assert state._seen == {INIT: 2, ECHO: 0, READY: 3}
+
+    def test_closed_phases_are_counted_but_not_keyed(self, keyed):
+        state = self.delivered_by_readys()
+        keyed.clear()
+        for src in range(4):
+            assert state.on_message(src, (ECHO, fresh(self.VALUE))) == []
+            assert state.on_message(src, (READY, fresh(self.VALUE))) == []
+        assert keyed == [] and state._echoes == {}
+        assert state._seen == {INIT: 0, ECHO: 4, READY: 7}
+
+
 class TestBrachaProtocol:
     def test_failure_free(self):
         res = run_bracha(4, 1, 0, ("x", 1.0))
