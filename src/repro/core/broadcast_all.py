@@ -125,8 +125,8 @@ class BroadcastAllProcess(SyncProcess):
             for instance, state in self.instances.items():
                 own = self._own_value if instance == self.pid else None
                 tag = broadcast_tag(instance, self._signed)
-                for dst, payload in state.messages_for_round(round, own):
-                    ctx.send(dst, tag, payload, round=round)
+                for payload in state.messages_for_round(round, own):
+                    ctx.broadcast(tag, payload, round=round)
             return
 
         # 3. final round: extract the agreed multiset and decide

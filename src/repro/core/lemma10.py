@@ -39,6 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ..system.messages import expand_bursts
 from ..system.process import Context, Inbox, Node, SyncProcess
 
 __all__ = ["NaiveAveragingProcess", "RingResult", "run_ring", "lemma10_demo"]
@@ -135,7 +136,7 @@ def run_ring(
             # A decided copy stays silent; every other copy acts each round.
             if node.ctx.decided:
                 continue
-            for msg in node.round(r, inboxes[i]):
+            for msg in expand_bursts(node.round(r, inboxes[i]), 3):
                 tgt = i if msg.dst == node.pid else neighbour_with_role(i, msg.dst)
                 if tgt is not None:
                     round_msgs.append((i, tgt, msg.tag, msg.payload))

@@ -51,6 +51,7 @@ TRANSPORT_SEAMS: dict[str, frozenset[str]] = {
             "canonical_bytes",
             "defensive_copy",
             "estimate_bytes",
+            "expand_bursts",
             "is_deeply_immutable",
         }
     ),

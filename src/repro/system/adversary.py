@@ -26,11 +26,12 @@ from __future__ import annotations
 
 from abc import ABC
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .messages import Message
+from .messages import BURST, Message, expand_bursts
 
 __all__ = [
     "AdversaryView",
@@ -60,8 +61,10 @@ class AdversaryView:
         Seeded generator dedicated to the adversary (reproducible runs).
     correct_outbox:
         In synchronous executions, the messages the *correct* processes
-        queued this round — the rushing adversary reads them before
-        committing its own.  Empty in asynchronous executions.
+        queued this round, one per copy — the rushing adversary reads
+        them before committing its own.  Empty in asynchronous executions.
+        Expanded on first read from ``correct_queued``, which holds each
+        ``Context.broadcast`` as one burst.
     sign:
         Signing capability restricted to the faulty ids (None when the
         protocol is unauthenticated, and in asynchronous executions).
@@ -71,8 +74,12 @@ class AdversaryView:
     n: int
     f: int
     rng: np.random.Generator
-    correct_outbox: Sequence[Message] = field(default_factory=tuple)
+    correct_queued: Sequence[Message] = field(default_factory=tuple)
     sign: Optional[Callable[[int, Any], Any]] = None
+
+    @cached_property
+    def correct_outbox(self) -> Sequence[Message]:
+        return expand_bursts(self.correct_queued, self.n)
 
 
 class ByzantineStrategy(ABC):
@@ -257,6 +264,9 @@ class Adversary:
                     f"strategy for {pid} forged a message from {msg.src}; "
                     "spoofed sender ids are prevented by the channel model"
                 )
+            if msg.dst == BURST:
+                raise ValueError(f"message endpoints out of range: {msg!r} "
+                                 "(only Context.broadcast makes a burst)")
         return out
 
     @staticmethod

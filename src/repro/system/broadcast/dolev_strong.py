@@ -86,19 +86,14 @@ class DolevStrongState:
     # ------------------------------------------------------------- sending
     def messages_for_round(
         self, r: int, value_if_sender: Any = None
-    ) -> list[tuple[int, tuple[Any, Chain]]]:
-        """Outgoing ``(dst, (value, chain))`` pairs for round ``r``.
-
-        The ``n`` destinations of one chain share one payload object (as
-        ``BrachaState._burst`` does): the network sizes a burst once, by
-        payload identity.
-        """
-        out: list[tuple[int, tuple[Any, Chain]]] = []
+    ) -> list[tuple[Any, Chain]]:
+        """Outgoing ``(value, chain)`` payloads for round ``r``, each to
+        be sent to all ``n`` processes (``Context.broadcast``)."""
+        out: list[tuple[Any, Chain]] = []
         if r == 0:
             if self.pid == self.sender:
                 sig = self.scheme.sign(self.pid, self._signed_obj(value_if_sender))
-                payload = (value_if_sender, (sig,))
-                out = [(dst, payload) for dst in range(self.n)]
+                out = [(value_if_sender, (sig,))]
             return out
         if r > self.f:
             return out
@@ -109,12 +104,10 @@ class DolevStrongState:
             if any(sig.signer == self.pid for sig in chain):
                 continue
             sig = self.scheme.sign(self.pid, self._signed_obj(value))
-            payload = (value, chain + (sig,))
-            for dst in range(self.n):
-                out.append((dst, payload))
+            out.append((value, chain + (sig,)))
         self._newly_accepted = []
         if out:
-            _obs.inc("bcast.ds.relays_sent", len(out))
+            _obs.inc("bcast.ds.relays_sent", len(out) * self.n)
         return out
 
     # ----------------------------------------------------------- receiving

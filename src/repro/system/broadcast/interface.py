@@ -4,7 +4,7 @@ All three broadcast protocols here (OM/EIG, Dolev–Strong, Bracha) are
 implemented as *embeddable state machines*: a consensus process hosts one
 machine per broadcast instance (e.g. one per input being disseminated) and
 forwards the relevant rounds/messages.  The machines never touch the
-network directly — they return ``(dst, payload)`` pairs or accept inbox
+network directly — they return payloads to send or accept inbox
 entries — which keeps them unit-testable without a scheduler and lets the
 consensus layer multiplex ``n`` simultaneous instances over one tag
 namespace.
@@ -46,10 +46,10 @@ def majority(values: list[Any], default: Any = BroadcastDefault) -> Any:
 
     NumPy arrays and nested tuples are compared via their canonical byte
     serialisation so that numerically identical vectors vote together.
-    A unanimous vote by one object — a correct commander's value fills
-    its EIG subtree by reference — is returned without serialising it,
-    and one object voting several times is serialised once.  The vote
-    itself lives with its one protocol caller, the EIG resolution.
+    One object holding a majority — a correct commander's value fills
+    its EIG subtree by reference — is returned serialising only the votes
+    after its last, and one object voting several times is serialised
+    once.  The vote lives with its one protocol caller, EIG resolution.
     """
     from .om import _majority
 

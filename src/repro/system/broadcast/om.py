@@ -30,16 +30,22 @@ cannot inject values into parts of the tree they do not control.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import repeat
 from operator import is_, itemgetter
 from typing import Any
 
 from ...obs import metrics as _obs
+from .. import messages
 from .interface import BroadcastDefault
 
 __all__ = ["EIGState"]
 
 Path = tuple[int, ...]
+
+#: Exact types whose canonical bytes name the type: values of two of them
+#: never serialise alike (a list or a dict would pool with a tuple).
+_PLAIN = frozenset({int, float, bool, str, bytes, type(None), tuple})
 
 
 def _majority(values: list[Any], default: Any, keys: dict[int, bytes]) -> Any:
@@ -52,13 +58,28 @@ def _majority(values: list[Any], default: Any, keys: dict[int, bytes]) -> Any:
     first = values[0]
     if all(map(is_, values, repeat(first))):
         return first
-    from ..messages import canonical_bytes
-
+    top, votes = Counter(map(id, values)).most_common(1)[0]
+    if 2 * votes > len(values):
+        # One object holds a majority, so its byte class wins, and the
+        # count below would return that class's last vote: the object's
+        # last occurrence, or a later vote equal to it in bytes.
+        later = []
+        for v in reversed(values):
+            if id(v) == top:
+                break
+            later.append(v)
+        for w in later:
+            if type(w) is not type(v) and type(w) in _PLAIN and type(v) in _PLAIN:
+                continue
+            won = keys.get(id(v)) or keys.setdefault(id(v), messages.canonical_bytes(v))
+            if won == (keys.get(id(w)) or keys.setdefault(id(w), messages.canonical_bytes(w))):
+                return w
+        return v
     counts: dict[bytes, tuple[int, Any]] = {}
     for v in values:
         key = keys.get(id(v))
         if key is None:
-            key = keys[id(v)] = canonical_bytes(v)
+            key = keys[id(v)] = messages.canonical_bytes(v)
         cnt, _ = counts.get(key, (0, v))
         counts[key] = (cnt + 1, v)
     best_cnt, best_val = max(counts.values(), key=itemgetter(0))
@@ -118,31 +139,25 @@ class EIGState:
     # ------------------------------------------------------------- sending
     def messages_for_round(
         self, r: int, value_if_commander: Any = None
-    ) -> list[tuple[int, tuple[Path, Any]]]:
-        """Outgoing ``(dst, (path, value))`` pairs for scheduler round ``r``.
+    ) -> list[tuple[Path, Any]]:
+        """Outgoing ``(path, value)`` payloads for scheduler round ``r``,
+        each to be sent to all ``n`` processes (``Context.broadcast``).
 
         Round 0 is the commander's initial send; rounds ``1..f`` are
-        relays of the previous round's paths.  The ``n`` destinations of
-        one path share one payload object (as ``BrachaState._burst``
-        does): the network sizes a burst once, by payload identity.
+        relays of the previous round's paths.
         """
         self._publish_receipts()
-        out: list[tuple[int, tuple[Path, Any]]] = []
         if r == 0:
             if self.pid == self.commander:
-                payload = ((self.commander,), value_if_commander)
-                out = [(dst, payload) for dst in range(self.n)]
-            return out
+                return [((self.commander,), value_if_commander)]
+            return []
         if r > self.f:
-            return out
-        for path, value in self.tree.items():
-            if len(path) != r or self.pid in path:
-                continue
-            payload = (path + (self.pid,), value)
-            for dst in range(self.n):
-                out.append((dst, payload))
+            return []
+        pid = self.pid
+        out = [(path + (pid,), value) for path, value in self.tree.items()
+               if len(path) == r and pid not in path]
         if out:
-            _obs.inc("bcast.om.relays_sent", len(out))
+            _obs.inc("bcast.om.relays_sent", len(out) * self.n)
         return out
 
     # ----------------------------------------------------------- receiving

@@ -15,16 +15,20 @@ from __future__ import annotations
 import copy
 import io
 import pickle
+from collections.abc import Sequence
+from operator import itemgetter
 from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
 __all__ = [
     "ALL",
+    "BURST",
     "Message",
     "canonical_bytes",
     "defensive_copy",
     "estimate_bytes",
+    "expand_bursts",
     "is_deeply_immutable",
 ]
 
@@ -172,6 +176,11 @@ def is_deeply_immutable(obj: Any) -> bool:
 #: channel") — equivocation is physically impossible on such a channel.
 ALL = -1
 
+#: Destination of a burst, :meth:`~repro.system.process.Context.broadcast`'s
+#: one envelope for ``n`` point-to-point copies, the copy to ``d`` with seq
+#: ``seq + d``.  No adversary strategy or peer may name it.
+BURST = -2
+
 
 class Message(NamedTuple):
     """One envelope in flight.
@@ -228,3 +237,23 @@ class Message(NamedTuple):
     def __repr__(self) -> str:  # compact transcript-friendly form
         r = f", r={self.round}" if self.round is not None else ""
         return f"Msg({self.src}->{self.dst} {self.tag}{r})"
+
+
+_DST = itemgetter(1)
+
+
+def expand_bursts(msgs: Sequence[Message], n: int) -> Sequence[Message]:
+    """``msgs`` with each burst replaced, in place, by its ``n`` copies —
+    the messages ``n`` sends would have queued; ``msgs`` itself when it
+    holds no burst."""
+    if BURST not in map(_DST, msgs):
+        return msgs
+    out: list[Message] = []
+    for msg in msgs:
+        if msg.dst == BURST:
+            src, _, tag, payload, round_, seq = msg
+            out += [Message(src, d, tag, payload, round_, seq + d) for d in range(n)]
+        else:
+            out.append(msg)
+    return out
+

@@ -12,18 +12,14 @@ decides *when* each buffered message is delivered.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import Counter, defaultdict, deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Any, Deque, Iterator, Optional, Sequence
 
 from ..obs.causal import NULL_COLLECTOR
-from .messages import Message
+from .messages import ALL, BURST, Message, expand_bursts
 
 __all__ = ["Network", "NetworkStats"]
-
-#: A message's tag (``Message`` is a tuple).
-_TAG = itemgetter(2)
 
 #: "No send recorded yet" — ``None`` is a legitimate payload.
 _NO_PAYLOAD: Any = object()
@@ -66,26 +62,44 @@ class NetworkStats:
             self.per_tag_delivered.get(msg.tag, 0) + 1
         )
 
-    def record_sends(self, msgs: Sequence[Message]) -> None:
-        """:meth:`record_send` for each of ``msgs``, in order."""
+    def record_sends(self, msgs: Sequence[Message], n: int) -> None:
+        """:meth:`record_send` for each of ``msgs``, in order, a burst
+        (``dst = BURST``) as its ``n`` copies."""
         last_payload, last_tag = self._last_payload, self._last_tag
         size = self._last_size
-        total = 0
+        sent = nbytes = 0
+        per_tag = self.per_tag
         for msg in msgs:
-            if msg.payload is not last_payload or msg.tag != last_tag:
-                last_payload, last_tag = msg.payload, msg.tag
+            tag = msg.tag
+            if msg.payload is not last_payload or tag != last_tag:
+                last_payload, last_tag = msg.payload, tag
                 size = msg.estimated_size()
-            total += size
+            copies = n if msg.dst == BURST else 1
+            sent += copies
+            nbytes += size * copies
+            per_tag[tag] = per_tag.get(tag, 0) + copies
         self._last_payload, self._last_tag = last_payload, last_tag
         self._last_size = size
-        self.messages_sent += len(msgs)
-        self.bytes_estimate += total
-        _add_counts(self.per_tag, msgs)
+        self.messages_sent += sent
+        self.bytes_estimate += nbytes
 
-    def record_deliveries(self, msgs: Sequence[Message]) -> None:
-        """:meth:`record_delivery` for each of ``msgs``, in order."""
-        self.messages_delivered += len(msgs)
-        _add_counts(self.per_tag_delivered, msgs)
+    def record_deliveries(self, msgs: Sequence[Message], n: int) -> None:
+        """:meth:`record_delivery` for each copy of ``msgs``, a new tag
+        where its first copy falls in ``(src, dst)`` link order."""
+        counts: dict[str, int] = {}
+        for msg in msgs:
+            counts[msg.tag] = counts.get(msg.tag, 0) + (n if msg.dst == BURST else 1)
+        per_tag = self.per_tag_delivered
+        if not per_tag.keys() >= counts.keys():
+            # ALL's link sorts first; a burst's first copy goes to pid 0.
+            first: dict[str, tuple[int, ...]] = {}
+            for i, (src, dst, tag, *_) in enumerate(msgs):
+                first[tag] = min(first.get(tag, (n,)), (src, 0 if dst == BURST else dst, i))
+            for tag in sorted(first.keys() - per_tag.keys(), key=first.__getitem__):
+                per_tag[tag] = 0
+        for tag, count in counts.items():
+            per_tag[tag] = per_tag.get(tag, 0) + count
+        self.messages_delivered += sum(counts.values())
 
     def merge(self, other: "NetworkStats") -> None:
         """Add ``other``'s counts to these (tags in sorted order)."""
@@ -108,13 +122,6 @@ class NetworkStats:
             "per_tag": dict(self.per_tag),
             "per_tag_delivered": dict(self.per_tag_delivered),
         }
-
-
-def _add_counts(per_tag: dict[str, int], msgs: Sequence[Message]) -> None:
-    """Count ``msgs`` into ``per_tag``; a new tag is added where its first
-    message falls, as one increment per message would add it."""
-    for tag, count in Counter(map(_TAG, msgs)).items():
-        per_tag[tag] = per_tag.get(tag, 0) + count
 
 
 class Network:
@@ -141,10 +148,15 @@ class Network:
 
         ``dst = ALL`` (atomic broadcast) occupies its own logical link per
         sender; the scheduler fans it out to every process on delivery.
+        A burst is submitted as its ``n`` copies.
         """
         if not 0 <= msg.src < self.n:
             raise ValueError(f"message endpoints out of range: {msg!r}")
-        if not (msg.is_atomic_broadcast or 0 <= msg.dst < self.n):
+        if not (0 <= msg.dst < self.n or msg.dst == ALL):
+            if msg.dst == BURST:
+                for copy in expand_bursts((msg,), self.n):
+                    self.submit(copy)
+                return
             raise ValueError(f"message endpoints out of range: {msg!r}")
         link = (msg.src, msg.dst)
         q = self._links[link]

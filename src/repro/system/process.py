@@ -27,7 +27,7 @@ from typing import Any, Mapping, Optional, Sequence
 import numpy as np
 
 from .door import reject
-from .messages import ALL, Message
+from .messages import ALL, BURST, Message, expand_bursts
 
 __all__ = ["Context", "SyncProcess", "AsyncProcess", "Inbox", "Node"]
 
@@ -70,10 +70,11 @@ class Context:
         own value like everyone else's, as the paper's multiset semantics
         assume.  Note this is *n point-to-point sends*: a Byzantine
         process may still equivocate across them.  For the
-        broadcast-channel model use :meth:`atomic_broadcast`.
+        broadcast-channel model use :meth:`atomic_broadcast`.  The outbox
+        holds the copies as one :data:`~repro.system.messages.BURST`.
         """
-        for dst in range(self.n):
-            self.send(dst, tag, payload, round=round)
+        self.outbox.append(Message(self.pid, BURST, tag, payload, round, self._seq))
+        self._seq += self.n
 
     def atomic_broadcast(self, tag: str, payload: Any, round: Optional[int] = None) -> None:
         """Queue one channel-level atomic broadcast (paper footnote 3).
@@ -130,7 +131,8 @@ class Node:
     Each method skips a halted process, runs one handler and returns the
     messages it queued, for the driver to route.  For a faulty process
     (``adversary`` set) they first pass ``adversary.transform_outbox`` —
-    even when empty, a strategy may inject — counted on ``metrics``.
+    even when empty, a strategy may inject — counted on ``metrics``, a
+    burst as its ``n`` copies.
     No handler sees a payload :func:`~repro.system.door.reject` refuses.
     """
 
@@ -177,6 +179,7 @@ class Node:
             ctx.outbox = []
         if self.adversary is None:
             return msgs
+        msgs = expand_bursts(msgs, ctx.n)
         honest_count = len(msgs)
         msgs = self.adversary.transform_outbox(self.pid, msgs, view)
         self.metrics.inc("sched.adversary.messages_in", honest_count)

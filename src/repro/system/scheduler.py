@@ -39,7 +39,7 @@ from ..obs.probes import Probe, ProbeReport, ProbeView
 from ..obs.tracer import get_tracer, trace_span
 from .adversary import Adversary, AdversaryView
 from .ids import validate_system_size
-from .messages import ALL, Message
+from .messages import ALL, BURST, Message, expand_bursts
 from .network import Network, NetworkStats
 from .process import AsyncProcess, Context, Node, SyncProcess
 
@@ -276,19 +276,23 @@ class SynchronousScheduler(_Simulator):
             pid: {} for pid in range(self.n)
         }
         self._pids = frozenset(range(self.n))
-        self._dsts = self._pids | {ALL}
+        self._dsts = self._pids | {ALL, BURST}
 
     def _step_until_done(self) -> tuple[int, bool]:
         while not all(nd.ctx.decided or nd.ctx.halted for nd in self._correct):
             if self.round >= self.max_rounds:
                 # A capped run reports the index of its last round.
                 return max(self.round - 1, 0), False
-            self.step()
+            self._round()
         return self.round, True
 
     def step(self) -> list[Message]:
-        """Run one round; returns the messages it submitted (topology
-        drops excluded), which arrive at the start of the next round."""
+        """Run one round; returns the messages it submitted, one per copy
+        (topology drops excluded), which arrive at the start of the next
+        round."""
+        return list(expand_bursts(self._round(), self.n))
+
+    def _round(self) -> list[Message]:
         r = self.round
         reg = self.metrics
         collector = self.collector
@@ -309,7 +313,7 @@ class SynchronousScheduler(_Simulator):
                 n=self.n,
                 f=self.f,
                 rng=self._adv_rng,
-                correct_outbox=tuple(correct_msgs),
+                correct_queued=correct_msgs,
                 sign=self.sign,
             )
             faulty_msgs: list[Message] = []
@@ -320,7 +324,8 @@ class SynchronousScheduler(_Simulator):
             submitted = self._exchange(correct_msgs + faulty_msgs, r)
             reg.inc("sched.sync.rounds")
             round_span.tag(
-                sends=len(correct_msgs) + len(faulty_msgs),
+                sends=len(correct_msgs) + len(faulty_msgs)
+                + (self.n - 1) * list(map(_DST, correct_msgs)).count(BURST),
                 adversary_sends=len(faulty_msgs),
             )
 
@@ -336,12 +341,15 @@ class SynchronousScheduler(_Simulator):
 
         A lockstep round delivers everything it sends, so no message
         waits in a :class:`Network` buffer: the endpoints are checked,
-        the sends are counted and stamped in submission order, and the
-        deliveries in link order — ``(src, dst)`` ascending, an atomic
-        broadcast's ``dst = ALL`` first, FIFO within a link — which is
-        the order of ``Network.drain_all``.  In an incomplete graph
-        there is no channel across a missing edge: such a message is
-        dropped at submission, for a Byzantine sender too (it cannot
+        the sends are counted in submission order and the deliveries in
+        link order — ``(src, dst)`` ascending, an atomic broadcast's
+        ``dst = ALL`` first, FIFO within a link — which is the order of
+        ``Network.drain_all``.  A burst is ``n`` sends and deliveries,
+        sized once: sorted by source alone (``ALL`` first), every inbox
+        gets its one entry in that order.  A causal collector or topology
+        sees each copy: bursts are expanded first.  In an incomplete
+        graph there is no channel across a missing edge: such a message
+        is dropped at submission, for a Byzantine sender too (it cannot
         conjure wires), but only once its endpoints are known to exist.
         """
         n = self.n
@@ -351,6 +359,10 @@ class SynchronousScheduler(_Simulator):
                        if m.src not in self._pids or m.dst not in self._dsts)
             raise ValueError(f"message endpoints out of range: {bad!r}")
         topology = self.topology
+        collector = self.collector
+        traced = collector.enabled
+        if topology is not None or traced:
+            msgs = list(expand_bursts(msgs, n))
         if topology is not None:
             sent = [m for m in msgs
                     if m.dst == ALL or topology.allows(m.src, m.dst)]
@@ -359,25 +371,27 @@ class SynchronousScheduler(_Simulator):
                                  len(msgs) - len(sent))
             msgs = sent
         stats = self.network.stats
-        stats.record_sends(msgs)
-        collector = self.collector
-        traced = collector.enabled
+        stats.record_sends(msgs, n)
         if traced:
             for m in msgs:
                 collector.on_send(m.src, m.dst, m.tag, seq=m.seq, round=m.round)
-        # Sorted by (src, dst) as two stable sorts on one int each: list.sort
-        # compares machine-size int keys directly, where a tuple key goes
-        # through the generic item-by-item comparison.
-        in_link_order = sorted(msgs, key=_DST)
-        in_link_order.sort(key=_SRC)
-        stats.record_deliveries(in_link_order)
+            # Sorted by (src, dst) as two stable sorts on one int each:
+            # list.sort compares machine-size int keys directly, where a
+            # tuple key goes through the generic item-by-item comparison.
+            ordered = sorted(msgs, key=_DST)
+        elif ALL in map(_DST, msgs):
+            ordered = [m for m in msgs if m.dst == ALL] + [m for m in msgs if m.dst != ALL]
+        else:
+            ordered = msgs
+        ordered = sorted(ordered, key=_SRC)
+        stats.record_deliveries(ordered, n)
         self._inboxes = inboxes = {pid: {} for pid in range(n)}
         everyone = range(n)
-        for src, dst, tag, payload, _, _ in in_link_order:
-            if dst != ALL:
+        for src, dst, tag, payload, _, _ in ordered:
+            if dst >= 0:
                 targets: Sequence[int] = (dst,)
             elif topology is None:
-                targets = everyone
+                targets = everyone  # ALL, or a burst
             else:
                 targets = (*topology.neighbors(src), src)
             send_eid = collector.pop_send(src, dst) if traced else None

@@ -65,7 +65,7 @@ from ...obs.causal import get_causal_collector
 from ...obs.metrics import MetricsRegistry, active_registry
 from ...obs.probes import Probe, ProbeView
 from ..adversary import Adversary
-from ..messages import ALL, Message, canonical_bytes
+from ..messages import ALL, Message, canonical_bytes, expand_bursts
 from ..network import NetworkStats
 from ..process import AsyncProcess, Context, Node, SyncProcess
 from ..scheduler import RunResult, _finish_probes, _fold_network_stats
@@ -384,7 +384,7 @@ class LiveNode:
         """Send what a handler queued: peer links, plus local delivery.
         Awaits only a waiter a link hands back (backpressure)."""
         collector = self.collector
-        for msg in msgs:
+        for msg in expand_bursts(msgs, self.n):
             self.stats.record_send(msg)
             stamp = None
             send_eid: Optional[int] = None

@@ -10,6 +10,7 @@ from repro.core.exact_bvc import ExactBVCProcess
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.system.adversary import Adversary, SilentStrategy
 from repro.system.crypto import SignatureScheme
+from repro.system.messages import expand_bursts
 from repro.system.process import Context, Node
 from repro.system.scheduler import SynchronousScheduler
 
@@ -217,7 +218,8 @@ class TestTagRouting:
         proc = Recorder(4, 1, 2, np.array([1.0, 2.0]))
         ctx = Context(2, 4, 1, rng)
         proc.on_round(ctx, 0, {})
-        assert [(m.dst, m.tag, m.payload) for m in ctx.outbox] == [
+        copies = expand_bursts(ctx.outbox, ctx.n)
+        assert [(m.dst, m.tag, m.payload) for m in copies] == [
             (dst, "bc:2", ((2,), (1.0, 2.0))) for dst in range(4)
         ]
-        assert all(m.payload is ctx.outbox[0].payload for m in ctx.outbox)
+        assert all(m.payload is copies[0].payload for m in copies)

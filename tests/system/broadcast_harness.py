@@ -14,7 +14,8 @@ from repro.system.broadcast.bracha import BrachaState
 from repro.system.broadcast.dolev_strong import DolevStrongState
 from repro.system.broadcast.om import EIGState
 from repro.system.crypto import SignatureScheme
-from repro.system.process import AsyncProcess, SyncProcess
+from repro.system.messages import expand_bursts
+from repro.system.process import AsyncProcess, Context, SyncProcess
 from repro.system.scheduler import AsyncScheduler, SynchronousScheduler
 
 
@@ -32,8 +33,8 @@ class EIGProcess(SyncProcess):
                 if tag == "eig":
                     self.state.receive(r, src, payload)
         if r <= self.f:
-            for dst, payload in self.state.messages_for_round(r, self.value):
-                ctx.send(dst, "eig", payload, round=r)
+            for payload in self.state.messages_for_round(r, self.value):
+                ctx.broadcast("eig", payload, round=r)
         if r == self.f + 1:
             ctx.decide(self.state.decide())
 
@@ -52,8 +53,8 @@ class DSProcess(SyncProcess):
                 if tag == "auth":
                     self.state.receive(r, src, payload)
         if r <= self.f:
-            for dst, payload in self.state.messages_for_round(r, self.value):
-                ctx.send(dst, "auth", payload, round=r)
+            for payload in self.state.messages_for_round(r, self.value):
+                ctx.broadcast("auth", payload, round=r)
         if r == self.f + 1:
             ctx.decide(self.state.decide())
 
@@ -74,6 +75,16 @@ class BrachaProcess(AsyncProcess):
             ctx.send(dst, "rb", pl)
         if self.state.delivered and not ctx.decided:
             ctx.decide(self.state.delivered_value)
+
+
+def relays(state, r, value=None):
+    """``(dst, payload)`` for each copy of what an EIG / Dolev–Strong
+    ``state`` sends in round ``r``: its payloads broadcast from a
+    ``Context``, the bursts expanded."""
+    ctx = Context(state.pid, state.n, state.f, np.random.default_rng(0))
+    for payload in state.messages_for_round(r, value):
+        ctx.broadcast("t", payload, round=r)
+    return [(msg.dst, msg.payload) for msg in expand_bursts(ctx.outbox, state.n)]
 
 
 def counters(reg, prefix):

@@ -13,6 +13,8 @@ from repro.system.broadcast.dolev_strong import DolevStrongState
 from repro.system.broadcast.om import EIGState
 from repro.system.crypto import SignatureScheme
 
+from .broadcast_harness import relays
+
 
 class TestDolevStrongDomainSeparation:
     def test_signature_not_replayable_across_instances(self, rng):
@@ -69,7 +71,7 @@ class TestEIGInstanceIsolation:
     def test_relay_skips_own_paths(self):
         st = EIGState(4, 1, 0, 1)
         st.receive(1, 0, ((0,), "v"))
-        msgs = st.messages_for_round(1, None)
+        msgs = relays(st, 1, None)
         # relays (0, 1) to everyone; never relays a path containing itself twice
         assert all(payload[0] == (0, 1) for _, payload in msgs)
         assert len(msgs) == 4

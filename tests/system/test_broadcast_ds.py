@@ -17,7 +17,7 @@ from repro.system.broadcast.dolev_strong import DolevStrongState
 from repro.system.crypto import SignatureScheme
 from repro.system.messages import Message
 
-from .broadcast_harness import counters, run_ds
+from .broadcast_harness import counters, relays, run_ds
 
 
 def correct_values(res):
@@ -28,7 +28,7 @@ class TestDSUnit:
     def test_sender_round0(self, rng):
         scheme = SignatureScheme(4, rng)
         st = DolevStrongState(4, 1, 0, 0, scheme)
-        msgs = st.messages_for_round(0, 42)
+        msgs = relays(st, 0, 42)
         assert len(msgs) == 4
         value, chain = msgs[0][1]
         assert value == 42 and len(chain) == 1 and chain[0].signer == 0
@@ -69,7 +69,7 @@ class TestDSUnit:
     def test_round0_burst_shares_one_payload_object(self, rng):
         # n destinations, one payload: the network sizes a burst once.
         st = DolevStrongState(4, 1, 0, 0, SignatureScheme(4, rng))
-        out = st.messages_for_round(0, (1.0, 2.0))
+        out = relays(st, 0, (1.0, 2.0))
         assert [dst for dst, _ in out] == [0, 1, 2, 3]
         assert all(p is out[0][1] for _, p in out)
 
@@ -79,7 +79,7 @@ class TestDSUnit:
         for value in ("a", "b"):  # an equivocating sender: two chains to relay
             sig = scheme.sign(0, ("ds", 0, 0, value))
             st.receive(1, 0, (value, (sig,)))
-        out = st.messages_for_round(1)
+        out = relays(st, 1)
         assert [dst for dst, _ in out] == list(range(5)) * 2
         first, second = out[:5], out[5:]
         assert all(p is first[0][1] for _, p in first)

@@ -89,10 +89,19 @@ class TestMajorityCost:
 
     def test_mixed_tree_level(self, serialised):
         # a correct commander's value by reference, two missing entries
-        # (the default, one object) and one lie
+        # (the default, one object) and one lie: the value's object holds
+        # a majority and casts the last vote, so nothing is serialised
         value, lie = (1.0, 2.0), (9.0, 9.0)
         assert majority([value, None, value, lie, None, value, value]) is value
-        assert len(serialised) == 3
+        assert serialised == []
+
+    def test_a_later_equal_vote_is_returned_for_the_majority_object(self, serialised):
+        # the byte class of the object holding a majority wins, and its
+        # last vote comes back: only the votes after the object's last
+        # one are serialised, and the object once
+        value, equal, lie = (1.0, 2.0), tuple([1.0, 2.0]), (9.0, 9.0)
+        assert majority([value, value, value, equal, lie]) is equal
+        assert serialised == [value, lie, equal]
 
     def test_nothing_is_remembered_between_calls(self, serialised):
         vote, other = (1.0, 2.0), (3.0,)

@@ -18,7 +18,7 @@ from repro.system.adversary import (
 from repro.system.broadcast.om import EIGState
 from repro.system.door import reject
 
-from .broadcast_harness import counters, run_eig
+from .broadcast_harness import counters, relays, run_eig
 
 
 def correct_values(res):
@@ -36,7 +36,7 @@ class TestEIGStateUnit:
 
     def test_commander_round0_messages(self):
         st = EIGState(4, 1, 2, 2)
-        msgs = st.messages_for_round(0, "v")
+        msgs = relays(st, 0, "v")
         assert len(msgs) == 4
         assert all(payload == ((2,), "v") for _, payload in msgs)
 
@@ -69,7 +69,7 @@ class TestEIGStateUnit:
 
     def test_round0_burst_shares_one_payload_object(self):
         # n destinations, one payload: the network sizes a burst once.
-        out = EIGState(4, 1, 2, 2).messages_for_round(0, ("val", (1.0,)))
+        out = relays(EIGState(4, 1, 2, 2), 0, ("val", (1.0,)))
         assert [dst for dst, _ in out] == [0, 1, 2, 3]
         assert all(p is out[0][1] for _, p in out)
 
@@ -78,7 +78,7 @@ class TestEIGStateUnit:
         st.receive(2, 1, ((0, 1), "a"))
         st.receive(2, 2, ((0, 2), "a"))
         st.receive(2, 3, ((0, 3), "own hop: not relayed"))
-        out = st.messages_for_round(2)
+        out = relays(st, 2)
         assert [dst for dst, _ in out] == list(range(7)) * 2
         first, second = out[:7], out[7:]
         assert all(p is first[0][1] for _, p in first)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.system.messages import expand_bursts
 from repro.system.process import AsyncProcess, Context, SyncProcess
 from repro.system.scheduler import AsyncScheduler, SynchronousScheduler
 
@@ -33,7 +34,8 @@ class TestContext:
     def test_broadcast_hits_everyone_including_self(self):
         ctx = make_ctx()
         ctx.broadcast("t", 42)
-        assert sorted(m.dst for m in ctx.outbox) == [0, 1, 2, 3]
+        copies = expand_bursts(ctx.outbox, ctx.n)
+        assert sorted(m.dst for m in copies) == [0, 1, 2, 3]
 
     def test_seq_monotone(self):
         ctx = make_ctx()

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.core import RunSpec, run
 from repro.exec.grid import build_adversary
 from repro.obs.causal import CausalCollector, use_causal_collector
-from repro.system.messages import ALL, Message
+from repro.system.messages import ALL, BURST, Message, expand_bursts
 from repro.system.network import Network
 from repro.system.process import SyncProcess
 from repro.system.scheduler import SynchronousScheduler
@@ -136,3 +136,52 @@ def test_sync_eig_equivocate_causal_trace_is_unchanged():
     assert (len(collector.events), len(collector.edges)) == (3633, 1813)
     blob = json.dumps([collector.to_records(), collector.edges]).encode()
     assert hashlib.sha256(blob).hexdigest() == EQUIVOCATE_CAUSAL_SHA256
+
+
+# ---------------------------------------------------------------------------
+# bursts: one envelope for Context.broadcast's n copies
+# ---------------------------------------------------------------------------
+
+_BURSTS = st.builds(
+    _message,
+    src=st.integers(0, N - 1),
+    dst=st.just(BURST),
+    tag=st.sampled_from(["a", "bc:0", "bc:1", "z"]),
+    payload=st.integers(0, len(_PAYLOADS) - 1),
+    seq=st.integers(0, 50),
+)
+_BURSTY_ROUNDS = st.lists(
+    st.lists(st.one_of(_MESSAGES, _BURSTS), max_size=40), min_size=1, max_size=4
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BURSTY_ROUNDS, st.booleans(), st.booleans())
+def test_bursts_match_their_copies_through_submit_and_drain_all(rounds, ring, traced):
+    """A burst against the reference: ``Network.submit`` expands it into
+    its copies.  Under a topology the reference's filter sees the copies
+    too, as a lockstep round sees them.  Untraced and without a topology
+    the round consumes the bursts themselves."""
+    topology = ring_lattice_topology(N, 1) if ring else None
+    collector = CausalCollector(N) if traced else None
+    sched = SynchronousScheduler(
+        [Idle() for _ in range(N)], f=0, topology=topology, collector=collector,
+    )
+    inboxes_per_round, sent_per_round = [], []
+    for r, msgs in enumerate(rounds):
+        if traced:
+            collector.now = r
+        sent_per_round.append(expand_bursts(sched._exchange(list(msgs), r), N))
+        inboxes_per_round.append(_items(sched._inboxes))
+
+    submitted = [expand_bursts(m, N) for m in rounds] if ring else rounds
+    ref_inboxes, ref_sent, ref_stats, ref_collector = reference(submitted, topology)
+    assert inboxes_per_round == ref_inboxes
+    ref_copies = [expand_bursts(sent, N) for sent in ref_sent]
+    assert [[(m, m.seq) for m in sent] for sent in sent_per_round] == [
+        [(m, m.seq) for m in sent] for sent in ref_copies
+    ]
+    assert repr(sched.network.stats.as_dict()) == repr(ref_stats.as_dict())
+    if traced:
+        assert collector.events == ref_collector.events
+        assert collector.edges == ref_collector.edges

@@ -21,7 +21,7 @@ import pytest
 from repro.core import RunSpec, run
 from repro.core.exact_bvc import ExactBVCProcess
 from repro.obs.metrics import MetricsRegistry
-from repro.system.messages import ALL, Message
+from repro.system.messages import ALL, BURST, Message
 from repro.system.process import AsyncProcess
 from repro.system.transport import wire
 from repro.system.transport.base import TransportError
@@ -227,8 +227,10 @@ class TestHostileConnection:
             (wire.MSG, 1, 2, 0, "iter", (9.0,), 0, None),
             (wire.MSG, 1, 0, 0, "iter", (9.0,), 0, None),
             (wire.MSG, 1, 1, 2, "iter", (9.0,), 0, None),
+            # a burst never crosses the wire: the route expands it
+            (wire.MSG, 1, 1, BURST, "iter", (9.0,), 0, None),
         ],
-        ids=["forged-src", "forged-own-src", "wrong-dst"],
+        ids=["forged-src", "forged-own-src", "wrong-dst", "burst-dst"],
     )
     def test_forged_identity_closes_the_connection(self, tmp_path, record):
         # Regression: the async driver handed on_message the src the
