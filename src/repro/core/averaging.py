@@ -206,11 +206,11 @@ class VerifiedAveragingProcess(AsyncProcess):
         ctx: Context,
         sender: int,
         round: int,
-        msgs: list[tuple[int, tuple[str, Any]]],
+        payloads: list[tuple[str, Any]],
     ) -> None:
         tag = rb_tag(sender, round)
-        for dst, payload in msgs:
-            ctx.send(dst, tag, payload)
+        for payload in payloads:
+            ctx.broadcast(tag, payload)
 
     # ------------------------------------------------------------ lifecycle
     def on_start(self, ctx: Context) -> None:

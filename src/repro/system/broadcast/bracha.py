@@ -15,8 +15,9 @@ Protocol per instance (sender ``s``, value ``v``):
   send ``READY(v)`` to all;
 * on ``2f+1`` ``READY(v)``: deliver ``v``.
 
-The machine is message-driven: :meth:`on_message` returns the messages to
-send, and sets :attr:`delivered_value` when delivery happens.  Duplicate
+The machine is message-driven: :meth:`on_message` returns the phase
+payloads to broadcast to all (``[]`` or one), and sets
+:attr:`delivered_value` when delivery happens.  Duplicate
 phase messages from the same process are counted once (Byzantine processes
 cannot inflate quorums by repetition).
 """
@@ -76,17 +77,11 @@ class BrachaState:
         self.delivered = False
 
     # ------------------------------------------------------------- sending
-    def start(self, value: Any = None) -> list[tuple[int, tuple[str, Any]]]:
-        """Sender's initial ``INIT`` burst (empty for non-senders)."""
+    def start(self, value: Any = None) -> list[tuple[str, Any]]:
+        """Sender's ``INIT`` payload to broadcast (none for non-senders)."""
         if self.pid != self.sender:
             return []
-        return self._burst(INIT, value)
-
-    def _burst(self, phase: str, value: Any) -> list[tuple[int, tuple[str, Any]]]:
-        # One payload object for all n destinations: the network sizes a
-        # burst once, by payload identity.
-        payload = (phase, value)
-        return [(dst, payload) for dst in range(self.n)]
+        return [(INIT, value)]
 
     def _voters(self, votes: dict[bytes, set[int]], key: bytes, value: Any) -> set[int]:
         # First vote of its phase for this key: the value outlives the
@@ -109,10 +104,9 @@ class BrachaState:
                 self._seen[phase] = 0
 
     # ----------------------------------------------------------- receiving
-    def on_message(
-        self, src: int, payload: tuple[str, Any]
-    ) -> list[tuple[int, tuple[str, Any]]]:
-        """Process one phase message; returns the messages to send.
+    def on_message(self, src: int, payload: tuple[str, Any]) -> list[tuple[str, Any]]:
+        """Process one phase message; returns the payload to broadcast,
+        if any.
 
         ``payload`` has passed the door (:mod:`repro.system.door`).
         """
@@ -126,12 +120,12 @@ class BrachaState:
             return []
         hit = _KEYS.get(id(value))
         key = hit[1] if hit is not None and hit[0] is value else _key(value)
-        out: list[tuple[int, tuple[str, Any]]] = []
+        out: list[tuple[str, Any]] = []
 
         if phase == INIT:
             if src == self.sender:
                 self._echoed = True
-                out = self._burst(ECHO, value)
+                out = [(ECHO, value)]
         elif phase == ECHO:
             voters = self._echoes.get(key)
             if voters is None:
@@ -139,7 +133,7 @@ class BrachaState:
             voters.add(src)
             if len(voters) >= self.echo_threshold and not self._readied:
                 self._readied = True
-                out = self._burst(READY, value)
+                out = [(READY, value)]
         else:
             voters = self._readys.get(key)
             if voters is None:
@@ -147,7 +141,7 @@ class BrachaState:
             voters.add(src)
             if len(voters) >= self.f + 1 and not self._readied:
                 self._readied = True
-                out = self._burst(READY, value)
+                out = [(READY, value)]
             if len(voters) >= self.ready_threshold and not self.delivered:
                 self.delivered = True
                 self.delivered_value = self._values[key]

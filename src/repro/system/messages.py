@@ -25,6 +25,7 @@ __all__ = [
     "ALL",
     "BURST",
     "Message",
+    "burst_copy",
     "canonical_bytes",
     "defensive_copy",
     "estimate_bytes",
@@ -178,15 +179,19 @@ ALL = -1
 
 #: Destination of a burst, :meth:`~repro.system.process.Context.broadcast`'s
 #: one envelope for ``n`` point-to-point copies, the copy to ``d`` with seq
-#: ``seq + d``.  No adversary strategy or peer may name it.
+#: ``seq + d``.  The lockstep round and the asynchronous network carry it
+#: whole (the latter as one envelope on each of the ``n`` links); every
+#: other boundary expands it.  No adversary strategy or peer may name it.
 BURST = -2
 
 
 class Message(NamedTuple):
     """One envelope in flight.
 
-    A tuple underneath: one is built per destination of every send, and
-    a tuple costs half of what a frozen dataclass does to construct.
+    A tuple underneath: one is built per :meth:`Context.send
+    <repro.system.process.Context.send>` (a broadcast's ``n`` copies share
+    one until a boundary expands them), and a tuple costs half of what a
+    frozen dataclass does to construct.
     Immutable either way; use ``msg._replace(payload=...)`` for a copy
     with one field changed.
 
@@ -194,7 +199,8 @@ class Message(NamedTuple):
     ----------
     src, dst:
         Sender and receiver process ids; ``dst = ALL`` (-1) is a
-        channel-level atomic broadcast.
+        channel-level atomic broadcast, ``dst = BURST`` (-2) a broadcast's
+        ``n`` copies.
     tag:
         Protocol-level tag (e.g. ``"eig"``, ``"echo"``, ``"rva"``), letting
         multiple sub-protocols multiplex one network.
@@ -240,6 +246,12 @@ class Message(NamedTuple):
 
 
 _DST = itemgetter(1)
+
+
+def burst_copy(burst: Message, dst: int) -> Message:
+    """The copy of ``burst`` that goes to ``dst``."""
+    src, _, tag, payload, round_, seq = burst
+    return Message(src, dst, tag, payload, round_, seq + dst)
 
 
 def expand_bursts(msgs: Sequence[Message], n: int) -> Sequence[Message]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Iterator, Optional, Sequence
 
 from ..obs.causal import NULL_COLLECTOR
-from .messages import ALL, BURST, Message, expand_bursts
+from .messages import ALL, BURST, Message, burst_copy, expand_bursts
 
 __all__ = ["Network", "NetworkStats"]
 
@@ -130,6 +130,10 @@ class Network:
     The sorted list of non-empty links and the total pending count are
     maintained as messages enter and leave, so the per-delivery queries
     :meth:`pending_links` and :meth:`pending_count` are O(1) reads.
+
+    A burst (``dst = BURST``) is buffered as its one envelope on each of
+    the ``n`` links ``(src, d)``: on link ``(src, d)`` it stands for the
+    copy to ``d`` with seq ``seq + d``.
     """
 
     def __init__(self, n: int):
@@ -138,6 +142,10 @@ class Network:
         #: Non-empty links, kept sorted (the delivery policies index it).
         self._pending: list[tuple[int, int]] = []
         self._count = 0
+        #: By src: ``((src, 0), ..., (src, n - 1))``, the links a burst
+        #: from ``src`` joins, built at its first burst (a lockstep run
+        #: has none).
+        self._fans: list[Optional[tuple[tuple[int, int], ...]]] = [None] * self.n
         self.stats = NetworkStats()
         #: Causal collector stamping sends (schedulers install theirs at
         #: run start; the shared null object keeps the default free).
@@ -148,27 +156,42 @@ class Network:
 
         ``dst = ALL`` (atomic broadcast) occupies its own logical link per
         sender; the scheduler fans it out to every process on delivery.
-        A burst is submitted as its ``n`` copies.
+        A burst joins the links ``(src, 0) ... (src, n - 1)`` as one
+        envelope, in the order its ``n`` copies' sends would have: the
+        buffers, the pending index and the statistics end up as after
+        those sends.
         """
-        if not 0 <= msg.src < self.n:
+        src, dst = msg.src, msg.dst
+        if not 0 <= src < self.n:
             raise ValueError(f"message endpoints out of range: {msg!r}")
-        if not (0 <= msg.dst < self.n or msg.dst == ALL):
-            if msg.dst == BURST:
-                for copy in expand_bursts((msg,), self.n):
-                    self.submit(copy)
-                return
+        links = self._links
+        pending = self._pending
+        if dst == BURST:
+            fan = self._fans[src]
+            if fan is None:
+                fan = self._fans[src] = tuple((src, d) for d in range(self.n))
+            for link in fan:
+                q = links[link]
+                if not q:
+                    insort(pending, link)
+                q.append(msg)
+            self._count += self.n
+            self.stats.record_sends((msg,), self.n)
+        elif 0 <= dst < self.n or dst == ALL:
+            link = (src, dst)
+            q = links[link]
+            if not q:
+                insort(pending, link)
+            q.append(msg)
+            self._count += 1
+            self.stats.record_send(msg)
+        else:
             raise ValueError(f"message endpoints out of range: {msg!r}")
-        link = (msg.src, msg.dst)
-        q = self._links[link]
-        if not q:
-            insort(self._pending, link)
-        q.append(msg)
-        self._count += 1
-        self.stats.record_send(msg)
         collector = self.collector
         if collector.enabled:
-            collector.on_send(msg.src, msg.dst, msg.tag, seq=msg.seq,
-                              round=msg.round)
+            for copy in expand_bursts((msg,), self.n):
+                collector.on_send(copy.src, copy.dst, copy.tag, seq=copy.seq,
+                                  round=copy.round)
 
     def pending_links(self) -> Sequence[tuple[int, int]]:
         """Links with at least one undelivered message, sorted.
@@ -180,12 +203,23 @@ class Network:
         return self._pending
 
     def peek(self, link: tuple[int, int]) -> Optional[Message]:
-        """Head-of-line message on a link, without removing it."""
+        """Head-of-line message on a link, without removing it: a burst's
+        copy to ``link[1]``, with that copy's seq."""
         q = self._links.get(link)
-        return q[0] if q else None
+        if not q:
+            return None
+        msg = q[0]
+        if msg.dst == BURST:
+            return burst_copy(msg, link[1])
+        return msg
 
     def pop(self, link: tuple[int, int]) -> Message:
-        """Deliver (remove) the head-of-line message on a link."""
+        """Deliver (remove) the head-of-line envelope on a link.
+
+        For a burst that is the burst's own envelope (``dst = BURST``),
+        not a copy: the receiver is ``link[1]`` and the copy's seq is
+        ``seq + link[1]``.
+        """
         q = self._links.get(link)
         if not q:
             raise KeyError(f"no pending message on link {link}")
@@ -201,14 +235,16 @@ class Network:
         return msg
 
     def pending_count(self) -> int:
-        """Total undelivered messages."""
+        """Total undelivered messages, a burst's copies each."""
         return self._count
 
     def drain_all(self) -> Iterator[Message]:
-        """Deliver everything, link by link: the order in which a
-        synchronous round delivers (``SynchronousScheduler`` fills its
-        inboxes in this order without buffering)."""
+        """Deliver everything, link by link, a burst as its copies: the
+        order in which a synchronous round delivers
+        (``SynchronousScheduler`` fills its inboxes in this order without
+        buffering)."""
         for link in list(self._pending):
             q = self._links[link]
             while q:
-                yield self._take(link, q)
+                msg = self._take(link, q)
+                yield burst_copy(msg, link[1]) if msg.dst == BURST else msg

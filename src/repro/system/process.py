@@ -71,7 +71,9 @@ class Context:
         assume.  Note this is *n point-to-point sends*: a Byzantine
         process may still equivocate across them.  For the
         broadcast-channel model use :meth:`atomic_broadcast`.  The outbox
-        holds the copies as one :data:`~repro.system.messages.BURST`.
+        holds the copies as one :data:`~repro.system.messages.BURST`,
+        which both simulators carry as one envelope until a receiver
+        takes its copy.
         """
         self.outbox.append(Message(self.pid, BURST, tag, payload, round, self._seq))
         self._seq += self.n

@@ -39,7 +39,7 @@ from ..obs.probes import Probe, ProbeReport, ProbeView
 from ..obs.tracer import get_tracer, trace_span
 from .adversary import Adversary, AdversaryView
 from .ids import validate_system_size
-from .messages import ALL, BURST, Message, expand_bursts
+from .messages import ALL, BURST, Message, burst_copy, expand_bursts
 from .network import Network, NetworkStats
 from .process import AsyncProcess, Context, Node, SyncProcess
 
@@ -578,7 +578,7 @@ class AsyncScheduler(_Simulator):
 
     def _step_until_done(self) -> tuple[int, bool]:
         while self._undecided and self.steps < self.max_steps:
-            if self.step() is None:
+            if self._step() is None:
                 break
         self.metrics.counter("sched.async.steps").value = self.steps
         self.metrics.counter("sched.async.undelivered").value = (
@@ -587,36 +587,48 @@ class AsyncScheduler(_Simulator):
         return self.steps, not self._undecided
 
     def step(self) -> Optional[Message]:
-        """Deliver one message on the link the policy picks; returns it,
-        or ``None`` when nothing is pending."""
+        """Deliver one message on the link the policy picks; returns it
+        (of a burst, the copy this step delivered), or ``None`` when
+        nothing is pending."""
+        taken = self._step()
+        if taken is None:
+            return None
+        msg, dst = taken
+        return burst_copy(msg, dst) if msg.dst == BURST else msg
+
+    def _step(self) -> Optional[tuple[Message, int]]:
+        """:meth:`step`, returning the popped envelope and its receiver
+        (``ALL`` for an atomic broadcast): no copy of a burst is built."""
         network = self.network
         links = network.pending_links()
         if not links:
             return None
-        msg = network.pop(self.policy.choose(links, network, self._draw))
+        link = self.policy.choose(links, network, self._draw)
+        msg = network.pop(link)
+        dst = link[1]
         self.steps += 1
         send_eid = None
         if self.collector.enabled:
             self.collector.now = self.steps
-            send_eid = self.collector.pop_send(msg.src, msg.dst)
+            send_eid = self.collector.pop_send(msg.src, dst)
         tracer = get_tracer()
         if tracer.enabled:
             with tracer.span("sched.async.step", step=self.steps, src=msg.src,
-                             dst=msg.dst, tag=msg.tag):
-                self._deliver(msg, send_eid)
+                             dst=dst, tag=msg.tag):
+                self._deliver(msg, dst, send_eid)
         else:
-            self._deliver(msg, send_eid)
+            self._deliver(msg, dst, send_eid)
         if self._probe_view is not None and self.steps % PROBE_INTERVAL == 0:
             for probe in self.probes:
                 probe.on_boundary(self._probe_view, self.steps)
-        return msg
+        return msg, dst
 
-    def _deliver(self, msg: Message, send_eid: Any) -> None:
-        """Hand one popped message to its receiver(s) and submit what
-        their handlers queued."""
+    def _deliver(self, msg: Message, dst: int, send_eid: Any) -> None:
+        """Hand one popped message to its receiver(s) — everyone when
+        ``dst`` is ``ALL`` — and submit what their handlers queued."""
         collector = self.collector
         submit = self.network.submit
-        for node in self.nodes if msg.dst == ALL else (self.nodes[msg.dst],):
+        for node in self.nodes if dst == ALL else (self.nodes[dst],):
             if collector.enabled and not node.ctx.halted:
                 collector.on_deliver(node.pid, send_eid, time=self.steps)
             for out in node.deliver(msg, self._view):

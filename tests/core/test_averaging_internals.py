@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.core import averaging as avg_mod
 from repro.core.averaging import VerifiedAveragingProcess, rb_tag
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.system.messages import Message
+from repro.system.messages import Message, expand_bursts
 from repro.system.process import Context, Node
 
 
@@ -208,10 +208,11 @@ class TestVerifyOnce:
 
         avg_mod._remember = counting
         try:
-            pending = [msg for node in nodes for msg in node.start()]
+            pending = [msg for node in nodes
+                       for msg in expand_bursts(node.start(), n)]
             while pending:
                 msg = pending.pop(order.randrange(len(pending)))
-                pending.extend(nodes[msg.dst].deliver(msg))
+                pending.extend(expand_bursts(nodes[msg.dst].deliver(msg), n))
                 for proc in procs:
                     self._check_index(proc)
                 self._check_memo()

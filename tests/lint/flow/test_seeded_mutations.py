@@ -71,9 +71,9 @@ SEEDS = [
     (
         "HYG002-store-and-forward",
         "system/broadcast/bracha.py",
-        "                out = self._burst(ECHO, value)\n",
+        "                out = [(ECHO, value)]\n",
         "                self._init_value = value\n"
-        "                return [(dst, (ECHO, value)) for dst in range(self.n)]\n",
+        "                return [(ECHO, value)]\n",
         {"HYG002"},
     ),
     (

@@ -67,12 +67,12 @@ class BrachaProcess(AsyncProcess):
         self.value = value
 
     def on_start(self, ctx):
-        for dst, payload in self.state.start(self.value):
-            ctx.send(dst, "rb", payload)
+        for payload in self.state.start(self.value):
+            ctx.broadcast("rb", payload)
 
     def on_message(self, ctx, src, tag, payload):
-        for dst, pl in self.state.on_message(src, payload):
-            ctx.send(dst, "rb", pl)
+        for pl in self.state.on_message(src, payload):
+            ctx.broadcast("rb", pl)
         if self.state.delivered and not ctx.decided:
             ctx.decide(self.state.delivered_value)
 

@@ -35,9 +35,7 @@ class TestBrachaUnit:
 
     def test_sender_start(self):
         st = BrachaState(4, 1, 0, 0)
-        msgs = st.start("v")
-        assert len(msgs) == 4
-        assert all(p == (INIT, "v") for _, p in msgs)
+        assert st.start("v") == [(INIT, "v")]
 
     def test_non_sender_start_empty(self):
         assert BrachaState(4, 1, 0, 1).start("v") == []
@@ -45,8 +43,7 @@ class TestBrachaUnit:
     def test_echo_on_init_from_sender_only(self):
         st = BrachaState(4, 1, 0, 1)
         assert st.on_message(2, (INIT, "v")) == []  # not the sender
-        out = st.on_message(0, (INIT, "v"))
-        assert len(out) == 4 and all(p == (ECHO, "v") for _, p in out)
+        assert st.on_message(0, (INIT, "v")) == [(ECHO, "v")]
         # second init: no double echo
         assert st.on_message(0, (INIT, "v")) == []
 
@@ -54,8 +51,7 @@ class TestBrachaUnit:
         st = BrachaState(4, 1, 0, 1)  # echo threshold = ceil(6/2)=3
         assert st.on_message(0, (ECHO, "v")) == []
         assert st.on_message(2, (ECHO, "v")) == []
-        out = st.on_message(3, (ECHO, "v"))
-        assert all(p == (READY, "v") for _, p in out)
+        assert st.on_message(3, (ECHO, "v")) == [(READY, "v")]
 
     def test_duplicate_echoes_not_counted(self):
         st = BrachaState(4, 1, 0, 1)
@@ -68,8 +64,7 @@ class TestBrachaUnit:
         """f+1 readys trigger own ready even without echo quorum."""
         st = BrachaState(4, 1, 0, 1)
         assert st.on_message(2, (READY, "v")) == []
-        out = st.on_message(3, (READY, "v"))
-        assert all(p == (READY, "v") for _, p in out)
+        assert st.on_message(3, (READY, "v")) == [(READY, "v")]
 
     def test_delivery_on_ready_quorum(self):
         st = BrachaState(4, 1, 0, 1)
@@ -95,10 +90,11 @@ class TestBrachaUnit:
         assert st.delivered_value is not live
 
     def test_burst_shares_one_payload_object(self):
-        # n destinations, one payload: the network sizes a burst once.
-        out = BrachaState(4, 1, 0, 0).start(("val", (1.0,)))
-        assert [dst for dst, _ in out] == [0, 1, 2, 3]
-        assert all(p is out[0][1] for _, p in out)
+        # One payload for all n destinations: the host broadcasts it as
+        # one burst, which the network sizes once.
+        value = ("val", (1.0,))
+        out = BrachaState(4, 1, 0, 0).start(value)
+        assert out == [(INIT, value)] and out[0][1] is value
 
     def test_malformed_payload_ignored(self):
         # Dropped at the door, before the machine is handed them.
@@ -165,7 +161,7 @@ class TestVoteKey:
         assert state.on_message(0, (ECHO, votes[0])) == []
         assert state.on_message(2, (ECHO, votes[1])) == []
         out = state.on_message(3, (ECHO, votes[2]))
-        assert [payload for _, payload in out] == [(READY, self.VALUE)] * 4
+        assert out == [(READY, self.VALUE)]
         assert len(keyed) == 3
         assert list(state._echoes) == [canonical_bytes(self.VALUE)]
 
@@ -344,7 +340,7 @@ class _OpenBracha(BrachaState):
         if phase == INIT:
             if src == self.sender and not self._echoed:
                 self._echoed = True
-                out = self._burst(ECHO, value)
+                out = [(ECHO, value)]
             return out
         votes = self._echoes if phase == ECHO else self._readys
         if key not in votes:
@@ -353,11 +349,11 @@ class _OpenBracha(BrachaState):
         if phase == ECHO:
             if len(votes[key]) >= self.echo_threshold and not self._readied:
                 self._readied = True
-                out = self._burst(READY, value)
+                out = [(READY, value)]
             return out
         if len(votes[key]) >= self.f + 1 and not self._readied:
             self._readied = True
-            out = self._burst(READY, value)
+            out = [(READY, value)]
         if len(votes[key]) >= self.ready_threshold and not self.delivered:
             self.delivered = True
             self.delivered_value = self._values[key]
@@ -421,7 +417,7 @@ class TestClosedInstance:
     def test_late_init_still_echoes_once(self):
         state = self.delivered_by_readys()
         out = state.on_message(0, (INIT, self.VALUE))
-        assert [payload for _, payload in out] == [(ECHO, self.VALUE)] * 4
+        assert out == [(ECHO, self.VALUE)]
         assert state.on_message(0, (INIT, self.VALUE)) == []
         assert state._seen == {INIT: 2, ECHO: 0, READY: 3}
 

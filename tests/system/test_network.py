@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.system.messages import ALL, Message
+from repro.system.messages import ALL, BURST, Message
 from repro.system.network import Network
 from repro.system.scheduler import DelayPolicy, FifoPolicy, RandomPolicy
 
@@ -88,6 +88,7 @@ _LINKS = [(s, d) for s in range(N) for d in (*range(N), ALL)]
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("submit"), st.sampled_from(_LINKS)),
+        st.tuples(st.just("burst"), st.integers(0, N - 1)),
         st.tuples(st.just("pop"), st.sampled_from(_LINKS)),
         st.tuples(st.just("drain"), st.integers(0, 4)),
     ),
@@ -96,7 +97,8 @@ _OPS = st.lists(
 
 
 class TestNetworkModel:
-    """The incremental link index against a naive reference model."""
+    """The incremental link index against a naive reference model, which
+    holds a burst as its ``n`` copies at seqs ``seq + d``."""
 
     @staticmethod
     def _check(net: Network, model: dict) -> None:
@@ -106,7 +108,9 @@ class TestNetworkModel:
         assert net.pending_count() == sum(len(q) for q in model.values())
         for link, q in model.items():
             head = net.peek(link)
-            assert (head.seq if head else None) == (q[0] if q else None)
+            assert ((head.dst, head.seq) if head else None) == (
+                (link[1], q[0]) if q else None
+            )
 
     @settings(max_examples=200, deadline=None)
     @given(_OPS)
@@ -119,10 +123,20 @@ class TestNetworkModel:
                 net.submit(msg(arg[0], arg[1], seq=seq))
                 model.setdefault(arg, deque()).append(seq)
                 seq += 1
+            elif op == "burst":
+                net.submit(msg(arg, BURST, seq=seq))
+                for d in range(N):
+                    model.setdefault((arg, d), deque()).append(seq + d)
+                seq += N
             elif op == "pop":
                 if model.get(arg):
-                    # per-link FIFO: the oldest submission comes out
-                    assert net.pop(arg).seq == model[arg].popleft()
+                    # per-link FIFO: the oldest submission comes out; a
+                    # burst's own envelope stands for its copy to arg[1]
+                    got = net.pop(arg)
+                    if got.dst == BURST:
+                        assert got.src == arg[0]
+                        got = got._replace(dst=arg[1], seq=got.seq + arg[1])
+                    assert (got.dst, got.seq) == (arg[1], model[arg].popleft())
                 else:
                     with pytest.raises(KeyError):
                         net.pop(arg)
