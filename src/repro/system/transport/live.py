@@ -65,7 +65,7 @@ from ...obs.causal import get_causal_collector
 from ...obs.metrics import MetricsRegistry, active_registry
 from ...obs.probes import Probe, ProbeView
 from ..adversary import Adversary
-from ..messages import ALL, Message, canonical_bytes, expand_bursts
+from ..messages import ALL, BURST, Message, burst_copy, canonical_bytes, expand_bursts
 from ..network import NetworkStats
 from ..process import AsyncProcess, Context, Node, SyncProcess
 from ..scheduler import RunResult, _finish_probes, _fold_network_stats
@@ -254,6 +254,11 @@ class LiveNode:
         self._links: dict[int, PeerLink] = {}
         #: The links in peer-id order, fixed once by connect_peers.
         self._peer_links: tuple[PeerLink, ...] = ()
+        #: A burst's destinations 0 … n-1: the link to each, None at this
+        #: node's own id (its copy is delivered locally).
+        self._walk: tuple[Optional[PeerLink], ...] = ()
+        #: The send eids of an untraced message's copies.
+        self._no_eids = (None,) * self.n
         self._server: Any = None
         #: Transports of the accepted connections still open.
         self._inbound: set[Any] = set()
@@ -315,6 +320,7 @@ class LiveNode:
                 on_failure=self._wake.set,
             )
         self._peer_links = tuple(self._links.values())
+        self._walk = tuple(map(self._links.get, range(self.n)))
 
     async def shutdown(self) -> None:
         for link in self._peer_links:
@@ -382,37 +388,66 @@ class LiveNode:
         self, msgs: Sequence[Message], round_: Optional[int] = None
     ) -> None:
         """Send what a handler queued: peer links, plus local delivery.
-        Awaits only a waiter a link hands back (backpressure)."""
-        collector = self.collector
-        for msg in expand_bursts(msgs, self.n):
-            self.stats.record_send(msg)
-            stamp = None
-            send_eid: Optional[int] = None
-            if collector.enabled:
-                # One send event per message, like the simulator — an
-                # atomic broadcast fans its single stamp to every link.
-                # The payload digest lets the post-hoc broadcast-
-                # integrity probe compare what each receiver was sent.
-                digest = hashlib.sha256(
-                    canonical_bytes(msg.payload)
-                ).hexdigest()[:16]
-                send_eid = collector.on_send(
-                    msg.src, msg.dst, msg.tag,
-                    time=round_, seq=msg.seq, round=msg.round, digest=digest,
-                )
-                stamp = collector.stamp(send_eid)
-            if msg.dst == ALL:
-                for link in self._peer_links:
-                    waiter = link.send_message(msg, stamp)
+        A burst goes to destinations 0 … n-1 in order, its local copy at
+        this node's own position; an atomic broadcast to every link, then
+        locally.  Awaits only a waiter a link hands back (backpressure)."""
+        self.stats.record_sends(msgs, self.n)
+        node_id = self.node_id
+        for msg in msgs:
+            dst = msg.dst
+            eids, frames = self._frames(msg, round_)
+            if dst == BURST:
+                for d, link in enumerate(self._walk):
+                    if link is None:
+                        self._deliver_local(burst_copy(msg, d), round_, eids[d])
+                        continue
+                    waiter = link.send_shared(frames[d], d)
                     if waiter is not None:
                         await waiter
-                self._deliver_local(msg, round_, send_eid)
-            elif msg.dst == self.node_id:
-                self._deliver_local(msg, round_, send_eid)
+            elif dst == ALL:
+                await self._to_links(frames[0])
+                self._deliver_local(msg, round_, eids[0])
+            elif dst == node_id:
+                self._deliver_local(msg, round_, eids[0])
             else:
-                waiter = self._links[msg.dst].send_message(msg, stamp)
+                waiter = self._links[dst].send_shared(frames[0])
                 if waiter is not None:
                     await waiter
+
+    def _frames(
+        self, msg: Message, round_: Optional[int]
+    ) -> tuple[Sequence[Optional[int]], Sequence[Optional[wire.SharedFrame]]]:
+        """The send eids and the shared frames of ``msg``'s copies (a
+        burst's n, in destination order; else its one), None where a copy
+        stays local.  Every copy encodes before any link takes one, so a
+        record its layout refuses moves no link.  Untraced, the copies
+        share one frame; a causal collector gives each copy its own send
+        event, stamped in its frame."""
+        collector = self.collector
+        if not collector.enabled:
+            shared = None
+            if msg.dst != self.node_id:
+                shared = wire.shared_frame(wire.message_record(msg, 0))
+            return self._no_eids, [shared] * (self.n if msg.dst == BURST else 1)
+        # One send event per copy, like the simulator; an atomic broadcast
+        # fans its single stamp to every link.  The payload digest lets
+        # the post-hoc broadcast-integrity probe compare what each
+        # receiver was sent: the copies share the payload, so one digest.
+        digest = hashlib.sha256(canonical_bytes(msg.payload)).hexdigest()[:16]
+        eids: list[Optional[int]] = []
+        frames: list[Optional[wire.SharedFrame]] = []
+        for copy in expand_bursts((msg,), self.n):
+            send_eid = collector.on_send(
+                copy.src, copy.dst, copy.tag,
+                time=round_, seq=copy.seq, round=copy.round, digest=digest,
+            )
+            eids.append(send_eid)
+            frames.append(
+                None if copy.dst == self.node_id else wire.shared_frame(
+                    wire.message_record(copy, 0, collector.stamp(send_eid))
+                )
+            )
+        return eids, frames
 
     def _deliver_local(
         self, msg: Message, round_: Optional[int], send_eid: Optional[int]
@@ -455,10 +490,7 @@ class LiveNode:
             self.rounds_done = r
             await self._route(self.node.round(r, inbox), round_=r)
             decided = self.ctx.decided
-            for link in self._peer_links:
-                waiter = link.send_round(r, decided)
-                if waiter is not None:
-                    await waiter
+            await self._to_links(wire.shared_frame((wire.ROUND, 0, r, decided)))
             # Barrier: every peer's round-r marker (hence all its round-r
             # traffic, by per-link FIFO) must arrive before round r+1.
             # A link that fails permanently wakes the wait and ends the run.
@@ -513,6 +545,7 @@ class LiveNode:
 
     async def _run_async(self) -> None:
         await self._route(self.node.start())
+        announcement = wire.shared_frame((wire.DECIDED, 0, self.node_id))
         inq = self._inq
         announced = False
         steps = 0
@@ -520,10 +553,7 @@ class LiveNode:
         while steps < self.max_steps:
             if self.ctx.decided and not announced:
                 announced = True
-                for link in self._peer_links:
-                    waiter = link.send_decided()
-                    if waiter is not None:
-                        await waiter
+                await self._to_links(announcement)
             if announced and all(
                 self._peer_decided.get(p, False) for p in self._links
             ):
@@ -543,11 +573,10 @@ class LiveNode:
                     # original announcement was lost to a connection
                     # that died and recovered.
                     if announced:
-                        for link in self._peer_links:
-                            if not self._peer_decided.get(link.peer_id, False):
-                                waiter = link.send_decided()
-                                if waiter is not None:
-                                    await waiter
+                        await self._to_links(announcement, [
+                            link for link in self._peer_links
+                            if not self._peer_decided.get(link.peer_id, False)
+                        ])
                 self._check_links()
                 continue
             if since_yield == YIELD_EVERY:
@@ -559,6 +588,16 @@ class LiveNode:
             self.rounds_done = steps
             self._deliver_one(msg, meta, steps)
             await self._route(self.node.deliver(msg))
+
+    async def _to_links(
+        self, shared: wire.SharedFrame, links: Optional[Sequence[PeerLink]] = None
+    ) -> None:
+        """Send one shared record on ``links`` (every link by default),
+        each stamping only its own ``link_seq``."""
+        for link in self._peer_links if links is None else links:
+            waiter = link.send_shared(shared)
+            if waiter is not None:
+                await waiter
 
     def _result(self) -> RunResult:
         decisions = (

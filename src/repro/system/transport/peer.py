@@ -11,12 +11,14 @@ the data path:
   ``data_received``.  A malformed HELLO, another wire version, instance
   or identity permanently fails the link.  The handshake writes the
   queue, and the connector task ends.
-* **Sending** — ``send_message`` / ``send_round`` / ``send_decided`` are
-  plain calls.  A record is encoded once, by
-  :func:`~repro.system.transport.wire.encode_for_version`, in the call
-  that sends it; those bytes are the payload's snapshot, and only a
-  record that encodes takes a sequence number.  The frame joins the
-  queue with its send time.  On a connected link the queue is written
+* **Sending** — ``send_shared`` is a plain call.  It takes a record its
+  sender encoded once for all its links
+  (:func:`~repro.system.transport.wire.shared_frame`): those bytes are
+  the payload's snapshot, and the link only stamps its next sequence
+  number (and a burst copy's ``dst``) in the frame's head, so only a
+  record that encoded takes one.  ``send_message`` / ``send_round`` /
+  ``send_decided`` send one record on this link alone.  The frame joins
+  the queue with its send time.  On a connected link the queue is written
   at the end of the loop callback that sent its first frame
   (``loop.call_soon``), or at once when it holds ``queue_limit`` frames.
   A send returns the backpressure waiter the sender must await, or
@@ -292,22 +294,23 @@ class PeerLink:
     ) -> Optional[Awaitable[None]]:
         """Send one protocol message, optionally with its causal stamp;
         returns the backpressure waiter the sender must await, or None."""
-        return self._put(wire.message_record(msg, self._next_seq, stamp))
+        return self.send_shared(wire.shared_frame(wire.message_record(msg, 0, stamp)))
 
     def send_round(self, round: int, decided: bool) -> Optional[Awaitable[None]]:
-        return self._put((wire.ROUND, self._next_seq, int(round), bool(decided)))
+        return self.send_shared(wire.shared_frame((wire.ROUND, 0, int(round), bool(decided))))
 
     def send_decided(self) -> Optional[Awaitable[None]]:
-        return self._put((wire.DECIDED, self._next_seq, self.self_id))
+        return self.send_shared(wire.shared_frame((wire.DECIDED, 0, self.self_id)))
 
-    def _put(self, record: tuple) -> Optional[Awaitable[None]]:
-        """Encode ``record`` (which carries the next sequence number) and
-        queue it; returns what the sender must await, if anything."""
+    def send_shared(
+        self, shared: wire.SharedFrame, dst: Optional[int] = None
+    ) -> Optional[Awaitable[None]]:
+        """Queue this link's frame of ``shared``, stamped with the next
+        sequence number (and ``dst``, for a burst's copy); returns what
+        the sender must await, if anything."""
         if self._failure is not None:
             raise self._broken()
-        # Encoded here, once: the bytes are the payload's snapshot.  A
-        # record that does not encode takes no sequence number.
-        frame = wire.encode_for_version(record, wire.WIRE_VERSION)
+        frame = wire.link_frame(shared, self._next_seq, dst)
         self._next_seq += 1
         loop = asyncio.get_running_loop()
         queue = self._queue

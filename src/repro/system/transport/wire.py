@@ -23,7 +23,10 @@ its record; the rest is that record's ``struct`` layout
 ``(DECIDED, link_seq, node_id)``
     asynchronous termination marker.
 
-Both ends cut the byte stream into frame bodies with one
+A record a node sends on several links is encoded once
+(:func:`shared_frame`): its frames differ only in the head fields a link
+stamps, ``link_seq`` and a MSG's ``dst`` (:func:`link_frame`).  Both
+ends cut the byte stream into frame bodies with one
 :class:`FrameSplitter`, synchronously, in their protocol's
 ``data_received``.
 
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 import struct
 from functools import partial
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, NamedTuple, Optional
 
 from ..door import LAYOUTS
 from ..messages import Message
@@ -60,6 +63,7 @@ __all__ = [
     "MSG",
     "RECORD_LAYOUTS",
     "ROUND",
+    "SharedFrame",
     "WIRE_VERSION",
     "WireError",
     "check_hello",
@@ -68,8 +72,10 @@ __all__ = [
     "encode_for_version",
     "encode_hello",
     "encode_record",
+    "link_frame",
     "message_record",
     "message_stamp",
+    "shared_frame",
 ]
 
 #: The one protocol version; advertised in every HELLO.
@@ -104,6 +110,9 @@ _FIXED = {HELLO: (struct.Struct("!BhH"), (int, int, str)),
           DECIDED: (struct.Struct("!BQh"), (int, int))}
 _LEN, _MSG = struct.Struct("!I"), struct.Struct("!BQhhBB")
 _ROUND_NO, _STAMP = struct.Struct("!i"), struct.Struct("!QQH")
+#: The head a link stamps, by record byte: the length, the record byte
+#: and ``link_seq``, then a MSG's ``src`` and ``dst``; a HELLO has none.
+_LINK_HEADS = (None, struct.Struct("!IBQhh"), struct.Struct("!IBQ"), struct.Struct("!IBQ"))
 _INT = frozenset({int})
 _FAMILIES = {family: code for code, family in enumerate(LAYOUTS)}
 _PACKS = tuple(pack for pack, _ in LAYOUTS.values())
@@ -222,7 +231,9 @@ def message_record(
     """The MSG record for one protocol message.
 
     The payload is *not* copied: the record aliases it until it is
-    encoded, which a link does in the same call that enqueues it.
+    encoded, which the sender does once, by :func:`shared_frame`, in the
+    call that hands it to its links; each link then stamps its own
+    ``link_seq`` (and a burst copy's ``dst``) over the record's.
     """
     if stamp is not None:
         origin_eid, lamport, clock = stamp
@@ -248,6 +259,44 @@ def encode_for_version(record: tuple, version: int) -> bytes:
             f"this build speaks {WIRE_VERSION} only"
         )
     return encode_record(record)
+
+
+class SharedFrame(NamedTuple):
+    """A MSG, ROUND or DECIDED record encoded once for every link it goes
+    out on (:func:`shared_frame`): the head fields a link stamps, and the
+    bytes after them, which every link's frame shares."""
+
+    head: struct.Struct
+    length: int
+    kind: int  # the record byte
+    src: Optional[int]  # a MSG's; None on a ROUND or DECIDED
+    dst: Optional[int]
+    tail: bytes
+
+
+def shared_frame(record: tuple) -> SharedFrame:
+    """``record``'s frame, encoded once by :func:`encode_for_version`
+    with every check it makes, for :func:`link_frame` to stamp per link;
+    the record's own ``link_seq`` is a placeholder.  A record that does
+    not encode, or a HELLO, is a :class:`WireError` before any link
+    takes a copy."""
+    frame = encode_for_version(record, WIRE_VERSION)
+    kind = frame[_LEN.size]
+    head = _LINK_HEADS[kind]
+    if head is None:
+        raise WireError("a HELLO is sent on one connection, not shared")
+    src, dst = (record[2], record[3]) if _RECORDS[kind] == MSG else (None, None)
+    return SharedFrame(head, len(frame) - _LEN.size, kind, src, dst, frame[head.size:])
+
+
+def link_frame(shared: SharedFrame, link_seq: int, dst: Optional[int] = None) -> bytes:
+    """One link's frame of ``shared``: the same bytes as the record with
+    this ``link_seq`` (and, on a MSG, this ``dst``; None keeps the
+    record's) encodes to."""
+    head, length, kind, src, own_dst, tail = shared
+    if src is None:
+        return head.pack(length, kind, link_seq) + tail
+    return head.pack(length, kind, link_seq, src, own_dst if dst is None else dst) + tail
 
 
 # --------------------------------------------------------------- decoding

@@ -20,8 +20,9 @@ import pytest
 
 from repro.core import RunSpec, run
 from repro.core.exact_bvc import ExactBVCProcess
+from repro.obs.causal import CausalCollector
 from repro.obs.metrics import MetricsRegistry
-from repro.system.messages import ALL, BURST, Message
+from repro.system.messages import ALL, BURST, Message, burst_copy
 from repro.system.process import AsyncProcess
 from repro.system.transport import wire
 from repro.system.transport.base import TransportError
@@ -545,3 +546,85 @@ class TestWriteCoalescing:
         writes = metrics.counter_value("net.live.writes")
         frames = metrics.counter_value("net.live.frames_sent")
         assert 0 < writes and writes * 2 <= frames, (writes, frames)
+
+
+class TestBurstRoute:
+    """``LiveNode._route`` hands a burst to its links encoded once."""
+
+    BURST_MSG = Message(1, BURST, "iter", (1.0, 2.0), seq=10)
+
+    def _route(self, tmp_path, msgs):
+        """Node 1 of three routes ``msgs`` to listening peers, then closes
+        its links; returns it and what each peer received."""
+
+        async def go():
+            nodes = make_nodes(tmp_path, [Silent() for _ in range(3)])
+            addresses = {}
+            for node in nodes:
+                addresses[node.node_id] = await node.start_server()
+            node = nodes[1]
+            node.connect_peers(addresses)
+            for link in node._peer_links:
+                link.start()
+            await node._route(msgs)
+            for link in node._peer_links:
+                await link.close()
+            await asyncio.sleep(0.05)  # the peers read the last bytes
+            received = {
+                peer.node_id: ([(tuple(m), meta) for m, meta in peer._inq], peer._last_seq)
+                for peer in nodes if peer is not node
+            }
+            for peer in nodes:
+                await peer.shutdown()
+            return node, received
+
+        return asyncio.run(go())
+
+    def test_a_burst_accounts_as_its_copies(self, tmp_path):
+        copies = [burst_copy(self.BURST_MSG, d) for d in range(3)]
+        (tmp_path / "b").mkdir()
+        (tmp_path / "c").mkdir()
+        whole, whole_received = self._route(tmp_path / "b", [self.BURST_MSG])
+        expanded, expanded_received = self._route(tmp_path / "c", copies)
+        assert repr(whole.stats.as_dict()) == repr(expanded.stats.as_dict())
+        assert whole.stats.messages_sent == 3
+        assert [
+            (link.stats.frames_sent, link.stats.bytes_sent, link._next_seq)
+            for link in whole._peer_links
+        ] == [
+            (link.stats.frames_sent, link.stats.bytes_sent, link._next_seq)
+            for link in expanded._peer_links
+        ] == [(1, 40, 1), (1, 40, 1)]
+        local = [(tuple(m), meta) for m, meta in whole._inq]
+        assert local == [(tuple(m), meta) for m, meta in expanded._inq]
+        assert local == [(tuple(copies[1]), None)]
+        assert whole_received == expanded_received
+        assert whole_received[2][0][0][0][:4] == (1, 2, "iter", (1.0, 2.0))
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("refused", ["layout", "size"])
+    def test_a_refused_burst_moves_no_link(self, tmp_path, monkeypatch, traced, refused):
+        # The record encodes before any link takes a copy: a refusal
+        # leaves every link's sequence and queue, and the local inbox,
+        # as they were, with no partial broadcast.
+        payload = [1.0, 2.0]
+        if refused == "size":
+            monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 64)
+            payload = (0.0,) * 16
+        node = make_nodes(tmp_path, [Silent() for _ in range(3)])[0]
+        node.connect_peers({
+            pid: NodeAddress(pid, "uds", path=str(tmp_path / f"n{pid}.sock"))
+            for pid in range(3)
+        })
+        if traced:
+            node.collector = CausalCollector(3)
+
+        async def go():
+            with pytest.raises(wire.WireError):
+                await node._route([Message(0, BURST, "iter", payload)])
+
+        asyncio.run(go())
+        assert [(link._next_seq, len(link._queue)) for link in node._peer_links] == [
+            (0, 0), (0, 0)
+        ]
+        assert not node._inq

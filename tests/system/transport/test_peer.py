@@ -28,7 +28,7 @@ from repro.system.transport.live import NodeAddress
 from repro.system.transport.peer import LinkProtocol, PeerLink
 
 INSTANCE = "test-run"
-SENDS = ("send_message", "send_round", "send_decided")
+SENDS = ("send_shared", "send_message", "send_round", "send_decided")
 SRC = Path(__file__).resolve().parents[3] / "src" / "repro"
 TESTS = Path(__file__).resolve().parents[2]
 

@@ -25,7 +25,7 @@ from repro.lint.flow.model import build_model
 from repro.lint.flow.msgflow import class_profile
 from repro.system.crypto import Signature
 from repro.system.door import SCHEMAS, reject
-from repro.system.messages import ALL, Message
+from repro.system.messages import ALL, BURST, Message
 from repro.system.transport import wire
 
 SRC = Path(__file__).resolve().parents[3] / "src" / "repro"
@@ -470,6 +470,60 @@ class TestPinnedBytes:
         assert encode_message(msg, 9, stamp=STAMP) == (
             wire.encode_for_version(record, wire.WIRE_VERSION)
         )
+
+
+#: ``(link_seq, dst)`` of the links a shared record is stamped for.
+LINKS = [(0, 0), (1, 3), (2**40 + 7, 4)]
+
+
+class TestSharedFrame:
+    """A record a node sends on several links is encoded once; each link's
+    frame of it is, byte for byte, what encoding the record with that
+    link's ``link_seq`` and ``dst`` gives."""
+
+    @pytest.mark.parametrize("stamp", [None, STAMP], ids=["unstamped", "stamped"])
+    @pytest.mark.parametrize("round_", [None, 6], ids=["no-round", "round"])
+    @pytest.mark.parametrize("kind", sorted(REPRESENTATIVES))
+    def test_burst_copies_equal_their_own_encodes(self, kind, round_, stamp):
+        msg = REPRESENTATIVES[kind]._replace(round=round_)
+        shared = wire.shared_frame(wire.message_record(msg._replace(dst=BURST), 0, stamp))
+        for link_seq, dst in LINKS:
+            copy = msg._replace(dst=dst)
+            assert wire.link_frame(shared, link_seq, dst) == wire.encode_for_version(
+                wire.message_record(copy, link_seq, stamp), wire.WIRE_VERSION
+            )
+
+    @pytest.mark.parametrize("stamp", [None, STAMP], ids=["unstamped", "stamped"])
+    @pytest.mark.parametrize("kind", sorted(REPRESENTATIVES))
+    def test_a_link_keeps_the_records_dst_unless_told(self, kind, stamp):
+        # Point-to-point, and an atomic broadcast's dst = ALL on every link.
+        msg = REPRESENTATIVES[kind]
+        shared = wire.shared_frame(wire.message_record(msg, 0, stamp))
+        for link_seq, _ in LINKS:
+            assert wire.link_frame(shared, link_seq) == wire.encode_for_version(
+                wire.message_record(msg, link_seq, stamp), wire.WIRE_VERSION
+            )
+
+    @pytest.mark.parametrize(
+        "record",
+        [(wire.ROUND, 0, 5, True), (wire.ROUND, 0, 0, False), (wire.DECIDED, 0, 9)],
+        ids=["round-decided", "round", "decided"],
+    )
+    def test_markers_differ_only_in_link_seq(self, record):
+        shared = wire.shared_frame(record)
+        for link_seq, _ in LINKS:
+            assert wire.link_frame(shared, link_seq) == wire.encode_for_version(
+                (record[0], link_seq, *record[2:]), wire.WIRE_VERSION
+            )
+
+    def test_refusals_happen_once_at_the_shared_encode(self, monkeypatch):
+        with pytest.raises(wire.WireError, match="not a tuple"):
+            wire.shared_frame(wire.message_record(Message(0, BURST, "iter", [1.0]), 0))
+        with pytest.raises(wire.WireError, match="not shared"):
+            wire.shared_frame(GOOD_RECORDS["hello"])
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 64)
+        with pytest.raises(wire.WireError, match="exceeds"):
+            wire.shared_frame(wire.message_record(Message(0, BURST, "iter", (0.0,) * 16), 0))
 
 
 def _split(chunks: list[bytes]) -> list[tuple]:
