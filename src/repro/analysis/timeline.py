@@ -24,6 +24,8 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Any, Optional, Sequence, Union
 
+from ..system.messages import BURST
+
 __all__ = [
     "CausalGraph",
     "causal_records",
@@ -78,6 +80,9 @@ class CausalGraph:
             for ev in self.events
             if ev.get("cause") is not None
         ]
+        #: Processes in the run: the length of its longest vector clock
+        #: (a burst's send stands for one copy to each).
+        self.n = max((len(ev["clock"]) for ev in self.events), default=0)
 
     @classmethod
     def from_source(cls, source: Source) -> "CausalGraph":
@@ -128,10 +133,13 @@ class CausalGraph:
         )
 
 
-def _label(ev: dict) -> str:
-    """One-line human rendering of a causal event record."""
+def _label(ev: dict, n: int) -> str:
+    """One-line human rendering of a causal event record; a burst's send
+    is a broadcast of one copy to each of the ``n`` processes."""
     kind = ev["kind"]
-    if kind == "send":
+    if kind == "send" and ev["dst"] == BURST:
+        core = f"broadcast {ev['src']}->0..{n - 1} ({n} copies) tag={ev['tag']!r}"
+    elif kind == "send":
         core = f"send {ev['src']}->{ev['dst'] if ev['dst'] >= 0 else 'ALL'}"
         core += f" tag={ev['tag']!r}"
     elif kind == "deliver":
@@ -179,7 +187,7 @@ def render_timeline(
                 break
             lines.append(
                 f"  e{ev['eid']:<5} [pid {ev['pid']}] L={ev['lamport']:<4} "
-                f"{_label(ev)}"
+                f"{_label(ev, graph.n)}"
             )
     return "\n".join(lines)
 
@@ -231,7 +239,7 @@ def render_explanation(
                 lines.append(f"  ... ({len(cone) - shown} more cone events)")
                 return "\n".join(lines)
             ev = graph.events[e]
-            lines.append(f"  e{ev['eid']:<5} [pid {ev['pid']}] {_label(ev)}")
+            lines.append(f"  e{ev['eid']:<5} [pid {ev['pid']}] {_label(ev, graph.n)}")
             shown += 1
     return "\n".join(lines)
 
@@ -305,7 +313,10 @@ def render_dot(
         for e in eids:
             ev = graph.events[e]
             style = _DOT_KIND_STYLE.get(ev["kind"], "shape=ellipse")
-            text = f"e{e}\\n{ev['kind']} t={ev['time']}"
+            kind = ev["kind"]
+            if kind == "send" and ev["dst"] == BURST:
+                kind = f"broadcast x{graph.n}"
+            text = f"e{e}\\n{kind} t={ev['time']}"
             if ev["kind"] in ("send", "deliver") and ev.get("tag") is not None:
                 text += f"\\n{ev['tag']}"
             lines.append(f'    e{e} [label="{text}", {style}];')

@@ -17,11 +17,12 @@ loop does no allocation and no clock bookkeeping unless a real
 ``set_causal_collector``).
 
 Event-id correspondence between sends and deliveries is exact even under
-duplication and atomic broadcast: :meth:`CausalCollector.on_send` queues
-the send's event id on the message's ``(src, dst)`` link mirror, and
-:meth:`CausalCollector.pop_send` dequeues it when the scheduler pops the
-link — the network's per-link FIFO discipline keeps both queues in
-lockstep.
+duplication and broadcast: :meth:`CausalCollector.on_send` queues the
+send's event id on the message's ``(src, dst)`` link mirror (a burst's
+on each link it rides), and :meth:`CausalCollector.pop_send` dequeues it
+when the scheduler pops the link — the network's per-link FIFO
+discipline keeps both queues in lockstep.  A broadcast, atomic or a
+burst, is one send event with a ``cause`` edge to each delivery.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Deque, Iterator, Optional
+from typing import Any, Deque, Iterator, Optional, Sequence
 
 __all__ = [
     "CausalEvent",
@@ -120,14 +121,19 @@ class CausalCollector:
         tag: str,
         *,
         time: Optional[int] = None,
+        links: Optional[Sequence[tuple[int, int]]] = None,
         **fields: Any,
     ) -> int:
         """Stamp one message submission; returns the send event's id.
 
-        Called once per accepted message, by
-        :meth:`repro.system.network.Network.submit` or by the synchronous
-        round's exchange (atomic broadcasts count once — their single
-        send event fans out to one deliver event per target).
+        Called once per accepted envelope, by
+        :meth:`repro.system.network.Network.submit`, the synchronous
+        round's exchange or a live node; a broadcast (``dst = ALL`` or
+        ``BURST``) is one send event with one deliver event per
+        receiver.  Its id waits for :meth:`pop_send` on each of
+        ``links``, ``(src, dst)`` by default: the asynchronous network
+        passes a burst's ``n`` links, a live node none (its deliveries
+        carry the stamp).
         """
         if time is None:
             time = self.now
@@ -136,7 +142,8 @@ class CausalCollector:
         vc = self._clock[src]
         vc[src] += 1
         eid = len(self.events)
-        self._in_flight.setdefault((src, dst), deque()).append(eid)
+        for link in ((src, dst),) if links is None else links:
+            self._in_flight.setdefault(link, deque()).append(eid)
         return self._record(CausalEvent(
             eid=eid, kind="send", pid=src, lamport=self._lamport[src],
             clock=tuple(vc), time=time, src=src, dst=dst, tag=tag,
@@ -173,8 +180,8 @@ class CausalCollector:
     ) -> int:
         """Stamp one delivery at ``dst``, merging the send's clocks.
 
-        One atomic broadcast yields one deliver event per target process,
-        all caused by the same send event.
+        One broadcast yields one deliver event per receiver, all caused
+        by the same send event.
         """
         if time is None:
             time = self.now

@@ -53,6 +53,7 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 import numpy as np
 
 from ..analysis.timeline import CausalGraph
+from ..system.messages import BURST
 from .export import read_jsonl
 from .probes import ProbeReport, build_probes, fold_verdict
 
@@ -319,9 +320,9 @@ def _delta_used(trails: Sequence[NodeTrail]) -> Optional[float]:
 def _sent_digests(graph: CausalGraph) -> dict[Any, dict[Any, str]]:
     """``{(pid, tag, round): {receiver: payload digest}}`` over the sends
     of the merged graph (every send carries a digest, stamped by the
-    live transport).  A sequential re-send to the *same* receiver is
-    sequencing, not a second face, so the first digest per receiver
-    stands."""
+    live transport); a burst's one send event is sent to every process.
+    A sequential re-send to the *same* receiver is sequencing, not a
+    second face, so the first digest per receiver stands."""
     sent: dict[Any, dict[Any, str]] = {}
     for ev in graph.events:
         fields = ev.get("fields") or {}
@@ -329,7 +330,10 @@ def _sent_digests(graph: CausalGraph) -> dict[Any, dict[Any, str]]:
         if ev.get("kind") != "send" or digest is None or ev.get("tag") is None:
             continue
         instance = (int(ev["pid"]), str(ev["tag"]), fields.get("round"))
-        sent.setdefault(instance, {}).setdefault(ev.get("dst"), digest)
+        receivers = sent.setdefault(instance, {})
+        dst = ev.get("dst")
+        for receiver in range(graph.n) if dst == BURST else (dst,):
+            receivers.setdefault(receiver, digest)
     return sent
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Iterator, Optional, Sequence
 
 from ..obs.causal import NULL_COLLECTOR
-from .messages import ALL, BURST, Message, burst_copy, expand_bursts
+from .messages import ALL, BURST, Message, burst_copy
 
 __all__ = ["Network", "NetworkStats"]
 
@@ -159,7 +159,8 @@ class Network:
         A burst joins the links ``(src, 0) ... (src, n - 1)`` as one
         envelope, in the order its ``n`` copies' sends would have: the
         buffers, the pending index and the statistics end up as after
-        those sends.
+        those sends.  A causal collector records it as one send event,
+        queued on each of those links.
         """
         src, dst = msg.src, msg.dst
         if not 0 <= src < self.n:
@@ -189,9 +190,8 @@ class Network:
             raise ValueError(f"message endpoints out of range: {msg!r}")
         collector = self.collector
         if collector.enabled:
-            for copy in expand_bursts((msg,), self.n):
-                collector.on_send(copy.src, copy.dst, copy.tag, seq=copy.seq,
-                                  round=copy.round)
+            collector.on_send(src, dst, msg.tag, seq=msg.seq, round=msg.round,
+                              links=self._fans[src] if dst == BURST else None)
 
     def pending_links(self) -> Sequence[tuple[int, int]]:
         """Links with at least one undelivered message, sorted.

@@ -346,11 +346,14 @@ class SynchronousScheduler(_Simulator):
         ``dst = ALL`` first, FIFO within a link — which is the order of
         ``Network.drain_all``.  A burst is ``n`` sends and deliveries,
         sized once: sorted by source alone (``ALL`` first), every inbox
-        gets its one entry in that order.  A causal collector or topology
-        sees each copy: bursts are expanded first.  In an incomplete
-        graph there is no channel across a missing edge: such a message
-        is dropped at submission, for a Byzantine sender too (it cannot
-        conjure wires), but only once its endpoints are known to exist.
+        gets its one entry in that order.  A causal collector records
+        each envelope as one send event, a burst too, and each delivery
+        from the loop that fills the inboxes, so every process sees its
+        deliveries in link order.  In an incomplete graph there is no
+        channel across a missing edge: bursts are expanded, and such a
+        message is dropped at submission, for a Byzantine sender too (it
+        cannot conjure wires), but only once its endpoints are known to
+        exist.
         """
         n = self.n
         if not (self._pids.issuperset(map(_SRC, msgs))
@@ -359,11 +362,8 @@ class SynchronousScheduler(_Simulator):
                        if m.src not in self._pids or m.dst not in self._dsts)
             raise ValueError(f"message endpoints out of range: {bad!r}")
         topology = self.topology
-        collector = self.collector
-        traced = collector.enabled
-        if topology is not None or traced:
-            msgs = list(expand_bursts(msgs, n))
         if topology is not None:
+            msgs = list(expand_bursts(msgs, n))
             sent = [m for m in msgs
                     if m.dst == ALL or topology.allows(m.src, m.dst)]
             if len(sent) < len(msgs):
@@ -372,14 +372,12 @@ class SynchronousScheduler(_Simulator):
             msgs = sent
         stats = self.network.stats
         stats.record_sends(msgs, n)
+        collector = self.collector
+        traced = collector.enabled
         if traced:
             for m in msgs:
                 collector.on_send(m.src, m.dst, m.tag, seq=m.seq, round=m.round)
-            # Sorted by (src, dst) as two stable sorts on one int each:
-            # list.sort compares machine-size int keys directly, where a
-            # tuple key goes through the generic item-by-item comparison.
-            ordered = sorted(msgs, key=_DST)
-        elif ALL in map(_DST, msgs):
+        if ALL in map(_DST, msgs):
             ordered = [m for m in msgs if m.dst == ALL] + [m for m in msgs if m.dst != ALL]
         else:
             ordered = msgs

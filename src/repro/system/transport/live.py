@@ -65,7 +65,7 @@ from ...obs.causal import get_causal_collector
 from ...obs.metrics import MetricsRegistry, active_registry
 from ...obs.probes import Probe, ProbeView
 from ..adversary import Adversary
-from ..messages import ALL, BURST, Message, burst_copy, canonical_bytes, expand_bursts
+from ..messages import ALL, BURST, Message, burst_copy, canonical_bytes
 from ..network import NetworkStats
 from ..process import AsyncProcess, Context, Node, SyncProcess
 from ..scheduler import RunResult, _finish_probes, _fold_network_stats
@@ -257,8 +257,6 @@ class LiveNode:
         #: A burst's destinations 0 … n-1: the link to each, None at this
         #: node's own id (its copy is delivered locally).
         self._walk: tuple[Optional[PeerLink], ...] = ()
-        #: The send eids of an untraced message's copies.
-        self._no_eids = (None,) * self.n
         self._server: Any = None
         #: Transports of the accepted connections still open.
         self._inbound: set[Any] = set()
@@ -395,59 +393,48 @@ class LiveNode:
         node_id = self.node_id
         for msg in msgs:
             dst = msg.dst
-            eids, frames = self._frames(msg, round_)
+            send_eid, shared = self._frame(msg, round_)
             if dst == BURST:
                 for d, link in enumerate(self._walk):
                     if link is None:
-                        self._deliver_local(burst_copy(msg, d), round_, eids[d])
+                        self._deliver_local(burst_copy(msg, d), round_, send_eid)
                         continue
-                    waiter = link.send_shared(frames[d], d)
+                    waiter = link.send_shared(shared, d)
                     if waiter is not None:
                         await waiter
             elif dst == ALL:
-                await self._to_links(frames[0])
-                self._deliver_local(msg, round_, eids[0])
+                await self._to_links(shared)
+                self._deliver_local(msg, round_, send_eid)
             elif dst == node_id:
-                self._deliver_local(msg, round_, eids[0])
+                self._deliver_local(msg, round_, send_eid)
             else:
-                waiter = self._links[dst].send_shared(frames[0])
+                waiter = self._links[dst].send_shared(shared)
                 if waiter is not None:
                     await waiter
 
-    def _frames(
+    def _frame(
         self, msg: Message, round_: Optional[int]
-    ) -> tuple[Sequence[Optional[int]], Sequence[Optional[wire.SharedFrame]]]:
-        """The send eids and the shared frames of ``msg``'s copies (a
-        burst's n, in destination order; else its one), None where a copy
-        stays local.  Every copy encodes before any link takes one, so a
-        record its layout refuses moves no link.  Untraced, the copies
-        share one frame; a causal collector gives each copy its own send
-        event, stamped in its frame."""
+    ) -> tuple[Optional[int], Optional[wire.SharedFrame]]:
+        """``msg``'s send eid (None untraced) and the one shared frame
+        every copy of it goes out in (None when it stays local).  The
+        record encodes before any link takes a copy, so a record its
+        layout refuses moves no link.  A causal collector records ``msg``
+        as one send event, a burst too, and the frame carries its stamp
+        to every peer."""
         collector = self.collector
-        if not collector.enabled:
-            shared = None
-            if msg.dst != self.node_id:
-                shared = wire.shared_frame(wire.message_record(msg, 0))
-            return self._no_eids, [shared] * (self.n if msg.dst == BURST else 1)
-        # One send event per copy, like the simulator; an atomic broadcast
-        # fans its single stamp to every link.  The payload digest lets
-        # the post-hoc broadcast-integrity probe compare what each
-        # receiver was sent: the copies share the payload, so one digest.
-        digest = hashlib.sha256(canonical_bytes(msg.payload)).hexdigest()[:16]
-        eids: list[Optional[int]] = []
-        frames: list[Optional[wire.SharedFrame]] = []
-        for copy in expand_bursts((msg,), self.n):
+        send_eid = stamp = None
+        if collector.enabled:
+            # The payload digest lets the post-hoc broadcast-integrity
+            # probe compare what each receiver was sent.
+            digest = hashlib.sha256(canonical_bytes(msg.payload)).hexdigest()[:16]
             send_eid = collector.on_send(
-                copy.src, copy.dst, copy.tag,
-                time=round_, seq=copy.seq, round=copy.round, digest=digest,
+                msg.src, msg.dst, msg.tag, time=round_, links=(),
+                seq=msg.seq, round=msg.round, digest=digest,
             )
-            eids.append(send_eid)
-            frames.append(
-                None if copy.dst == self.node_id else wire.shared_frame(
-                    wire.message_record(copy, 0, collector.stamp(send_eid))
-                )
-            )
-        return eids, frames
+            stamp = collector.stamp(send_eid)
+        if msg.dst == self.node_id:
+            return send_eid, None
+        return send_eid, wire.shared_frame(wire.message_record(msg, 0, stamp))
 
     def _deliver_local(
         self, msg: Message, round_: Optional[int], send_eid: Optional[int]

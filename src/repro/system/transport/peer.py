@@ -16,8 +16,8 @@ the data path:
   (:func:`~repro.system.transport.wire.shared_frame`): those bytes are
   the payload's snapshot, and the link only stamps its next sequence
   number (and a burst copy's ``dst``) in the frame's head, so only a
-  record that encoded takes one.  ``send_message`` / ``send_round`` /
-  ``send_decided`` send one record on this link alone.  The frame joins
+  record that encoded takes one.  It is the link's one send method: a
+  record for this link alone is a shared frame too.  The frame joins
   the queue with its send time.  On a connected link the queue is written
   at the end of the loop callback that sent its first frame
   (``loop.call_soon``), or at once when it holds ``queue_limit`` frames.
@@ -289,19 +289,6 @@ class PeerLink:
         return self._failure
 
     # ------------------------------------------------------------- sending
-    def send_message(
-        self, msg: Any, stamp: Optional[tuple] = None
-    ) -> Optional[Awaitable[None]]:
-        """Send one protocol message, optionally with its causal stamp;
-        returns the backpressure waiter the sender must await, or None."""
-        return self.send_shared(wire.shared_frame(wire.message_record(msg, 0, stamp)))
-
-    def send_round(self, round: int, decided: bool) -> Optional[Awaitable[None]]:
-        return self.send_shared(wire.shared_frame((wire.ROUND, 0, int(round), bool(decided))))
-
-    def send_decided(self) -> Optional[Awaitable[None]]:
-        return self.send_shared(wire.shared_frame((wire.DECIDED, 0, self.self_id)))
-
     def send_shared(
         self, shared: wire.SharedFrame, dst: Optional[int] = None
     ) -> Optional[Awaitable[None]]:

@@ -17,6 +17,7 @@ from repro.analysis.timeline import (
 from repro.core.runner import run
 from repro.core.runspec import RunSpec
 from repro.obs.causal import CausalCollector, use_causal_collector
+from repro.system.messages import ALL, BURST
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +99,47 @@ class TestRenderers:
         collector, _ = traced
         text = render_explanation(collector, 99)
         assert "no decide event" in text
+
+
+class TestBurstSend:
+    """A burst (``dst = BURST``) is one send event: the renderers show a
+    broadcast of one copy to each process, not an atomic ``ALL``."""
+
+    @staticmethod
+    def records():
+        def ev(eid, kind, pid, clock, **more):
+            return {"type": "causal", "eid": eid, "kind": kind, "pid": pid,
+                    "lamport": max(clock), "clock": clock, "time": 0, **more}
+
+        return [
+            ev(0, "send", 1, [0, 1, 0], src=1, dst=BURST, tag="bc:1"),
+            ev(1, "send", 1, [0, 2, 0], src=1, dst=ALL, tag="abc"),
+            *(ev(2 + pid, "deliver", pid, [0, 2, 0], src=1, dst=pid,
+                 tag="bc:1", cause=0) for pid in range(3)),
+            ev(5, "deliver", 0, [2, 2, 0], src=1, dst=0, tag="abc", cause=1),
+            ev(6, "decide", 0, [3, 2, 0]),
+        ]
+
+    def test_cone_names_a_broadcast_of_n_copies(self):
+        text = render_explanation(self.records(), 0)
+        assert "[pid 1] broadcast 1->0..2 (3 copies) tag='bc:1'" in text
+        assert "send 1->ALL tag='abc'" in text
+        assert "-2" not in text
+
+    def test_dot_names_a_broadcast_of_n_copies(self):
+        dot = render_dot(self.records(), pid=0)
+        assert 'e0 [label="e0\\nbroadcast x3 t=0\\nbc:1", shape=box]' in dot
+        assert 'e1 [label="e1\\nsend t=0\\nabc", shape=box]' in dot
+        assert "e0 -> e2;" in dot
+
+    def test_a_run_renders_its_bursts_as_broadcasts(self, traced):
+        collector, _ = traced
+        bursts = [ev for ev in collector.events if ev.kind == "send" and ev.dst == BURST]
+        assert bursts
+        graph = CausalGraph.from_source(collector)
+        assert graph.n == 6
+        cone = graph.causal_cone(graph.decide_eid(0))
+        assert any(graph.events[e]["dst"] == BURST for e in cone)
+        text = render_explanation(collector, 0, max_events=len(cone))
+        assert "(6 copies)" in text and "->ALL" not in text
+        assert "broadcast x6" in render_dot(collector, pid=0)

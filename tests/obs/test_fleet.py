@@ -24,6 +24,7 @@ from repro.obs.fleet import (
     load_trails,
     stitch,
 )
+from repro.system.messages import BURST
 
 SEED, N, D, SCALE = 7, 2, 2, 1.0
 
@@ -234,6 +235,35 @@ class TestFleetProbes:
         graph, _ = stitch(trails)
         (report,) = fleet_probes(trails, graph, names=("broadcast",))[0]
         assert report.checks == 1 and report.ok
+
+    def _broadcast_report(self, tmp_path, collector):
+        path = dump_trail(
+            tmp_path / "t-n0.jsonl",
+            [header(0), topology_event(0),
+             decision_event(0, self._honest_decision())] + collector.to_records(),
+        )
+        trails = load_trails([path])
+        graph, _ = stitch(trails)
+        (report,) = fleet_probes(trails, graph, names=("broadcast",))[0]
+        return report
+
+    def test_a_burst_is_sent_to_every_receiver(self, tmp_path):
+        # One send event stands for a copy to each of the 3 processes.
+        c0 = CausalCollector(3)
+        c0.on_send(0, BURST, "bc:0", time=0, digest="aaaa", round=0)
+        report = self._broadcast_report(tmp_path, c0)
+        assert report.checks == 1 and report.ok
+
+    def test_a_burst_and_a_send_with_another_digest_trip_the_probe(self, tmp_path):
+        # Receiver 2 first gets one face point to point, receivers 0 and
+        # 1 first get another from the burst: one instance, two faces.
+        c0 = CausalCollector(3)
+        c0.on_send(0, 2, "bc:0", time=0, digest="ffff", round=0)
+        c0.on_send(0, BURST, "bc:0", time=0, digest="aaaa", round=0)
+        report = self._broadcast_report(tmp_path, c0)
+        assert report.checks == 1
+        assert not report.ok
+        assert "distinct payload digests" in report.violations[0].detail
 
     def test_trails_without_topology_event_are_an_error(self, tmp_path):
         c0, _ = two_node_collectors()

@@ -5,7 +5,9 @@ round's inboxes.  The reference is what a lockstep round did through the
 asynchronous buffer: ``Network.submit`` for every message, then
 ``Network.drain_all`` fanning each one out.  Inboxes (key order
 included), ``NetworkStats.as_dict()`` (key order included) and the
-causal events and edges must come out the same.
+causal trace, up to a renaming of event ids, must come out the same: the
+round records every process's deliveries in the order the reference
+does, though not interleaved across processes the same way.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from repro.system.network import Network
 from repro.system.process import SyncProcess
 from repro.system.scheduler import SynchronousScheduler
 from repro.system.topology import ring_lattice_topology
+
+from .causal_match import renamed, sends
 
 N = 5
 #: Shared payload objects: consecutive sends of one object under one tag
@@ -109,15 +113,16 @@ def test_exchange_matches_submit_and_drain_all(rounds, ring):
     ]
     stats = sched.network.stats.as_dict()
     assert repr(stats) == repr(ref_stats.as_dict())
-    assert collector.events == ref_collector.events
-    assert collector.edges == ref_collector.edges
+    assert renamed(collector.events) == renamed(ref_collector.events)
+    assert sends(collector.events) == sum(map(len, sent_per_round))
 
 
 #: SHA-256 of the causal records and edges of one sync EIG run at
-#: (n, d, f) = (7, 2, 2) under the equivocating adversary, cut while the
-#: round went through ``Network.submit`` / ``drain_all``.
+#: (n, d, f) = (7, 2, 2) under the equivocating adversary, cut when a
+#: broadcast became one send event: 703 sends (1,813 while each copy was
+#: its own) for the same 1,813 deliveries.
 EQUIVOCATE_CAUSAL_SHA256 = (
-    "ad98beca6e95b4668f4eb230bb5925ce5b689c1ccdd21263db96d8c651cc3155"
+    "663fe64409df8e5988dbee767276431d6391032c59b6c583442fb0cc601d6b3b"
 )
 
 
@@ -133,7 +138,7 @@ def test_sync_eig_equivocate_causal_trace_is_unchanged():
             broadcast="eig",
         ))
     assert outcome.ok
-    assert (len(collector.events), len(collector.edges)) == (3633, 1813)
+    assert (len(collector.events), len(collector.edges)) == (2523, 1813)
     blob = json.dumps([collector.to_records(), collector.edges]).encode()
     assert hashlib.sha256(blob).hexdigest() == EQUIVOCATE_CAUSAL_SHA256
 
@@ -168,10 +173,13 @@ def test_bursts_match_their_copies_through_submit_and_drain_all(rounds, ring, tr
         [Idle() for _ in range(N)], f=0, topology=topology, collector=collector,
     )
     inboxes_per_round, sent_per_round = [], []
+    envelopes = 0
     for r, msgs in enumerate(rounds):
         if traced:
             collector.now = r
-        sent_per_round.append(expand_bursts(sched._exchange(list(msgs), r), N))
+        sent = sched._exchange(list(msgs), r)
+        envelopes += len(sent)
+        sent_per_round.append(expand_bursts(sent, N))
         inboxes_per_round.append(_items(sched._inboxes))
 
     submitted = [expand_bursts(m, N) for m in rounds] if ring else rounds
@@ -183,5 +191,6 @@ def test_bursts_match_their_copies_through_submit_and_drain_all(rounds, ring, tr
     ]
     assert repr(sched.network.stats.as_dict()) == repr(ref_stats.as_dict())
     if traced:
-        assert collector.events == ref_collector.events
-        assert collector.edges == ref_collector.edges
+        # The reference's network records a burst as one send event too.
+        assert renamed(collector.events) == renamed(ref_collector.events)
+        assert sends(collector.events) == envelopes

@@ -34,6 +34,8 @@ from repro.system.transport.live import (
     _Inbound,
 )
 
+from .sends import send_message
+
 
 class Silent(AsyncProcess):
     """Sends nothing and never decides."""
@@ -405,7 +407,7 @@ class TestInboundProtocol:
                 assert asyncio.get_running_loop().time() < deadline
                 await asyncio.sleep(0.01)
             for i in range(4):
-                assert link.send_message(Message(0, 1, "iter", (float(i),))) is None
+                assert send_message(link, Message(0, 1, "iter", (float(i),))) is None
             while receiver.frames_received < 4:
                 assert asyncio.get_running_loop().time() < deadline
                 await asyncio.sleep(0.01)
@@ -553,9 +555,10 @@ class TestBurstRoute:
 
     BURST_MSG = Message(1, BURST, "iter", (1.0, 2.0), seq=10)
 
-    def _route(self, tmp_path, msgs):
-        """Node 1 of three routes ``msgs`` to listening peers, then closes
-        its links; returns it and what each peer received."""
+    def _route(self, tmp_path, msgs, collector=None):
+        """Node 1 of three routes ``msgs`` to listening peers (under
+        ``collector``, if given), then closes its links; returns it and
+        what each peer received."""
 
         async def go():
             nodes = make_nodes(tmp_path, [Silent() for _ in range(3)])
@@ -563,6 +566,8 @@ class TestBurstRoute:
             for node in nodes:
                 addresses[node.node_id] = await node.start_server()
             node = nodes[1]
+            if collector is not None:
+                node.collector = collector
             node.connect_peers(addresses)
             for link in node._peer_links:
                 link.start()
@@ -600,6 +605,33 @@ class TestBurstRoute:
         assert local == [(tuple(copies[1]), None)]
         assert whole_received == expanded_received
         assert whole_received[2][0][0][0][:4] == (1, 2, "iter", (1.0, 2.0))
+
+    def test_a_traced_burst_is_one_send_event_encoded_once(self, tmp_path, monkeypatch):
+        # With a causal collector on, the burst is one send event: its
+        # record is encoded once and carries that event's stamp to every
+        # peer, and the event causes the local copy too.
+        encoded = []
+        shared_frame = wire.shared_frame
+
+        def counting(record):
+            encoded.append(record)
+            return shared_frame(record)
+
+        monkeypatch.setattr(wire, "shared_frame", counting)
+        collector = CausalCollector(3)
+        node, received = self._route(tmp_path, [self.BURST_MSG], collector)
+        (send,) = collector.events
+        assert (send.kind, send.src, send.dst, send.tag) == ("send", 1, BURST, "iter")
+        assert len(encoded) == 1
+        remote = ("remote", collector.stamp(send.eid))
+        assert {peer: [(m[1], meta) for m, meta in inq]
+                for peer, (inq, _) in received.items()} == {
+            0: [(0, remote)], 2: [(2, remote)]
+        }
+        assert [(tuple(m), meta) for m, meta in node._inq] == [
+            (tuple(burst_copy(self.BURST_MSG, 1)), ("local", send.eid))
+        ]
+        assert not collector._in_flight  # no delivery pops a live send
 
     @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
     @pytest.mark.parametrize("refused", ["layout", "size"])

@@ -27,7 +27,11 @@ from repro.system.transport import wire
 from repro.system.transport.live import NodeAddress
 from repro.system.transport.peer import LinkProtocol, PeerLink
 
+from . import sends
+from .sends import send_decided, send_message, send_round
+
 INSTANCE = "test-run"
+#: The link's one send method, and the helpers over it.
 SENDS = ("send_shared", "send_message", "send_round", "send_decided")
 SRC = Path(__file__).resolve().parents[3] / "src" / "repro"
 TESTS = Path(__file__).resolve().parents[2]
@@ -147,8 +151,8 @@ class TestHandshakeAndDelivery:
             await listener.start()
             link = make_link(path)
             link.start()
-            assert link.send_message(Message(0, 1, "iter", (1.0, 2.0))) is None
-            assert link.send_decided() is None
+            assert send_message(link, Message(0, 1, "iter", (1.0, 2.0))) is None
+            assert send_decided(link) is None
             await link.close()
             await listener.stop()
             return listener, link
@@ -174,7 +178,7 @@ class TestHandshakeAndDelivery:
             await asyncio.wait_for(failed.wait(), timeout=1.0)
             assert isinstance(link.failed, wire.WireError)
             with pytest.raises(wire.WireError, match="failed permanently"):
-                link.send_message(Message(0, 1, "iter", ()))
+                send_message(link, Message(0, 1, "iter", ()))
             await listener.stop()
 
         asyncio.run(go())
@@ -193,7 +197,7 @@ class TestHandshakeAndDelivery:
             assert isinstance(link.failed, ConnectionError)
             assert "unreachable" in str(link.failed)
             with pytest.raises(wire.WireError, match="failed permanently"):
-                link.send_decided()
+                send_decided(link)
 
         asyncio.run(go())
 
@@ -234,7 +238,7 @@ class TestReconnect:
             )
             link.start()
             for i in range(3):
-                assert link.send_message(Message(0, 1, "iter", (float(i),))) is None
+                assert send_message(link, Message(0, 1, "iter", (float(i),))) is None
             # Wait for delivery before closing so the assertions below
             # don't depend on the close()-time drain grace.
             await until(lambda: {r[1] for r in listener.records} == {0, 1, 2})
@@ -287,7 +291,7 @@ class TestReconnect:
         async def go():
             link = make_link(path, backoff_base=0.01, backoff_cap=0.02)
             link.start()
-            assert link.send_decided() is None
+            assert send_decided(link) is None
             await asyncio.sleep(0.05)  # dial fails: nothing listening yet
             listener = MiniListener(path, node_id=1)
             await listener.start()
@@ -307,7 +311,7 @@ class TestReconnect:
                 path, backoff_base=0.01, backoff_cap=0.02, drain_grace=0.2
             )
             link.start()
-            assert link.send_decided() is None
+            assert send_decided(link) is None
             await asyncio.sleep(0.05)  # dial fails: nothing listening
             start = asyncio.get_running_loop().time()
             await link.close()
@@ -329,8 +333,8 @@ class TestBackpressure:
             listener = MiniListener(path, node_id=1)
             await listener.start()
             link = make_link(path, queue_limit=1)
-            assert link.send_message(Message(0, 1, "iter", (0.0,))) is None  # fills
-            waiter = link.send_message(Message(0, 1, "iter", (1.0,)))
+            assert send_message(link, Message(0, 1, "iter", (0.0,))) is None  # fills
+            waiter = send_message(link, Message(0, 1, "iter", (1.0,)))
             assert waiter is not None
             blocked = asyncio.ensure_future(waiter)
             await asyncio.sleep(0)  # the sender is now parked
@@ -357,7 +361,7 @@ class TestVersionNegotiation:
             await listener.start()
             link = make_link(path)
             link.start()
-            assert link.send_message(
+            assert send_message(link, 
                 Message(0, 1, "iter", (1.0,)), stamp=self.STAMP
             ) is None
             await link.close()
@@ -418,13 +422,13 @@ class TestLinkTelemetry:
             await listener.start()
             link = make_link(path)
             # Sent before dialling, so these two measurably wait.
-            assert link.send_message(Message(0, 1, "iter", (0.0,))) is None
-            assert link.send_message(Message(0, 1, "iter", (1.0,))) is None
+            assert send_message(link, Message(0, 1, "iter", (0.0,))) is None
+            assert send_message(link, Message(0, 1, "iter", (1.0,))) is None
             link.start()
             await until(lambda: len(listener.records) == 2)
             # Connected: written when the sender's callback ends, so it
             # waits a little, and far less than a handshake.
-            assert link.send_message(Message(0, 1, "iter", (2.0,))) is None
+            assert send_message(link, Message(0, 1, "iter", (2.0,))) is None
             await link.close()
             await listener.stop()
             return link
@@ -454,7 +458,7 @@ class TestLinkTelemetry:
             link = make_link(path, backoff_base=0.001, chaos_close_after=1)
             link.start()
             for i in range(3):
-                assert link.send_message(Message(0, 1, "iter", (float(i),))) is None
+                assert send_message(link, Message(0, 1, "iter", (float(i),))) is None
             await until(lambda: {r[1] for r in listener.records} == {0, 1, 2})
             await link.close()
             await listener.stop()
@@ -473,8 +477,8 @@ class TestSequenceNumbers:
             link.start()
             await peer.connected()
             for i in range(3):
-                assert link.send_message(msg(i)) is None
-            assert link.send_decided() is None
+                assert send_message(link, msg(i)) is None
+            assert send_decided(link) is None
             await link.close()
             return peer
 
@@ -627,9 +631,9 @@ class TestBurstWrite:
             peer = FakePeer()
             link = peer.link()
             for i in range(k - 2):
-                assert link.send_message(msg(i)) is None
-            assert link.send_round(0, False) is None
-            assert link.send_decided() is None
+                assert send_message(link, msg(i)) is None
+            assert send_round(link, 0, False) is None
+            assert send_decided(link) is None
             link.start()
             await link.close()
             return peer, link
@@ -658,7 +662,7 @@ class TestBurstWrite:
             link.start()
             await peer.connected()
             for i in range(k):
-                assert link.send_message(msg(i)) is None
+                assert send_message(link, msg(i)) is None
             assert peer.data_writes() == []
             await asyncio.sleep(0)  # the next callback
             writes = peer.data_writes()
@@ -689,7 +693,7 @@ class TestBurstWrite:
             peer = FakePeer(fail_writes=1)
             link = peer.link()
             for i in range(k):
-                assert link.send_message(msg(i)) is None
+                assert send_message(link, msg(i)) is None
             link.start()
             await until(lambda: len(peer.delivered) == k)
             await link.close()
@@ -718,7 +722,7 @@ class TestBurstWrite:
             link.start()
             await peer.connected()
             for i in range(4):
-                assert link.send_message(msg(i)) is None
+                assert send_message(link, msg(i)) is None
                 await asyncio.sleep(0)
             await until(lambda: len(peer.delivered) >= 4)
             await link.close()
@@ -747,7 +751,7 @@ class TestBurstWrite:
 
             async def produce():
                 for i in range(k):
-                    waiter = link.send_message(msg(i))
+                    waiter = send_message(link, msg(i))
                     if waiter is not None:
                         await waiter
 
@@ -791,7 +795,7 @@ class TestBurstWrite:
             link.dial = dial_pending
             (transport,) = peer.transports
             transport.closing = True  # lost; connection_lost not yet called
-            waiters = [link.send_message(msg(i)) for i in range(3)]
+            waiters = [send_message(link, msg(i)) for i in range(3)]
             assert link._proto is None and waiters[:2] == [None, None]
             transport.proto.connection_lost(ConnectionResetError("fake: died"))
             await asyncio.sleep(0)
@@ -816,11 +820,11 @@ class TestCork:
             await peer.connected()
             peer.stalled = True
             for i in range(2):
-                assert link.send_message(msg(i)) is None
+                assert send_message(link, msg(i)) is None
             await asyncio.sleep(0)
             assert len(link._inflight) == 2
             for i in range(2, 4):
-                assert link.send_message(msg(i)) is None
+                assert send_message(link, msg(i)) is None
             first = peer.transports[0]
             first.closing = True
             first.proto.connection_lost(ConnectionResetError("fake: died"))
@@ -849,7 +853,7 @@ class TestCork:
             link.start()
             await peer.connected()
             for i in range(k):
-                assert link.send_message(msg(i)) is None
+                assert send_message(link, msg(i)) is None
             await link.close()
             return peer, link
 
@@ -869,7 +873,7 @@ class TestCork:
             link.start()
             await peer.connected()
             for i in range(7):
-                assert link.send_message(msg(i)) is None
+                assert send_message(link, msg(i)) is None
             before = [len(split_frames(w)) for w in peer.data_writes()]
             corked = len(link._queue)
             await asyncio.sleep(0)
@@ -885,18 +889,19 @@ class TestCork:
     def test_sends_are_plain_calls_returning_a_waiter_or_none(self):
         # No coroutine per frame: a send is a plain call, and what it
         # returns is None or the backpressure waiter its sender awaits.
-        for name in SENDS:
-            assert not inspect.iscoroutinefunction(getattr(PeerLink, name))
+        assert not inspect.iscoroutinefunction(PeerLink.send_shared)
+        for name in SENDS[1:]:
+            assert not inspect.iscoroutinefunction(getattr(sends, name))
 
         async def go():
             peer = FakePeer()
             link = peer.link(queue_limit=1)
-            assert link.send_message(msg(0)) is None
-            waiter = link.send_round(0, False)  # past the backlog's bound
+            assert send_message(link, msg(0)) is None
+            waiter = send_round(link, 0, False)  # past the backlog's bound
             assert inspect.isawaitable(waiter)
             link.start()
             await asyncio.wait_for(waiter, timeout=5.0)
-            assert link.send_decided() is None
+            assert send_decided(link) is None
             await link.close()
             return peer
 
@@ -921,11 +926,11 @@ class TestCork:
                     for child in ast.iter_child_nodes(node)
                 }
                 for node in ast.walk(tree):
-                    if not (
-                        isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr in SENDS
-                    ):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    func = node.func
+                    name = getattr(func, "attr", getattr(func, "id", None))
+                    if name not in SENDS:
                         continue
                     where = f"{path}:{node.lineno}"
                     parent = parents[node]
@@ -936,7 +941,7 @@ class TestCork:
 
 class TestEncodeAtEnqueue:
     def test_frame_is_the_snapshot(self):
-        # The record is encoded inside send_message: what the sender does
+        # The record is encoded inside the send: what the sender does
         # to the payload object afterwards never reaches the wire.  A
         # payload its family's layout refuses raises there, before it
         # takes a sequence number — a live sender raises on what the
@@ -947,8 +952,8 @@ class TestEncodeAtEnqueue:
             payload = [1.0, 2.0]
             with pytest.raises(wire.WireError, match="not a tuple"):
                 # A payload the sender could mutate later has no layout.
-                link.send_message(Message(0, 1, "iter", payload))
-            assert link.send_message(Message(0, 1, "iter", tuple(payload))) is None
+                send_message(link, Message(0, 1, "iter", payload))
+            assert send_message(link, Message(0, 1, "iter", tuple(payload))) is None
             payload[0] = 99.0
             link.start()
             await link.close()
